@@ -332,25 +332,43 @@ def germ_groupoid(action: Action) -> GermGroupoid:
 
 
 def germ_equivalence_is_equivalence(action: Action) -> bool:
-    """Check reflexivity/symmetry/transitivity of germ identification per fiber."""
+    """Certify that germ identification is an equivalence on each fiber.
+
+    At a point x, (s, x) ~ (t, x) iff se = te for some idempotent e in E_x,
+    the idempotents acting at x.  The certificate, per point: the table meet
+    m_x of E_x lies in E_x, and for every e in E_x, se = te implies
+    s m_x = t m_x on the elements acting at x.  The first makes the kernel of
+    s -> s m_x part of ~, the second puts ~ inside that kernel, so ~ is the
+    kernel of a function and hence an equivalence.  A kernel inclusion holds
+    exactly when the pairs (se, s m_x) are no more numerous than the values
+    se, so one count of distinct pairs checks every e at once.  Cost
+    O(points |E| n log n) on the table, where testing the three axioms pair
+    by pair costs O(points n^3 |E|).
+    """
+    import numpy as np
+
     S = action.semigroup
-    idems = sorted(S.idempotent_set)
-
-    def related(s, t, x):
-        return any(x in action.maps[e].domain and S.mul(s, e) == S.mul(t, e)
-                   for e in idems)
-
+    T = S.table
+    n = S.size
+    idems = np.array(sorted(S.idempotent_set))
+    domain = np.array([[y is not None for y in m.images] for m in action.maps],
+                      dtype=bool)
     for x in range(action.space_size):
-        at_x = [s for s in S.elements() if x in action.maps[s].domain]
-        for s in at_x:
-            if not related(s, s, x):
-                return False
-            for t in at_x:
-                if related(s, t, x) != related(t, s, x):
-                    return False
-                for u in at_x:
-                    if related(s, t, x) and related(t, u, x) and not related(s, u, x):
-                        return False
+        acting = np.flatnonzero(domain[:, x])
+        around = idems[domain[idems, x]]
+        if around.size == 0:
+            if acting.size:
+                return False      # no idempotent relates (s, x) to itself
+            continue
+        m = around[0]
+        for e in around[1:]:
+            m = T[m, e]
+        if not domain[m, x]:
+            return False
+        by_e = T[np.ix_(acting, around)] + n * np.arange(around.size)
+        with_meet = by_e * n + T[acting, m][:, None]
+        if np.unique(with_meet).size != np.unique(by_e).size:
+            return False
     return True
 
 

@@ -18,7 +18,7 @@ import sys
 
 from .actions import domains_form_base, germ_groupoid, tight_action, universal_action
 from .builtins import builtin, corpus
-from .congruences import is_cryptic, is_fundamental
+from .congruences import UnionFind, is_cryptic, is_fundamental
 from .errors import StructureError, ZeroRequired
 from .groupoids import (
     is_effective,
@@ -50,24 +50,13 @@ def _load_subject(subject: str) -> tuple[str, InverseSemigroup]:
 
 
 def _d_classes(S: InverseSemigroup) -> int:
-    parent = list(range(S.size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    keys: dict[tuple[str, int], int] = {}
+    """Number of Green's D classes: blocks of the join of L (same s*s) and R (same ss*)."""
+    sets = UnionFind(S.size)
+    first: dict[tuple[str, int], int] = {}
     for s in S.elements():
         for key in (("L", S.mul(S.inv[s], s)), ("R", S.mul(s, S.inv[s]))):
-            if key in keys:
-                a, b = find(keys[key]), find(s)
-                if a != b:
-                    parent[a] = b
-            else:
-                keys[key] = s
-    return len({find(x) for x in S.elements()})
+            sets.union(first.setdefault(key, s), s)
+    return len(sets.blocks())
 
 
 def cmd_check(args) -> int:

@@ -13,9 +13,38 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotACongruence, SearchBudgetExceeded, StructureError
-from .semigroups import InverseSemigroup, centralizer, validate_inverse_semigroup
+from .semigroups import InverseSemigroup, validate_inverse_semigroup
 
 TRANSVERSAL_BUDGET = 10**6
+
+
+class UnionFind:
+    """Disjoint sets over 0..size-1, merged in place (path halving)."""
+
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+    def roots(self) -> np.ndarray:
+        """The root of every element, as an index array."""
+        return np.array([self.find(x) for x in range(len(self.parent))], dtype=np.int64)
+
+    def blocks(self) -> list[list[int]]:
+        groups: dict[int, list[int]] = {}
+        for x in range(len(self.parent)):
+            groups.setdefault(self.find(x), []).append(x)
+        return list(groups.values())
 
 
 @dataclass(frozen=True)
@@ -170,24 +199,17 @@ def is_cryptic(S: InverseSemigroup) -> bool:
 
 
 def sigma_relation(S: InverseSemigroup) -> Relation:
-    """Minimum group congruence: s ~ t iff se = te for some idempotent e."""
-    idems = sorted(S.idempotent_set)
-    parent = list(range(S.size))
+    """Minimum group congruence: s ~ t iff se = te for some idempotent e.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s in S.elements():
-        for t in range(s + 1, S.size):
-            if any(S.mul(s, e) == S.mul(t, e) for e in idems):
-                parent[find(s)] = find(t)
-    groups: dict[int, list[int]] = {}
-    for x in S.elements():
-        groups.setdefault(find(x), []).append(x)
-    return Relation.from_blocks(S.size, groups.values())
+    The relation is the join of the kernels of s -> se over the idempotents
+    e, so each kernel is merged in by one pass down a column of the table.
+    """
+    sets = UnionFind(S.size)
+    for e in sorted(S.idempotent_set):
+        first: dict[int, int] = {}
+        for s, se in enumerate(S.table[:, e].tolist()):
+            sets.union(first.setdefault(se, s), s)
+    return Relation.from_blocks(S.size, sets.blocks())
 
 
 def sigma_and_group_image(S: InverseSemigroup) -> tuple[Relation, QuotientMap]:
@@ -206,42 +228,32 @@ def sigma_and_group_image(S: InverseSemigroup) -> tuple[Relation, QuotientMap]:
 
 
 def generated_congruence(S: InverseSemigroup, pairs) -> Relation:
-    """Smallest congruence relating every given pair (saturation by products)."""
-    parent = list(range(S.size))
+    """Smallest congruence relating every given pair.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            return True
-        return False
-
+    An equivalence is a congruence exactly when each element x is compatible
+    with its block root r: cx ~ cr and xc ~ rc for every c, since any two
+    elements of a block are joined through the root.  Each round forms all
+    2n^2 of those product pairs on the table at once, keeps the ones whose
+    roots still differ, and merges them; saturation ends in the first round
+    that keeps none.  A round costs O(n^2) array work plus one merge per
+    distinct pair of blocks, and every round but the last merges a block.
+    """
+    n = S.size
+    T = S.table
+    sets = UnionFind(n)
     for a, b in pairs:
-        union(a, b)
-    changed = True
-    while changed:
-        changed = False
-        reps: dict[int, list[int]] = {}
-        for x in S.elements():
-            reps.setdefault(find(x), []).append(x)
-        for block in reps.values():
-            a = block[0]
-            for b in block[1:]:
-                for c in S.elements():
-                    if union(S.mul(c, a), S.mul(c, b)):
-                        changed = True
-                    if union(S.mul(a, c), S.mul(b, c)):
-                        changed = True
-    groups: dict[int, list[int]] = {}
-    for x in S.elements():
-        groups.setdefault(find(x), []).append(x)
-    return Relation.from_blocks(S.size, groups.values())
+        sets.union(a, b)
+    while True:
+        root = sets.roots()
+        via_x = root[T]                   # cx at [c, x], xc at [x, c]
+        merged = False
+        for via_root in (root[T[:, root]], root[T[root, :]]):   # c r(x); r(x) c
+            apart = via_root != via_x
+            for key in np.unique(via_root[apart] * n + via_x[apart]).tolist():
+                sets.union(*divmod(key, n))
+                merged = True
+        if not merged:
+            return Relation.from_blocks(n, sets.blocks())
 
 
 def random_idempotent_separating_congruences(S: InverseSemigroup, *, seed: int,
@@ -325,6 +337,3 @@ def find_split_transversal(S: InverseSemigroup) -> tuple[int, ...] | None:
                 raise StructureError("transversal is not multiplicative")
     return r
 
-
-def kernel_of_mu_is_centralizer(S: InverseSemigroup) -> bool:
-    return kernel_of(S, mu_relation(S)) == centralizer(S)

@@ -272,3 +272,13 @@ def test_criterion_10_determinism(subjects):
     assert first == second
     assert "FAIL" not in first
     budget.done("criterion-10 determinism")
+
+
+def test_symmetric4_universal_suite_budget():
+    # 209 elements: a cubic check or an isomorphism search in the universal
+    # suite would take minutes here.
+    budget = Budget(30.0)
+    [report] = run_suite("symmetric:4", builtin("symmetric:4"), "universal")
+    assert len(report.checks) == 22
+    assert report.passed, [c.render() for c in report.checks if not c.passed]
+    budget.done("symmetric:4 universal suite")

@@ -1,6 +1,7 @@
 import pytest
 
 from germlab.actions import (
+    Action,
     DirectedGraph,
     PartialMap,
     action_kernel,
@@ -14,6 +15,7 @@ from germlab.actions import (
     universal_action,
     validate_action,
 )
+from germlab.builtins import builtin
 from germlab.errors import CyclicGraph, DomainMismatch, NotCovering, NotSubsemigroup
 from germlab.semigroups import centralizer, idempotents, validate_inverse_semigroup
 from germlab.semilattices import is_zero_disjunctive, munn_semigroup, semilattice_of, validate_semilattice
@@ -81,6 +83,24 @@ def test_germ_equivalence_is_an_equivalence():
               validate_inverse_semigroup(CHAIN_ID_TABLE),
               diamond_munn()):
         assert germ_equivalence_is_equivalence(universal_action(S))
+
+
+def test_germ_equivalence_rejects_idempotent_domains_not_closed_under_meets():
+    # Built directly, past validate_action: on one point x the idempotents
+    # {0>0}, {1>1} and the identity act, but their meet {} does not.
+    S = builtin("symmetric:2")
+    acting = {S.labels.index(k) for k in ("{0>0}", "{1>1}", "{0>0,1>1}")}
+    maps = tuple(PartialMap((0,) if s in acting else (None,)) for s in S.elements())
+    action = Action(S, 1, maps, ("x",))
+
+    def related(s, t):
+        return any(e in acting and S.mul(s, e) == S.mul(t, e)
+                   for e in S.idempotent_set)
+
+    left, ident, right = (S.labels.index(k) for k in ("{0>0}", "{0>0,1>1}", "{1>1}"))
+    assert related(left, ident) and related(ident, right)
+    assert not related(left, right)       # identification is not transitive here
+    assert not germ_equivalence_is_equivalence(action)
 
 
 def test_b2_universal_germs_form_the_pair_groupoid():

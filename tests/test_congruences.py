@@ -1,8 +1,13 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from germlab.builtins import CORPUS_NAMES, builtin
 from germlab.congruences import (
     Relation,
     find_split_transversal,
+    generated_congruence,
     is_congruence,
     is_cryptic,
     is_fundamental,
@@ -13,6 +18,7 @@ from germlab.congruences import (
     quotient,
     random_idempotent_separating_congruences,
     sigma_and_group_image,
+    sigma_relation,
 )
 from germlab.errors import NotACongruence
 from germlab.semigroups import centralizer, idempotents, validate_inverse_semigroup
@@ -189,3 +195,57 @@ def test_split_transversal_properties_when_found():
         assert q.projection[r[x]] == x
         for y in range(q.target.size):
             assert S.mul(r[x], r[y]) == r[q.target.mul(x, y)]
+
+
+def _reference_closure(S, pairs, *, products=True) -> Relation:
+    """Pure-Python closure of a set of pairs: the equivalence it generates,
+    saturated under multiplication on both sides when ``products`` is set."""
+    parent = list(range(S.size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        parent[ra] = rb
+        return ra != rb
+
+    for a, b in pairs:
+        union(a, b)
+    changed = products
+    while changed:
+        changed = False
+        for a in S.elements():
+            for b in S.elements():
+                if find(a) == find(b):
+                    for c in S.elements():
+                        changed |= union(S.mul(c, a), S.mul(c, b))
+                        changed |= union(S.mul(a, c), S.mul(b, c))
+    blocks: dict[int, list[int]] = {}
+    for x in S.elements():
+        blocks.setdefault(find(x), []).append(x)
+    return Relation.from_blocks(S.size, blocks.values())
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_generated_congruence_matches_reference_saturation(name, seed):
+    S = builtin(name)
+    rng = random.Random(seed)
+    pairs = [(rng.randrange(S.size), rng.randrange(S.size))
+             for _ in range(rng.randint(1, 3))]
+    R = generated_congruence(S, pairs)
+    assert R == _reference_closure(S, pairs)
+    assert is_congruence(S, R)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_sigma_relation_matches_pairwise_definition(name):
+    S = builtin(name)
+    pairs = [(s, t) for s in S.elements() for t in S.elements()
+             if any(S.mul(s, e) == S.mul(t, e) for e in S.idempotent_set)]
+    assert sigma_relation(S) == _reference_closure(S, pairs, products=False)
