@@ -15,8 +15,10 @@ space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+
+import numpy as np
 
 from .errors import (
     CyclicGraph,
@@ -108,16 +110,23 @@ def validate_action(S: InverseSemigroup, space_size: int, maps,
     for s, m in enumerate(maps):
         if len(m.images) != space_size:
             raise StructureError(f"map of element {s} has wrong length")
+        if any(y is not None and not 0 <= y < space_size for y in m.images):
+            raise StructureError(f"map of element {s} leaves the space")
         if not m.injective():
             raise NotHomomorphism(s, s)
     for s in S.elements():
         dom_idem = maps[S.mul(S.inv[s], s)].domain
         if maps[s].domain != dom_idem:
             raise DomainMismatch(s)
+    # images as an (n, points + 1) array; -1 is undefined and column `points`
+    # is an always-undefined sentinel, so M[s][M[t]] composes s after t
+    M = np.full((len(maps), space_size + 1), -1, dtype=np.intp)
+    for s, m in enumerate(maps):
+        M[s, :space_size] = [-1 if y is None else y for y in m.images]
     for s in S.elements():
-        for t in S.elements():
-            if maps[s].after(maps[t]) != maps[S.mul(s, t)]:
-                raise NotHomomorphism(s, t)
+        bad = (M[s][M[:, :space_size]] != M[S.table[s], :space_size]).any(axis=1)
+        if bad.any():
+            raise NotHomomorphism(s, int(np.argmax(bad)))
     covered = set()
     for e in S.idempotent_set:
         covered |= maps[e].domain
@@ -345,8 +354,6 @@ def germ_equivalence_is_equivalence(action: Action) -> bool:
     O(points |E| n log n) on the table, where testing the three axioms pair
     by pair costs O(points n^3 |E|).
     """
-    import numpy as np
-
     S = action.semigroup
     T = S.table
     n = S.size
@@ -380,6 +387,9 @@ class EmbeddedSubgroupoid:
     arrows: frozenset[int]
     groupoid: FiniteGroupoid
     to_parent: tuple[int, ...]
+    # (first failing bundle hypothesis or None, closed), set by the algebra on first use
+    hypotheses: tuple[str | None, bool] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def from_parent(self) -> dict[int, int]:
@@ -516,8 +526,6 @@ def graph_inverse_semigroup(graph: DirectedGraph) -> InverseSemigroup:
         return 0
 
     n = len(elements)
-    import numpy as np
-
     table = np.zeros((n, n), dtype=np.int64)
     for i, a in enumerate(elements):
         for j, b in enumerate(elements):

@@ -283,7 +283,6 @@ def find_split_transversal(S: InverseSemigroup) -> tuple[int, ...] | None:
     """
     mu = mu_relation(S)
     q = quotient(S, mu)
-    proj = q.projection
     idems = S.idempotent_set
     choices: list[list[int]] = []
     for block in mu.blocks:
@@ -298,42 +297,56 @@ def find_split_transversal(S: InverseSemigroup) -> tuple[int, ...] | None:
                 f"transversal search space exceeds {TRANSVERSAL_BUDGET}")
 
     k = len(mu.blocks)
-    target = q.target
-    pick: list[int | None] = [None] * k
+    St, Tt = S.table, q.target.table
+    picked = np.full(k, -1, dtype=np.intp)      # chosen element per class, -1 undecided
 
     def consistent(i: int) -> bool:
-        # check every triple constraint whose last undecided block is i:
-        # i as a factor, and i as a product of two decided factors
-        decided = [j for j in range(k) if pick[j] is not None]
-        for j in decided:
-            for a, b in ((i, j), (j, i)):
-                p = target.mul(a, b)
-                if pick[p] is not None and S.mul(pick[a], pick[b]) != pick[p]:
-                    return False
-        for a in decided:
-            for b in decided:
-                if target.mul(a, b) == i and S.mul(pick[a], pick[b]) != pick[i]:
-                    return False
-        return True
+        # blocks 0..i are decided (backtracking fills them in order); check
+        # every triple constraint that i completes: i as a factor, and i as
+        # the product of two decided factors
+        c = picked[i]
+        done = picked[:i + 1]
+        for p, product in ((Tt[i, :i + 1], St[c, done]), (Tt[:i + 1, i], St[done, c])):
+            want = picked[p]
+            if ((want >= 0) & (product != want)).any():
+                return False
+        a, b = np.nonzero(Tt[:i + 1, :i + 1] == i)
+        return not (St[done[a], done[b]] != c).any()
 
     def backtrack(i: int) -> bool:
         if i == k:
             return True
         for cand in choices[i]:
-            pick[i] = cand
+            picked[i] = cand
             if consistent(i) and backtrack(i + 1):
                 return True
-            pick[i] = None
+            picked[i] = -1
         return False
 
     if not backtrack(0):
         return None
-    r = tuple(pick)  # type: ignore[arg-type]
-    for x in range(k):
-        if proj[r[x]] != x:
-            raise StructureError("transversal is not a section")
-        for y in range(k):
-            if S.mul(r[x], r[y]) != r[target.mul(x, y)]:
-                raise StructureError("transversal is not multiplicative")
+    r = tuple(picked.tolist())
+    defect = transversal_defect(S, q, r)
+    if defect is not None:
+        raise StructureError("transversal is not a section" if defect[1] is None
+                             else "transversal is not multiplicative")
     return r
 
+
+def transversal_defect(S: InverseSemigroup, q: QuotientMap, r
+                       ) -> tuple[int, int | None] | None:
+    """Where r, one element per class of q, fails to be a multiplicative section.
+
+    Scans classes x in order: (x, None) when r[x] projects to another class,
+    else (x, y) for the first y with r[x] r[y] != r[xy].  None when r is a
+    multiplicative section.
+    """
+    r = np.asarray(r, dtype=np.intp)
+    proj, T = np.asarray(q.projection), q.target.table
+    for x in range(len(r)):     # row by row: no |S/mu|^2 temporaries
+        if proj[r[x]] != x:
+            return (x, None)
+        off = np.flatnonzero(S.table[r[x], r] != r[T[x]])
+        if off.size:
+            return (x, int(off[0]))
+    return None

@@ -21,7 +21,12 @@ from .actions import (
     germ_groupoid,
     universal_action,
 )
-from .congruences import QuotientMap, munn_quotient, sigma_and_group_image
+from .congruences import (
+    QuotientMap,
+    munn_quotient,
+    sigma_and_group_image,
+    transversal_defect,
+)
 from .errors import NotATransversal, StructureError, ZeroPresent
 from .groupoids import (
     FiniteGroupoid,
@@ -122,21 +127,18 @@ class SplitDecomposition:
 
 
 def _check_transversal(S: InverseSemigroup, q: QuotientMap, r: tuple[int, ...]) -> None:
-    T = q.target
-    if len(r) != T.size:
+    if len(r) != q.target.size:
         raise NotATransversal("one representative per class required")
-    for x in range(T.size):
-        if q.projection[r[x]] != x:
-            raise NotATransversal(f"class {x} representative projects elsewhere")
-        for y in range(T.size):
-            if S.mul(r[x], r[y]) != r[T.mul(x, y)]:
-                raise NotATransversal(f"representatives split at ({x},{y})")
+    defect = transversal_defect(S, q, r)
+    if defect is not None:
+        x, y = defect
+        raise NotATransversal(f"class {x} representative projects elsewhere" if y is None
+                              else f"representatives split at ({x},{y})")
 
 
 def transversal_arrows(germs: GermGroupoid, q: QuotientMap, r: tuple[int, ...]
                        ) -> frozenset[int]:
     """Germs of transversal representatives: the embedded copy of the quotient."""
-    S = germs.action.semigroup
     image = set(r)
     chosen = frozenset(a for (s, x), a in germs.arrow_of.items() if s in image)
     if not is_subgroupoid(germs.groupoid, chosen):

@@ -12,6 +12,9 @@ flagged as such.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import (
     IncompatibleBundle,
@@ -52,6 +55,33 @@ class FiniteGroupoid:
 
     def r_fiber(self, u: int) -> tuple[int, ...]:
         return tuple(a for a in self.arrows() if self.r[a] == u)
+
+    @cached_property
+    def comp_triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Composition as index arrays (A, B, C), A[i] B[i] = C[i], in ``comp`` order."""
+        abc = np.array([(a, b, c) for (a, b), c in self.comp.items()],
+                       dtype=np.intp).reshape(-1, 3)
+        A, B, C = np.ascontiguousarray(abc.T)
+        return A, B, C
+
+    @cached_property
+    def inv_index(self) -> np.ndarray:
+        return np.array(self.inv, dtype=np.intp)
+
+    @cached_property
+    def fiber_indices(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+        """Per unit, its d-fiber and the matrix [a b^-1] over rows a, columns b.
+
+        a b^-1 is always composable inside a d-fiber, so the matrix indexes
+        every arrow that the unit's regular-representation block reads.
+        """
+        out = []
+        for u in self.units:
+            fiber = self.d_fiber(u)
+            idx = np.array([[self.comp[(a, self.inv[b])] for b in fiber] for a in fiber],
+                           dtype=np.intp).reshape(len(fiber), len(fiber))
+            out.append((fiber, idx))
+        return tuple(out)
 
     def __repr__(self) -> str:
         return f"FiniteGroupoid(arrows={self.n_arrows}, units={len(self.units)})"

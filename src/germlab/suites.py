@@ -39,6 +39,7 @@ from .congruences import (
     munn_quotient,
     random_idempotent_separating_congruences,
     sigma_and_group_image,
+    transversal_defect,
 )
 from .errors import SearchBudgetExceeded, StructureError
 from .extensions import (
@@ -686,13 +687,11 @@ def run_extension_suite(ctx: SubjectContext) -> list[CheckResult]:
             return True, "skipped: search budget exceeded"
         if r is None:
             return True, "no multiplicative transversal exists"
-        q = munn_quotient(S)
-        for x in range(q.target.size):
-            if q.projection[r[x]] != x:
-                return False, f"not a section at class {x}"
-            for y in range(q.target.size):
-                if S.mul(r[x], r[y]) != r[q.target.mul(x, y)]:
-                    return False, f"not multiplicative at ({x},{y})"
+        defect = transversal_defect(S, munn_quotient(S), r)
+        if defect is not None:
+            x, y = defect
+            return False, (f"not a section at class {x}" if y is None
+                           else f"not multiplicative at ({x},{y})")
         return True, f"transversal {list(r)}"
 
     _check(out, "extension.split_transversal",

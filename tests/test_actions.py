@@ -15,8 +15,15 @@ from germlab.actions import (
     universal_action,
     validate_action,
 )
-from germlab.builtins import builtin
-from germlab.errors import CyclicGraph, DomainMismatch, NotCovering, NotSubsemigroup
+from germlab.builtins import CORPUS_NAMES, builtin
+from germlab.errors import (
+    CyclicGraph,
+    DomainMismatch,
+    NotCovering,
+    NotHomomorphism,
+    NotSubsemigroup,
+    StructureError,
+)
 from germlab.semigroups import centralizer, idempotents, validate_inverse_semigroup
 from germlab.semilattices import is_zero_disjunctive, munn_semigroup, semilattice_of, validate_semilattice
 
@@ -45,6 +52,14 @@ def test_validate_action_rejects_wrong_domains():
     # identity acts everywhere but the other element acts nowhere
     maps = [PartialMap((0, 1)), PartialMap((None, None))]
     with pytest.raises(DomainMismatch):
+        validate_action(S, 2, maps)
+
+
+@pytest.mark.parametrize("bad", (2, -1))
+def test_validate_action_rejects_images_outside_the_space(bad):
+    S = validate_inverse_semigroup(Z2_TABLE)
+    maps = [PartialMap((0, 1)), PartialMap((1, bad))]
+    with pytest.raises(StructureError, match="leaves the space"):
         validate_action(S, 2, maps)
 
 
@@ -212,3 +227,48 @@ def test_graph_inverse_semigroup_parallel_edges_zero_disjunctive():
 def test_graph_inverse_semigroup_rejects_cycles():
     with pytest.raises(CyclicGraph):
         graph_inverse_semigroup(DirectedGraph(2, ((0, 1), (1, 0))))
+
+
+def _reference_homomorphism_witness(S, maps):
+    """The pair (s, t) the row-major double loop over PartialMap.after finds."""
+    for s in S.elements():
+        for t in S.elements():
+            if maps[s].after(maps[t]) != maps[S.mul(s, t)]:
+                return (s, t)
+    return None
+
+
+def test_validate_action_reports_the_row_major_homomorphism_witness():
+    # Z3 = {0, g, g^2} by rotations, except that g^2 also rotates forwards
+    S = validate_inverse_semigroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    maps = [PartialMap((0, 1, 2)), PartialMap((1, 2, 0)), PartialMap((1, 2, 0))]
+    with pytest.raises(NotHomomorphism) as err:
+        validate_action(S, 3, maps)
+    assert err.value.pair == _reference_homomorphism_witness(S, maps) == (1, 1)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_validate_action_witness_matches_the_double_loop_on_broken_actions(name):
+    """Reverse the images of one element's map at a time (its domain stays put)."""
+    action = universal_action(builtin(name))
+    S = action.semigroup
+    tried = 0
+    for s in S.elements():
+        images = action.maps[s].images
+        defined = [x for x, y in enumerate(images) if y is not None]
+        if len({images[x] for x in defined}) < 2:
+            continue
+        broken = list(images)
+        for x, y in zip(defined, reversed([images[x] for x in defined])):
+            broken[x] = y
+        maps = list(action.maps)
+        maps[s] = PartialMap(tuple(broken))
+        expected = _reference_homomorphism_witness(S, maps)
+        if expected is None:
+            continue
+        with pytest.raises(NotHomomorphism) as err:
+            validate_action(S, action.space_size, maps)
+        assert err.value.pair == expected
+        tried += 1
+        if tried == 3:
+            break

@@ -1,6 +1,9 @@
+import zlib
+
 import numpy as np
 import pytest
 
+from germlab import algebra
 from germlab.actions import EmbeddedSubgroupoid, centralizer_germs, germ_groupoid, universal_action
 from germlab.algebra import (
     GroupoidFunction,
@@ -13,6 +16,7 @@ from germlab.algebra import (
     reduced_norm,
     regular_representation,
 )
+from germlab.builtins import CORPUS_NAMES, builtin
 from germlab.errors import GroupoidMismatch, HypothesisFailed
 from germlab.groupoids import extract_subgroupoid, group_as_groupoid, make_groupoid, pair_groupoid
 from germlab.semigroups import validate_inverse_semigroup
@@ -260,3 +264,97 @@ def test_groupoid_mismatch_is_flagged():
     g = delta(G2, 0)
     with pytest.raises(GroupoidMismatch):
         convolve(f, g)
+
+
+# ---------------------------------------------------------------------------
+# bit-exactness against the pure-Python loops the array code replaced
+
+
+def _reference_convolve(f, g):
+    G = f.groupoid
+    out = np.zeros(G.n_arrows, dtype=np.complex128)
+    for (a, b), c in G.comp.items():
+        out[c] += f.values[a] * g.values[b]
+    return out
+
+
+def _reference_involution(f):
+    G = f.groupoid
+    return np.array([np.conj(f.values[G.inv[a]]) for a in G.arrows()])
+
+
+def _reference_regular_blocks(G, f):
+    out = []
+    for u in G.units:
+        fiber = G.d_fiber(u)
+        m = np.zeros((len(fiber), len(fiber)), dtype=np.complex128)
+        for col, b in enumerate(fiber):
+            for row, a in enumerate(fiber):
+                m[row, col] = f.values[G.comp[(a, G.inv[b])]]
+        out.append((fiber, m))
+    return out
+
+
+def _reference_embed(emb, f):
+    out = np.zeros(emb.parent.n_arrows, dtype=np.complex128)
+    for sub_arrow, parent_arrow in enumerate(emb.to_parent):
+        out[parent_arrow] = f.values[sub_arrow]
+    return out
+
+
+def _reference_expectation(emb, f):
+    return np.array([f.values[parent_arrow] for parent_arrow in emb.to_parent],
+                    dtype=np.complex128)
+
+
+def _same_bits(new: np.ndarray, ref: np.ndarray) -> bool:
+    """Equal arrays down to the last bit (so also the sign of every zero)."""
+    return (new.shape == ref.shape and new.dtype == ref.dtype
+            and new.tobytes() == ref.tobytes())
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_array_algebra_is_bit_identical_to_the_reference_loops(name):
+    germs = germ_groupoid(universal_action(builtin(name)))
+    G = germs.groupoid
+    emb = centralizer_germs(germs)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    for integral in (False, True, False, True):
+        f = random_function(G, rng, integral=integral)
+        g = random_function(G, rng, integral=integral)
+        h = random_function(emb.groupoid, rng, integral=integral)
+        assert _same_bits(convolve(f, g).values, _reference_convolve(f, g))
+        assert _same_bits(involution(f).values, _reference_involution(f))
+        rep = regular_representation(G, f)
+        ref = _reference_regular_blocks(G, f)
+        assert rep.fibers == tuple(fiber for fiber, _ in ref)
+        assert all(_same_bits(block, m) for block, (_, m) in zip(rep.blocks, ref))
+        assert _same_bits(embed(emb, h).values, _reference_embed(emb, h))
+        assert _same_bits(conditional_expectation(emb, f).values,
+                          _reference_expectation(emb, f))
+
+
+def test_bundle_hypotheses_are_checked_once_per_embedding(monkeypatch):
+    calls = []
+    real = algebra.subgroupoid_properties
+
+    def counting(G, subset):
+        calls.append(subset)
+        return real(G, subset)
+
+    monkeypatch.setattr(algebra, "subgroupoid_properties", counting)
+    germs = germ_groupoid(universal_action(diamond_munn()))
+    emb = centralizer_germs(germs)
+    rng = np.random.default_rng(61)
+    for i in range(50):
+        embed(emb, random_function(emb.groupoid, rng))
+        conditional_expectation(emb, random_function(germs.groupoid, rng))
+    assert len(calls) == 1
+
+    G, idx = product_pair_z2()
+    bad = embedded(G, [idx[(0, 0, 0)], idx[(0, 0, 1)], idx[(1, 1, 0)]])
+    for _ in range(2):
+        with pytest.raises(HypothesisFailed) as err:
+            embed(bad, delta(bad.groupoid, 0))
+        assert err.value.name == "normal"
+    assert len(calls) == 2

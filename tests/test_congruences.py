@@ -1,10 +1,13 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from germlab.builtins import CORPUS_NAMES, builtin
 from germlab.congruences import (
+    TRANSVERSAL_BUDGET,
     Relation,
     find_split_transversal,
     generated_congruence,
@@ -19,8 +22,9 @@ from germlab.congruences import (
     random_idempotent_separating_congruences,
     sigma_and_group_image,
     sigma_relation,
+    transversal_defect,
 )
-from germlab.errors import NotACongruence
+from germlab.errors import NotACongruence, SearchBudgetExceeded
 from germlab.semigroups import centralizer, idempotents, validate_inverse_semigroup
 
 from test_semigroups import B2_TABLE, Z2_TABLE
@@ -249,3 +253,148 @@ def test_sigma_relation_matches_pairwise_definition(name):
     pairs = [(s, t) for s in S.elements() for t in S.elements()
              if any(S.mul(s, e) == S.mul(t, e) for e in S.idempotent_set)]
     assert sigma_relation(S) == _reference_closure(S, pairs, products=False)
+
+
+def _reference_split_transversal(S):
+    """The pure-Python backtracking search that find_split_transversal replaced."""
+    mu = mu_relation(S)
+    q = quotient(S, mu)
+    target = q.target
+    choices = []
+    for block in mu.blocks:
+        block_idems = [x for x in block if x in S.idempotent_set]
+        choices.append(block_idems if block_idems else list(block))
+    budget = 1
+    for c in choices:
+        budget *= len(c)
+        if budget > TRANSVERSAL_BUDGET:
+            raise SearchBudgetExceeded("budget")
+    k = len(mu.blocks)
+    pick = [None] * k
+
+    def consistent(i):
+        decided = [j for j in range(k) if pick[j] is not None]
+        for j in decided:
+            for a, b in ((i, j), (j, i)):
+                p = target.mul(a, b)
+                if pick[p] is not None and S.mul(pick[a], pick[b]) != pick[p]:
+                    return False
+        for a in decided:
+            for b in decided:
+                if target.mul(a, b) == i and S.mul(pick[a], pick[b]) != pick[i]:
+                    return False
+        return True
+
+    def backtrack(i):
+        if i == k:
+            return True
+        for cand in choices[i]:
+            pick[i] = cand
+            if consistent(i) and backtrack(i + 1):
+                return True
+            pick[i] = None
+        return False
+
+    return tuple(pick) if backtrack(0) else None
+
+
+def _transversal_outcome(search, S):
+    try:
+        return search(S)
+    except SearchBudgetExceeded:
+        return "budget"
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + ("symmetric:4",))
+def test_split_transversal_matches_reference_backtracking(name):
+    S = builtin(name)
+    found = _transversal_outcome(find_split_transversal, S)
+    assert found == _transversal_outcome(_reference_split_transversal, S)
+    if isinstance(found, tuple):
+        assert all(type(x) is int for x in found)
+
+
+def test_transversal_defect_reports_the_first_class_or_pair():
+    S = chain_id()
+    q = munn_quotient(S)
+    assert transversal_defect(S, q, (0, 2)) is None
+    assert transversal_defect(S, q, (2, 2)) == (0, None)     # 2 lies in class 1
+    assert transversal_defect(S, q, (1, 2)) == (0, 0)        # u u = e is not u
+
+
+def _monomial_closure(n, m, generators):
+    """Partial bijections of n points carrying Z_m labels, closed under products
+    and inverses, as a validated semigroup.
+
+    An element is a tuple giving, per point, None or (image, label); labels add
+    along a composite.
+    """
+    def mul(a, b):          # a after b
+        return tuple(None if b[x] is None or a[b[x][0]] is None
+                     else (a[b[x][0]][0], (b[x][1] + a[b[x][0]][1]) % m)
+                     for x in range(n))
+
+    def inv(a):
+        out = [None] * n
+        for x, v in enumerate(a):
+            if v is not None:
+                out[v[0]] = (x, -v[1] % m)
+        return tuple(out)
+
+    elems = set(generators) | {inv(g) for g in generators}
+    frontier = list(elems)
+    while frontier:
+        new = []
+        for a in list(elems):
+            for b in frontier:
+                for c in (mul(a, b), mul(b, a)):
+                    if c not in elems:
+                        elems.add(c)
+                        new.append(c)
+        frontier = new
+    order = sorted(elems, key=repr)
+    index = {e: i for i, e in enumerate(order)}
+    return validate_inverse_semigroup([[index[mul(a, b)] for b in order] for a in order])
+
+
+def _labelled_shift(n, labels, m):
+    """The cyclic shift of n points with the given labels, and the partial
+    identity on point 0.  Depending on the labels the extension by S/mu splits
+    at the first candidates, splits only after backtracking, or does not split."""
+    shift = tuple(((x + 1) % n, labels[x]) for x in range(n))
+    return _monomial_closure(n, m, [shift, ((0, 0),) + (None,) * (n - 1)])
+
+
+def _relabelled(S, seed):
+    """S with its elements renumbered by a seeded permutation."""
+    perm = np.random.default_rng(seed).permutation(S.size)
+    table = np.empty_like(S.table)
+    table[np.ix_(perm, perm)] = perm[S.table]
+    return validate_inverse_semigroup(table)
+
+
+def test_split_transversal_matches_reference_on_labelled_shifts():
+    kinds = set()
+    for n, m in itertools.product((2, 3), (2, 3, 4)):
+        for labels in itertools.product(range(m), repeat=2):
+            S = _labelled_shift(n, labels + (0,) * (n - 2), m)
+            found = _transversal_outcome(find_split_transversal, S)
+            assert found == _transversal_outcome(_reference_split_transversal, S)
+            mu = mu_relation(S)
+            first = tuple(min(b, key=lambda x: x not in S.idempotent_set) for b in mu.blocks)
+            kinds.add("none" if found is None else "first" if found == first else "backtracked")
+    assert kinds == {"none", "first", "backtracked"}
+
+
+@pytest.mark.parametrize("m", (2, 3, 5))
+def test_split_transversal_matches_reference_under_relabelling(m):
+    """Rank-one maps of 2 points with Z_m labels (a Brandt semigroup): every
+    label g on 0 -> 1 gives a transversal, so candidate order picks the answer."""
+    S = _monomial_closure(2, m, [((1, 0), None), ((1, 1), None), ((0, 0), None)])
+    found = set()
+    for seed in range(8):
+        T = _relabelled(S, seed)
+        r = find_split_transversal(T)
+        assert r == _reference_split_transversal(T)
+        found.add(frozenset(r))
+    assert len(found) > 1

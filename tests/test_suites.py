@@ -9,6 +9,9 @@ from germlab.builtins import builtin, corpus
 from germlab.suites import global_reports, render_reports, run_suite
 
 GOLDEN = Path(__file__).parent / "golden" / "corpus_all.txt"
+LADDER_GOLDEN = Path(__file__).parent / "golden" / "structure_ladder.txt"
+LADDER_RUNS = (("symmetric:4", "tight"), ("symmetric:4", "extension"),
+               ("symmetric:4", "algebra"), ("group:z70", "algebra"))
 
 
 def test_corpus_report_matches_golden():
@@ -21,6 +24,18 @@ def test_corpus_report_matches_golden():
     for name, S in corpus():
         reports += run_suite(name, S, "all")
     assert render_reports(reports) == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_structure_ladder_report_matches_golden():
+    """``tests/golden/structure_ladder.txt`` is ``germlab verify builtin:<name>
+    --suite <suite>`` for each of LADDER_RUNS, concatenated.
+
+    The larger subjects' float witnesses (``worst deviation``) change with the
+    order of any floating-point sum in the algebra layer.
+    """
+    text = "".join(render_reports(run_suite(name, builtin(name), suite))
+                   for name, suite in LADDER_RUNS)
+    assert text == LADDER_GOLDEN.read_text(encoding="utf-8")
 
 
 def _order_shadow(pairs, unset=()):
