@@ -54,7 +54,6 @@ from .extensions import (
     mu_projection_hom,
     semidirect_from_split,
     sigma_cocycle,
-    split_iso_check,
     tight_germs,
     universal_germs,
 )

@@ -141,15 +141,13 @@ def _filter_label(E: Semilattice, F: frozenset[int]) -> str:
     return f"up({E.label(filter_generator(E, F))})"
 
 
-def _spectrum_action(S: InverseSemigroup, filters: list[frozenset[int]],
-                     E: Semilattice | None = None) -> Action:
-    """Filters move by s.F = upward closure of {s e s* : e in F}.
+def spectrum_action(S: InverseSemigroup, filters: list[frozenset[int]],
+                    E: Semilattice) -> Action:
+    """Filters of E move by s.F = upward closure of {s e s* : e in F}.
 
     The filter list's order is preserved, so callers may align point indices
     across related semigroups.
     """
-    if E is None:
-        E = semilattice_of(S)
     to_sl = {e: i for i, e in enumerate(E.parent_index)}
     point_of = {F: i for i, F in enumerate(filters)}
     maps = []
@@ -175,17 +173,23 @@ def _spectrum_action(S: InverseSemigroup, filters: list[frozenset[int]],
 
 def universal_action(S: InverseSemigroup) -> Action:
     """The action on every filter of the idempotent semilattice."""
-    return _spectrum_action(S, all_filters(semilattice_of(S)))
+    E = semilattice_of(S)
+    return spectrum_action(S, all_filters(E), E)
 
 
 def tight_action(S: InverseSemigroup) -> Action:
     """Restriction of the universal action to the (ultra)filter spectrum."""
     E = semilattice_of(S)
-    ultra = tight_spectrum(E)
-    ultra_set = set(ultra)
-    full = universal_action(S)
-    all_f = all_filters(E)
-    keep = [i for i, F in enumerate(all_f) if F in ultra_set]
+    filters = all_filters(E)
+    return tight_restriction(spectrum_action(S, filters, E), E, filters)
+
+
+def tight_restriction(full: Action, E: Semilattice, filters: list[frozenset[int]]
+                      ) -> Action:
+    """The universal action `full` on `filters`, restricted to the ultrafilters."""
+    S = full.semigroup
+    ultra_set = set(tight_spectrum(E))
+    keep = [i for i, F in enumerate(filters) if F in ultra_set]
     reindex = {old: new for new, old in enumerate(keep)}
     maps = []
     for s in S.elements():
@@ -198,32 +202,22 @@ def tight_action(S: InverseSemigroup) -> Action:
                 images[new] = reindex[y]
         maps.append(PartialMap(tuple(images)))
     labels = tuple(full.point_labels[old] for old in keep)
-    kept_filters = [all_f[old] for old in keep]
-    basis = tuple(spectrum_basis(E, kept_filters))
+    basis = tuple(spectrum_basis(E, [filters[old] for old in keep]))
     return validate_action(S, len(keep), maps, labels, basis)
 
 
 def action_kernel(action: Action) -> frozenset[int]:
-    """Products s.t* over pairs acted on identically; cross-checked and normal."""
+    """Products s.t* over pairs acted on identically.
+
+    That this is the normal subsemigroup of elements acting as identities is
+    checked by ``tight.base_dichotomy_universal`` and ``_tight``.
+    """
     S = action.semigroup
     by_map: dict[tuple, list[int]] = {}
     for s in S.elements():
         by_map.setdefault(action.maps[s].images, []).append(s)
-    members = set()
-    for block in by_map.values():
-        for s in block:
-            for t in block:
-                members.add(S.mul(s, S.inv[t]))
-    kernel = frozenset(members)
-    identity_like = frozenset(s for s in S.elements()
-                              if action.maps[s].is_identity_on_domain())
-    if kernel != identity_like:
-        raise StructureError("kernel cross-check failed")
-    from .semigroups import is_normal_subsemigroup
-
-    if not is_normal_subsemigroup(S, kernel):
-        raise StructureError("action kernel is not a normal subsemigroup")
-    return kernel
+    return frozenset(S.mul(s, S.inv[t]) for block in by_map.values()
+                     for s in block for t in block)
 
 
 def domains_form_base(action: Action) -> bool:

@@ -1,6 +1,7 @@
-"""Structure maps between germ groupoids: the projection onto the fundamental
-quotient, the cocycle into the maximal group image, and the semidirect
-decomposition of a split extension of the centralizer.
+"""The subject of a verification run, and the structure maps between its germ
+groupoids: the projection onto the fundamental quotient, the cocycle into the
+maximal group image, and the semidirect decomposition of a split extension of
+the centralizer.
 
 The quotient's filter spectrum is taken over the idempotent semilattice of
 the original semigroup (the two are isomorphic, so points correspond one to
@@ -12,45 +13,40 @@ its filters still range over the whole semilattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .actions import (
     Action,
     GermGroupoid,
-    _spectrum_action,
-    centralizer_germs,
+    action_kernel,
     germ_groupoid,
-    universal_action,
+    induced_subgroupoid,
+    spectrum_action,
+    tight_restriction,
 )
 from .congruences import (
     QuotientMap,
-    munn_quotient,
-    sigma_and_group_image,
+    Relation,
+    group_quotient,
+    mu_relation,
+    quotient,
+    sigma_relation,
+    split_transversal,
     transversal_defect,
 )
-from .errors import NotATransversal, StructureError, ZeroPresent
+from .errors import NotATransversal, SearchBudgetExceeded, StructureError, ZeroPresent
 from .groupoids import (
     FiniteGroupoid,
     GroupoidHom,
     conjugation_action,
     group_as_groupoid,
     hom_kernel,
-    is_strongly_surjective,
     is_subgroupoid,
     semidirect_product,
     validate_hom,
 )
-from .semigroups import InverseSemigroup
-from .semilattices import all_filters, semilattice_of
-
-
-def universal_germs(S: InverseSemigroup) -> GermGroupoid:
-    return germ_groupoid(universal_action(S))
-
-
-def tight_germs(S: InverseSemigroup) -> GermGroupoid:
-    from .actions import tight_action
-
-    return germ_groupoid(tight_action(S))
+from .semigroups import InverseSemigroup, centralizer
+from .semilattices import Semilattice, all_filters, semilattice_of
 
 
 @dataclass
@@ -63,59 +59,6 @@ class MunnProjection:
     hom: GroupoidHom
 
 
-def _quotient_germs_on_matched_spectrum(S: InverseSemigroup, q: QuotientMap,
-                                        source_action: Action) -> GermGroupoid:
-    """Germs of S/mu over the filters of E(S), point-for-point aligned."""
-    T = q.target
-    E_S = semilattice_of(S)
-    E_T = semilattice_of(T)
-    if E_S.size != E_T.size:
-        raise StructureError("quotient does not separate idempotents")
-    translate = {}
-    t_back = {e: i for i, e in enumerate(E_T.parent_index)}
-    for i, e in enumerate(E_S.parent_index):
-        translate[i] = t_back[q.projection[e]]
-    # inherit the zero designation from S rather than redetecting it
-    E_T.zero = translate[E_S.zero] if E_S.zero is not None else None
-    filters_S = all_filters(E_S)
-    matched = [frozenset(translate[i] for i in F) for F in filters_S]
-    action = _spectrum_action(T, matched, E_T)
-    return germ_groupoid(action)
-
-
-def mu_projection_hom(S: InverseSemigroup) -> MunnProjection:
-    """The arrow map [s, F] -> [mu(s), F]; strong surjectivity is checked."""
-    q = munn_quotient(S)
-    source = universal_germs(S)
-    target = _quotient_germs_on_matched_spectrum(S, q, source.action)
-    if source.action.space_size != target.action.space_size:
-        raise StructureError("spectra of S and S/mu do not match")
-    arrow_map = []
-    for s, x in source.rep_of:
-        arrow_map.append(target.germ(q.projection[s], x))
-    hom = validate_hom(GroupoidHom(source.groupoid, target.groupoid, tuple(arrow_map)))
-    if not is_strongly_surjective(hom):
-        raise StructureError("projection onto the quotient is not strongly surjective")
-    return MunnProjection(q, source, target, hom)
-
-
-def mu_projection_kernel(proj: MunnProjection) -> frozenset[int]:
-    return hom_kernel(proj.hom)
-
-
-def sigma_cocycle(S: InverseSemigroup) -> tuple[GroupoidHom, GermGroupoid]:
-    """The map into the maximal group image, germ [s, F] -> class of s."""
-    if S.zero is not None:
-        raise ZeroPresent("the maximal group image of a zero semigroup is trivial")
-    sigma, q = sigma_and_group_image(S)
-    germs = universal_germs(S)
-    target = group_as_groupoid(q.target.table,
-                               tuple(q.target.label(x) for x in q.target.elements()))
-    arrow_map = tuple(q.projection[s] for s, _ in germs.rep_of)
-    hom = validate_hom(GroupoidHom(germs.groupoid, target, arrow_map))
-    return hom, germs
-
-
 @dataclass
 class SplitDecomposition:
     """Semidirect product of the centralizer bundle by the quotient copy, with
@@ -124,6 +67,169 @@ class SplitDecomposition:
     product: FiniteGroupoid
     iso: GroupoidHom        # product -> G(S), bijective
     germs: GermGroupoid
+
+
+class Subject:
+    """The structures of one semigroup that the paper's theorems relate.
+
+    Each is built on first use and then shared, so one verification run
+    builds each at most once; every public function of this module builds
+    from a fresh Subject.  Constructors validate their input, and the
+    theorems about the results are checked by the verification suites.
+    """
+
+    def __init__(self, S: InverseSemigroup):
+        self.S = S
+
+    @cached_property
+    def E(self) -> Semilattice:
+        return semilattice_of(self.S)
+
+    @cached_property
+    def filters(self) -> list[frozenset[int]]:
+        return all_filters(self.E)
+
+    @cached_property
+    def Z(self) -> frozenset[int]:
+        """The centralizer of the idempotents."""
+        return centralizer(self.S)
+
+    @cached_property
+    def mu(self) -> Relation:
+        return mu_relation(self.S)
+
+    @cached_property
+    def mu_quotient(self) -> QuotientMap:
+        return quotient(self.S, self.mu)
+
+    @cached_property
+    def sigma(self) -> Relation:
+        return sigma_relation(self.S)
+
+    @cached_property
+    def group_image(self) -> QuotientMap:
+        return group_quotient(self.S, self.sigma)
+
+    @cached_property
+    def universal(self) -> Action:
+        return spectrum_action(self.S, self.filters, self.E)
+
+    @cached_property
+    def tight(self) -> Action:
+        return tight_restriction(self.universal, self.E, self.filters)
+
+    @cached_property
+    def beta(self) -> GermGroupoid:
+        return germ_groupoid(self.universal)
+
+    @cached_property
+    def theta(self) -> GermGroupoid:
+        return germ_groupoid(self.tight)
+
+    @cached_property
+    def z_in_beta(self):
+        return induced_subgroupoid(self.beta, self.Z)
+
+    @cached_property
+    def z_in_theta(self):
+        return induced_subgroupoid(self.theta, self.Z)
+
+    @cached_property
+    def universal_kernel(self) -> frozenset[int]:
+        return action_kernel(self.universal)
+
+    @cached_property
+    def tight_kernel(self) -> frozenset[int]:
+        return action_kernel(self.tight)
+
+    @cached_property
+    def projection(self) -> MunnProjection:
+        """The arrow map [s, F] -> [mu(s), F] onto the germs of S/mu over the
+        filters of E(S), point for point."""
+        q, source = self.mu_quotient, self.beta
+        T = q.target
+        E_T = semilattice_of(T)
+        if self.E.size != E_T.size:
+            raise StructureError("quotient does not separate idempotents")
+        t_back = {e: i for i, e in enumerate(E_T.parent_index)}
+        translate = [t_back[q.projection[e]] for e in self.E.parent_index]
+        # inherit the zero designation from S rather than redetecting it
+        E_T.zero = translate[self.E.zero] if self.E.zero is not None else None
+        matched = [frozenset(translate[i] for i in F) for F in self.filters]
+        target = germ_groupoid(spectrum_action(T, matched, E_T))
+        arrow_map = tuple(target.germ(q.projection[s], x) for s, x in source.rep_of)
+        hom = validate_hom(GroupoidHom(source.groupoid, target.groupoid, arrow_map))
+        return MunnProjection(q, source, target, hom)
+
+    @cached_property
+    def cocycle(self) -> tuple[GroupoidHom, GermGroupoid]:
+        """The map into the maximal group image, germ [s, F] -> class of s."""
+        if self.S.zero is not None:
+            raise ZeroPresent("the maximal group image of a zero semigroup is trivial")
+        q, germs = self.group_image, self.beta
+        target = group_as_groupoid(q.target.table,
+                                   tuple(q.target.label(x) for x in q.target.elements()))
+        arrow_map = tuple(q.projection[s] for s, _ in germs.rep_of)
+        return validate_hom(GroupoidHom(germs.groupoid, target, arrow_map)), germs
+
+    @cached_property
+    def transversal(self) -> tuple[int, ...] | None | str:
+        """The split transversal of S/mu, None when none exists, or "budget"."""
+        try:
+            return split_transversal(self.S, self.mu, self.mu_quotient)
+        except SearchBudgetExceeded:
+            return "budget"
+
+    def split_decomposition(self, r: tuple[int, ...]) -> SplitDecomposition:
+        """Build G(Z) x| G(S/mu) inside G(S) and certify it is isomorphic to G(S).
+
+        The certifying map multiplies the two coordinates in the ambient
+        groupoid; it is checked to be a bijective homomorphism arrow by arrow.
+        """
+        q, germs = self.mu_quotient, self.beta
+        _check_transversal(self.S, q, r)
+        ambient = germs.groupoid
+        h_arrows = self.z_in_beta.arrows
+        g_arrows = transversal_arrows(germs, q, r)
+        H, G, act = conjugation_action(ambient, h_arrows, g_arrows)
+        product = semidirect_product(H, G, act)
+
+        h_order = sorted(h_arrows)
+        g_order = sorted(g_arrows)
+        arrow_map = [ambient.comp[(h_order[eta], g_order[gamma])]
+                     for eta, gamma in product.pair_coords]  # type: ignore[attr-defined]
+        hom = validate_hom(GroupoidHom(product, ambient, tuple(arrow_map)))
+        if sorted(arrow_map) != sorted(ambient.arrows()):
+            raise StructureError("split decomposition map is not a bijection")
+        return SplitDecomposition(product, hom, germs)
+
+
+def universal_germs(S: InverseSemigroup) -> GermGroupoid:
+    return Subject(S).beta
+
+
+def tight_germs(S: InverseSemigroup) -> GermGroupoid:
+    return Subject(S).theta
+
+
+def mu_projection_hom(S: InverseSemigroup) -> MunnProjection:
+    """The arrow map [s, F] -> [mu(s), F] onto the germs of S/mu."""
+    return Subject(S).projection
+
+
+def mu_projection_kernel(proj: MunnProjection) -> frozenset[int]:
+    return hom_kernel(proj.hom)
+
+
+def sigma_cocycle(S: InverseSemigroup) -> tuple[GroupoidHom, GermGroupoid]:
+    """The map into the maximal group image, germ [s, F] -> class of s."""
+    return Subject(S).cocycle
+
+
+def semidirect_from_split(S: InverseSemigroup, r: tuple[int, ...]
+                          ) -> SplitDecomposition:
+    """G(Z) x| G(S/mu) for the transversal r, certified isomorphic to G(S)."""
+    return Subject(S).split_decomposition(r)
 
 
 def _check_transversal(S: InverseSemigroup, q: QuotientMap, r: tuple[int, ...]) -> None:
@@ -144,36 +250,3 @@ def transversal_arrows(germs: GermGroupoid, q: QuotientMap, r: tuple[int, ...]
     if not is_subgroupoid(germs.groupoid, chosen):
         raise StructureError("transversal germs do not form a subgroupoid")
     return chosen
-
-
-def semidirect_from_split(S: InverseSemigroup, r: tuple[int, ...]
-                          ) -> SplitDecomposition:
-    """Build G(Z) x| G(S/mu) inside G(S) and certify it is isomorphic to G(S).
-
-    The certifying map multiplies the two coordinates in the ambient groupoid;
-    it is checked to be a bijective homomorphism arrow by arrow.
-    """
-    q = munn_quotient(S)
-    _check_transversal(S, q, r)
-    germs = universal_germs(S)
-    ambient = germs.groupoid
-    h_arrows = centralizer_germs(germs).arrows
-    g_arrows = transversal_arrows(germs, q, r)
-    H, G, act = conjugation_action(ambient, h_arrows, g_arrows)
-    product = semidirect_product(H, G, act)
-
-    h_order = sorted(h_arrows)
-    g_order = sorted(g_arrows)
-    arrow_map = []
-    for eta, gamma in product.pair_coords:  # type: ignore[attr-defined]
-        arrow_map.append(ambient.comp[(h_order[eta], g_order[gamma])])
-    hom = validate_hom(GroupoidHom(product, ambient, tuple(arrow_map)))
-    if sorted(arrow_map) != sorted(ambient.arrows()):
-        raise StructureError("split decomposition map is not a bijection")
-    return SplitDecomposition(product, hom, germs)
-
-
-def split_iso_check(S: InverseSemigroup, r: tuple[int, ...]) -> bool:
-    """True when the semidirect product reassembles the universal groupoid."""
-    decomposition = semidirect_from_split(S, r)
-    return decomposition.iso is not None

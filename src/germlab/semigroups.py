@@ -211,33 +211,36 @@ def is_zero_e_unitary(S: InverseSemigroup) -> bool:
 
 
 def centralizer(S: InverseSemigroup) -> frozenset[int]:
-    """Elements commuting with every idempotent; a Clifford subsemigroup."""
+    """Elements commuting with every idempotent; a Clifford subsemigroup, as the
+    check ``semigroup.centralizer_normal`` certifies."""
     idems = sorted(S.idempotent_set)
-    members = frozenset(s for s in S.elements()
-                        if all(S.mul(s, e) == S.mul(e, s) for e in idems))
+    return frozenset(s for s in S.elements()
+                     if all(S.mul(s, e) == S.mul(e, s) for e in idems))
+
+
+def normality_defect(S: InverseSemigroup, subset: frozenset[int]) -> str | None:
+    """Why subset is not a normal subsemigroup (all idempotents, closed under
+    inverses and products, stable under conjugation), or None when it is."""
+    if not S.idempotent_set <= subset:
+        return f"idempotent {min(S.idempotent_set - subset)} is missing"
+    members = sorted(subset)
     for a in members:
-        if S.inv[a] not in members:
-            raise StructureError("centralizer not closed under inverses")
+        if S.inv[a] not in subset:
+            return f"not closed under inverses at {a}"
+    for a in members:
         for b in members:
-            if S.mul(a, b) not in members:
-                raise StructureError("centralizer not closed under products")
-    return members
-
-
-def subsemigroup_closed(S: InverseSemigroup, subset: frozenset[int]) -> bool:
-    return all(S.mul(a, b) in subset for a in subset for b in subset)
+            if S.mul(a, b) not in subset:
+                return f"not closed under products at ({a},{b})"
+    for s in S.elements():
+        for z in members:
+            if S.mul(S.mul(S.inv[s], z), s) not in subset:
+                return f"conjugation by {s} moves {z} outside"
+    return None
 
 
 def is_normal_subsemigroup(S: InverseSemigroup, subset: frozenset[int]) -> bool:
     """Contains all idempotents, inverse-closed, and stable under conjugation."""
-    if not S.idempotent_set <= subset:
-        return False
-    if any(S.inv[a] not in subset for a in subset):
-        return False
-    if not subsemigroup_closed(S, subset):
-        return False
-    return all(S.mul(S.mul(S.inv[s], z), s) in subset
-               for s in S.elements() for z in subset)
+    return normality_defect(S, subset) is None
 
 
 def direct_product(A: InverseSemigroup, B: InverseSemigroup) -> InverseSemigroup:

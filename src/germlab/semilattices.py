@@ -2,8 +2,10 @@
 
 Filters are frozensets of semilattice indices, always keyed to the
 semilattice's own index space rather than a parent semigroup's.  Every
-filter of a finite semilattice is principal; the exhaustive enumeration and
-the principal-filter shortcut are cross-checked in tests.
+filter of a finite semilattice is principal (it contains the meet of its
+members), so ``all_filters`` lists the principal filters; ``exhaustive_filters``
+tests every subset instead and is the reference that the verification check
+``spectrum.filters_principal`` compares them with.
 """
 
 from __future__ import annotations
@@ -150,23 +152,22 @@ def _canonical_sort(filters) -> list[frozenset[int]]:
 
 
 def all_filters(E: Semilattice) -> list[frozenset[int]]:
-    """Every filter, canonically ordered.
+    """Every filter, canonically ordered: the principal filters of the nonzero
+    elements, since a finite filter is the upward closure of its least member."""
+    return _canonical_sort({principal_filter(E, e) for e in range(E.size) if e != E.zero})
 
-    Small semilattices are enumerated subset-by-subset; larger ones use the
-    principal-filter shortcut (all finite filters are principal).
+
+def exhaustive_filters(E: Semilattice) -> list[frozenset[int]]:
+    """Every subset that passes is_filter, canonically ordered.
+
+    The reference for all_filters: 2^|E| tests, so it refuses semilattices
+    with more than EXHAUSTIVE_FILTER_CAP elements.
     """
-    principal = {principal_filter(E, e) for e in range(E.size) if e != E.zero}
-    if E.size <= EXHAUSTIVE_FILTER_CAP:
-        found = set()
-        for size in range(1, E.size + 1):
-            for sub in combinations(range(E.size), size):
-                cand = frozenset(sub)
-                if is_filter(E, cand):
-                    found.add(cand)
-        if found != principal:
-            raise StructureError("filter enumeration disagrees with principal filters")
-        return _canonical_sort(found)
-    return _canonical_sort(principal)
+    if E.size > EXHAUSTIVE_FILTER_CAP:
+        raise SizeBudgetExceeded(f"subset enumeration is capped at {EXHAUSTIVE_FILTER_CAP}")
+    return _canonical_sort(frozenset(sub) for size in range(1, E.size + 1)
+                           for sub in combinations(range(E.size), size)
+                           if is_filter(E, frozenset(sub)))
 
 
 def ultrafilters(E: Semilattice) -> list[frozenset[int]]:
@@ -330,12 +331,23 @@ def _order_isos(E: Semilattice, dom: tuple[int, ...], img: tuple[int, ...]):
     yield from extend(0)
 
 
+def _partial_bijection_semigroup(maps: list[dict[int, int]], labels) -> InverseSemigroup:
+    """The table of a composition-closed list of partial bijections, in list order."""
+    index = {tuple(sorted(m.items())): i for i, m in enumerate(maps)}
+    n = len(maps)
+    table = np.zeros((n, n), dtype=np.int64)
+    for i, f in enumerate(maps):
+        for j, g in enumerate(maps):
+            comp = {x: f[g[x]] for x in g if g[x] in f}
+            table[i, j] = index[tuple(sorted(comp.items()))]
+    return validate_inverse_semigroup(table, labels)
+
+
 def munn_semigroup(E: Semilattice, *, max_size: int = MUNN_ELEMENT_CAP) -> InverseSemigroup:
     """All isomorphisms between principal order ideals, composed as partial maps.
 
     The result is validated as an inverse semigroup; fundamentality is a
-    theorem about it and is asserted by the verification suites rather than
-    recomputed here.
+    theorem about it, checked by ``spectrum.munn_fundamental``.
     """
     maps: list[dict[int, int]] = []
     seen = set()
@@ -351,20 +363,7 @@ def munn_semigroup(E: Semilattice, *, max_size: int = MUNN_ELEMENT_CAP) -> Inver
             if len(maps) > max_size:
                 raise SizeBudgetExceeded(f"Munn semigroup exceeds {max_size} elements")
     maps.sort(key=lambda m: tuple(sorted(m.items())))
-    index = {tuple(sorted(m.items())): i for i, m in enumerate(maps)}
-    n = len(maps)
-    table = np.zeros((n, n), dtype=np.int64)
-    for i, f in enumerate(maps):
-        for j, g in enumerate(maps):
-            comp = {x: f[g[x]] for x in g if g[x] in f}
-            table[i, j] = index[tuple(sorted(comp.items()))]
-    labels = tuple(_munn_label(E, m) for m in maps)
-    T = validate_inverse_semigroup(table, labels)
-    from .congruences import is_fundamental
-
-    if not is_fundamental(T):
-        raise StructureError("Munn semigroup failed its fundamentality postcondition")
-    return T
+    return _partial_bijection_semigroup(maps, tuple(_munn_label(E, m) for m in maps))
 
 
 def _munn_label(E: Semilattice, m: dict[int, int]) -> str:
@@ -388,13 +387,6 @@ def symmetric_inverse_monoid(n: int, *, max_points: int = SYMMETRIC_DEFAULT_CAP
             for img in permutations(range(n), k):
                 maps.append(dict(zip(dom, img)))
     maps.sort(key=lambda m: (len(m), tuple(sorted(m.items()))))
-    index = {tuple(sorted(m.items())): i for i, m in enumerate(maps)}
-    size = len(maps)
-    table = np.zeros((size, size), dtype=np.int64)
-    for i, f in enumerate(maps):
-        for j, g in enumerate(maps):
-            comp = {x: f[g[x]] for x in g if g[x] in f}
-            table[i, j] = index[tuple(sorted(comp.items()))]
     labels = tuple("{" + ",".join(f"{x}>{y}" for x, y in sorted(m.items())) + "}"
                    for m in maps)
-    return validate_inverse_semigroup(table, labels)
+    return _partial_bijection_semigroup(maps, labels)

@@ -10,50 +10,41 @@ belongs to exactly one suite:
 
 Failures always carry a concrete witness.  All randomness is seeded from the
 subject name, so two runs of the same suite produce byte-identical reports.
+
+``run_suite`` makes one ``extensions.Subject`` per call and hands it to every
+suite it runs, so E, the filters, Z, mu, sigma, the actions, their germs and
+kernels, the projection, the cocycle and the transversal are each built at
+most once per call.  The Subject is dropped when the call returns; nothing is
+cached on the semigroup or between calls.  The constructors validate only
+their input: the theorems about what they build (mu is an
+idempotent-separating congruence inside H, the centralizer and the action
+kernels are normal subsemigroups, the Munn semigroup is fundamental, ...)
+are checked here, each by one named check.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from . import algebra as alg
-from .actions import (
-    action_kernel,
-    centralizer_germs,
-    domains_form_base,
-    germ_equivalence_is_equivalence,
-    induced_subgroupoid,
-)
+from .actions import domains_form_base, germ_equivalence_is_equivalence, induced_subgroupoid
 from .builtins import NAMED_GRAPHS
 from .congruences import (
-    find_split_transversal,
-    is_cryptic,
-    is_fundamental,
+    Relation,
+    congruence_witness,
     h_relation,
+    is_fundamental,
     kernel_of,
     mu_relation,
-    munn_quotient,
     random_idempotent_separating_congruences,
-    sigma_and_group_image,
     transversal_defect,
 )
-from .errors import SearchBudgetExceeded, StructureError
-from .extensions import (
-    mu_projection_hom,
-    mu_projection_kernel,
-    semidirect_from_split,
-    sigma_cocycle,
-    tight_germs,
-    universal_germs,
-)
+from .errors import StructureError
+from .extensions import Subject, mu_projection_kernel
 from .groupoids import (
-    GroupoidHom,
-    extract_subgroupoid,
-    group_as_groupoid,
     hom_kernel,
     is_effective,
     is_essentially_principal,
@@ -65,27 +56,27 @@ from .groupoids import (
     interior_witnesses,
     subgroupoid_properties,
     validate_groupoid,
-    validate_hom,
 )
 from .semigroups import (
     InverseSemigroup,
-    centralizer,
     h_class_of,
     idempotents,
     is_clifford,
     is_e_unitary,
-    is_normal_subsemigroup,
     is_zero_e_unitary,
+    normality_defect,
 )
 from .semilattices import (
-    all_filters,
+    EXHAUSTIVE_FILTER_CAP,
+    exhaustive_filters,
     is_filter,
     is_zero_disjunctive,
     munn_semigroup,
-    principal_filter,
     semilattice_isomorphic,
     semilattice_of,
     symmetric_inverse_monoid,
+    tight_spectrum,
+    ultrafilters,
 )
 
 SUITE_NAMES = ("universal", "tight", "extension", "algebra")
@@ -132,42 +123,6 @@ def _seed_for(subject: str, check: str) -> int:
     return zlib.crc32(f"{subject}/{check}".encode())
 
 
-class SubjectContext:
-    """Lazily computed structures shared by the checks of one suite run."""
-
-    def __init__(self, name: str, S: InverseSemigroup):
-        self.name = name
-        self.S = S
-
-    @cached_property
-    def E(self):
-        return semilattice_of(self.S)
-
-    @cached_property
-    def Z(self):
-        return centralizer(self.S)
-
-    @cached_property
-    def mu(self):
-        return mu_relation(self.S)
-
-    @cached_property
-    def beta(self):
-        return universal_germs(self.S)
-
-    @cached_property
-    def theta(self):
-        return tight_germs(self.S)
-
-    @cached_property
-    def z_in_beta(self):
-        return centralizer_germs(self.beta)
-
-    @cached_property
-    def z_in_theta(self):
-        return centralizer_germs(self.theta)
-
-
 def _check(results: list[CheckResult], name: str, statement: str, fn) -> None:
     """Run one check body; any structural error becomes a failure witness."""
     try:
@@ -181,9 +136,9 @@ def _check(results: list[CheckResult], name: str, statement: str, fn) -> None:
 # universal suite
 
 
-def _fiber_elements(ctx: SubjectContext, arrows, unit: int) -> frozenset[int]:
+def _fiber_elements(sub: Subject, arrows, unit: int) -> frozenset[int]:
     """Canonical semigroup elements of the germs in a set of arrows at a unit."""
-    S, germs = ctx.S, ctx.beta
+    S, germs = sub.S, sub.beta
     out = set()
     for a in arrows:
         if germs.groupoid.d[a] == unit:
@@ -192,8 +147,8 @@ def _fiber_elements(ctx: SubjectContext, arrows, unit: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def run_universal_suite(ctx: SubjectContext) -> list[CheckResult]:
-    S = ctx.S
+def run_universal_suite(name: str, sub: Subject) -> list[CheckResult]:
+    S = sub.S
     out: list[CheckResult] = []
 
     def natural_order():
@@ -251,11 +206,10 @@ def run_universal_suite(ctx: SubjectContext) -> list[CheckResult]:
            "the class of each idempotent is a group with that identity", h_groups)
 
     def centralizer_normal():
-        if not idempotents(S) <= ctx.Z:
-            return False, "some idempotent is missing"
-        if not is_normal_subsemigroup(S, ctx.Z):
-            return False, "not a normal subsemigroup"
-        return True, f"centralizer has {len(ctx.Z)} elements"
+        defect = normality_defect(S, sub.Z)
+        if defect is not None:
+            return False, defect
+        return True, f"centralizer has {len(sub.Z)} elements"
 
     _check(out, "semigroup.centralizer_normal",
            "the centralizer of the idempotents is a normal subsemigroup",
@@ -263,18 +217,33 @@ def run_universal_suite(ctx: SubjectContext) -> list[CheckResult]:
 
     _check(out, "semigroup.clifford_iff_central",
            "the semigroup is Clifford exactly when the centralizer is everything",
-           lambda: (is_clifford(S) == (ctx.Z == frozenset(S.elements())),
+           lambda: (is_clifford(S) == (sub.Z == frozenset(S.elements())),
                     f"clifford={is_clifford(S)}"))
 
+    def mu_inside_h():
+        """mu separates idempotents, refines H, and is a congruence."""
+        mu = sub.mu
+        H = h_relation(S)
+        for block in mu.blocks:
+            idems = [x for x in block if x in S.idempotent_set]
+            if len(idems) > 1:
+                return False, f"relates idempotents {idems[0]} and {idems[1]}"
+            apart = [x for x in block if not H.related(block[0], x)]
+            if apart:
+                return False, f"relates {block[0]} and {apart[0]} across H classes"
+        quad = congruence_witness(S, mu)
+        if quad is not None:
+            return False, f"not a congruence at {quad}"
+        return True, f"{len(mu.blocks)} blocks"
+
     _check(out, "congruence.mu_inside_h",
-           "the idempotent-conjugation congruence refines Green's H",
-           lambda: (ctx.mu.refines(h_relation(S)), f"{len(ctx.mu.blocks)} blocks"))
+           "the idempotent-conjugation congruence refines Green's H", mu_inside_h)
 
     def mu_maximal():
-        seed = _seed_for(ctx.name, "mu_maximal")
+        seed = _seed_for(name, "mu_maximal")
         sampled = random_idempotent_separating_congruences(S, seed=seed)
         for R in sampled:
-            if not R.refines(ctx.mu):
+            if not R.refines(sub.mu):
                 return False, "a sampled idempotent-separating congruence escapes"
         return True, f"{len(sampled)} sampled congruences all refine it"
 
@@ -282,18 +251,28 @@ def run_universal_suite(ctx: SubjectContext) -> list[CheckResult]:
            "sampled idempotent-separating congruences refine the maximal one",
            mu_maximal)
 
+    def kernel_mu():
+        """The blocks of mu meeting the idempotents hold exactly the products
+        s t* over related pairs, and they make up the centralizer."""
+        kernel = kernel_of(S, sub.mu)
+        via_pairs = frozenset(S.mul(s, S.inv[t]) for block in sub.mu.blocks
+                              for s in block for t in block)
+        if via_pairs != kernel:
+            return False, f"kernel cross-check fails at {min(via_pairs ^ kernel)}"
+        return kernel == sub.Z, f"{len(sub.Z)} elements"
+
     _check(out, "congruence.kernel_mu_is_centralizer",
            "the kernel of the maximal idempotent-separating congruence is the centralizer",
-           lambda: (kernel_of(S, ctx.mu) == ctx.Z, f"{len(ctx.Z)} elements"))
+           kernel_mu)
 
     _check(out, "congruence.quotient_fundamental",
            "the quotient by the maximal idempotent-separating congruence is fundamental",
-           lambda: (is_fundamental(munn_quotient(S).target), ""))
+           lambda: (is_fundamental(sub.mu_quotient.target), ""))
 
     def filters_ok():
-        filters = all_filters(ctx.E)
+        filters = sub.filters
         for F in filters:
-            if not is_filter(ctx.E, F):
+            if not is_filter(sub.E, F):
                 return False, f"{sorted(F)} fails a closure property"
         return True, f"{len(filters)} filters"
 
@@ -302,10 +281,11 @@ def run_universal_suite(ctx: SubjectContext) -> list[CheckResult]:
            filters_ok)
 
     def filters_principal():
-        filters = set(all_filters(ctx.E))
-        principal = {principal_filter(ctx.E, e) for e in range(ctx.E.size)
-                     if e != ctx.E.zero}
-        if filters != principal:
+        """all_filters lists the principal filters; below the cap they must be
+        exactly the subsets that pass is_filter."""
+        filters = set(sub.filters)
+        if (sub.E.size <= EXHAUSTIVE_FILTER_CAP
+                and set(exhaustive_filters(sub.E)) != filters):
             return False, "enumerated filters differ from the principal ones"
         return True, f"{len(filters)} principal filters"
 
@@ -313,12 +293,13 @@ def run_universal_suite(ctx: SubjectContext) -> list[CheckResult]:
            "the filters are exactly the principal upward closures", filters_principal)
 
     def munn_ok():
-        if ctx.E.size > MUNN_CHECK_CAP:
-            return True, f"skipped: {ctx.E.size} idempotents exceed the check cap"
-        T = munn_semigroup(ctx.E)
-        if not is_fundamental(T):
-            return False, "not fundamental"
-        if semilattice_isomorphic(semilattice_of(T), ctx.E) is None:
+        if sub.E.size > MUNN_CHECK_CAP:
+            return True, f"skipped: {sub.E.size} idempotents exceed the check cap"
+        T = munn_semigroup(sub.E)
+        wide = next((b for b in mu_relation(T).blocks if len(b) > 1), None)
+        if wide is not None:
+            return False, f"not fundamental: mu relates {wide[0]} and {wide[1]}"
+        if semilattice_isomorphic(semilattice_of(T), sub.E) is None:
             return False, "idempotent semilattice changed"
         return True, f"{T.size} ideal isomorphisms"
 
@@ -327,18 +308,18 @@ def run_universal_suite(ctx: SubjectContext) -> list[CheckResult]:
 
     _check(out, "germ.equivalence",
            "germ identification is an equivalence on each fiber",
-           lambda: (germ_equivalence_is_equivalence(ctx.beta.action), ""))
+           lambda: (germ_equivalence_is_equivalence(sub.universal), ""))
 
     def axioms():
-        validate_groupoid(ctx.beta.groupoid)
-        return True, f"{ctx.beta.groupoid.n_arrows} arrows"
+        validate_groupoid(sub.beta.groupoid)
+        return True, f"{sub.beta.groupoid.n_arrows} arrows"
 
     _check(out, "germ.groupoid_axioms",
            "the universal germ groupoid satisfies the groupoid axioms", axioms)
 
     def idem_units():
-        emb = induced_subgroupoid(ctx.beta, idempotents(S))
-        if emb.arrows != frozenset(ctx.beta.groupoid.units):
+        emb = induced_subgroupoid(sub.beta, idempotents(S))
+        if emb.arrows != frozenset(sub.beta.groupoid.units):
             return False, "idempotent germs are not exactly the units"
         return True, f"{len(emb.arrows)} units"
 
@@ -348,7 +329,7 @@ def run_universal_suite(ctx: SubjectContext) -> list[CheckResult]:
     def clifford_bundle():
         if not is_clifford(S):
             return True, "vacuous: not Clifford"
-        if not is_group_bundle(ctx.beta.groupoid):
+        if not is_group_bundle(sub.beta.groupoid):
             return False, "an arrow moves its unit"
         return True, "every arrow fixes its unit"
 
@@ -358,34 +339,33 @@ def run_universal_suite(ctx: SubjectContext) -> list[CheckResult]:
 
     _check(out, "germ.kernel_is_centralizer",
            "the kernel of the universal action is the centralizer",
-           lambda: (action_kernel(ctx.beta.action) == ctx.Z, f"{len(ctx.Z)} elements"))
+           lambda: (sub.universal_kernel == sub.Z, f"{len(sub.Z)} elements"))
 
     def fibers_match():
         """Certify each isotropy fiber isomorphic to its class group, no search.
 
         At the principal point x of a nonzero idempotent e (so m_x = e) the
         germ [s, x] maps to s m_x.  The map is checked to be a bijection of
-        the fiber onto H_e, then a homomorphism of one-unit groupoids
-        (validate_hom); a bijective homomorphism is an isomorphism.  Cost:
-        linear in the fiber for the bijection, one table lookup per
+        the fiber onto H_e, then multiplicative on every composable pair of
+        the fiber; a bijective homomorphism of groups is an isomorphism.
+        Cost: linear in the fiber for the bijection, one table lookup per
         composable pair for the homomorphism.
         """
-        germs = ctx.beta
+        germs = sub.beta
         G = germs.groupoid
         for e in sorted(idempotents(S)):
             if e == S.zero:
                 continue
             u = germs.unit_at_point[germs.principal_point(e)]
-            fiber, arrows = extract_subgroupoid(
-                G, frozenset(a for a in G.arrows() if G.r[a] == G.d[a] == u))
-            block = h_class_of(S, e)
-            back = {s: i for i, s in enumerate(block)}
-            image = tuple(back.get(S.mul(s, germs.base_idempotent[x]))
-                          for s, x in (germs.rep_of[a] for a in arrows))
-            if None in image or sorted(image) != list(range(len(block))):
+            fiber = [a for a in G.arrows() if G.r[a] == G.d[a] == u]
+            image = {a: S.mul(s, germs.base_idempotent[x])
+                     for a in fiber for s, x in [germs.rep_of[a]]}
+            if sorted(image.values()) != sorted(h_class_of(S, e)):
                 return False, f"fiber at idempotent {e} differs from its class group"
-            table = [[back[S.mul(a, b)] for b in block] for a in block]
-            validate_hom(GroupoidHom(fiber, group_as_groupoid(table), image))
+            for a in fiber:
+                for b in fiber:
+                    if image[G.comp[(a, b)]] != S.mul(image[a], image[b]):
+                        return False, f"fiber at idempotent {e} is not multiplicative at ({a},{b})"
         return True, "all isotropy fibers certified isomorphic"
 
     _check(out, "germ.fibers_are_h_classes",
@@ -393,8 +373,8 @@ def run_universal_suite(ctx: SubjectContext) -> list[CheckResult]:
            fibers_match)
 
     def chain():
-        G = ctx.beta.groupoid
-        z_arrows = ctx.z_in_beta.arrows
+        G = sub.beta.groupoid
+        z_arrows = sub.z_in_beta.arrows
         inner = iso_interior(G)
         iso = iso_bundle(G)
         if not (z_arrows <= inner <= iso):
@@ -402,11 +382,11 @@ def run_universal_suite(ctx: SubjectContext) -> list[CheckResult]:
         for e in sorted(idempotents(S)):
             if e == S.zero:
                 continue
-            u = ctx.beta.unit_at_point[ctx.beta.principal_point(e)]
-            z_fiber = _fiber_elements(ctx, z_arrows, u)
+            u = sub.beta.unit_at_point[sub.beta.principal_point(e)]
+            z_fiber = _fiber_elements(sub, z_arrows, u)
             iso_fiber = _fiber_elements(
-                ctx, frozenset(a for a in iso if G.r[a] == G.d[a] == u), u)
-            z_class = frozenset(next(b for b in ctx.mu.blocks if e in b))
+                sub, frozenset(a for a in iso if G.r[a] == G.d[a] == u), u)
+            z_class = frozenset(next(b for b in sub.mu.blocks if e in b))
             if z_fiber != z_class:
                 return False, f"centralizer fiber at {e} is not its congruence class"
             if iso_fiber != frozenset(h_class_of(S, e)):
@@ -418,10 +398,10 @@ def run_universal_suite(ctx: SubjectContext) -> list[CheckResult]:
            chain)
 
     def cryptic_equality():
-        G = ctx.beta.groupoid
+        G = sub.beta.groupoid
         inner = iso_interior(G)
-        z_arrows = ctx.z_in_beta.arrows
-        if is_cryptic(S):
+        z_arrows = sub.z_in_beta.arrows
+        if sub.mu == h_relation(S):      # cryptic
             if z_arrows != inner:
                 return False, "cryptic but the centralizer germs miss interior arrows"
             return True, f"equal arrow sets ({len(inner)} arrows)"
@@ -437,7 +417,7 @@ def run_universal_suite(ctx: SubjectContext) -> list[CheckResult]:
            cryptic_equality)
 
     def z_subgroupoid_props():
-        props = subgroupoid_properties(ctx.beta.groupoid, ctx.z_in_beta.arrows)
+        props = subgroupoid_properties(sub.beta.groupoid, sub.z_in_beta.arrows)
         missing = [n for n, ok in (("subgroupoid", props.is_subgroupoid),
                                    ("open", props.open), ("wide", props.wide),
                                    ("normal", props.normal), ("closed", props.closed))
@@ -452,9 +432,9 @@ def run_universal_suite(ctx: SubjectContext) -> list[CheckResult]:
 
     _check(out, "groupoid.principal_iff_effective",
            "essential principality and effectiveness agree on finite groupoids",
-           lambda: (is_essentially_principal(ctx.beta.groupoid)
-                    == is_effective(ctx.beta.groupoid),
-                    f"both={is_essentially_principal(ctx.beta.groupoid)}"))
+           lambda: (is_essentially_principal(sub.beta.groupoid)
+                    == is_effective(sub.beta.groupoid),
+                    f"both={is_essentially_principal(sub.beta.groupoid)}"))
 
     return out
 
@@ -481,19 +461,17 @@ def global_universal_checks() -> list[CheckResult]:
 # tight suite
 
 
-def run_tight_suite(ctx: SubjectContext) -> list[CheckResult]:
-    S = ctx.S
+def run_tight_suite(name: str, sub: Subject) -> list[CheckResult]:
+    S = sub.S
     out: list[CheckResult] = []
 
     def ultra_ok():
-        from .semilattices import tight_spectrum, ultrafilters
-
-        filters = all_filters(ctx.E)
-        ultra = ultrafilters(ctx.E)
+        filters = sub.filters
+        ultra = ultrafilters(sub.E)
         for F in ultra:
             if any(F < G for G in filters):
                 return False, f"{sorted(F)} is not maximal"
-        if tight_spectrum(ctx.E) != ultra:
+        if tight_spectrum(sub.E) != ultra:
             return False, "tight spectrum differs from the ultrafilters"
         return True, f"{len(ultra)} ultrafilters"
 
@@ -502,20 +480,20 @@ def run_tight_suite(ctx: SubjectContext) -> list[CheckResult]:
            ultra_ok)
 
     def tight_valid():
-        g = ctx.theta
+        g = sub.theta
         return True, f"{g.groupoid.n_arrows} arrows over {g.action.space_size} points"
 
     _check(out, "tight.action_valid",
            "the restriction to the tight spectrum is a valid action", tight_valid)
 
     def zero_disj_injective():
-        if ctx.E.zero is None:
+        if sub.E.zero is None:
             return True, "vacuous: no zero"
-        if not is_zero_disjunctive(ctx.E):
+        if not is_zero_disjunctive(sub.E):
             return True, "vacuous: not 0-disjunctive"
         domains = {}
         for e in sorted(idempotents(S)):
-            dom = ctx.theta.action.maps[e].domain
+            dom = sub.tight.maps[e].domain
             if dom in domains.values():
                 clash = next(f for f, d in domains.items() if d == dom)
                 return False, f"idempotents {clash} and {e} share a domain"
@@ -527,14 +505,14 @@ def run_tight_suite(ctx: SubjectContext) -> list[CheckResult]:
            zero_disj_injective)
 
     def zero_disj_interior():
-        if ctx.E.zero is None or not is_zero_disjunctive(ctx.E):
+        if sub.E.zero is None or not is_zero_disjunctive(sub.E):
             return True, "vacuous: not 0-disjunctive"
-        inner = iso_interior(ctx.theta.groupoid)
-        if ctx.z_in_theta.arrows != inner:
+        inner = iso_interior(sub.theta.groupoid)
+        if sub.z_in_theta.arrows != inner:
             return False, "centralizer germs differ from the isotropy interior"
         extra = ""
-        if is_fundamental(S):
-            if not is_essentially_principal(ctx.theta.groupoid):
+        if sub.mu == Relation.identity(S.size):      # fundamental
+            if not is_essentially_principal(sub.theta.groupoid):
                 return False, "fundamental and 0-disjunctive but not essentially principal"
             extra = "; essentially principal (fundamental case)"
         return True, f"equal ({len(inner)} arrows){extra}"
@@ -544,18 +522,27 @@ def run_tight_suite(ctx: SubjectContext) -> list[CheckResult]:
            zero_disj_interior)
 
     def kernel_theta():
-        if ctx.E.zero is None or not is_zero_disjunctive(ctx.E):
+        if sub.E.zero is None or not is_zero_disjunctive(sub.E):
             return True, "vacuous: not 0-disjunctive"
-        if action_kernel(ctx.theta.action) != ctx.Z:
+        if sub.tight_kernel != sub.Z:
             return False, "tight kernel differs from the centralizer"
-        return True, f"kernel has {len(ctx.Z)} elements"
+        return True, f"kernel has {len(sub.Z)} elements"
 
     _check(out, "tight.kernel_is_centralizer",
            "0-disjunctive: the tight action's kernel is the centralizer",
            kernel_theta)
 
-    def base_dichotomy(germs, tag):
-        J = action_kernel(germs.action)
+    def base_dichotomy(germs, J, tag):
+        """J, the action's kernel, is the normal subsemigroup of elements that
+        act as identities; its germs are open isotropy, and equal the isotropy
+        interior when the idempotent domains form a base."""
+        defect = normality_defect(S, J)
+        if defect is not None:
+            return False, f"{tag}: kernel is not normal: {defect}"
+        identities = frozenset(s for s in S.elements()
+                               if germs.action.maps[s].is_identity_on_domain())
+        if J != identities:
+            return False, f"{tag}: kernel cross-check fails at {min(J ^ identities)}"
         emb = induced_subgroupoid(germs, J)
         G = germs.groupoid
         iso = iso_bundle(G)
@@ -571,19 +558,19 @@ def run_tight_suite(ctx: SubjectContext) -> list[CheckResult]:
 
     _check(out, "tight.base_dichotomy_universal",
            "kernel germs are open isotropy; equal to the interior under the base hypothesis",
-           lambda: base_dichotomy(ctx.beta, "universal"))
+           lambda: base_dichotomy(sub.beta, sub.universal_kernel, "universal"))
     _check(out, "tight.base_dichotomy_tight",
            "same dichotomy for the tight action",
-           lambda: base_dichotomy(ctx.theta, "tight"))
+           lambda: base_dichotomy(sub.theta, sub.tight_kernel, "tight"))
 
     def graph_criterion():
-        graph = NAMED_GRAPHS.get(ctx.name.partition(":")[2]) \
-            if ctx.name.startswith("graph:") else None
+        graph = NAMED_GRAPHS.get(name.partition(":")[2]) \
+            if name.startswith("graph:") else None
         if graph is None:
             return True, "vacuous: not a graph semigroup subject"
         has_in_degree_one = any(graph.in_degree(v) == 1
                                 for v in range(graph.n_vertices))
-        disj = is_zero_disjunctive(ctx.E)
+        disj = is_zero_disjunctive(sub.E)
         if has_in_degree_one and disj:
             return False, "in-degree-1 vertex but still 0-disjunctive"
         if not has_in_degree_one and not disj:
@@ -601,23 +588,16 @@ def run_tight_suite(ctx: SubjectContext) -> list[CheckResult]:
 # extension suite
 
 
-def run_extension_suite(ctx: SubjectContext) -> list[CheckResult]:
-    S = ctx.S
+def run_extension_suite(name: str, sub: Subject) -> list[CheckResult]:
+    S = sub.S
     out: list[CheckResult] = []
 
-    proj_cache = {}
-
-    def ctx_proj():
-        if "p" not in proj_cache:
-            proj_cache["p"] = mu_projection_hom(S)
-        return proj_cache["p"]
-
     def strong_surjective():
-        proj = ctx_proj()
+        proj = sub.projection
         if not is_strongly_surjective(proj.hom):
             return False, "a fiber is not covered"
         note = ""
-        if is_fundamental(S):
+        if sub.mu == Relation.identity(S.size):      # fundamental
             if sorted(proj.hom.map) != list(proj.target.groupoid.arrows()):
                 return False, "fundamental but the projection is not a bijection"
             note = " (isomorphism: fundamental case)"
@@ -629,9 +609,9 @@ def run_extension_suite(ctx: SubjectContext) -> list[CheckResult]:
            strong_surjective)
 
     def kernel_is_z():
-        proj = ctx_proj()
+        proj = sub.projection
         kernel = mu_projection_kernel(proj)
-        z_arrows = ctx.z_in_beta.arrows
+        z_arrows = sub.z_in_beta.arrows
         if not z_arrows <= kernel:
             return False, "centralizer germs escape the kernel"
         T = proj.quotient.target
@@ -647,8 +627,7 @@ def run_extension_suite(ctx: SubjectContext) -> list[CheckResult]:
            kernel_is_z)
 
     def sigma_group():
-        _, q = sigma_and_group_image(S)
-        return True, f"group image of order {q.target.size}"
+        return True, f"group image of order {sub.group_image.target.size}"
 
     _check(out, "extension.sigma_group_image",
            "the least group congruence has a group quotient", sigma_group)
@@ -656,7 +635,7 @@ def run_extension_suite(ctx: SubjectContext) -> list[CheckResult]:
     def cocycle():
         if S.zero is not None:
             return True, "vacuous: zero present"
-        hom, germs = sigma_cocycle(S)
+        hom, germs = sub.cocycle
         units = frozenset(germs.groupoid.units)
         kernel = hom_kernel(hom)
         if not units <= kernel:
@@ -671,23 +650,13 @@ def run_extension_suite(ctx: SubjectContext) -> list[CheckResult]:
            "the group-image cocycle is a homomorphism; E-unitary kernels are the units",
            cocycle)
 
-    transversal_cache = {}
-
-    def ctx_transversal():
-        if "r" not in transversal_cache:
-            try:
-                transversal_cache["r"] = find_split_transversal(S)
-            except SearchBudgetExceeded:
-                transversal_cache["r"] = "budget"
-        return transversal_cache["r"]
-
     def transversal():
-        r = ctx_transversal()
+        r = sub.transversal
         if r == "budget":
             return True, "skipped: search budget exceeded"
         if r is None:
             return True, "no multiplicative transversal exists"
-        defect = transversal_defect(S, munn_quotient(S), r)
+        defect = transversal_defect(S, sub.mu_quotient, r)
         if defect is not None:
             x, y = defect
             return False, (f"not a section at class {x}" if y is None
@@ -698,10 +667,10 @@ def run_extension_suite(ctx: SubjectContext) -> list[CheckResult]:
            "any split transversal found is a multiplicative section", transversal)
 
     def semidirect():
-        r = ctx_transversal()
+        r = sub.transversal
         if r in (None, "budget"):
             return True, "vacuous: no transversal"
-        dec = semidirect_from_split(S, r)
+        dec = sub.split_decomposition(r)
         return True, (f"product with {dec.product.n_arrows} arrows certified "
                       f"isomorphic to the universal groupoid")
 
@@ -716,15 +685,15 @@ def run_extension_suite(ctx: SubjectContext) -> list[CheckResult]:
 # algebra suite
 
 
-def run_algebra_suite(ctx: SubjectContext, csv_rows: list[str] | None = None
+def run_algebra_suite(name: str, sub: Subject, csv_rows: list[str] | None
                       ) -> list[CheckResult]:
     out: list[CheckResult] = []
-    G = ctx.beta.groupoid
-    emb = ctx.z_in_beta
+    G = sub.beta.groupoid
+    emb = sub.z_in_beta
     H = emb.groupoid
 
     def cstar():
-        rng = np.random.default_rng(_seed_for(ctx.name, "cstar"))
+        rng = np.random.default_rng(_seed_for(name, "cstar"))
         worst = 0.0
         for i in range(ALGEBRA_SAMPLES):
             f = alg.random_function(G, rng)
@@ -733,7 +702,7 @@ def run_algebra_suite(ctx: SubjectContext, csv_rows: list[str] | None = None
             err = abs(n1 - n2) / max(1.0, n2)
             worst = max(worst, err)
             if csv_rows is not None:
-                csv_rows.append(f"{ctx.name},cstar,{i},{n2:.12g},{n1:.12g},{err:.3e}")
+                csv_rows.append(f"{name},cstar,{i},{n2:.12g},{n1:.12g},{err:.3e}")
             if err > alg.NORM_TOL:
                 return False, f"identity off by {err:.2e} at sample {i}"
         return True, f"{ALGEBRA_SAMPLES} samples, worst deviation {worst:.2e}"
@@ -742,7 +711,7 @@ def run_algebra_suite(ctx: SubjectContext, csv_rows: list[str] | None = None
            "the norm satisfies the C*-identity on seeded random functions", cstar)
 
     def embed_checks():
-        rng = np.random.default_rng(_seed_for(ctx.name, "embed"))
+        rng = np.random.default_rng(_seed_for(name, "embed"))
         worst = 0.0
         for i in range(ALGEBRA_SAMPLES):
             f = alg.random_function(H, rng)
@@ -756,7 +725,7 @@ def run_algebra_suite(ctx: SubjectContext, csv_rows: list[str] | None = None
             err = abs(alg.reduced_norm(G, alg.embed(emb, f)) - alg.reduced_norm(H, f))
             worst = max(worst, err)
             if csv_rows is not None:
-                csv_rows.append(f"{ctx.name},embed,{i},,,{err:.3e}")
+                csv_rows.append(f"{name},embed,{i},,,{err:.3e}")
             if err > alg.NORM_TOL:
                 return False, f"not isometric at sample {i} (off by {err:.2e})"
         return True, f"{ALGEBRA_SAMPLES} samples, worst norm deviation {worst:.2e}"
@@ -766,7 +735,7 @@ def run_algebra_suite(ctx: SubjectContext, csv_rows: list[str] | None = None
            embed_checks)
 
     def expectation():
-        rng = np.random.default_rng(_seed_for(ctx.name, "expectation"))
+        rng = np.random.default_rng(_seed_for(name, "expectation"))
         for i in range(20):
             f = alg.random_function(G, rng)
             once = alg.conditional_expectation(emb, f)
@@ -789,7 +758,7 @@ def run_algebra_suite(ctx: SubjectContext, csv_rows: list[str] | None = None
            expectation)
 
     def faithful():
-        rng = np.random.default_rng(_seed_for(ctx.name, "faithful"))
+        rng = np.random.default_rng(_seed_for(name, "faithful"))
         for i in range(ALGEBRA_SAMPLES):
             f = alg.random_function(G, rng)
             phi = alg.conditional_expectation(
@@ -808,7 +777,7 @@ def run_algebra_suite(ctx: SubjectContext, csv_rows: list[str] | None = None
            faithful)
 
     def assoc():
-        rng = np.random.default_rng(_seed_for(ctx.name, "assoc"))
+        rng = np.random.default_rng(_seed_for(name, "assoc"))
         for i in range(20):
             f = alg.random_function(G, rng, integral=True)
             g = alg.random_function(G, rng, integral=True)
@@ -823,7 +792,7 @@ def run_algebra_suite(ctx: SubjectContext, csv_rows: list[str] | None = None
            "convolution of integer-valued functions associates exactly", assoc)
 
     def antimult():
-        rng = np.random.default_rng(_seed_for(ctx.name, "antimult"))
+        rng = np.random.default_rng(_seed_for(name, "antimult"))
         for i in range(20):
             f = alg.random_function(G, rng)
             g = alg.random_function(G, rng)
@@ -897,17 +866,17 @@ _GLOBALS = {
 
 def run_suite(name: str, S: InverseSemigroup, suite: str,
               csv_rows: list[str] | None = None) -> list[VerificationReport]:
-    """Per-subject reports for one suite (or all of them)."""
+    """Per-subject reports for one suite (or all of them), over one Subject."""
     suites = SUITE_NAMES if suite == "all" else (suite,)
+    sub = Subject(S)
     reports = []
     for s in suites:
         if s not in _SUITES:
             raise StructureError(f"unknown suite '{s}'")
-        ctx = SubjectContext(name, S)
         if s == "algebra":
-            checks = run_algebra_suite(ctx, csv_rows)
+            checks = run_algebra_suite(name, sub, csv_rows)
         else:
-            checks = _SUITES[s](ctx)
+            checks = _SUITES[s](name, sub)
         reports.append(VerificationReport(name, s, checks))
     return reports
 

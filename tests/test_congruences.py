@@ -398,3 +398,13 @@ def test_split_transversal_matches_reference_under_relabelling(m):
         assert r == _reference_split_transversal(T)
         found.add(frozenset(r))
     assert len(found) > 1
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_quotient_by_the_identity_is_the_validated_semigroup(name):
+    S = builtin(name)
+    T = quotient(S, Relation.identity(S.size)).target
+    reference = validate_inverse_semigroup(S.table.copy(), T.labels)
+    assert T.table is S.table
+    assert (T.inv, T.zero) == (reference.inv, reference.zero)
+    assert T.labels == tuple("{" + S.label(x) + "}" for x in S.elements())

@@ -7,7 +7,6 @@ from germlab.extensions import (
     mu_projection_kernel,
     semidirect_from_split,
     sigma_cocycle,
-    split_iso_check,
     universal_germs,
 )
 from germlab.actions import centralizer_germs
@@ -91,17 +90,23 @@ def test_sigma_cocycle_rejects_zero_semigroups():
         sigma_cocycle(validate_inverse_semigroup(B2_TABLE))
 
 
-def test_split_iso_check_fundamental_identity_transversal():
+def assert_certified_decomposition(S, r):
+    dec = semidirect_from_split(S, r)
+    assert dec.product.n_arrows == dec.germs.groupoid.n_arrows
+    assert sorted(dec.iso.map) == list(dec.germs.groupoid.arrows())
+
+
+def test_split_decomposition_fundamental_identity_transversal():
     for S in (validate_inverse_semigroup(B2_TABLE), diamond_munn()):
         r = find_split_transversal(S)
         assert r == tuple(range(S.size))
-        assert split_iso_check(S, r)
+        assert_certified_decomposition(S, r)
 
 
-def test_split_iso_check_chain():
+def test_split_decomposition_chain():
     S = validate_inverse_semigroup(CHAIN_ID_TABLE)
     r = find_split_transversal(S)
-    assert split_iso_check(S, r)
+    assert_certified_decomposition(S, r)
 
 
 def test_split_decomposition_of_brandt_times_z2():
@@ -113,10 +118,10 @@ def test_split_decomposition_of_brandt_times_z2():
     assert sorted(dec.iso.map) == list(dec.germs.groupoid.arrows())
 
 
-def test_split_iso_check_rejects_bad_transversal():
+def test_split_decomposition_rejects_bad_transversal():
     S = validate_inverse_semigroup(CHAIN_ID_TABLE)
     with pytest.raises(NotATransversal):
-        split_iso_check(S, (1, 3))  # picks non-idempotents: not a section of mu
+        semidirect_from_split(S, (1, 3))  # picks non-idempotents: not a section of mu
 
 
 def test_universal_germs_arrow_counts():

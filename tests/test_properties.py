@@ -20,6 +20,7 @@ from germlab.groupoids import is_group_bundle
 from germlab.semigroups import centralizer, is_clifford, natural_leq
 from germlab.semilattices import (
     all_filters,
+    exhaustive_filters,
     is_filter,
     principal_filter,
     ultrafilters,
@@ -54,6 +55,12 @@ def test_random_semilattice_filters_are_principal_and_closed(masks):
     assert set(filters) == principal
     for F in filters:
         assert is_filter(E, F)
+
+
+@given(st.sets(st.integers(min_value=0, max_value=15), min_size=1, max_size=6))
+def test_principal_filters_are_every_filter(masks):
+    E = meet_closed_semilattice(masks)
+    assert set(exhaustive_filters(E)) == set(all_filters(E))
 
 
 @given(st.sets(st.integers(min_value=0, max_value=15), min_size=1, max_size=6))

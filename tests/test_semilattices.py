@@ -5,7 +5,9 @@ import pytest
 
 from germlab.errors import SizeBudgetExceeded, ZeroRequired
 from germlab.semilattices import (
+    EXHAUSTIVE_FILTER_CAP,
     all_filters,
+    exhaustive_filters,
     filter_generator,
     is_filter,
     is_zero_disjunctive,
@@ -217,3 +219,11 @@ def test_symmetric_inverse_monoid_counts():
 def test_symmetric_inverse_monoid_budget():
     with pytest.raises(SizeBudgetExceeded):
         symmetric_inverse_monoid(5)
+
+
+def test_exhaustive_filters_refuse_semilattices_above_the_cap():
+    n = EXHAUSTIVE_FILTER_CAP + 1
+    chain = validate_semilattice([[min(i, j) for j in range(n)] for i in range(n)])
+    assert len(all_filters(chain)) == n - 1
+    with pytest.raises(SizeBudgetExceeded):
+        exhaustive_filters(chain)
