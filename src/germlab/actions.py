@@ -28,7 +28,7 @@ from .errors import (
     NotSubsemigroup,
     StructureError,
 )
-from .groupoids import FiniteGroupoid, validate_groupoid
+from .groupoids import FiniteGroupoid
 from .semigroups import InverseSemigroup, centralizer, validate_inverse_semigroup
 from .semilattices import (
     Semilattice,
@@ -266,7 +266,9 @@ def germ_groupoid(action: Action) -> GermGroupoid:
     Two pairs (s, x), (t, x) give the same germ exactly when s e = t e for an
     idempotent e acting around x; since the idempotents around x are closed
     under meets, the product with the least of them is a complete invariant
-    and doubles as the canonical representative.
+    and doubles as the canonical representative.  That the germs form a
+    groupoid is a theorem, checked by the verification suites rather than
+    here.
     """
     S = action.semigroup
     n_pts = action.space_size
@@ -329,7 +331,6 @@ def germ_groupoid(action: Action) -> GermGroupoid:
     G = FiniteGroupoid(n_arrows, tuple(r), tuple(d), tuple(inv), comp,
                        tuple(sorted(set(unit_at_point))), labels,
                        tuple(basis), declared)
-    validate_groupoid(G)
     return GermGroupoid(action, G, unit_at_point, point_of_unit, arrow_of,
                         tuple(reps), tuple(min_idem))
 

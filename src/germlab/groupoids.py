@@ -112,7 +112,14 @@ def discrete_basis(n: int, labels) -> Basis:
 
 
 def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
-    """Exhaustively check the groupoid axioms and basis sanity."""
+    """Exhaustively check the groupoid axioms and basis sanity.
+
+    ``make_groupoid`` runs it on the arrays its callers supply.  Groupoids
+    that a construction makes a groupoid by theorem (germs, extracted
+    subgroupoids) are not validated where they are built; the verification
+    suites check them (``germ.groupoid_axioms``, ``tight.action_valid``,
+    ``extension.projection_strongly_surjective``).
+    """
     n = G.n_arrows
     units = set(G.units)
     for u in G.units:
@@ -275,7 +282,10 @@ def extract_subgroupoid(G: FiniteGroupoid, subset: frozenset[int]
                         ) -> tuple[FiniteGroupoid, tuple[int, ...]]:
     """A standalone copy of an arrow subset, with the subspace basis.
 
-    Returns the copy and the map from its arrow indices back to G's.
+    Returns the copy and the map from its arrow indices back to G's.  A
+    subset closed under inverses and composition holds r(a) = a a^-1 and
+    d(a) = a^-1 a for each of its arrows, so the copy is a groupoid and is
+    not validated again.
     """
     if not is_subgroupoid(G, subset):
         raise StructureError("arrow set is not a subgroupoid")
@@ -297,7 +307,7 @@ def extract_subgroupoid(G: FiniteGroupoid, subset: frozenset[int]
     units = tuple(sorted(back[u] for u in G.units if u in subset))
     H = FiniteGroupoid(len(order), r, d, inv, comp, units, labels,
                        tuple(basis), G.basis_declared)
-    return validate_groupoid(H), order
+    return H, order
 
 
 def group_as_groupoid(table, labels=None) -> FiniteGroupoid:

@@ -1,24 +1,17 @@
-"""JSON interchange for every structure, plus DOT export of germ groupoids.
+"""JSON documents for the CLI's inputs, plus DOT export of germ groupoids.
 
 Semigroup documents: {"labels": [...], "table": [[...]]} with
-table[i][j] = index of the product of elements i and j.  Relations are bare
-arrays of blocks.  Actions: {"space": n, "maps": {"<element>": [point or
-null, ...]}}.  Graphs: {"vertices": n, "edges": [[tail, head], ...]}.
-Groupoid documents list arrows, units, range/source/inverse arrays, the
-composition triples and the basis catalog.  Functions are arrays of
-[re, im] pairs indexed by arrow.
+table[i][j] = index of the product of elements i and j.  Graphs:
+{"vertices": n, "edges": [[tail, head], ...]}.
 """
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
-
-from .actions import Action, DirectedGraph, PartialMap, validate_action
-from .algebra import GroupoidFunction
+from .actions import DirectedGraph
 from .errors import ParseError
-from .groupoids import FiniteGroupoid, iso_interior, make_groupoid
+from .groupoids import FiniteGroupoid, iso_interior
 from .semigroups import InverseSemigroup, validate_inverse_semigroup
 
 
@@ -60,22 +53,6 @@ def save_semigroup(S: InverseSemigroup, path: str) -> None:
         fh.write("\n")
 
 
-def save_relation(blocks, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([sorted(b) for b in blocks], fh)
-        fh.write("\n")
-
-
-def load_relation(path: str):
-    doc = _load_json(path)
-    if not isinstance(doc, list):
-        raise ParseError("document", "expected an array of blocks")
-    for i, b in enumerate(doc):
-        if not isinstance(b, list) or not all(isinstance(x, int) for x in b):
-            raise ParseError(f"blocks[{i}]", "expected an array of indices")
-    return [tuple(b) for b in doc]
-
-
 def load_graph(path: str) -> DirectedGraph:
     doc = _load_json(path)
     if not isinstance(doc, dict) or "vertices" not in doc:
@@ -98,90 +75,6 @@ def save_graph(graph: DirectedGraph, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")
-
-
-def save_action(action: Action, path: str) -> None:
-    doc = {
-        "space": action.space_size,
-        "maps": {str(s): [y for y in action.maps[s].images]
-                 for s in action.semigroup.elements()},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
-
-
-def load_action(path: str, S: InverseSemigroup) -> Action:
-    doc = _load_json(path)
-    if not isinstance(doc, dict) or "space" not in doc or "maps" not in doc:
-        raise ParseError("document", "expected an object with space and maps")
-    space = doc["space"]
-    if not isinstance(space, int) or space < 0:
-        raise ParseError("space", "expected a nonnegative integer")
-    raw = doc["maps"]
-    maps = []
-    for s in S.elements():
-        row = raw.get(str(s))
-        if row is None or not isinstance(row, list) or len(row) != space:
-            raise ParseError(f"maps[{s}]", f"expected {space} entries")
-        for x in row:
-            if x is not None and (not isinstance(x, int) or not 0 <= x < space):
-                raise ParseError(f"maps[{s}]", "entries must be point indices or null")
-        maps.append(PartialMap(tuple(row)))
-    return validate_action(S, space, maps)
-
-
-def save_groupoid(G: FiniteGroupoid, path: str) -> None:
-    doc = {
-        "arrows": G.n_arrows,
-        "units": list(G.units),
-        "r": list(G.r),
-        "d": list(G.d),
-        "inv": list(G.inv),
-        "comp": [[g, h, gh] for (g, h), gh in sorted(G.comp.items())],
-        "labels": list(G.labels),
-        "basis": [{"label": label, "arrows": sorted(members)}
-                  for label, members in G.basis],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
-def load_groupoid(path: str) -> FiniteGroupoid:
-    doc = _load_json(path)
-    for key in ("arrows", "r", "d", "inv", "comp"):
-        if key not in doc:
-            raise ParseError(key, "missing field")
-    comp = {}
-    for i, triple in enumerate(doc["comp"]):
-        if not isinstance(triple, list) or len(triple) != 3:
-            raise ParseError(f"comp[{i}]", "expected [g, h, gh]")
-        comp[(triple[0], triple[1])] = triple[2]
-    basis = None
-    if "basis" in doc:
-        basis = tuple((b["label"], frozenset(b["arrows"])) for b in doc["basis"])
-    return make_groupoid(doc["r"], doc["d"], doc["inv"], comp,
-                         doc.get("labels"), basis)
-
-
-def save_function(f: GroupoidFunction, path: str) -> None:
-    doc = [[float(np.real(v)), float(np.imag(v))] for v in f.values]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
-
-
-def load_function(path: str, G: FiniteGroupoid) -> GroupoidFunction:
-    doc = _load_json(path)
-    if not isinstance(doc, list) or len(doc) != G.n_arrows:
-        raise ParseError("document", f"expected {G.n_arrows} [re, im] pairs")
-    vals = []
-    for i, pair in enumerate(doc):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError(f"[{i}]", "expected [re, im]")
-        vals.append(complex(pair[0], pair[1]))
-    return GroupoidFunction(G, np.array(vals))
 
 
 def _dot_escape(text: str) -> str:

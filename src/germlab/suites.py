@@ -18,8 +18,10 @@ most once per call.  The Subject is dropped when the call returns; nothing is
 cached on the semigroup or between calls.  The constructors validate only
 their input: the theorems about what they build (mu is an
 idempotent-separating congruence inside H, the centralizer and the action
-kernels are normal subsemigroups, the Munn semigroup is fundamental, ...)
-are checked here, each by one named check.
+kernels are normal subsemigroups, the Munn semigroup is fundamental, the
+germs of S, of its tight action and of S/mu are groupoids, the projection
+and the cocycle are homomorphisms, ...) are checked here, each by one
+named check.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .groupoids import (
     interior_witnesses,
     subgroupoid_properties,
     validate_groupoid,
+    validate_hom,
 )
 from .semigroups import (
     InverseSemigroup,
@@ -481,6 +484,7 @@ def run_tight_suite(name: str, sub: Subject) -> list[CheckResult]:
 
     def tight_valid():
         g = sub.theta
+        validate_groupoid(g.groupoid)
         return True, f"{g.groupoid.n_arrows} arrows over {g.action.space_size} points"
 
     _check(out, "tight.action_valid",
@@ -594,6 +598,8 @@ def run_extension_suite(name: str, sub: Subject) -> list[CheckResult]:
 
     def strong_surjective():
         proj = sub.projection
+        validate_groupoid(proj.target.groupoid)
+        validate_hom(proj.hom)
         if not is_strongly_surjective(proj.hom):
             return False, "a fiber is not covered"
         note = ""
@@ -636,6 +642,7 @@ def run_extension_suite(name: str, sub: Subject) -> list[CheckResult]:
         if S.zero is not None:
             return True, "vacuous: zero present"
         hom, germs = sub.cocycle
+        validate_hom(hom)
         units = frozenset(germs.groupoid.units)
         kernel = hom_kernel(hom)
         if not units <= kernel:

@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 
 from germlab.actions import centralizer_germs, germ_groupoid, universal_action
 from germlab.errors import SearchBudgetExceeded, StructureError
 from germlab.groupoids import (
+    FiniteGroupoid,
     conjugation_action,
     extract_subgroupoid,
     fiber_group,
@@ -166,3 +169,37 @@ def test_essentially_principal_iff_effective_on_samples():
         subjects.append(germ_groupoid(universal_action(S)).groupoid)
     for G in subjects:
         assert is_essentially_principal(G) == is_effective(G)
+
+
+PAIR2 = pair_groupoid(2)     # arrows 0=(0<-0) 1=(0<-1) 2=(1<-0) 3=(1<-1), units 0, 3
+GROUP_Z2 = group_as_groupoid(Z2_TABLE)
+# A non-associative loop with the inverse property: x^-1 (x y) = y = (y x) x^-1.
+# None has fewer than 7 elements, and in the two groupoids above the inverse
+# laws force the products, so associativity is broken on this one instead.
+IP_LOOP = ((0, 1, 2, 3, 4, 5, 6), (1, 2, 0, 5, 6, 4, 3), (2, 0, 1, 6, 5, 3, 4),
+           (3, 6, 5, 4, 0, 1, 2), (4, 5, 6, 0, 3, 2, 1), (5, 3, 4, 2, 1, 6, 0),
+           (6, 4, 3, 1, 2, 0, 5))
+LOOP_GROUPOID = FiniteGroupoid(7, (0,) * 7, (0,) * 7, (0, 2, 1, 4, 3, 6, 5),
+                               {(a, b): IP_LOOP[a][b] for a in range(7) for b in range(7)},
+                               (0,), tuple(f"l{a}" for a in range(7)), ())
+
+
+@pytest.mark.parametrize("G,fields,message", [
+    (GROUP_Z2, {"comp": {**GROUP_Z2.comp, (0, 0): 1}}, "unit 0 fails u = u.u = u^-1"),
+    (GROUP_Z2, {"inv": (1, 1)}, "unit 0 fails u = u.u = u^-1"),
+    (PAIR2, {"r": (3, 0, 3, 3)}, "unit 0 is not its own range/source"),
+    (PAIR2, {"units": (0,)}, "range/source of arrow 1 is not a unit"),
+    (PAIR2, {"inv": (0, 1, 1, 3)}, "arrow 1: a.a^-1 is not r(a)"),
+    (PAIR2, {"comp": {**PAIR2.comp, (2, 1): 0}}, "arrow 1: a^-1.a is not d(a)"),
+    (PAIR2, {"comp": {**PAIR2.comp, (0, 3): 0}}, "composition defined on non-composable (0,3)"),
+    (PAIR2, {"comp": {**PAIR2.comp, (0, 1): 0}}, "composition (0,1) breaks range/source"),
+    (PAIR2, {"comp": {k: v for k, v in PAIR2.comp.items() if k != (0, 1)}},
+     "composability mismatch at (0,1)"),
+    (GROUP_Z2, {"comp": {**GROUP_Z2.comp, (0, 1): 0}}, "inverse laws fail at (0,1)"),
+    (LOOP_GROUPOID, {}, "associativity fails at (1,1,3)"),
+    (PAIR2, {"basis": PAIR2.basis + (("{x}", frozenset({4})),)}, "basis set out of range"),
+])
+def test_validate_groupoid_names_the_broken_axiom(G, fields, message):
+    with pytest.raises(StructureError) as err:
+        validate_groupoid(dataclasses.replace(G, **fields))
+    assert str(err.value) == message

@@ -1,27 +1,18 @@
 import json
 
-import numpy as np
 import pytest
 
-from germlab.actions import DirectedGraph, universal_action
-from germlab.algebra import GroupoidFunction
+from germlab.actions import DirectedGraph
 from germlab.builtins import builtin, corpus
 from germlab.cli import main
 from germlab.errors import ParseError, NotAssociative, UnknownName
 from germlab.extensions import universal_germs
-from germlab.groupoids import pair_groupoid
 from germlab.io import (
     export_dot,
     groupoid_dot,
-    load_action,
-    load_function,
     load_graph,
-    load_groupoid,
     load_semigroup,
-    save_action,
-    save_function,
     save_graph,
-    save_groupoid,
     save_semigroup,
 )
 
@@ -60,49 +51,11 @@ def test_load_propagates_validation_failure(tmp_path):
     assert len(err.value.triple) == 3
 
 
-def test_relation_roundtrip(tmp_path):
-    from germlab.congruences import mu_relation
-    from germlab.io import load_relation, save_relation
-
-    S = builtin("clifford_chain:identity")
-    mu = mu_relation(S)
-    path = tmp_path / "r.json"
-    save_relation(mu.blocks, str(path))
-    assert tuple(load_relation(str(path))) == mu.blocks
-
-
 def test_graph_roundtrip(tmp_path):
     g = DirectedGraph(3, ((0, 2), (1, 2)))
     path = tmp_path / "g.json"
     save_graph(g, str(path))
     assert load_graph(str(path)) == g
-
-
-def test_action_roundtrip(tmp_path):
-    S = builtin("b2")
-    action = universal_action(S)
-    path = tmp_path / "a.json"
-    save_action(action, str(path))
-    loaded = load_action(str(path), S)
-    assert [m.images for m in loaded.maps] == [m.images for m in action.maps]
-
-
-def test_groupoid_roundtrip(tmp_path):
-    G = universal_germs(builtin("diamond_munn")).groupoid
-    path = tmp_path / "g.json"
-    save_groupoid(G, str(path))
-    loaded = load_groupoid(str(path))
-    assert loaded.n_arrows == G.n_arrows
-    assert loaded.comp == G.comp
-    assert loaded.basis == G.basis
-
-
-def test_function_roundtrip(tmp_path):
-    G = pair_groupoid(2)
-    f = GroupoidFunction(G, np.array([1 + 2j, 0, -1.5, 0.25j]))
-    path = tmp_path / "f.json"
-    save_function(f, str(path))
-    assert load_function(str(path), G).close_to(f)
 
 
 def test_dot_export_marks_units_and_interior(tmp_path):

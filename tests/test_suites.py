@@ -12,11 +12,12 @@ import pytest
 
 import germlab
 from germlab import suites
-from germlab.builtins import builtin
+from germlab.actions import induced_subgroupoid
+from germlab.builtins import CORPUS_NAMES, builtin
 from germlab.cli import main
 from germlab.congruences import Relation, h_relation
-from germlab.extensions import MunnProjection, Subject
-from germlab.groupoids import GroupoidHom
+from germlab.extensions import MunnProjection, Subject, transversal_arrows
+from germlab.groupoids import GroupoidHom, conjugation_action, validate_groupoid
 from germlab.suites import (
     render_reports,
     run_extension_suite,
@@ -95,7 +96,7 @@ def test_z70_universal_suite_passes_without_a_search_cap():
 
 
 COUNTED = ("universal_action", "spectrum_action", "germ_groupoid", "mu_relation",
-           "quotient", "semilattice_of", "all_filters")
+           "quotient", "semilattice_of", "all_filters", "validate_groupoid")
 
 
 def test_one_subject_builds_each_structure_once(monkeypatch):
@@ -107,6 +108,10 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
     semigroup that their own checks build; quotients by mu and sigma.  The
     universal action comes from the Subject, never from universal_action(S);
     all_filters(E) also runs inside ultrafilters and tight_spectrum.
+    validate_groupoid runs in germ.groupoid_axioms, tight.action_valid and
+    extension.projection_strongly_surjective, one per germ groupoid, and in
+    make_groupoid on the semidirect product it assembles; no builder
+    re-validates what it builds.
     """
     S = builtin("symmetric:3")
     modules = [importlib.import_module(f"germlab.{m.name}")
@@ -126,7 +131,8 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
                 monkeypatch.setattr(module, name, counting(name, real))
     run_suite("symmetric:3", S, "all")
     assert dict(calls) == {"spectrum_action": 2, "germ_groupoid": 3, "mu_relation": 3,
-                           "quotient": 2, "semilattice_of": 3, "all_filters": 4}
+                           "quotient": 2, "semilattice_of": 3, "all_filters": 4,
+                           "validate_groupoid": 4}
 
 
 def _check(suite, S, name, **shadows):
@@ -215,3 +221,79 @@ def test_projection_check_reports_an_uncovered_fiber():
     proj = MunnProjection(sub.mu_quotient, sub.beta, sub.beta, collapse)
     _fails(_check(run_extension_suite, S, "extension.projection_strongly_surjective",
                   projection=proj), "a fiber is not covered")
+
+
+def _broken(germs, **fields):
+    """A copy of a germ groupoid with fields of its FiniteGroupoid replaced."""
+    return dataclasses.replace(germs, groupoid=dataclasses.replace(germs.groupoid, **fields))
+
+
+# group:z3 has one unit; arrow i is the germ of r_i, and r_1 r_1 = r_2
+Z3_BAD_SQUARE = {(1, 1): 1}
+
+
+def test_universal_germs_are_validated_by_the_axioms_check():
+    S = builtin("group:z3")
+    beta = Subject(S).beta
+    beta = _broken(beta, comp={**beta.groupoid.comp, **Z3_BAD_SQUARE})
+    _fails(_check(run_universal_suite, S, "germ.groupoid_axioms", beta=beta),
+           "error: inverse laws fail at (1,1)")
+
+
+def test_tight_germs_are_validated_by_the_action_check():
+    S = builtin("group:z3")
+    theta = Subject(S).theta
+    theta = _broken(theta, comp={**theta.groupoid.comp, **Z3_BAD_SQUARE})
+    _fails(_check(run_tight_suite, S, "tight.action_valid", theta=theta),
+           "error: inverse laws fail at (1,1)")
+
+
+def test_projection_check_validates_the_target_before_the_map():
+    S = builtin("group:z2")
+    proj = Subject(S).projection
+    target = _broken(proj.target, comp={})         # S/mu is trivial: one unit, no products
+    hom = dataclasses.replace(proj.hom, target=target.groupoid)
+    proj = dataclasses.replace(proj, target=target, hom=hom)
+    _fails(_check(run_extension_suite, S, "extension.projection_strongly_surjective",
+                  projection=proj), "error: unit 0 fails u = u.u = u^-1")
+
+
+def _squaring_hom(sub):
+    """r_0, r_1, r_2 -> r_0, r_2, r_2 on the germs of group:z3: it keeps the
+    unit, but sends r_1 r_1 = r_2 to r_2, not to r_2 r_2 = r_1."""
+    G = sub.beta.groupoid
+    return GroupoidHom(G, G, (0, 2, 2))
+
+
+def test_projection_check_reports_a_non_multiplicative_map():
+    S = builtin("group:z3")
+    sub = Subject(S)
+    proj = MunnProjection(sub.mu_quotient, sub.beta, sub.beta, _squaring_hom(sub))
+    _fails(_check(run_extension_suite, S, "extension.projection_strongly_surjective",
+                  projection=proj), "error: hom is not multiplicative at (1,1)")
+
+
+def test_cocycle_check_reports_a_non_multiplicative_map():
+    S = builtin("group:z3")
+    sub = Subject(S)
+    _fails(_check(run_extension_suite, S, "extension.sigma_cocycle",
+                  cocycle=(_squaring_hom(sub), sub.beta)),
+           "error: hom is not multiplicative at (1,1)")
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_extracted_subgroupoids_are_groupoids(name):
+    """extract_subgroupoid does not validate its copies: an arrow set closed
+    under inverses and composition is a groupoid.  This is the reference:
+    every copy the suites extract passes validate_groupoid."""
+    sub = Subject(builtin(name))
+    copies = [sub.z_in_beta.groupoid, sub.z_in_theta.groupoid,
+              induced_subgroupoid(sub.beta, sub.universal_kernel).groupoid,
+              induced_subgroupoid(sub.theta, sub.tight_kernel).groupoid]
+    r = sub.transversal
+    if r not in (None, "budget"):
+        g_arrows = transversal_arrows(sub.beta, sub.mu_quotient, r)
+        H, G, _ = conjugation_action(sub.beta.groupoid, sub.z_in_beta.arrows, g_arrows)
+        copies += [H, G]
+    for copy in copies:
+        validate_groupoid(copy)
