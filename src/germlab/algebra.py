@@ -21,6 +21,24 @@ arithmetic, and the order, of a scalar loop over ``comp`` doing
 vectorized complex multiply does not: it can round some products
 differently, which moves the digits of float witnesses in the reports.
 
+Every operation also takes a stack of functions: ``values`` of shape
+(k, n), one function per row, where a 1-D array is one function.  A stack
+convolves with one ``np.bincount`` over the offset index ``row * n + C``:
+each row's products still go into its own bins in ``comp`` order, so every
+row equals the 1-D result bit for bit.  The involution, the embedding and
+the expectation are single gathers over the stack.  ``reduced_norm`` groups
+the units by fiber size and makes one ``np.linalg.svd(compute_uv=False)``
+call per block shape; numpy runs LAPACK on each matrix of the stack
+separately, on the same copy of it that a single call makes, so the norms
+are bit-identical as well.
+
+Stacks run in chunks of rows whose largest temporary holds about
+``CHUNK_VALUES`` values, so a chunk's working set stays in cache and the
+memory a stack adds is bounded: the algebra suite on ``group:z70`` (one
+70x70 block) peaks at 39 MB resident chunked, one sample at a time, and
+66 MB with all 100 samples in one piece.  Chunking changes no result, since
+every row is computed on its own.
+
 Tolerances: identities that are pure arithmetic are checked to 1e-12;
 norm comparisons, which pass through a dense spectral computation, to 1e-9.
 """
@@ -41,28 +59,39 @@ from .groupoids import (
 
 EXACT_TOL = 1e-12
 NORM_TOL = 1e-9
+CHUNK_VALUES = 1 << 13      # values in the largest temporary of one chunk of a stack
 
 
 @dataclass
 class GroupoidFunction:
-    """A complex-valued function on the arrows of a fixed groupoid."""
+    """A complex-valued function on the arrows of a fixed groupoid, or a
+    stack of them: ``values`` is (n_arrows,) or (k, n_arrows)."""
 
     groupoid: FiniteGroupoid
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != (self.groupoid.n_arrows,):
+        if self.values.ndim not in (1, 2) or self.values.shape[-1] != self.groupoid.n_arrows:
             raise StructureError("one value per arrow required")
 
-    def close_to(self, other: "GroupoidFunction", tol: float = EXACT_TOL) -> bool:
+    def close_to(self, other: "GroupoidFunction", tol: float = EXACT_TOL
+                 ) -> bool | np.ndarray:
+        """Whether the values agree to tol: a bool, or one per row of a stack."""
         _same_groupoid(self, other)
-        return bool(np.max(np.abs(self.values - other.values), initial=0.0) <= tol)
+        ok = np.max(np.abs(self.values - other.values), axis=-1, initial=0.0) <= tol
+        return bool(ok) if ok.ndim == 0 else ok
 
 
 def _same_groupoid(f: GroupoidFunction, g: GroupoidFunction) -> None:
     if f.groupoid is not g.groupoid:
         raise GroupoidMismatch("functions live on different groupoids")
+
+
+def _chunks(k: int, width: int):
+    """Row slices of a k-row stack, each about CHUNK_VALUES / width rows."""
+    step = max(1, CHUNK_VALUES // max(width, 1))
+    return (slice(lo, lo + step) for lo in range(0, k, step))
 
 
 def delta(G: FiniteGroupoid, arrow: int) -> GroupoidFunction:
@@ -72,20 +101,33 @@ def delta(G: FiniteGroupoid, arrow: int) -> GroupoidFunction:
 
 
 def convolve(f: GroupoidFunction, g: GroupoidFunction) -> GroupoidFunction:
-    """(f g)(c) sums f(a) g(b) over the factorizations c = a b."""
+    """(f g)(c) sums f(a) g(b) over the factorizations c = a b, row by row."""
     _same_groupoid(f, g)
+    if f.values.shape != g.values.shape:
+        raise StructureError("convolution needs two functions or two stacks of one size")
     G = f.groupoid
+    n = G.n_arrows
     A, B, C = G.comp_triples
-    fa, gb = f.values[A], g.values[B]
-    out = np.empty(G.n_arrows, dtype=np.complex128)
-    out.real = np.bincount(C, fa.real * gb.real - fa.imag * gb.imag, minlength=G.n_arrows)
-    out.imag = np.bincount(C, fa.real * gb.imag + fa.imag * gb.real, minlength=G.n_arrows)
-    return GroupoidFunction(G, out)
+    fv, gv = f.values.reshape(-1, n), g.values.reshape(-1, n)
+    out = np.empty(fv.shape, dtype=np.complex128)
+    offset = None
+    for rows in _chunks(len(fv), len(C)):
+        fa, gb = fv[rows].take(A, axis=1), gv[rows].take(B, axis=1)
+        m = len(fa)
+        if offset is None:      # the first chunk is the longest; one row needs no offset
+            offset = C if m == 1 else (np.arange(m)[:, None] * n + C).ravel()
+        bins = offset[:m * len(C)]
+        part = out[rows]
+        part.real = np.bincount(bins, (fa.real * gb.real - fa.imag * gb.imag).ravel(),
+                                minlength=m * n).reshape(m, n)
+        part.imag = np.bincount(bins, (fa.real * gb.imag + fa.imag * gb.real).ravel(),
+                                minlength=m * n).reshape(m, n)
+    return GroupoidFunction(G, out.reshape(f.values.shape))
 
 
 def involution(f: GroupoidFunction) -> GroupoidFunction:
     G = f.groupoid
-    return GroupoidFunction(G, np.conj(f.values[G.inv_index]))
+    return GroupoidFunction(G, np.conj(f.values.take(G.inv_index, axis=-1)))
 
 
 @dataclass
@@ -94,7 +136,7 @@ class RegularRepresentation:
 
     groupoid: FiniteGroupoid
     fibers: tuple[tuple[int, ...], ...]     # one arrow tuple per unit
-    blocks: tuple[np.ndarray, ...]
+    blocks: tuple[np.ndarray, ...]          # (s, s), or (k, s, s) for a stack
 
 
 def regular_representation(G: FiniteGroupoid, f: GroupoidFunction
@@ -102,7 +144,7 @@ def regular_representation(G: FiniteGroupoid, f: GroupoidFunction
     if f.groupoid is not G:
         raise GroupoidMismatch("function lives on a different groupoid")
     fibers = tuple(fiber for fiber, _ in G.fiber_indices)
-    blocks = tuple(f.values[idx] for _, idx in G.fiber_indices)
+    blocks = tuple(f.values.take(idx, axis=-1) for _, idx in G.fiber_indices)
     return RegularRepresentation(G, fibers, blocks)
 
 
@@ -113,9 +155,18 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
-def reduced_norm(G: FiniteGroupoid, f: GroupoidFunction) -> float:
-    rep = regular_representation(G, f)
-    return max((spectral_norm(b) for b in rep.blocks), default=0.0)
+def reduced_norm(G: FiniteGroupoid, f: GroupoidFunction) -> float | np.ndarray:
+    """The largest block norm of the regular representation: a float, or one
+    per row of a stack.  One SVD call per block shape and chunk of rows."""
+    if f.groupoid is not G:
+        raise GroupoidMismatch("function lives on a different groupoid")
+    fv = f.values.reshape(-1, G.n_arrows)
+    norms = np.zeros(len(fv))
+    for idx in G.fiber_stacks:      # (units, s, s) per fiber size s
+        for rows in _chunks(len(fv), idx.size):
+            top = np.linalg.svd(fv[rows].take(idx, axis=1), compute_uv=False)[..., 0]
+            np.maximum(norms[rows], top.max(axis=1), out=norms[rows])
+    return float(norms[0]) if f.values.ndim == 1 else norms
 
 
 def _require_hypotheses(emb: EmbeddedSubgroupoid, *, closed: bool = False) -> None:
@@ -145,8 +196,8 @@ def embed(emb: EmbeddedSubgroupoid, f: GroupoidFunction) -> GroupoidFunction:
     _require_hypotheses(emb)
     if f.groupoid is not emb.groupoid:
         raise GroupoidMismatch("function must live on the subgroupoid")
-    out = np.zeros(emb.parent.n_arrows, dtype=np.complex128)
-    out[np.asarray(emb.to_parent, dtype=np.intp)] = f.values
+    out = np.zeros(f.values.shape[:-1] + (emb.parent.n_arrows,), dtype=np.complex128)
+    out[..., np.asarray(emb.to_parent, dtype=np.intp)] = f.values
     return GroupoidFunction(emb.parent, out)
 
 
@@ -156,13 +207,35 @@ def conditional_expectation(emb: EmbeddedSubgroupoid, f: GroupoidFunction
     _require_hypotheses(emb, closed=True)
     if f.groupoid is not emb.parent:
         raise GroupoidMismatch("function must live on the parent groupoid")
-    return GroupoidFunction(emb.groupoid, f.values[np.asarray(emb.to_parent, dtype=np.intp)])
+    return GroupoidFunction(emb.groupoid,
+                            f.values.take(np.asarray(emb.to_parent, dtype=np.intp), axis=-1))
 
 
 def random_function(G: FiniteGroupoid, rng: np.random.Generator,
                     *, integral: bool = False) -> GroupoidFunction:
+    (f,) = random_functions(rng, 1, G, integral=integral)
+    return GroupoidFunction(G, f.values[0])
+
+
+def random_functions(rng: np.random.Generator, k: int, *groupoids: FiniteGroupoid,
+                     integral: bool = False) -> tuple[GroupoidFunction, ...]:
+    """k rounds of random functions, one on each groupoid per round, drawn in
+    one generator call: one stack per groupoid, row i from round i.
+
+    A function's values are integers in [-3, 3], or standard normal real
+    parts followed by standard normal imaginary parts.  The generator fills
+    its output in order, so the (k, width) draw holds the same numbers as k
+    rounds of ``random_function`` calls.
+    """
+    span = 1 if integral else 2         # draws per arrow
+    widths = [span * G.n_arrows for G in groupoids]
     if integral:
-        v = rng.integers(-3, 4, size=G.n_arrows).astype(np.complex128)
+        raw = rng.integers(-3, 4, size=(k, sum(widths))).astype(np.complex128)
     else:
-        v = rng.standard_normal(G.n_arrows) + 1j * rng.standard_normal(G.n_arrows)
-    return GroupoidFunction(G, v)
+        raw = rng.standard_normal((k, sum(widths)))
+    out, lo = [], 0
+    for G, w in zip(groupoids, widths):
+        v, n = raw[:, lo:lo + w], G.n_arrows
+        out.append(GroupoidFunction(G, v if integral else v[:, :n] + 1j * v[:, n:]))
+        lo += w
+    return tuple(out)

@@ -166,7 +166,7 @@ def quotient(S: InverseSemigroup, R: Relation) -> QuotientMap:
                 table[proj[a], proj[b]] = target
             elif table[proj[a], proj[b]] != target:
                 raise NotACongruence(congruence_witness(S, R))
-    T = validate_inverse_semigroup(table, labels)
+    T = validate_inverse_semigroup(table, labels, skip_associativity=True)
     return QuotientMap(S, T, tuple(proj))
 
 
@@ -273,8 +273,9 @@ def split_transversal(S: InverseSemigroup, mu: Relation, q: QuotientMap
 
     Returns a tuple indexed by mu-classes: entry i is the chosen element of
     block i.  Idempotent blocks are forced to their unique idempotent; the
-    rest is exhaustive backtracking.  That the result is a multiplicative
-    section is checked by ``extension.split_transversal``.
+    rest is exhaustive backtracking in an explicit loop, so the number of
+    classes is not bounded by the recursion limit.  That the result is a
+    multiplicative section is checked by ``extension.split_transversal``.
     """
     idems = S.idempotent_set
     choices: list[list[int]] = []
@@ -306,17 +307,22 @@ def split_transversal(S: InverseSemigroup, mu: Relation, q: QuotientMap
         a, b = np.nonzero(Tt[:i + 1, :i + 1] == i)
         return not (St[done[a], done[b]] != c).any()
 
-    def backtrack(i: int) -> bool:
-        if i == k:
-            return True
-        for cand in choices[i]:
-            picked[i] = cand
-            if consistent(i) and backtrack(i + 1):
-                return True
+    # depth-first over the classes in order, without recursion: tried[i]
+    # counts the candidates of class i tried so far; every class after i is
+    # undecided (-1) whenever class i is being decided
+    tried = [0] * k
+    i = 0
+    while 0 <= i < k:
+        if tried[i] == len(choices[i]):
             picked[i] = -1
-        return False
-
-    return tuple(picked.tolist()) if backtrack(0) else None
+            tried[i] = 0
+            i -= 1
+            continue
+        picked[i] = choices[i][tried[i]]
+        tried[i] += 1
+        if consistent(i):
+            i += 1
+    return tuple(picked.tolist()) if i == k else None
 
 
 def transversal_defect(S: InverseSemigroup, q: QuotientMap, r

@@ -83,6 +83,15 @@ class FiniteGroupoid:
             out.append((fiber, idx))
         return tuple(out)
 
+    @cached_property
+    def fiber_stacks(self) -> tuple[np.ndarray, ...]:
+        """The matrices of ``fiber_indices`` stacked by fiber size: one
+        (units, s, s) array per size s, in order of first occurrence."""
+        by_size: dict[int, list[np.ndarray]] = {}
+        for fiber, idx in self.fiber_indices:
+            by_size.setdefault(len(fiber), []).append(idx)
+        return tuple(np.stack(blocks) for blocks in by_size.values())
+
     def __repr__(self) -> str:
         return f"FiniteGroupoid(arrows={self.n_arrows}, units={len(self.units)})"
 
@@ -134,8 +143,6 @@ def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
             raise StructureError(f"arrow {a}: a.a^-1 is not r(a)")
         if G.comp.get((G.inv[a], a)) != G.d[a]:
             raise StructureError(f"arrow {a}: a^-1.a is not d(a)")
-        if a not in units and G.r[a] == G.d[a] == a:
-            raise StructureError(f"arrow {a} behaves like an undeclared unit")
     for (g, h), gh in G.comp.items():
         if G.d[g] != G.r[h]:
             raise StructureError(f"composition defined on non-composable ({g},{h})")
@@ -232,8 +239,6 @@ def fiber_group(G: FiniteGroupoid, u: int) -> FiniteGroup:
         raise StructureError(f"{u} is not a unit")
     arrows = frozenset(a for a in G.arrows() if G.r[a] == u and G.d[a] == u)
     sub, _ = extract_subgroupoid(G, arrows)
-    if len(sub.units) != 1:
-        raise StructureError("fiber extraction produced several units")
     return FiniteGroup(sub)
 
 

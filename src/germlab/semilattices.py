@@ -340,7 +340,7 @@ def _partial_bijection_semigroup(maps: list[dict[int, int]], labels) -> InverseS
         for j, g in enumerate(maps):
             comp = {x: f[g[x]] for x in g if g[x] in f}
             table[i, j] = index[tuple(sorted(comp.items()))]
-    return validate_inverse_semigroup(table, labels)
+    return validate_inverse_semigroup(table, labels, skip_associativity=True)
 
 
 def munn_semigroup(E: Semilattice, *, max_size: int = MUNN_ELEMENT_CAP) -> InverseSemigroup:

@@ -13,8 +13,10 @@ from germlab.algebra import (
     embed,
     involution,
     random_function,
+    random_functions,
     reduced_norm,
     regular_representation,
+    spectral_norm,
 )
 from germlab.builtins import CORPUS_NAMES, builtin
 from germlab.errors import GroupoidMismatch, HypothesisFailed
@@ -314,7 +316,7 @@ def _same_bits(new: np.ndarray, ref: np.ndarray) -> bool:
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
-def test_array_algebra_is_bit_identical_to_the_reference_loops(name):
+def test_array_algebra_is_bit_identical_to_the_reference_loops(name, monkeypatch):
     germs = germ_groupoid(universal_action(builtin(name)))
     G = germs.groupoid
     emb = centralizer_germs(germs)
@@ -332,6 +334,49 @@ def test_array_algebra_is_bit_identical_to_the_reference_loops(name):
         assert _same_bits(embed(emb, h).values, _reference_embed(emb, h))
         assert _same_bits(conditional_expectation(emb, f).values,
                           _reference_expectation(emb, f))
+
+    # each row of a stack equals the 1-D call, also across chunk boundaries:
+    # 7 rows in chunks of 3 + 3 + 1, first for the convolution, then for the
+    # SVD of the largest block shape
+    widths = (len(G.comp), max(idx.size for idx in G.fiber_stacks))
+    for width, integral in ((w, i) for w in widths for i in (False, True)):
+        monkeypatch.setattr(algebra, "CHUNK_VALUES", 3 * width)
+        f, g = random_functions(rng, 7, G, G, integral=integral)
+        (h,) = random_functions(rng, 7, emb.groupoid, integral=integral)
+        stacks = (convolve(f, g), involution(f), embed(emb, h),
+                  conditional_expectation(emb, f))
+        norms = reduced_norm(G, f)
+        for i in range(7):
+            fi, gi, hi = (GroupoidFunction(x.groupoid, x.values[i]) for x in (f, g, h))
+            rows = (convolve(fi, gi), involution(fi), embed(emb, hi),
+                    conditional_expectation(emb, fi))
+            assert all(_same_bits(stack.values[i], row.values)
+                       for stack, row in zip(stacks, rows))
+            assert _same_bits(norms[i], np.float64(reduced_norm(G, fi)))
+            assert reduced_norm(G, fi) == max(
+                spectral_norm(m) for _, m in _reference_regular_blocks(G, fi))
+
+
+def test_stacked_draws_equal_sequential_draws():
+    """One ``random_functions`` call draws the numbers of successive
+    ``random_function`` calls, row by row, and both draw what the scalar
+    reference draws: integers, or real parts followed by imaginary parts."""
+    germs = germ_groupoid(universal_action(diamond_munn()))
+    G, H = germs.groupoid, centralizer_germs(germs).groupoid
+    for integral in (False, True):
+        stacked, single, reference = (np.random.default_rng(29) for _ in range(3))
+        stacks = random_functions(stacked, 5, G, H, H, integral=integral)
+        for i in range(5):
+            for stack in stacks:
+                n = stack.groupoid.n_arrows
+                if integral:
+                    ref = reference.integers(-3, 4, size=n).astype(np.complex128)
+                else:
+                    ref = reference.standard_normal(n) + 1j * reference.standard_normal(n)
+                assert _same_bits(stack.values[i], ref)
+                assert _same_bits(random_function(stack.groupoid, single,
+                                                  integral=integral).values, ref)
+        assert stacked.random() == single.random() == reference.random()
 
 
 def test_bundle_hypotheses_are_checked_once_per_embedding(monkeypatch):

@@ -408,3 +408,17 @@ def test_quotient_by_the_identity_is_the_validated_semigroup(name):
     assert T.table is S.table
     assert (T.inv, T.zero) == (reference.inv, reference.zero)
     assert T.labels == tuple("{" + S.label(x) + "}" for x in S.elements())
+
+
+def test_split_transversal_searches_past_the_recursion_limit():
+    """A fundamental chain with more mu-classes than the recursion limit:
+    the identity is the transversal.  The chain is built directly, with the
+    identity relation and quotient, so no validation or mu computation runs."""
+    from germlab.congruences import QuotientMap, split_transversal
+    from germlab.semigroups import InverseSemigroup
+
+    n = 1001
+    chain = np.minimum.outer(np.arange(n), np.arange(n))
+    S = InverseSemigroup(chain, tuple(range(n)), 0, tuple(map(str, range(n))))
+    r = split_transversal(S, Relation.identity(n), QuotientMap(S, S, tuple(range(n))))
+    assert r == tuple(range(n))

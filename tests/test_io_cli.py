@@ -132,3 +132,27 @@ def test_cli_verify_csv(tmp_path, capsys):
 
 def test_cli_unknown_builtin_is_input_error(capsys):
     assert main(["verify", "builtin:wat", "--suite", "universal"]) == 2
+
+
+def test_associativity_is_checked_for_loaded_tables_only(tmp_path, monkeypatch):
+    """Tables the package builds are associative by theorem and skip the
+    check; a table read from a document is checked once."""
+    from germlab import semigroups
+    from germlab.actions import graph_inverse_semigroup
+    from germlab.congruences import munn_quotient
+    from germlab.semilattices import symmetric_inverse_monoid
+
+    z6 = builtin("group:z6")
+    calls = []
+    check = semigroups.check_associativity
+    monkeypatch.setattr(semigroups, "check_associativity",
+                        lambda table: calls.append(table.shape[0]) or check(table))
+    sym = symmetric_inverse_monoid(3)
+    graph = graph_inverse_semigroup(DirectedGraph(3, ((0, 1), (1, 2))))
+    q = munn_quotient(z6)
+    assert (sym.size, q.target.size) == (34, 1) and graph.size > 1
+    assert calls == []
+    path = tmp_path / "s.json"
+    save_semigroup(sym, str(path))
+    load_semigroup(str(path))
+    assert calls == [34]

@@ -28,6 +28,7 @@ from germlab.suites import (
 
 GOLDEN = Path(__file__).parent / "golden" / "corpus_all.txt"
 LADDER_GOLDEN = Path(__file__).parent / "golden" / "structure_ladder.txt"
+NORMS_GOLDEN = Path(__file__).parent / "golden" / "algebra_norms.csv"
 LADDER_RUNS = (("symmetric:4", "tight"), ("symmetric:4", "extension"),
                ("symmetric:4", "algebra"), ("group:z70", "algebra"))
 
@@ -52,6 +53,48 @@ def test_structure_ladder_report_matches_golden():
     text = "".join(render_reports(run_suite(name, builtin(name), suite))
                    for name, suite in LADDER_RUNS)
     assert text == LADDER_GOLDEN.read_text(encoding="utf-8")
+
+
+def test_algebra_norms_match_golden(tmp_path, capsys):
+    """``tests/golden/algebra_norms.csv`` is the ``--csv`` file of ``germlab
+    verify builtin:symmetric:4 --suite algebra``, then the rows of the same
+    for ``builtin:b2``.
+
+    The text reports print deviations to 3 digits; this file prints every
+    sample's norms to 12 significant digits.
+    """
+    text = ""
+    for i, name in enumerate(("symmetric:4", "b2")):
+        path = tmp_path / f"{i}.csv"
+        assert main(["verify", f"builtin:{name}", "--suite", "algebra", "--csv", str(path)]) == 0
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        text += "".join(lines[1:] if text else lines)
+    capsys.readouterr()
+    assert text == NORMS_GOLDEN.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("tolerance,witnesses,csv_checks", [
+    ("NORM_TOL", {"algebra.cstar_identity": "at sample 0",
+                  "algebra.embedding_isometric": "not isometric at sample 0 (off by 0.00e+00)"},
+     ["cstar", "embed"]),
+    ("EXACT_TOL", {"algebra.embedding_isometric": "not multiplicative at sample 0",
+                   "algebra.conditional_expectation": "bimodule identity fails at sample 0",
+                   "algebra.involution_antimultiplicative":
+                       "anti-multiplicativity fails at sample 0"},
+     ["cstar"] * 100),
+])
+def test_algebra_suite_stops_at_the_first_failing_sample(monkeypatch, tolerance,
+                                                         witnesses, csv_checks):
+    """With a tolerance that nothing meets, each stacked check reports
+    sample 0 and writes the CSV rows up to it, as a loop over the samples
+    that stops at the first failure does."""
+    monkeypatch.setattr(suites.alg, tolerance, -1.0)
+    rows: list[str] = []
+    [report] = run_suite("b2", builtin("b2"), "algebra", rows)
+    failed = {c.name: c.witness for c in report.checks if not c.passed}
+    assert failed.keys() == witnesses.keys()
+    assert all(failed[name].endswith(tail) for name, tail in witnesses.items())
+    assert [row.split(",")[1] for row in rows] == csv_checks
 
 
 def _order_shadow(pairs, unset=()):
