@@ -13,7 +13,6 @@ from .actions import (
     Action,
     DirectedGraph,
     GermGroupoid,
-    PartialMap,
     action_kernel,
     centralizer_germs,
     domains_form_base,
@@ -54,7 +53,6 @@ from .extensions import (
     mu_projection_hom,
     semidirect_from_split,
     sigma_cocycle,
-    tight_germs,
     universal_germs,
 )
 from .groupoids import (

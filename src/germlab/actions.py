@@ -2,9 +2,13 @@
 
 An action assigns each semigroup element a partial bijection of the space so
 that composition is respected, the domain of each element equals the domain
-of its idempotent s*s, and the idempotent domains cover the space.  The two
-canonical actions move the filters of the idempotent semilattice around: the
-universal one on all filters, the tight one restricted to ultrafilters.
+of its idempotent s*s, and the idempotent domains cover the space.  The
+partial bijections are the rows of one integer array, one row of point
+indices per element with -1 where the element is undefined, composed by
+``semilattices.compose_after``.  The two canonical actions move the filters
+of the idempotent semilattice around: the universal one on all filters, the
+tight one restricted to ultrafilters.  Filters are principal, so both are
+gathers of the multiplication table.
 
 Germs: pairs (s, x) with x in the domain of s, identified when the two
 elements agree after restriction to an idempotent whose domain contains x.
@@ -33,6 +37,7 @@ from .semigroups import InverseSemigroup, centralizer, validate_inverse_semigrou
 from .semilattices import (
     Semilattice,
     all_filters,
+    compose_after,
     filter_generator,
     semilattice_of,
     spectrum_basis,
@@ -40,97 +45,55 @@ from .semilattices import (
 )
 
 
-@dataclass(frozen=True)
-class PartialMap:
-    """An injective partial self-map, stored as per-point images (None = undefined)."""
-
-    images: tuple[int | None, ...]
-
-    @cached_property
-    def domain(self) -> frozenset[int]:
-        return frozenset(x for x, y in enumerate(self.images) if y is not None)
-
-    @cached_property
-    def image(self) -> frozenset[int]:
-        return frozenset(y for y in self.images if y is not None)
-
-    def __call__(self, x: int) -> int:
-        y = self.images[x]
-        if y is None:
-            raise StructureError(f"{x} outside domain")
-        return y
-
-    def injective(self) -> bool:
-        vals = [y for y in self.images if y is not None]
-        return len(vals) == len(set(vals))
-
-    def after(self, other: "PartialMap") -> "PartialMap":
-        """self composed after other, on the largest domain that makes sense."""
-        out: list[int | None] = []
-        for x in range(len(self.images)):
-            y = other.images[x] if x < len(other.images) else None
-            out.append(self.images[y] if y is not None else None)
-        return PartialMap(tuple(out))
-
-    def inverse(self) -> "PartialMap":
-        out: list[int | None] = [None] * len(self.images)
-        for x, y in enumerate(self.images):
-            if y is not None:
-                out[y] = x
-        return PartialMap(tuple(out))
-
-    def is_identity_on_domain(self) -> bool:
-        return all(y is None or y == x for x, y in enumerate(self.images))
-
-    @staticmethod
-    def identity_on(points, size: int) -> "PartialMap":
-        return PartialMap(tuple(x if x in points else None for x in range(size)))
-
-
 @dataclass
 class Action:
-    """A validated action: maps[s] is the partial bijection of element s."""
+    """A validated action: row s of maps is the partial bijection of element s.
+
+    maps is an (elements, points) integer array; maps[s, x] is the image of
+    point x under s, or -1 when x is outside the domain of s.
+    """
 
     semigroup: InverseSemigroup
     space_size: int
-    maps: tuple[PartialMap, ...]
+    maps: np.ndarray
     point_labels: tuple[str, ...]
     space_basis: tuple[tuple[str, frozenset[int]], ...] | None = None
 
     def domain_of(self, s: int) -> frozenset[int]:
-        return self.maps[s].domain
+        return frozenset(np.flatnonzero(self.maps[s] >= 0).tolist())
 
 
 def validate_action(S: InverseSemigroup, space_size: int, maps,
                     point_labels=None, space_basis=None) -> Action:
-    """Check the homomorphism, domain, and covering conditions exhaustively."""
-    maps = tuple(maps)
-    if len(maps) != S.size:
+    """Check the homomorphism, domain, and covering conditions exhaustively.
+
+    Each condition reports the first failing element in element order, and
+    the homomorphism condition the first failing pair (s, t) in row-major
+    order.
+    """
+    maps = np.asarray(maps, dtype=np.intp)
+    if maps.ndim != 2 or maps.shape[0] != S.size:
         raise StructureError("one partial map per element required")
-    for s, m in enumerate(maps):
-        if len(m.images) != space_size:
-            raise StructureError(f"map of element {s} has wrong length")
-        if any(y is not None and not 0 <= y < space_size for y in m.images):
-            raise StructureError(f"map of element {s} leaves the space")
-        if not m.injective():
-            raise NotHomomorphism(s, s)
+    if maps.shape[1] != space_size:
+        raise StructureError("map of element 0 has wrong length")
+    outside = ((maps < -1) | (maps >= space_size)).any(axis=1)
+    ranked = np.sort(maps, axis=1)
+    repeated = ((ranked[:, 1:] == ranked[:, :-1]) & (ranked[:, 1:] >= 0)).any(axis=1)
+    s = int(np.argmax(outside | repeated))
+    if outside[s]:
+        raise StructureError(f"map of element {s} leaves the space")
+    if repeated[s]:
+        raise NotHomomorphism(s, s)
+    domain = maps >= 0
+    idem_of = S.table[S.inv, np.arange(S.size)]          # s*s
+    wrong = (domain != domain[idem_of]).any(axis=1)
+    if wrong.any():
+        raise DomainMismatch(int(np.argmax(wrong)))
     for s in S.elements():
-        dom_idem = maps[S.mul(S.inv[s], s)].domain
-        if maps[s].domain != dom_idem:
-            raise DomainMismatch(s)
-    # images as an (n, points + 1) array; -1 is undefined and column `points`
-    # is an always-undefined sentinel, so M[s][M[t]] composes s after t
-    M = np.full((len(maps), space_size + 1), -1, dtype=np.intp)
-    for s, m in enumerate(maps):
-        M[s, :space_size] = [-1 if y is None else y for y in m.images]
-    for s in S.elements():
-        bad = (M[s][M[:, :space_size]] != M[S.table[s], :space_size]).any(axis=1)
+        bad = (compose_after(maps[s], maps) != maps[S.table[s]]).any(axis=1)
         if bad.any():
             raise NotHomomorphism(s, int(np.argmax(bad)))
-    covered = set()
-    for e in S.idempotent_set:
-        covered |= maps[e].domain
-    if covered != set(range(space_size)):
+    if not domain[sorted(S.idempotent_set)].any(axis=0).all():
         raise NotCovering()
     if point_labels is None:
         point_labels = tuple(f"x{p}" for p in range(space_size))
@@ -145,27 +108,25 @@ def spectrum_action(S: InverseSemigroup, filters: list[frozenset[int]],
                     E: Semilattice) -> Action:
     """Filters of E move by s.F = upward closure of {s e s* : e in F}.
 
-    The filter list's order is preserved, so callers may align point indices
-    across related semigroups.
+    A finite filter is principal, F = up(g), and s acts on it when
+    g <= s*s.  Conjugation by s preserves order on the idempotents below
+    s*s, so s.up(g) = up(s g s*), and the action is a gather of the table:
+    the point of up(s g s*) for each element s and generator g.  The filter
+    list's order is preserved, so callers may align point indices across
+    related semigroups; an image outside the list is an error.
     """
-    to_sl = {e: i for i, e in enumerate(E.parent_index)}
-    point_of = {F: i for i, F in enumerate(filters)}
-    maps = []
-    for s in S.elements():
-        ss = S.mul(S.inv[s], s)
-        images: list[int | None] = [None] * len(filters)
-        for i, F in enumerate(filters):
-            if to_sl[ss] not in F:
-                continue
-            moved = set()
-            for e_sl in F:
-                c = S.mul(S.mul(s, E.parent_index[e_sl]), S.inv[s])
-                moved.update(f for f in range(E.size) if E.leq(to_sl[c], f))
-            target = frozenset(moved)
-            if target not in point_of:
-                raise StructureError("action image is not a filter of the spectrum")
-            images[i] = point_of[target]
-        maps.append(PartialMap(tuple(images)))
+    T = S.table
+    inv = np.array(S.inv)
+    elements = np.arange(S.size)
+    gens = np.array([E.parent_index[filter_generator(E, F)] for F in filters],
+                    dtype=np.intp)
+    point_of = np.full(S.size, -1, dtype=np.intp)
+    point_of[gens] = np.arange(gens.size)
+    acts = T[gens, T[inv, elements][:, None]] == gens              # g <= s*s
+    images = point_of[T[T[elements[:, None], gens], inv[:, None]]]  # up(s g s*)
+    if (acts & (images < 0)).any():
+        raise StructureError("action image is not a filter of the spectrum")
+    maps = np.where(acts, images, -1)
     labels = tuple(_filter_label(E, F) for F in filters)
     basis = tuple(spectrum_basis(E, filters))
     return validate_action(S, len(filters), maps, labels, basis)
@@ -187,23 +148,17 @@ def tight_action(S: InverseSemigroup) -> Action:
 def tight_restriction(full: Action, E: Semilattice, filters: list[frozenset[int]]
                       ) -> Action:
     """The universal action `full` on `filters`, restricted to the ultrafilters."""
-    S = full.semigroup
     ultra_set = set(tight_spectrum(E))
     keep = [i for i, F in enumerate(filters) if F in ultra_set]
-    reindex = {old: new for new, old in enumerate(keep)}
-    maps = []
-    for s in S.elements():
-        images: list[int | None] = [None] * len(keep)
-        for new, old in enumerate(keep):
-            y = full.maps[s].images[old]
-            if y is not None:
-                if y not in reindex:
-                    raise StructureError("tight spectrum is not invariant")
-                images[new] = reindex[y]
-        maps.append(PartialMap(tuple(images)))
+    reindex = np.full(full.space_size, -1, dtype=np.intp)     # old point -> new
+    reindex[keep] = np.arange(len(keep))
+    kept = full.maps[:, keep]
+    maps = compose_after(reindex, kept)
+    if ((kept >= 0) & (maps < 0)).any():
+        raise StructureError("tight spectrum is not invariant")
     labels = tuple(full.point_labels[old] for old in keep)
     basis = tuple(spectrum_basis(E, [filters[old] for old in keep]))
-    return validate_action(S, len(keep), maps, labels, basis)
+    return validate_action(full.semigroup, len(keep), maps, labels, basis)
 
 
 def action_kernel(action: Action) -> frozenset[int]:
@@ -214,16 +169,16 @@ def action_kernel(action: Action) -> frozenset[int]:
     """
     S = action.semigroup
     by_map: dict[tuple, list[int]] = {}
-    for s in S.elements():
-        by_map.setdefault(action.maps[s].images, []).append(s)
+    for s, row in enumerate(action.maps.tolist()):
+        by_map.setdefault(tuple(row), []).append(s)
     return frozenset(S.mul(s, S.inv[t]) for block in by_map.values()
                      for s in block for t in block)
 
 
 def domains_form_base(action: Action) -> bool:
     """Finite-discrete reading: every singleton must be some idempotent's domain."""
-    domains = {action.maps[e].domain for e in action.semigroup.idempotent_set}
-    return all(frozenset({x}) in domains for x in range(action.space_size))
+    domains = action.maps[sorted(action.semigroup.idempotent_set)] >= 0
+    return bool(domains[domains.sum(axis=1) == 1].any(axis=0).all())
 
 
 @dataclass
@@ -249,11 +204,10 @@ class GermGroupoid:
         raise StructureError(f"no point is generated by idempotent {e}")
 
 
-def _min_idempotent_at(action: Action, x: int) -> int:
-    S = action.semigroup
+def _min_idempotent_at(S: InverseSemigroup, rows: list[list[int]], x: int) -> int:
     m = None
     for e in sorted(S.idempotent_set):
-        if x in action.maps[e].domain:
+        if rows[e][x] >= 0:
             m = e if m is None else S.mul(m, e)
     if m is None:
         raise NotCovering()
@@ -272,14 +226,16 @@ def germ_groupoid(action: Action) -> GermGroupoid:
     """
     S = action.semigroup
     n_pts = action.space_size
-    min_idem = [_min_idempotent_at(action, x) for x in range(n_pts)]
+    rows = action.maps.tolist()
+    domains = [frozenset(x for x, y in enumerate(row) if y >= 0) for row in rows]
+    min_idem = [_min_idempotent_at(S, rows, x) for x in range(n_pts)]
 
     arrow_of: dict[tuple[int, int], int] = {}
     reps: list[tuple[int, int]] = []
     key_to_arrow: dict[tuple[int, int], int] = {}
     for x in range(n_pts):
         for s in S.elements():
-            if x not in action.maps[s].domain:
+            if rows[s][x] < 0:
                 continue
             key = (x, S.mul(s, min_idem[x]))
             if key not in key_to_arrow:
@@ -293,12 +249,12 @@ def germ_groupoid(action: Action) -> GermGroupoid:
 
     r, d, inv = [], [], []
     for s, x in reps:
-        r.append(unit_at_point[action.maps[s](x)])
+        r.append(unit_at_point[rows[s][x]])
         d.append(unit_at_point[x])
-        inv.append(arrow_of[(S.inv[s], action.maps[s](x))])
+        inv.append(arrow_of[(S.inv[s], rows[s][x])])
     comp = {}
     for j, (s, x) in enumerate(reps):
-        y = action.maps[s](x)
+        y = rows[s][x]
         for i, (t, _) in enumerate(reps):
             if d[i] == unit_at_point[y]:
                 comp[(i, j)] = arrow_of[(S.mul(t, s), x)]
@@ -309,8 +265,8 @@ def germ_groupoid(action: Action) -> GermGroupoid:
         unit_catalog = list(action.space_basis)
         declared = True
     else:
-        unit_catalog = [(f"D[{S.label(e)}]", action.maps[e].domain)
-                        for e in sorted(S.idempotent_set) if action.maps[e].domain]
+        unit_catalog = [(f"D[{S.label(e)}]", domains[e])
+                        for e in sorted(S.idempotent_set) if domains[e]]
         unit_catalog += [(f"{{{action.point_labels[x]}}}", frozenset({x}))
                          for x in range(n_pts)]
         declared = False
@@ -318,7 +274,7 @@ def germ_groupoid(action: Action) -> GermGroupoid:
     basis: list[tuple[str, frozenset[int]]] = []
     seen: set[frozenset[int]] = set()
     for s in S.elements():
-        dom = action.maps[s].domain
+        dom = domains[s]
         for u_label, u_members in unit_catalog:
             cut = u_members & dom
             if not cut:
@@ -353,8 +309,7 @@ def germ_equivalence_is_equivalence(action: Action) -> bool:
     T = S.table
     n = S.size
     idems = np.array(sorted(S.idempotent_set))
-    domain = np.array([[y is not None for y in m.images] for m in action.maps],
-                      dtype=bool)
+    domain = action.maps >= 0
     for x in range(action.space_size):
         acting = np.flatnonzero(domain[:, x])
         around = idems[domain[idems, x]]

@@ -210,10 +210,6 @@ def universal_germs(S: InverseSemigroup) -> GermGroupoid:
     return Subject(S).beta
 
 
-def tight_germs(S: InverseSemigroup) -> GermGroupoid:
-    return Subject(S).theta
-
-
 def mu_projection_hom(S: InverseSemigroup) -> MunnProjection:
     """The arrow map [s, F] -> [mu(s), F] onto the germs of S/mu."""
     return Subject(S).projection

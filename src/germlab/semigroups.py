@@ -104,8 +104,9 @@ def validate_inverse_semigroup(table, labels=None, *, skip_associativity: bool =
                                ) -> InverseSemigroup:
     """Validate a raw multiplication table and derive the inverse structure.
 
-    The inverse of each element is found by exhaustive search and must be
-    unique; commuting idempotents are cross-checked.  A zero is detected
+    The inverse of each element is found by exhaustive search, one array
+    comparison over every candidate per element, and must be unique;
+    commuting idempotents are cross-checked.  A zero is detected
     automatically, never declared.  ``skip_associativity`` is for tables this
     package generated itself.
     """
@@ -121,9 +122,11 @@ def validate_inverse_semigroup(table, labels=None, *, skip_associativity: bool =
         check_associativity(table)
 
     inv = []
+    t = np.arange(n)
     for s in range(n):
-        witnesses = [t for t in range(n)
-                     if table[table[s, t], s] == s and table[table[t, s], t] == t]
+        # t is an inverse of s iff s t s = s and t s t = t
+        witnesses = np.flatnonzero((table[table[s], s] == s)
+                                   & (table[table[:, s], t] == t)).tolist()
         if not witnesses:
             raise NoInverse(s)
         if len(witnesses) > 1:

@@ -6,6 +6,11 @@ filter of a finite semilattice is principal (it contains the meet of its
 members), so ``all_filters`` lists the principal filters; ``exhaustive_filters``
 tests every subset instead and is the reference that the verification check
 ``spectrum.filters_principal`` compares them with.
+
+A partial bijection of p points is a row of p point indices, -1 where it is
+undefined; ``compose_after`` is the one composition of such rows, shared by
+the tables of Munn semigroups and symmetric inverse monoids and by the
+action checks.
 """
 
 from __future__ import annotations
@@ -331,16 +336,36 @@ def _order_isos(E: Semilattice, dom: tuple[int, ...], img: tuple[int, ...]):
     yield from extend(0)
 
 
-def _partial_bijection_semigroup(maps: list[dict[int, int]], labels) -> InverseSemigroup:
-    """The table of a composition-closed list of partial bijections, in list order."""
-    index = {tuple(sorted(m.items())): i for i, m in enumerate(maps)}
-    n = len(maps)
-    table = np.zeros((n, n), dtype=np.int64)
-    for i, f in enumerate(maps):
-        for j, g in enumerate(maps):
-            comp = {x: f[g[x]] for x in g if g[x] in f}
-            table[i, j] = index[tuple(sorted(comp.items()))]
+def compose_after(f: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The partial bijection f after each row of `rows`.
+
+    A partial bijection of p points is a row of p point indices, -1 where it
+    is undefined.  With -1 appended to f, an undefined point indexes an
+    undefined image, so one gather composes: the result at [..., x] is
+    f[rows[..., x]], and -1 where either map is undefined.
+    """
+    return np.append(f, -1)[rows]
+
+
+def _partial_bijection_semigroup(rows: np.ndarray, labels) -> InverseSemigroup:
+    """The table of a composition-closed stack of partial bijection rows, in row order."""
+    n, p = rows.shape
+    width = rows.itemsize * p
+    index = {rows[i].tobytes(): i for i in range(n)}
+    table = np.empty((n, n), dtype=np.int64)
+    for i in range(n):
+        products = compose_after(rows[i], rows).tobytes()
+        table[i] = [index[products[j * width:(j + 1) * width]] for j in range(n)]
     return validate_inverse_semigroup(table, labels, skip_associativity=True)
+
+
+def _rows(maps, points: int) -> np.ndarray:
+    """Partial bijections given as (x, y) pairs, one row each."""
+    rows = np.full((len(maps), points), -1, dtype=np.intp)
+    for i, pairs in enumerate(maps):
+        for x, y in pairs:
+            rows[i, x] = y
+    return rows
 
 
 def munn_semigroup(E: Semilattice, *, max_size: int = MUNN_ELEMENT_CAP) -> InverseSemigroup:
@@ -363,7 +388,8 @@ def munn_semigroup(E: Semilattice, *, max_size: int = MUNN_ELEMENT_CAP) -> Inver
             if len(maps) > max_size:
                 raise SizeBudgetExceeded(f"Munn semigroup exceeds {max_size} elements")
     maps.sort(key=lambda m: tuple(sorted(m.items())))
-    return _partial_bijection_semigroup(maps, tuple(_munn_label(E, m) for m in maps))
+    return _partial_bijection_semigroup(_rows([m.items() for m in maps], E.size),
+                                        tuple(_munn_label(E, m) for m in maps))
 
 
 def _munn_label(E: Semilattice, m: dict[int, int]) -> str:
@@ -381,12 +407,8 @@ def symmetric_inverse_monoid(n: int, *, max_points: int = SYMMETRIC_DEFAULT_CAP
     """All partial bijections of an n-point set under composition."""
     if n < 0 or n > max_points:
         raise SizeBudgetExceeded(f"symmetric inverse monoid bound is n <= {max_points}")
-    maps: list[dict[int, int]] = []
-    for k in range(n + 1):
-        for dom in combinations(range(n), k):
-            for img in permutations(range(n), k):
-                maps.append(dict(zip(dom, img)))
-    maps.sort(key=lambda m: (len(m), tuple(sorted(m.items()))))
-    labels = tuple("{" + ",".join(f"{x}>{y}" for x, y in sorted(m.items())) + "}"
-                   for m in maps)
-    return _partial_bijection_semigroup(maps, labels)
+    maps = sorted((k, tuple(zip(dom, img))) for k in range(n + 1)
+                  for dom in combinations(range(n), k)
+                  for img in permutations(range(n), k))
+    labels = tuple("{" + ",".join(f"{x}>{y}" for x, y in pairs) + "}" for _, pairs in maps)
+    return _partial_bijection_semigroup(_rows([pairs for _, pairs in maps], n), labels)

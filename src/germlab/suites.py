@@ -497,7 +497,7 @@ def run_tight_suite(name: str, sub: Subject) -> list[CheckResult]:
             return True, "vacuous: not 0-disjunctive"
         domains = {}
         for e in sorted(idempotents(S)):
-            dom = sub.tight.maps[e].domain
+            dom = sub.tight.domain_of(e)
             if dom in domains.values():
                 clash = next(f for f, d in domains.items() if d == dom)
                 return False, f"idempotents {clash} and {e} share a domain"
@@ -543,8 +543,9 @@ def run_tight_suite(name: str, sub: Subject) -> list[CheckResult]:
         defect = normality_defect(S, J)
         if defect is not None:
             return False, f"{tag}: kernel is not normal: {defect}"
-        identities = frozenset(s for s in S.elements()
-                               if germs.action.maps[s].is_identity_on_domain())
+        maps = germs.action.maps
+        fixes = ((maps < 0) | (maps == np.arange(maps.shape[1]))).all(axis=1)
+        identities = frozenset(np.flatnonzero(fixes).tolist())
         if J != identities:
             return False, f"{tag}: kernel cross-check fails at {min(J ^ identities)}"
         emb = induced_subgroupoid(germs, J)

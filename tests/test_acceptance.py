@@ -147,7 +147,7 @@ def test_criterion_4_kernels(subjects, beta_germs, theta_germs):
         if E.zero is not None and is_zero_disjunctive(E):
             zero_disjunctive_seen += 1
             theta = theta_germs[name]
-            domains = [theta.action.maps[e].domain for e in sorted(idempotents(S))]
+            domains = [theta.action.domain_of(e) for e in sorted(idempotents(S))]
             assert len(set(domains)) == len(domains), f"{name}: domains collide"
             assert centralizer_germs(theta).arrows == iso_interior(theta.groupoid), name
     assert zero_disjunctive_seen >= 5

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 
+from germlab import extensions
 from germlab.actions import (
     Action,
     DirectedGraph,
-    PartialMap,
     action_kernel,
     centralizer_germs,
     domains_form_base,
@@ -11,7 +12,9 @@ from germlab.actions import (
     germ_groupoid,
     graph_inverse_semigroup,
     induced_subgroupoid,
+    spectrum_action,
     tight_action,
+    tight_restriction,
     universal_action,
     validate_action,
 )
@@ -25,7 +28,13 @@ from germlab.errors import (
     StructureError,
 )
 from germlab.semigroups import centralizer, idempotents, validate_inverse_semigroup
-from germlab.semilattices import is_zero_disjunctive, munn_semigroup, semilattice_of, validate_semilattice
+from germlab.semilattices import (
+    all_filters,
+    is_zero_disjunctive,
+    munn_semigroup,
+    semilattice_of,
+    validate_semilattice,
+)
 
 from test_congruences import CHAIN_ID_TABLE
 from test_semigroups import B2_TABLE, Z2_TABLE
@@ -38,7 +47,7 @@ def diamond_munn():
 
 def translation_action(table):
     S = validate_inverse_semigroup(table)
-    maps = [PartialMap(tuple(S.mul(g, x) for x in S.elements())) for g in S.elements()]
+    maps = [[S.mul(g, x) for x in S.elements()] for g in S.elements()]
     return validate_action(S, S.size, maps)
 
 
@@ -50,22 +59,37 @@ def test_group_translation_action_is_valid():
 def test_validate_action_rejects_wrong_domains():
     S = validate_inverse_semigroup(Z2_TABLE)
     # identity acts everywhere but the other element acts nowhere
-    maps = [PartialMap((0, 1)), PartialMap((None, None))]
+    maps = [[0, 1], [-1, -1]]
     with pytest.raises(DomainMismatch):
         validate_action(S, 2, maps)
 
 
-@pytest.mark.parametrize("bad", (2, -1))
+@pytest.mark.parametrize("bad", (2, -2))
 def test_validate_action_rejects_images_outside_the_space(bad):
     S = validate_inverse_semigroup(Z2_TABLE)
-    maps = [PartialMap((0, 1)), PartialMap((1, bad))]
-    with pytest.raises(StructureError, match="leaves the space"):
+    maps = [[0, 1], [1, bad]]
+    with pytest.raises(StructureError, match="map of element 1 leaves the space"):
         validate_action(S, 2, maps)
+
+
+def test_validate_action_rejects_wrong_row_count_and_width():
+    S = validate_inverse_semigroup(Z2_TABLE)
+    with pytest.raises(StructureError, match="one partial map per element required"):
+        validate_action(S, 2, [[0, 1]])
+    with pytest.raises(StructureError, match="map of element 0 has wrong length"):
+        validate_action(S, 2, [[0, 1, -1], [1, 0, -1]])
+
+
+def test_validate_action_rejects_a_non_injective_row():
+    S = validate_inverse_semigroup(Z2_TABLE)
+    with pytest.raises(NotHomomorphism) as err:
+        validate_action(S, 2, [[0, 1], [0, 0]])
+    assert err.value.pair == (1, 1)
 
 
 def test_validate_action_requires_covering():
     E = validate_inverse_semigroup([[0]])
-    maps = [PartialMap((0, None))]
+    maps = [[0, -1]]
     with pytest.raises(NotCovering):
         validate_action(E, 2, maps)
 
@@ -77,7 +101,7 @@ def test_universal_action_of_b2_has_singleton_domains():
     # the two non-idempotents translate between the two singleton domains
     for s in (3, 4):
         assert len(beta.domain_of(s)) == 1
-    assert beta.domain_of(3) != beta.maps[3].image
+    assert beta.domain_of(3) != frozenset(y for y in beta.maps[3].tolist() if y >= 0)
 
 
 def test_universal_action_zero_has_empty_domain():
@@ -90,7 +114,7 @@ def test_clifford_action_fixes_filters():
     S = validate_inverse_semigroup(CHAIN_ID_TABLE)
     beta = universal_action(S)
     for s in S.elements():
-        assert beta.maps[s].is_identity_on_domain()
+        assert all(y in (-1, x) for x, y in enumerate(beta.maps[s].tolist()))
 
 
 def test_germ_equivalence_is_an_equivalence():
@@ -105,7 +129,7 @@ def test_germ_equivalence_rejects_idempotent_domains_not_closed_under_meets():
     # {0>0}, {1>1} and the identity act, but their meet {} does not.
     S = builtin("symmetric:2")
     acting = {S.labels.index(k) for k in ("{0>0}", "{1>1}", "{0>0,1>1}")}
-    maps = tuple(PartialMap((0,) if s in acting else (None,)) for s in S.elements())
+    maps = np.array([[0 if s in acting else -1] for s in S.elements()])
     action = Action(S, 1, maps, ("x",))
 
     def related(s, t):
@@ -174,7 +198,7 @@ def test_tight_action_of_b2_equals_universal():
     S = validate_inverse_semigroup(B2_TABLE)
     beta, theta = universal_action(S), tight_action(S)
     assert theta.space_size == beta.space_size
-    assert [m.images for m in theta.maps] == [m.images for m in beta.maps]
+    assert theta.maps.tolist() == beta.maps.tolist()
 
 
 def test_domains_form_base_cases():
@@ -230,10 +254,12 @@ def test_graph_inverse_semigroup_rejects_cycles():
 
 
 def _reference_homomorphism_witness(S, maps):
-    """The pair (s, t) the row-major double loop over PartialMap.after finds."""
+    """The first pair (s, t), row-major, whose rows composed point by point
+    differ from the row of st; -1 is undefined."""
     for s in S.elements():
         for t in S.elements():
-            if maps[s].after(maps[t]) != maps[S.mul(s, t)]:
+            after = [-1 if y < 0 else maps[s][y] for y in maps[t]]
+            if after != list(maps[S.mul(s, t)]):
                 return (s, t)
     return None
 
@@ -241,7 +267,7 @@ def _reference_homomorphism_witness(S, maps):
 def test_validate_action_reports_the_row_major_homomorphism_witness():
     # Z3 = {0, g, g^2} by rotations, except that g^2 also rotates forwards
     S = validate_inverse_semigroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
-    maps = [PartialMap((0, 1, 2)), PartialMap((1, 2, 0)), PartialMap((1, 2, 0))]
+    maps = [[0, 1, 2], [1, 2, 0], [1, 2, 0]]
     with pytest.raises(NotHomomorphism) as err:
         validate_action(S, 3, maps)
     assert err.value.pair == _reference_homomorphism_witness(S, maps) == (1, 1)
@@ -254,15 +280,15 @@ def test_validate_action_witness_matches_the_double_loop_on_broken_actions(name)
     S = action.semigroup
     tried = 0
     for s in S.elements():
-        images = action.maps[s].images
-        defined = [x for x, y in enumerate(images) if y is not None]
+        images = action.maps[s].tolist()
+        defined = [x for x, y in enumerate(images) if y >= 0]
         if len({images[x] for x in defined}) < 2:
             continue
         broken = list(images)
         for x, y in zip(defined, reversed([images[x] for x in defined])):
             broken[x] = y
-        maps = list(action.maps)
-        maps[s] = PartialMap(tuple(broken))
+        maps = action.maps.tolist()
+        maps[s] = broken
         expected = _reference_homomorphism_witness(S, maps)
         if expected is None:
             continue
@@ -272,3 +298,68 @@ def test_validate_action_witness_matches_the_double_loop_on_broken_actions(name)
         tried += 1
         if tried == 3:
             break
+
+
+def test_spectrum_action_rejects_an_image_outside_a_truncated_filter_list():
+    # the two non-idempotents of B2 swap its two filters
+    S = validate_inverse_semigroup(B2_TABLE)
+    E = semilattice_of(S)
+    with pytest.raises(StructureError, match="action image is not a filter of the spectrum"):
+        spectrum_action(S, all_filters(E)[:-1], E)
+
+
+def test_tight_restriction_rejects_an_action_that_leaves_the_tight_spectrum():
+    # Built directly, past validate_action: the identity of the diamond's Munn
+    # semigroup swaps the filter {1} with an ultrafilter, up(a) = {a, 1}.
+    S = diamond_munn()
+    E = semilattice_of(S)
+    filters = all_filters(E)
+    beta = universal_action(S)
+    top = next(i for i, F in enumerate(filters) if len(F) == 1)
+    ultra = next(i for i, F in enumerate(filters) if len(F) == 2)
+    maps = beta.maps.copy()
+    ident = max(S.idempotent_set, key=lambda e: len(beta.domain_of(e)))
+    maps[ident, [top, ultra]] = ultra, top
+    moved = Action(S, beta.space_size, maps, beta.point_labels)
+    with pytest.raises(StructureError, match="tight spectrum is not invariant"):
+        tight_restriction(moved, E, filters)
+
+
+def _filter_set_maps(S, filters, E):
+    """Reference for spectrum_action: each image is the upward closure of
+    {s e s* : e in F}, looked up in the filter list (-1 when s*s is not in F)."""
+    to_sl = {e: i for i, e in enumerate(E.parent_index)}
+    up = [frozenset(f for f in range(E.size) if E.leq(e, f)) for e in range(E.size)]
+    point_of = {F: i for i, F in enumerate(filters)}
+    rows = []
+    for s in S.elements():
+        ss = S.mul(S.inv[s], s)
+        row = []
+        for F in filters:
+            if to_sl[ss] not in F:
+                row.append(-1)
+                continue
+            moved = set()
+            for e_sl in F:
+                moved |= up[to_sl[S.mul(S.mul(s, E.parent_index[e_sl]), S.inv[s])]]
+            row.append(point_of[frozenset(moved)])
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + ("symmetric:4",))
+def test_spectrum_action_equals_the_filter_set_image(name, monkeypatch):
+    """On S and on the spectrum of S/mu matched to it, as the projection builds it."""
+    seen = []
+
+    def recording(S, filters, E):
+        action = spectrum_action(S, filters, E)
+        seen.append((S, filters, E, action))
+        return action
+
+    monkeypatch.setattr(extensions, "spectrum_action", recording)
+    sub = extensions.Subject(builtin(name))
+    sub.universal, sub.projection
+    assert len(seen) == 2
+    for S, filters, E, action in seen:
+        assert action.maps.tolist() == _filter_set_maps(S, filters, E)

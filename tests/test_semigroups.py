@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from germlab.errors import NonUniqueInverse, StructureError, ZeroRequired
+from germlab.errors import NoInverse, NonUniqueInverse, StructureError, ZeroRequired
 from germlab.semigroups import (
     centralizer,
     h_classes,
@@ -67,8 +67,40 @@ def test_symmetric_inverse_monoid_on_two_points_from_oracle():
 
 
 def test_left_zero_table_has_non_unique_inverses():
-    with pytest.raises(NonUniqueInverse):
+    with pytest.raises(NonUniqueInverse) as err:
         validate_inverse_semigroup([[0, 0], [1, 1]])
+    assert (err.value.element, err.value.witnesses) == (0, (0, 1))
+
+
+def test_null_table_element_has_no_inverse():
+    # a.a = 0 and everything else is 0: s t s = 0 for every t, so a has no inverse
+    with pytest.raises(NoInverse) as err:
+        validate_inverse_semigroup([[0, 0], [0, 0]])
+    assert err.value.element == 1
+
+
+def _reference_inverse_witnesses(table, s):
+    n = len(table)
+    return [t for t in range(n) if table[table[s][t]][s] == s and table[table[t][s]][t] == t]
+
+
+@pytest.mark.parametrize("table", ([[0, 0], [1, 1]], [[0, 0], [0, 0]], [[0, 1], [1, 1]],
+                                   [[1, 0, 2], [0, 1, 2], [2, 2, 2]]))
+def test_inverse_search_reports_the_witnesses_of_the_pairwise_search(table):
+    """Broken tables included: the first element without exactly one inverse,
+    with its ascending witnesses, as the pairwise loop finds them."""
+    first = next((s for s in range(len(table))
+                  if len(_reference_inverse_witnesses(table, s)) != 1), None)
+    if first is None:
+        S = validate_inverse_semigroup(table)
+        assert list(S.inv) == [_reference_inverse_witnesses(table, s)[0] for s in range(len(table))]
+        return
+    witnesses = _reference_inverse_witnesses(table, first)
+    with pytest.raises(NonUniqueInverse if witnesses else NoInverse) as err:
+        validate_inverse_semigroup(table)
+    assert err.value.element == first
+    if witnesses:
+        assert err.value.witnesses == tuple(witnesses)
 
 
 def test_ragged_or_out_of_range_tables_rejected():

@@ -21,7 +21,7 @@ from germlab.semilattices import (
 )
 from germlab.semigroups import idempotents, validate_inverse_semigroup
 
-from test_semigroups import B2_TABLE
+from test_semigroups import B2_TABLE, partial_bijections, table_from_maps
 
 # 0 < a,b < 1 with a,b incomparable; indices 0,a=1,b=2,1=3
 DIAMOND_MEET = [
@@ -227,3 +227,42 @@ def test_exhaustive_filters_refuse_semilattices_above_the_cap():
     assert len(all_filters(chain)) == n - 1
     with pytest.raises(SizeBudgetExceeded):
         exhaustive_filters(chain)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_symmetric_inverse_monoid_table_equals_the_dict_composition(n):
+    maps = sorted(partial_bijections(range(n)), key=lambda m: (len(m), sorted(m.items())))
+    S = symmetric_inverse_monoid(n)
+    assert (S.table == table_from_maps(maps)).all()
+    assert S.labels == tuple("{" + ",".join(f"{x}>{y}" for x, y in sorted(m.items())) + "}"
+                             for m in maps)
+
+
+def _munn_dicts(E):
+    """Every order isomorphism between principal ideals, as dicts in key order."""
+    from germlab.semilattices import _ideal, _order_isos
+
+    maps = {}
+    for e in range(E.size):
+        for f in range(E.size):
+            for iso in _order_isos(E, _ideal(E, e), _ideal(E, f)):
+                maps.setdefault(tuple(sorted(iso.items())), iso)
+    return [maps[key] for key in sorted(maps)]
+
+
+def test_munn_tables_equal_the_dict_composition():
+    from germlab.builtins import corpus
+    from germlab.semilattices import _munn_label
+    from germlab.suites import MUNN_CHECK_CAP
+
+    checked = 0
+    for name, S in corpus():
+        E = semilattice_of(S)
+        if E.size > MUNN_CHECK_CAP:
+            continue
+        maps = _munn_dicts(E)
+        T = munn_semigroup(E)
+        assert (T.table == table_from_maps(maps)).all(), name
+        assert T.labels == tuple(_munn_label(E, m) for m in maps), name
+        checked += 1
+    assert checked >= 20
