@@ -14,13 +14,15 @@ Germs: pairs (s, x) with x in the domain of s, identified when the two
 elements agree after restriction to an idempotent whose domain contains x.
 The resulting arrows form a groupoid whose topology basis consists of the
 sets Theta(s, U) = {germ(s, x) : x in U} for U in the declared basis of the
-space.
+space.  The germs are numbered into ``germ_at``, an (elements, points)
+array with -1 outside each domain, in the shape of the action's rows; the
+groupoid's composition table is one gather of it, [t, s x] [s, x] =
+germ_at[t s, x].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .errors import (
     NotSubsemigroup,
     StructureError,
 )
-from .groupoids import FiniteGroupoid
+from .groupoids import FiniteGroupoid, extract_subgroupoid
 from .semigroups import InverseSemigroup, centralizer, validate_inverse_semigroup
 from .semilattices import (
     Semilattice,
@@ -183,18 +185,29 @@ def domains_form_base(action: Action) -> bool:
 
 @dataclass
 class GermGroupoid:
-    """The groupoid of germs of an action, with lookups back to (element, point)."""
+    """The groupoid of germs of an action, with lookups back to (element, point).
+
+    germ_at is an (elements, points) integer array: germ_at[s, x] is the
+    arrow [s, x], or -1 when x is outside the domain of s.
+    """
 
     action: Action
     groupoid: FiniteGroupoid
     unit_at_point: tuple[int, ...]
-    point_of_unit: dict[int, int]
-    arrow_of: dict[tuple[int, int], int]      # (element, point) -> arrow
-    rep_of: tuple[tuple[int, int], ...]       # arrow -> canonical (element, point)
+    germ_at: np.ndarray
+    rep_of: np.ndarray                        # row a: arrow a's canonical (element, point)
     base_idempotent: tuple[int, ...]          # point -> least idempotent acting there
 
     def germ(self, s: int, x: int) -> int:
-        return self.arrow_of[(s, x)]
+        a = self.germ_at[s, x] if 0 <= x < self.action.space_size else -1
+        if a < 0:
+            raise StructureError(f"point {x} is outside the domain of element {s}")
+        return int(a)
+
+    def germs_of(self, elements) -> frozenset[int]:
+        """The arrows [s, x] over the given elements s."""
+        arrows = self.germ_at[sorted(elements)]
+        return frozenset(arrows[arrows >= 0].tolist())
 
     def principal_point(self, e: int) -> int:
         """The point whose least acting idempotent is e (its principal filter)."""
@@ -219,47 +232,41 @@ def germ_groupoid(action: Action) -> GermGroupoid:
 
     Two pairs (s, x), (t, x) give the same germ exactly when s e = t e for an
     idempotent e acting around x; since the idempotents around x are closed
-    under meets, the product with the least of them is a complete invariant
-    and doubles as the canonical representative.  That the germs form a
-    groupoid is a theorem, checked by the verification suites rather than
-    here.
+    under meets, the product s m_x with the least of them, m_x, is a complete
+    invariant, and the first pair with a given invariant is the canonical
+    representative.  Arrows are numbered point by point, in the order of
+    their first pair (s, x) by element.  The product is one gather:
+    [t, s x] [s, x] = [t s, x].  That the germs form a groupoid is a
+    theorem, checked by the verification suites rather than here.
     """
     S = action.semigroup
+    maps = action.maps
     n_pts = action.space_size
-    rows = action.maps.tolist()
+    rows = maps.tolist()
     domains = [frozenset(x for x, y in enumerate(row) if y >= 0) for row in rows]
-    min_idem = [_min_idempotent_at(S, rows, x) for x in range(n_pts)]
+    min_idem = np.array([_min_idempotent_at(S, rows, x) for x in range(n_pts)],
+                        dtype=np.intp)
 
-    arrow_of: dict[tuple[int, int], int] = {}
-    reps: list[tuple[int, int]] = []
-    key_to_arrow: dict[tuple[int, int], int] = {}
-    for x in range(n_pts):
-        for s in S.elements():
-            if rows[s][x] < 0:
-                continue
-            key = (x, S.mul(s, min_idem[x]))
-            if key not in key_to_arrow:
-                key_to_arrow[key] = len(reps)
-                reps.append((s, x))
-            arrow_of[(s, x)] = key_to_arrow[key]
+    xs, ss = np.nonzero(maps.T >= 0)              # the pairs (s, x), point by point
+    invariant = S.table[ss, min_idem[xs]]
+    least = np.full(maps.shape, S.size, dtype=np.intp)
+    np.minimum.at(least, (invariant, xs), ss)     # the first element of each germ
+    canonical = least[invariant, xs] == ss
+    rep_s, rep_x = ss[canonical], xs[canonical]
+    germ_at = np.full(maps.shape, -1, dtype=np.intp)
+    germ_at[rep_s, rep_x] = np.arange(rep_s.size)
+    germ_at[ss, xs] = germ_at[least[invariant, xs], xs]
 
-    n_arrows = len(reps)
-    unit_at_point = tuple(arrow_of[(min_idem[x], x)] for x in range(n_pts))
-    point_of_unit = {u: x for x, u in enumerate(unit_at_point)}
+    unit_at_point = germ_at[min_idem, np.arange(n_pts)]
+    image = maps[rep_s, rep_x]
+    r, d = unit_at_point[image], unit_at_point[rep_x]
+    inv = germ_at[np.asarray(S.inv)[rep_s], image]
+    g, h = np.nonzero(d[:, None] == r)
+    table = np.full((rep_s.size, rep_s.size), -1, dtype=np.intp)
+    table[g, h] = germ_at[S.table[rep_s[g], rep_s[h]], rep_x[h]]
 
-    r, d, inv = [], [], []
-    for s, x in reps:
-        r.append(unit_at_point[rows[s][x]])
-        d.append(unit_at_point[x])
-        inv.append(arrow_of[(S.inv[s], rows[s][x])])
-    comp = {}
-    for j, (s, x) in enumerate(reps):
-        y = rows[s][x]
-        for i, (t, _) in enumerate(reps):
-            if d[i] == unit_at_point[y]:
-                comp[(i, j)] = arrow_of[(S.mul(t, s), x)]
-
-    labels = tuple(f"[{S.label(s)}|{action.point_labels[x]}]" for s, x in reps)
+    labels = tuple(f"[{S.label(s)}|{action.point_labels[x]}]"
+                   for s, x in zip(rep_s.tolist(), rep_x.tolist()))
 
     if action.space_basis is not None:
         unit_catalog = list(action.space_basis)
@@ -271,6 +278,7 @@ def germ_groupoid(action: Action) -> GermGroupoid:
                          for x in range(n_pts)]
         declared = False
 
+    germ_rows = germ_at.tolist()
     basis: list[tuple[str, frozenset[int]]] = []
     seen: set[frozenset[int]] = set()
     for s in S.elements():
@@ -279,16 +287,15 @@ def germ_groupoid(action: Action) -> GermGroupoid:
             cut = u_members & dom
             if not cut:
                 continue
-            theta = frozenset(arrow_of[(s, x)] for x in cut)
+            theta = frozenset(germ_rows[s][x] for x in cut)
             if theta not in seen:
                 seen.add(theta)
                 basis.append((f"Theta({S.label(s)},{u_label})", theta))
 
-    G = FiniteGroupoid(n_arrows, tuple(r), tuple(d), tuple(inv), comp,
-                       tuple(sorted(set(unit_at_point))), labels,
-                       tuple(basis), declared)
-    return GermGroupoid(action, G, unit_at_point, point_of_unit, arrow_of,
-                        tuple(reps), tuple(min_idem))
+    units = tuple(sorted(set(unit_at_point.tolist())))
+    G = FiniteGroupoid(rep_s.size, r, d, inv, table, units, labels, tuple(basis), declared)
+    return GermGroupoid(action, G, tuple(unit_at_point.tolist()), germ_at,
+                        np.stack([rep_s, rep_x], axis=1), tuple(min_idem.tolist()))
 
 
 def germ_equivalence_is_equivalence(action: Action) -> bool:
@@ -341,10 +348,6 @@ class EmbeddedSubgroupoid:
     hypotheses: tuple[str | None, bool] | None = field(
         default=None, init=False, repr=False, compare=False)
 
-    @cached_property
-    def from_parent(self) -> dict[int, int]:
-        return {a: i for i, a in enumerate(self.to_parent)}
-
 
 def induced_subgroupoid(germs: GermGroupoid, subset: frozenset[int]
                         ) -> EmbeddedSubgroupoid:
@@ -358,9 +361,7 @@ def induced_subgroupoid(germs: GermGroupoid, subset: frozenset[int]
         for b in subset:
             if S.mul(a, b) not in subset:
                 raise NotSubsemigroup("subset must be closed under products")
-    chosen = frozenset(a for (s, x), a in germs.arrow_of.items() if s in subset)
-    from .groupoids import extract_subgroupoid
-
+    chosen = germs.germs_of(subset)
     sub, order = extract_subgroupoid(germs.groupoid, chosen)
     return EmbeddedSubgroupoid(germs.groupoid, chosen, sub, order)
 

@@ -7,11 +7,12 @@ functions supported on that unit's source fiber.  In finite dimensions the
 full and reduced algebras coincide, so this single norm realizes both.
 
 Convolution and the regular representation run on index arrays that the
-groupoid caches once: the composition triples (A, B, C) with A[i] B[i] =
-C[i], in ``comp`` order, and per unit a fiber-by-fiber matrix of the arrows
-a b^-1.  A regular-representation block is then one gather of f's values
-through that matrix, and the involution, the extension by zero and the
-conditional expectation are single gathers or scatters.
+groupoid caches once: the rows (A, B, C) of ``comp``, A[i] B[i] = C[i],
+read off the composition table in column-major order, and per unit a
+fiber-by-fiber matrix of the arrows a b^-1, gathered from the table.  A
+regular-representation block is then one gather of f's values through that
+matrix, and the involution, the extension by zero and the conditional
+expectation are single gathers or scatters.
 
 Convolution multiplies f[A] by g[B] with the real and imaginary parts kept
 apart (re = fr gr - fi gi, im = fr gi + fi gr), then sums each part into
@@ -107,7 +108,7 @@ def convolve(f: GroupoidFunction, g: GroupoidFunction) -> GroupoidFunction:
         raise StructureError("convolution needs two functions or two stacks of one size")
     G = f.groupoid
     n = G.n_arrows
-    A, B, C = G.comp_triples
+    A, B, C = G.comp.T
     fv, gv = f.values.reshape(-1, n), g.values.reshape(-1, n)
     out = np.empty(fv.shape, dtype=np.complex128)
     offset = None
@@ -127,7 +128,7 @@ def convolve(f: GroupoidFunction, g: GroupoidFunction) -> GroupoidFunction:
 
 def involution(f: GroupoidFunction) -> GroupoidFunction:
     G = f.groupoid
-    return GroupoidFunction(G, np.conj(f.values.take(G.inv_index, axis=-1)))
+    return GroupoidFunction(G, np.conj(f.values.take(G.inv, axis=-1)))
 
 
 @dataclass

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .actions import (
     Action,
     GermGroupoid,
@@ -171,7 +173,7 @@ class Subject:
         q, germs = self.group_image, self.beta
         target = group_as_groupoid(q.target.table,
                                    tuple(q.target.label(x) for x in q.target.elements()))
-        arrow_map = tuple(q.projection[s] for s, _ in germs.rep_of)
+        arrow_map = tuple(np.asarray(q.projection)[germs.rep_of[:, 0]].tolist())
         return GroupoidHom(germs.groupoid, target, arrow_map), germs
 
     @cached_property
@@ -194,14 +196,11 @@ class Subject:
         h_arrows = self.z_in_beta.arrows
         g_arrows = transversal_arrows(germs, q, r)
         H, G, act = conjugation_action(ambient, h_arrows, g_arrows)
-        product = semidirect_product(H, G, act)
-
-        h_order = sorted(h_arrows)
-        g_order = sorted(g_arrows)
-        arrow_map = [ambient.comp[(h_order[eta], g_order[gamma])]
-                     for eta, gamma in product.pair_coords]  # type: ignore[attr-defined]
-        hom = validate_hom(GroupoidHom(product, ambient, tuple(arrow_map)))
-        if sorted(arrow_map) != sorted(ambient.arrows()):
+        product, coords = semidirect_product(H, G, act)
+        h_order, g_order = (np.array(sorted(a), dtype=np.intp) for a in (h_arrows, g_arrows))
+        arrow_map = ambient.table[h_order[coords[:, 0]], g_order[coords[:, 1]]]
+        hom = validate_hom(GroupoidHom(product, ambient, tuple(arrow_map.tolist())))
+        if not np.array_equal(np.sort(arrow_map), np.arange(ambient.n_arrows)):
             raise StructureError("split decomposition map is not a bijection")
         return SplitDecomposition(product, hom, germs)
 
@@ -248,5 +247,4 @@ def transversal_arrows(germs: GermGroupoid, q: QuotientMap, r: tuple[int, ...]
     products and its germs form a subgroupoid (``conjugation_action`` checks
     it on extraction).
     """
-    image = set(r)
-    return frozenset(a for (s, x), a in germs.arrow_of.items() if s in image)
+    return germs.germs_of(set(r))

@@ -1,12 +1,19 @@
 """Finite groupoids with an explicit topology basis.
 
-Arrows are indices 0..n-1; units are a subset of arrows.  The topology is
-carried as a catalog of labeled basis sets, produced by the germ
-construction.  Interior, openness and closedness consume only that catalog,
-so the computations follow the basis-set definitions even though every
-finite corpus groupoid ends up discrete.  Groupoids built directly (pair
-groupoids, semidirect products, ...) default to the discrete basis and are
-flagged as such.
+Arrows are indices 0..n-1; units are a subset of arrows.  ``r``, ``d`` and
+``inv`` are integer arrays over the arrows, and the composition is one
+(n, n) integer table: ``table[g, h]`` is the arrow gh, or -1 where
+d(g) != r(h), the idiom of the semigroup table and of an action's rows.
+``comp`` lists the composable pairs as rows (g, h, gh), read off the table
+in column-major order (sorted by h, then g); the convolution sums in that
+order.
+
+The topology is carried as a catalog of labeled basis sets, produced by the
+germ construction.  Interior, openness and closedness consume only that
+catalog, so the computations follow the basis-set definitions even though
+every finite corpus groupoid ends up discrete.  Groupoids built directly
+(pair groupoids, semidirect products, ...) default to the discrete basis and
+are flagged as such.
 """
 
 from __future__ import annotations
@@ -21,21 +28,23 @@ from .errors import (
     SearchBudgetExceeded,
     StructureError,
 )
+from .semilattices import compose_after
 
 ISO_SEARCH_CAP = 64
 
 Basis = tuple[tuple[str, frozenset[int]], ...]
 
 
-@dataclass
+@dataclass(eq=False)
 class FiniteGroupoid:
-    """Arrows with range/source/composition/inverse and a labeled open basis."""
+    """Arrows with range/source/inverse arrays, a composition table (gh at
+    [g, h], -1 where d(g) != r(h)) and a labeled open basis."""
 
     n_arrows: int
-    r: tuple[int, ...]
-    d: tuple[int, ...]
-    inv: tuple[int, ...]
-    comp: dict[tuple[int, int], int]
+    r: np.ndarray
+    d: np.ndarray
+    inv: np.ndarray
+    table: np.ndarray
     units: tuple[int, ...]
     labels: tuple[str, ...]
     basis: Basis
@@ -47,26 +56,12 @@ class FiniteGroupoid:
     def label(self, a: int) -> str:
         return self.labels[a]
 
-    def mul(self, g: int, h: int) -> int:
-        return self.comp[(g, h)]
-
-    def d_fiber(self, u: int) -> tuple[int, ...]:
-        return tuple(a for a in self.arrows() if self.d[a] == u)
-
-    def r_fiber(self, u: int) -> tuple[int, ...]:
-        return tuple(a for a in self.arrows() if self.r[a] == u)
-
     @cached_property
-    def comp_triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Composition as index arrays (A, B, C), A[i] B[i] = C[i], in ``comp`` order."""
-        abc = np.array([(a, b, c) for (a, b), c in self.comp.items()],
-                       dtype=np.intp).reshape(-1, 3)
-        A, B, C = np.ascontiguousarray(abc.T)
-        return A, B, C
-
-    @cached_property
-    def inv_index(self) -> np.ndarray:
-        return np.array(self.inv, dtype=np.intp)
+    def comp(self) -> np.ndarray:
+        """The composable pairs as rows (g, h, gh), sorted by h, then g; each
+        column is contiguous."""
+        h, g = np.nonzero(self.table.T >= 0)
+        return np.array([g, h, self.table[g, h]]).T
 
     @cached_property
     def fiber_indices(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
@@ -77,10 +72,8 @@ class FiniteGroupoid:
         """
         out = []
         for u in self.units:
-            fiber = self.d_fiber(u)
-            idx = np.array([[self.comp[(a, self.inv[b])] for b in fiber] for a in fiber],
-                           dtype=np.intp).reshape(len(fiber), len(fiber))
-            out.append((fiber, idx))
+            fiber = np.flatnonzero(self.d == u)
+            out.append((tuple(fiber.tolist()), self.table[fiber[:, None], self.inv[fiber]]))
         return tuple(out)
 
     @cached_property
@@ -120,6 +113,20 @@ def discrete_basis(n: int, labels) -> Basis:
     return tuple((f"{{{labels[a]}}}", frozenset({a})) for a in range(n))
 
 
+def _first(mask: np.ndarray) -> tuple[int, ...] | None:
+    """The row-major index of the first True entry of mask, or None."""
+    if not mask.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(np.argmax(mask), mask.shape))
+
+
+def _members(G: FiniteGroupoid, subset) -> np.ndarray:
+    """The boolean indicator of an arrow set."""
+    out = np.zeros(G.n_arrows, dtype=bool)
+    out[list(subset)] = True
+    return out
+
+
 def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     """Exhaustively check the groupoid axioms and basis sanity.
 
@@ -128,54 +135,89 @@ def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     subgroupoids) are not validated where they are built; the verification
     suites check them (``germ.groupoid_axioms``, ``tight.action_valid``,
     ``extension.projection_strongly_surjective``).
+
+    After the array shapes and ranges, the checks run in this order, each
+    reporting its first witness: the units in ``units`` order; range, source
+    and inverse of each arrow in index order; the defined products, the
+    composable pairs and the inverse laws over pairs (g, h) row-major;
+    associativity over triples (g, h, k) row-major, one row g at a time, so
+    no temporary is larger than n times the fiber at d(g).
     """
     n = G.n_arrows
-    units = set(G.units)
-    for u in G.units:
-        if G.comp.get((u, u)) != u or G.inv[u] != u:
-            raise StructureError(f"unit {u} fails u = u.u = u^-1")
-        if G.r[u] != u or G.d[u] != u:
-            raise StructureError(f"unit {u} is not its own range/source")
-    for a in G.arrows():
-        if G.r[a] not in units or G.d[a] not in units:
-            raise StructureError(f"range/source of arrow {a} is not a unit")
-        if G.comp.get((a, G.inv[a])) != G.r[a]:
-            raise StructureError(f"arrow {a}: a.a^-1 is not r(a)")
-        if G.comp.get((G.inv[a], a)) != G.d[a]:
-            raise StructureError(f"arrow {a}: a^-1.a is not d(a)")
-    for (g, h), gh in G.comp.items():
-        if G.d[g] != G.r[h]:
-            raise StructureError(f"composition defined on non-composable ({g},{h})")
-        if G.r[gh] != G.r[g] or G.d[gh] != G.d[h]:
-            raise StructureError(f"composition ({g},{h}) breaks range/source")
-    for g in G.arrows():
-        for h in G.arrows():
-            if (G.d[g] == G.r[h]) != ((g, h) in G.comp):
-                raise StructureError(f"composability mismatch at ({g},{h})")
-    for (g, h), gh in G.comp.items():
-        if G.comp[(G.inv[g], gh)] != h or G.comp[(gh, G.inv[h])] != g:
-            raise StructureError(f"inverse laws fail at ({g},{h})")
-        for k in G.arrows():
-            if G.d[h] == G.r[k]:
-                if G.comp[(gh, k)] != G.comp[(g, G.comp[(h, k)])]:
-                    raise StructureError(f"associativity fails at ({g},{h},{k})")
+    r, d, inv, table = G.r, G.d, G.inv, G.table
+    units = np.asarray(G.units, dtype=np.intp)
+    if table.shape != (n, n) or any(a.shape != (n,) for a in (r, d, inv)):
+        raise StructureError(f"composition table and arrow arrays must cover {n} arrows")
+    if ((table < -1) | (table >= n)).any():
+        raise StructureError("composition table entry out of range")
+    ends = np.concatenate((r, d, inv, units))
+    if ((ends < 0) | (ends >= n)).any():
+        raise StructureError("range, source, inverse or unit out of range")
+    not_idempotent = (table[units, units] != units) | (inv[units] != units)
+    not_own = (r[units] != units) | (d[units] != units)
+    hit = _first(not_idempotent | not_own)
+    if hit is not None:
+        (i,) = hit
+        u = int(units[i])
+        raise StructureError(f"unit {u} fails u = u.u = u^-1" if not_idempotent[i]
+                             else f"unit {u} is not its own range/source")
+    is_unit = _members(G, G.units)
+    arrows = np.arange(n)
+    ends_off_units = ~(is_unit[r] & is_unit[d])
+    bad_right = table[arrows, inv] != r
+    bad_left = table[inv, arrows] != d
+    hit = _first(ends_off_units | bad_right | bad_left)
+    if hit is not None:
+        (a,) = hit
+        raise StructureError(f"range/source of arrow {a} is not a unit" if ends_off_units[a]
+                             else f"arrow {a}: a.a^-1 is not r(a)" if bad_right[a]
+                             else f"arrow {a}: a^-1.a is not d(a)")
+    defined = table >= 0
+    composable = d[:, None] == r
+    stray = defined & ~composable
+    moved = defined & ((r[table] != r[:, None]) | (d[table] != d))
+    hit = _first(stray | moved)
+    if hit is not None:
+        g, h = hit
+        raise StructureError(f"composition defined on non-composable ({g},{h})" if stray[g, h]
+                             else f"composition ({g},{h}) breaks range/source")
+    hit = _first(composable & ~defined)
+    if hit is not None:
+        raise StructureError("composability mismatch at ({},{})".format(*hit))
+    left, right = np.nonzero(defined)
+    product = table[left, right]
+    hit = _first((table[inv[left], product] != right) | (table[product, inv[right]] != left))
+    if hit is not None:
+        (i,) = hit
+        raise StructureError(f"inverse laws fail at ({left[i]},{right[i]})")
+    # with a -1 row and column appended, (gh)k = -1 = g(hk) wherever d(h) != r(k)
+    padded = np.full((n + 1, n + 1), -1, dtype=np.intp)
+    padded[:n, :n] = table
+    after = {u: np.flatnonzero(r == u) for u in G.units}     # the h composable after d(g) = u
+    for g, u in enumerate(d.tolist()):
+        hs = after[u]
+        hit = _first(padded[padded[g, hs]] != padded[g, padded[hs]])
+        if hit is not None:
+            i, k = hit
+            raise StructureError(f"associativity fails at ({g},{hs[i]},{k})")
     for _, members in G.basis:
         if any(a < 0 or a >= n for a in members):
             raise StructureError("basis set out of range")
     return G
 
 
-def make_groupoid(r, d, inv, comp, labels=None, basis=None) -> FiniteGroupoid:
-    """Assemble and validate a groupoid; units are derived, basis defaults to discrete."""
+def make_groupoid(r, d, inv, table, labels=None, basis=None) -> FiniteGroupoid:
+    """Assemble and validate a groupoid from its arrays and composition table
+    (-1 where undefined); units are derived, basis defaults to discrete."""
+    r, d, inv, table = (np.asarray(a, dtype=np.intp) for a in (r, d, inv, table))
     n = len(r)
-    units = tuple(sorted({*r, *d}))
+    units = tuple(sorted({*r.tolist(), *d.tolist()}))
     if labels is None:
         labels = tuple(f"g{a}" for a in range(n))
     declared = basis is not None
     if basis is None:
         basis = discrete_basis(n, labels)
-    G = FiniteGroupoid(n, tuple(r), tuple(d), tuple(inv), dict(comp), units,
-                       tuple(labels), tuple(basis), declared)
+    G = FiniteGroupoid(n, r, d, inv, table, units, tuple(labels), tuple(basis), declared)
     return validate_groupoid(G)
 
 
@@ -184,7 +226,7 @@ def make_groupoid(r, d, inv, comp, labels=None, basis=None) -> FiniteGroupoid:
 
 
 def iso_bundle(G: FiniteGroupoid) -> frozenset[int]:
-    return frozenset(a for a in G.arrows() if G.r[a] == G.d[a])
+    return frozenset(np.flatnonzero(G.r == G.d).tolist())
 
 
 def interior_witnesses(G: FiniteGroupoid, subset: frozenset[int]
@@ -215,7 +257,7 @@ def is_closed(G: FiniteGroupoid, subset: frozenset[int]) -> bool:
 
 
 def is_group_bundle(G: FiniteGroupoid) -> bool:
-    return all(G.r[a] == G.d[a] for a in G.arrows())
+    return bool((G.r == G.d).all())
 
 
 def is_essentially_principal(G: FiniteGroupoid) -> bool:
@@ -224,20 +266,15 @@ def is_essentially_principal(G: FiniteGroupoid) -> bool:
 
 def is_effective(G: FiniteGroupoid) -> bool:
     """No nonempty basic open set off the units consists of isotropy only."""
-    units = frozenset(G.units)
-    off_units = frozenset(G.arrows()) - units
-    iso = iso_bundle(G)
-    for _, members in G.basis:
-        if members and members <= off_units and members <= iso:
-            return False
-    return True
+    iso_off_units = iso_bundle(G) - frozenset(G.units)
+    return not any(members and members <= iso_off_units for _, members in G.basis)
 
 
 def fiber_group(G: FiniteGroupoid, u: int) -> FiniteGroup:
     """The isotropy group at a unit, extracted as a one-unit groupoid."""
     if u not in G.units:
         raise StructureError(f"{u} is not a unit")
-    arrows = frozenset(a for a in G.arrows() if G.r[a] == u and G.d[a] == u)
+    arrows = frozenset(np.flatnonzero((G.r == u) & (G.d == u)).tolist())
     sub, _ = extract_subgroupoid(G, arrows)
     return FiniteGroup(sub)
 
@@ -252,24 +289,18 @@ class SubgroupoidProperties:
 
 
 def is_subgroupoid(G: FiniteGroupoid, subset: frozenset[int]) -> bool:
-    for a in subset:
-        if G.inv[a] not in subset:
-            return False
-        for b in subset:
-            if G.d[a] == G.r[b] and G.comp[(a, b)] not in subset:
-                return False
-    return True
+    inside = _members(G, subset)
+    arrows = np.flatnonzero(inside)
+    products = G.table[arrows[:, None], arrows]
+    return bool(inside[G.inv[arrows]].all() and inside[products[products >= 0]].all())
 
 
 def is_normal_in(G: FiniteGroupoid, subset: frozenset[int]) -> bool:
     """gamma^-1 . H . gamma stays inside H wherever the conjugation composes."""
-    for g in G.arrows():
-        gi = G.inv[g]
-        for h in subset:
-            if G.d[gi] == G.r[h] and G.d[h] == G.r[g]:
-                if G.comp[(G.comp[(gi, h)], g)] not in subset:
-                    return False
-    return True
+    inside = _members(G, subset)
+    left = G.table[G.inv[:, None], np.flatnonzero(inside)]    # gamma^-1 h, per gamma
+    conj = G.table[left, np.arange(G.n_arrows)[:, None]]       # (gamma^-1 h) gamma
+    return bool(((left < 0) | (conj < 0) | inside[conj]).all())
 
 
 def subgroupoid_properties(G: FiniteGroupoid, subset: frozenset[int]
@@ -290,66 +321,52 @@ def extract_subgroupoid(G: FiniteGroupoid, subset: frozenset[int]
     Returns the copy and the map from its arrow indices back to G's.  A
     subset closed under inverses and composition holds r(a) = a a^-1 and
     d(a) = a^-1 a for each of its arrows, so the copy is a groupoid and is
-    not validated again.
+    not validated again.  Its table is a gather of G's, renumbered by the
+    index row from G's arrows to the copy's.
     """
     if not is_subgroupoid(G, subset):
         raise StructureError("arrow set is not a subgroupoid")
-    order = tuple(sorted(subset))
-    back = {a: i for i, a in enumerate(order)}
-    r = tuple(back[G.r[a]] for a in order)
-    d = tuple(back[G.d[a]] for a in order)
-    inv = tuple(back[G.inv[a]] for a in order)
-    comp = {(back[g], back[h]): back[gh]
-            for (g, h), gh in G.comp.items() if g in subset and h in subset}
-    labels = tuple(G.label(a) for a in order)
+    order = np.array(sorted(subset), dtype=np.intp)
+    back = np.full(G.n_arrows, -1, dtype=np.intp)
+    back[order] = np.arange(order.size)
+    table = compose_after(back, G.table[order[:, None], order])
+    back_of = back.tolist()
+    labels = tuple(G.label(a) for a in order.tolist())
     basis = []
     seen = set()
     for label, members in G.basis:
-        cut = frozenset(back[a] for a in members if a in subset)
+        cut = frozenset(back_of[a] for a in members if back_of[a] >= 0)
         if cut and cut not in seen:
             basis.append((label + "|sub", cut))
             seen.add(cut)
-    units = tuple(sorted(back[u] for u in G.units if u in subset))
-    H = FiniteGroupoid(len(order), r, d, inv, comp, units, labels,
-                       tuple(basis), G.basis_declared)
-    return H, order
+    units = tuple(sorted(back_of[u] for u in G.units if back_of[u] >= 0))
+    H = FiniteGroupoid(order.size, back[G.r[order]], back[G.d[order]], back[G.inv[order]],
+                       table, units, labels, tuple(basis), G.basis_declared)
+    return H, tuple(order.tolist())
 
 
 def group_as_groupoid(table, labels=None) -> FiniteGroupoid:
     """A group multiplication table as a one-unit groupoid."""
+    table = np.asarray(table, dtype=np.intp)
     n = len(table)
-    identity = None
-    for e in range(n):
-        if all(table[e][x] == x == table[x][e] for x in range(n)):
-            identity = e
-            break
-    if identity is None:
+    x = np.arange(n)
+    identities = np.flatnonzero((table == x).all(axis=1) & (table.T == x).all(axis=1))
+    if not identities.size:
         raise StructureError("table has no identity")
-    inv = []
-    for a in range(n):
-        bs = [b for b in range(n) if table[a][b] == identity]
-        if len(bs) != 1:
-            raise StructureError("table is not a group")
-        inv.append(bs[0])
-    r = tuple(identity for _ in range(n))
-    d = r
-    comp = {(a, b): table[a][b] for a in range(n) for b in range(n)}
-    return make_groupoid(r, d, inv, comp, labels)
+    identity = identities[0]
+    solves = table == identity
+    if not (solves.sum(axis=1) == 1).all():
+        raise StructureError("table is not a group")
+    r = np.full(n, identity)
+    return make_groupoid(r, r, solves.argmax(axis=1), table, labels)
 
 
 def pair_groupoid(n: int) -> FiniteGroupoid:
-    """The full equivalence relation on n points: arrows (i <- j)."""
-    idx = {(i, j): i * n + j for i in range(n) for j in range(n)}
-    r = tuple(idx[(i, i)] for i in range(n) for j in range(n))
-    d = tuple(idx[(j, j)] for i in range(n) for j in range(n))
-    inv = tuple(idx[(j, i)] for i in range(n) for j in range(n))
-    comp = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                comp[(idx[(i, j)], idx[(j, k)])] = idx[(i, k)]
-    labels = tuple(f"({i}<-{j})" for i in range(n) for j in range(n))
-    return make_groupoid(r, d, inv, comp, labels)
+    """The full equivalence relation on n points: arrow i n + j is (i <- j)."""
+    i, j = np.divmod(np.arange(n * n), n)
+    table = np.where(j[:, None] == i, i[:, None] * n + j, -1)
+    labels = tuple(f"({a}<-{b})" for a, b in zip(i.tolist(), j.tolist()))
+    return make_groupoid(i * (n + 1), j * (n + 1), j * n + i, table, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +377,8 @@ def pair_groupoid(n: int) -> FiniteGroupoid:
 class ConjugationAction:
     """Left action of G on a group bundle H, with the bundle map into G's units."""
 
-    bundle: tuple[int, ...]               # H-arrow -> G-unit
-    act: dict[tuple[int, int], int]       # (g, h) -> g.h, for bundle[h] == d(g)
+    bundle: np.ndarray      # H-arrow -> G-unit
+    act: np.ndarray         # [g, h] -> g.h where bundle[h] == d(g), else -1
 
 
 def conjugation_action(ambient: FiniteGroupoid, h_arrows: frozenset[int],
@@ -372,58 +389,47 @@ def conjugation_action(ambient: FiniteGroupoid, h_arrows: frozenset[int],
     G, g_order = extract_subgroupoid(ambient, g_arrows)
     if not is_group_bundle(H):
         raise IncompatibleBundle("H is not a group bundle")
-    h_back = {a: i for i, a in enumerate(h_order)}
-    g_unit_back = {a: i for i, a in enumerate(g_order)}
-    bundle = []
-    for i, a in enumerate(h_order):
-        amb_unit = ambient.r[a]
-        if amb_unit not in g_unit_back:
-            raise IncompatibleBundle("bundle point is not a unit of G")
-        bundle.append(g_unit_back[amb_unit])
-    act = {}
-    for gi, g_amb in enumerate(g_order):
-        for hi, h_amb in enumerate(h_order):
-            if bundle[hi] == G.d[gi]:
-                conj = ambient.comp[(ambient.comp[(g_amb, h_amb)], ambient.inv[g_amb])]
-                if conj not in h_back:
-                    raise IncompatibleBundle("conjugation leaves the bundle")
-                act[(gi, hi)] = h_back[conj]
-    return H, G, ConjugationAction(tuple(bundle), act)
+    h_amb, g_amb = np.array(h_order, dtype=np.intp), np.array(g_order, dtype=np.intp)
+    h_back, g_back = np.full((2, ambient.n_arrows), -1, dtype=np.intp)
+    h_back[h_amb] = np.arange(h_amb.size)
+    g_back[g_amb] = np.arange(g_amb.size)
+    bundle = g_back[ambient.r[h_amb]]
+    if (bundle < 0).any():
+        raise IncompatibleBundle("bundle point is not a unit of G")
+    gh = ambient.table[np.ix_(g_amb, h_amb)]
+    conj = np.where(gh >= 0, ambient.table[gh, ambient.inv[g_amb][:, None]], -1)
+    act = compose_after(h_back, conj)
+    if ((conj >= 0) & (act < 0)).any():
+        raise IncompatibleBundle("conjugation leaves the bundle")
+    return H, G, ConjugationAction(bundle, act)
 
 
-def semidirect_product(H: FiniteGroupoid, G: FiniteGroupoid,
-                       action: ConjugationAction) -> FiniteGroupoid:
-    """Pairs (eta, gamma) with bundle(eta) = r(gamma), multiplied through the action."""
+def semidirect_product(H: FiniteGroupoid, G: FiniteGroupoid, action: ConjugationAction
+                       ) -> tuple[FiniteGroupoid, np.ndarray]:
+    """Pairs (eta, gamma) with bundle(eta) = r(gamma), multiplied through the action.
+
+    Returns the product and its pair coordinates: row a of the (arrows, 2)
+    array is arrow a's (H-arrow, G-arrow).
+    """
     if not is_group_bundle(H):
         raise IncompatibleBundle("H is not a group bundle")
-    if sorted(action.bundle[u] for u in H.units) != sorted(G.units):
+    bundle, act = action.bundle, action.act
+    h_units = np.array(H.units, dtype=np.intp)
+    if sorted(bundle[h_units].tolist()) != sorted(G.units):
         raise IncompatibleBundle("bundle map does not match G's unit space")
-    pairs = [(eta, g) for eta in H.arrows() for g in G.arrows()
-             if action.bundle[eta] == G.r[g]]
-    idx = {p: i for i, p in enumerate(pairs)}
-
-    def unit_at(g_unit: int) -> tuple[int, int]:
-        hs = [u for u in H.units if action.bundle[u] == g_unit]
-        if len(hs) != 1:
-            raise IncompatibleBundle("unit spaces do not correspond")
-        return (hs[0], g_unit)
-
-    r, d, inv, labels = [], [], [], []
-    for eta, g in pairs:
-        r.append(idx[unit_at(action.bundle[H.r[eta]])])
-        d.append(idx[unit_at(G.d[g])])
-        gi = G.inv[g]
-        inv.append(idx[(action.act[(gi, H.inv[eta])], gi)])
-        labels.append(f"({H.label(eta)};{G.label(g)})")
-    comp = {}
-    for i, (e1, g1) in enumerate(pairs):
-        for j, (e2, g2) in enumerate(pairs):
-            if G.d[g1] == action.bundle[e2]:
-                comp[(i, j)] = idx[(H.comp[(e1, action.act[(g1, e2)])],
-                                    G.comp[(g1, g2)])]
-    out = make_groupoid(r, d, inv, comp, labels)
-    out.pair_coords = tuple(pairs)  # arrow -> (H-arrow, G-arrow), for certificates
-    return out
+    eta, g = np.nonzero(bundle[:, None] == G.r)
+    index = np.full((H.n_arrows, G.n_arrows), -1, dtype=np.intp)
+    index[eta, g] = np.arange(eta.size)
+    h_unit_at = np.full(G.n_arrows, -1, dtype=np.intp)     # G-unit -> the H-unit over it
+    h_unit_at[bundle[h_units]] = h_units
+    r, d = (index[h_unit_at[u], u] for u in (G.r[g], G.d[g]))
+    gi = G.inv[g]
+    inv = index[act[gi, H.inv[eta]], gi]
+    labels = tuple(f"({H.label(e)};{G.label(x)})" for e, x in zip(eta.tolist(), g.tolist()))
+    twisted = H.table[eta[:, None], act[g[:, None], eta]]          # eta1 (gamma1 . eta2)
+    table = np.where(G.d[g][:, None] == bundle[eta],
+                     index[twisted, G.table[g[:, None], g]], -1)
+    return make_groupoid(r, d, inv, table, labels), np.stack([eta, g], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -431,33 +437,38 @@ def semidirect_product(H: FiniteGroupoid, G: FiniteGroupoid,
 
 
 def validate_hom(hom: GroupoidHom) -> GroupoidHom:
-    S, T, m = hom.source, hom.target, hom.map
+    """Check that the map sends units to units and composable pairs to
+    composable pairs multiplicatively, reporting the first failing unit in
+    ``units`` order and the first failing pair in ``comp`` order."""
+    S, T = hom.source, hom.target
+    m = np.asarray(hom.map, dtype=np.intp)
     if len(m) != S.n_arrows:
         raise StructureError("hom map has wrong length")
-    for u in S.units:
-        if m[u] not in T.units:
-            raise StructureError(f"unit {u} does not map to a unit")
-    for (g, h), gh in S.comp.items():
-        if T.d[m[g]] != T.r[m[h]]:
-            raise StructureError(f"hom breaks composability at ({g},{h})")
-        if T.comp[(m[g], m[h])] != m[gh]:
-            raise StructureError(f"hom is not multiplicative at ({g},{h})")
+    hit = _first(~_members(T, T.units)[m[list(S.units)]])
+    if hit is not None:
+        raise StructureError(f"unit {S.units[hit[0]]} does not map to a unit")
+    g, h, gh = m[S.comp.T]
+    apart = T.d[g] != T.r[h]
+    hit = _first(apart | (T.table[g, h] != gh))
+    if hit is not None:
+        (i,) = hit
+        pair = f"({S.comp[i, 0]},{S.comp[i, 1]})"
+        raise StructureError(f"hom breaks composability at {pair}" if apart[i]
+                             else f"hom is not multiplicative at {pair}")
     return hom
 
 
 def is_strongly_surjective(hom: GroupoidHom) -> bool:
     """Each source fiber maps onto the whole target fiber at the image unit."""
-    S, T, m = hom.source, hom.target, hom.map
-    for u in S.units:
-        image = {m[a] for a in S.arrows() if S.d[a] == u}
-        if image != set(T.d_fiber(m[u])):
-            return False
-    return True
+    S, T = hom.source, hom.target
+    m = np.asarray(hom.map, dtype=np.intp)
+    return all(np.array_equal(np.unique(m[S.d == u]), np.flatnonzero(T.d == m[u]))
+               for u in S.units)
 
 
 def hom_kernel(hom: GroupoidHom) -> frozenset[int]:
-    t_units = set(hom.target.units)
-    return frozenset(a for a in hom.source.arrows() if hom.map[a] in t_units)
+    t_units = _members(hom.target, hom.target.units)
+    return frozenset(np.flatnonzero(t_units[np.asarray(hom.map, dtype=np.intp)]).tolist())
 
 
 def groupoid_isomorphic(G1: FiniteGroupoid, G2: FiniteGroupoid
@@ -469,54 +480,49 @@ def groupoid_isomorphic(G1: FiniteGroupoid, G2: FiniteGroupoid
         return None
 
     def unit_profile(G: FiniteGroupoid, u: int):
-        iso_count = sum(1 for a in G.arrows() if G.r[a] == u and G.d[a] == u)
-        return (len(G.d_fiber(u)), len(G.r_fiber(u)), iso_count)
+        at_r, at_d = G.r == u, G.d == u
+        return (int(at_d.sum()), int(at_r.sum()), int((at_r & at_d).sum()))
 
     n = G1.n_arrows
+    r1, d1, inv1, t1 = (a.tolist() for a in (G1.r, G1.d, G1.inv, G1.table))
+    r2, d2, inv2, t2 = (a.tolist() for a in (G2.r, G2.d, G2.inv, G2.table))
     mapping: list[int | None] = [None] * n
     used = [False] * n
+
+    def undo(newly: list[int]) -> None:
+        for z in newly:
+            used[mapping[z]] = False
+            mapping[z] = None
 
     def assign(a: int, b: int) -> list[int] | None:
         """Try mapping a -> b; returns newly assigned arrows or None."""
         stack = [(a, b)]
-        newly = []
+        newly: list[int] = []
         while stack:
             x, y = stack.pop()
             if mapping[x] is not None:
                 if mapping[x] != y:
-                    for z in newly:
-                        used[mapping[z]] = False
-                        mapping[z] = None
+                    undo(newly)
                     return None
                 continue
-            if used[y]:
-                for z in newly:
-                    used[mapping[z]] = False
-                    mapping[z] = None
-                return None
-            if (x in G1.units) != (y in G2.units):
-                for z in newly:
-                    used[mapping[z]] = False
-                    mapping[z] = None
+            if used[y] or (x in G1.units) != (y in G2.units):
+                undo(newly)
                 return None
             mapping[x] = y
             used[y] = True
             newly.append(x)
-            stack.append((G1.inv[x], G2.inv[y]))
-            stack.append((G1.r[x], G2.r[y]))
-            stack.append((G1.d[x], G2.d[y]))
+            stack.append((inv1[x], inv2[y]))
+            stack.append((r1[x], r2[y]))
+            stack.append((d1[x], d2[y]))
             for z in range(n):
                 if mapping[z] is None:
                     continue
                 for (p, q) in ((x, z), (z, x)):
-                    if G1.d[p] == G1.r[q]:
-                        if G2.d[mapping[p]] != G2.r[mapping[q]]:
-                            for w in newly:
-                                used[mapping[w]] = False
-                                mapping[w] = None
+                    if d1[p] == r1[q]:
+                        if d2[mapping[p]] != r2[mapping[q]]:
+                            undo(newly)
                             return None
-                        stack.append((G1.comp[(p, q)],
-                                      G2.comp[(mapping[p], mapping[q])]))
+                        stack.append((t1[p][q], t2[mapping[p]][mapping[q]]))
         return newly
 
     def search(i: int) -> bool:
@@ -533,9 +539,7 @@ def groupoid_isomorphic(G1: FiniteGroupoid, G2: FiniteGroupoid
             if newly is not None:
                 if search(i + 1):
                     return True
-                for z in newly:
-                    used[mapping[z]] = False
-                    mapping[z] = None
+                undo(newly)
         return False
 
     if search(0):

@@ -139,15 +139,17 @@ def _check(results: list[CheckResult], name: str, statement: str, fn) -> None:
 # universal suite
 
 
+def _canonical_elements(germs, arrows: np.ndarray) -> np.ndarray:
+    """The canonical element s m_x of each germ [s, x] in an arrow array."""
+    s, x = germs.rep_of[arrows].T
+    return germs.action.semigroup.table[s, np.asarray(germs.base_idempotent)[x]]
+
+
 def _fiber_elements(sub: Subject, arrows, unit: int) -> frozenset[int]:
     """Canonical semigroup elements of the germs in a set of arrows at a unit."""
-    S, germs = sub.S, sub.beta
-    out = set()
-    for a in arrows:
-        if germs.groupoid.d[a] == unit:
-            s, x = germs.rep_of[a]
-            out.add(S.mul(s, germs.base_idempotent[x]))
-    return frozenset(out)
+    arrows = np.array(sorted(arrows), dtype=np.intp)
+    at = arrows[sub.beta.groupoid.d[arrows] == unit]
+    return frozenset(_canonical_elements(sub.beta, at).tolist())
 
 
 def run_universal_suite(name: str, sub: Subject) -> list[CheckResult]:
@@ -360,15 +362,17 @@ def run_universal_suite(name: str, sub: Subject) -> list[CheckResult]:
             if e == S.zero:
                 continue
             u = germs.unit_at_point[germs.principal_point(e)]
-            fiber = [a for a in G.arrows() if G.r[a] == G.d[a] == u]
-            image = {a: S.mul(s, germs.base_idempotent[x])
-                     for a in fiber for s, x in [germs.rep_of[a]]}
-            if sorted(image.values()) != sorted(h_class_of(S, e)):
+            fiber = np.flatnonzero((G.r == u) & (G.d == u))
+            image = np.full(G.n_arrows, -1, dtype=np.intp)
+            image[fiber] = _canonical_elements(germs, fiber)
+            if sorted(image[fiber].tolist()) != sorted(h_class_of(S, e)):
                 return False, f"fiber at idempotent {e} differs from its class group"
-            for a in fiber:
-                for b in fiber:
-                    if image[G.comp[(a, b)]] != S.mul(image[a], image[b]):
-                        return False, f"fiber at idempotent {e} is not multiplicative at ({a},{b})"
+            products = image[G.table[np.ix_(fiber, fiber)]]
+            i = np.flatnonzero(products != S.table[np.ix_(image[fiber], image[fiber])])
+            if i.size:
+                a, b = divmod(int(i[0]), fiber.size)
+                return False, (f"fiber at idempotent {e} is not multiplicative "
+                               f"at ({fiber[a]},{fiber[b]})")
         return True, "all isotropy fibers certified isomorphic"
 
     _check(out, "germ.fibers_are_h_classes",
@@ -387,8 +391,7 @@ def run_universal_suite(name: str, sub: Subject) -> list[CheckResult]:
                 continue
             u = sub.beta.unit_at_point[sub.beta.principal_point(e)]
             z_fiber = _fiber_elements(sub, z_arrows, u)
-            iso_fiber = _fiber_elements(
-                sub, frozenset(a for a in iso if G.r[a] == G.d[a] == u), u)
+            iso_fiber = _fiber_elements(sub, iso, u)
             z_class = frozenset(next(b for b in sub.mu.blocks if e in b))
             if z_fiber != z_class:
                 return False, f"centralizer fiber at {e} is not its congruence class"
@@ -842,22 +845,11 @@ def global_algebra_checks() -> list[CheckResult]:
         from .errors import HypothesisFailed
         from .groupoids import extract_subgroupoid, make_groupoid
 
-        idx = {(i, j, g): (i * 2 + j) * 2 + g
-               for i in range(2) for j in range(2) for g in range(2)}
-        r, d, inv = [], [], []
-        for (i, j, g), _ in sorted(idx.items(), key=lambda kv: kv[1]):
-            r.append(idx[(i, i, 0)])
-            d.append(idx[(j, j, 0)])
-            inv.append(idx[(j, i, g)])
-        comp = {}
-        for i in range(2):
-            for j in range(2):
-                for g in range(2):
-                    for k in range(2):
-                        for h in range(2):
-                            comp[(idx[(i, j, g)], idx[(j, k, h)])] = idx[(i, k, g ^ h)]
-        G = make_groupoid(r, d, inv, comp)
-        arrows = frozenset({idx[(0, 0, 0)], idx[(0, 0, 1)], idx[(1, 1, 0)]})
+        # the pair groupoid on 2 points times Z2: arrow (i j) 2 + g is (i <- j; g)
+        i, j, g = np.unravel_index(np.arange(8), (2, 2, 2))
+        table = np.where(j[:, None] == i, (i[:, None] * 2 + j) * 2 + (g[:, None] ^ g), -1)
+        G = make_groupoid(i * 6, j * 6, (j * 2 + i) * 2 + g, table)
+        arrows = frozenset({0, 1, 6})                  # (0 <- 0; 0), (0 <- 0; 1), (1 <- 1; 0)
         sub, order = extract_subgroupoid(G, arrows)
         emb = EmbeddedSubgroupoid(G, arrows, sub, order)
         try:

@@ -173,6 +173,15 @@ def test_diamond_swap_germ_is_isolated_by_its_basis_set():
     assert any(label.startswith(f"Theta({S.label(swap)},N^") for label in singled)
 
 
+def test_germ_outside_the_domain_is_a_structure_error():
+    S = validate_inverse_semigroup(B2_TABLE)
+    germs = germ_groupoid(universal_action(S))
+    assert (germs.germ_at[S.zero] == -1).all()       # the zero acts nowhere
+    for x in (0, -1, germs.action.space_size):
+        with pytest.raises(StructureError, match="outside the domain"):
+            germs.germ(S.zero, x)
+
+
 def test_action_kernel_of_universal_action_is_centralizer():
     for table in (B2_TABLE, CHAIN_ID_TABLE, Z2_TABLE):
         S = validate_inverse_semigroup(table)
@@ -363,3 +372,71 @@ def test_spectrum_action_equals_the_filter_set_image(name, monkeypatch):
     assert len(seen) == 2
     for S, filters, E, action in seen:
         assert action.maps.tolist() == _filter_set_maps(S, filters, E)
+
+
+# ---------------------------------------------------------------------------
+# the germ groupoid against the dict-building construction the table replaced
+
+
+def _reference_germs(action):
+    """Germs numbered point by point, by first element, each product looked
+    up pair by pair: (reps, arrow_of, labels, r, d, inv, comp, basis)."""
+    S = action.semigroup
+    rows = action.maps.tolist()
+    n_pts = action.space_size
+    domains = [frozenset(x for x, y in enumerate(row) if y >= 0) for row in rows]
+    min_idem = []
+    for x in range(n_pts):
+        m = None
+        for e in sorted(S.idempotent_set):
+            if rows[e][x] >= 0:
+                m = e if m is None else S.mul(m, e)
+        min_idem.append(m)
+    arrow_of, reps, key_to_arrow = {}, [], {}
+    for x in range(n_pts):
+        for s in S.elements():
+            if rows[s][x] < 0:
+                continue
+            key = (x, S.mul(s, min_idem[x]))
+            if key not in key_to_arrow:
+                key_to_arrow[key] = len(reps)
+                reps.append((s, x))
+            arrow_of[(s, x)] = key_to_arrow[key]
+    unit_at_point = [arrow_of[(min_idem[x], x)] for x in range(n_pts)]
+    r = [unit_at_point[rows[s][x]] for s, x in reps]
+    d = [unit_at_point[x] for _, x in reps]
+    inv = [arrow_of[(S.inv[s], rows[s][x])] for s, x in reps]
+    comp = {}
+    for j, (s, x) in enumerate(reps):
+        for i, (t, _) in enumerate(reps):
+            if d[i] == unit_at_point[rows[s][x]]:
+                comp[(i, j)] = arrow_of[(S.mul(t, s), x)]
+    labels = [f"[{S.label(s)}|{action.point_labels[x]}]" for s, x in reps]
+    basis, seen = [], set()
+    for s in S.elements():
+        for u_label, u_members in action.space_basis:
+            cut = u_members & domains[s]
+            theta = frozenset(arrow_of[(s, x)] for x in cut)
+            if cut and theta not in seen:
+                seen.add(theta)
+                basis.append((f"Theta({S.label(s)},{u_label})", theta))
+    return reps, arrow_of, labels, r, d, inv, comp, basis
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + ("symmetric:4",))
+def test_germ_groupoid_equals_the_dict_construction(name):
+    S = builtin(name)
+    for action in (universal_action(S), tight_action(S)):
+        germs = germ_groupoid(action)
+        G = germs.groupoid
+        reps, arrow_of, labels, r, d, inv, comp, basis = _reference_germs(action)
+        assert germs.rep_of.tolist() == [list(rep) for rep in reps]
+        assert G.labels == tuple(labels)
+        assert (G.r.tolist(), G.d.tolist(), G.inv.tolist()) == (r, d, inv)
+        assert G.basis == tuple(basis)
+        assert [((g, h), gh) for g, h, gh in G.comp.tolist()] == list(comp.items())
+        assert (G.table >= 0).sum() == len(comp)
+        expected = np.full(action.maps.shape, -1)
+        for (s, x), a in arrow_of.items():
+            expected[s, x] = a
+        assert germs.germ_at.tolist() == expected.tolist()

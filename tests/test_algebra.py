@@ -36,14 +36,14 @@ def product_pair_z2():
         r.append(idx[(i, i, 0)])
         d.append(idx[(j, j, 0)])
         inv.append(idx[(j, i, g)])
-    comp = {}
+    table = np.full((8, 8), -1)
     for i in range(2):
         for j in range(2):
             for g in range(2):
                 for k in range(2):
                     for h in range(2):
-                        comp[(idx[(i, j, g)], idx[(j, k, h)])] = idx[(i, k, g ^ h)]
-    return make_groupoid(r, d, inv, comp), idx
+                        table[idx[(i, j, g)], idx[(j, k, h)]] = idx[(i, k, g ^ h)]
+    return make_groupoid(r, d, inv, table), idx
 
 
 def embedded(parent, arrows):
@@ -57,7 +57,7 @@ def test_delta_convolution_follows_composition():
         for b in G.arrows():
             prod = convolve(delta(G, a), delta(G, b))
             if G.d[a] == G.r[b]:
-                assert prod.close_to(delta(G, G.comp[(a, b)]))
+                assert prod.close_to(delta(G, G.table[a, b]))
             else:
                 assert np.max(np.abs(prod.values)) == 0
 
@@ -275,7 +275,7 @@ def test_groupoid_mismatch_is_flagged():
 def _reference_convolve(f, g):
     G = f.groupoid
     out = np.zeros(G.n_arrows, dtype=np.complex128)
-    for (a, b), c in G.comp.items():
+    for a, b, c in G.comp.tolist():
         out[c] += f.values[a] * g.values[b]
     return out
 
@@ -288,11 +288,11 @@ def _reference_involution(f):
 def _reference_regular_blocks(G, f):
     out = []
     for u in G.units:
-        fiber = G.d_fiber(u)
+        fiber = tuple(np.flatnonzero(G.d == u).tolist())
         m = np.zeros((len(fiber), len(fiber)), dtype=np.complex128)
         for col, b in enumerate(fiber):
             for row, a in enumerate(fiber):
-                m[row, col] = f.values[G.comp[(a, G.inv[b])]]
+                m[row, col] = f.values[G.table[a, G.inv[b]]]
         out.append((fiber, m))
     return out
 

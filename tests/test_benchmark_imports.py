@@ -1,10 +1,19 @@
 """The benchmark under ``perfbench/`` imports germlab functions by name; a
 refactor that deletes or renames one fails here rather than in a benchmark
-run.  The benchmark's files are only parsed, never imported or edited."""
+run.  Its traced mode also reads attributes of what those functions return
+(``len(G.comp)``, ``.units``, ``.basis``, ``unit_at_point``,
+``principal_point``, ``fiber_group(...).groupoid``), so its pipeline is run
+here on small subjects.  The benchmark's files are parsed and imported,
+never edited."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
+
+import pytest
+
+from germlab.builtins import builtin
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -40,3 +49,24 @@ def test_every_benchmark_import_of_germlab_resolves():
     missing = [f"{path}: {module}.{name or ''}" for path, module, name in imports
                if not _resolves(module, name)]
     assert missing == []
+
+
+def _tracing_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name,pairs,convolve_ops", [
+    ("b2", 16, 8), ("symmetric:3", 198, 171), ("group:s3", 72, 36),
+])
+def test_traced_pipeline_runs_and_counts_the_composable_pairs(name, pairs, convolve_ops):
+    """``groupoids.composable_pairs`` adds up the universal and the tight
+    groupoid's pairs; ``algebra.convolve_ops`` counts the universal one's,
+    which each convolution sums over."""
+    tracing = _tracing_module()
+    tracer = tracing.Tracer()
+    tracing._pipeline(tracer, name, builtin(name), cubic_checks=True)
+    assert tracer.counts["groupoids.composable_pairs"] == pairs
+    assert tracer.counts["algebra.convolve_ops"] == convolve_ops

@@ -1,8 +1,11 @@
 import dataclasses
+import zlib
 
+import numpy as np
 import pytest
 
-from germlab.actions import centralizer_germs, germ_groupoid, universal_action
+from germlab.actions import centralizer_germs, germ_groupoid, tight_action, universal_action
+from germlab.builtins import CORPUS_NAMES, builtin
 from germlab.errors import SearchBudgetExceeded, StructureError
 from germlab.groupoids import (
     FiniteGroupoid,
@@ -17,6 +20,7 @@ from germlab.groupoids import (
     is_group_bundle,
     iso_bundle,
     iso_interior,
+    make_groupoid,
     pair_groupoid,
     semidirect_product,
     subgroupoid_properties,
@@ -150,7 +154,7 @@ def test_semidirect_with_unit_bundle_recovers_g():
     ambient = pair_groupoid(2)
     H, G, act = conjugation_action(ambient, frozenset(ambient.units),
                                    frozenset(ambient.arrows()))
-    P = semidirect_product(H, G, act)
+    P, _ = semidirect_product(H, G, act)
     assert groupoid_isomorphic(P, ambient) is not None
 
 
@@ -158,7 +162,7 @@ def test_semidirect_with_unit_g_recovers_h():
     ambient = group_as_groupoid(Z2_TABLE)
     H, G, act = conjugation_action(ambient, frozenset(ambient.arrows()),
                                    frozenset(ambient.units))
-    P = semidirect_product(H, G, act)
+    P, _ = semidirect_product(H, G, act)
     assert groupoid_isomorphic(P, ambient) is not None
 
 
@@ -179,27 +183,122 @@ GROUP_Z2 = group_as_groupoid(Z2_TABLE)
 IP_LOOP = ((0, 1, 2, 3, 4, 5, 6), (1, 2, 0, 5, 6, 4, 3), (2, 0, 1, 6, 5, 3, 4),
            (3, 6, 5, 4, 0, 1, 2), (4, 5, 6, 0, 3, 2, 1), (5, 3, 4, 2, 1, 6, 0),
            (6, 4, 3, 1, 2, 0, 5))
-LOOP_GROUPOID = FiniteGroupoid(7, (0,) * 7, (0,) * 7, (0, 2, 1, 4, 3, 6, 5),
-                               {(a, b): IP_LOOP[a][b] for a in range(7) for b in range(7)},
+LOOP_GROUPOID = FiniteGroupoid(7, np.zeros(7, dtype=np.intp), np.zeros(7, dtype=np.intp),
+                               np.array([0, 2, 1, 4, 3, 6, 5]), np.array(IP_LOOP),
                                (0,), tuple(f"l{a}" for a in range(7)), ())
 
 
+def edited_table(table, entries):
+    """A copy of a composition table with the given [g, h] entries replaced."""
+    out = table.copy()
+    for (g, h), gh in entries.items():
+        out[g, h] = gh
+    return out
+
+
 @pytest.mark.parametrize("G,fields,message", [
-    (GROUP_Z2, {"comp": {**GROUP_Z2.comp, (0, 0): 1}}, "unit 0 fails u = u.u = u^-1"),
-    (GROUP_Z2, {"inv": (1, 1)}, "unit 0 fails u = u.u = u^-1"),
-    (PAIR2, {"r": (3, 0, 3, 3)}, "unit 0 is not its own range/source"),
+    (GROUP_Z2, {"table": edited_table(GROUP_Z2.table, {(0, 0): 1})}, "unit 0 fails u = u.u = u^-1"),
+    (GROUP_Z2, {"inv": np.array([1, 1])}, "unit 0 fails u = u.u = u^-1"),
+    (PAIR2, {"r": np.array([3, 0, 3, 3])}, "unit 0 is not its own range/source"),
     (PAIR2, {"units": (0,)}, "range/source of arrow 1 is not a unit"),
-    (PAIR2, {"inv": (0, 1, 1, 3)}, "arrow 1: a.a^-1 is not r(a)"),
-    (PAIR2, {"comp": {**PAIR2.comp, (2, 1): 0}}, "arrow 1: a^-1.a is not d(a)"),
-    (PAIR2, {"comp": {**PAIR2.comp, (0, 3): 0}}, "composition defined on non-composable (0,3)"),
-    (PAIR2, {"comp": {**PAIR2.comp, (0, 1): 0}}, "composition (0,1) breaks range/source"),
-    (PAIR2, {"comp": {k: v for k, v in PAIR2.comp.items() if k != (0, 1)}},
-     "composability mismatch at (0,1)"),
-    (GROUP_Z2, {"comp": {**GROUP_Z2.comp, (0, 1): 0}}, "inverse laws fail at (0,1)"),
+    (PAIR2, {"inv": np.array([0, 1, 1, 3])}, "arrow 1: a.a^-1 is not r(a)"),
+    (PAIR2, {"table": edited_table(PAIR2.table, {(2, 1): 0})}, "arrow 1: a^-1.a is not d(a)"),
+    (PAIR2, {"table": edited_table(PAIR2.table, {(0, 3): 0})},
+     "composition defined on non-composable (0,3)"),
+    (PAIR2, {"table": edited_table(PAIR2.table, {(0, 1): 0})}, "composition (0,1) breaks range/source"),
+    (PAIR2, {"table": edited_table(PAIR2.table, {(0, 1): -1})}, "composability mismatch at (0,1)"),
+    (GROUP_Z2, {"table": edited_table(GROUP_Z2.table, {(0, 1): 0})}, "inverse laws fail at (0,1)"),
     (LOOP_GROUPOID, {}, "associativity fails at (1,1,3)"),
     (PAIR2, {"basis": PAIR2.basis + (("{x}", frozenset({4})),)}, "basis set out of range"),
 ])
 def test_validate_groupoid_names_the_broken_axiom(G, fields, message):
+    broken = dataclasses.replace(G, **fields)
     with pytest.raises(StructureError) as err:
-        validate_groupoid(dataclasses.replace(G, **fields))
+        validate_groupoid(broken)
     assert str(err.value) == message
+    if "basis" not in fields:
+        assert _reference_axioms(broken) == message
+
+
+def _reference_axioms(G) -> str | None:
+    """The groupoid axioms as loops over Python lists, in the documented
+    witness order of ``validate_groupoid``: the first failure's message, or
+    None when every axiom holds."""
+    n = G.n_arrows
+    r, d, inv, t = G.r.tolist(), G.d.tolist(), G.inv.tolist(), G.table.tolist()
+    units = set(G.units)
+    for u in G.units:
+        if t[u][u] != u or inv[u] != u:
+            return f"unit {u} fails u = u.u = u^-1"
+        if r[u] != u or d[u] != u:
+            return f"unit {u} is not its own range/source"
+    for a in range(n):
+        if r[a] not in units or d[a] not in units:
+            return f"range/source of arrow {a} is not a unit"
+        if t[a][inv[a]] != r[a]:
+            return f"arrow {a}: a.a^-1 is not r(a)"
+        if t[inv[a]][a] != d[a]:
+            return f"arrow {a}: a^-1.a is not d(a)"
+    for g in range(n):
+        for h in range(n):
+            gh = t[g][h]
+            if gh >= 0 and d[g] != r[h]:
+                return f"composition defined on non-composable ({g},{h})"
+            if gh >= 0 and (r[gh] != r[g] or d[gh] != d[h]):
+                return f"composition ({g},{h}) breaks range/source"
+    for g in range(n):
+        for h in range(n):
+            if d[g] == r[h] and t[g][h] < 0:
+                return f"composability mismatch at ({g},{h})"
+    for g in range(n):
+        for h in range(n):
+            gh = t[g][h]
+            if gh >= 0 and (t[inv[g]][gh] != h or t[gh][inv[h]] != g):
+                return f"inverse laws fail at ({g},{h})"
+    for g in range(n):
+        for h in range(n):
+            if t[g][h] >= 0:
+                for k in range(n):
+                    if t[h][k] >= 0 and t[t[g][h]][k] != t[g][t[h][k]]:
+                        return f"associativity fails at ({g},{h},{k})"
+    return None
+
+
+def _single_entry_corruptions(G, rng, per_field):
+    """Copies of G with one entry of its table, r, d or inv replaced by
+    another in-range value, per_field of each, drawn from rng."""
+    n = G.n_arrows
+    for field in ("table", "r", "d", "inv"):
+        low = -1 if field == "table" else 0
+        span = n - low              # the number of in-range values
+        for _ in range(per_field if span > 1 else 0):
+            values = getattr(G, field).copy()
+            at = tuple(rng.integers(n, size=values.ndim))
+            values[at] = low + (values[at] - low + rng.integers(1, span)) % span
+            yield dataclasses.replace(G, **{field: values})
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_validate_groupoid_matches_the_axiom_loops_on_corruptions(name):
+    S = builtin(name)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    for action in (universal_action(S), tight_action(S)):
+        G = germ_groupoid(action).groupoid
+        assert _reference_axioms(G) is None
+        validate_groupoid(G)
+        for broken in _single_entry_corruptions(G, rng, 8):
+            try:
+                validate_groupoid(broken)
+                message = None
+            except StructureError as exc:
+                message = str(exc)
+            assert message == _reference_axioms(broken)
+
+
+def test_make_groupoid_rejects_a_malformed_table():
+    with pytest.raises(StructureError, match="must cover 2 arrows"):
+        make_groupoid((0, 1), (0, 1), (0, 1), [[0, -1, -1], [-1, 1, -1]])
+    with pytest.raises(StructureError, match="composition table entry out of range"):
+        make_groupoid((0, 1), (0, 1), (0, 1), [[0, -1], [-1, 2]])
+    with pytest.raises(StructureError, match="composition table entry out of range"):
+        make_groupoid((0, 1), (0, 1), (0, 1), [[0, -2], [-1, 1]])

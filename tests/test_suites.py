@@ -26,9 +26,12 @@ from germlab.suites import (
     run_universal_suite,
 )
 
+from test_groupoids import edited_table
+
 GOLDEN = Path(__file__).parent / "golden" / "corpus_all.txt"
 LADDER_GOLDEN = Path(__file__).parent / "golden" / "structure_ladder.txt"
 NORMS_GOLDEN = Path(__file__).parent / "golden" / "algebra_norms.csv"
+UNIVERSAL_GOLDEN = Path(__file__).parent / "golden" / "universal_ladder.txt"
 LADDER_RUNS = (("symmetric:4", "tight"), ("symmetric:4", "extension"),
                ("symmetric:4", "algebra"), ("group:z70", "algebra"))
 
@@ -53,6 +56,18 @@ def test_structure_ladder_report_matches_golden():
     text = "".join(render_reports(run_suite(name, builtin(name), suite))
                    for name, suite in LADDER_RUNS)
     assert text == LADDER_GOLDEN.read_text(encoding="utf-8")
+
+
+def test_universal_ladder_report_matches_golden(capsys):
+    """``tests/golden/universal_ladder.txt`` is ``germlab verify
+    builtin:symmetric:4 --suite universal`` followed by the same for
+    ``builtin:group:z70``: the universal suite on groupoids of 208 and 70
+    arrows, past the corpus's sizes."""
+    text = ""
+    for name in ("symmetric:4", "group:z70"):
+        assert main(["verify", f"builtin:{name}", "--suite", "universal"]) == 0
+        text += capsys.readouterr().out
+    assert text == UNIVERSAL_GOLDEN.read_text(encoding="utf-8")
 
 
 def test_algebra_norms_match_golden(tmp_path, capsys):
@@ -124,7 +139,7 @@ def test_natural_order_certificate_reports_a_witness(shadow, witness):
 def test_fiber_certificate_reports_a_non_multiplicative_pair():
     sub = Subject(builtin("group:z3"))
     G = sub.beta.groupoid           # one unit; arrow i is the germ of r_i
-    broken = dataclasses.replace(G, comp={**G.comp, (1, 1): 1})
+    broken = dataclasses.replace(G, table=edited_table(G.table, {(1, 1): 1}))
     sub.beta = dataclasses.replace(sub.beta, groupoid=broken)
     check = next(c for c in run_universal_suite("shadowed", sub)
                  if c.name == "germ.fibers_are_h_classes")
@@ -278,7 +293,7 @@ Z3_BAD_SQUARE = {(1, 1): 1}
 def test_universal_germs_are_validated_by_the_axioms_check():
     S = builtin("group:z3")
     beta = Subject(S).beta
-    beta = _broken(beta, comp={**beta.groupoid.comp, **Z3_BAD_SQUARE})
+    beta = _broken(beta, table=edited_table(beta.groupoid.table, Z3_BAD_SQUARE))
     _fails(_check(run_universal_suite, S, "germ.groupoid_axioms", beta=beta),
            "error: inverse laws fail at (1,1)")
 
@@ -286,7 +301,7 @@ def test_universal_germs_are_validated_by_the_axioms_check():
 def test_tight_germs_are_validated_by_the_action_check():
     S = builtin("group:z3")
     theta = Subject(S).theta
-    theta = _broken(theta, comp={**theta.groupoid.comp, **Z3_BAD_SQUARE})
+    theta = _broken(theta, table=edited_table(theta.groupoid.table, Z3_BAD_SQUARE))
     _fails(_check(run_tight_suite, S, "tight.action_valid", theta=theta),
            "error: inverse laws fail at (1,1)")
 
@@ -294,7 +309,7 @@ def test_tight_germs_are_validated_by_the_action_check():
 def test_projection_check_validates_the_target_before_the_map():
     S = builtin("group:z2")
     proj = Subject(S).projection
-    target = _broken(proj.target, comp={})         # S/mu is trivial: one unit, no products
+    target = _broken(proj.target, table=np.full((1, 1), -1))  # S/mu is trivial: one unit, no products
     hom = dataclasses.replace(proj.hom, target=target.groupoid)
     proj = dataclasses.replace(proj, target=target, hom=hom)
     _fails(_check(run_extension_suite, S, "extension.projection_strongly_surjective",
