@@ -35,7 +35,7 @@ from .errors import (
     StructureError,
 )
 from .groupoids import FiniteGroupoid, extract_subgroupoid
-from .semigroups import InverseSemigroup, centralizer, validate_inverse_semigroup
+from .semigroups import InverseSemigroup, centralizer, distinct, validate_inverse_semigroup
 from .semilattices import (
     Semilattice,
     all_filters,
@@ -331,7 +331,7 @@ def germ_equivalence_is_equivalence(action: Action) -> bool:
             return False
         by_e = T[np.ix_(acting, around)] + n * np.arange(around.size)
         with_meet = by_e * n + T[acting, m][:, None]
-        if np.unique(with_meet).size != np.unique(by_e).size:
+        if distinct(with_meet).size != distinct(by_e).size:
             return False
     return True
 

@@ -3,19 +3,34 @@
 Covers the maximal idempotent-separating congruence (mu), the minimum group
 congruence (sigma), kernels, quotients and split transversals for the
 extension of the centralizer by the fundamental quotient.
+
+mu, quotients and congruence witnesses are gathers of the table: mu groups
+the rows of s e s* over the idempotents e, a quotient gathers the products
+of block representatives and compares them with the whole table projected.
+The sampler behind the mu-maximality check saturates seeded pairs to
+congruences, but stops an attempt as soon as two idempotents share a block:
+saturation only merges, so that attempt could never be kept.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NotACongruence, SearchBudgetExceeded, StructureError
-from .semigroups import InverseSemigroup, validate_inverse_semigroup
+from .semigroups import (
+    InverseSemigroup,
+    distinct,
+    first_index,
+    group_by_key,
+    validate_inverse_semigroup,
+)
 
 TRANSVERSAL_BUDGET = 10**6
+WITNESS_CHUNK = 1 << 16     # entries per chunk of congruence_witness's pair tables
 
 
 class UnionFind:
@@ -37,14 +52,16 @@ class UnionFind:
             self.parent[ra] = rb
 
     def roots(self) -> np.ndarray:
-        """The root of every element, as an index array."""
-        return np.array([self.find(x) for x in range(len(self.parent))], dtype=np.int64)
+        """The root of every element, as an index array (pointer jumping)."""
+        parent = np.array(self.parent, dtype=np.intp)
+        while True:
+            up = parent[parent]
+            if (up == parent).all():
+                return parent
+            parent = up
 
     def blocks(self) -> list[list[int]]:
-        groups: dict[int, list[int]] = {}
-        for x in range(len(self.parent)):
-            groups.setdefault(self.find(x), []).append(x)
-        return list(groups.values())
+        return group_by_key(self.roots().tolist())
 
 
 @dataclass(frozen=True)
@@ -82,6 +99,11 @@ class Relation:
     def related(self, a: int, b: int) -> bool:
         return self.block_of[a] == self.block_of[b]
 
+    @cached_property
+    def block_array(self) -> np.ndarray:
+        """``block_of`` as an index array."""
+        return np.array(self.block_of, dtype=np.intp)
+
     @property
     def size(self) -> int:
         return len(self.block_of)
@@ -105,20 +127,33 @@ def is_congruence(S: InverseSemigroup, R: Relation) -> bool:
 
 
 def congruence_witness(S: InverseSemigroup, R: Relation):
-    """A quadruple (a,b,c,d) with a~b, c~d but ac !~ bd, or None."""
-    for block in R.blocks:
-        a = block[0]
-        for b in block[1:]:
-            for cblock in R.blocks:
-                c = cblock[0]
-                for d in cblock[1:]:
-                    if not R.related(S.mul(a, c), S.mul(b, d)):
-                        return (a, b, c, d)
-            for c in S.elements():
-                if not R.related(S.mul(c, a), S.mul(c, b)):
-                    return (c, c, a, b)
-                if not R.related(S.mul(a, c), S.mul(b, c)):
-                    return (a, b, c, c)
+    """A quadruple (a,b,c,d) with a~b, c~d but ac !~ bd, or None.
+
+    Any two related elements are joined through their block root, so it is
+    enough to test the pairs (a, b) of a block root a and another member b
+    of its block, in block order.  Each pair is tested against every such
+    pair (c, d), giving (a, b, c, d), and then against each element c in
+    turn, giving (c, c, a, b) when ca !~ cb and else (a, b, c, c) when
+    ac !~ bc; the first failure in that order is returned.  The pairs run
+    in chunks of rows whose tables hold about ``WITNESS_CHUNK`` entries.
+    """
+    A = np.array([b[0] for b in R.blocks for _ in b[1:]], dtype=np.intp)
+    B = np.array([x for b in R.blocks for x in b[1:]], dtype=np.intp)
+    T, p, m = S.table, R.block_array, len(A)
+    c = np.arange(S.size)
+    step = max(1, WITNESS_CHUNK // (m + S.size))
+    for lo in range(0, m, step):
+        a, b = A[lo:lo + step, None], B[lo:lo + step, None]
+        left = p[T[c, a]] != p[T[c, b]]           # ca !~ cb at [pair, c]
+        split = np.concatenate((p[T[a, A]] != p[T[b, B]], left | (p[T[a, c]] != p[T[b, c]])),
+                               axis=1)
+        hit = first_index(split)
+        if hit is not None:
+            i, j = hit
+            a, b = int(A[lo + i]), int(B[lo + i])
+            if j < m:
+                return (a, b, int(A[j]), int(B[j]))
+            return (j - m, j - m, a, b) if left[i, j - m] else (a, b, j - m, j - m)
     return None
 
 
@@ -132,12 +167,11 @@ def mu_relation(S: InverseSemigroup) -> Relation:
     That it is an idempotent-separating congruence inside H is a theorem,
     checked by ``congruence.mu_inside_h``.
     """
-    idems = sorted(S.idempotent_set)
-    keys: dict[tuple[int, ...], list[int]] = {}
-    for s in S.elements():
-        k = tuple(S.mul(S.mul(s, e), S.inv[s]) for e in idems)
-        keys.setdefault(k, []).append(s)
-    return Relation.from_blocks(S.size, keys.values())
+    T = S.table
+    # s e s* at [s, e]; the rows are grouped as raw bytes, one key per row
+    conj = np.ascontiguousarray(T[T[:, S.idempotent_array], S.inv_array[:, None]])
+    rows = conj.view(np.dtype((np.void, conj.dtype.itemsize * conj.shape[1]))).ravel()
+    return Relation.from_blocks(S.size, group_by_key(rows.tolist()))
 
 
 def is_idempotent_separating(S: InverseSemigroup, R: Relation) -> bool:
@@ -153,21 +187,17 @@ def kernel_of(S: InverseSemigroup, R: Relation) -> frozenset[int]:
 
 
 def quotient(S: InverseSemigroup, R: Relation) -> QuotientMap:
-    proj = R.block_of
+    proj = R.block_array
     k = len(R.blocks)
     labels = tuple("{" + ",".join(S.label(x) for x in block) + "}" for block in R.blocks)
     if k == S.size:     # R is the identity: S/R is S, relabeled, on the same table
-        return QuotientMap(S, InverseSemigroup(S.table, S.inv, S.zero, labels), tuple(proj))
-    table = -np.ones((k, k), dtype=np.int64)
-    for a in S.elements():
-        for b in S.elements():
-            target = proj[S.mul(a, b)]
-            if table[proj[a], proj[b]] == -1:
-                table[proj[a], proj[b]] = target
-            elif table[proj[a], proj[b]] != target:
-                raise NotACongruence(congruence_witness(S, R))
+        return QuotientMap(S, InverseSemigroup(S.table, S.inv, S.zero, labels), R.block_of)
+    reps = np.array([b[0] for b in R.blocks], dtype=np.intp)
+    table = proj[S.table[np.ix_(reps, reps)]]
+    if not (table[proj[:, None], proj] == proj[S.table]).all():
+        raise NotACongruence(congruence_witness(S, R))
     T = validate_inverse_semigroup(table, labels, skip_associativity=True)
-    return QuotientMap(S, T, tuple(proj))
+    return QuotientMap(S, T, R.block_of)
 
 
 def munn_quotient(S: InverseSemigroup) -> QuotientMap:
@@ -215,15 +245,27 @@ def group_quotient(S: InverseSemigroup, sigma: Relation) -> QuotientMap:
 
 
 def generated_congruence(S: InverseSemigroup, pairs) -> Relation:
-    """Smallest congruence relating every given pair.
+    """Smallest congruence relating every given pair."""
+    return Relation.from_blocks(S.size, _saturate(S, pairs).blocks())
+
+
+def _saturate(S: InverseSemigroup, pairs, separate: np.ndarray | None = None
+              ) -> UnionFind | None:
+    """The blocks of the smallest congruence relating every given pair.
 
     An equivalence is a congruence exactly when each element x is compatible
     with its block root r: cx ~ cr and xc ~ rc for every c, since any two
-    elements of a block are joined through the root.  Each round forms all
-    2n^2 of those product pairs on the table at once, keeps the ones whose
-    roots still differ, and merges them; saturation ends in the first round
-    that keeps none.  A round costs O(n^2) array work plus one merge per
-    distinct pair of blocks, and every round but the last merges a block.
+    elements of a block are joined through the root.  Each round forms those
+    product pairs on the table at once for every x that is not a root (a
+    root is trivially compatible with itself), keeps the ones whose roots
+    still differ, and merges them; saturation ends in the first round that
+    keeps none.  A round costs O(n k) array work, k the number of non-root
+    elements, plus one merge per distinct pair of blocks, and every round but
+    the last merges a block.
+
+    With ``separate``, an index array, saturation stops and returns None at
+    the start of the first round in which two of its elements share a root:
+    rounds only merge, so they would share it in the congruence too.
     """
     n = S.size
     T = S.table
@@ -232,15 +274,19 @@ def generated_congruence(S: InverseSemigroup, pairs) -> Relation:
         sets.union(a, b)
     while True:
         root = sets.roots()
-        via_x = root[T]                   # cx at [c, x], xc at [x, c]
+        if separate is not None and len(set(root[separate].tolist())) < len(separate):
+            return None
+        x = np.flatnonzero(root != np.arange(n))
         merged = False
-        for via_root in (root[T[:, root]], root[T[root, :]]):   # c r(x); r(x) c
+        # (cx, c r(x)) at [c, i] and (xc, r(x) c) at [i, c] for x = x[i]
+        for via_x, via_root in ((root[T[:, x]], root[T[:, root[x]]]),
+                                (root[T[x]], root[T[root[x]]])):
             apart = via_root != via_x
-            for key in np.unique(via_root[apart] * n + via_x[apart]).tolist():
+            for key in distinct(via_root[apart] * n + via_x[apart]).tolist():
                 sets.union(*divmod(key, n))
                 merged = True
         if not merged:
-            return Relation.from_blocks(n, sets.blocks())
+            return sets
 
 
 def random_idempotent_separating_congruences(S: InverseSemigroup, *, seed: int,
@@ -248,16 +294,19 @@ def random_idempotent_separating_congruences(S: InverseSemigroup, *, seed: int,
     """Seeded sample of idempotent-separating congruences (for maximality checks).
 
     Random pair seeds are saturated to congruences; non-separating results are
-    discarded.  The congruence lattice is too large to enumerate.
+    discarded.  An attempt stops saturating as soon as two idempotents share
+    a block, since saturation only merges blocks, so the kept list is that of
+    saturating every attempt in full.  The congruence lattice is too large to
+    enumerate.
     """
     rng = random.Random(seed)
     found = []
     for _ in range(attempts):
         pairs = [(rng.randrange(S.size), rng.randrange(S.size))
                  for _ in range(rng.randint(1, 2))]
-        R = generated_congruence(S, pairs)
-        if is_idempotent_separating(S, R):
-            found.append(R)
+        sets = _saturate(S, pairs, separate=S.idempotent_array)
+        if sets is not None:
+            found.append(Relation.from_blocks(S.size, sets.blocks()))
     return found
 
 

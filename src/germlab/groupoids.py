@@ -28,9 +28,14 @@ from .errors import (
     SearchBudgetExceeded,
     StructureError,
 )
+from .semigroups import distinct, first_index
 from .semilattices import compose_after
 
 ISO_SEARCH_CAP = 64
+# validate_groupoid checks associativity on batches of composable pairs; a
+# batch holds (n + 1) times the largest fiber entries, or this many if more,
+# so that small groupoids take one batch and few numpy calls
+ASSOCIATIVITY_BATCH = 1 << 14
 
 Basis = tuple[tuple[str, frozenset[int]], ...]
 
@@ -113,13 +118,6 @@ def discrete_basis(n: int, labels) -> Basis:
     return tuple((f"{{{labels[a]}}}", frozenset({a})) for a in range(n))
 
 
-def _first(mask: np.ndarray) -> tuple[int, ...] | None:
-    """The row-major index of the first True entry of mask, or None."""
-    if not mask.any():
-        return None
-    return tuple(int(i) for i in np.unravel_index(np.argmax(mask), mask.shape))
-
-
 def _members(G: FiniteGroupoid, subset) -> np.ndarray:
     """The boolean indicator of an arrow set."""
     out = np.zeros(G.n_arrows, dtype=bool)
@@ -140,8 +138,9 @@ def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     reporting its first witness: the units in ``units`` order; range, source
     and inverse of each arrow in index order; the defined products, the
     composable pairs and the inverse laws over pairs (g, h) row-major;
-    associativity over triples (g, h, k) row-major, one row g at a time, so
-    no temporary is larger than n times the fiber at d(g).
+    associativity over triples (g, h, k) row-major, in batches of composable
+    pairs (g, h) that hold at most (n + 1) times the largest fiber r^-1(u)
+    entries, or ``ASSOCIATIVITY_BATCH`` when that is more.
     """
     n = G.n_arrows
     r, d, inv, table = G.r, G.d, G.inv, G.table
@@ -155,7 +154,7 @@ def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
         raise StructureError("range, source, inverse or unit out of range")
     not_idempotent = (table[units, units] != units) | (inv[units] != units)
     not_own = (r[units] != units) | (d[units] != units)
-    hit = _first(not_idempotent | not_own)
+    hit = first_index(not_idempotent | not_own)
     if hit is not None:
         (i,) = hit
         u = int(units[i])
@@ -166,7 +165,7 @@ def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     ends_off_units = ~(is_unit[r] & is_unit[d])
     bad_right = table[arrows, inv] != r
     bad_left = table[inv, arrows] != d
-    hit = _first(ends_off_units | bad_right | bad_left)
+    hit = first_index(ends_off_units | bad_right | bad_left)
     if hit is not None:
         (a,) = hit
         raise StructureError(f"range/source of arrow {a} is not a unit" if ends_off_units[a]
@@ -176,30 +175,34 @@ def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     composable = d[:, None] == r
     stray = defined & ~composable
     moved = defined & ((r[table] != r[:, None]) | (d[table] != d))
-    hit = _first(stray | moved)
+    hit = first_index(stray | moved)
     if hit is not None:
         g, h = hit
         raise StructureError(f"composition defined on non-composable ({g},{h})" if stray[g, h]
                              else f"composition ({g},{h}) breaks range/source")
-    hit = _first(composable & ~defined)
+    hit = first_index(composable & ~defined)
     if hit is not None:
         raise StructureError("composability mismatch at ({},{})".format(*hit))
     left, right = np.nonzero(defined)
     product = table[left, right]
-    hit = _first((table[inv[left], product] != right) | (table[product, inv[right]] != left))
+    hit = first_index((table[inv[left], product] != right) | (table[product, inv[right]] != left))
     if hit is not None:
         (i,) = hit
         raise StructureError(f"inverse laws fail at ({left[i]},{right[i]})")
     # with a -1 row and column appended, (gh)k = -1 = g(hk) wherever d(h) != r(k)
     padded = np.full((n + 1, n + 1), -1, dtype=np.intp)
     padded[:n, :n] = table
-    after = {u: np.flatnonzero(r == u) for u in G.units}     # the h composable after d(g) = u
-    for g, u in enumerate(d.tolist()):
-        hs = after[u]
-        hit = _first(padded[padded[g, hs]] != padded[g, padded[hs]])
+    # g(hk) as a 1-D gather of the flat table, row g at offset g (n + 1): on
+    # 1545 arrows it takes 2/3 of the time of 2-D indexing padded[g, hk]
+    flat = padded.ravel()
+    fiber = int(np.bincount(r, minlength=n).max())
+    step = max(fiber, ASSOCIATIVITY_BATCH // (n + 1))
+    for lo in range(0, len(left), step):
+        g, h = left[lo:lo + step], right[lo:lo + step]
+        hit = first_index(padded[product[lo:lo + step]] != flat[(g * (n + 1))[:, None] + padded[h]])
         if hit is not None:
             i, k = hit
-            raise StructureError(f"associativity fails at ({g},{hs[i]},{k})")
+            raise StructureError(f"associativity fails at ({g[i]},{h[i]},{k})")
     for _, members in G.basis:
         if any(a < 0 or a >= n for a in members):
             raise StructureError("basis set out of range")
@@ -444,12 +447,12 @@ def validate_hom(hom: GroupoidHom) -> GroupoidHom:
     m = np.asarray(hom.map, dtype=np.intp)
     if len(m) != S.n_arrows:
         raise StructureError("hom map has wrong length")
-    hit = _first(~_members(T, T.units)[m[list(S.units)]])
+    hit = first_index(~_members(T, T.units)[m[list(S.units)]])
     if hit is not None:
         raise StructureError(f"unit {S.units[hit[0]]} does not map to a unit")
     g, h, gh = m[S.comp.T]
     apart = T.d[g] != T.r[h]
-    hit = _first(apart | (T.table[g, h] != gh))
+    hit = first_index(apart | (T.table[g, h] != gh))
     if hit is not None:
         (i,) = hit
         pair = f"({S.comp[i, 0]},{S.comp[i, 1]})"
@@ -462,7 +465,7 @@ def is_strongly_surjective(hom: GroupoidHom) -> bool:
     """Each source fiber maps onto the whole target fiber at the image unit."""
     S, T = hom.source, hom.target
     m = np.asarray(hom.map, dtype=np.intp)
-    return all(np.array_equal(np.unique(m[S.d == u]), np.flatnonzero(T.d == m[u]))
+    return all(np.array_equal(distinct(m[S.d == u]), np.flatnonzero(T.d == m[u]))
                for u in S.units)
 
 

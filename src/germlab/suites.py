@@ -10,6 +10,9 @@ belongs to exactly one suite:
 
 Failures always carry a concrete witness.  All randomness is seeded from the
 subject name, so two runs of the same suite produce byte-identical reports.
+The order and congruence checks compare tables; the natural order's
+transitivity is one float32 BLAS matrix product, exact because its entries
+count paths and stay below 2^24 (16.7 million elements).
 
 ``run_suite`` makes one ``extensions.Subject`` per call and hands it to every
 suite it runs, so E, the filters, Z, mu, sigma, the actions, their germs and
@@ -62,6 +65,7 @@ from .groupoids import (
 )
 from .semigroups import (
     InverseSemigroup,
+    first_index,
     h_class_of,
     idempotents,
     is_clifford,
@@ -161,8 +165,10 @@ def run_universal_suite(name: str, sub: Subject) -> list[CheckResult]:
 
         Reflexive: the diagonal is all True.  Antisymmetric: L & L^T is empty
         off the diagonal.  Transitive: no pair is reachable in two steps
-        (an int32 product L @ L) without being in L.  O(n^2) memory and one
-        n x n matrix product, against an O(n^3) loop over triples.
+        (a product L @ L) without being in L.  O(n^2) memory and one n x n
+        matrix product, against an O(n^3) loop over triples.  The product is
+        a float32 BLAS matmul: its entries count paths, whole numbers at most
+        n, and every partial sum is exact while n < 2^24.
         """
         L = S.leq
         unreflexive = np.flatnonzero(~L.diagonal())
@@ -173,7 +179,7 @@ def run_universal_suite(name: str, sub: Subject) -> list[CheckResult]:
         if both.any():
             a, b = np.argwhere(both)[0]
             return False, f"not antisymmetric at ({a},{b})"
-        steps = L.astype(np.int32)
+        steps = L.astype(np.float32)
         gaps = (steps @ steps > 0) & ~L
         if gaps.any():
             a, c = np.argwhere(gaps)[0]
@@ -185,26 +191,40 @@ def run_universal_suite(name: str, sub: Subject) -> list[CheckResult]:
            natural_order)
 
     def idem_closed():
-        idems = sorted(idempotents(S))
-        for e in idems:
-            for f in idems:
-                if S.mul(e, f) not in idempotents(S):
-                    return False, f"product {e},{f} leaves the idempotents"
-                if S.mul(e, f) != S.mul(f, e):
-                    return False, f"idempotents {e},{f} do not commute"
-        return True, f"{len(idems)} idempotents form a commutative subsemigroup"
+        """The products ef of idempotents, row-major over (e, f): each is an
+        idempotent and equals fe."""
+        E = S.idempotent_array
+        ef = S.table[np.ix_(E, E)]
+        is_idempotent = np.zeros(S.size, dtype=bool)
+        is_idempotent[E] = True
+        leaves = ~is_idempotent[ef]
+        hit = first_index(leaves | (ef != ef.T))
+        if hit is not None:
+            e, f = E[list(hit)].tolist()
+            return False, (f"product {e},{f} leaves the idempotents" if leaves[hit]
+                           else f"idempotents {e},{f} do not commute")
+        return True, f"{len(E)} idempotents form a commutative subsemigroup"
 
     _check(out, "semigroup.idempotents_closed",
            "idempotents form a commutative subsemigroup", idem_closed)
 
     def h_groups():
-        for e in sorted(idempotents(S)):
-            block = h_class_of(S, e)
-            for a in block:
-                if S.mul(e, a) != a or S.mul(a, e) != a:
-                    return False, f"{e} is not an identity on its class"
-                if S.mul(a, S.inv[a]) != e or any(S.mul(a, b) not in block for b in block):
-                    return False, f"class of {e} is not a group (witness {a})"
+        """Over the pairs (e, a), a in the class of e, in order: e is a
+        two-sided identity on a, aa* = e, and a times the class stays in it."""
+        T, blocks = S.table, S.h_partition
+        h = np.empty(S.size, dtype=np.intp)          # the class of each element
+        h[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)),
+                                              [len(b) for b in blocks])
+        E = S.idempotent_array
+        a = np.concatenate([blocks[i] for i in h[E].tolist()])
+        e = np.repeat(E, [len(blocks[i]) for i in h[E].tolist()])
+        not_identity = (T[e, a] != a) | (T[a, e] != a)
+        escapes = (h[e][:, None] == h) & (h[T[a]] != h[e][:, None])
+        hit = first_index(not_identity | (T[a, S.inv_array[a]] != e) | escapes.any(axis=1))
+        if hit is not None:
+            (i,) = hit
+            return False, (f"{e[i]} is not an identity on its class" if not_identity[i]
+                           else f"class of {e[i]} is not a group (witness {a[i]})")
         return True, "every idempotent's class is a group"
 
     _check(out, "semigroup.h_class_groups",
@@ -260,8 +280,11 @@ def run_universal_suite(name: str, sub: Subject) -> list[CheckResult]:
         """The blocks of mu meeting the idempotents hold exactly the products
         s t* over related pairs, and they make up the centralizer."""
         kernel = kernel_of(S, sub.mu)
-        via_pairs = frozenset(S.mul(s, S.inv[t]) for block in sub.mu.blocks
-                              for s in block for t in block)
+        p = sub.mu.block_array
+        s, t = np.nonzero(p[:, None] == p)
+        products = np.zeros(S.size, dtype=bool)
+        products[S.table[s, S.inv_array[t]]] = True
+        via_pairs = frozenset(np.flatnonzero(products).tolist())
         if via_pairs != kernel:
             return False, f"kernel cross-check fails at {min(via_pairs ^ kernel)}"
         return kernel == sub.Z, f"{len(sub.Z)} elements"

@@ -4,6 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
+from germlab import groupoids
 from germlab.actions import centralizer_germs, germ_groupoid, tight_action, universal_action
 from germlab.builtins import CORPUS_NAMES, builtin
 from germlab.errors import SearchBudgetExceeded, StructureError
@@ -262,6 +263,25 @@ def _reference_axioms(G) -> str | None:
                     if t[h][k] >= 0 and t[t[g][h]][k] != t[g][t[h][k]]:
                         return f"associativity fails at ({g},{h},{k})"
     return None
+
+
+def test_associativity_batches_keep_the_row_major_witness(monkeypatch):
+    """PAIR2 beside a copy of the loop (arrows 4..10 on unit 4), checked in
+    batches of one largest fiber's worth of pairs, 7: the loop's failure
+    comes in a later batch than the first and keeps its row-major witness."""
+    monkeypatch.setattr(groupoids, "ASSOCIATIVITY_BATCH", 0)
+    n = 4 + 7
+    table = np.full((n, n), -1, dtype=np.intp)
+    table[:4, :4] = PAIR2.table
+    table[4:, 4:] = LOOP_GROUPOID.table + 4
+    loop = np.full(7, 4)
+    G = FiniteGroupoid(n, np.concatenate((PAIR2.r, loop)), np.concatenate((PAIR2.d, loop)),
+                       np.concatenate((PAIR2.inv, LOOP_GROUPOID.inv + 4)), table, (0, 3, 4),
+                       tuple(f"a{a}" for a in range(n)), ())
+    assert _reference_axioms(G) == "associativity fails at (5,5,7)"
+    with pytest.raises(StructureError) as err:
+        validate_groupoid(G)
+    assert str(err.value) == "associativity fails at (5,5,7)"
 
 
 def _single_entry_corruptions(G, rng, per_field):

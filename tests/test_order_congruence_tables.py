@@ -1,0 +1,274 @@
+"""The order and congruence layer on the table against the loops it replaced.
+
+Each ``reference_*`` function is the pure-Python form over ``S.mul`` that
+the array code in ``semigroups.py`` and ``congruences.py`` replaced, kept
+here as the oracle.  The subjects are the corpus plus the ladder's larger
+ones: ``symmetric:4``, ``group:z70``, ``symmetric:3 x group:z2`` and a
+210-element graph inverse semigroup.
+"""
+
+import random
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from germlab import congruences
+from germlab.actions import DirectedGraph, graph_inverse_semigroup
+from germlab.builtins import CORPUS_NAMES, builtin
+from germlab.congruences import (
+    Relation,
+    congruence_witness,
+    generated_congruence,
+    h_relation,
+    is_idempotent_separating,
+    mu_relation,
+    quotient,
+    random_idempotent_separating_congruences,
+    sigma_relation,
+)
+from germlab.errors import NotACongruence
+from germlab.semigroups import (
+    centralizer,
+    direct_product,
+    is_clifford,
+    normality_defect,
+)
+
+# A 7-vertex acyclic graph whose inverse semigroup has 210 elements and 28
+# idempotents, the size of the universal-ladder benchmark's graph subjects.
+GRAPH7 = DirectedGraph(7, ((4, 0), (4, 3), (4, 6), (0, 3), (0, 6), (0, 5), (0, 2),
+                          (3, 6), (3, 2), (1, 6)))
+PRODUCT = "symmetric:3 x group:z2"
+LADDER = ("symmetric:4", "group:z70", PRODUCT, "graph7")
+SUBJECTS = CORPUS_NAMES + LADDER
+
+
+@lru_cache(maxsize=None)
+def subject(name: str):
+    if name == "graph7":
+        return graph_inverse_semigroup(GRAPH7)
+    if name == PRODUCT:
+        return direct_product(builtin("symmetric:3"), builtin("group:z2"))
+    return builtin(name)
+
+
+def reference_leq(S):
+    n = S.size
+    m = np.zeros((n, n), dtype=bool)
+    idems = sorted(S.idempotent_set)
+    for t in range(n):
+        for e in idems:
+            m[S.mul(t, e), t] = True
+    return m
+
+
+def reference_h_partition(S):
+    keys = {}
+    for s in S.elements():
+        k = (S.mul(S.inv[s], s), S.mul(s, S.inv[s]))
+        keys.setdefault(k, []).append(s)
+    return tuple(sorted(tuple(b) for b in keys.values()))
+
+
+def reference_is_clifford(S):
+    return all(S.mul(S.inv[s], s) == S.mul(s, S.inv[s]) for s in S.elements())
+
+
+def reference_centralizer(S):
+    idems = sorted(S.idempotent_set)
+    return frozenset(s for s in S.elements()
+                     if all(S.mul(s, e) == S.mul(e, s) for e in idems))
+
+
+def reference_normality_defect(S, subset):
+    if not S.idempotent_set <= subset:
+        return f"idempotent {min(S.idempotent_set - subset)} is missing"
+    members = sorted(subset)
+    for a in members:
+        if S.inv[a] not in subset:
+            return f"not closed under inverses at {a}"
+    for a in members:
+        for b in members:
+            if S.mul(a, b) not in subset:
+                return f"not closed under products at ({a},{b})"
+    for s in S.elements():
+        for z in members:
+            if S.mul(S.mul(S.inv[s], z), s) not in subset:
+                return f"conjugation by {s} moves {z} outside"
+    return None
+
+
+def reference_mu_relation(S):
+    idems = sorted(S.idempotent_set)
+    keys = {}
+    for s in S.elements():
+        k = tuple(S.mul(S.mul(s, e), S.inv[s]) for e in idems)
+        keys.setdefault(k, []).append(s)
+    return Relation.from_blocks(S.size, keys.values())
+
+
+def reference_congruence_witness(S, R):
+    for block in R.blocks:
+        a = block[0]
+        for b in block[1:]:
+            for cblock in R.blocks:
+                c = cblock[0]
+                for d in cblock[1:]:
+                    if not R.related(S.mul(a, c), S.mul(b, d)):
+                        return (a, b, c, d)
+            for c in S.elements():
+                if not R.related(S.mul(c, a), S.mul(c, b)):
+                    return (c, c, a, b)
+                if not R.related(S.mul(a, c), S.mul(b, c)):
+                    return (a, b, c, c)
+    return None
+
+
+def reference_quotient_table(S, R):
+    """The quotient's table by the loop, or NotACongruence as the loop raised it."""
+    proj, k = R.block_of, len(R.blocks)
+    table = -np.ones((k, k), dtype=np.int64)
+    for a in S.elements():
+        for b in S.elements():
+            target = proj[S.mul(a, b)]
+            if table[proj[a], proj[b]] == -1:
+                table[proj[a], proj[b]] = target
+            elif table[proj[a], proj[b]] != target:
+                raise NotACongruence(reference_congruence_witness(S, R))
+    return table
+
+
+def reference_sampler(S, seed, attempts=20):
+    """Every attempt saturated in full, then filtered."""
+    rng = random.Random(seed)
+    found = []
+    for _ in range(attempts):
+        pairs = [(rng.randrange(S.size), rng.randrange(S.size))
+                 for _ in range(rng.randint(1, 2))]
+        R = generated_congruence(S, pairs)
+        if is_idempotent_separating(S, R):
+            found.append(R)
+    return found
+
+
+def split_last_block(C, rng):
+    """C with its last block of three or more elements cut in two, or None.
+    Its pairs before that block are those of C, so its first witness, if
+    any, often comes late."""
+    blocks = [list(b) for b in C.blocks]
+    big = [i for i, b in enumerate(blocks) if len(b) > 2]
+    if not big:
+        return None
+    b = blocks[big[-1]]
+    cut = rng.randint(1, len(b) - 1)
+    blocks[big[-1]:big[-1] + 1] = [b[:cut], b[cut:]]
+    return Relation.from_blocks(C.size, blocks)
+
+
+def relations(S, seed):
+    """The relations the suites use, then seeded random ones: partitions into
+    random blocks, the identity with a few pairs merged, a congruence
+    generated by a random pair, and congruences with a block split."""
+    rng = random.Random(seed)
+    n = S.size
+    known = [mu_relation(S), sigma_relation(S),
+                   generated_congruence(S, [(rng.randrange(n), rng.randrange(n))])]
+    out = [Relation.identity(n), Relation.universal(n), h_relation(S), *known]
+    out += [R for R in (split_last_block(C, rng) for C in known) if R is not None]
+    for _ in range(6):
+        k = rng.randint(1, n)
+        labels = [rng.randrange(k) for _ in range(n)]
+        out.append(Relation.from_blocks(n, [[x for x in range(n) if labels[x] == b]
+                                            for b in range(k)]))
+    for merges in (1, 2, 4) if n > 1 else ():
+        blocks = [[x] for x in range(n)]
+        for _ in range(merges):
+            a, b = rng.sample(range(n), 2)
+            blocks[a], blocks[b] = blocks[a] + blocks[b], []
+        out.append(Relation.from_blocks(n, blocks))
+    return out
+
+
+def subsets(S, seed):
+    """Centralizer-like and random subsets that reach every branch of
+    normality_defect: missing idempotents, inverses, products, conjugation."""
+    rng = random.Random(seed)
+    n, E = S.size, S.idempotent_set
+    out = [frozenset(range(n)), centralizer(S), E]
+    for _ in range(12):
+        extra = rng.sample(range(n), rng.randint(0, min(n, 6)))
+        picked = E | frozenset(extra)
+        if rng.random() < 0.5:
+            picked |= frozenset(S.inv[x] for x in extra)
+        out.append(picked)
+        out.append(frozenset(rng.sample(range(n), rng.randint(1, n))))
+    return out
+
+
+@pytest.mark.parametrize("name", SUBJECTS)
+def test_order_h_and_centralizer_equal_the_loops(name):
+    S = subject(name)
+    assert np.array_equal(S.leq, reference_leq(S))
+    assert S.h_partition == reference_h_partition(S)
+    assert centralizer(S) == reference_centralizer(S)
+    assert is_clifford(S) == reference_is_clifford(S)
+    assert mu_relation(S) == reference_mu_relation(S)
+
+
+@pytest.mark.parametrize("name", SUBJECTS)
+def test_congruence_witness_and_quotient_equal_the_loops(name):
+    S = subject(name)
+    for R in relations(S, seed=len(name)):
+        quad = reference_congruence_witness(S, R)
+        assert congruence_witness(S, R) == quad
+        if quad is not None:
+            with pytest.raises(NotACongruence) as raised:
+                quotient(S, R)
+            assert raised.value.witness == quad
+            assert str(raised.value) == str(NotACongruence(quad))
+            continue
+        q = quotient(S, R)
+        assert q.projection == R.block_of
+        assert np.array_equal(q.target.table, reference_quotient_table(S, R))
+
+
+@pytest.mark.parametrize("name", SUBJECTS)
+def test_congruence_witness_in_one_row_chunks_equals_the_loop(monkeypatch, name):
+    """Every pair (a, b) in a chunk of its own: the first witness may sit in
+    any chunk."""
+    monkeypatch.setattr(congruences, "WITNESS_CHUNK", 1)
+    S = subject(name)
+    for R in relations(S, seed=len(name)):
+        assert congruence_witness(S, R) == reference_congruence_witness(S, R)
+
+
+@pytest.mark.parametrize("name", SUBJECTS)
+def test_normality_defect_equals_the_loops(name):
+    S = subject(name)
+    for subset in subsets(S, seed=len(name)):
+        assert normality_defect(S, subset) == reference_normality_defect(S, subset)
+
+
+@pytest.mark.parametrize("name", SUBJECTS)
+def test_sampler_keeps_the_relations_of_full_saturation(name):
+    S = subject(name)
+    for seed in (0, 1, 0x5EED):
+        kept = random_idempotent_separating_congruences(S, seed=seed)
+        assert kept == reference_sampler(S, seed)
+
+
+def test_some_sampled_relations_are_kept_and_some_are_not():
+    """The sampler comparison above is not vacuous: on these subjects and
+    seeds it keeps some attempts and stops others early."""
+    kept = [len(random_idempotent_separating_congruences(subject(name), seed=seed))
+            for name in ("b2", "group:z70", "symmetric:3") for seed in (0, 1)]
+    assert 0 < sum(kept) < 20 * len(kept)
+
+
+def test_float32_and_int32_order_products_agree():
+    """The natural-order certificate's float32 BLAS product counts paths
+    exactly: it equals the int32 product on symmetric:4 (209 elements)."""
+    L = subject("symmetric:4").leq
+    f, i = L.astype(np.float32), L.astype(np.int32)
+    assert np.array_equal((f @ f).astype(np.int64), (i @ i).astype(np.int64))

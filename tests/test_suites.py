@@ -18,6 +18,7 @@ from germlab.cli import main
 from germlab.congruences import Relation, h_relation
 from germlab.extensions import MunnProjection, Subject, transversal_arrows
 from germlab.groupoids import GroupoidHom, conjugation_action, validate_groupoid
+from germlab.semigroups import InverseSemigroup
 from germlab.suites import (
     render_reports,
     run_extension_suite,
@@ -27,11 +28,13 @@ from germlab.suites import (
 )
 
 from test_groupoids import edited_table
+from test_order_congruence_tables import PRODUCT, subject
 
 GOLDEN = Path(__file__).parent / "golden" / "corpus_all.txt"
 LADDER_GOLDEN = Path(__file__).parent / "golden" / "structure_ladder.txt"
 NORMS_GOLDEN = Path(__file__).parent / "golden" / "algebra_norms.csv"
 UNIVERSAL_GOLDEN = Path(__file__).parent / "golden" / "universal_ladder.txt"
+CONGRUENCE_GOLDEN = Path(__file__).parent / "golden" / "congruence_ladder.txt"
 LADDER_RUNS = (("symmetric:4", "tight"), ("symmetric:4", "extension"),
                ("symmetric:4", "algebra"), ("group:z70", "algebra"))
 
@@ -68,6 +71,16 @@ def test_universal_ladder_report_matches_golden(capsys):
         assert main(["verify", f"builtin:{name}", "--suite", "universal"]) == 0
         text += capsys.readouterr().out
     assert text == UNIVERSAL_GOLDEN.read_text(encoding="utf-8")
+
+
+def test_congruence_ladder_report_matches_golden():
+    """``tests/golden/congruence_ladder.txt`` is the rendered universal suite
+    of ``symmetric:3 x group:z2`` (68 elements, 34 mu-classes) and then of
+    ``graph7``, a graph inverse semigroup with 210 elements and 28
+    idempotents: the order and congruence checks past the corpus's sizes."""
+    text = "".join(render_reports(run_suite(name, subject(name), "universal"))
+                   for name in (PRODUCT, "graph7"))
+    assert text == CONGRUENCE_GOLDEN.read_text(encoding="utf-8")
 
 
 def test_algebra_norms_match_golden(tmp_path, capsys):
@@ -220,6 +233,45 @@ def test_mu_check_reports_a_congruence_witness():
     T = builtin("diamond_munn")     # its H relation separates idempotents but is no congruence
     _fails(_check(run_universal_suite, T, "congruence.mu_inside_h", mu=h_relation(T)),
            "not a congruence at (1, 1, 2, 4)")
+
+
+def _shadowed(name, **fields):
+    """A builtin semigroup with cached properties shadowed on this instance."""
+    S = builtin(name)
+    for field, value in fields.items():
+        setattr(S, field, value)
+    return S
+
+
+@pytest.mark.parametrize("S,witness", [
+    # z3 with {0, 1} declared idempotent: r1 r1 = r2 is not
+    (_shadowed("group:z3", idempotent_set=frozenset({0, 1})),
+     "product 1,1 leaves the idempotents"),
+    # the left-zero band on two elements, unvalidated: 0.1 = 0 but 1.0 = 1
+    (InverseSemigroup(np.array([[0, 0], [1, 1]]), (0, 1), None, ("x", "y")),
+     "idempotents 0,1 do not commute"),
+])
+def test_idempotent_check_reports_the_first_pair(S, witness):
+    # the shadowed idempotents form no semilattice, so the other checks get
+    # the one-point semilattice of z3 itself
+    E = Subject(builtin("group:z3")).E
+    _fails(_check(run_universal_suite, S, "semigroup.idempotents_closed", E=E), witness)
+
+
+@pytest.mark.parametrize("S,witness", [
+    # z4 split into {0, 1} and {2, 3}: r1 r1 = r2 leaves the class of 0
+    (_shadowed("group:z4", h_partition=((0, 1), (2, 3))), "class of 0 is not a group (witness 1)"),
+    # b2 with a*a and a* in one class: a* times a*a is 0, not a*
+    (_shadowed("b2", h_partition=((0,), (1, 4), (2,), (3,))), "1 is not an identity on its class"),
+])
+def test_h_class_check_reports_the_first_element(S, witness):
+    _fails(_check(run_universal_suite, S, "semigroup.h_class_groups"), witness)
+
+
+def test_kernel_check_compares_the_kernel_with_the_centralizer():
+    # mu of z3 is universal, so its kernel is all of z3, not the shadowed {0}
+    _fails(_check(run_universal_suite, builtin("group:z3"), "congruence.kernel_mu_is_centralizer",
+                  Z=frozenset({0})), "1 elements")
 
 
 def test_kernel_check_cross_checks_the_blocks_with_the_pairs():
