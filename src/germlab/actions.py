@@ -35,7 +35,15 @@ from .errors import (
     StructureError,
 )
 from .groupoids import FiniteGroupoid, extract_subgroupoid
-from .semigroups import InverseSemigroup, centralizer, distinct, validate_inverse_semigroup
+from .semigroups import (
+    InverseSemigroup,
+    centralizer,
+    distinct,
+    first_index,
+    group_by_key,
+    membership,
+    validate_inverse_semigroup,
+)
 from .semilattices import (
     Semilattice,
     all_filters,
@@ -45,6 +53,10 @@ from .semilattices import (
     spectrum_basis,
     tight_spectrum,
 )
+
+# validate_action certifies the homomorphism law on stacks of generators
+# whose compositions hold at most this many entries (or one generator)
+ACTION_CHUNK = 1 << 16
 
 
 @dataclass
@@ -69,6 +81,14 @@ def validate_action(S: InverseSemigroup, space_size: int, maps,
                     point_labels=None, space_basis=None) -> Action:
     """Check the homomorphism, domain, and covering conditions exhaustively.
 
+    The homomorphism law phi_s after phi_t = phi_{st} is certified for the
+    elements s of the semigroup's generating set and every t, a stack of
+    generators per gather.  That suffices: when it holds for a and for b,
+    phi_{ab} = phi_a phi_b (take t = b) and then phi_{ab} phi_t = phi_a
+    phi_{bt} = phi_{a(bt)} = phi_{(ab)t}, so the elements satisfying it are
+    closed under products, and S is associative.  Only when the certificate
+    fails does the row-by-row scan run, to name the first failing pair.
+
     Each condition reports the first failing element in element order, and
     the homomorphism condition the first failing pair (s, t) in row-major
     order.
@@ -91,10 +111,14 @@ def validate_action(S: InverseSemigroup, space_size: int, maps,
     wrong = (domain != domain[idem_of]).any(axis=1)
     if wrong.any():
         raise DomainMismatch(int(np.argmax(wrong)))
-    for s in S.elements():
-        bad = (compose_after(maps[s], maps) != maps[S.table[s]]).any(axis=1)
-        if bad.any():
-            raise NotHomomorphism(s, int(np.argmax(bad)))
+    gens = S.generators
+    step = max(1, ACTION_CHUNK // maps.size)
+    if not all(np.array_equal(compose_after(maps[a], maps), maps[S.table[a]])
+               for a in (gens[lo:lo + step] for lo in range(0, gens.size, step))):
+        for s in S.elements():
+            bad = (compose_after(maps[s], maps) != maps[S.table[s]]).any(axis=1)
+            if bad.any():
+                raise NotHomomorphism(s, int(np.argmax(bad)))
     if not domain[sorted(S.idempotent_set)].any(axis=0).all():
         raise NotCovering()
     if point_labels is None:
@@ -170,11 +194,15 @@ def action_kernel(action: Action) -> frozenset[int]:
     checked by ``tight.base_dichotomy_universal`` and ``_tight``.
     """
     S = action.semigroup
-    by_map: dict[tuple, list[int]] = {}
-    for s, row in enumerate(action.maps.tolist()):
-        by_map.setdefault(tuple(row), []).append(s)
-    return frozenset(S.mul(s, S.inv[t]) for block in by_map.values()
-                     for s in block for t in block)
+    maps = np.ascontiguousarray(action.maps)
+    rows = maps.view(np.dtype((np.void, maps.itemsize * maps.shape[1]))).ravel()
+    blocks = group_by_key(rows.tolist())
+    block = np.empty(S.size, dtype=np.intp)
+    block[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+    s, t = np.nonzero(block[:, None] == block)
+    products = np.zeros(S.size, dtype=bool)
+    products[S.table[s, S.inv_array[t]]] = True
+    return frozenset(np.flatnonzero(products).tolist())
 
 
 def domains_form_base(action: Action) -> bool:
@@ -217,14 +245,46 @@ class GermGroupoid:
         raise StructureError(f"no point is generated by idempotent {e}")
 
 
-def _min_idempotent_at(S: InverseSemigroup, rows: list[list[int]], x: int) -> int:
-    m = None
-    for e in sorted(S.idempotent_set):
-        if rows[e][x] >= 0:
-            m = e if m is None else S.mul(m, e)
-    if m is None:
+def _least_acting_idempotents(action: Action) -> np.ndarray:
+    """Per point x, m_x: the least idempotent acting at x.
+
+    In a valid action the domain of ef is that of e meet that of f, so the
+    idempotents acting at x are closed under products, and their product is
+    the one of them below all the others in the natural order.
+    """
+    S = action.semigroup
+    E = S.idempotent_array
+    acting = action.maps[E] >= 0                                   # [e, x]
+    if not acting.any(axis=0).all():
         raise NotCovering()
-    return m
+    below = S.leq[E][:, E]                                         # [e, f]: e <= f
+    least = acting & (acting <= below[:, :, None]).all(axis=1)      # below all acting f
+    return E[least.argmax(axis=0)]
+
+
+def _theta_catalog(S: InverseSemigroup, germ_at: np.ndarray, unit_catalog
+                   ) -> list[tuple[str, frozenset[int]]]:
+    """The distinct nonempty sets Theta(s, U) = {[s, x] : x in U}, first
+    occurrences over elements s, then the unit catalog's sets U, in order.
+
+    The germs of s at different points differ (so do their sources), so
+    Theta(s, U) is determined by its row over the points: [s, x] inside U,
+    -1 elsewhere.  One product counts the points of every cut U and dom s,
+    and only the nonempty cuts' rows are formed and grouped.
+    """
+    inside = membership([members for _, members in unit_catalog], germ_at.shape[1])
+    cuts = (germ_at >= 0).astype(np.float32) @ inside.T.astype(np.float32)
+    s, j = np.nonzero(cuts > 0)
+    rows = np.where(inside[j], germ_at[s], -1)
+    s, j = s.tolist(), j.tolist()
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+    # a dict built back to front keeps the first index of each key
+    first = sorted(dict(zip(reversed(keys), range(len(keys) - 1, -1, -1))).values())
+    kept = rows[first]
+    members = kept[kept >= 0].tolist()
+    ends = np.cumsum((kept >= 0).sum(axis=1)).tolist()
+    return [(f"Theta({S.labels[s[i]]},{unit_catalog[j[i]][0]})", frozenset(members[a:b]))
+            for i, a, b in zip(first, [0] + ends, ends)]
 
 
 def germ_groupoid(action: Action) -> GermGroupoid:
@@ -234,18 +294,19 @@ def germ_groupoid(action: Action) -> GermGroupoid:
     idempotent e acting around x; since the idempotents around x are closed
     under meets, the product s m_x with the least of them, m_x, is a complete
     invariant, and the first pair with a given invariant is the canonical
-    representative.  Arrows are numbered point by point, in the order of
-    their first pair (s, x) by element.  The product is one gather:
-    [t, s x] [s, x] = [t s, x].  That the germs form a groupoid is a
-    theorem, checked by the verification suites rather than here.
+    representative.  m_x is read off the natural order, one mask for all
+    points.  Arrows are numbered point by point, in the order of their first
+    pair (s, x) by element.  The product is one gather:
+    [t, s x] [s, x] = [t s, x].  The basis catalog groups the rows of the
+    nonempty sets Theta(s, U), over elements s, then the unit catalog, and
+    keeps the first of each (see ``_theta_catalog``).  That the germs form a
+    groupoid is a theorem, checked by the verification suites rather than
+    here.
     """
     S = action.semigroup
     maps = action.maps
     n_pts = action.space_size
-    rows = maps.tolist()
-    domains = [frozenset(x for x, y in enumerate(row) if y >= 0) for row in rows]
-    min_idem = np.array([_min_idempotent_at(S, rows, x) for x in range(n_pts)],
-                        dtype=np.intp)
+    min_idem = _least_acting_idempotents(action)
 
     xs, ss = np.nonzero(maps.T >= 0)              # the pairs (s, x), point by point
     invariant = S.table[ss, min_idem[xs]]
@@ -272,25 +333,12 @@ def germ_groupoid(action: Action) -> GermGroupoid:
         unit_catalog = list(action.space_basis)
         declared = True
     else:
-        unit_catalog = [(f"D[{S.label(e)}]", domains[e])
-                        for e in sorted(S.idempotent_set) if domains[e]]
+        unit_catalog = [(f"D[{S.label(e)}]", action.domain_of(e))
+                        for e in S.idempotent_array.tolist() if action.domain_of(e)]
         unit_catalog += [(f"{{{action.point_labels[x]}}}", frozenset({x}))
                          for x in range(n_pts)]
         declared = False
-
-    germ_rows = germ_at.tolist()
-    basis: list[tuple[str, frozenset[int]]] = []
-    seen: set[frozenset[int]] = set()
-    for s in S.elements():
-        dom = domains[s]
-        for u_label, u_members in unit_catalog:
-            cut = u_members & dom
-            if not cut:
-                continue
-            theta = frozenset(germ_rows[s][x] for x in cut)
-            if theta not in seen:
-                seen.add(theta)
-                basis.append((f"Theta({S.label(s)},{u_label})", theta))
+    basis = _theta_catalog(S, germ_at, unit_catalog)
 
     units = tuple(sorted(set(unit_at_point.tolist())))
     G = FiniteGroupoid(rep_s.size, r, d, inv, table, units, labels, tuple(basis), declared)
@@ -351,16 +399,23 @@ class EmbeddedSubgroupoid:
 
 def induced_subgroupoid(germs: GermGroupoid, subset: frozenset[int]
                         ) -> EmbeddedSubgroupoid:
-    """Germs with a representative in a subsemigroup containing the idempotents."""
+    """Germs with a representative in a subsemigroup containing the idempotents.
+
+    The closure checks report the first member a, in the subset's iteration
+    order, whose inverse or whose products a b leave it, the inverse first.
+    """
     S = germs.action.semigroup
     if not S.idempotent_set <= subset:
         raise NotSubsemigroup("subset must contain every idempotent")
-    for a in subset:
-        if S.inv[a] not in subset:
-            raise NotSubsemigroup("subset must be closed under inverses")
-        for b in subset:
-            if S.mul(a, b) not in subset:
-                raise NotSubsemigroup("subset must be closed under products")
+    members = np.fromiter(subset, dtype=np.intp, count=len(subset))
+    inside = np.zeros(S.size, dtype=bool)
+    inside[members] = True
+    no_inverse = ~inside[S.inv_array[members]]
+    no_product = ~inside[S.table[np.ix_(members, members)]].all(axis=1)
+    hit = first_index(no_inverse | no_product)
+    if hit is not None:
+        raise NotSubsemigroup("subset must be closed under inverses" if no_inverse[hit[0]]
+                              else "subset must be closed under products")
     chosen = germs.germs_of(subset)
     sub, order = extract_subgroupoid(germs.groupoid, chosen)
     return EmbeddedSubgroupoid(germs.groupoid, chosen, sub, order)

@@ -16,9 +16,11 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .actions import domains_form_base, germ_groupoid, tight_action, universal_action
 from .builtins import builtin, corpus
-from .congruences import UnionFind, is_cryptic, is_fundamental
+from .congruences import is_cryptic, is_fundamental, join_roots
 from .errors import StructureError, ZeroRequired
 from .groupoids import (
     is_effective,
@@ -50,13 +52,11 @@ def _load_subject(subject: str) -> tuple[str, InverseSemigroup]:
 
 
 def _d_classes(S: InverseSemigroup) -> int:
-    """Number of Green's D classes: blocks of the join of L (same s*s) and R (same ss*)."""
-    sets = UnionFind(S.size)
-    first: dict[tuple[str, int], int] = {}
-    for s in S.elements():
-        for key in (("L", S.mul(S.inv[s], s)), ("R", S.mul(s, S.inv[s]))):
-            sets.union(first.setdefault(key, s), s)
-    return len(sets.blocks())
+    """Number of Green's D classes: blocks of the join of L (same s*s) and R
+    (same ss*), generated by the pairs (s, s*s) and (s, ss*)."""
+    s, inv = np.arange(S.size), S.inv_array
+    root = join_roots(s, np.concatenate((s, s)), np.concatenate((S.table[inv, s], S.table[s, inv])))
+    return int((root == s).sum())
 
 
 def cmd_check(args) -> int:

@@ -9,7 +9,9 @@ the rows of s e s* over the idempotents e, a quotient gathers the products
 of block representatives and compares them with the whole table projected.
 The sampler behind the mu-maximality check saturates seeded pairs to
 congruences, but stops an attempt as soon as two idempotents share a block:
-saturation only merges, so that attempt could never be kept.
+saturation only merges, so that attempt could never be kept.  Blocks are
+merged by ``join_roots``, one connected-components pass over a batch of
+pairs, which sigma, generated congruences and the sampler share.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 from .errors import NotACongruence, SearchBudgetExceeded, StructureError
 from .semigroups import (
     InverseSemigroup,
-    distinct,
     first_index,
     group_by_key,
     validate_inverse_semigroup,
@@ -33,35 +34,35 @@ TRANSVERSAL_BUDGET = 10**6
 WITNESS_CHUNK = 1 << 16     # entries per chunk of congruence_witness's pair tables
 
 
-class UnionFind:
-    """Disjoint sets over 0..size-1, merged in place (path halving)."""
+def join_roots(root: np.ndarray, a, b) -> np.ndarray:
+    """The roots after merging the blocks of a[i] and b[i] for every i.
 
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def roots(self) -> np.ndarray:
-        """The root of every element, as an index array (pointer jumping)."""
-        parent = np.array(self.parent, dtype=np.intp)
+    ``root`` gives every element's root, a root being its own, with no
+    element below its root (``np.arange`` for the finest partition).  The
+    result has the same form, each merged block rooted at its least element.
+    A connected-components pass on the pairs' roots: each round hangs the
+    larger root of every pair still apart under the smaller, follows the
+    hung roots' chains to their ends, and reroots every element in one
+    gather.  Parents only decrease, so no cycle forms, and each round
+    removes a root.
+    """
+    lo, hi = root[a], root[b]
+    while True:
+        apart = lo != hi
+        if not apart.any():
+            return root
+        lo, hi = np.minimum(lo, hi)[apart], np.maximum(lo, hi)[apart]
+        root = root.copy()
+        root[hi] = lo
+        top = root[hi]
         while True:
-            up = parent[parent]
-            if (up == parent).all():
-                return parent
-            parent = up
-
-    def blocks(self) -> list[list[int]]:
-        return group_by_key(self.roots().tolist())
+            up = root[top]
+            if (up == top).all():
+                break
+            top = up
+        root[hi] = top
+        root = root[root]
+        lo, hi = root[lo], root[hi]
 
 
 @dataclass(frozen=True)
@@ -215,15 +216,14 @@ def is_cryptic(S: InverseSemigroup) -> bool:
 def sigma_relation(S: InverseSemigroup) -> Relation:
     """Minimum group congruence: s ~ t iff se = te for some idempotent e.
 
-    The relation is the join of the kernels of s -> se over the idempotents
-    e, so each kernel is merged in by one pass down a column of the table.
+    s ~ se for every idempotent e, since (se)e = se, and se = te joins s to t
+    through se; so the relation is the equivalence generated by the pairs
+    (s, se), one components pass over the idempotent columns of the table.
     """
-    sets = UnionFind(S.size)
-    for e in sorted(S.idempotent_set):
-        first: dict[int, int] = {}
-        for s, se in enumerate(S.table[:, e].tolist()):
-            sets.union(first.setdefault(se, s), s)
-    return Relation.from_blocks(S.size, sets.blocks())
+    E = S.idempotent_array
+    s = np.repeat(np.arange(S.size), E.size)
+    return Relation.from_blocks(S.size, group_by_key(
+        join_roots(np.arange(S.size), s, S.table[:, E].ravel()).tolist()))
 
 
 def sigma_and_group_image(S: InverseSemigroup) -> tuple[Relation, QuotientMap]:
@@ -246,47 +246,54 @@ def group_quotient(S: InverseSemigroup, sigma: Relation) -> QuotientMap:
 
 def generated_congruence(S: InverseSemigroup, pairs) -> Relation:
     """Smallest congruence relating every given pair."""
-    return Relation.from_blocks(S.size, _saturate(S, pairs).blocks())
+    [root] = _saturate(S, [pairs])
+    return Relation.from_blocks(S.size, group_by_key(root.tolist()))
 
 
-def _saturate(S: InverseSemigroup, pairs, separate: np.ndarray | None = None
-              ) -> UnionFind | None:
-    """The blocks of the smallest congruence relating every given pair.
+def _saturate(S: InverseSemigroup, pair_lists, separate: np.ndarray | None = None
+              ) -> list[np.ndarray | None]:
+    """Per list of pairs, the roots (see ``join_roots``) of the smallest
+    congruence relating every pair of the list.
 
-    An equivalence is a congruence exactly when each element x is compatible
-    with its block root r: cx ~ cr and xc ~ rc for every c, since any two
-    elements of a block are joined through the root.  Each round forms those
-    product pairs on the table at once for every x that is not a root (a
-    root is trivially compatible with itself), keeps the ones whose roots
-    still differ, and merges them; saturation ends in the first round that
-    keeps none.  A round costs O(n k) array work, k the number of non-root
-    elements, plus one merge per distinct pair of blocks, and every round but
-    the last merges a block.
+    The lists saturate together, on disjoint copies of S: copy c holds the
+    elements c n .. c n + n - 1, so one ``join_roots`` pass per round serves
+    every copy.  The smallest congruence is the equivalence generated by the
+    given pairs and by their products with generators a on either side:
+    every element is a product of ``S.generators``, so an equivalence
+    spanned by pairs whose products with generators it relates is a
+    congruence.  Each round merges the pending pairs in one pass.  The old
+    roots r that it hangs under a new root r' span its merges, so the next
+    round's pairs are (a r, a r') and (r a, r' a) for them and every
+    generator a; pairs merged in earlier rounds have theirs formed already.
+    Saturation ends in the first round that merges nothing.  Every merge
+    costs 2 |A| pairs, so a copy forms at most 2 |A| (n - 1) pairs beyond
+    its given ones.
 
-    With ``separate``, an index array, saturation stops and returns None at
-    the start of the first round in which two of its elements share a root:
-    rounds only merge, so they would share it in the congruence too.
+    With ``separate``, an index array, a copy stops, and its entry is None,
+    after the first round in which two of its elements share a root: rounds
+    only merge, so they would share it in the congruence too.
     """
-    n = S.size
-    T = S.table
-    sets = UnionFind(n)
-    for a, b in pairs:
-        sets.union(a, b)
+    n, T, gens = S.size, S.table, S.generators
+    offsets = np.arange(len(pair_lists)) * n
+    pairs = [np.array(p, dtype=np.intp).reshape(-1, 2) + offsets[c]
+             for c, p in enumerate(pair_lists)]
+    x, y = np.concatenate(pairs).T
+    root = np.arange(offsets.size * n)
+    live = np.ones(offsets.size, dtype=bool)
     while True:
-        root = sets.roots()
-        if separate is not None and len(set(root[separate].tolist())) < len(separate):
-            return None
-        x = np.flatnonzero(root != np.arange(n))
-        merged = False
-        # (cx, c r(x)) at [c, i] and (xc, r(x) c) at [i, c] for x = x[i]
-        for via_x, via_root in ((root[T[:, x]], root[T[:, root[x]]]),
-                                (root[T[x]], root[T[root[x]]])):
-            apart = via_root != via_x
-            for key in distinct(via_root[apart] * n + via_x[apart]).tolist():
-                sets.union(*divmod(key, n))
-                merged = True
-        if not merged:
-            return sets
+        joined = join_roots(root, x, y)
+        hung = np.flatnonzero((root == np.arange(root.size)) & (joined != root))
+        root = joined
+        if separate is not None:
+            shared = np.sort(root.reshape(-1, n)[:, separate], axis=1)
+            live &= ~(shared[:, 1:] == shared[:, :-1]).any(axis=1)
+            hung = hung[live[hung // n]]
+        if not hung.size:
+            return [r - offset if keep else None
+                    for r, offset, keep in zip(root.reshape(-1, n), offsets, live)]
+        base = (hung - hung % n)[:, None]       # the offset of each hung root's copy
+        x, y = (np.concatenate((T[gens, z - base] + base, T[z - base, gens] + base), axis=None)
+                for z in (hung[:, None], root[hung][:, None]))
 
 
 def random_idempotent_separating_congruences(S: InverseSemigroup, *, seed: int,
@@ -294,20 +301,18 @@ def random_idempotent_separating_congruences(S: InverseSemigroup, *, seed: int,
     """Seeded sample of idempotent-separating congruences (for maximality checks).
 
     Random pair seeds are saturated to congruences; non-separating results are
-    discarded.  An attempt stops saturating as soon as two idempotents share
-    a block, since saturation only merges blocks, so the kept list is that of
-    saturating every attempt in full.  The congruence lattice is too large to
+    discarded.  The attempts saturate together, as disjoint copies of S, and
+    an attempt stops saturating as soon as two idempotents share a block;
+    saturation only merges blocks, so the kept list is that of saturating
+    every attempt in full.  The congruence lattice is too large to
     enumerate.
     """
     rng = random.Random(seed)
-    found = []
-    for _ in range(attempts):
-        pairs = [(rng.randrange(S.size), rng.randrange(S.size))
-                 for _ in range(rng.randint(1, 2))]
-        sets = _saturate(S, pairs, separate=S.idempotent_array)
-        if sets is not None:
-            found.append(Relation.from_blocks(S.size, sets.blocks()))
-    return found
+    pair_lists = [[(rng.randrange(S.size), rng.randrange(S.size))
+                   for _ in range(rng.randint(1, 2))] for _ in range(attempts)]
+    return [Relation.from_blocks(S.size, group_by_key(root.tolist()))
+            for root in _saturate(S, pair_lists, separate=S.idempotent_array)
+            if root is not None]
 
 
 def find_split_transversal(S: InverseSemigroup) -> tuple[int, ...] | None:

@@ -10,7 +10,12 @@ tests every subset instead and is the reference that the verification check
 A partial bijection of p points is a row of p point indices, -1 where it is
 undefined; ``compose_after`` is the one composition of such rows, shared by
 the tables of Munn semigroups and symmetric inverse monoids and by the
-action checks.
+action checks.  A table of such rows is read off by one sort: the rows'
+keys are sorted once and every composed row is found by ``np.searchsorted``.
+
+The order of a semilattice is one cached boolean matrix, ``Semilattice.order``;
+principal filters, filter generators and the isolating basis sets of the
+spectrum are masks of it.
 """
 
 from __future__ import annotations
@@ -22,11 +27,14 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .errors import SizeBudgetExceeded, StructureError, ZeroRequired
-from .semigroups import InverseSemigroup, validate_inverse_semigroup
+from .semigroups import InverseSemigroup, membership, validate_inverse_semigroup
 
 EXHAUSTIVE_FILTER_CAP = 20
 MUNN_ELEMENT_CAP = 512
-SYMMETRIC_DEFAULT_CAP = 4
+SYMMETRIC_DEFAULT_CAP = 5
+# _partial_bijection_semigroup composes chunks of rows whose products hold at
+# most this many entries (or one row)
+PRODUCT_CHUNK = 1 << 14
 
 
 class Semilattice:
@@ -56,6 +64,11 @@ class Semilattice:
 
     def label(self, e: int) -> str:
         return self.labels[e]
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Boolean matrix of the order: order[e, f] iff e <= f, that is ef = e."""
+        return self.meet == np.arange(self.size)[:, None]
 
     @cached_property
     def bottom(self) -> int:
@@ -104,18 +117,14 @@ def validate_semilattice(meet, zero="detect", labels=None) -> Semilattice:
 
 def semilattice_of(S: InverseSemigroup) -> Semilattice:
     """Restrict the product table to the idempotents, recording the index map."""
-    idems = sorted(S.idempotent_set)
-    back = {e: i for i, e in enumerate(idems)}
-    n = len(idems)
-    meet = np.zeros((n, n), dtype=np.int64)
-    for i, e in enumerate(idems):
-        for j, f in enumerate(idems):
-            meet[i, j] = back[S.mul(e, f)]
-    zero = back[S.zero] if S.zero is not None else None
-    labels = tuple(S.label(e) for e in idems)
+    idems = S.idempotent_array
+    back = np.full(S.size, -1, dtype=np.int64)
+    back[idems] = np.arange(idems.size)
+    meet = back[S.table[np.ix_(idems, idems)]]
+    labels = tuple(S.label(e) for e in idems.tolist())
     L = validate_semilattice(meet, zero=None, labels=labels)
-    L.zero = zero
-    L.parent_index = tuple(idems)
+    L.zero = int(back[S.zero]) if S.zero is not None else None
+    L.parent_index = tuple(idems.tolist())
     return L
 
 
@@ -139,7 +148,7 @@ def is_filter(E: Semilattice, members: frozenset[int]) -> bool:
 
 
 def principal_filter(E: Semilattice, e: int) -> frozenset[int]:
-    return frozenset(f for f in range(E.size) if E.leq(e, f))
+    return frozenset(np.flatnonzero(E.order[e]).tolist())
 
 
 def filter_generator(E: Semilattice, F: frozenset[int]) -> int:
@@ -206,13 +215,29 @@ class SpectrumBasisSet:
         return base
 
 
+def _least_members(E: Semilattice, inside: np.ndarray) -> np.ndarray:
+    """The least member of each filter (row of inside): the member e with
+    every member above it.  It exists exactly when the meet of the members
+    is a member, which filter_generator checks one filter at a time."""
+    below_all = inside & (inside[:, None, :] <= E.order).all(axis=2)
+    if not below_all.any(axis=1).all():
+        raise StructureError("filter is not meet-closed")
+    return below_all.argmax(axis=1)
+
+
+def _maximal_outside(E: Semilattice, inside: np.ndarray) -> np.ndarray:
+    """Per filter (row of inside), the maximal elements of its complement:
+    non-members with no non-member strictly above them."""
+    strictly = E.order & ~np.eye(E.size, dtype=bool)
+    outside = ~inside
+    return outside & ~(outside[:, None, :] & strictly).any(axis=2)
+
+
 def isolating_basis_set(E: Semilattice, F: frozenset[int]) -> SpectrumBasisSet:
     """A basis set whose only member is the principal filter F."""
-    gen = filter_generator(E, F)
-    outside = [f for f in range(E.size) if f not in F]
-    maximal = tuple(sorted(f for f in outside
-                           if not any(g != f and E.leq(f, g) for g in outside)))
-    return SpectrumBasisSet(gen, maximal)
+    inside = membership([F], E.size)
+    maximal = np.flatnonzero(_maximal_outside(E, inside)[0])
+    return SpectrumBasisSet(int(_least_members(E, inside)[0]), tuple(maximal.tolist()))
 
 
 def spectrum_basis(E: Semilattice, filters) -> list[tuple[str, frozenset[int]]]:
@@ -220,22 +245,25 @@ def spectrum_basis(E: Semilattice, filters) -> list[tuple[str, frozenset[int]]]:
 
     Contains the domains of the idempotents together with one isolating set
     per point, so interior computations driven by this catalog agree with the
-    discrete topology while staying in basis-set form.
+    discrete topology while staying in basis-set form.  The members of every
+    set are one mask over the filters: N^e holds the filters containing e,
+    and the isolating set of a filter F holds those containing its
+    generator and none of the maximal elements outside F.
     """
+    inside = membership(filters, E.size)
+    gens = _least_members(E, inside).tolist()
+    maximal = _maximal_outside(E, inside)
+    # isolated[i, j]: filter j is in the isolating set of filter i
+    isolated = inside[:, gens].T & ~(inside & maximal[:, None, :]).any(axis=2)
+    sets = [(SpectrumBasisSet(e, ()), flags)
+            for e, flags in enumerate(inside.T.tolist()) if e != E.zero]
+    sets += [(SpectrumBasisSet(g, tuple(f for f, out in enumerate(m) if out)), flags)
+             for g, m, flags in zip(gens, maximal.tolist(), isolated.tolist())]
     catalog: list[tuple[str, frozenset[int]]] = []
     seen = set()
-    for e in range(E.size):
-        if e == E.zero:
-            continue
-        n = SpectrumBasisSet(e, ())
-        members = n.members(filters)
+    for n, flags in sets:
+        members = frozenset(j for j, inner in enumerate(flags) if inner)
         if members and members not in seen:
-            catalog.append((n.render(E), members))
-            seen.add(members)
-    for F in filters:
-        n = isolating_basis_set(E, F)
-        members = n.members(filters)
-        if members not in seen:
             catalog.append((n.render(E), members))
             seen.add(members)
     return catalog
@@ -249,12 +277,12 @@ def semilattice_isomorphic(A: Semilattice, B: Semilattice) -> tuple[int, ...] | 
     """
     if A.size != B.size:
         return None
+    a_leq, b_leq = A.order.tolist(), B.order.tolist()
+    # (elements below, elements above) of each element
+    a_profile, b_profile = (list(zip(L.order.sum(axis=0).tolist(), L.order.sum(axis=1).tolist()))
+                            for L in (A, B))
 
-    def profile(L: Semilattice, x: int):
-        return (sum(L.leq(y, x) for y in range(L.size)),
-                sum(L.leq(x, y) for y in range(L.size)))
-
-    order = sorted(range(A.size), key=lambda x: (profile(A, x), x))
+    order = sorted(range(A.size), key=lambda x: (a_profile[x], x))
     mapping: list[int | None] = [None] * A.size
     used = [False] * B.size
 
@@ -263,10 +291,10 @@ def semilattice_isomorphic(A: Semilattice, B: Semilattice) -> tuple[int, ...] | 
             return True
         x = order[i]
         for y in range(B.size):
-            if used[y] or profile(A, x) != profile(B, y):
+            if used[y] or a_profile[x] != b_profile[y]:
                 continue
-            if any(A.leq(x, x2) != B.leq(y, mapping[x2])
-                   or A.leq(x2, x) != B.leq(mapping[x2], y)
+            if any(a_leq[x][x2] != b_leq[y][mapping[x2]]
+                   or a_leq[x2][x] != b_leq[mapping[x2]][y]
                    for x2 in order[:i]):
                 continue
             mapping[x] = y
@@ -303,13 +331,14 @@ def is_zero_disjunctive(E: Semilattice) -> bool:
 
 
 def _ideal(E: Semilattice, e: int) -> tuple[int, ...]:
-    return tuple(x for x in range(E.size) if E.leq(x, e))
+    return tuple(np.flatnonzero(E.order[:, e]).tolist())
 
 
 def _order_isos(E: Semilattice, dom: tuple[int, ...], img: tuple[int, ...]):
     """All order isomorphisms between two principal ideals, by backtracking."""
     if len(dom) != len(img):
         return
+    leq = E.order.tolist()
     assignment: dict[int, int] = {}
     used: set[int] = set()
 
@@ -323,7 +352,7 @@ def _order_isos(E: Semilattice, dom: tuple[int, ...], img: tuple[int, ...]):
                 continue
             ok = True
             for x2, y2 in assignment.items():
-                if E.leq(x, x2) != E.leq(y, y2) or E.leq(x2, x) != E.leq(y2, y):
+                if leq[x][x2] != leq[y][y2] or leq[x2][x] != leq[y2][y]:
                     ok = False
                     break
             if ok:
@@ -337,25 +366,56 @@ def _order_isos(E: Semilattice, dom: tuple[int, ...], img: tuple[int, ...]):
 
 
 def compose_after(f: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The partial bijection f after each row of `rows`.
+    """Each partial bijection of f after each row of `rows`.
 
     A partial bijection of p points is a row of p point indices, -1 where it
-    is undefined.  With -1 appended to f, an undefined point indexes an
-    undefined image, so one gather composes: the result at [..., x] is
-    f[rows[..., x]], and -1 where either map is undefined.
+    is undefined.  With -1 appended to each row of f, an undefined point
+    indexes an undefined image, so one gather composes: for one row f the
+    result at [..., x] is f[rows[..., x]], -1 where either map is undefined,
+    and a stack of rows f gives one such result per row, stacked in front.
     """
-    return np.append(f, -1)[rows]
+    padded = np.concatenate((f, np.full(f.shape[:-1] + (1,), -1, dtype=f.dtype)), axis=-1)
+    return padded[..., rows]
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Sort keys of partial bijection rows (the last axis), equal exactly for
+    equal rows: the entries + 1 as digits base p + 1, packed into as few
+    int64 words as hold them.  Rows of up to 15 points take one word; wider
+    rows compare word by word as a structured key."""
+    p = rows.shape[-1]
+    base = p + 1
+    width = 1
+    while width < p and base ** (width + 1) < 2 ** 63:
+        width += 1
+    weights = base ** np.arange(width, dtype=np.int64)
+    if width >= p:
+        return (rows + 1) @ weights[:p]
+    words = -(-p // width)
+    digits = np.zeros(rows.shape[:-1] + (words * width,), dtype=np.int64)
+    digits[..., :p] = rows + 1
+    keys = digits.reshape(rows.shape[:-1] + (words, width)) @ weights
+    return np.ascontiguousarray(keys).view([(f"w{i}", np.int64) for i in range(words)])[..., 0]
 
 
 def _partial_bijection_semigroup(rows: np.ndarray, labels) -> InverseSemigroup:
-    """The table of a composition-closed stack of partial bijection rows, in row order."""
+    """The table of a composition-closed stack of partial bijection rows, in row order.
+
+    The rows' keys are sorted once; each chunk of rows composes with every
+    row, and ``np.searchsorted`` finds the products among the sorted keys.
+    """
     n, p = rows.shape
-    width = rows.itemsize * p
-    index = {rows[i].tobytes(): i for i in range(n)}
+    keys = _row_keys(rows)
+    order = np.argsort(keys)
+    ranked = keys[order]
     table = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        products = compose_after(rows[i], rows).tobytes()
-        table[i] = [index[products[j * width:(j + 1) * width]] for j in range(n)]
+    step = max(1, PRODUCT_CHUNK // (n * max(p, 1)))
+    for lo in range(0, n, step):
+        products = _row_keys(compose_after(rows[lo:lo + step], rows))
+        at = np.minimum(np.searchsorted(ranked, products), n - 1)
+        if not (ranked[at] == products).all():
+            raise StructureError("partial bijections are not closed under composition")
+        table[lo:lo + step] = order[at]
     return validate_inverse_semigroup(table, labels, skip_associativity=True)
 
 

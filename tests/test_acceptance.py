@@ -282,3 +282,15 @@ def test_symmetric4_universal_suite_budget():
     assert len(report.checks) == 22
     assert report.passed, [c.render() for c in report.checks if not c.passed]
     budget.done("symmetric:4 universal suite")
+
+
+def test_symmetric5_universal_suite_budget():
+    # 1546 elements, 32 idempotents, 1545 universal arrows: the next rung of
+    # the scale ladder, from building the table to the last check.
+    budget = Budget(30.0)
+    S = builtin("symmetric:5")
+    assert S.size == 1546
+    [report] = run_suite("symmetric:5", S, "universal")
+    assert len(report.checks) == 22
+    assert report.passed, [c.render() for c in report.checks if not c.passed]
+    budget.done("symmetric:5 universal suite")

@@ -1,0 +1,650 @@
+"""Generator certificates and the universal pipeline's array passes against
+the loops they replaced.
+
+Each ``reference_*`` function is a replaced per-element loop, kept as the
+oracle: the n^3 associativity loop, the row-by-row homomorphism scan of
+``validate_action``, the one-pair-at-a-time union-find behind congruence
+saturation, sigma and the D-class count, the filter-set forms of
+``isolating_basis_set`` and ``spectrum_basis``, the Theta catalog and least
+acting idempotents of ``germ_groupoid``, the block products of
+``action_kernel``, the closure loops of ``induced_subgroupoid`` and the
+product loop of ``semilattice_of``.  The subjects are those of
+``test_order_congruence_tables``: the corpus, ``symmetric:4``,
+``group:z70``, ``symmetric:3 x group:z2`` and ``graph7``.
+"""
+
+import random
+import zlib
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from germlab import actions, congruences, groupoids, semigroups
+from germlab.actions import (
+    Action,
+    action_kernel,
+    germ_groupoid,
+    induced_subgroupoid,
+    tight_action,
+    universal_action,
+    validate_action,
+)
+from germlab.cli import _d_classes
+from germlab.congruences import (
+    Relation,
+    generated_congruence,
+    random_idempotent_separating_congruences,
+    sigma_relation,
+)
+from germlab.errors import (
+    DomainMismatch,
+    NotAssociative,
+    NotCovering,
+    NotHomomorphism,
+    NotSubsemigroup,
+    StructureError,
+)
+from germlab.groupoids import FiniteGroupoid, validate_groupoid
+from germlab.semigroups import check_associativity, generating_set
+from germlab.semilattices import (
+    Semilattice,
+    SpectrumBasisSet,
+    _partial_bijection_semigroup,
+    all_filters,
+    compose_after,
+    filter_generator,
+    isolating_basis_set,
+    principal_filter,
+    semilattice_of,
+    spectrum_basis,
+    tight_spectrum,
+    validate_semilattice,
+)
+from germlab.suites import run_suite
+
+from test_groupoids import LOOP_GROUPOID, PAIR2, _reference_axioms, _single_entry_corruptions
+from test_order_congruence_tables import GRAPH7, LADDER, SUBJECTS, subject, subsets
+from test_semigroups import table_from_maps
+
+
+# ---------------------------------------------------------------------------
+# the replaced loops
+
+
+def reference_generating_set(S):
+    """Greedy over decreasing |sS|, ties by index, closing by Python sets."""
+    spread = [len(set(row)) for row in S.table.tolist()]
+    inside: set[int] = set()
+    gens = []
+    for c in sorted(S.elements(), key=lambda s: (-spread[s], s)):
+        if c in inside:
+            continue
+        gens.append(c)
+        frontier = {c}
+        while frontier:
+            inside |= frontier
+            frontier = {S.mul(a, b) for a in inside for b in inside} - inside
+    return gens
+
+
+def reference_associativity(table):
+    """The n^3 loop: the first failing triple (i, j, k) row-major, or None."""
+    n = table.shape[0]
+    for i in range(n):
+        left = table[table[i, :], :]
+        right = table[i, table]
+        if not (left == right).all():
+            j, k = np.argwhere(left != right)[0]
+            return (i, int(j), int(k))
+    return None
+
+
+def reference_validate_action(S, space_size, maps):
+    """validate_action with the homomorphism law scanned row by row."""
+    maps = np.asarray(maps, dtype=np.intp)
+    outside = ((maps < -1) | (maps >= space_size)).any(axis=1)
+    ranked = np.sort(maps, axis=1)
+    repeated = ((ranked[:, 1:] == ranked[:, :-1]) & (ranked[:, 1:] >= 0)).any(axis=1)
+    s = int(np.argmax(outside | repeated))
+    if outside[s]:
+        raise StructureError(f"map of element {s} leaves the space")
+    if repeated[s]:
+        raise NotHomomorphism(s, s)
+    domain = maps >= 0
+    wrong = (domain != domain[S.table[S.inv, np.arange(S.size)]]).any(axis=1)
+    if wrong.any():
+        raise DomainMismatch(int(np.argmax(wrong)))
+    for s in S.elements():
+        bad = (compose_after(maps[s], maps) != maps[S.table[s]]).any(axis=1)
+        if bad.any():
+            raise NotHomomorphism(s, int(np.argmax(bad)))
+    if not domain[sorted(S.idempotent_set)].any(axis=0).all():
+        raise NotCovering()
+
+
+class ReferenceUnionFind:
+    def __init__(self, size):
+        self.parent = list(range(size))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+    def blocks(self):
+        groups = {}
+        for x in range(len(self.parent)):
+            groups.setdefault(self.find(x), []).append(x)
+        return list(groups.values())
+
+
+def reference_saturate(S, pairs):
+    """Rounds over every non-root x, merging pair by pair."""
+    n, T = S.size, S.table
+    sets = ReferenceUnionFind(n)
+    for a, b in pairs:
+        sets.union(a, b)
+    while True:
+        root = np.array([sets.find(x) for x in range(n)])
+        x = np.flatnonzero(root != np.arange(n))
+        merged = False
+        for via_x, via_root in ((root[T[:, x]], root[T[:, root[x]]]),
+                                (root[T[x]], root[T[root[x]]])):
+            apart = via_root != via_x
+            for a, b in zip(via_root[apart].tolist(), via_x[apart].tolist()):
+                if sets.find(a) != sets.find(b):
+                    sets.union(a, b)
+                    merged = True
+        if not merged:
+            return Relation.from_blocks(n, sets.blocks())
+
+
+def reference_sigma(S):
+    sets = ReferenceUnionFind(S.size)
+    for e in sorted(S.idempotent_set):
+        first = {}
+        for s in S.elements():
+            sets.union(first.setdefault(S.mul(s, e), s), s)
+    return Relation.from_blocks(S.size, sets.blocks())
+
+
+def reference_d_classes(S):
+    sets = ReferenceUnionFind(S.size)
+    first = {}
+    for s in S.elements():
+        for key in (("L", S.mul(S.inv[s], s)), ("R", S.mul(s, S.inv[s]))):
+            sets.union(first.setdefault(key, s), s)
+    return len(sets.blocks())
+
+
+def reference_semilattice_meet(S):
+    idems = sorted(S.idempotent_set)
+    back = {e: i for i, e in enumerate(idems)}
+    return np.array([[back[S.mul(e, f)] for f in idems] for e in idems])
+
+
+def reference_principal_filter(E, e):
+    return frozenset(f for f in range(E.size) if E.leq(e, f))
+
+
+def reference_isolating_basis_set(E, F):
+    gen = filter_generator(E, F)
+    outside = [f for f in range(E.size) if f not in F]
+    maximal = tuple(sorted(f for f in outside
+                           if not any(g != f and E.leq(f, g) for g in outside)))
+    return SpectrumBasisSet(gen, maximal)
+
+
+def reference_spectrum_basis(E, filters):
+    catalog, seen = [], set()
+    for e in range(E.size):
+        if e == E.zero:
+            continue
+        n = SpectrumBasisSet(e, ())
+        members = n.members(filters)
+        if members and members not in seen:
+            catalog.append((n.render(E), members))
+            seen.add(members)
+    for F in filters:
+        n = reference_isolating_basis_set(E, F)
+        members = n.members(filters)
+        if members not in seen:
+            catalog.append((n.render(E), members))
+            seen.add(members)
+    return catalog
+
+
+def reference_min_idempotents(action):
+    S, rows = action.semigroup, action.maps.tolist()
+    out = []
+    for x in range(action.space_size):
+        m = None
+        for e in sorted(S.idempotent_set):
+            if rows[e][x] >= 0:
+                m = e if m is None else S.mul(m, e)
+        if m is None:
+            raise NotCovering()
+        out.append(m)
+    return tuple(out)
+
+
+def reference_theta_catalog(germs):
+    action, S = germs.action, germs.action.semigroup
+    domains = [action.domain_of(s) for s in S.elements()]
+    if action.space_basis is not None:
+        unit_catalog = list(action.space_basis)
+    else:
+        unit_catalog = [(f"D[{S.label(e)}]", domains[e])
+                        for e in sorted(S.idempotent_set) if domains[e]]
+        unit_catalog += [(f"{{{action.point_labels[x]}}}", frozenset({x}))
+                         for x in range(action.space_size)]
+    rows = germs.germ_at.tolist()
+    basis, seen = [], set()
+    for s in S.elements():
+        for u_label, u_members in unit_catalog:
+            cut = u_members & domains[s]
+            if not cut:
+                continue
+            theta = frozenset(rows[s][x] for x in cut)
+            if theta not in seen:
+                seen.add(theta)
+                basis.append((f"Theta({S.label(s)},{u_label})", theta))
+    return tuple(basis)
+
+
+def reference_action_kernel(action):
+    S = action.semigroup
+    by_map = {}
+    for s, row in enumerate(action.maps.tolist()):
+        by_map.setdefault(tuple(row), []).append(s)
+    return frozenset(S.mul(s, S.inv[t]) for block in by_map.values()
+                     for s in block for t in block)
+
+
+def reference_closure_defect(S, subset):
+    if not S.idempotent_set <= subset:
+        return "subset must contain every idempotent"
+    for a in subset:
+        if S.inv[a] not in subset:
+            return "subset must be closed under inverses"
+        for b in subset:
+            if S.mul(a, b) not in subset:
+                return "subset must be closed under products"
+    return None
+
+
+def outcome(fn, *args):
+    """The exception a call raises, as (type, message), or None."""
+    try:
+        fn(*args)
+    except StructureError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def corrupted_tables(table, rng, count):
+    """Copies of a table with one entry replaced by another element."""
+    n = table.shape[0]
+    for _ in range(count if n > 1 else 0):
+        broken = table.copy()
+        i, j = rng.integers(n, size=2)
+        broken[i, j] = (broken[i, j] + rng.integers(1, n)) % n
+        yield broken
+
+
+def corrupted_maps(maps, rng, count):
+    """Copies of action rows with one entry replaced: mostly by another point
+    of the space, sometimes by -1 or, where it was undefined, by a point."""
+    n, p = maps.shape
+    for _ in range(count):
+        broken = maps.copy()
+        s, x = rng.integers(n), rng.integers(p)
+        broken[s, x] = -1 + (broken[s, x] + 1 + rng.integers(1, p + 1)) % (p + 1)
+        yield broken
+
+
+# ---------------------------------------------------------------------------
+# generating sets and Light's associativity test
+
+
+@pytest.mark.parametrize("name", SUBJECTS)
+def test_generating_set_is_the_greedy_closure(name):
+    S = subject(name)
+    assert generating_set(S.table).tolist() == reference_generating_set(S)
+    assert S.generators.tolist() == reference_generating_set(S)
+
+
+def test_ladder_generating_sets_are_small():
+    sizes = {name: subject(name).generators.size for name in LADDER}
+    assert sizes == {"symmetric:4": 5, "group:z70": 2, "symmetric:3 x group:z2": 5,
+                     "graph7": 27}
+
+
+def test_validated_tables_keep_the_generating_set_of_their_check():
+    S = semigroups.validate_inverse_semigroup(subject("graph7").table)
+    assert "generators" in vars(S)
+    assert S.generators.tolist() == reference_generating_set(subject("graph7"))
+
+
+@pytest.mark.parametrize("name", SUBJECTS)
+def test_light_test_matches_the_loop_on_corruptions(name):
+    """Same verdict and witness on single-entry corruptions: Light's test
+    over the corrupted table's own generating set, then the loop."""
+    table = subject(name).table
+    assert reference_associativity(table) is None
+    assert check_associativity(table).tolist() == generating_set(table).tolist()
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    verdicts = []
+    for broken in corrupted_tables(table, rng, 4 if table.shape[0] > 100 else 12):
+        witness = reference_associativity(broken)
+        verdicts.append(witness)
+        if witness is None:
+            check_associativity(broken)
+            continue
+        with pytest.raises(NotAssociative) as raised:
+            check_associativity(broken)
+        assert raised.value.triple == witness
+    assert table.shape[0] < 3 or any(v is not None for v in verdicts)
+
+
+def test_associativity_cap_is_unchanged():
+    """A chain semilattice needs every element as a generator, so the
+    certificate still costs n^3 there and the cap stays."""
+    n = 8
+    chain = np.minimum.outer(np.arange(n), np.arange(n))
+    assert generating_set(chain).size == n
+    assert semigroups.ASSOCIATIVITY_CAP == 512
+
+
+# ---------------------------------------------------------------------------
+# the action certificate
+
+
+def _actions(name):
+    S = subject(name)
+    return [universal_action(S), tight_action(S)]
+
+
+@pytest.mark.parametrize("name", SUBJECTS)
+def test_action_certificate_matches_the_scan_on_corruptions(name):
+    for seed, action in enumerate(_actions(name)):
+        S, p = action.semigroup, action.space_size
+        assert reference_validate_action(S, p, action.maps) is None
+        rng = np.random.default_rng(zlib.crc32(f"{name}/{seed}".encode()))
+        for broken in corrupted_maps(action.maps, rng, 8):
+            assert (outcome(validate_action, S, p, broken)
+                    == outcome(reference_validate_action, S, p, broken))
+
+
+def test_action_corruptions_reach_the_homomorphism_scan():
+    """The comparison above is not vacuous: on the ladder subjects some
+    corruptions pass the domain checks and fail the law, some at a pair
+    whose first element is not a generator."""
+    seen = Counter()
+    for name in LADDER:
+        for seed, action in enumerate(_actions(name)):
+            S, p = action.semigroup, action.space_size
+            rng = np.random.default_rng(zlib.crc32(f"{name}/{seed}".encode()))
+            for broken in corrupted_maps(action.maps, rng, 8):
+                try:
+                    validate_action(S, p, broken)
+                except NotHomomorphism as exc:
+                    s, t = exc.pair
+                    seen["law" if s != t else "repeat"] += 1
+                    seen["non-generator"] += s not in S.generators.tolist()
+                except StructureError:
+                    seen["other"] += 1
+    assert seen["law"] and seen["non-generator"] and seen["other"]
+
+
+def test_action_certificate_checks_generators_in_chunks(monkeypatch):
+    """One generator per chunk gives the same verdicts."""
+    monkeypatch.setattr(actions, "ACTION_CHUNK", 1)
+    action = universal_action(subject("graph7"))
+    S, p = action.semigroup, action.space_size
+    validate_action(S, p, action.maps)
+    rng = np.random.default_rng(7)
+    for broken in corrupted_maps(action.maps, rng, 8):
+        assert (outcome(validate_action, S, p, broken)
+                == outcome(reference_validate_action, S, p, broken))
+
+
+# ---------------------------------------------------------------------------
+# saturation, sigma and D classes
+
+
+@pytest.mark.parametrize("name", SUBJECTS)
+def test_saturation_equals_the_pairwise_union_find(name):
+    S = subject(name)
+    rng = random.Random(name)
+    for _ in range(6):
+        pairs = [(rng.randrange(S.size), rng.randrange(S.size))
+                 for _ in range(rng.randint(0, 3))]
+        R = reference_saturate(S, pairs)
+        assert generated_congruence(S, pairs) == R
+        [root] = congruences._saturate(S, [pairs], separate=S.idempotent_array)
+        separating = all(len(set(b) & S.idempotent_set) <= 1 for b in R.blocks)
+        assert (root is not None) == separating
+
+
+@pytest.mark.parametrize("name", SUBJECTS)
+def test_sigma_and_d_classes_equal_the_union_find(name):
+    S = subject(name)
+    assert sigma_relation(S) == reference_sigma(S)
+    assert _d_classes(S) == reference_d_classes(S)
+
+
+def test_join_roots_roots_each_block_at_its_least_element():
+    root = congruences.join_roots(np.arange(8), [7, 5, 6, 1], [5, 3, 1, 2])
+    assert root.tolist() == [0, 1, 1, 3, 4, 3, 1, 3]
+    assert congruences.join_roots(root, [], []).tolist() == root.tolist()
+
+
+# ---------------------------------------------------------------------------
+# the spectrum basis and the semilattice layer
+
+
+@pytest.mark.parametrize("name", SUBJECTS)
+def test_spectrum_basis_equals_the_filter_loops(name):
+    S = subject(name)
+    E = semilattice_of(S)
+    assert np.array_equal(E.meet, reference_semilattice_meet(S))
+    assert E.parent_index == tuple(sorted(S.idempotent_set))
+    assert E.zero == (None if S.zero is None else E.parent_index.index(S.zero))
+    for e in range(E.size):
+        assert principal_filter(E, e) == reference_principal_filter(E, e)
+    for filters in (all_filters(E), tight_spectrum(E)):
+        assert spectrum_basis(E, filters) == reference_spectrum_basis(E, filters)
+        for F in filters:
+            assert isolating_basis_set(E, F) == reference_isolating_basis_set(E, F)
+
+
+@pytest.mark.parametrize("name", ["b2", "diamond_munn", "symmetric:2"])
+def test_semilattice_of_maps_a_moved_zero(name):
+    """The corpus keeps its zero at index 0; moved to the end, the zero of
+    E is still the position of S's zero among the idempotents."""
+    T = subject(name).table
+    perm = np.roll(np.arange(len(T)), 1)           # element i becomes perm[i]
+    moved = np.empty_like(T)
+    moved[np.ix_(perm, perm)] = perm[T]
+    S = semigroups.validate_inverse_semigroup(moved)
+    E = semilattice_of(S)
+    assert S.zero == len(T) - 1
+    assert E.zero == E.parent_index.index(S.zero) == E.size - 1
+    assert np.array_equal(E.meet, reference_semilattice_meet(S))
+
+
+@pytest.mark.parametrize("table, pair", [([[0, 0, 0], [0, 1, 0], [0, 1, 2]], (1, 2)),
+                                         ([[0, 0, 0], [0, 1, 0], [1, 0, 2]], (0, 2))])
+def test_commutation_cross_check_names_the_first_pair(table, pair):
+    """Only a table past the associativity check can reach it: these are
+    not associative, yet every element has exactly one inverse."""
+    with pytest.raises(StructureError, match=r"idempotents {},{} do not commute".format(*pair)):
+        semigroups.validate_inverse_semigroup(table, skip_associativity=True)
+
+
+def test_spectrum_basis_refuses_a_set_without_least_member():
+    E = validate_semilattice([[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]])
+    with pytest.raises(StructureError, match="filter is not meet-closed"):
+        spectrum_basis(E, [frozenset({1, 2, 3})])
+    with pytest.raises(StructureError, match="filter is not meet-closed"):
+        filter_generator(E, frozenset({1, 2, 3}))
+
+
+def test_wide_partial_bijections_take_a_multi_word_key():
+    """Rows of 17 points need two int64 words per key: the identities of
+    the prefixes of 17 points but the one-point prefix, and the same maps
+    after the swap of points 0 and 1."""
+    n = 17
+    maps = [{x: x for x in range(k)} for k in range(n + 1) if k != 1]
+    maps += [{0: 1, 1: 0, **{x: x for x in range(2, k)}} for k in range(2, n + 1)]
+    rows = np.full((len(maps), n), -1, dtype=np.intp)
+    for i, m in enumerate(maps):
+        rows[i, list(m)] = list(m.values())
+    S = _partial_bijection_semigroup(rows, tuple(f"m{i}" for i in range(len(maps))))
+    assert (S.table == table_from_maps(maps)).all()
+
+
+def test_partial_bijections_not_closed_under_composition_are_refused():
+    rows = np.array([[1, 0, -1], [0, 1, 2]])      # the swap squared is missing
+    with pytest.raises(StructureError, match="not closed under composition"):
+        _partial_bijection_semigroup(rows, ("a", "b"))
+
+
+# ---------------------------------------------------------------------------
+# germs, kernels and induced subgroupoids
+
+
+@pytest.mark.parametrize("name", SUBJECTS)
+def test_germ_catalog_and_base_idempotents_equal_the_loops(name):
+    S = subject(name)
+    for action in _actions(name):
+        undeclared = Action(S, action.space_size, action.maps, action.point_labels)
+        for a in (action, undeclared):
+            germs = germ_groupoid(a)
+            assert germs.base_idempotent == reference_min_idempotents(a)
+            assert germs.groupoid.basis == reference_theta_catalog(germs)
+        assert action_kernel(action) == reference_action_kernel(action)
+
+
+@pytest.mark.parametrize("name", SUBJECTS)
+def test_induced_subgroupoid_closure_checks_equal_the_loops(name):
+    S = subject(name)
+    germs = germ_groupoid(universal_action(S))
+    for subset in subsets(S, seed=len(name)):
+        defect = reference_closure_defect(S, subset)
+        if defect is None:
+            assert induced_subgroupoid(germs, subset).arrows == germs.germs_of(subset)
+            continue
+        with pytest.raises(NotSubsemigroup) as raised:
+            induced_subgroupoid(germs, subset)
+        assert str(raised.value) == defect
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_ladder_groupoid_checks_equal_the_axiom_loops_on_corruptions(name):
+    G = germ_groupoid(universal_action(subject(name))).groupoid
+    validate_groupoid(G)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    for broken in _single_entry_corruptions(G, rng, 2):
+        message = _reference_axioms(broken)
+        assert message is not None
+        with pytest.raises(StructureError) as raised:
+            validate_groupoid(broken)
+        assert str(raised.value) == message
+
+
+def relabeled_union(parts, perm):
+    """The disjoint union of groupoids, arrow a renamed perm[a]."""
+    n = sum(G.n_arrows for G in parts)
+    perm = np.asarray(perm)
+    table = np.full((n, n), -1, dtype=np.intp)
+    r, d, inv = (np.empty(n, dtype=np.intp) for _ in range(3))
+    units, at = [], 0
+    for G in parts:
+        block = perm[at:at + G.n_arrows]
+        defined = G.table >= 0
+        table[np.ix_(block, block)] = np.where(defined, perm[at + G.table], -1)
+        r[block], d[block], inv[block] = perm[at + G.r], perm[at + G.d], perm[at + G.inv]
+        units += perm[at + np.asarray(G.units)].tolist()
+        at += G.n_arrows
+    return FiniteGroupoid(n, r, d, inv, table, tuple(sorted(units)),
+                          tuple(f"a{a}" for a in range(n)), ())
+
+
+@pytest.mark.parametrize("batch", [0, groupoids.ASSOCIATIVITY_BATCH])
+def test_associativity_witness_is_row_major_across_units(monkeypatch, batch):
+    """Two broken loops and a pair groupoid, arrows shuffled, so that the
+    units' order differs from the pairs' row-major order: one batch over
+    all units, or (batch 0) chunks of one largest fiber's worth of pairs."""
+    monkeypatch.setattr(groupoids, "ASSOCIATIVITY_BATCH", batch)
+    rng = np.random.default_rng(5)
+    seen = set()
+    for _ in range(12):
+        G = relabeled_union((LOOP_GROUPOID, PAIR2, LOOP_GROUPOID), rng.permutation(18))
+        message = _reference_axioms(G)
+        assert message is not None and message.startswith("associativity")
+        with pytest.raises(StructureError) as raised:
+            validate_groupoid(G)
+        assert str(raised.value) == message
+        seen.add(message)
+    assert len(seen) > 1
+
+
+# ---------------------------------------------------------------------------
+# no per-element loop comes back
+
+
+def test_universal_suite_makes_no_per_element_calls(monkeypatch):
+    """Calls made by one universal suite run on the 210-element graph7.
+
+    The parent of this change made 2,594 ``InverseSemigroup.mul``, 10,634
+    ``Semilattice.leq`` and 1,623 ``UnionFind.union`` calls and 210
+    ``compose_after`` calls in ``validate_action``.  Now ``mul`` is not
+    called, ``leq`` only by the literal ``is_filter`` of
+    ``spectrum.filter_closures``, the union-find is gone (merges are
+    ``join_roots`` passes, 5 here: one per round of the mu sampler, whose 20
+    attempts saturate together), and ``validate_action`` composes its 27
+    generators in 3 stacked calls.
+    """
+    S = actions.graph_inverse_semigroup(GRAPH7)
+    calls = Counter()
+
+    def counting(owner, name, key):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(semigroups.InverseSemigroup, "mul", "mul")
+    counting(Semilattice, "leq", "leq")
+    counting(congruences, "join_roots", "join_roots")
+    counting(actions, "compose_after", "compose_after")
+    [report] = run_suite("graph7", S, "universal")
+    assert report.passed
+    assert dict(calls) == {"leq": 1652, "join_roots": 5, "compose_after": 3}
+    assert not hasattr(congruences, "UnionFind")
+
+
+def test_sampler_keeps_its_relations_with_the_components_pass():
+    """The sampled congruences are those of full saturation by the loops."""
+    S = subject("graph7")
+    for seed in (0, 1):
+        rng = random.Random(seed)
+        expected = []
+        for _ in range(20):
+            pairs = [(rng.randrange(S.size), rng.randrange(S.size))
+                     for _ in range(rng.randint(1, 2))]
+            R = reference_saturate(S, pairs)
+            if all(len(set(b) & S.idempotent_set) <= 1 for b in R.blocks):
+                expected.append(R)
+        assert random_idempotent_separating_congruences(S, seed=seed) == expected

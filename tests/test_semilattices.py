@@ -218,7 +218,7 @@ def test_symmetric_inverse_monoid_counts():
 
 def test_symmetric_inverse_monoid_budget():
     with pytest.raises(SizeBudgetExceeded):
-        symmetric_inverse_monoid(5)
+        symmetric_inverse_monoid(6)
 
 
 def test_exhaustive_filters_refuse_semilattices_above_the_cap():
