@@ -20,16 +20,19 @@ from germlab.io import export_dot, save_semigroup
 def main() -> int:
     outdir = sys.argv[1] if len(sys.argv) > 1 else "out"
     os.makedirs(outdir, exist_ok=True)
+    written = 0
     for name, S in corpus():
         fname = name.replace(":", "_") + ".json"
         save_semigroup(S, os.path.join(outdir, fname))
+        written += 1
     for name in ("diamond_munn", "b2"):
         S = builtin(name)
         for kind, action in (("universal", universal_action(S)),
                              ("tight", tight_action(S))):
             G = germ_groupoid(action).groupoid
             export_dot(G, os.path.join(outdir, f"{name}_{kind}.gv"))
-    print(f"wrote {len(corpus()) + 4} files to {outdir}/")
+            written += 1
+    print(f"wrote {written} files to {outdir}/")
     return 0
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .congruences import related_products
 from .errors import (
     CyclicGraph,
     DomainMismatch,
@@ -37,10 +38,10 @@ from .errors import (
 from .groupoids import FiniteGroupoid, extract_subgroupoid
 from .semigroups import (
     InverseSemigroup,
+    Relation,
     centralizer,
     distinct,
     first_index,
-    group_by_key,
     membership,
     validate_inverse_semigroup,
 )
@@ -193,16 +194,7 @@ def action_kernel(action: Action) -> frozenset[int]:
     That this is the normal subsemigroup of elements acting as identities is
     checked by ``tight.base_dichotomy_universal`` and ``_tight``.
     """
-    S = action.semigroup
-    maps = np.ascontiguousarray(action.maps)
-    rows = maps.view(np.dtype((np.void, maps.itemsize * maps.shape[1]))).ravel()
-    blocks = group_by_key(rows.tolist())
-    block = np.empty(S.size, dtype=np.intp)
-    block[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
-    s, t = np.nonzero(block[:, None] == block)
-    products = np.zeros(S.size, dtype=bool)
-    products[S.table[s, S.inv_array[t]]] = True
-    return frozenset(np.flatnonzero(products).tolist())
+    return related_products(action.semigroup, Relation(action.maps))
 
 
 def domains_form_base(action: Action) -> bool:
@@ -277,9 +269,7 @@ def _theta_catalog(S: InverseSemigroup, germ_at: np.ndarray, unit_catalog
     s, j = np.nonzero(cuts > 0)
     rows = np.where(inside[j], germ_at[s], -1)
     s, j = s.tolist(), j.tolist()
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
-    # a dict built back to front keeps the first index of each key
-    first = sorted(dict(zip(reversed(keys), range(len(keys) - 1, -1, -1))).values())
+    first = Relation(rows).reps.tolist()
     kept = rows[first]
     members = kept[kept >= 0].tolist()
     ends = np.cumsum((kept >= 0).sum(axis=1)).tolist()

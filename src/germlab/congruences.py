@@ -4,31 +4,27 @@ Covers the maximal idempotent-separating congruence (mu), the minimum group
 congruence (sigma), kernels, quotients and split transversals for the
 extension of the centralizer by the fundamental quotient.
 
-mu, quotients and congruence witnesses are gathers of the table: mu groups
-the rows of s e s* over the idempotents e, a quotient gathers the products
-of block representatives and compares them with the whole table projected.
-The sampler behind the mu-maximality check saturates seeded pairs to
-congruences, but stops an attempt as soon as two idempotents share a block:
-saturation only merges, so that attempt could never be kept.  Blocks are
-merged by ``join_roots``, one connected-components pass over a batch of
-pairs, which sigma, generated congruences and the sampler share.
+Every relation is a ``Relation``, the one partition type, defined in
+``semigroups`` and re-exported here.  mu, quotients and congruence
+witnesses are gathers of the table: mu groups the rows of s e s* over the
+idempotents e, a quotient gathers the products of block representatives
+and compares them with the whole table projected.  The sampler behind the
+mu-maximality check saturates seeded pairs to congruences, but stops an
+attempt as soon as two idempotents share a block: saturation only merges,
+so that attempt could never be kept.  Blocks are merged by ``join_roots``,
+one connected-components pass over a batch of pairs, which sigma,
+generated congruences and the sampler share.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import NotACongruence, SearchBudgetExceeded, StructureError
-from .semigroups import (
-    InverseSemigroup,
-    first_index,
-    group_by_key,
-    validate_inverse_semigroup,
-)
+from .semigroups import InverseSemigroup, Relation, first_index, validate_inverse_semigroup
 
 TRANSVERSAL_BUDGET = 10**6
 WITNESS_CHUNK = 1 << 16     # entries per chunk of congruence_witness's pair tables
@@ -66,55 +62,6 @@ def join_roots(root: np.ndarray, a, b) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Relation:
-    """An equivalence relation stored as a canonical partition.
-
-    Blocks are sorted tuples ordered by least element; `block_of` gives O(1)
-    membership queries.
-    """
-
-    blocks: tuple[tuple[int, ...], ...]
-    block_of: tuple[int, ...]
-
-    @staticmethod
-    def from_blocks(size: int, blocks) -> "Relation":
-        canon = sorted(tuple(sorted(set(b))) for b in blocks if b)
-        seen: list[int | None] = [None] * size
-        for i, b in enumerate(canon):
-            for x in b:
-                if x < 0 or x >= size or seen[x] is not None:
-                    raise StructureError("blocks must partition 0..size-1")
-                seen[x] = i
-        if any(v is None for v in seen):
-            raise StructureError("blocks must cover 0..size-1")
-        return Relation(tuple(canon), tuple(seen))  # type: ignore[arg-type]
-
-    @staticmethod
-    def identity(size: int) -> "Relation":
-        return Relation.from_blocks(size, [(i,) for i in range(size)])
-
-    @staticmethod
-    def universal(size: int) -> "Relation":
-        return Relation.from_blocks(size, [tuple(range(size))])
-
-    def related(self, a: int, b: int) -> bool:
-        return self.block_of[a] == self.block_of[b]
-
-    @cached_property
-    def block_array(self) -> np.ndarray:
-        """``block_of`` as an index array."""
-        return np.array(self.block_of, dtype=np.intp)
-
-    @property
-    def size(self) -> int:
-        return len(self.block_of)
-
-    def refines(self, other: "Relation") -> bool:
-        """Every block of self sits inside a block of other."""
-        return all(len({other.block_of[x] for x in b}) == 1 for b in self.blocks)
-
-
-@dataclass(frozen=True)
 class QuotientMap:
     source: InverseSemigroup
     target: InverseSemigroup
@@ -140,7 +87,7 @@ def congruence_witness(S: InverseSemigroup, R: Relation):
     """
     A = np.array([b[0] for b in R.blocks for _ in b[1:]], dtype=np.intp)
     B = np.array([x for b in R.blocks for x in b[1:]], dtype=np.intp)
-    T, p, m = S.table, R.block_array, len(A)
+    T, p, m = S.table, R.labels, len(A)
     c = np.arange(S.size)
     step = max(1, WITNESS_CHUNK // (m + S.size))
     for lo in range(0, m, step):
@@ -158,10 +105,6 @@ def congruence_witness(S: InverseSemigroup, R: Relation):
     return None
 
 
-def h_relation(S: InverseSemigroup) -> Relation:
-    return Relation.from_blocks(S.size, S.h_partition)
-
-
 def mu_relation(S: InverseSemigroup) -> Relation:
     """Maximal idempotent-separating congruence: equal conjugation on idempotents.
 
@@ -169,36 +112,39 @@ def mu_relation(S: InverseSemigroup) -> Relation:
     checked by ``congruence.mu_inside_h``.
     """
     T = S.table
-    # s e s* at [s, e]; the rows are grouped as raw bytes, one key per row
-    conj = np.ascontiguousarray(T[T[:, S.idempotent_array], S.inv_array[:, None]])
-    rows = conj.view(np.dtype((np.void, conj.dtype.itemsize * conj.shape[1]))).ravel()
-    return Relation.from_blocks(S.size, group_by_key(rows.tolist()))
+    return Relation(T[T[:, S.idempotent_array], S.inv_array[:, None]])   # s e s* at [s, e]
 
 
 def is_idempotent_separating(S: InverseSemigroup, R: Relation) -> bool:
-    idems = S.idempotent_set
-    return all(len([x for x in block if x in idems]) <= 1 for block in R.blocks)
+    return not (np.bincount(R.labels[S.idempotent_array], minlength=R.count) > 1).any()
 
 
 def kernel_of(S: InverseSemigroup, R: Relation) -> frozenset[int]:
     """Union of blocks containing an idempotent."""
-    idems = S.idempotent_set
-    return frozenset(x for block in R.blocks
-                     if any(e in idems for e in block) for x in block)
+    meets = np.zeros(R.count, dtype=bool)
+    meets[R.labels[S.idempotent_array]] = True
+    return frozenset(np.flatnonzero(meets[R.labels]).tolist())
+
+
+def related_products(S: InverseSemigroup, R: Relation) -> frozenset[int]:
+    """The products s t* over the related pairs s ~ t."""
+    s, t = np.nonzero(R.labels[:, None] == R.labels)
+    products = np.zeros(S.size, dtype=bool)
+    products[S.table[s, S.inv_array[t]]] = True
+    return frozenset(np.flatnonzero(products).tolist())
 
 
 def quotient(S: InverseSemigroup, R: Relation) -> QuotientMap:
-    proj = R.block_array
-    k = len(R.blocks)
+    proj = R.labels
+    projection = tuple(proj.tolist())
     labels = tuple("{" + ",".join(S.label(x) for x in block) + "}" for block in R.blocks)
-    if k == S.size:     # R is the identity: S/R is S, relabeled, on the same table
-        return QuotientMap(S, InverseSemigroup(S.table, S.inv, S.zero, labels), R.block_of)
-    reps = np.array([b[0] for b in R.blocks], dtype=np.intp)
-    table = proj[S.table[np.ix_(reps, reps)]]
+    if R.is_identity:     # S/R is S, relabeled, on the same table
+        return QuotientMap(S, InverseSemigroup(S.table, S.inv, S.zero, labels), projection)
+    table = proj[S.table[np.ix_(R.reps, R.reps)]]
     if not (table[proj[:, None], proj] == proj[S.table]).all():
         raise NotACongruence(congruence_witness(S, R))
     T = validate_inverse_semigroup(table, labels, skip_associativity=True)
-    return QuotientMap(S, T, R.block_of)
+    return QuotientMap(S, T, projection)
 
 
 def munn_quotient(S: InverseSemigroup) -> QuotientMap:
@@ -206,11 +152,11 @@ def munn_quotient(S: InverseSemigroup) -> QuotientMap:
 
 
 def is_fundamental(S: InverseSemigroup) -> bool:
-    return mu_relation(S) == Relation.identity(S.size)
+    return mu_relation(S).is_identity
 
 
 def is_cryptic(S: InverseSemigroup) -> bool:
-    return mu_relation(S) == h_relation(S)
+    return mu_relation(S) == S.h_partition
 
 
 def sigma_relation(S: InverseSemigroup) -> Relation:
@@ -222,8 +168,7 @@ def sigma_relation(S: InverseSemigroup) -> Relation:
     """
     E = S.idempotent_array
     s = np.repeat(np.arange(S.size), E.size)
-    return Relation.from_blocks(S.size, group_by_key(
-        join_roots(np.arange(S.size), s, S.table[:, E].ravel()).tolist()))
+    return Relation(join_roots(np.arange(S.size), s, S.table[:, E].ravel()))
 
 
 def sigma_and_group_image(S: InverseSemigroup) -> tuple[Relation, QuotientMap]:
@@ -247,7 +192,7 @@ def group_quotient(S: InverseSemigroup, sigma: Relation) -> QuotientMap:
 def generated_congruence(S: InverseSemigroup, pairs) -> Relation:
     """Smallest congruence relating every given pair."""
     [root] = _saturate(S, [pairs])
-    return Relation.from_blocks(S.size, group_by_key(root.tolist()))
+    return Relation(root)
 
 
 def _saturate(S: InverseSemigroup, pair_lists, separate: np.ndarray | None = None
@@ -310,8 +255,7 @@ def random_idempotent_separating_congruences(S: InverseSemigroup, *, seed: int,
     rng = random.Random(seed)
     pair_lists = [[(rng.randrange(S.size), rng.randrange(S.size))
                    for _ in range(rng.randint(1, 2))] for _ in range(attempts)]
-    return [Relation.from_blocks(S.size, group_by_key(root.tolist()))
-            for root in _saturate(S, pair_lists, separate=S.idempotent_array)
+    return [Relation(root) for root in _saturate(S, pair_lists, separate=S.idempotent_array)
             if root is not None]
 
 
@@ -331,11 +275,9 @@ def split_transversal(S: InverseSemigroup, mu: Relation, q: QuotientMap
     classes is not bounded by the recursion limit.  That the result is a
     multiplicative section is checked by ``extension.split_transversal``.
     """
-    idems = S.idempotent_set
-    choices: list[list[int]] = []
-    for block in mu.blocks:
-        block_idems = [x for x in block if x in idems]
-        choices.append(block_idems if block_idems else list(block))
+    E = S.idempotent_array.tolist()
+    forced = dict(zip(mu.labels[E].tolist(), ([e] for e in E)))     # block -> [its idempotent]
+    choices = [forced.get(i, list(block)) for i, block in enumerate(mu.blocks)]
 
     budget = 1
     for c in choices:

@@ -5,6 +5,10 @@ structure; inverses, idempotents, the natural partial order, Green's H and
 the centralizer of the idempotents are all derived from it, each by gathers
 of the table rather than loops over products.
 
+``Relation``, defined here, is the package's one partition type: Green's H,
+every congruence and every grouping of action rows is one canonical label
+array, each element's block index with blocks numbered by least element.
+
 Laws that are closed under products are certified on a generating set
 rather than on every element: Light's associativity test here, and the
 homomorphism law of an action in ``actions.validate_action``.
@@ -99,20 +103,90 @@ class InverseSemigroup:
         return m
 
     @cached_property
-    def h_partition(self) -> tuple[tuple[int, ...], ...]:
-        """Green's H classes, keyed by (s*s, ss*), ordered by least element."""
+    def h_partition(self) -> "Relation":
+        """Green's H: s and t are related when s*s = t*t and ss* = tt*."""
         s, inv = np.arange(self.size), self.inv_array
-        keys = self.table[inv, s] * self.size + self.table[s, inv]
-        return tuple(tuple(b) for b in group_by_key(keys.tolist()))
+        return Relation(self.table[inv, s] * self.size + self.table[s, inv])
 
 
-def group_by_key(keys) -> list[list[int]]:
-    """Indices 0, 1, ... grouped by equal key, each group in increasing order
-    and the groups ordered by their least index."""
-    groups: dict = {}
-    for i, k in enumerate(keys):
-        groups.setdefault(k, []).append(i)
-    return list(groups.values())
+class Relation:
+    """An equivalence relation on 0..n-1: the one partition type of the package.
+
+    ``labels[x]`` is the index of the block of x, the blocks numbered by
+    their least elements, so equal relations have equal label arrays, and
+    ``reps[i]`` is the least element of block i.  The constructor takes one
+    key per element, or the rows of a 2-D array as keys, and relates the
+    elements with equal keys; ``from_blocks`` validates blocks given from
+    outside.
+    """
+
+    def __init__(self, keys):
+        keys = np.asarray(keys)
+        if keys.ndim == 2:      # each row as one key: its raw bytes
+            keys = np.ascontiguousarray(keys)
+            keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0]
+        least: dict = {}        # key -> the first element with that key
+        root = [least.setdefault(k, x) for x, k in enumerate(keys.tolist())]
+        self.reps = np.array(list(least.values()), dtype=np.intp)
+        block = np.zeros(len(root), dtype=np.intp)
+        block[self.reps] = np.arange(self.reps.size)
+        self.labels = block[root]
+        self.labels.flags.writeable = self.reps.flags.writeable = False
+
+    @staticmethod
+    def from_blocks(size: int, blocks) -> "Relation":
+        labels = np.full(size, -1, dtype=np.intp)
+        for i, block in enumerate(blocks):
+            for x in set(block):
+                if x < 0 or x >= size or labels[x] >= 0:
+                    raise StructureError("blocks must partition 0..size-1")
+                labels[x] = i
+        if (labels < 0).any():
+            raise StructureError("blocks must cover 0..size-1")
+        return Relation(labels)
+
+    @staticmethod
+    def identity(size: int) -> "Relation":
+        return Relation(np.arange(size))
+
+    @staticmethod
+    def universal(size: int) -> "Relation":
+        return Relation(np.zeros(size, dtype=np.intp))
+
+    @property
+    def size(self) -> int:
+        return self.labels.size
+
+    @property
+    def count(self) -> int:
+        """The number of blocks."""
+        return self.reps.size
+
+    @property
+    def is_identity(self) -> bool:
+        return self.count == self.size
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks as increasing tuples, in block order."""
+        out: list[list[int]] = [[] for _ in range(self.count)]
+        for x, b in enumerate(self.labels.tolist()):
+            out[b].append(x)
+        return tuple(tuple(b) for b in out)
+
+    def related(self, a: int, b: int) -> bool:
+        return bool(self.labels[a] == self.labels[b])
+
+    def refines(self, other: "Relation") -> bool:
+        """Every block of self sits inside a block of other: each element is
+        related in other to the least element of its block in self."""
+        return bool((other.labels == other.labels[self.reps[self.labels]]).all())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Relation) and np.array_equal(self.labels, other.labels)
+
+    def __repr__(self) -> str:
+        return f"Relation({self.blocks})"
 
 
 def distinct(values: np.ndarray) -> np.ndarray:
@@ -297,14 +371,13 @@ def lower_intersection_generators(S: InverseSemigroup, s: int, t: int) -> frozen
 
 def h_classes(S: InverseSemigroup) -> tuple[tuple[int, ...], ...]:
     """Partition of S by Green's H relation (s*s and ss* both agree)."""
-    return S.h_partition
+    return S.h_partition.blocks
 
 
 def h_class_of(S: InverseSemigroup, s: int) -> tuple[int, ...]:
-    for block in S.h_partition:
-        if s in block:
-            return block
-    raise StructureError(f"element {s} out of range")
+    if not 0 <= s < S.size:
+        raise StructureError(f"element {s} out of range")
+    return S.h_partition.blocks[S.h_partition.labels[s]]
 
 
 def is_clifford(S: InverseSemigroup) -> bool:
@@ -312,28 +385,24 @@ def is_clifford(S: InverseSemigroup) -> bool:
     return bool((S.table[inv, s] == S.table[s, inv]).all())
 
 
+def _below_idempotents_only(S: InverseSemigroup, idems: np.ndarray) -> bool:
+    """No element of idems sits below a non-idempotent in the natural order."""
+    other = np.ones(S.size, dtype=bool)
+    other[S.idempotent_array] = False
+    return not S.leq[idems][:, other].any()
+
+
 def is_e_unitary(S: InverseSemigroup) -> bool:
     """No idempotent sits below a non-idempotent in the natural order."""
-    idems = S.idempotent_set
-    for e in idems:
-        for s in S.elements():
-            if s not in idems and S.leq[e, s]:
-                return False
-    return True
+    return _below_idempotents_only(S, S.idempotent_array)
 
 
 def is_zero_e_unitary(S: InverseSemigroup) -> bool:
     """Variant of E-unitarity quantifying over nonzero idempotents only."""
     if S.zero is None:
         raise ZeroRequired("0-E-unitary needs a zero element")
-    idems = S.idempotent_set
-    for e in idems:
-        if e == S.zero:
-            continue
-        for s in S.elements():
-            if s not in idems and S.leq[e, s]:
-                return False
-    return True
+    E = S.idempotent_array
+    return _below_idempotents_only(S, E[E != S.zero])
 
 
 def centralizer(S: InverseSemigroup) -> frozenset[int]:

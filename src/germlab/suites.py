@@ -38,13 +38,12 @@ from . import algebra as alg
 from .actions import domains_form_base, germ_equivalence_is_equivalence, induced_subgroupoid
 from .builtins import NAMED_GRAPHS
 from .congruences import (
-    Relation,
     congruence_witness,
-    h_relation,
     is_fundamental,
     kernel_of,
     mu_relation,
     random_idempotent_separating_congruences,
+    related_products,
     transversal_defect,
 )
 from .errors import StructureError
@@ -79,6 +78,7 @@ from .semilattices import (
     is_filter,
     is_zero_disjunctive,
     munn_semigroup,
+    principal_filter,
     semilattice_isomorphic,
     semilattice_of,
     symmetric_inverse_monoid,
@@ -211,13 +211,9 @@ def run_universal_suite(name: str, sub: Subject) -> list[CheckResult]:
     def h_groups():
         """Over the pairs (e, a), a in the class of e, in order: e is a
         two-sided identity on a, aa* = e, and a times the class stays in it."""
-        T, blocks = S.table, S.h_partition
-        h = np.empty(S.size, dtype=np.intp)          # the class of each element
-        h[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)),
-                                              [len(b) for b in blocks])
-        E = S.idempotent_array
-        a = np.concatenate([blocks[i] for i in h[E].tolist()])
-        e = np.repeat(E, [len(blocks[i]) for i in h[E].tolist()])
+        T, h, E = S.table, S.h_partition.labels, S.idempotent_array
+        i, a = np.nonzero(h[E][:, None] == h)
+        e = E[i]
         not_identity = (T[e, a] != a) | (T[a, e] != a)
         escapes = (h[e][:, None] == h) & (h[T[a]] != h[e][:, None])
         hit = first_index(not_identity | (T[a, S.inv_array[a]] != e) | escapes.any(axis=1))
@@ -247,19 +243,18 @@ def run_universal_suite(name: str, sub: Subject) -> list[CheckResult]:
 
     def mu_inside_h():
         """mu separates idempotents, refines H, and is a congruence."""
-        mu = sub.mu
-        H = h_relation(S)
+        mu, h = sub.mu, S.h_partition.labels.tolist()
         for block in mu.blocks:
             idems = [x for x in block if x in S.idempotent_set]
             if len(idems) > 1:
                 return False, f"relates idempotents {idems[0]} and {idems[1]}"
-            apart = [x for x in block if not H.related(block[0], x)]
+            apart = [x for x in block if h[x] != h[block[0]]]
             if apart:
                 return False, f"relates {block[0]} and {apart[0]} across H classes"
         quad = congruence_witness(S, mu)
         if quad is not None:
             return False, f"not a congruence at {quad}"
-        return True, f"{len(mu.blocks)} blocks"
+        return True, f"{mu.count} blocks"
 
     _check(out, "congruence.mu_inside_h",
            "the idempotent-conjugation congruence refines Green's H", mu_inside_h)
@@ -280,11 +275,7 @@ def run_universal_suite(name: str, sub: Subject) -> list[CheckResult]:
         """The blocks of mu meeting the idempotents hold exactly the products
         s t* over related pairs, and they make up the centralizer."""
         kernel = kernel_of(S, sub.mu)
-        p = sub.mu.block_array
-        s, t = np.nonzero(p[:, None] == p)
-        products = np.zeros(S.size, dtype=bool)
-        products[S.table[s, S.inv_array[t]]] = True
-        via_pairs = frozenset(np.flatnonzero(products).tolist())
+        via_pairs = related_products(S, sub.mu)
         if via_pairs != kernel:
             return False, f"kernel cross-check fails at {min(via_pairs ^ kernel)}"
         return kernel == sub.Z, f"{len(sub.Z)} elements"
@@ -415,7 +406,7 @@ def run_universal_suite(name: str, sub: Subject) -> list[CheckResult]:
             u = sub.beta.unit_at_point[sub.beta.principal_point(e)]
             z_fiber = _fiber_elements(sub, z_arrows, u)
             iso_fiber = _fiber_elements(sub, iso, u)
-            z_class = frozenset(next(b for b in sub.mu.blocks if e in b))
+            z_class = frozenset(sub.mu.blocks[sub.mu.labels[e]])
             if z_fiber != z_class:
                 return False, f"centralizer fiber at {e} is not its congruence class"
             if iso_fiber != frozenset(h_class_of(S, e)):
@@ -430,7 +421,7 @@ def run_universal_suite(name: str, sub: Subject) -> list[CheckResult]:
         G = sub.beta.groupoid
         inner = iso_interior(G)
         z_arrows = sub.z_in_beta.arrows
-        if sub.mu == h_relation(S):      # cryptic
+        if sub.mu == S.h_partition:      # cryptic
             if z_arrows != inner:
                 return False, "cryptic but the centralizer germs miss interior arrows"
             return True, f"equal arrow sets ({len(inner)} arrows)"
@@ -495,13 +486,17 @@ def run_tight_suite(name: str, sub: Subject) -> list[CheckResult]:
     out: list[CheckResult] = []
 
     def ultra_ok():
-        filters = sub.filters
-        ultra = ultrafilters(sub.E)
+        """Each ultrafilter is maximal, and the tight spectrum is exactly the
+        principal filters of the atoms, the minimal elements of E without its
+        zero: an oracle that does not call ``ultrafilters``."""
+        E, ultra = sub.E, ultrafilters(sub.E)
         for F in ultra:
-            if any(F < G for G in filters):
+            if any(F < G for G in sub.filters):
                 return False, f"{sorted(F)} is not maximal"
-        if tight_spectrum(sub.E) != ultra:
-            return False, "tight spectrum differs from the ultrafilters"
+        nonzero = np.arange(E.size) != (-1 if E.zero is None else E.zero)
+        atoms = np.flatnonzero(nonzero & ((E.order & nonzero[:, None]).sum(axis=0) == 1))
+        if set(tight_spectrum(E)) != {principal_filter(E, a) for a in atoms.tolist()}:
+            return False, "tight spectrum differs from the principal filters of the atoms"
         return True, f"{len(ultra)} ultrafilters"
 
     _check(out, "tight.ultrafilters_maximal",
@@ -541,7 +536,7 @@ def run_tight_suite(name: str, sub: Subject) -> list[CheckResult]:
         if sub.z_in_theta.arrows != inner:
             return False, "centralizer germs differ from the isotropy interior"
         extra = ""
-        if sub.mu == Relation.identity(S.size):      # fundamental
+        if sub.mu.is_identity:      # fundamental
             if not is_essentially_principal(sub.theta.groupoid):
                 return False, "fundamental and 0-disjunctive but not essentially principal"
             extra = "; essentially principal (fundamental case)"
@@ -630,7 +625,7 @@ def run_extension_suite(name: str, sub: Subject) -> list[CheckResult]:
         if not is_strongly_surjective(proj.hom):
             return False, "a fiber is not covered"
         note = ""
-        if sub.mu == Relation.identity(S.size):      # fundamental
+        if sub.mu.is_identity:      # fundamental
             if sorted(proj.hom.map) != list(proj.target.groupoid.arrows()):
                 return False, "fundamental but the projection is not a bijection"
             note = " (isomorphism: fundamental case)"

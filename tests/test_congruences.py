@@ -86,9 +86,7 @@ def test_mu_is_idempotent_separating_and_inside_h():
         S = validate_inverse_semigroup(table)
         mu = mu_relation(S)
         assert is_idempotent_separating(S, mu)
-        from germlab.congruences import h_relation
-
-        assert mu.refines(h_relation(S))
+        assert mu.refines(S.h_partition)
 
 
 def test_kernel_of_identity_relation_is_idempotents():

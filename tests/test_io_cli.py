@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from germlab.actions import DirectedGraph
-from germlab.builtins import builtin, corpus
+from germlab.builtins import CORPUS_NAMES, builtin, corpus
 from germlab.cli import main
 from germlab.errors import ParseError, NotAssociative, UnknownName
 from germlab.extensions import universal_germs
@@ -16,6 +21,21 @@ from germlab.io import (
     save_semigroup,
 )
 
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_export_examples_script_writes_the_corpus_and_the_germ_groupoids(tmp_path):
+    """``scripts/export_examples.py OUTDIR``: one JSON per corpus member, each
+    reloading to its builtin's table, and four DOT files."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO / "src"), env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, str(REPO / "scripts" / "export_examples.py"),
+                           str(tmp_path)], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == f"wrote 29 files to {tmp_path}/\n"
+    assert len(list(tmp_path.iterdir())) == 29
+    for name in CORPUS_NAMES:
+        loaded = load_semigroup(str(tmp_path / (name.replace(":", "_") + ".json")))
+        assert np.array_equal(loaded.table, builtin(name).table)
 
 
 def test_semigroup_roundtrip(tmp_path):

@@ -2,7 +2,8 @@
 
 Each ``reference_*`` function is the pure-Python form over ``S.mul`` that
 the array code in ``semigroups.py`` and ``congruences.py`` replaced, kept
-here as the oracle.  The subjects are the corpus plus the ladder's larger
+here as the oracle.  Every partition is a ``Relation`` label array; the
+references build theirs through ``Relation.from_blocks``.  The subjects are the corpus plus the ladder's larger
 ones: ``symmetric:4``, ``group:z70``, ``symmetric:3 x group:z2`` and a
 210-element graph inverse semigroup.
 """
@@ -14,24 +15,33 @@ import numpy as np
 import pytest
 
 from germlab import congruences
-from germlab.actions import DirectedGraph, graph_inverse_semigroup
+from germlab.actions import (
+    DirectedGraph,
+    action_kernel,
+    graph_inverse_semigroup,
+    tight_action,
+    universal_action,
+)
 from germlab.builtins import CORPUS_NAMES, builtin
 from germlab.congruences import (
     Relation,
     congruence_witness,
     generated_congruence,
-    h_relation,
     is_idempotent_separating,
+    kernel_of,
     mu_relation,
     quotient,
     random_idempotent_separating_congruences,
+    related_products,
     sigma_relation,
 )
-from germlab.errors import NotACongruence
+from germlab.errors import NotACongruence, ZeroRequired
 from germlab.semigroups import (
     centralizer,
     direct_product,
     is_clifford,
+    is_e_unitary,
+    is_zero_e_unitary,
     normality_defect,
 )
 
@@ -108,6 +118,63 @@ def reference_mu_relation(S):
     return Relation.from_blocks(S.size, keys.values())
 
 
+def reference_relation(keys):
+    """The elements grouped by equal key."""
+    groups = {}
+    for x, k in enumerate(keys):
+        groups.setdefault(k, []).append(x)
+    return Relation.from_blocks(len(keys), groups.values())
+
+
+def reference_sigma_relation(S):
+    """s ~ t iff se = te for an idempotent e; each element keyed by the least
+    element related to it."""
+    idems = sorted(S.idempotent_set)
+    return reference_relation([next(t for t in S.elements()
+                                    if any(S.mul(s, e) == S.mul(t, e) for e in idems))
+                               for s in S.elements()])
+
+
+def reference_refines(R, C):
+    return all(len({C.labels[x] for x in block}) == 1 for block in R.blocks)
+
+
+def reference_kernel_of(S, R):
+    idems = S.idempotent_set
+    return frozenset(x for block in R.blocks
+                     if any(e in idems for e in block) for x in block)
+
+
+def reference_is_idempotent_separating(S, R):
+    idems = S.idempotent_set
+    return all(len([x for x in block if x in idems]) <= 1 for block in R.blocks)
+
+
+def reference_related_products(S, R):
+    return frozenset(S.mul(s, S.inv[t]) for block in R.blocks for s in block for t in block)
+
+
+def reference_is_e_unitary(S, *, skip_zero=False):
+    idems = S.idempotent_set
+    for e in idems:
+        if skip_zero and e == S.zero:
+            continue
+        for s in S.elements():
+            if s not in idems and S.leq[e, s]:
+                return False
+    return True
+
+
+def assert_canonical(R):
+    """The blocks partition 0..n-1, block i's least element is below block
+    i+1's, and the labels and representatives agree with the blocks."""
+    heads = [block[0] for block in R.blocks]
+    assert all(a < b for a, b in zip(heads, heads[1:]))
+    assert R.reps.tolist() == heads
+    assert sorted(x for block in R.blocks for x in block) == list(range(R.size))
+    assert all(R.labels[x] == i for i, block in enumerate(R.blocks) for x in block)
+
+
 def reference_congruence_witness(S, R):
     for block in R.blocks:
         a = block[0]
@@ -127,7 +194,7 @@ def reference_congruence_witness(S, R):
 
 def reference_quotient_table(S, R):
     """The quotient's table by the loop, or NotACongruence as the loop raised it."""
-    proj, k = R.block_of, len(R.blocks)
+    proj, k = R.labels.tolist(), len(R.blocks)
     table = -np.ones((k, k), dtype=np.int64)
     for a in S.elements():
         for b in S.elements():
@@ -147,7 +214,7 @@ def reference_sampler(S, seed, attempts=20):
         pairs = [(rng.randrange(S.size), rng.randrange(S.size))
                  for _ in range(rng.randint(1, 2))]
         R = generated_congruence(S, pairs)
-        if is_idempotent_separating(S, R):
+        if reference_is_idempotent_separating(S, R):
             found.append(R)
     return found
 
@@ -174,7 +241,7 @@ def relations(S, seed):
     n = S.size
     known = [mu_relation(S), sigma_relation(S),
                    generated_congruence(S, [(rng.randrange(n), rng.randrange(n))])]
-    out = [Relation.identity(n), Relation.universal(n), h_relation(S), *known]
+    out = [Relation.identity(n), Relation.universal(n), S.h_partition, *known]
     out += [R for R in (split_last_block(C, rng) for C in known) if R is not None]
     for _ in range(6):
         k = rng.randint(1, n)
@@ -210,10 +277,58 @@ def subsets(S, seed):
 def test_order_h_and_centralizer_equal_the_loops(name):
     S = subject(name)
     assert np.array_equal(S.leq, reference_leq(S))
-    assert S.h_partition == reference_h_partition(S)
+    assert S.h_partition.blocks == reference_h_partition(S)
     assert centralizer(S) == reference_centralizer(S)
     assert is_clifford(S) == reference_is_clifford(S)
     assert mu_relation(S) == reference_mu_relation(S)
+
+
+@pytest.mark.parametrize("name", SUBJECTS)
+def test_partition_producers_equal_their_references(name):
+    """H, mu, sigma, a generated congruence (against the old route from its
+    roots; the saturation itself is checked against a union-find in
+    ``test_generator_certificates``), the sampler and the grouping of the
+    actions' rows behind ``action_kernel``, all canonically numbered."""
+    S = subject(name)
+    rng = random.Random(name)
+    pairs = [(rng.randrange(S.size), rng.randrange(S.size)) for _ in range(2)]
+    [root] = congruences._saturate(S, [pairs])
+    produced = [S.h_partition, mu_relation(S), sigma_relation(S),
+                generated_congruence(S, pairs),
+                *random_idempotent_separating_congruences(S, seed=len(name))]
+    assert produced[:4] == [Relation.from_blocks(S.size, reference_h_partition(S)),
+                            reference_mu_relation(S), reference_sigma_relation(S),
+                            reference_relation(root.tolist())]
+    for action in (universal_action(S), tight_action(S)):
+        R = Relation(action.maps)
+        assert R == reference_relation([tuple(row) for row in action.maps.tolist()])
+        assert action_kernel(action) == reference_related_products(S, R)
+        produced.append(R)
+    for R in produced:
+        assert_canonical(R)
+
+
+@pytest.mark.parametrize("name", SUBJECTS)
+def test_relation_predicates_equal_the_loops(name):
+    S = subject(name)
+    rels = relations(S, seed=len(name))
+    for R in rels:
+        assert_canonical(R)
+        assert kernel_of(S, R) == reference_kernel_of(S, R)
+        assert is_idempotent_separating(S, R) == reference_is_idempotent_separating(S, R)
+        assert related_products(S, R) == reference_related_products(S, R)
+        assert [R.refines(C) for C in rels] == [reference_refines(R, C) for C in rels]
+
+
+@pytest.mark.parametrize("name", SUBJECTS)
+def test_unitarity_equals_the_loops(name):
+    S = subject(name)
+    assert is_e_unitary(S) == reference_is_e_unitary(S)
+    if S.zero is None:
+        with pytest.raises(ZeroRequired):
+            is_zero_e_unitary(S)
+    else:
+        assert is_zero_e_unitary(S) == reference_is_e_unitary(S, skip_zero=True)
 
 
 @pytest.mark.parametrize("name", SUBJECTS)
@@ -229,7 +344,7 @@ def test_congruence_witness_and_quotient_equal_the_loops(name):
             assert str(raised.value) == str(NotACongruence(quad))
             continue
         q = quotient(S, R)
-        assert q.projection == R.block_of
+        assert q.projection == tuple(R.labels.tolist())
         assert np.array_equal(q.target.table, reference_quotient_table(S, R))
 
 

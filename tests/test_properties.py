@@ -14,7 +14,7 @@ from germlab.builtins import (
     cyclic_group,
     strong_semilattice_of_groups,
 )
-from germlab.congruences import h_relation, kernel_of, mu_relation, munn_quotient
+from germlab.congruences import kernel_of, mu_relation, munn_quotient
 from germlab.congruences import is_fundamental
 from germlab.groupoids import is_group_bundle
 from germlab.semigroups import centralizer, is_clifford, natural_leq
@@ -104,7 +104,7 @@ def test_random_strong_semilattice_is_clifford_and_cryptic(seed):
     assert is_clifford(S)
     assert centralizer(S) == frozenset(S.elements())
     mu = mu_relation(S)
-    assert mu == h_relation(S)
+    assert mu == S.h_partition
     assert kernel_of(S, mu) == frozenset(S.elements())
 
 
@@ -120,7 +120,7 @@ def test_random_clifford_universal_groupoid_is_group_bundle(seed):
 @given(st.sampled_from(CORPUS_NAMES))
 def test_corpus_mu_refines_h_and_quotient_fundamental(name):
     S = CORPUS[name]
-    assert mu_relation(S).refines(h_relation(S))
+    assert mu_relation(S).refines(S.h_partition)
     assert is_fundamental(munn_quotient(S).target)
 
 

@@ -195,10 +195,10 @@ def test_diamond_munn_natural_order_and_common_lower_bounds():
 
 
 def test_h_relation_on_diamond_munn_is_not_a_congruence():
-    from germlab.congruences import congruence_witness, h_relation, is_congruence
+    from germlab.congruences import congruence_witness, is_congruence
 
     T = munn_semigroup(diamond())
-    H = h_relation(T)
+    H = T.h_partition
     assert not is_congruence(T, H)
     witness = congruence_witness(T, H)
     assert witness is not None

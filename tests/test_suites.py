@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 import germlab
-from germlab import suites
+from germlab import semilattices, suites
 from germlab.actions import induced_subgroupoid
 from germlab.builtins import CORPUS_NAMES, builtin
 from germlab.cli import main
-from germlab.congruences import Relation, h_relation
+from germlab.congruences import Relation
 from germlab.extensions import MunnProjection, Subject, transversal_arrows
 from germlab.groupoids import GroupoidHom, conjugation_action, validate_groupoid
 from germlab.semigroups import InverseSemigroup
@@ -231,7 +231,7 @@ def test_mu_check_reports_separation_and_h_witnesses(subject, blocks, witness):
 
 def test_mu_check_reports_a_congruence_witness():
     T = builtin("diamond_munn")     # its H relation separates idempotents but is no congruence
-    _fails(_check(run_universal_suite, T, "congruence.mu_inside_h", mu=h_relation(T)),
+    _fails(_check(run_universal_suite, T, "congruence.mu_inside_h", mu=T.h_partition),
            "not a congruence at (1, 1, 2, 4)")
 
 
@@ -260,9 +260,11 @@ def test_idempotent_check_reports_the_first_pair(S, witness):
 
 @pytest.mark.parametrize("S,witness", [
     # z4 split into {0, 1} and {2, 3}: r1 r1 = r2 leaves the class of 0
-    (_shadowed("group:z4", h_partition=((0, 1), (2, 3))), "class of 0 is not a group (witness 1)"),
+    (_shadowed("group:z4", h_partition=Relation.from_blocks(4, ((0, 1), (2, 3)))),
+     "class of 0 is not a group (witness 1)"),
     # b2 with a*a and a* in one class: a* times a*a is 0, not a*
-    (_shadowed("b2", h_partition=((0,), (1, 4), (2,), (3,))), "1 is not an identity on its class"),
+    (_shadowed("b2", h_partition=Relation.from_blocks(5, ((0,), (1, 4), (2,), (3,)))),
+     "1 is not an identity on its class"),
 ])
 def test_h_class_check_reports_the_first_element(S, witness):
     _fails(_check(run_universal_suite, S, "semigroup.h_class_groups"), witness)
@@ -298,6 +300,17 @@ def test_centralizer_check_reports_the_closure_witness(Z, witness):
 def test_action_kernel_is_checked_by_the_base_dichotomy(kernel, witness):
     _fails(_check(run_tight_suite, builtin("group:z3"), "tight.base_dichotomy_universal",
                   universal_kernel=kernel), witness)
+
+
+def test_ultrafilter_check_compares_the_tight_spectrum_with_the_atoms(monkeypatch):
+    """One maximal filter dropped from ``ultrafilters`` everywhere, the tight
+    spectrum too: the rest are still maximal, so only the principal filters
+    of the atoms catch it."""
+    real = semilattices.ultrafilters
+    monkeypatch.setattr(semilattices, "ultrafilters", lambda E: real(E)[1:])
+    monkeypatch.setattr(suites, "ultrafilters", semilattices.ultrafilters)
+    _fails(_check(run_tight_suite, builtin("diamond_munn"), "tight.ultrafilters_maximal"),
+           "tight spectrum differs from the principal filters of the atoms")
 
 
 def test_munn_check_reports_a_non_fundamental_semigroup(monkeypatch):
