@@ -113,7 +113,7 @@ def validate_action(S: InverseSemigroup, space_size: int, maps,
     if wrong.any():
         raise DomainMismatch(int(np.argmax(wrong)))
     gens = S.generators
-    step = max(1, ACTION_CHUNK // maps.size)
+    step = max(1, ACTION_CHUNK // max(maps.size, 1))
     if not all(np.array_equal(compose_after(maps[a], maps), maps[S.table[a]])
                for a in (gens[lo:lo + step] for lo in range(0, gens.size, step))):
         for s in S.elements():

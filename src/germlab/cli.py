@@ -7,7 +7,8 @@
     germlab example <name> [--emit json]
 
 A subject is a semigroup JSON file, ``builtin:<name>``, or (for verify)
-``corpus``.  Exit codes: 0 all checks pass, 1 a check failed, 2 bad input.
+``corpus``.  Exit codes: 0 all checks pass, 1 a check failed, 2 bad input or
+an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except StructureError as exc:
+    except (StructureError, OSError) as exc:     # bad input, or an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

@@ -46,8 +46,8 @@ from .groupoids import (
     semidirect_product,
     validate_hom,
 )
-from .semigroups import InverseSemigroup, centralizer
-from .semilattices import Semilattice, all_filters, semilattice_of
+from .semigroups import InverseSemigroup, centralizer, is_clifford
+from .semilattices import Semilattice, all_filters, is_zero_disjunctive, semilattice_of
 
 
 @dataclass
@@ -92,6 +92,15 @@ class Subject:
     @cached_property
     def filters(self) -> list[frozenset[int]]:
         return all_filters(self.E)
+
+    @cached_property
+    def clifford(self) -> bool:
+        return is_clifford(self.S)
+
+    @cached_property
+    def zero_disjunctive(self) -> bool:
+        """Whether E has a zero and is 0-disjunctive."""
+        return self.E.zero is not None and is_zero_disjunctive(self.E)
 
     @cached_property
     def Z(self) -> frozenset[int]:

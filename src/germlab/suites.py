@@ -8,29 +8,31 @@ belongs to exactly one suite:
     extension   projection onto the fundamental quotient, cocycles, splittings
     algebra     the convolution *-algebra, embeddings, expectations
 
-Failures always carry a concrete witness.  All randomness is seeded from the
-subject name, so two runs of the same suite produce byte-identical reports.
-The order and congruence checks compare tables; the natural order's
-transitivity is one float32 BLAS matrix product, exact because its entries
-count paths and stay below 2^24 (16.7 million elements).
+A check is declared once, at module level: ``@check(suite, name,
+statement)`` over a body that takes one ``Run`` (the subject's name, which
+seeds its samples; its ``Subject``; the algebra suite's CSV sink) and
+returns ``(ok, witness)``.  ``corpus_wide=True`` marks a check that takes no
+subject and runs once per corpus.  ``run_checks`` runs a suite's checks in
+declaration order, which is their report order, and turns a
+``StructureError`` into an ``error: ...`` failure witness; ``run_suite``,
+``global_reports`` and the tests all go through it.  Failures always carry
+a concrete witness, and two runs of a suite produce byte-identical reports.
 
-``run_suite`` makes one ``extensions.Subject`` per call and hands it to every
-suite it runs, so E, the filters, Z, mu, sigma, the actions, their germs and
-kernels, the projection, the cocycle and the transversal are each built at
-most once per call.  The Subject is dropped when the call returns; nothing is
-cached on the semigroup or between calls.  The constructors validate only
-their input: the theorems about what they build (mu is an
-idempotent-separating congruence inside H, the centralizer and the action
-kernels are normal subsemigroups, the Munn semigroup is fundamental, the
-germs of S, of its tight action and of S/mu are groupoids, the projection
-and the cocycle are homomorphisms, ...) are checked here, each by one
-named check.
+``run_suite`` hands one ``extensions.Subject`` to every check it runs, so each
+structure is built at most once per call and dropped when the call returns.
+The constructors validate only their input: the theorems about what they
+build (mu is an idempotent-separating congruence inside H, the centralizer
+and the action kernels are normal subsemigroups, the Munn semigroup is
+fundamental, the germs of S, of its tight action and of S/mu are groupoids,
+the projection and the cocycle are homomorphisms, ...) are checked here,
+each by one named check.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -67,7 +69,6 @@ from .semigroups import (
     first_index,
     h_class_of,
     idempotents,
-    is_clifford,
     is_e_unitary,
     is_zero_e_unitary,
     normality_defect,
@@ -76,7 +77,6 @@ from .semilattices import (
     EXHAUSTIVE_FILTER_CAP,
     exhaustive_filters,
     is_filter,
-    is_zero_disjunctive,
     munn_semigroup,
     principal_filter,
     semilattice_isomorphic,
@@ -88,7 +88,6 @@ from .semilattices import (
 
 SUITE_NAMES = ("universal", "tight", "extension", "algebra")
 MUNN_CHECK_CAP = 10          # skip the Munn construction for larger semilattices
-RANDOM_CONGRUENCE_SEED = 0x5EED
 ALGEBRA_SAMPLES = 100
 
 
@@ -126,17 +125,54 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _seed_for(subject: str, check: str) -> int:
-    return zlib.crc32(f"{subject}/{check}".encode())
+@dataclass
+class Run:
+    """What a check body reads: the subject's name, its Subject, the CSV sink."""
+
+    name: str
+    sub: Subject | None
+    csv_rows: list[str] | None = None
+
+    def seed(self, tag: str) -> int:
+        return zlib.crc32(f"{self.name}/{tag}".encode())
 
 
-def _check(results: list[CheckResult], name: str, statement: str, fn) -> None:
-    """Run one check body; any structural error becomes a failure witness."""
-    try:
-        ok, witness = fn()
-    except StructureError as exc:
-        ok, witness = False, f"error: {exc}"
-    results.append(CheckResult(name, statement, bool(ok), witness))
+@dataclass(frozen=True)
+class Check:
+    suite: str
+    name: str
+    statement: str
+    body: Callable[[Run], tuple[bool, str]]
+    corpus_wide: bool
+
+
+CHECKS: list[Check] = []      # every declared check, in report order
+
+
+def check(suite: str, name: str, statement: str, corpus_wide: bool = False):
+    """Declare the decorated body as the next check of a suite."""
+    def declare(body):
+        CHECKS.append(Check(suite, name, statement, body, corpus_wide))
+        return body
+    return declare
+
+
+def run_checks(name: str, sub: Subject | None, suite: str,
+               csv_rows: list[str] | None = None) -> list[CheckResult]:
+    """Run the checks of a suite in declaration order: the subject's checks
+    over ``sub``, or the corpus-wide ones when ``sub`` is None.  A check's
+    own name in place of ``suite`` runs that check alone."""
+    run = Run(name, sub, csv_rows)
+    results = []
+    for c in CHECKS:
+        if c.name != suite and (c.suite, c.corpus_wide) != (suite, sub is None):
+            continue
+        try:
+            ok, witness = c.body(run)
+        except StructureError as exc:
+            ok, witness = False, f"error: {exc}"
+        results.append(CheckResult(c.name, c.statement, bool(ok), witness))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -156,562 +192,540 @@ def _fiber_elements(sub: Subject, arrows, unit: int) -> frozenset[int]:
     return frozenset(_canonical_elements(sub.beta, at).tolist())
 
 
-def run_universal_suite(name: str, sub: Subject) -> list[CheckResult]:
-    S = sub.S
-    out: list[CheckResult] = []
+@check("universal", "semigroup.natural_order", "the natural order is a partial order")
+def _natural_order(run):
+    """Certify that S.leq is a partial order, on the boolean matrix.
 
-    def natural_order():
-        """Certify that S.leq is a partial order, on the boolean matrix.
-
-        Reflexive: the diagonal is all True.  Antisymmetric: L & L^T is empty
-        off the diagonal.  Transitive: no pair is reachable in two steps
-        (a product L @ L) without being in L.  O(n^2) memory and one n x n
-        matrix product, against an O(n^3) loop over triples.  The product is
-        a float32 BLAS matmul: its entries count paths, whole numbers at most
-        n, and every partial sum is exact while n < 2^24.
-        """
-        L = S.leq
-        unreflexive = np.flatnonzero(~L.diagonal())
-        if unreflexive.size:
-            return False, f"not reflexive at {unreflexive[0]}"
-        both = L & L.T
-        np.fill_diagonal(both, False)
-        if both.any():
-            a, b = np.argwhere(both)[0]
-            return False, f"not antisymmetric at ({a},{b})"
-        steps = L.astype(np.float32)
-        gaps = (steps @ steps > 0) & ~L
-        if gaps.any():
-            a, c = np.argwhere(gaps)[0]
-            b = np.flatnonzero(L[a] & L[:, c])[0]
-            return False, f"not transitive at ({a},{b},{c})"
-        return True, f"order checked on {S.size} elements"
-
-    _check(out, "semigroup.natural_order", "the natural order is a partial order",
-           natural_order)
-
-    def idem_closed():
-        """The products ef of idempotents, row-major over (e, f): each is an
-        idempotent and equals fe."""
-        E = S.idempotent_array
-        ef = S.table[np.ix_(E, E)]
-        is_idempotent = np.zeros(S.size, dtype=bool)
-        is_idempotent[E] = True
-        leaves = ~is_idempotent[ef]
-        hit = first_index(leaves | (ef != ef.T))
-        if hit is not None:
-            e, f = E[list(hit)].tolist()
-            return False, (f"product {e},{f} leaves the idempotents" if leaves[hit]
-                           else f"idempotents {e},{f} do not commute")
-        return True, f"{len(E)} idempotents form a commutative subsemigroup"
-
-    _check(out, "semigroup.idempotents_closed",
-           "idempotents form a commutative subsemigroup", idem_closed)
-
-    def h_groups():
-        """Over the pairs (e, a), a in the class of e, in order: e is a
-        two-sided identity on a, aa* = e, and a times the class stays in it."""
-        T, h, E = S.table, S.h_partition.labels, S.idempotent_array
-        i, a = np.nonzero(h[E][:, None] == h)
-        e = E[i]
-        not_identity = (T[e, a] != a) | (T[a, e] != a)
-        escapes = (h[e][:, None] == h) & (h[T[a]] != h[e][:, None])
-        hit = first_index(not_identity | (T[a, S.inv_array[a]] != e) | escapes.any(axis=1))
-        if hit is not None:
-            (i,) = hit
-            return False, (f"{e[i]} is not an identity on its class" if not_identity[i]
-                           else f"class of {e[i]} is not a group (witness {a[i]})")
-        return True, "every idempotent's class is a group"
-
-    _check(out, "semigroup.h_class_groups",
-           "the class of each idempotent is a group with that identity", h_groups)
-
-    def centralizer_normal():
-        defect = normality_defect(S, sub.Z)
-        if defect is not None:
-            return False, defect
-        return True, f"centralizer has {len(sub.Z)} elements"
-
-    _check(out, "semigroup.centralizer_normal",
-           "the centralizer of the idempotents is a normal subsemigroup",
-           centralizer_normal)
-
-    _check(out, "semigroup.clifford_iff_central",
-           "the semigroup is Clifford exactly when the centralizer is everything",
-           lambda: (is_clifford(S) == (sub.Z == frozenset(S.elements())),
-                    f"clifford={is_clifford(S)}"))
-
-    def mu_inside_h():
-        """mu separates idempotents, refines H, and is a congruence."""
-        mu, h = sub.mu, S.h_partition.labels.tolist()
-        for block in mu.blocks:
-            idems = [x for x in block if x in S.idempotent_set]
-            if len(idems) > 1:
-                return False, f"relates idempotents {idems[0]} and {idems[1]}"
-            apart = [x for x in block if h[x] != h[block[0]]]
-            if apart:
-                return False, f"relates {block[0]} and {apart[0]} across H classes"
-        quad = congruence_witness(S, mu)
-        if quad is not None:
-            return False, f"not a congruence at {quad}"
-        return True, f"{mu.count} blocks"
-
-    _check(out, "congruence.mu_inside_h",
-           "the idempotent-conjugation congruence refines Green's H", mu_inside_h)
-
-    def mu_maximal():
-        seed = _seed_for(name, "mu_maximal")
-        sampled = random_idempotent_separating_congruences(S, seed=seed)
-        for R in sampled:
-            if not R.refines(sub.mu):
-                return False, "a sampled idempotent-separating congruence escapes"
-        return True, f"{len(sampled)} sampled congruences all refine it"
-
-    _check(out, "congruence.mu_maximal_sampled",
-           "sampled idempotent-separating congruences refine the maximal one",
-           mu_maximal)
-
-    def kernel_mu():
-        """The blocks of mu meeting the idempotents hold exactly the products
-        s t* over related pairs, and they make up the centralizer."""
-        kernel = kernel_of(S, sub.mu)
-        via_pairs = related_products(S, sub.mu)
-        if via_pairs != kernel:
-            return False, f"kernel cross-check fails at {min(via_pairs ^ kernel)}"
-        return kernel == sub.Z, f"{len(sub.Z)} elements"
-
-    _check(out, "congruence.kernel_mu_is_centralizer",
-           "the kernel of the maximal idempotent-separating congruence is the centralizer",
-           kernel_mu)
-
-    _check(out, "congruence.quotient_fundamental",
-           "the quotient by the maximal idempotent-separating congruence is fundamental",
-           lambda: (is_fundamental(sub.mu_quotient.target), ""))
-
-    def filters_ok():
-        filters = sub.filters
-        for F in filters:
-            if not is_filter(sub.E, F):
-                return False, f"{sorted(F)} fails a closure property"
-        return True, f"{len(filters)} filters"
-
-    _check(out, "spectrum.filter_closures",
-           "every filter is nonempty, meet-closed, upward closed, zero-free",
-           filters_ok)
-
-    def filters_principal():
-        """all_filters lists the principal filters; below the cap they must be
-        exactly the subsets that pass is_filter."""
-        filters = set(sub.filters)
-        if (sub.E.size <= EXHAUSTIVE_FILTER_CAP
-                and set(exhaustive_filters(sub.E)) != filters):
-            return False, "enumerated filters differ from the principal ones"
-        return True, f"{len(filters)} principal filters"
-
-    _check(out, "spectrum.filters_principal",
-           "the filters are exactly the principal upward closures", filters_principal)
-
-    def munn_ok():
-        if sub.E.size > MUNN_CHECK_CAP:
-            return True, f"skipped: {sub.E.size} idempotents exceed the check cap"
-        T = munn_semigroup(sub.E)
-        wide = next((b for b in mu_relation(T).blocks if len(b) > 1), None)
-        if wide is not None:
-            return False, f"not fundamental: mu relates {wide[0]} and {wide[1]}"
-        if semilattice_isomorphic(semilattice_of(T), sub.E) is None:
-            return False, "idempotent semilattice changed"
-        return True, f"{T.size} ideal isomorphisms"
-
-    _check(out, "spectrum.munn_fundamental",
-           "the Munn semigroup is fundamental over the same semilattice", munn_ok)
-
-    _check(out, "germ.equivalence",
-           "germ identification is an equivalence on each fiber",
-           lambda: (germ_equivalence_is_equivalence(sub.universal), ""))
-
-    def axioms():
-        validate_groupoid(sub.beta.groupoid)
-        return True, f"{sub.beta.groupoid.n_arrows} arrows"
-
-    _check(out, "germ.groupoid_axioms",
-           "the universal germ groupoid satisfies the groupoid axioms", axioms)
-
-    def idem_units():
-        emb = induced_subgroupoid(sub.beta, idempotents(S))
-        if emb.arrows != frozenset(sub.beta.groupoid.units):
-            return False, "idempotent germs are not exactly the units"
-        return True, f"{len(emb.arrows)} units"
-
-    _check(out, "germ.idempotent_units",
-           "idempotent germs form exactly the unit space", idem_units)
-
-    def clifford_bundle():
-        if not is_clifford(S):
-            return True, "vacuous: not Clifford"
-        if not is_group_bundle(sub.beta.groupoid):
-            return False, "an arrow moves its unit"
-        return True, "every arrow fixes its unit"
-
-    _check(out, "germ.clifford_group_bundle",
-           "Clifford semigroups have group-bundle universal groupoids",
-           clifford_bundle)
-
-    _check(out, "germ.kernel_is_centralizer",
-           "the kernel of the universal action is the centralizer",
-           lambda: (sub.universal_kernel == sub.Z, f"{len(sub.Z)} elements"))
-
-    def fibers_match():
-        """Certify each isotropy fiber isomorphic to its class group, no search.
-
-        At the principal point x of a nonzero idempotent e (so m_x = e) the
-        germ [s, x] maps to s m_x.  The map is checked to be a bijection of
-        the fiber onto H_e, then multiplicative on every composable pair of
-        the fiber; a bijective homomorphism of groups is an isomorphism.
-        Cost: linear in the fiber for the bijection, one table lookup per
-        composable pair for the homomorphism.
-        """
-        germs = sub.beta
-        G = germs.groupoid
-        for e in sorted(idempotents(S)):
-            if e == S.zero:
-                continue
-            u = germs.unit_at_point[germs.principal_point(e)]
-            fiber = np.flatnonzero((G.r == u) & (G.d == u))
-            image = np.full(G.n_arrows, -1, dtype=np.intp)
-            image[fiber] = _canonical_elements(germs, fiber)
-            if sorted(image[fiber].tolist()) != sorted(h_class_of(S, e)):
-                return False, f"fiber at idempotent {e} differs from its class group"
-            products = image[G.table[np.ix_(fiber, fiber)]]
-            i = np.flatnonzero(products != S.table[np.ix_(image[fiber], image[fiber])])
-            if i.size:
-                a, b = divmod(int(i[0]), fiber.size)
-                return False, (f"fiber at idempotent {e} is not multiplicative "
-                               f"at ({fiber[a]},{fiber[b]})")
-        return True, "all isotropy fibers certified isomorphic"
-
-    _check(out, "germ.fibers_are_h_classes",
-           "the isotropy group at each principal point is the idempotent's class group",
-           fibers_match)
-
-    def chain():
-        G = sub.beta.groupoid
-        z_arrows = sub.z_in_beta.arrows
-        inner = iso_interior(G)
-        iso = iso_bundle(G)
-        if not (z_arrows <= inner <= iso):
-            return False, "containment chain broken"
-        for e in sorted(idempotents(S)):
-            if e == S.zero:
-                continue
-            u = sub.beta.unit_at_point[sub.beta.principal_point(e)]
-            z_fiber = _fiber_elements(sub, z_arrows, u)
-            iso_fiber = _fiber_elements(sub, iso, u)
-            z_class = frozenset(sub.mu.blocks[sub.mu.labels[e]])
-            if z_fiber != z_class:
-                return False, f"centralizer fiber at {e} is not its congruence class"
-            if iso_fiber != frozenset(h_class_of(S, e)):
-                return False, f"isotropy fiber at {e} is not its Green class"
-        return True, f"|Z-germs|={len(z_arrows)} <= |interior|={len(inner)} <= |iso|={len(iso)}"
-
-    _check(out, "groupoid.containment_chain",
-           "centralizer germs sit inside the isotropy interior inside the isotropy",
-           chain)
-
-    def cryptic_equality():
-        G = sub.beta.groupoid
-        inner = iso_interior(G)
-        z_arrows = sub.z_in_beta.arrows
-        if sub.mu == S.h_partition:      # cryptic
-            if z_arrows != inner:
-                return False, "cryptic but the centralizer germs miss interior arrows"
-            return True, f"equal arrow sets ({len(inner)} arrows)"
-        extra = sorted(inner - z_arrows)
-        if not extra:
-            return False, "not cryptic but no witness arrow found"
-        a = extra[0]
-        label = interior_witnesses(G, iso_bundle(G))[a]
-        return True, f"witness {G.label(a)} in interior via {label}"
-
-    _check(out, "groupoid.cryptic_equality",
-           "cryptic: centralizer germs equal the isotropy interior; else a witness exists",
-           cryptic_equality)
-
-    def z_subgroupoid_props():
-        props = subgroupoid_properties(sub.beta.groupoid, sub.z_in_beta.arrows)
-        missing = [n for n, ok in (("subgroupoid", props.is_subgroupoid),
-                                   ("open", props.open), ("wide", props.wide),
-                                   ("normal", props.normal), ("closed", props.closed))
-                   if not ok]
-        if missing:
-            return False, f"missing: {','.join(missing)}"
-        return True, "open, closed, wide, normal"
-
-    _check(out, "groupoid.centralizer_subgroupoid",
-           "the centralizer germs form an open wide normal (and closed) subgroupoid",
-           z_subgroupoid_props)
-
-    _check(out, "groupoid.principal_iff_effective",
-           "essential principality and effectiveness agree on finite groupoids",
-           lambda: (is_essentially_principal(sub.beta.groupoid)
-                    == is_effective(sub.beta.groupoid),
-                    f"both={is_essentially_principal(sub.beta.groupoid)}"))
-
-    return out
+    Reflexive: the diagonal is all True.  Antisymmetric: L & L^T is empty
+    off the diagonal.  Transitive: no pair is reachable in two steps
+    (a product L @ L) without being in L.  O(n^2) memory and one n x n
+    matrix product, against an O(n^3) loop over triples.  The product is
+    a float32 BLAS matmul: its entries count paths, whole numbers at most
+    n, and every partial sum is exact while n < 2^24.
+    """
+    S = run.sub.S
+    L = S.leq
+    unreflexive = np.flatnonzero(~L.diagonal())
+    if unreflexive.size:
+        return False, f"not reflexive at {unreflexive[0]}"
+    both = L & L.T
+    np.fill_diagonal(both, False)
+    if both.any():
+        a, b = np.argwhere(both)[0]
+        return False, f"not antisymmetric at ({a},{b})"
+    steps = L.astype(np.float32)
+    gaps = (steps @ steps > 0) & ~L
+    if gaps.any():
+        a, c = np.argwhere(gaps)[0]
+        b = np.flatnonzero(L[a] & L[:, c])[0]
+        return False, f"not transitive at ({a},{b},{c})"
+    return True, f"order checked on {S.size} elements"
 
 
-def global_universal_checks() -> list[CheckResult]:
-    out: list[CheckResult] = []
+@check("universal", "semigroup.idempotents_closed",
+       "idempotents form a commutative subsemigroup")
+def _idempotents_closed(run):
+    """The products ef of idempotents, row-major over (e, f): each is an
+    idempotent and equals fe."""
+    S = run.sub.S
+    E = S.idempotent_array
+    ef = S.table[np.ix_(E, E)]
+    is_idempotent = np.zeros(S.size, dtype=bool)
+    is_idempotent[E] = True
+    leaves = ~is_idempotent[ef]
+    hit = first_index(leaves | (ef != ef.T))
+    if hit is not None:
+        e, f = E[list(hit)].tolist()
+        return False, (f"product {e},{f} leaves the idempotents" if leaves[hit]
+                       else f"idempotents {e},{f} do not commute")
+    return True, f"{len(E)} idempotents form a commutative subsemigroup"
 
-    def sym_counts():
-        from math import comb, factorial
 
-        for n in range(5):
-            expected = sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))
-            if symmetric_inverse_monoid(n).size != expected:
-                return False, f"count differs at n={n}"
-        return True, "sizes 1, 2, 7, 34, 209 confirmed"
+@check("universal", "semigroup.h_class_groups",
+       "the class of each idempotent is a group with that identity")
+def _h_class_groups(run):
+    """Over the pairs (e, a), a in the class of e, in order: e is a
+    two-sided identity on a, aa* = e, and a times the class stays in it."""
+    S = run.sub.S
+    T, h, E = S.table, S.h_partition.labels, S.idempotent_array
+    i, a = np.nonzero(h[E][:, None] == h)
+    e = E[i]
+    not_identity = (T[e, a] != a) | (T[a, e] != a)
+    escapes = (h[e][:, None] == h) & (h[T[a]] != h[e][:, None])
+    hit = first_index(not_identity | (T[a, S.inv_array[a]] != e) | escapes.any(axis=1))
+    if hit is not None:
+        (i,) = hit
+        return False, (f"{e[i]} is not an identity on its class" if not_identity[i]
+                       else f"class of {e[i]} is not a group (witness {a[i]})")
+    return True, "every idempotent's class is a group"
 
-    _check(out, "spectrum.partial_bijection_counts",
-           "partial bijection monoids have their predicted sizes up to n=4",
-           sym_counts)
-    return out
+
+@check("universal", "semigroup.centralizer_normal",
+       "the centralizer of the idempotents is a normal subsemigroup")
+def _centralizer_normal(run):
+    defect = normality_defect(run.sub.S, run.sub.Z)
+    if defect is not None:
+        return False, defect
+    return True, f"centralizer has {len(run.sub.Z)} elements"
+
+
+@check("universal", "semigroup.clifford_iff_central",
+       "the semigroup is Clifford exactly when the centralizer is everything")
+def _clifford_iff_central(run):
+    sub = run.sub
+    return (sub.clifford == (sub.Z == frozenset(sub.S.elements())),
+            f"clifford={sub.clifford}")
+
+
+@check("universal", "congruence.mu_inside_h",
+       "the idempotent-conjugation congruence refines Green's H")
+def _mu_inside_h(run):
+    """mu separates idempotents, refines H, and is a congruence."""
+    S, mu = run.sub.S, run.sub.mu
+    h = S.h_partition.labels.tolist()
+    for block in mu.blocks:
+        idems = [x for x in block if x in S.idempotent_set]
+        if len(idems) > 1:
+            return False, f"relates idempotents {idems[0]} and {idems[1]}"
+        apart = [x for x in block if h[x] != h[block[0]]]
+        if apart:
+            return False, f"relates {block[0]} and {apart[0]} across H classes"
+    quad = congruence_witness(S, mu)
+    if quad is not None:
+        return False, f"not a congruence at {quad}"
+    return True, f"{mu.count} blocks"
+
+
+@check("universal", "congruence.mu_maximal_sampled",
+       "sampled idempotent-separating congruences refine the maximal one")
+def _mu_maximal(run):
+    sampled = random_idempotent_separating_congruences(run.sub.S, seed=run.seed("mu_maximal"))
+    for R in sampled:
+        if not R.refines(run.sub.mu):
+            return False, "a sampled idempotent-separating congruence escapes"
+    return True, f"{len(sampled)} sampled congruences all refine it"
+
+
+@check("universal", "congruence.kernel_mu_is_centralizer",
+       "the kernel of the maximal idempotent-separating congruence is the centralizer")
+def _kernel_mu(run):
+    """The blocks of mu meeting the idempotents hold exactly the products
+    s t* over related pairs, and they make up the centralizer."""
+    sub = run.sub
+    kernel = kernel_of(sub.S, sub.mu)
+    via_pairs = related_products(sub.S, sub.mu)
+    if via_pairs != kernel:
+        return False, f"kernel cross-check fails at {min(via_pairs ^ kernel)}"
+    return kernel == sub.Z, f"{len(sub.Z)} elements"
+
+
+@check("universal", "congruence.quotient_fundamental",
+       "the quotient by the maximal idempotent-separating congruence is fundamental")
+def _quotient_fundamental(run):
+    return is_fundamental(run.sub.mu_quotient.target), ""
+
+
+@check("universal", "spectrum.filter_closures",
+       "every filter is nonempty, meet-closed, upward closed, zero-free")
+def _filter_closures(run):
+    for F in run.sub.filters:
+        if not is_filter(run.sub.E, F):
+            return False, f"{sorted(F)} fails a closure property"
+    return True, f"{len(run.sub.filters)} filters"
+
+
+@check("universal", "spectrum.filters_principal",
+       "the filters are exactly the principal upward closures")
+def _filters_principal(run):
+    """all_filters lists the principal filters; below the cap they must be
+    exactly the subsets that pass is_filter."""
+    E, filters = run.sub.E, set(run.sub.filters)
+    if E.size <= EXHAUSTIVE_FILTER_CAP and set(exhaustive_filters(E)) != filters:
+        return False, "enumerated filters differ from the principal ones"
+    return True, f"{len(filters)} principal filters"
+
+
+@check("universal", "spectrum.munn_fundamental",
+       "the Munn semigroup is fundamental over the same semilattice")
+def _munn_fundamental(run):
+    E = run.sub.E
+    if E.size > MUNN_CHECK_CAP:
+        return True, f"skipped: {E.size} idempotents exceed the check cap"
+    T = munn_semigroup(E)
+    wide = next((b for b in mu_relation(T).blocks if len(b) > 1), None)
+    if wide is not None:
+        return False, f"not fundamental: mu relates {wide[0]} and {wide[1]}"
+    if semilattice_isomorphic(semilattice_of(T), E) is None:
+        return False, "idempotent semilattice changed"
+    return True, f"{T.size} ideal isomorphisms"
+
+
+@check("universal", "germ.equivalence", "germ identification is an equivalence on each fiber")
+def _germ_equivalence(run):
+    return germ_equivalence_is_equivalence(run.sub.universal), ""
+
+
+@check("universal", "germ.groupoid_axioms",
+       "the universal germ groupoid satisfies the groupoid axioms")
+def _groupoid_axioms(run):
+    validate_groupoid(run.sub.beta.groupoid)
+    return True, f"{run.sub.beta.groupoid.n_arrows} arrows"
+
+
+@check("universal", "germ.idempotent_units", "idempotent germs form exactly the unit space")
+def _idempotent_units(run):
+    emb = induced_subgroupoid(run.sub.beta, idempotents(run.sub.S))
+    if emb.arrows != frozenset(run.sub.beta.groupoid.units):
+        return False, "idempotent germs are not exactly the units"
+    return True, f"{len(emb.arrows)} units"
+
+
+@check("universal", "germ.clifford_group_bundle",
+       "Clifford semigroups have group-bundle universal groupoids")
+def _clifford_group_bundle(run):
+    if not run.sub.clifford:
+        return True, "vacuous: not Clifford"
+    if not is_group_bundle(run.sub.beta.groupoid):
+        return False, "an arrow moves its unit"
+    return True, "every arrow fixes its unit"
+
+
+@check("universal", "germ.kernel_is_centralizer",
+       "the kernel of the universal action is the centralizer")
+def _universal_kernel(run):
+    return run.sub.universal_kernel == run.sub.Z, f"{len(run.sub.Z)} elements"
+
+
+@check("universal", "germ.fibers_are_h_classes",
+       "the isotropy group at each principal point is the idempotent's class group")
+def _fibers_are_h_classes(run):
+    """Certify each isotropy fiber isomorphic to its class group, no search.
+
+    At the principal point x of a nonzero idempotent e (so m_x = e) the
+    germ [s, x] maps to s m_x.  The map is checked to be a bijection of
+    the fiber onto H_e, then multiplicative on every composable pair of
+    the fiber; a bijective homomorphism of groups is an isomorphism.
+    Cost: linear in the fiber for the bijection, one table lookup per
+    composable pair for the homomorphism.
+    """
+    S, germs = run.sub.S, run.sub.beta
+    G = germs.groupoid
+    for e in sorted(idempotents(S)):
+        if e == S.zero:
+            continue
+        u = germs.unit_at_point[germs.principal_point(e)]
+        fiber = np.flatnonzero((G.r == u) & (G.d == u))
+        image = np.full(G.n_arrows, -1, dtype=np.intp)
+        image[fiber] = _canonical_elements(germs, fiber)
+        if sorted(image[fiber].tolist()) != sorted(h_class_of(S, e)):
+            return False, f"fiber at idempotent {e} differs from its class group"
+        products = image[G.table[np.ix_(fiber, fiber)]]
+        i = np.flatnonzero(products != S.table[np.ix_(image[fiber], image[fiber])])
+        if i.size:
+            a, b = divmod(int(i[0]), fiber.size)
+            return False, (f"fiber at idempotent {e} is not multiplicative "
+                           f"at ({fiber[a]},{fiber[b]})")
+    return True, "all isotropy fibers certified isomorphic"
+
+
+@check("universal", "groupoid.containment_chain",
+       "centralizer germs sit inside the isotropy interior inside the isotropy")
+def _containment_chain(run):
+    sub = run.sub
+    S, G = sub.S, sub.beta.groupoid
+    z_arrows = sub.z_in_beta.arrows
+    inner = iso_interior(G)
+    iso = iso_bundle(G)
+    if not (z_arrows <= inner <= iso):
+        return False, "containment chain broken"
+    for e in sorted(idempotents(S)):
+        if e == S.zero:
+            continue
+        u = sub.beta.unit_at_point[sub.beta.principal_point(e)]
+        z_fiber = _fiber_elements(sub, z_arrows, u)
+        iso_fiber = _fiber_elements(sub, iso, u)
+        z_class = frozenset(sub.mu.blocks[sub.mu.labels[e]])
+        if z_fiber != z_class:
+            return False, f"centralizer fiber at {e} is not its congruence class"
+        if iso_fiber != frozenset(h_class_of(S, e)):
+            return False, f"isotropy fiber at {e} is not its Green class"
+    return True, f"|Z-germs|={len(z_arrows)} <= |interior|={len(inner)} <= |iso|={len(iso)}"
+
+
+@check("universal", "groupoid.cryptic_equality",
+       "cryptic: centralizer germs equal the isotropy interior; else a witness exists")
+def _cryptic_equality(run):
+    sub = run.sub
+    G = sub.beta.groupoid
+    inner = iso_interior(G)
+    z_arrows = sub.z_in_beta.arrows
+    if sub.mu == sub.S.h_partition:      # cryptic
+        if z_arrows != inner:
+            return False, "cryptic but the centralizer germs miss interior arrows"
+        return True, f"equal arrow sets ({len(inner)} arrows)"
+    extra = sorted(inner - z_arrows)
+    if not extra:
+        return False, "not cryptic but no witness arrow found"
+    a = extra[0]
+    label = interior_witnesses(G, iso_bundle(G))[a]
+    return True, f"witness {G.label(a)} in interior via {label}"
+
+
+@check("universal", "groupoid.centralizer_subgroupoid",
+       "the centralizer germs form an open wide normal (and closed) subgroupoid")
+def _centralizer_subgroupoid(run):
+    props = subgroupoid_properties(run.sub.beta.groupoid, run.sub.z_in_beta.arrows)
+    missing = [n for n, ok in (("subgroupoid", props.is_subgroupoid),
+                               ("open", props.open), ("wide", props.wide),
+                               ("normal", props.normal), ("closed", props.closed))
+               if not ok]
+    if missing:
+        return False, f"missing: {','.join(missing)}"
+    return True, "open, closed, wide, normal"
+
+
+@check("universal", "groupoid.principal_iff_effective",
+       "essential principality and effectiveness agree on finite groupoids")
+def _principal_iff_effective(run):
+    principal = is_essentially_principal(run.sub.beta.groupoid)
+    return principal == is_effective(run.sub.beta.groupoid), f"both={principal}"
+
+
+@check("universal", "spectrum.partial_bijection_counts",
+       "partial bijection monoids have their predicted sizes up to n=4", corpus_wide=True)
+def _partial_bijection_counts(run):
+    from math import comb, factorial
+
+    for n in range(5):
+        expected = sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))
+        if symmetric_inverse_monoid(n).size != expected:
+            return False, f"count differs at n={n}"
+    return True, "sizes 1, 2, 7, 34, 209 confirmed"
 
 
 # ---------------------------------------------------------------------------
 # tight suite
 
 
-def run_tight_suite(name: str, sub: Subject) -> list[CheckResult]:
-    S = sub.S
-    out: list[CheckResult] = []
+@check("tight", "tight.ultrafilters_maximal",
+       "ultrafilters are the maximal filters and exhaust the tight spectrum")
+def _ultrafilters_maximal(run):
+    """Each ultrafilter is maximal, and the tight spectrum is exactly the
+    principal filters of the atoms, the minimal elements of E without its
+    zero: an oracle that does not call ``ultrafilters``."""
+    E = run.sub.E
+    ultra = ultrafilters(E)
+    for F in ultra:
+        if any(F < G for G in run.sub.filters):
+            return False, f"{sorted(F)} is not maximal"
+    nonzero = np.arange(E.size) != (-1 if E.zero is None else E.zero)
+    atoms = np.flatnonzero(nonzero & ((E.order & nonzero[:, None]).sum(axis=0) == 1))
+    if set(tight_spectrum(E)) != {principal_filter(E, a) for a in atoms.tolist()}:
+        return False, "tight spectrum differs from the principal filters of the atoms"
+    return True, f"{len(ultra)} ultrafilters"
 
-    def ultra_ok():
-        """Each ultrafilter is maximal, and the tight spectrum is exactly the
-        principal filters of the atoms, the minimal elements of E without its
-        zero: an oracle that does not call ``ultrafilters``."""
-        E, ultra = sub.E, ultrafilters(sub.E)
-        for F in ultra:
-            if any(F < G for G in sub.filters):
-                return False, f"{sorted(F)} is not maximal"
-        nonzero = np.arange(E.size) != (-1 if E.zero is None else E.zero)
-        atoms = np.flatnonzero(nonzero & ((E.order & nonzero[:, None]).sum(axis=0) == 1))
-        if set(tight_spectrum(E)) != {principal_filter(E, a) for a in atoms.tolist()}:
-            return False, "tight spectrum differs from the principal filters of the atoms"
-        return True, f"{len(ultra)} ultrafilters"
 
-    _check(out, "tight.ultrafilters_maximal",
-           "ultrafilters are the maximal filters and exhaust the tight spectrum",
-           ultra_ok)
+@check("tight", "tight.action_valid", "the restriction to the tight spectrum is a valid action")
+def _tight_action_valid(run):
+    g = run.sub.theta
+    validate_groupoid(g.groupoid)
+    return True, f"{g.groupoid.n_arrows} arrows over {g.action.space_size} points"
 
-    def tight_valid():
-        g = sub.theta
-        validate_groupoid(g.groupoid)
-        return True, f"{g.groupoid.n_arrows} arrows over {g.action.space_size} points"
 
-    _check(out, "tight.action_valid",
-           "the restriction to the tight spectrum is a valid action", tight_valid)
+@check("tight", "tight.domain_injectivity",
+       "0-disjunctive semilattices give idempotent-separating tight actions")
+def _domain_injectivity(run):
+    sub = run.sub
+    if sub.E.zero is None:
+        return True, "vacuous: no zero"
+    if not sub.zero_disjunctive:
+        return True, "vacuous: not 0-disjunctive"
+    domains = {}
+    for e in sorted(idempotents(sub.S)):
+        dom = sub.tight.domain_of(e)
+        if dom in domains.values():
+            clash = next(f for f, d in domains.items() if d == dom)
+            return False, f"idempotents {clash} and {e} share a domain"
+        domains[e] = dom
+    return True, "idempotents have distinct tight domains"
 
-    def zero_disj_injective():
-        if sub.E.zero is None:
-            return True, "vacuous: no zero"
-        if not is_zero_disjunctive(sub.E):
-            return True, "vacuous: not 0-disjunctive"
-        domains = {}
-        for e in sorted(idempotents(S)):
-            dom = sub.tight.domain_of(e)
-            if dom in domains.values():
-                clash = next(f for f, d in domains.items() if d == dom)
-                return False, f"idempotents {clash} and {e} share a domain"
-            domains[e] = dom
-        return True, "idempotents have distinct tight domains"
 
-    _check(out, "tight.domain_injectivity",
-           "0-disjunctive semilattices give idempotent-separating tight actions",
-           zero_disj_injective)
+@check("tight", "tight.interior_equality",
+       "0-disjunctive: centralizer germs equal the tight isotropy interior")
+def _interior_equality(run):
+    sub = run.sub
+    if not sub.zero_disjunctive:
+        return True, "vacuous: not 0-disjunctive"
+    inner = iso_interior(sub.theta.groupoid)
+    if sub.z_in_theta.arrows != inner:
+        return False, "centralizer germs differ from the isotropy interior"
+    extra = ""
+    if sub.mu.is_identity:      # fundamental
+        if not is_essentially_principal(sub.theta.groupoid):
+            return False, "fundamental and 0-disjunctive but not essentially principal"
+        extra = "; essentially principal (fundamental case)"
+    return True, f"equal ({len(inner)} arrows){extra}"
 
-    def zero_disj_interior():
-        if sub.E.zero is None or not is_zero_disjunctive(sub.E):
-            return True, "vacuous: not 0-disjunctive"
-        inner = iso_interior(sub.theta.groupoid)
-        if sub.z_in_theta.arrows != inner:
-            return False, "centralizer germs differ from the isotropy interior"
-        extra = ""
-        if sub.mu.is_identity:      # fundamental
-            if not is_essentially_principal(sub.theta.groupoid):
-                return False, "fundamental and 0-disjunctive but not essentially principal"
-            extra = "; essentially principal (fundamental case)"
-        return True, f"equal ({len(inner)} arrows){extra}"
 
-    _check(out, "tight.interior_equality",
-           "0-disjunctive: centralizer germs equal the tight isotropy interior",
-           zero_disj_interior)
+@check("tight", "tight.kernel_is_centralizer",
+       "0-disjunctive: the tight action's kernel is the centralizer")
+def _tight_kernel(run):
+    sub = run.sub
+    if not sub.zero_disjunctive:
+        return True, "vacuous: not 0-disjunctive"
+    if sub.tight_kernel != sub.Z:
+        return False, "tight kernel differs from the centralizer"
+    return True, f"kernel has {len(sub.Z)} elements"
 
-    def kernel_theta():
-        if sub.E.zero is None or not is_zero_disjunctive(sub.E):
-            return True, "vacuous: not 0-disjunctive"
-        if sub.tight_kernel != sub.Z:
-            return False, "tight kernel differs from the centralizer"
-        return True, f"kernel has {len(sub.Z)} elements"
 
-    _check(out, "tight.kernel_is_centralizer",
-           "0-disjunctive: the tight action's kernel is the centralizer",
-           kernel_theta)
+def _base_dichotomy(S, germs, J, tag):
+    """J, the action's kernel, is the normal subsemigroup of elements that
+    act as identities; its germs are open isotropy, and equal the isotropy
+    interior when the idempotent domains form a base."""
+    defect = normality_defect(S, J)
+    if defect is not None:
+        return False, f"{tag}: kernel is not normal: {defect}"
+    maps = germs.action.maps
+    fixes = ((maps < 0) | (maps == np.arange(maps.shape[1]))).all(axis=1)
+    identities = frozenset(np.flatnonzero(fixes).tolist())
+    if J != identities:
+        return False, f"{tag}: kernel cross-check fails at {min(J ^ identities)}"
+    emb = induced_subgroupoid(germs, J)
+    G = germs.groupoid
+    iso = iso_bundle(G)
+    if not emb.arrows <= iso:
+        return False, f"{tag}: kernel germs leave the isotropy"
+    if not is_open(G, emb.arrows):
+        return False, f"{tag}: kernel germs are not open"
+    if domains_form_base(germs.action):
+        if emb.arrows != iso_interior(G):
+            return False, f"{tag}: base hypothesis holds but equality fails"
+        return True, f"{tag}: base holds, kernel germs = isotropy interior"
+    return True, f"{tag}: no base; kernel germs open inside isotropy"
 
-    def base_dichotomy(germs, J, tag):
-        """J, the action's kernel, is the normal subsemigroup of elements that
-        act as identities; its germs are open isotropy, and equal the isotropy
-        interior when the idempotent domains form a base."""
-        defect = normality_defect(S, J)
-        if defect is not None:
-            return False, f"{tag}: kernel is not normal: {defect}"
-        maps = germs.action.maps
-        fixes = ((maps < 0) | (maps == np.arange(maps.shape[1]))).all(axis=1)
-        identities = frozenset(np.flatnonzero(fixes).tolist())
-        if J != identities:
-            return False, f"{tag}: kernel cross-check fails at {min(J ^ identities)}"
-        emb = induced_subgroupoid(germs, J)
-        G = germs.groupoid
-        iso = iso_bundle(G)
-        if not emb.arrows <= iso:
-            return False, f"{tag}: kernel germs leave the isotropy"
-        if not is_open(G, emb.arrows):
-            return False, f"{tag}: kernel germs are not open"
-        if domains_form_base(germs.action):
-            if emb.arrows != iso_interior(G):
-                return False, f"{tag}: base hypothesis holds but equality fails"
-            return True, f"{tag}: base holds, kernel germs = isotropy interior"
-        return True, f"{tag}: no base; kernel germs open inside isotropy"
 
-    _check(out, "tight.base_dichotomy_universal",
-           "kernel germs are open isotropy; equal to the interior under the base hypothesis",
-           lambda: base_dichotomy(sub.beta, sub.universal_kernel, "universal"))
-    _check(out, "tight.base_dichotomy_tight",
-           "same dichotomy for the tight action",
-           lambda: base_dichotomy(sub.theta, sub.tight_kernel, "tight"))
+@check("tight", "tight.base_dichotomy_universal",
+       "kernel germs are open isotropy; equal to the interior under the base hypothesis")
+def _base_dichotomy_universal(run):
+    return _base_dichotomy(run.sub.S, run.sub.beta, run.sub.universal_kernel, "universal")
 
-    def graph_criterion():
-        graph = NAMED_GRAPHS.get(name.partition(":")[2]) \
-            if name.startswith("graph:") else None
-        if graph is None:
-            return True, "vacuous: not a graph semigroup subject"
-        has_in_degree_one = any(graph.in_degree(v) == 1
-                                for v in range(graph.n_vertices))
-        disj = is_zero_disjunctive(sub.E)
-        if has_in_degree_one and disj:
-            return False, "in-degree-1 vertex but still 0-disjunctive"
-        if not has_in_degree_one and not disj:
-            return False, "no in-degree-1 vertex but not 0-disjunctive"
-        return True, f"in-degree-1 present={has_in_degree_one}, 0-disjunctive={disj}"
 
-    _check(out, "tight.graph_zero_disjunctive",
-           "a graph semigroup is 0-disjunctive exactly when no vertex has in-degree 1",
-           graph_criterion)
+@check("tight", "tight.base_dichotomy_tight", "same dichotomy for the tight action")
+def _base_dichotomy_tight(run):
+    return _base_dichotomy(run.sub.S, run.sub.theta, run.sub.tight_kernel, "tight")
 
-    return out
+
+@check("tight", "tight.graph_zero_disjunctive",
+       "a graph semigroup is 0-disjunctive exactly when no vertex has in-degree 1")
+def _graph_zero_disjunctive(run):
+    graph = NAMED_GRAPHS.get(run.name.partition(":")[2]) \
+        if run.name.startswith("graph:") else None
+    if graph is None:
+        return True, "vacuous: not a graph semigroup subject"
+    has_in_degree_one = any(graph.in_degree(v) == 1 for v in range(graph.n_vertices))
+    disj = run.sub.zero_disjunctive
+    if has_in_degree_one and disj:
+        return False, "in-degree-1 vertex but still 0-disjunctive"
+    if not has_in_degree_one and not disj:
+        return False, "no in-degree-1 vertex but not 0-disjunctive"
+    return True, f"in-degree-1 present={has_in_degree_one}, 0-disjunctive={disj}"
 
 
 # ---------------------------------------------------------------------------
 # extension suite
 
 
-def run_extension_suite(name: str, sub: Subject) -> list[CheckResult]:
-    S = sub.S
-    out: list[CheckResult] = []
+@check("extension", "extension.projection_strongly_surjective",
+       "the projection onto the fundamental quotient is strongly surjective")
+def _projection_strongly_surjective(run):
+    proj = run.sub.projection
+    validate_groupoid(proj.target.groupoid)
+    validate_hom(proj.hom)
+    if not is_strongly_surjective(proj.hom):
+        return False, "a fiber is not covered"
+    note = ""
+    if run.sub.mu.is_identity:      # fundamental
+        if sorted(proj.hom.map) != list(proj.target.groupoid.arrows()):
+            return False, "fundamental but the projection is not a bijection"
+        note = " (isomorphism: fundamental case)"
+    return True, (f"{proj.source.groupoid.n_arrows} arrows project onto "
+                  f"{proj.target.groupoid.n_arrows}{note}")
 
-    def strong_surjective():
-        proj = sub.projection
-        validate_groupoid(proj.target.groupoid)
-        validate_hom(proj.hom)
-        if not is_strongly_surjective(proj.hom):
-            return False, "a fiber is not covered"
-        note = ""
-        if sub.mu.is_identity:      # fundamental
-            if sorted(proj.hom.map) != list(proj.target.groupoid.arrows()):
-                return False, "fundamental but the projection is not a bijection"
-            note = " (isomorphism: fundamental case)"
-        return True, (f"{proj.source.groupoid.n_arrows} arrows project onto "
-                      f"{proj.target.groupoid.n_arrows}{note}")
 
-    _check(out, "extension.projection_strongly_surjective",
-           "the projection onto the fundamental quotient is strongly surjective",
-           strong_surjective)
+@check("extension", "extension.projection_kernel",
+       "the projection kernel is the centralizer groupoid when the quotient is (0-)E-unitary")
+def _projection_kernel(run):
+    proj = run.sub.projection
+    kernel = mu_projection_kernel(proj)
+    z_arrows = run.sub.z_in_beta.arrows
+    if not z_arrows <= kernel:
+        return False, "centralizer germs escape the kernel"
+    T = proj.quotient.target
+    unitary = (is_zero_e_unitary(T) if T.zero is not None else is_e_unitary(T))
+    if not unitary:
+        return True, "containment only (quotient is not (0-)E-unitary)"
+    if kernel != z_arrows:
+        return False, "unitary quotient but kernel exceeds the centralizer germs"
+    return True, f"kernel = centralizer germs ({len(kernel)} arrows)"
 
-    def kernel_is_z():
-        proj = sub.projection
-        kernel = mu_projection_kernel(proj)
-        z_arrows = sub.z_in_beta.arrows
-        if not z_arrows <= kernel:
-            return False, "centralizer germs escape the kernel"
-        T = proj.quotient.target
-        unitary = (is_zero_e_unitary(T) if T.zero is not None else is_e_unitary(T))
-        if not unitary:
-            return True, "containment only (quotient is not (0-)E-unitary)"
-        if kernel != z_arrows:
-            return False, "unitary quotient but kernel exceeds the centralizer germs"
-        return True, f"kernel = centralizer germs ({len(kernel)} arrows)"
 
-    _check(out, "extension.projection_kernel",
-           "the projection kernel is the centralizer groupoid when the quotient is (0-)E-unitary",
-           kernel_is_z)
+@check("extension", "extension.sigma_group_image",
+       "the least group congruence has a group quotient")
+def _sigma_group_image(run):
+    return True, f"group image of order {run.sub.group_image.target.size}"
 
-    def sigma_group():
-        return True, f"group image of order {sub.group_image.target.size}"
 
-    _check(out, "extension.sigma_group_image",
-           "the least group congruence has a group quotient", sigma_group)
+@check("extension", "extension.sigma_cocycle",
+       "the group-image cocycle is a homomorphism; E-unitary kernels are the units")
+def _sigma_cocycle(run):
+    S = run.sub.S
+    if S.zero is not None:
+        return True, "vacuous: zero present"
+    hom, germs = run.sub.cocycle
+    validate_hom(hom)
+    units = frozenset(germs.groupoid.units)
+    kernel = hom_kernel(hom)
+    if not units <= kernel:
+        return False, "units escape the cocycle kernel"
+    if is_e_unitary(S):
+        if kernel != units:
+            return False, "E-unitary but the cocycle kernel exceeds the units"
+        return True, f"kernel = units ({len(units)})"
+    return True, f"kernel has {len(kernel)} arrows (not E-unitary)"
 
-    def cocycle():
-        if S.zero is not None:
-            return True, "vacuous: zero present"
-        hom, germs = sub.cocycle
-        validate_hom(hom)
-        units = frozenset(germs.groupoid.units)
-        kernel = hom_kernel(hom)
-        if not units <= kernel:
-            return False, "units escape the cocycle kernel"
-        if is_e_unitary(S):
-            if kernel != units:
-                return False, "E-unitary but the cocycle kernel exceeds the units"
-            return True, f"kernel = units ({len(units)})"
-        return True, f"kernel has {len(kernel)} arrows (not E-unitary)"
 
-    _check(out, "extension.sigma_cocycle",
-           "the group-image cocycle is a homomorphism; E-unitary kernels are the units",
-           cocycle)
+@check("extension", "extension.split_transversal",
+       "any split transversal found is a multiplicative section")
+def _split_transversal(run):
+    r = run.sub.transversal
+    if r == "budget":
+        return True, "skipped: search budget exceeded"
+    if r is None:
+        return True, "no multiplicative transversal exists"
+    defect = transversal_defect(run.sub.S, run.sub.mu_quotient, r)
+    if defect is not None:
+        x, y = defect
+        return False, (f"not a section at class {x}" if y is None
+                       else f"not multiplicative at ({x},{y})")
+    return True, f"transversal {list(r)}"
 
-    def transversal():
-        r = sub.transversal
-        if r == "budget":
-            return True, "skipped: search budget exceeded"
-        if r is None:
-            return True, "no multiplicative transversal exists"
-        defect = transversal_defect(S, sub.mu_quotient, r)
-        if defect is not None:
-            x, y = defect
-            return False, (f"not a section at class {x}" if y is None
-                           else f"not multiplicative at ({x},{y})")
-        return True, f"transversal {list(r)}"
 
-    _check(out, "extension.split_transversal",
-           "any split transversal found is a multiplicative section", transversal)
-
-    def semidirect():
-        r = sub.transversal
-        if r in (None, "budget"):
-            return True, "vacuous: no transversal"
-        dec = sub.split_decomposition(r)
-        return True, (f"product with {dec.product.n_arrows} arrows certified "
-                      f"isomorphic to the universal groupoid")
-
-    _check(out, "extension.semidirect_decomposition",
-           "split extensions decompose the universal groupoid as a semidirect product",
-           semidirect)
-
-    return out
+@check("extension", "extension.semidirect_decomposition",
+       "split extensions decompose the universal groupoid as a semidirect product")
+def _semidirect_decomposition(run):
+    r = run.sub.transversal
+    if r in (None, "budget"):
+        return True, "vacuous: no transversal"
+    dec = run.sub.split_decomposition(r)
+    return True, (f"product with {dec.product.n_arrows} arrows certified "
+                  f"isomorphic to the universal groupoid")
 
 
 # ---------------------------------------------------------------------------
-# algebra suite
+# algebra suite: each check draws all its samples in one call, in the order of
+# one sample after another, evaluates them together, and reports the first
+# failing sample: the verdicts, witnesses and CSV rows of a loop over the
+# samples that stops at the first failure.
 
 
 def _first_failure(*passes: np.ndarray) -> tuple[int, int] | None:
@@ -728,176 +742,145 @@ def _first_failure(*passes: np.ndarray) -> tuple[int, int] | None:
     return i, int(np.flatnonzero(~ok[:, i])[0])
 
 
-def run_algebra_suite(name: str, sub: Subject, csv_rows: list[str] | None
-                      ) -> list[CheckResult]:
-    """The algebra checks, each on one stack of seeded samples.
+def _bundle(sub: Subject):
+    """The universal groupoid, the centralizer bundle's embedding, the bundle."""
+    return sub.beta.groupoid, sub.z_in_beta, sub.z_in_beta.groupoid
 
-    A check draws all its samples in one call, in the order of one sample
-    after another, evaluates them together, and reports the first failing
-    sample: the verdicts, witnesses and CSV rows of a loop over the samples
-    that stops at the first failure.
-    """
-    out: list[CheckResult] = []
-    G = sub.beta.groupoid
-    emb = sub.z_in_beta
-    H = emb.groupoid
-    k = ALGEBRA_SAMPLES
 
-    def cstar():
-        rng = np.random.default_rng(_seed_for(name, "cstar"))
-        (f,) = alg.random_functions(rng, k, G)
-        # Python's float ** 2 (libm pow), not numpy's x * x: the two round
-        # differently in about one case in a thousand
-        n2 = np.array([x ** 2 for x in alg.reduced_norm(G, f).tolist()])
-        n1 = alg.reduced_norm(G, alg.convolve(alg.involution(f), f))
-        err = np.abs(n1 - n2) / np.maximum(1.0, n2)
-        fail = _first_failure(err <= alg.NORM_TOL)
-        if csv_rows is not None:
-            csv_rows.extend(f"{name},cstar,{i},{n2[i]:.12g},{n1[i]:.12g},{err[i]:.3e}"
+@check("algebra", "algebra.cstar_identity",
+       "the norm satisfies the C*-identity on seeded random functions")
+def _cstar_identity(run):
+    G, k = run.sub.beta.groupoid, ALGEBRA_SAMPLES
+    (f,) = alg.random_functions(np.random.default_rng(run.seed("cstar")), k, G)
+    # Python's float ** 2 (libm pow), not numpy's x * x: the two round
+    # differently in about one case in a thousand
+    n2 = np.array([x ** 2 for x in alg.reduced_norm(G, f).tolist()])
+    n1 = alg.reduced_norm(G, alg.convolve(alg.involution(f), f))
+    err = np.abs(n1 - n2) / np.maximum(1.0, n2)
+    fail = _first_failure(err <= alg.NORM_TOL)
+    if run.csv_rows is not None:
+        run.csv_rows.extend(f"{run.name},cstar,{i},{n2[i]:.12g},{n1[i]:.12g},{err[i]:.3e}"
                             for i in range(k if fail is None else fail[0] + 1))
-        if fail is not None:
-            return False, f"identity off by {err[fail[0]]:.2e} at sample {fail[0]}"
-        return True, f"{k} samples, worst deviation {np.max(err, initial=0.0):.2e}"
-
-    _check(out, "algebra.cstar_identity",
-           "the norm satisfies the C*-identity on seeded random functions", cstar)
-
-    def embed_checks():
-        rng = np.random.default_rng(_seed_for(name, "embed"))
-        f, g = alg.random_functions(rng, k, H, H)
-        multiplicative = alg.embed(emb, alg.convolve(f, g)).close_to(
-            alg.convolve(alg.embed(emb, f), alg.embed(emb, g)), tol=alg.EXACT_TOL)
-        ef = alg.embed(emb, f)
-        star = alg.embed(emb, alg.involution(f)).close_to(
-            alg.involution(ef), tol=alg.EXACT_TOL)
-        err = np.abs(alg.reduced_norm(G, ef) - alg.reduced_norm(H, f))
-        fail = _first_failure(multiplicative, star, err <= alg.NORM_TOL)
-        if csv_rows is not None:
-            rows = k if fail is None else fail[0] + (fail[1] == 2)
-            csv_rows.extend(f"{name},embed,{i},,,{err[i]:.3e}" for i in range(rows))
-        if fail is not None:
-            i, test = fail
-            return False, (f"not multiplicative at sample {i}",
-                           f"does not intertwine the involution at sample {i}",
-                           f"not isometric at sample {i} (off by {err[i]:.2e})")[test]
-        return True, f"{k} samples, worst norm deviation {np.max(err, initial=0.0):.2e}"
-
-    _check(out, "algebra.embedding_isometric",
-           "extension by zero from the centralizer bundle is an isometric *-homomorphism",
-           embed_checks)
-
-    def expectation():
-        rng = np.random.default_rng(_seed_for(name, "expectation"))
-        f, a, b, h = alg.random_functions(rng, 20, G, H, H, H)
-        once = alg.conditional_expectation(emb, f)
-        idempotent = alg.conditional_expectation(emb, alg.embed(emb, once)).close_to(once)
-        lhs = alg.conditional_expectation(
-            emb, alg.convolve(alg.convolve(alg.embed(emb, a), f), alg.embed(emb, b)))
-        bimodular = lhs.close_to(alg.convolve(alg.convolve(a, once), b), tol=alg.EXACT_TOL)
-        restores = alg.conditional_expectation(emb, alg.embed(emb, h)).close_to(h)
-        fail = _first_failure(idempotent, bimodular, restores)
-        if fail is not None:
-            i, test = fail
-            return False, (f"not idempotent at sample {i}",
-                           f"bimodule identity fails at sample {i}",
-                           f"does not restore subalgebra functions at sample {i}")[test]
-        return True, "20 samples: idempotent, bimodular, restores the subalgebra"
-
-    _check(out, "algebra.conditional_expectation",
-           "restriction to the centralizer bundle is an idempotent bimodule projection",
-           expectation)
-
-    def faithful():
-        rng = np.random.default_rng(_seed_for(name, "faithful"))
-        (f,) = alg.random_functions(rng, k, G)
-        phi = alg.conditional_expectation(emb, alg.convolve(alg.involution(f), f))
-        small = np.max(np.abs(phi.values), axis=1, initial=0.0) < alg.EXACT_TOL
-        nonzero = np.max(np.abs(f.values), axis=1, initial=0.0) >= alg.EXACT_TOL
-        fail = _first_failure(~(small & nonzero))
-        if fail is not None:
-            return False, f"vanishing expectation on a nonzero function (sample {fail[0]})"
-        zero = alg.GroupoidFunction(G, np.zeros(G.n_arrows, dtype=complex))
-        phi0 = alg.conditional_expectation(emb, alg.convolve(alg.involution(zero), zero))
-        if np.max(np.abs(phi0.values), initial=0.0) != 0.0:
-            return False, "nonzero expectation of zero"
-        return True, f"{k} samples faithful"
-
-    _check(out, "algebra.expectation_faithful",
-           "the conditional expectation of f*f vanishes only on the zero function",
-           faithful)
-
-    def assoc():
-        rng = np.random.default_rng(_seed_for(name, "assoc"))
-        f, g, h = alg.random_functions(rng, 20, G, G, G, integral=True)
-        left = alg.convolve(alg.convolve(f, g), h)
-        right = alg.convolve(f, alg.convolve(g, h))
-        fail = _first_failure((left.values == right.values).all(axis=1))
-        if fail is not None:
-            return False, f"associativity differs at sample {fail[0]}"
-        return True, "20 integer samples associate exactly"
-
-    _check(out, "algebra.convolution_associative",
-           "convolution of integer-valued functions associates exactly", assoc)
-
-    def antimult():
-        rng = np.random.default_rng(_seed_for(name, "antimult"))
-        f, g = alg.random_functions(rng, 20, G, G)
-        lhs = alg.involution(alg.convolve(f, g))
-        rhs = alg.convolve(alg.involution(g), alg.involution(f))
-        fail = _first_failure(lhs.close_to(rhs, tol=alg.EXACT_TOL))
-        if fail is not None:
-            return False, f"anti-multiplicativity fails at sample {fail[0]}"
-        return True, "20 samples"
-
-    _check(out, "algebra.involution_antimultiplicative",
-           "the involution reverses convolution products", antimult)
-
-    return out
+    if fail is not None:
+        return False, f"identity off by {err[fail[0]]:.2e} at sample {fail[0]}"
+    return True, f"{k} samples, worst deviation {np.max(err, initial=0.0):.2e}"
 
 
-def global_algebra_checks() -> list[CheckResult]:
-    out: list[CheckResult] = []
+@check("algebra", "algebra.embedding_isometric",
+       "extension by zero from the centralizer bundle is an isometric *-homomorphism")
+def _embedding_isometric(run):
+    (G, emb, H), k = _bundle(run.sub), ALGEBRA_SAMPLES
+    f, g = alg.random_functions(np.random.default_rng(run.seed("embed")), k, H, H)
+    multiplicative = alg.embed(emb, alg.convolve(f, g)).close_to(
+        alg.convolve(alg.embed(emb, f), alg.embed(emb, g)), tol=alg.EXACT_TOL)
+    ef = alg.embed(emb, f)
+    star = alg.embed(emb, alg.involution(f)).close_to(
+        alg.involution(ef), tol=alg.EXACT_TOL)
+    err = np.abs(alg.reduced_norm(G, ef) - alg.reduced_norm(H, f))
+    fail = _first_failure(multiplicative, star, err <= alg.NORM_TOL)
+    if run.csv_rows is not None:
+        rows = k if fail is None else fail[0] + (fail[1] == 2)
+        run.csv_rows.extend(f"{run.name},embed,{i},,,{err[i]:.3e}" for i in range(rows))
+    if fail is not None:
+        i, test = fail
+        return False, (f"not multiplicative at sample {i}",
+                       f"does not intertwine the involution at sample {i}",
+                       f"not isometric at sample {i} (off by {err[i]:.2e})")[test]
+    return True, f"{k} samples, worst norm deviation {np.max(err, initial=0.0):.2e}"
 
-    def reject_non_normal():
-        from .actions import EmbeddedSubgroupoid
-        from .errors import HypothesisFailed
-        from .groupoids import extract_subgroupoid, make_groupoid
 
-        # the pair groupoid on 2 points times Z2: arrow (i j) 2 + g is (i <- j; g)
-        i, j, g = np.unravel_index(np.arange(8), (2, 2, 2))
-        table = np.where(j[:, None] == i, (i[:, None] * 2 + j) * 2 + (g[:, None] ^ g), -1)
-        G = make_groupoid(i * 6, j * 6, (j * 2 + i) * 2 + g, table)
-        arrows = frozenset({0, 1, 6})                  # (0 <- 0; 0), (0 <- 0; 1), (1 <- 1; 0)
-        sub, order = extract_subgroupoid(G, arrows)
-        emb = EmbeddedSubgroupoid(G, arrows, sub, order)
-        try:
-            alg.embed(emb, alg.delta(sub, 0))
-        except HypothesisFailed as exc:
-            if exc.name == "normal":
-                return True, "non-normal bundle rejected"
-            return False, f"rejected for the wrong reason: {exc.name}"
-        return False, "non-normal bundle accepted"
+@check("algebra", "algebra.conditional_expectation",
+       "restriction to the centralizer bundle is an idempotent bimodule projection")
+def _conditional_expectation(run):
+    G, emb, H = _bundle(run.sub)
+    rng = np.random.default_rng(run.seed("expectation"))
+    f, a, b, h = alg.random_functions(rng, 20, G, H, H, H)
+    once = alg.conditional_expectation(emb, f)
+    idempotent = alg.conditional_expectation(emb, alg.embed(emb, once)).close_to(once)
+    lhs = alg.conditional_expectation(
+        emb, alg.convolve(alg.convolve(alg.embed(emb, a), f), alg.embed(emb, b)))
+    bimodular = lhs.close_to(alg.convolve(alg.convolve(a, once), b), tol=alg.EXACT_TOL)
+    restores = alg.conditional_expectation(emb, alg.embed(emb, h)).close_to(h)
+    fail = _first_failure(idempotent, bimodular, restores)
+    if fail is not None:
+        i, test = fail
+        return False, (f"not idempotent at sample {i}",
+                       f"bimodule identity fails at sample {i}",
+                       f"does not restore subalgebra functions at sample {i}")[test]
+    return True, "20 samples: idempotent, bimodular, restores the subalgebra"
 
-    _check(out, "algebra.hypothesis_checker",
-           "the embedding rejects a synthetic non-normal bundle", reject_non_normal)
-    return out
+
+@check("algebra", "algebra.expectation_faithful",
+       "the conditional expectation of f*f vanishes only on the zero function")
+def _expectation_faithful(run):
+    G, emb, _ = _bundle(run.sub)
+    rng = np.random.default_rng(run.seed("faithful"))
+    (f,) = alg.random_functions(rng, ALGEBRA_SAMPLES, G)
+    phi = alg.conditional_expectation(emb, alg.convolve(alg.involution(f), f))
+    small = np.max(np.abs(phi.values), axis=1, initial=0.0) < alg.EXACT_TOL
+    nonzero = np.max(np.abs(f.values), axis=1, initial=0.0) >= alg.EXACT_TOL
+    fail = _first_failure(~(small & nonzero))
+    if fail is not None:
+        return False, f"vanishing expectation on a nonzero function (sample {fail[0]})"
+    zero = alg.GroupoidFunction(G, np.zeros(G.n_arrows, dtype=complex))
+    phi0 = alg.conditional_expectation(emb, alg.convolve(alg.involution(zero), zero))
+    if np.max(np.abs(phi0.values), initial=0.0) != 0.0:
+        return False, "nonzero expectation of zero"
+    return True, f"{ALGEBRA_SAMPLES} samples faithful"
+
+
+@check("algebra", "algebra.convolution_associative",
+       "convolution of integer-valued functions associates exactly")
+def _convolution_associative(run):
+    G = run.sub.beta.groupoid
+    rng = np.random.default_rng(run.seed("assoc"))
+    f, g, h = alg.random_functions(rng, 20, G, G, G, integral=True)
+    left = alg.convolve(alg.convolve(f, g), h)
+    right = alg.convolve(f, alg.convolve(g, h))
+    fail = _first_failure((left.values == right.values).all(axis=1))
+    if fail is not None:
+        return False, f"associativity differs at sample {fail[0]}"
+    return True, "20 integer samples associate exactly"
+
+
+@check("algebra", "algebra.involution_antimultiplicative",
+       "the involution reverses convolution products")
+def _involution_antimultiplicative(run):
+    G = run.sub.beta.groupoid
+    f, g = alg.random_functions(np.random.default_rng(run.seed("antimult")), 20, G, G)
+    lhs = alg.involution(alg.convolve(f, g))
+    rhs = alg.convolve(alg.involution(g), alg.involution(f))
+    fail = _first_failure(lhs.close_to(rhs, tol=alg.EXACT_TOL))
+    if fail is not None:
+        return False, f"anti-multiplicativity fails at sample {fail[0]}"
+    return True, "20 samples"
+
+
+@check("algebra", "algebra.hypothesis_checker",
+       "the embedding rejects a synthetic non-normal bundle", corpus_wide=True)
+def _hypothesis_checker(run):
+    from .actions import EmbeddedSubgroupoid
+    from .errors import HypothesisFailed
+    from .groupoids import extract_subgroupoid, make_groupoid
+
+    # the pair groupoid on 2 points times Z2: arrow (i j) 2 + g is (i <- j; g)
+    i, j, g = np.unravel_index(np.arange(8), (2, 2, 2))
+    table = np.where(j[:, None] == i, (i[:, None] * 2 + j) * 2 + (g[:, None] ^ g), -1)
+    G = make_groupoid(i * 6, j * 6, (j * 2 + i) * 2 + g, table)
+    arrows = frozenset({0, 1, 6})                  # (0 <- 0; 0), (0 <- 0; 1), (1 <- 1; 0)
+    sub, order = extract_subgroupoid(G, arrows)
+    emb = EmbeddedSubgroupoid(G, arrows, sub, order)
+    try:
+        alg.embed(emb, alg.delta(sub, 0))
+    except HypothesisFailed as exc:
+        if exc.name == "normal":
+            return True, "non-normal bundle rejected"
+        return False, f"rejected for the wrong reason: {exc.name}"
+    return False, "non-normal bundle accepted"
 
 
 # ---------------------------------------------------------------------------
 # orchestration
-
-
-_SUITES = {
-    "universal": run_universal_suite,
-    "tight": run_tight_suite,
-    "extension": run_extension_suite,
-    "algebra": run_algebra_suite,
-}
-
-_GLOBALS = {
-    "universal": global_universal_checks,
-    "algebra": global_algebra_checks,
-}
 
 
 def run_suite(name: str, S: InverseSemigroup, suite: str,
@@ -907,23 +890,18 @@ def run_suite(name: str, S: InverseSemigroup, suite: str,
     sub = Subject(S)
     reports = []
     for s in suites:
-        if s not in _SUITES:
+        if s not in SUITE_NAMES:
             raise StructureError(f"unknown suite '{s}'")
-        if s == "algebra":
-            checks = run_algebra_suite(name, sub, csv_rows)
-        else:
-            checks = _SUITES[s](name, sub)
-        reports.append(VerificationReport(name, s, checks))
+        reports.append(VerificationReport(name, s, run_checks(name, sub, s, csv_rows)))
     return reports
 
 
 def global_reports(suite: str) -> list[VerificationReport]:
+    """The corpus-wide checks, one report per suite that has any."""
     suites = SUITE_NAMES if suite == "all" else (suite,)
-    reports = []
-    for s in suites:
-        if s in _GLOBALS:
-            reports.append(VerificationReport("(corpus-wide)", s, _GLOBALS[s]()))
-    return reports
+    reports = [VerificationReport("(corpus-wide)", s, run_checks("(corpus-wide)", None, s))
+               for s in suites]
+    return [r for r in reports if r.checks]
 
 
 def render_reports(reports: list[VerificationReport]) -> str:

@@ -94,6 +94,14 @@ def test_validate_action_requires_covering():
         validate_action(E, 2, maps)
 
 
+def test_validate_action_accepts_an_empty_space():
+    """Every action condition holds vacuously on no points."""
+    action = validate_action(builtin("group:z2"), 0, np.zeros((2, 0), dtype=int))
+    assert action.space_size == 0
+    assert action.maps.shape == (2, 0)
+    assert action.point_labels == ()
+
+
 def test_universal_action_of_b2_has_singleton_domains():
     S = validate_inverse_semigroup(B2_TABLE)
     beta = universal_action(S)

@@ -150,6 +150,19 @@ def test_cli_verify_csv(tmp_path, capsys):
     assert len(lines) > 100
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "builtin:group:z1", "--suite", "tight", "--csv", "{out}"],
+    ["germs", "builtin:b2", "--dot", "{out}"],
+    ["example", "b2", "--out", "{out}"],
+])
+def test_cli_unwritable_output_is_input_error(tmp_path, capsys, argv):
+    """An output path in a missing directory is reported on stderr and exits
+    2, not with a traceback and the check-failure code 1."""
+    out = tmp_path / "missing" / "file"
+    assert main([a.format(out=out) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_unknown_builtin_is_input_error(capsys):
     assert main(["verify", "builtin:wat", "--suite", "universal"]) == 2
 

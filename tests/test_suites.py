@@ -16,16 +16,11 @@ from germlab.actions import induced_subgroupoid
 from germlab.builtins import CORPUS_NAMES, builtin
 from germlab.cli import main
 from germlab.congruences import Relation
+from germlab.errors import StructureError
 from germlab.extensions import MunnProjection, Subject, transversal_arrows
 from germlab.groupoids import GroupoidHom, conjugation_action, validate_groupoid
 from germlab.semigroups import InverseSemigroup
-from germlab.suites import (
-    render_reports,
-    run_extension_suite,
-    run_suite,
-    run_tight_suite,
-    run_universal_suite,
-)
+from germlab.suites import render_reports, run_checks, run_suite
 
 from test_groupoids import edited_table
 from test_order_congruence_tables import PRODUCT, subject
@@ -154,8 +149,7 @@ def test_fiber_certificate_reports_a_non_multiplicative_pair():
     G = sub.beta.groupoid           # one unit; arrow i is the germ of r_i
     broken = dataclasses.replace(G, table=edited_table(G.table, {(1, 1): 1}))
     sub.beta = dataclasses.replace(sub.beta, groupoid=broken)
-    check = next(c for c in run_universal_suite("shadowed", sub)
-                 if c.name == "germ.fibers_are_h_classes")
+    [check] = run_checks("shadowed", sub, "germ.fibers_are_h_classes")
     assert not check.passed
     assert check.witness == "fiber at idempotent 0 is not multiplicative at (1,1)"
 
@@ -167,7 +161,8 @@ def test_z70_universal_suite_passes_without_a_search_cap():
 
 
 COUNTED = ("universal_action", "spectrum_action", "germ_groupoid", "mu_relation",
-           "quotient", "semilattice_of", "all_filters", "validate_groupoid")
+           "quotient", "semilattice_of", "all_filters", "validate_groupoid",
+           "is_clifford", "is_zero_disjunctive", "is_essentially_principal")
 
 
 def test_one_subject_builds_each_structure_once(monkeypatch):
@@ -182,7 +177,9 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
     validate_groupoid runs in germ.groupoid_axioms, tight.action_valid and
     extension.projection_strongly_surjective, one per germ groupoid, and in
     make_groupoid on the semidirect product it assembles; no builder
-    re-validates what it builds.
+    re-validates what it builds.  The predicates that several checks read
+    run once per structure: is_clifford on S, is_zero_disjunctive on E,
+    is_essentially_principal on the universal and on the tight groupoid.
     """
     S = builtin("symmetric:3")
     modules = [importlib.import_module(f"germlab.{m.name}")
@@ -203,15 +200,17 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
     run_suite("symmetric:3", S, "all")
     assert dict(calls) == {"spectrum_action": 2, "germ_groupoid": 3, "mu_relation": 3,
                            "quotient": 2, "semilattice_of": 3, "all_filters": 4,
-                           "validate_groupoid": 4}
+                           "validate_groupoid": 4, "is_clifford": 1, "is_zero_disjunctive": 1,
+                           "is_essentially_principal": 2}
 
 
-def _check(suite, S, name, **shadows):
-    """One check of a suite run over a Subject whose fields are shadowed."""
+def _check(S, name, **shadows):
+    """One registered check, run alone over a Subject whose fields are shadowed."""
     sub = Subject(S)
     for field, value in shadows.items():
         setattr(sub, field, value)     # shadows the cached property on this instance
-    return next(c for c in suite("shadowed", sub) if c.name == name)
+    [check] = run_checks("shadowed", sub, name)
+    return check
 
 
 def _fails(check, witness):
@@ -226,12 +225,12 @@ def _fails(check, witness):
 def test_mu_check_reports_separation_and_h_witnesses(subject, blocks, witness):
     S = builtin(subject)
     mu = Relation.from_blocks(S.size, blocks)
-    _fails(_check(run_universal_suite, S, "congruence.mu_inside_h", mu=mu), witness)
+    _fails(_check(S, "congruence.mu_inside_h", mu=mu), witness)
 
 
 def test_mu_check_reports_a_congruence_witness():
     T = builtin("diamond_munn")     # its H relation separates idempotents but is no congruence
-    _fails(_check(run_universal_suite, T, "congruence.mu_inside_h", mu=T.h_partition),
+    _fails(_check(T, "congruence.mu_inside_h", mu=T.h_partition),
            "not a congruence at (1, 1, 2, 4)")
 
 
@@ -255,7 +254,7 @@ def test_idempotent_check_reports_the_first_pair(S, witness):
     # the shadowed idempotents form no semilattice, so the other checks get
     # the one-point semilattice of z3 itself
     E = Subject(builtin("group:z3")).E
-    _fails(_check(run_universal_suite, S, "semigroup.idempotents_closed", E=E), witness)
+    _fails(_check(S, "semigroup.idempotents_closed", E=E), witness)
 
 
 @pytest.mark.parametrize("S,witness", [
@@ -267,19 +266,19 @@ def test_idempotent_check_reports_the_first_pair(S, witness):
      "1 is not an identity on its class"),
 ])
 def test_h_class_check_reports_the_first_element(S, witness):
-    _fails(_check(run_universal_suite, S, "semigroup.h_class_groups"), witness)
+    _fails(_check(S, "semigroup.h_class_groups"), witness)
 
 
 def test_kernel_check_compares_the_kernel_with_the_centralizer():
     # mu of z3 is universal, so its kernel is all of z3, not the shadowed {0}
-    _fails(_check(run_universal_suite, builtin("group:z3"), "congruence.kernel_mu_is_centralizer",
+    _fails(_check(builtin("group:z3"), "congruence.kernel_mu_is_centralizer",
                   Z=frozenset({0})), "1 elements")
 
 
 def test_kernel_check_cross_checks_the_blocks_with_the_pairs():
     S = builtin("group:z3")
     mu = Relation.from_blocks(3, [(0,), (1, 2)])    # r1 r2* = r2 joins the identity's block
-    _fails(_check(run_universal_suite, S, "congruence.kernel_mu_is_centralizer", mu=mu),
+    _fails(_check(S, "congruence.kernel_mu_is_centralizer", mu=mu),
            "kernel cross-check fails at 1")
 
 
@@ -289,7 +288,7 @@ def test_kernel_check_cross_checks_the_blocks_with_the_pairs():
     (frozenset({1, 2, 3}), "idempotent 0 is missing"),
 ])
 def test_centralizer_check_reports_the_closure_witness(Z, witness):
-    _fails(_check(run_universal_suite, builtin("group:z4"), "semigroup.centralizer_normal",
+    _fails(_check(builtin("group:z4"), "semigroup.centralizer_normal",
                   Z=Z), witness)
 
 
@@ -298,7 +297,7 @@ def test_centralizer_check_reports_the_closure_witness(Z, witness):
     (frozenset({0}), "universal: kernel cross-check fails at 1"),
 ])
 def test_action_kernel_is_checked_by_the_base_dichotomy(kernel, witness):
-    _fails(_check(run_tight_suite, builtin("group:z3"), "tight.base_dichotomy_universal",
+    _fails(_check(builtin("group:z3"), "tight.base_dichotomy_universal",
                   universal_kernel=kernel), witness)
 
 
@@ -309,20 +308,20 @@ def test_ultrafilter_check_compares_the_tight_spectrum_with_the_atoms(monkeypatc
     real = semilattices.ultrafilters
     monkeypatch.setattr(semilattices, "ultrafilters", lambda E: real(E)[1:])
     monkeypatch.setattr(suites, "ultrafilters", semilattices.ultrafilters)
-    _fails(_check(run_tight_suite, builtin("diamond_munn"), "tight.ultrafilters_maximal"),
+    _fails(_check(builtin("diamond_munn"), "tight.ultrafilters_maximal"),
            "tight spectrum differs from the principal filters of the atoms")
 
 
 def test_munn_check_reports_a_non_fundamental_semigroup(monkeypatch):
     # z2 has the one-point semilattice of z3 but mu relates its two elements
     monkeypatch.setattr(suites, "munn_semigroup", lambda E: builtin("group:z2"))
-    _fails(_check(run_universal_suite, builtin("group:z3"), "spectrum.munn_fundamental"),
+    _fails(_check(builtin("group:z3"), "spectrum.munn_fundamental"),
            "not fundamental: mu relates 0 and 1")
 
 
 def test_sigma_check_fails_through_the_quotient_on_a_non_congruence():
     sigma = Relation.from_blocks(3, [(0,), (1, 2)])
-    _fails(_check(run_extension_suite, builtin("group:z3"), "extension.sigma_group_image",
+    _fails(_check(builtin("group:z3"), "extension.sigma_group_image",
                   sigma=sigma),
            "error: relation is not a congruence: (1,1) and (1,2) related but products split")
 
@@ -332,7 +331,7 @@ def test_sigma_check_fails_through_the_quotient_on_a_non_congruence():
     ((0, 2, 4, 7, 8), "not multiplicative at (0,3)"),
 ])
 def test_transversal_check_reports_the_defect(r, witness):
-    _fails(_check(run_extension_suite, builtin("brandt_z2"), "extension.split_transversal",
+    _fails(_check(builtin("brandt_z2"), "extension.split_transversal",
                   transversal=r), witness)
 
 
@@ -342,7 +341,7 @@ def test_projection_check_reports_an_uncovered_fiber():
     G = sub.beta.groupoid
     collapse = GroupoidHom(G, G, tuple(G.units[0] for _ in G.arrows()))
     proj = MunnProjection(sub.mu_quotient, sub.beta, sub.beta, collapse)
-    _fails(_check(run_extension_suite, S, "extension.projection_strongly_surjective",
+    _fails(_check(S, "extension.projection_strongly_surjective",
                   projection=proj), "a fiber is not covered")
 
 
@@ -359,7 +358,7 @@ def test_universal_germs_are_validated_by_the_axioms_check():
     S = builtin("group:z3")
     beta = Subject(S).beta
     beta = _broken(beta, table=edited_table(beta.groupoid.table, Z3_BAD_SQUARE))
-    _fails(_check(run_universal_suite, S, "germ.groupoid_axioms", beta=beta),
+    _fails(_check(S, "germ.groupoid_axioms", beta=beta),
            "error: inverse laws fail at (1,1)")
 
 
@@ -367,7 +366,7 @@ def test_tight_germs_are_validated_by_the_action_check():
     S = builtin("group:z3")
     theta = Subject(S).theta
     theta = _broken(theta, table=edited_table(theta.groupoid.table, Z3_BAD_SQUARE))
-    _fails(_check(run_tight_suite, S, "tight.action_valid", theta=theta),
+    _fails(_check(S, "tight.action_valid", theta=theta),
            "error: inverse laws fail at (1,1)")
 
 
@@ -377,7 +376,7 @@ def test_projection_check_validates_the_target_before_the_map():
     target = _broken(proj.target, table=np.full((1, 1), -1))  # S/mu is trivial: one unit, no products
     hom = dataclasses.replace(proj.hom, target=target.groupoid)
     proj = dataclasses.replace(proj, target=target, hom=hom)
-    _fails(_check(run_extension_suite, S, "extension.projection_strongly_surjective",
+    _fails(_check(S, "extension.projection_strongly_surjective",
                   projection=proj), "error: unit 0 fails u = u.u = u^-1")
 
 
@@ -392,14 +391,14 @@ def test_projection_check_reports_a_non_multiplicative_map():
     S = builtin("group:z3")
     sub = Subject(S)
     proj = MunnProjection(sub.mu_quotient, sub.beta, sub.beta, _squaring_hom(sub))
-    _fails(_check(run_extension_suite, S, "extension.projection_strongly_surjective",
+    _fails(_check(S, "extension.projection_strongly_surjective",
                   projection=proj), "error: hom is not multiplicative at (1,1)")
 
 
 def test_cocycle_check_reports_a_non_multiplicative_map():
     S = builtin("group:z3")
     sub = Subject(S)
-    _fails(_check(run_extension_suite, S, "extension.sigma_cocycle",
+    _fails(_check(S, "extension.sigma_cocycle",
                   cocycle=(_squaring_hom(sub), sub.beta)),
            "error: hom is not multiplicative at (1,1)")
 
@@ -420,3 +419,58 @@ def test_extracted_subgroupoids_are_groupoids(name):
         copies += [H, G]
     for copy in copies:
         validate_groupoid(copy)
+
+
+def test_each_check_is_declared_once_in_its_suite():
+    names = [c.name for c in suites.CHECKS]
+    assert len(names) == len(set(names)) == 44
+    per_suite = Counter((c.suite, c.corpus_wide) for c in suites.CHECKS)
+    assert per_suite == {("universal", False): 22, ("tight", False): 8,
+                         ("extension", False): 6, ("algebra", False): 6,
+                         ("universal", True): 1, ("algebra", True): 1}
+
+
+def test_declaration_order_is_the_report_order():
+    """Every report in the golden corpus report lists its suite's checks in
+    declaration order: the subjects' reports the per-subject checks, the
+    corpus-wide reports the corpus-wide ones."""
+    reports = {}
+    for line in GOLDEN.read_text(encoding="utf-8").splitlines():
+        if line.startswith("== verify "):
+            names = reports.setdefault(line, [])
+        elif line.startswith("[PASS] "):
+            names.append(line.removeprefix("[PASS] ").split(" :: ")[0])
+    assert len(reports) == 4 * len(CORPUS_NAMES) + 2
+    for header, names in reports.items():
+        subject, _, suite = header.removeprefix("== verify ").removesuffix(") ==").partition(
+            " (suite=")
+        corpus_wide = subject == "(corpus-wide)"
+        assert names == [c.name for c in suites.CHECKS
+                         if c.suite == suite and c.corpus_wide == corpus_wide], header
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_each_check_alone_matches_the_full_run(name):
+    """A check run alone over a fresh Subject gives the verdict and witness it
+    gives in the full run: no body depends on what an earlier check built."""
+    S = builtin(name)
+    full = {c.name: (c.passed, c.witness)
+            for report in run_suite(name, S, "all") for c in report.checks}
+    alone = {}
+    for check_name in full:
+        [c] = run_checks(name, Subject(S), check_name)
+        alone[c.name] = (c.passed, c.witness)
+    assert alone == full
+
+
+def test_a_construction_error_in_an_algebra_check_is_its_failure_witness(monkeypatch):
+    """The algebra checks build the centralizer bundle inside their bodies, so
+    an error there fails those checks instead of escaping ``run_suite``."""
+    def broken(sub):
+        raise StructureError("no bundle")
+    monkeypatch.setattr(Subject, "z_in_beta", property(broken))
+    [report] = run_suite("b2", builtin("b2"), "algebra")
+    failed = {c.name: c.witness for c in report.checks if not c.passed}
+    assert failed == dict.fromkeys(("algebra.embedding_isometric",
+                                    "algebra.conditional_expectation",
+                                    "algebra.expectation_faithful"), "error: no bundle")
