@@ -27,11 +27,21 @@ Every operation also takes a stack of functions: ``values`` of shape
 convolves with one ``np.bincount`` over the offset index ``row * n + C``:
 each row's products still go into its own bins in ``comp`` order, so every
 row equals the 1-D result bit for bit.  The involution, the embedding and
-the expectation are single gathers over the stack.  ``reduced_norm`` groups
-the units by fiber size and makes one ``np.linalg.svd(compute_uv=False)``
+the expectation are single gathers over the stack.
+
+``reduced_norm`` reads one block per orbit of units, the block of the
+orbit's least unit (``FiniteGroupoid.orbit_units``).  The blocks of one
+orbit are permutation-similar: an arrow g with d(g) = v and r(g) = u maps
+the fiber d^-1(u) onto d^-1(v) by a -> a g, and (a g)(b g)^-1 = a b^-1, so
+the block at v is the block at u with its rows and columns permuted alike.
+Permutation matrices are unitary, so the two blocks have the same singular
+values.  LAPACK meets the permuted matrix in another order, though, and its
+top singular value can differ in the last bits: the norm equals the
+maximum over all units only to within a few ulps.  The representatives'
+blocks are grouped by fiber size, with one ``np.linalg.svd(compute_uv=False)``
 call per block shape; numpy runs LAPACK on each matrix of the stack
-separately, on the same copy of it that a single call makes, so the norms
-are bit-identical as well.
+separately, on the same copy of it that a single call makes, so a stack's
+norms equal those of single calls bit for bit.
 
 Stacks run in chunks of rows whose largest temporary holds about
 ``CHUNK_VALUES`` values, so a chunk's working set stays in cache and the
@@ -158,12 +168,13 @@ def spectral_norm(m: np.ndarray) -> float:
 
 def reduced_norm(G: FiniteGroupoid, f: GroupoidFunction) -> float | np.ndarray:
     """The largest block norm of the regular representation: a float, or one
-    per row of a stack.  One SVD call per block shape and chunk of rows."""
+    per row of a stack.  One block per orbit, one SVD call per block shape
+    and chunk of rows."""
     if f.groupoid is not G:
         raise GroupoidMismatch("function lives on a different groupoid")
     fv = f.values.reshape(-1, G.n_arrows)
     norms = np.zeros(len(fv))
-    for idx in G.fiber_stacks:      # (units, s, s) per fiber size s
+    for idx in G.fiber_stacks:      # (orbits, s, s) per fiber size s
         for rows in _chunks(len(fv), idx.size):
             top = np.linalg.svd(fv[rows].take(idx, axis=1), compute_uv=False)[..., 0]
             np.maximum(norms[rows], top.max(axis=1), out=norms[rows])

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -127,20 +128,18 @@ def cmd_germs(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    csv_rows: list[str] | None = [] if args.csv else None
-    if args.subject == "corpus":
-        reports = global_reports(args.suite)
-        for name, S in corpus():
+    subjects = None if args.subject == "corpus" else [_load_subject(args.subject)]
+    # the CSV file is opened before any suite runs, so that an unwritable
+    # path fails at once
+    with open(args.csv, "w", encoding="utf-8") if args.csv else nullcontext() as fh:
+        csv_rows: list[str] | None = None if fh is None else []
+        reports = [] if subjects else global_reports(args.suite)
+        for name, S in subjects or corpus():
             reports += run_suite(name, S, args.suite, csv_rows)
-    else:
-        name, S = _load_subject(args.subject)
-        reports = run_suite(name, S, args.suite, csv_rows)
-    sys.stdout.write(render_reports(reports))
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
+        sys.stdout.write(render_reports(reports))
+        if fh is not None:
             fh.write("subject,check,sample,norm_sq,norm_star,deviation\n")
-            for row in csv_rows or []:
-                fh.write(row + "\n")
+            fh.writelines(row + "\n" for row in csv_rows)
     return PASS if all(r.passed for r in reports) else CHECK_FAILURE
 
 

@@ -27,7 +27,8 @@ from .errors import NotACongruence, SearchBudgetExceeded, StructureError
 from .semigroups import InverseSemigroup, Relation, first_index, validate_inverse_semigroup
 
 TRANSVERSAL_BUDGET = 10**6
-WITNESS_CHUNK = 1 << 16     # entries per chunk of congruence_witness's pair tables
+WITNESS_CHUNK = 1 << 16     # entries per chunk of the pair tables of congruence_witness
+                            # and of split_transversal's certificate
 
 
 def join_roots(root: np.ndarray, a, b) -> np.ndarray:
@@ -270,10 +271,21 @@ def split_transversal(S: InverseSemigroup, mu: Relation, q: QuotientMap
     """A multiplicative section of q, the quotient by mu, if one exists.
 
     Returns a tuple indexed by mu-classes: entry i is the chosen element of
-    block i.  Idempotent blocks are forced to their unique idempotent; the
-    rest is exhaustive backtracking in an explicit loop, so the number of
-    classes is not bounded by the recursion limit.  That the result is a
-    multiplicative section is checked by ``extension.split_transversal``.
+    block i, the first section in the order of a depth-first search over
+    the classes in order, each trying its block's elements in order.  A
+    class is forced when it has one candidate: a singleton block, or a block
+    with an idempotent, which mu separates, so the idempotent is the only
+    candidate.  Every forced class is fixed first, and the constraints
+    r(x) r(y) = r(xy) among forced classes are certified together, by one
+    comparison of tables in chunks of rows; if one fails no section exists.
+    The search then runs over the free classes only, in order, in an
+    explicit loop (so the number of classes is not bounded by the recursion
+    limit): picking class i checks every constraint that i completes, i as
+    a factor and i as the product, with the factor pairs of each free
+    product class grouped once.  Every constraint is checked as soon as its
+    classes are decided, so this is the section that a search over all
+    classes finds.  That the result is a multiplicative section is checked
+    by ``extension.split_transversal``.
     """
     E = S.idempotent_array.tolist()
     forced = dict(zip(mu.labels[E].tolist(), ([e] for e in E)))     # block -> [its idempotent]
@@ -286,39 +298,56 @@ def split_transversal(S: InverseSemigroup, mu: Relation, q: QuotientMap
             raise SearchBudgetExceeded(
                 f"transversal search space exceeds {TRANSVERSAL_BUDGET}")
 
-    k = len(mu.blocks)
     St, Tt = S.table, q.target.table
-    picked = np.full(k, -1, dtype=np.intp)      # chosen element per class, -1 undecided
+    picked = np.array([c[0] if len(c) == 1 else -1 for c in choices], dtype=np.intp)
+    fixed = np.flatnonzero(picked >= 0)
+    step = max(1, WITNESS_CHUNK // len(choices))
+    for lo in range(0, fixed.size, step):
+        x = fixed[lo:lo + step, None]
+        want = picked[Tt[x, fixed]]       # r(xy), or -1 where xy is free
+        if ((want >= 0) & (St[picked[x], picked[fixed]] != want)).any():
+            return None
+    free = np.flatnonzero(picked < 0)
+    # the factor pairs (x, y) of each free class, grouped by their product
+    x, y = np.nonzero((picked < 0)[Tt])
+    xy = Tt[x, y]
+    order = np.argsort(xy, kind="stable")
+    x, y, xy = x[order], y[order], xy[order]
+    factors = [(x[lo:hi], y[lo:hi]) for lo, hi in
+               zip(np.searchsorted(xy, free).tolist(),
+                   np.searchsorted(xy, free, side="right").tolist())]
 
-    def consistent(i: int) -> bool:
-        # blocks 0..i are decided (backtracking fills them in order); check
-        # every triple constraint that i completes: i as a factor, and i as
-        # the product of two decided factors
-        c = picked[i]
-        done = picked[:i + 1]
-        for p, product in ((Tt[i, :i + 1], St[c, done]), (Tt[:i + 1, i], St[done, c])):
+    def consistent(j: int) -> bool:
+        # free class j has just been picked: check it as a factor against
+        # every decided class, and as the product of decided factors
+        c = picked[free[j]]
+        done = np.flatnonzero(picked >= 0)
+        for p, product in ((Tt[free[j], done], St[c, picked[done]]),
+                           (Tt[done, free[j]], St[picked[done], c])):
             want = picked[p]
             if ((want >= 0) & (product != want)).any():
                 return False
-        a, b = np.nonzero(Tt[:i + 1, :i + 1] == i)
-        return not (St[done[a], done[b]] != c).any()
+        a, b = (picked[z] for z in factors[j])
+        both = (a >= 0) & (b >= 0)
+        return not (St[a[both], b[both]] != c).any()
 
-    # depth-first over the classes in order, without recursion: tried[i]
-    # counts the candidates of class i tried so far; every class after i is
-    # undecided (-1) whenever class i is being decided
-    tried = [0] * k
-    i = 0
-    while 0 <= i < k:
-        if tried[i] == len(choices[i]):
+    # depth-first over the free classes in order: tried[j] counts the
+    # candidates of free class j tried so far; every free class after j is
+    # undecided (-1) whenever class j is being decided
+    tried = [0] * free.size
+    j = 0
+    while 0 <= j < free.size:
+        i = free[j]
+        if tried[j] == len(choices[i]):
             picked[i] = -1
-            tried[i] = 0
-            i -= 1
+            tried[j] = 0
+            j -= 1
             continue
-        picked[i] = choices[i][tried[i]]
-        tried[i] += 1
-        if consistent(i):
-            i += 1
-    return tuple(picked.tolist()) if i == k else None
+        picked[i] = choices[i][tried[j]]
+        tried[j] += 1
+        if consistent(j):
+            j += 1
+    return tuple(picked.tolist()) if j == free.size else None
 
 
 def transversal_defect(S: InverseSemigroup, q: QuotientMap, r

@@ -83,13 +83,49 @@ class FiniteGroupoid:
         return tuple(out)
 
     @cached_property
+    def orbit_units(self) -> tuple[int, ...]:
+        """The first unit of each orbit in ``units`` order (increasing, so
+        the least unit of the orbit).
+
+        The orbit of a unit u is r(d^-1(u)), the ranges of the fiber that
+        ``fiber_indices`` lists for u: a unit that no earlier orbit reached
+        starts a new one.
+        """
+        r = self.r.tolist()
+        reached: set[int] = set()
+        out = []
+        for u, (fiber, _) in zip(self.units, self.fiber_indices):
+            if u not in reached:
+                out.append(u)
+                reached.update(r[a] for a in fiber)
+        return tuple(out)
+
+    @cached_property
     def fiber_stacks(self) -> tuple[np.ndarray, ...]:
-        """The matrices of ``fiber_indices`` stacked by fiber size: one
-        (units, s, s) array per size s, in order of first occurrence."""
+        """The matrices of ``fiber_indices`` at the units of ``orbit_units``,
+        stacked by fiber size: one (orbits, s, s) array per size s, in order
+        of first occurrence.
+
+        Every other unit's matrix is its orbit representative's with rows
+        and columns permuted alike (see ``algebra.reduced_norm``), so these
+        blocks carry every block norm.
+        """
+        first = set(self.orbit_units)
         by_size: dict[int, list[np.ndarray]] = {}
-        for fiber, idx in self.fiber_indices:
-            by_size.setdefault(len(fiber), []).append(idx)
+        for u, (fiber, idx) in zip(self.units, self.fiber_indices):
+            if u in first:
+                by_size.setdefault(len(fiber), []).append(idx)
         return tuple(np.stack(blocks) for blocks in by_size.values())
+
+    @cached_property
+    def isotropy(self) -> frozenset[int]:
+        """The arrows with r = d (``iso_bundle``)."""
+        return frozenset(np.flatnonzero(self.r == self.d).tolist())
+
+    @cached_property
+    def isotropy_interior(self) -> frozenset[int]:
+        """The interior of the isotropy in the basis topology (``iso_interior``)."""
+        return interior(self, self.isotropy)
 
     def __repr__(self) -> str:
         return f"FiniteGroupoid(arrows={self.n_arrows}, units={len(self.units)})"
@@ -266,7 +302,7 @@ def make_groupoid(r, d, inv, table, labels=None, basis=None) -> FiniteGroupoid:
 
 
 def iso_bundle(G: FiniteGroupoid) -> frozenset[int]:
-    return frozenset(np.flatnonzero(G.r == G.d).tolist())
+    return G.isotropy
 
 
 def interior_witnesses(G: FiniteGroupoid, subset: frozenset[int]
@@ -285,7 +321,7 @@ def interior(G: FiniteGroupoid, subset: frozenset[int]) -> frozenset[int]:
 
 
 def iso_interior(G: FiniteGroupoid) -> frozenset[int]:
-    return interior(G, iso_bundle(G))
+    return G.isotropy_interior
 
 
 def is_open(G: FiniteGroupoid, subset: frozenset[int]) -> bool:

@@ -294,3 +294,17 @@ def test_symmetric5_universal_suite_budget():
     assert len(report.checks) == 22
     assert report.passed, [c.render() for c in report.checks if not c.passed]
     budget.done("symmetric:5 universal suite")
+
+
+def test_symmetric5_all_suites_budget():
+    # every suite on symmetric:5, from building the table to the last check;
+    # the extension and algebra suites' split transversal and norms are the
+    # costs this bounds: one certificate comparison instead of a search, and
+    # one SVD per orbit (5 blocks instead of 31 per function)
+    budget = Budget(14.0)
+    S = builtin("symmetric:5")
+    reports = run_suite("symmetric:5", S, "all")
+    assert [len(r.checks) for r in reports] == [22, 8, 6, 6]
+    assert all(r.passed for r in reports), [c.render() for r in reports
+                                            for c in r.checks if not c.passed]
+    budget.done("symmetric:5 all suites")

@@ -1,10 +1,17 @@
 import zlib
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from germlab import algebra
-from germlab.actions import EmbeddedSubgroupoid, centralizer_germs, germ_groupoid, universal_action
+from germlab.actions import (
+    EmbeddedSubgroupoid,
+    centralizer_germs,
+    germ_groupoid,
+    tight_action,
+    universal_action,
+)
 from germlab.algebra import (
     GroupoidFunction,
     conditional_expectation,
@@ -24,6 +31,8 @@ from germlab.groupoids import extract_subgroupoid, group_as_groupoid, make_group
 from germlab.semigroups import validate_inverse_semigroup
 
 from test_actions import diamond_munn
+from test_congruences import _relabelled
+from test_order_congruence_tables import LADDER, subject
 from test_semigroups import B2_TABLE
 
 
@@ -353,8 +362,91 @@ def test_array_algebra_is_bit_identical_to_the_reference_loops(name, monkeypatch
             assert all(_same_bits(stack.values[i], row.values)
                        for stack, row in zip(stacks, rows))
             assert _same_bits(norms[i], np.float64(reduced_norm(G, fi)))
+            first = _reference_orbit_units(G)
             assert reduced_norm(G, fi) == max(
-                spectral_norm(m) for _, m in _reference_regular_blocks(G, fi))
+                spectral_norm(m) for u, (_, m) in zip(G.units, _reference_regular_blocks(G, fi))
+                if u in first)
+
+
+# ---------------------------------------------------------------------------
+# one block per orbit: the blocks of an orbit are permutation-similar
+
+RELABELLED_S4 = "symmetric:4 relabelled"
+ORBIT_SUBJECTS = CORPUS_NAMES + LADDER + (RELABELLED_S4,)
+# |orbit norm - all-unit norm| in ulps of the norm; the largest seen on the
+# subjects below is 7 (graph7's tight groupoid, 12x12 blocks), far inside
+# NORM_TOL, which is 4.5e6 ulps at norm 1
+ORBIT_NORM_ULPS = 16
+
+
+@lru_cache(maxsize=None)
+def _germ_groupoids(name):
+    """The universal and the tight germ groupoid of a corpus or ladder subject."""
+    S = _relabelled(builtin("symmetric:4"), 3) if name == RELABELLED_S4 else subject(name)
+    return tuple(germ_groupoid(action(S)).groupoid for action in (universal_action, tight_action))
+
+
+def _reference_orbit_units(G):
+    """The least unit of each orbit: per unit v, the least range of an arrow
+    with source v."""
+    r, d = G.r.tolist(), G.d.tolist()
+    return tuple(sorted({min(r[a] for a in G.arrows() if d[a] == v) for v in G.units}))
+
+
+def _all_unit_norm(G, f):
+    """The largest block norm over every unit, one SVD per unit: the norm
+    before it read one block per orbit."""
+    fv = f.values.reshape(-1, G.n_arrows)
+    return np.max([np.linalg.svd(fv.take(idx, axis=1), compute_uv=False)[:, 0]
+                   for _, idx in G.fiber_indices], axis=0)
+
+
+@pytest.mark.parametrize("name", ORBIT_SUBJECTS)
+def test_each_block_is_its_orbit_representatives_block_permuted(name):
+    """Per unit v, with u the least unit of its orbit and g an arrow from v
+    to u, a -> a g maps the fiber at u onto the fiber at v, and the index
+    matrix at v, rows and columns both taken in that order, is u's exactly."""
+    for G in _germ_groupoids(name):
+        assert G.orbit_units == _reference_orbit_units(G)
+        r, d, table = G.r.tolist(), G.d.tolist(), G.table.tolist()
+        blocks = dict(zip(G.units, G.fiber_indices))
+        for v in G.units:
+            g = min((a for a in G.arrows() if d[a] == v), key=lambda a: (r[a], a))
+            (fiber_u, idx_u), (fiber_v, idx_v) = blocks[r[g]], blocks[v]
+            position = {b: i for i, b in enumerate(fiber_v)}
+            q = [position[table[a][g]] for a in fiber_u]
+            assert sorted(q) == list(range(len(fiber_v))), (name, v)
+            assert np.array_equal(idx_v[np.ix_(q, q)], idx_u), (name, v)
+
+
+@pytest.mark.parametrize("name", ORBIT_SUBJECTS)
+def test_orbit_norm_is_the_all_unit_norm_to_a_few_ulps(name):
+    for G in _germ_groupoids(name):
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        for integral in (False, True):
+            (f,) = random_functions(rng, 50, G, integral=integral)
+            every = _all_unit_norm(G, f)
+            assert (np.abs(reduced_norm(G, f) - every)
+                    <= ORBIT_NORM_ULPS * np.spacing(every)).all(), name
+
+
+@pytest.mark.parametrize("name", ORBIT_SUBJECTS)
+def test_reduced_norm_decomposes_one_matrix_per_orbit(name, monkeypatch):
+    """Counts the matrices ``np.linalg.svd`` receives in one call on one
+    function and in one on a stack of 7: one per orbit and function."""
+    real, matrices = np.linalg.svd, []
+
+    def counting(a, *args, **kwargs):
+        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    for G in _germ_groupoids(name):
+        (f,) = random_functions(np.random.default_rng(5), 7, G)
+        for values, rows in ((f.values[0], 1), (f.values, 7)):
+            matrices.clear()
+            reduced_norm(G, GroupoidFunction(G, values))
+            assert sum(matrices) == rows * len(_reference_orbit_units(G)), name
 
 
 def test_stacked_draws_equal_sequential_draws():

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from germlab import cli
 from germlab.actions import DirectedGraph
 from germlab.builtins import CORPUS_NAMES, builtin, corpus
 from germlab.cli import main
@@ -161,6 +162,18 @@ def test_cli_unwritable_output_is_input_error(tmp_path, capsys, argv):
     out = tmp_path / "missing" / "file"
     assert main([a.format(out=out) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("subject", ["builtin:b2", "corpus"])
+def test_cli_unwritable_csv_fails_before_any_suite_runs(tmp_path, capsys, monkeypatch, subject):
+    calls = []
+    real = cli.run_suite
+    monkeypatch.setattr(cli, "run_suite", lambda *args: calls.append(args) or real(*args))
+    out = tmp_path / "missing" / "norms.csv"
+    assert main(["verify", subject, "--suite", "algebra", "--csv", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert calls == []
 
 
 def test_cli_unknown_builtin_is_input_error(capsys):

@@ -5,9 +5,12 @@ the array code in ``semigroups.py`` and ``congruences.py`` replaced, kept
 here as the oracle.  Every partition is a ``Relation`` label array; the
 references build theirs through ``Relation.from_blocks``.  The subjects are the corpus plus the ladder's larger
 ones: ``symmetric:4``, ``group:z70``, ``symmetric:3 x group:z2`` and a
-210-element graph inverse semigroup.
+210-element graph inverse semigroup.  ``reference_split_transversal_loop``
+is the exception: the explicit depth-first loop over every class that the
+forced-class certificate and the search over the free classes replaced.
 """
 
+import itertools
 import random
 from functools import lru_cache
 
@@ -34,9 +37,11 @@ from germlab.congruences import (
     random_idempotent_separating_congruences,
     related_products,
     sigma_relation,
+    split_transversal,
 )
-from germlab.errors import NotACongruence, ZeroRequired
+from germlab.errors import NotACongruence, SearchBudgetExceeded, ZeroRequired
 from germlab.semigroups import (
+    InverseSemigroup,
     centralizer,
     direct_product,
     is_clifford,
@@ -44,6 +49,8 @@ from germlab.semigroups import (
     is_zero_e_unitary,
     normality_defect,
 )
+
+from test_congruences import _labelled_shift, _monomial_closure, _relabelled
 
 # A 7-vertex acyclic graph whose inverse semigroup has 210 elements and 28
 # idempotents, the size of the universal-ladder benchmark's graph subjects.
@@ -219,6 +226,59 @@ def reference_sampler(S, seed, attempts=20):
     return found
 
 
+def reference_split_transversal_loop(S, mu, q):
+    """The explicit depth-first loop over every class that split_transversal
+    replaced: each step checks every constraint its class completes among
+    the classes decided so far."""
+    E = S.idempotent_array.tolist()
+    forced = dict(zip(mu.labels[E].tolist(), ([e] for e in E)))
+    choices = [forced.get(i, list(block)) for i, block in enumerate(mu.blocks)]
+    budget = 1
+    for c in choices:
+        budget *= len(c)
+        if budget > congruences.TRANSVERSAL_BUDGET:
+            raise SearchBudgetExceeded(
+                f"transversal search space exceeds {congruences.TRANSVERSAL_BUDGET}")
+    k = len(mu.blocks)
+    St, Tt = S.table, q.target.table
+    picked = np.full(k, -1, dtype=np.intp)
+
+    def consistent(i):
+        c = picked[i]
+        done = picked[:i + 1]
+        for p, product in ((Tt[i, :i + 1], St[c, done]), (Tt[:i + 1, i], St[done, c])):
+            want = picked[p]
+            if ((want >= 0) & (product != want)).any():
+                return False
+        a, b = np.nonzero(Tt[:i + 1, :i + 1] == i)
+        return not (St[done[a], done[b]] != c).any()
+
+    tried = [0] * k
+    i = 0
+    while 0 <= i < k:
+        if tried[i] == len(choices[i]):
+            picked[i] = -1
+            tried[i] = 0
+            i -= 1
+            continue
+        picked[i] = choices[i][tried[i]]
+        tried[i] += 1
+        if consistent(i):
+            i += 1
+    return tuple(picked.tolist()) if i == k else None
+
+
+def transversal_outcome(search, S, mu=None, q=None):
+    """A search's transversal, None, or its budget message."""
+    if mu is None:
+        mu = mu_relation(S)
+        q = quotient(S, mu)
+    try:
+        return search(S, mu, q)
+    except SearchBudgetExceeded as exc:
+        return f"budget: {exc}"
+
+
 def split_last_block(C, rng):
     """C with its last block of three or more elements cut in two, or None.
     Its pairs before that block are those of C, so its first witness, if
@@ -387,3 +447,62 @@ def test_float32_and_int32_order_products_agree():
     L = subject("symmetric:4").leq
     f, i = L.astype(np.float32), L.astype(np.int32)
     assert np.array_equal((f @ f).astype(np.int64), (i @ i).astype(np.int64))
+
+
+@pytest.mark.parametrize("name", SUBJECTS)
+def test_split_transversal_equals_the_loop(name):
+    """The same tuple, None or budget message, on the subject and on two
+    relabelled copies, whose classes come in another order."""
+    S = subject(name)
+    for T in (S, _relabelled(S, 1), _relabelled(S, 2)):
+        found = transversal_outcome(split_transversal, T)
+        assert found == transversal_outcome(reference_split_transversal_loop, T)
+
+
+def test_split_transversal_equals_the_loop_where_it_backtracks():
+    """Labelled shifts, where the search over the free classes backtracks or
+    finds no section."""
+    outcomes = set()
+    for n, m in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        for labels in itertools.product(range(m), repeat=2):
+            S = _labelled_shift(n, labels + (0,) * (n - 2), m)
+            found = transversal_outcome(split_transversal, S)
+            assert found == transversal_outcome(reference_split_transversal_loop, S)
+            outcomes.add(found is None)
+    assert outcomes == {True, False}
+
+
+def test_split_transversal_fails_on_the_forced_classes_alone():
+    """Z2-labelled maps of 3 points generated by 0 -> 1 and 2 -> 2, both
+    labelled 1: 6 elements in 5 mu-classes, every class forced, and the
+    forced picks are not multiplicative, so the certificate alone finds
+    that no section exists."""
+    S = _monomial_closure(3, 2, [((1, 1), None, (2, 1))])
+    mu = mu_relation(S)
+    assert (S.size, mu.count) == (6, 5)
+    assert all(len(b) == 1 or any(x in S.idempotent_set for x in b) for b in mu.blocks)
+    assert transversal_outcome(split_transversal, S) is None
+    assert transversal_outcome(reference_split_transversal_loop, S) is None
+
+
+@pytest.mark.parametrize("name", ("brandt_z2", "symmetric:3", "group:z70", PRODUCT))
+def test_split_transversal_raises_at_the_loops_budget(name, monkeypatch):
+    """With P the size of the search space, both complete under budget P and
+    both raise under P - 1, before any search step."""
+    S = subject(name)
+    mu = mu_relation(S)
+    E = S.idempotent_set
+    space = int(np.prod([1 if any(x in E for x in b) else len(b) for b in mu.blocks]))
+    for budget in (space - 1, space):
+        monkeypatch.setattr(congruences, "TRANSVERSAL_BUDGET", budget)
+        found = transversal_outcome(split_transversal, S)
+        assert found == transversal_outcome(reference_split_transversal_loop, S)
+        assert isinstance(found, str) == (budget < space)
+
+
+def test_split_transversal_equals_the_loop_on_a_1001_class_chain():
+    n = 1001
+    chain = np.minimum.outer(np.arange(n), np.arange(n))
+    S = InverseSemigroup(chain, tuple(range(n)), 0, tuple(map(str, range(n))))
+    args = (S, Relation.identity(n), congruences.QuotientMap(S, S, tuple(range(n))))
+    assert split_transversal(*args) == reference_split_transversal_loop(*args) == tuple(range(n))

@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import pkgutil
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,12 @@ from germlab.cli import main
 from germlab.congruences import Relation
 from germlab.errors import StructureError
 from germlab.extensions import MunnProjection, Subject, transversal_arrows
-from germlab.groupoids import GroupoidHom, conjugation_action, validate_groupoid
+from germlab.groupoids import (
+    FiniteGroupoid,
+    GroupoidHom,
+    conjugation_action,
+    validate_groupoid,
+)
 from germlab.semigroups import InverseSemigroup
 from germlab.suites import render_reports, run_checks, run_suite
 
@@ -180,6 +186,9 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
     re-validates what it builds.  The predicates that several checks read
     run once per structure: is_clifford on S, is_zero_disjunctive on E,
     is_essentially_principal on the universal and on the tight groupoid.
+    The isotropy and its interior are computed once per groupoid that a
+    check reads them on, the universal and the tight one, however many
+    checks call iso_bundle and iso_interior.
     """
     S = builtin("symmetric:3")
     modules = [importlib.import_module(f"germlab.{m.name}")
@@ -197,11 +206,25 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
         for module in modules:
             if real is not None and getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting(name, real))
+    computed, groupoids = Counter(), []
+    for name in ("isotropy", "isotropy_interior"):
+        real = FiniteGroupoid.__dict__[name].func
+
+        def computing(G, name=name, real=real):
+            computed[name] += 1
+            groupoids.append(G)
+            return real(G)
+
+        prop = cached_property(computing)
+        prop.__set_name__(FiniteGroupoid, name)
+        monkeypatch.setattr(FiniteGroupoid, name, prop)
     run_suite("symmetric:3", S, "all")
     assert dict(calls) == {"spectrum_action": 2, "germ_groupoid": 3, "mu_relation": 3,
                            "quotient": 2, "semilattice_of": 3, "all_filters": 4,
                            "validate_groupoid": 4, "is_clifford": 1, "is_zero_disjunctive": 1,
                            "is_essentially_principal": 2}
+    assert dict(computed) == {"isotropy": 2, "isotropy_interior": 2}
+    assert len({id(G) for G in groupoids}) == 2
 
 
 def _check(S, name, **shadows):
