@@ -103,19 +103,31 @@ class FiniteGroupoid:
     @cached_property
     def fiber_stacks(self) -> tuple[np.ndarray, ...]:
         """The matrices of ``fiber_indices`` at the units of ``orbit_units``,
-        stacked by fiber size: one (orbits, s, s) array per size s, in order
-        of first occurrence.
+        each split by a cyclic subgroup of its isotropy and stacked by shape:
+        one (orbits, r, r, o) array per (r, o), in order of first occurrence.
 
         Every other unit's matrix is its orbit representative's with rows
         and columns permuted alike (see ``algebra.reduced_norm``), so these
-        blocks carry every block norm.
+        blocks carry every block norm.  At a representative x, g is an arrow
+        of largest order o in the isotropy G_x (the least such; x itself
+        when G_x is trivial).  The fiber d^-1(x), of size s, falls into
+        r = s / o right cosets c_p <g>, c_p the least arrow of its coset and
+        the cosets ordered by c_p, and entry [p, q, j] is c_p g^j c_q^-1.
+        Taken in the order c_p g^j, the fiber's block has the entry
+        f(c_p g^j (c_q g^l)^-1) = f(c_p g^(j-l) c_q^-1) at ((p, j), (q, l)):
+        an r x r matrix of o x o circulants, since right translation by g
+        commutes with it.  A DFT along j diagonalizes every circulant and
+        leaves o blocks of r x r, whose largest norm is the block's.  When
+        o = 1 the cosets are the single arrows in increasing order, and
+        [:, :, 0] is the fiber matrix itself.
         """
         first = set(self.orbit_units)
-        by_size: dict[int, list[np.ndarray]] = {}
+        by_shape: dict[tuple[int, ...], list[np.ndarray]] = {}
         for u, (fiber, idx) in zip(self.units, self.fiber_indices):
             if u in first:
-                by_size.setdefault(len(fiber), []).append(idx)
-        return tuple(np.stack(blocks) for blocks in by_size.values())
+                block = _coset_circulants(np.array(fiber), idx, u, self.r)
+                by_shape.setdefault(block.shape, []).append(block)
+        return tuple(np.stack(blocks) for blocks in by_shape.values())
 
     @cached_property
     def isotropy(self) -> frozenset[int]:
@@ -129,6 +141,35 @@ class FiniteGroupoid:
 
     def __repr__(self) -> str:
         return f"FiniteGroupoid(arrows={self.n_arrows}, units={len(self.units)})"
+
+
+def _coset_circulants(fiber: np.ndarray, idx: np.ndarray, x: int, ranges: np.ndarray
+                      ) -> np.ndarray:
+    """The (r, r, o) array [c_p g^j c_q^-1] of ``fiber_stacks`` at the unit
+    x, read off its fiber matrix idx = [a b^-1] (rows a, columns b, both
+    over the fiber in increasing order).
+
+    Column b^-1's position multiplies on the right by b, since a (b^-1)^-1
+    = a b, and row x holds the inverses: x b^-1 = b^-1.
+    """
+    def at(arrows):
+        return np.searchsorted(fiber, arrows)
+
+    unit = at(x)
+    iso = np.flatnonzero(ranges[fiber] == x)      # G_x, in increasing order
+    right = at(idx[unit, iso])                    # columns that multiply by b in G_x
+    order, power, m = np.zeros(len(iso), dtype=np.intp), iso, 1
+    while not order.all():                        # power holds b^m
+        order[(order == 0) & (power == unit)] = m
+        power, m = at(idx[power, right]), m + 1
+    g = int(np.argmax(order))                     # the least arrow of largest order
+    o = int(order[g])
+    powers = [unit]                               # positions of g^0, ..., g^(o-1)
+    for _ in range(o - 1):
+        powers.append(int(at(idx[powers[-1], right[g]])))
+    cosets = idx[:, [powers[-j] for j in range(o)]]     # [a g^j]: column of g^-j
+    reps = at(distinct(cosets.min(axis=1)))
+    return idx[at(cosets[reps])[:, None, :], reps[None, :, None]]
 
 
 @dataclass(frozen=True)

@@ -300,6 +300,8 @@ def _mu_inside_h(run):
        "sampled idempotent-separating congruences refine the maximal one")
 def _mu_maximal(run):
     sampled = random_idempotent_separating_congruences(run.sub.S, seed=run.seed("mu_maximal"))
+    if not sampled:
+        return True, "vacuous: no sampled congruence separates idempotents"
     for R in sampled:
         if not R.refines(run.sub.mu):
             return False, "a sampled idempotent-separating congruence escapes"
@@ -525,7 +527,9 @@ def _ultrafilters_maximal(run):
     return True, f"{len(ultra)} ultrafilters"
 
 
-@check("tight", "tight.action_valid", "the restriction to the tight spectrum is a valid action")
+@check("tight", "tight.action_valid",
+       "the restriction to the tight spectrum is a valid action, and its germ groupoid "
+       "satisfies the groupoid axioms")
 def _tight_action_valid(run):
     g = run.sub.theta
     validate_groupoid(g.groupoid)
@@ -636,7 +640,8 @@ def _graph_zero_disjunctive(run):
 
 
 @check("extension", "extension.projection_strongly_surjective",
-       "the projection onto the fundamental quotient is strongly surjective")
+       "the fundamental quotient's germ groupoid satisfies the groupoid axioms, and the "
+       "projection onto it is a strongly surjective homomorphism")
 def _projection_strongly_surjective(run):
     proj = run.sub.projection
     validate_groupoid(proj.target.groupoid)

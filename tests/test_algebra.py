@@ -29,6 +29,7 @@ from germlab.builtins import CORPUS_NAMES, builtin
 from germlab.errors import GroupoidMismatch, HypothesisFailed
 from germlab.groupoids import extract_subgroupoid, group_as_groupoid, make_groupoid, pair_groupoid
 from germlab.semigroups import validate_inverse_semigroup
+from germlab.suites import run_suite
 
 from test_actions import diamond_munn
 from test_congruences import _relabelled
@@ -364,8 +365,8 @@ def test_array_algebra_is_bit_identical_to_the_reference_loops(name, monkeypatch
             assert _same_bits(norms[i], np.float64(reduced_norm(G, fi)))
             first = _reference_orbit_units(G)
             assert reduced_norm(G, fi) == max(
-                spectral_norm(m) for u, (_, m) in zip(G.units, _reference_regular_blocks(G, fi))
-                if u in first)
+                _split_block_norm(G, u, fiber, m)
+                for u, (fiber, m) in zip(G.units, _reference_regular_blocks(G, fi)) if u in first)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +375,8 @@ def test_array_algebra_is_bit_identical_to_the_reference_loops(name, monkeypatch
 RELABELLED_S4 = "symmetric:4 relabelled"
 ORBIT_SUBJECTS = CORPUS_NAMES + LADDER + (RELABELLED_S4,)
 # |orbit norm - all-unit norm| in ulps of the norm; the largest seen on the
-# subjects below is 7 (graph7's tight groupoid, 12x12 blocks), far inside
-# NORM_TOL, which is 4.5e6 ulps at norm 1
+# subjects below is 9 (group:z70, 70 moduli after a DFT of length 70), far
+# inside NORM_TOL, which is 4.5e6 ulps at norm 1
 ORBIT_NORM_ULPS = 16
 
 
@@ -419,6 +420,105 @@ def test_each_block_is_its_orbit_representatives_block_permuted(name):
             assert np.array_equal(idx_v[np.ix_(q, q)], idx_u), (name, v)
 
 
+def _powers(table, x, a):
+    """x, a, a^2, ... up to the last power before x comes back."""
+    out = [x]
+    while table[out[-1]][a] != x:
+        out.append(table[out[-1]][a])
+    return out
+
+
+def _reference_cosets(G, x):
+    """At the unit x: g, the least arrow of largest order o in the isotropy
+    G_x, and the fiber d^-1(x) as the rows [c_p g^j] of its right cosets,
+    c_p the least arrow of its coset, rows ordered by c_p.  Loops over the
+    table."""
+    r, d, table = G.r.tolist(), G.d.tolist(), G.table.tolist()
+    fiber = [a for a in G.arrows() if d[a] == x]
+    g = min((a for a in fiber if r[a] == x), key=lambda a: (-len(_powers(table, x, a)), a))
+    cyclic = _powers(table, x, g)
+    reps = sorted({min(table[a][h] for h in cyclic) for a in fiber})
+    return g, len(cyclic), [[table[c][h] for h in cyclic] for c in reps]
+
+
+def _split_block_norm(G, x, fiber, m):
+    """The norm of the block m at the unit x (rows and columns over the
+    fiber): its circulant entries m[c_p g^j, c_q] read into an (r, r, o)
+    array, the DFT along the last axis as one (1, o) @ (o, o) product per
+    (p, q) when o > 1, then moduli when r = 1 < o, else the largest of the
+    o blocks' top singular values."""
+    _, o, layout = _reference_cosets(G, x)
+    r, position = len(layout), {a: i for i, a in enumerate(fiber)}
+    split = np.array([[[m[position[layout[p][j]], position[layout[q][0]]] for j in range(o)]
+                       for q in range(r)] for p in range(r)])
+    if o == 1:
+        return spectral_norm(split[:, :, 0])
+    split = (split[:, :, None, :] @ algebra._dft(o))[:, :, 0, :]
+    if r == 1:
+        return float(np.abs(split).max())
+    return max(spectral_norm(split[:, :, t]) for t in range(o))
+
+
+def test_dft_matrix_is_exact_at_quarter_turns_and_orthogonal():
+    """``_dft(o)`` is [w^(jt)], w = exp(-2 pi i / o), to 1e-15; 1, -i, -1, i
+    exactly where 4 j t = 0 mod o; and W W^* = o 1, so W / sqrt(o) is unitary
+    and conjugating by it keeps singular values."""
+    for o in (1, 2, 3, 4, 6, 8, 12, 70):
+        W, k = algebra._dft(o), np.outer(np.arange(o), np.arange(o)) % o
+        assert np.abs(W - np.exp(-2j * np.pi * k / o)).max() <= 1e-15
+        quarter = 4 * k % o == 0
+        assert (W[quarter] == np.array([1, -1j, -1, 1j])[4 * k[quarter] // o]).all()
+        assert np.abs(W @ W.conj().T - o * np.eye(o)).max() <= 1e-13
+
+
+def _fiber_stack_blocks(G):
+    """The representatives' (r, r, o) arrays out of ``fiber_stacks``, with
+    each representative's shape from ``_reference_cosets``: the stacks hold
+    them grouped by shape in order of first occurrence."""
+    shapes = {}
+    for x in _reference_orbit_units(G):
+        _, o, layout = _reference_cosets(G, x)
+        shapes.setdefault((len(layout), len(layout), o), []).append(x)
+    assert [stack.shape[1:] for stack in G.fiber_stacks] == list(shapes)
+    assert [len(stack) for stack in G.fiber_stacks] == [len(xs) for xs in shapes.values()]
+    return [(x, block) for stack, xs in zip(G.fiber_stacks, shapes.values())
+            for x, block in zip(xs, stack)]
+
+
+@pytest.mark.parametrize("name", ORBIT_SUBJECTS)
+def test_fiber_stacks_split_each_block_into_circulants(name):
+    """At each representative x, with c_0 = min d^-1(x), the arrows
+    I[p, 0, j] c_0 = c_p g^j lay out the fiber.  Exactly: g has the largest
+    order in G_x, and is the least such; the rows are the right cosets
+    c_p <g>, c_p the least of its row, rows increasing, and together they
+    partition the fiber; the fiber matrix, rows and columns in that order,
+    has I[p, q, (j - l) mod o] at ((p, j), (q, l)); and the layout is the
+    loop reference's."""
+    for G in _germ_groupoids(name):
+        r, d, inv, table = G.r.tolist(), G.d.tolist(), G.inv.tolist(), G.table.tolist()
+        matrices = dict(zip(G.units, G.fiber_indices))
+        for x, I in _fiber_stack_blocks(G):
+            fiber, M = matrices[x]
+            rows, _, o = I.shape
+            layout = [[table[a][fiber[0]] for a in row] for row in I[:, 0, :].tolist()]
+            g = table[inv[layout[0][0]]][layout[0][1]] if o > 1 else x
+            assert r[g] == d[g] == x, (name, x)
+            orders = {a: len(_powers(table, x, a)) for a in fiber if r[a] == x}
+            cyclic = _powers(table, x, g)
+            assert len(cyclic) == o == max(orders.values()), (name, x)
+            assert g == min(a for a, n in orders.items() if n == o), (name, x)
+            assert (g, o, layout) == _reference_cosets(G, x), (name, x)
+            assert sorted(a for row in layout for a in row) == list(fiber), (name, x)
+            assert all(row == [table[row[0]][h] for h in cyclic] and row[0] == min(row)
+                       for row in layout), (name, x)
+            assert [row[0] for row in layout] == sorted(row[0] for row in layout)
+            position = {a: i for i, a in enumerate(fiber)}
+            order = [position[a] for row in layout for a in row]
+            p, j, q, l = np.ix_(*(np.arange(n) for n in (rows, o, rows, o)))
+            expected = I[p, q, (j - l) % o].reshape(len(fiber), len(fiber))
+            assert np.array_equal(M[np.ix_(order, order)], expected), (name, x)
+
+
 @pytest.mark.parametrize("name", ORBIT_SUBJECTS)
 def test_orbit_norm_is_the_all_unit_norm_to_a_few_ulps(name):
     for G in _germ_groupoids(name):
@@ -430,23 +530,48 @@ def test_orbit_norm_is_the_all_unit_norm_to_a_few_ulps(name):
                     <= ORBIT_NORM_ULPS * np.spacing(every)).all(), name
 
 
-@pytest.mark.parametrize("name", ORBIT_SUBJECTS)
-def test_reduced_norm_decomposes_one_matrix_per_orbit(name, monkeypatch):
-    """Counts the matrices ``np.linalg.svd`` receives in one call on one
-    function and in one on a stack of 7: one per orbit and function."""
-    real, matrices = np.linalg.svd, []
+def _counting_svd(monkeypatch):
+    """Patch ``np.linalg.svd`` to record the shape of every matrix it gets."""
+    real, shapes = np.linalg.svd, []
 
     def counting(a, *args, **kwargs):
-        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        shapes.extend([np.shape(a)[-2:]] * int(np.prod(np.shape(a)[:-2])))
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
+    return shapes
+
+
+@pytest.mark.parametrize("name", ORBIT_SUBJECTS)
+def test_reduced_norm_decomposes_o_matrices_per_orbit_with_r_above_1(name, monkeypatch):
+    """Counts the matrices ``np.linalg.svd`` receives in one call on one
+    function and in one on a stack of 7: per orbit and function, o of r x r
+    when r > 1, none when r = 1 < o (moduli), and the one 1 x 1 block of a
+    unit alone in its orbit with trivial isotropy."""
+    shapes = _counting_svd(monkeypatch)
     for G in _germ_groupoids(name):
+        expected = []
+        for x in _reference_orbit_units(G):
+            _, o, layout = _reference_cosets(G, x)
+            r = len(layout)
+            expected += [(r, r)] * (o if r > 1 else int(o == 1))
         (f,) = random_functions(np.random.default_rng(5), 7, G)
         for values, rows in ((f.values[0], 1), (f.values, 7)):
-            matrices.clear()
+            shapes.clear()
             reduced_norm(G, GroupoidFunction(G, values))
-            assert sum(matrices) == rows * len(_reference_orbit_units(G)), name
+            assert sorted(shapes) == sorted(expected * rows), name
+
+
+def test_algebra_suite_svds_only_small_blocks(monkeypatch):
+    """``group:z70``'s one 70 x 70 block splits into 70 moduli, so its
+    algebra suite hands ``np.linalg.svd`` no matrix; ``symmetric:4``'s hands
+    it none larger than 8 x 8 (the 24 x 24 blocks split by cyclic subgroups of
+    orders 3 and 4)."""
+    shapes = _counting_svd(monkeypatch)
+    run_suite("group:z70", builtin("group:z70"), "algebra")
+    assert shapes == []
+    run_suite("symmetric:4", builtin("symmetric:4"), "algebra")
+    assert shapes and max(max(shape) for shape in shapes) == 8
 
 
 def test_stacked_draws_equal_sequential_draws():
