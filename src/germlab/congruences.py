@@ -29,6 +29,7 @@ from .semigroups import InverseSemigroup, Relation, first_index, validate_invers
 TRANSVERSAL_BUDGET = 10**6
 WITNESS_CHUNK = 1 << 16     # entries per chunk of the pair tables of congruence_witness
                             # and of split_transversal's certificate
+SAMPLED_ATTEMPTS = 20       # pair seeds saturated by random_idempotent_separating_congruences
 
 
 def join_roots(root: np.ndarray, a, b) -> np.ndarray:
@@ -242,8 +243,8 @@ def _saturate(S: InverseSemigroup, pair_lists, separate: np.ndarray | None = Non
                 for z in (hung[:, None], root[hung][:, None]))
 
 
-def random_idempotent_separating_congruences(S: InverseSemigroup, *, seed: int,
-                                             attempts: int = 20) -> list[Relation]:
+def random_idempotent_separating_congruences(S: InverseSemigroup, *, seed: int
+                                             ) -> list[Relation]:
     """Seeded sample of idempotent-separating congruences (for maximality checks).
 
     Random pair seeds are saturated to congruences; non-separating results are
@@ -255,7 +256,7 @@ def random_idempotent_separating_congruences(S: InverseSemigroup, *, seed: int,
     """
     rng = random.Random(seed)
     pair_lists = [[(rng.randrange(S.size), rng.randrange(S.size))
-                   for _ in range(rng.randint(1, 2))] for _ in range(attempts)]
+                   for _ in range(rng.randint(1, 2))] for _ in range(SAMPLED_ATTEMPTS)]
     return [Relation(root) for root in _saturate(S, pair_lists, separate=S.idempotent_array)
             if root is not None]
 

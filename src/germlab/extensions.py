@@ -144,10 +144,6 @@ class Subject:
         return induced_subgroupoid(self.beta, self.Z)
 
     @cached_property
-    def z_in_theta(self):
-        return induced_subgroupoid(self.theta, self.Z)
-
-    @cached_property
     def universal_kernel(self) -> frozenset[int]:
         return action_kernel(self.universal)
 

@@ -11,7 +11,8 @@ A partial bijection of p points is a row of p point indices, -1 where it is
 undefined; ``compose_after`` is the one composition of such rows, shared by
 the tables of Munn semigroups and symmetric inverse monoids and by the
 action checks.  A table of such rows is read off by one sort: the rows'
-keys are sorted once and every composed row is found by ``np.searchsorted``.
+keys are sorted once and every composed row is found by ``np.searchsorted``,
+as ``spectrum.munn_fundamental`` finds the identity rows of a Munn semigroup.
 
 The order of a semilattice is one cached boolean matrix, ``Semilattice.order``;
 principal filters, filter generators and the isolating basis sets of the
@@ -31,8 +32,8 @@ from .semigroups import InverseSemigroup, membership, validate_inverse_semigroup
 
 EXHAUSTIVE_FILTER_CAP = 20
 MUNN_ELEMENT_CAP = 512
-SYMMETRIC_DEFAULT_CAP = 5
-# _partial_bijection_semigroup composes chunks of rows whose products hold at
+SYMMETRIC_POINT_CAP = 5
+# partial_bijection_semigroup composes chunks of rows whose products hold at
 # most this many entries (or one row)
 PRODUCT_CHUNK = 1 << 14
 
@@ -116,16 +117,15 @@ def validate_semilattice(meet, zero="detect", labels=None) -> Semilattice:
 
 
 def semilattice_of(S: InverseSemigroup) -> Semilattice:
-    """Restrict the product table to the idempotents, recording the index map."""
+    """Restrict the product table to the idempotents, recording the index map.
+    Not validated again: ``validate_inverse_semigroup`` and the check
+    ``semigroup.idempotents_closed`` certify that this is a semilattice."""
     idems = S.idempotent_array
     back = np.full(S.size, -1, dtype=np.int64)
     back[idems] = np.arange(idems.size)
-    meet = back[S.table[np.ix_(idems, idems)]]
-    labels = tuple(S.label(e) for e in idems.tolist())
-    L = validate_semilattice(meet, zero=None, labels=labels)
-    L.zero = int(back[S.zero]) if S.zero is not None else None
-    L.parent_index = tuple(idems.tolist())
-    return L
+    return Semilattice(back[S.table[np.ix_(idems, idems)]],
+                       None if S.zero is None else int(back[S.zero]),
+                       tuple(S.label(e) for e in idems.tolist()), tuple(idems.tolist()))
 
 
 Filter = frozenset  # filters are frozensets of semilattice indices
@@ -269,52 +269,6 @@ def spectrum_basis(E: Semilattice, filters) -> list[tuple[str, frozenset[int]]]:
     return catalog
 
 
-def semilattice_isomorphic(A: Semilattice, B: Semilattice) -> tuple[int, ...] | None:
-    """An order isomorphism between two finite semilattices, or None.
-
-    Order isomorphisms of meet semilattices automatically respect meets, so
-    backtracking over order-consistent assignments suffices.
-    """
-    if A.size != B.size:
-        return None
-    a_leq, b_leq = A.order.tolist(), B.order.tolist()
-    # (elements below, elements above) of each element
-    a_profile, b_profile = (list(zip(L.order.sum(axis=0).tolist(), L.order.sum(axis=1).tolist()))
-                            for L in (A, B))
-
-    order = sorted(range(A.size), key=lambda x: (a_profile[x], x))
-    mapping: list[int | None] = [None] * A.size
-    used = [False] * B.size
-
-    def backtrack(i: int) -> bool:
-        if i == A.size:
-            return True
-        x = order[i]
-        for y in range(B.size):
-            if used[y] or a_profile[x] != b_profile[y]:
-                continue
-            if any(a_leq[x][x2] != b_leq[y][mapping[x2]]
-                   or a_leq[x2][x] != b_leq[mapping[x2]][y]
-                   for x2 in order[:i]):
-                continue
-            mapping[x] = y
-            used[y] = True
-            if backtrack(i + 1):
-                return True
-            mapping[x] = None
-            used[y] = False
-        return False
-
-    if not backtrack(0):
-        return None
-    result = tuple(mapping)  # type: ignore[arg-type]
-    for x in range(A.size):
-        for y in range(A.size):
-            if result[A.wedge(x, y)] != B.wedge(result[x], result[y]):
-                raise StructureError("order isomorphism failed meet cross-check")
-    return result
-
-
 def is_zero_disjunctive(E: Semilattice) -> bool:
     """Whether every strict pair 0 < e < f admits e' < f with e.e' = 0."""
     if E.zero is None:
@@ -398,24 +352,35 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(keys).view([(f"w{i}", np.int64) for i in range(words)])[..., 0]
 
 
-def _partial_bijection_semigroup(rows: np.ndarray, labels) -> InverseSemigroup:
-    """The table of a composition-closed stack of partial bijection rows, in row order.
-
-    The rows' keys are sorted once; each chunk of rows composes with every
-    row, and ``np.searchsorted`` finds the products among the sorted keys.
-    """
-    n, p = rows.shape
+def row_finder(rows: np.ndarray):
+    """The lookup of a stack of query rows among `rows`: the index of each,
+    -1 where no row equals it.  The rows' keys are sorted once; the
+    queries' keys are found among them by ``np.searchsorted``."""
     keys = _row_keys(rows)
     order = np.argsort(keys)
     ranked = keys[order]
+
+    def find(queries: np.ndarray) -> np.ndarray:
+        wanted = _row_keys(queries)
+        at = np.minimum(np.searchsorted(ranked, wanted), ranked.size - 1)
+        return np.where(ranked[at] == wanted, order[at], -1)
+    return find
+
+
+def partial_bijection_semigroup(rows: np.ndarray, labels) -> InverseSemigroup:
+    """The table of a composition-closed stack of partial bijection rows, in row order.
+
+    Each chunk of rows composes with every row, and ``row_finder`` finds
+    the products among the rows.
+    """
+    n, p = rows.shape
+    find = row_finder(rows)
     table = np.empty((n, n), dtype=np.int64)
     step = max(1, PRODUCT_CHUNK // (n * max(p, 1)))
     for lo in range(0, n, step):
-        products = _row_keys(compose_after(rows[lo:lo + step], rows))
-        at = np.minimum(np.searchsorted(ranked, products), n - 1)
-        if not (ranked[at] == products).all():
-            raise StructureError("partial bijections are not closed under composition")
-        table[lo:lo + step] = order[at]
+        table[lo:lo + step] = find(compose_after(rows[lo:lo + step], rows))
+    if (table < 0).any():
+        raise StructureError("partial bijections are not closed under composition")
     return validate_inverse_semigroup(table, labels, skip_associativity=True)
 
 
@@ -428,28 +393,30 @@ def _rows(maps, points: int) -> np.ndarray:
     return rows
 
 
-def munn_semigroup(E: Semilattice, *, max_size: int = MUNN_ELEMENT_CAP) -> InverseSemigroup:
-    """All isomorphisms between principal order ideals, composed as partial maps.
+def munn_rows(E: Semilattice) -> tuple[np.ndarray, tuple[str, ...]]:
+    """All isomorphisms between principal order ideals, as partial bijection
+    rows over E in the order of their sorted (x, y) pairs, and their labels.
 
-    The result is validated as an inverse semigroup; fundamentality is a
-    theorem about it, checked by ``spectrum.munn_fundamental``.
+    Distinct ideals have distinct domains, so no map is found twice.
     """
     maps: list[dict[int, int]] = []
-    seen = set()
     for e in range(E.size):
         dom = _ideal(E, e)
         for f in range(E.size):
-            img = _ideal(E, f)
-            for iso in _order_isos(E, dom, img):
-                key = tuple(sorted(iso.items()))
-                if key not in seen:
-                    seen.add(key)
-                    maps.append(iso)
-            if len(maps) > max_size:
-                raise SizeBudgetExceeded(f"Munn semigroup exceeds {max_size} elements")
+            maps += _order_isos(E, dom, _ideal(E, f))
+            if len(maps) > MUNN_ELEMENT_CAP:
+                raise SizeBudgetExceeded(f"Munn semigroup exceeds {MUNN_ELEMENT_CAP} elements")
     maps.sort(key=lambda m: tuple(sorted(m.items())))
-    return _partial_bijection_semigroup(_rows([m.items() for m in maps], E.size),
-                                        tuple(_munn_label(E, m) for m in maps))
+    return _rows([m.items() for m in maps], E.size), tuple(_munn_label(E, m) for m in maps)
+
+
+def munn_semigroup(E: Semilattice) -> InverseSemigroup:
+    """All isomorphisms between principal order ideals, composed as partial maps.
+
+    The result is validated as an inverse semigroup; fundamentality and
+    E(T_E) = E are theorems about it, checked by ``spectrum.munn_fundamental``.
+    """
+    return partial_bijection_semigroup(*munn_rows(E))
 
 
 def _munn_label(E: Semilattice, m: dict[int, int]) -> str:
@@ -462,13 +429,12 @@ def _munn_label(E: Semilattice, m: dict[int, int]) -> str:
                           for x, y in sorted(m.items())) + "]"
 
 
-def symmetric_inverse_monoid(n: int, *, max_points: int = SYMMETRIC_DEFAULT_CAP
-                             ) -> InverseSemigroup:
+def symmetric_inverse_monoid(n: int) -> InverseSemigroup:
     """All partial bijections of an n-point set under composition."""
-    if n < 0 or n > max_points:
-        raise SizeBudgetExceeded(f"symmetric inverse monoid bound is n <= {max_points}")
+    if n < 0 or n > SYMMETRIC_POINT_CAP:
+        raise SizeBudgetExceeded(f"symmetric inverse monoid bound is n <= {SYMMETRIC_POINT_CAP}")
     maps = sorted((k, tuple(zip(dom, img))) for k in range(n + 1)
                   for dom in combinations(range(n), k)
                   for img in permutations(range(n), k))
     labels = tuple("{" + ",".join(f"{x}>{y}" for x, y in pairs) + "}" for _, pairs in maps)
-    return _partial_bijection_semigroup(_rows([pairs for _, pairs in maps], n), labels)
+    return partial_bijection_semigroup(_rows([pairs for _, pairs in maps], n), labels)

@@ -50,7 +50,8 @@ from germlab.semigroups import (
 )
 from germlab.semilattices import (
     is_zero_disjunctive,
-    semilattice_isomorphic,
+    munn_rows,
+    row_finder,
     semilattice_of,
 )
 from germlab.suites import global_reports, render_reports, run_suite
@@ -86,8 +87,12 @@ def test_criterion_1_diamond_example():
     budget = Budget(1.0)
     S = builtin("diamond_munn")
     assert S.size == 7
-    E = semilattice_of(S)
-    assert semilattice_isomorphic(E, diamond_semilattice()) is not None
+    # e -> the identity row of the ideal below e is an isomorphism onto E(S)
+    D = diamond_semilattice()
+    rows, _ = munn_rows(D)
+    phi = row_finder(rows)(np.where(D.order.T, np.arange(D.size), -1))
+    assert sorted(phi.tolist()) == sorted(idempotents(S))
+    assert (S.table[np.ix_(phi, phi)] == phi[D.meet]).all()
     # the maximum idempotent carries an order-2 class group
     top = max(idempotents(S), key=lambda e: sum(S.leq[f, e] for f in idempotents(S)))
     assert len(h_class_of(S, top)) == 2

@@ -50,11 +50,11 @@ from germlab.semigroups import check_associativity, generating_set
 from germlab.semilattices import (
     Semilattice,
     SpectrumBasisSet,
-    _partial_bijection_semigroup,
     all_filters,
     compose_after,
     filter_generator,
     isolating_basis_set,
+    partial_bijection_semigroup,
     principal_filter,
     semilattice_of,
     spectrum_basis,
@@ -508,14 +508,14 @@ def test_wide_partial_bijections_take_a_multi_word_key():
     rows = np.full((len(maps), n), -1, dtype=np.intp)
     for i, m in enumerate(maps):
         rows[i, list(m)] = list(m.values())
-    S = _partial_bijection_semigroup(rows, tuple(f"m{i}" for i in range(len(maps))))
+    S = partial_bijection_semigroup(rows, tuple(f"m{i}" for i in range(len(maps))))
     assert (S.table == table_from_maps(maps)).all()
 
 
 def test_partial_bijections_not_closed_under_composition_are_refused():
     rows = np.array([[1, 0, -1], [0, 1, 2]])      # the swap squared is missing
     with pytest.raises(StructureError, match="not closed under composition"):
-        _partial_bijection_semigroup(rows, ("a", "b"))
+        partial_bijection_semigroup(rows, ("a", "b"))
 
 
 # ---------------------------------------------------------------------------

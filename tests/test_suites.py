@@ -25,7 +25,7 @@ from germlab.groupoids import (
     conjugation_action,
     validate_groupoid,
 )
-from germlab.semigroups import InverseSemigroup
+from germlab.semigroups import InverseSemigroup, validate_inverse_semigroup
 from germlab.suites import render_reports, run_checks, run_suite
 
 from test_groupoids import edited_table
@@ -168,7 +168,8 @@ def test_z70_universal_suite_passes_without_a_search_cap():
 
 COUNTED = ("universal_action", "spectrum_action", "germ_groupoid", "mu_relation",
            "quotient", "semilattice_of", "all_filters", "validate_groupoid",
-           "is_clifford", "is_zero_disjunctive", "is_essentially_principal")
+           "is_clifford", "is_zero_disjunctive", "is_essentially_principal",
+           "extract_subgroupoid")
 
 
 def test_one_subject_builds_each_structure_once(monkeypatch):
@@ -176,8 +177,10 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
 
     The counts are per distinct structure: germ groupoids and spectrum
     actions of S (universal, tight) and of S/mu on the matched spectrum;
-    mu, E and all_filters of S, plus mu and E of S/mu and of the Munn
-    semigroup that their own checks build; quotients by mu and sigma.  The
+    mu, E and all_filters of S, plus mu and E of S/mu and mu of the Munn
+    semigroup that their own checks build (the Munn check certifies
+    E(T_E) by its identity rows, without building E of T); quotients by
+    mu and sigma.  The
     universal action comes from the Subject, never from universal_action(S);
     all_filters(E) also runs inside ultrafilters and tight_spectrum.
     validate_groupoid runs in germ.groupoid_axioms, tight.action_valid and
@@ -188,7 +191,10 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
     is_essentially_principal on the universal and on the tight groupoid.
     The isotropy and its interior are computed once per groupoid that a
     check reads them on, the universal and the tight one, however many
-    checks call iso_bundle and iso_interior.
+    checks call iso_bundle and iso_interior.  Standalone subgroupoid
+    copies are extracted only where a check reads more than their arrows:
+    the centralizer germs, which the algebra embeds into, and the two
+    factors of the semidirect decomposition.
     """
     S = builtin("symmetric:3")
     modules = [importlib.import_module(f"germlab.{m.name}")
@@ -220,9 +226,9 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
         monkeypatch.setattr(FiniteGroupoid, name, prop)
     run_suite("symmetric:3", S, "all")
     assert dict(calls) == {"spectrum_action": 2, "germ_groupoid": 3, "mu_relation": 3,
-                           "quotient": 2, "semilattice_of": 3, "all_filters": 4,
+                           "quotient": 2, "semilattice_of": 2, "all_filters": 4,
                            "validate_groupoid": 4, "is_clifford": 1, "is_zero_disjunctive": 1,
-                           "is_essentially_principal": 2}
+                           "is_essentially_principal": 2, "extract_subgroupoid": 3}
     assert dict(computed) == {"isotropy": 2, "isotropy_interior": 2}
     assert len({id(G) for G in groupoids}) == 2
 
@@ -336,10 +342,29 @@ def test_ultrafilter_check_compares_the_tight_spectrum_with_the_atoms(monkeypatc
 
 
 def test_munn_check_reports_a_non_fundamental_semigroup(monkeypatch):
-    # z2 has the one-point semilattice of z3 but mu relates its two elements
-    monkeypatch.setattr(suites, "munn_semigroup", lambda E: builtin("group:z2"))
+    # z2 as the permutations of 2 points has one idempotent, as z3 has, but
+    # mu relates its two elements
+    monkeypatch.setattr(suites, "munn_rows", lambda E: (np.array([[0, 1], [1, 0]]), ("1", "s")))
     _fails(_check(builtin("group:z3"), "spectrum.munn_fundamental"),
            "not fundamental: mu relates 0 and 1")
+
+
+def test_munn_check_reports_a_missing_identity_row(monkeypatch):
+    """The empty map alone is fundamental, but the identity of E's one
+    point is none of its rows."""
+    monkeypatch.setattr(suites, "munn_rows", lambda E: (np.array([[-1]]), ("[]",)))
+    _fails(_check(builtin("group:z3"), "spectrum.munn_fundamental"),
+           "idempotent semilattice changed")
+
+
+def test_munn_check_reports_a_table_that_breaks_a_meet(monkeypatch):
+    """E is the chain 0 < 1, whose Munn semigroup is the chain itself, with
+    the identity rows in the order of E; the same chain reversed is
+    fundamental and has the same idempotents, but carries 0.1 = 0 to 1."""
+    chain = validate_inverse_semigroup([[0, 0], [0, 1]])
+    reversed_chain = validate_inverse_semigroup([[0, 1], [1, 1]])
+    monkeypatch.setattr(suites, "partial_bijection_semigroup", lambda rows, labels: reversed_chain)
+    _fails(_check(chain, "spectrum.munn_fundamental"), "idempotent semilattice changed")
 
 
 def test_sigma_check_fails_through_the_quotient_on_a_non_congruence():
@@ -432,7 +457,7 @@ def test_extracted_subgroupoids_are_groupoids(name):
     under inverses and composition is a groupoid.  This is the reference:
     every copy the suites extract passes validate_groupoid."""
     sub = Subject(builtin(name))
-    copies = [sub.z_in_beta.groupoid, sub.z_in_theta.groupoid,
+    copies = [sub.z_in_beta.groupoid, induced_subgroupoid(sub.theta, sub.Z).groupoid,
               induced_subgroupoid(sub.beta, sub.universal_kernel).groupoid,
               induced_subgroupoid(sub.theta, sub.tight_kernel).groupoid]
     r = sub.transversal
