@@ -7,27 +7,31 @@ functions supported on that unit's source fiber.  In finite dimensions the
 full and reduced algebras coincide, so this single norm realizes both.
 
 Convolution and the regular representation run on index arrays that the
-groupoid caches once: the rows (A, B, C) of ``comp``, A[i] B[i] = C[i],
-read off the composition table in column-major order, and per unit a
-fiber-by-fiber matrix of the arrows a b^-1, gathered from the table.  A
-regular-representation block is then one gather of f's values through that
-matrix, and the involution, the extension by zero and the conditional
-expectation are single gathers or scatters.
+groupoid caches once: per unit a fiber-by-fiber matrix of the arrows
+a b^-1, gathered from the table.  A regular-representation block is one
+gather of f's values through that matrix, and the involution, the
+extension by zero and the conditional expectation are single gathers or
+scatters.
 
-Convolution multiplies f[A] by g[B] with the real and imaginary parts kept
-apart (re = fr gr - fi gi, im = fr gi + fi gr), then sums each part into
-its arrow with ``np.bincount``, which adds in input order.  That is the
-arithmetic, and the order, of a scalar loop over ``comp`` doing
-``out[c] += f[a] * g[b]``, so the results agree to the last bit.  numpy's
-vectorized complex multiply does not: it can round some products
-differently, which moves the digits of float witnesses in the reports.
+Convolution runs per d-fiber.  A factorization c = a b with d(c) = x has
+b in the fiber d^-1(x) and a = c b^-1, so on that fiber f g is the fiber
+matrix [f(c b^-1)], rows c and columns b, times g restricted to the fiber:
+one matrix-vector product per unit, which numpy runs as one stacked ``@``
+per fiber size (``FiniteGroupoid.fibers_by_size``) and BLAS computes.  Its
+sums run in another order than a scalar loop over ``comp`` doing
+``out[c] += f[a] * g[b]``.  On the seeded samples, whose values are
+Gaussian integers, that does not matter: every product and partial sum is
+an integer far below 2^53, so both are exact and agree to the last bit,
+the sign of zero included.  On other values each is within the
+dot-product bound gamma_(s+2) sum |f(a)| |g(b)| of the exact sum, s the
+fiber size (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+sections 3.1 and 3.6).
 
 Every operation also takes a stack of functions: ``values`` of shape
 (k, n), one function per row, where a 1-D array is one function.  A stack
-convolves with one ``np.bincount`` over the offset index ``row * n + C``:
-each row's products still go into its own bins in ``comp`` order, so every
-row equals the 1-D result bit for bit.  The involution, the embedding and
-the expectation are single gathers over the stack.
+convolves with the same stacked products, one per function and unit, and
+the involution, the embedding and the expectation are single gathers over
+the stack, so every row equals the 1-D result.
 
 ``reduced_norm`` reads one block per orbit of units, the block of the
 orbit's least unit (``FiniteGroupoid.orbit_units``).  The blocks of one
@@ -52,24 +56,31 @@ w = exp(-2 pi i / o), and its norm is the largest of theirs.  One
 vector-matrix product per function, orbit and (p, q), a row of o values
 times the cached matrix ``_dft(o)``, computes them with BLAS's gemv, which
 LAPACK's SVD also calls: the first ``np.fft`` call in a process adds about
-0.5 MB of resident memory, and the first gemm about 0.25 MB.  When
-r = 1 < o the norms are moduli; otherwise one
+0.5 MB of resident memory, and the first gemm about 0.25 MB.  When r = 1
+the blocks are 1 x 1 and their norms are moduli; otherwise one
 ``np.linalg.svd(compute_uv=False)`` call per block shape takes the top
-singular values, and a trivial G_x (o = 1) hands it the block itself.  So ``group:z70``'s one 70x70 block is 70 moduli,
-``symmetric:4``'s 24x24 blocks are 4 of 6x6 or 3 of 8x8, and
-``symmetric:5``'s 120x120 blocks 6 of 20x20.  numpy runs a stacked product
-as one BLAS call per row, and LAPACK on each matrix of a stack, on the same
-copy of it that a single call makes; all rows and matrices of a block shape
-have one shape, so a stack's norms equal those of single calls bit for bit.
+singular values, and a trivial G_x (o = 1) hands it the block itself.  So
+``group:z70``'s one 70x70 block is 70 moduli, a unit alone in its orbit
+with trivial isotropy one modulus, ``symmetric:4``'s 24x24 blocks are 4
+of 6x6 or 3 of 8x8, and ``symmetric:5``'s 120x120 blocks 6 of 20x20.
+numpy runs a stacked product as one BLAS call per row, and LAPACK on each
+matrix of a stack, on the same copy of it that a single call makes; all
+rows and matrices of a block shape have one shape, so a stack's norms
+equal those of single calls bit for bit.
 
 Stacks run in chunks of rows whose largest temporary holds about
 ``CHUNK_VALUES`` values, so a chunk's working set stays in cache and the
 memory a stack adds is bounded.  Chunking changes no result, since every
 row is computed on its own.
 
-Tolerances: identities that are pure arithmetic are checked to 1e-12;
-norm comparisons, which pass through a DFT and a dense spectral
-computation, to 1e-9.
+Samples: ``random_functions`` draws Gaussian integers, real and imaginary
+parts in [-3, 3], from ``SplitMix64``, a counter-based generator in uint64
+array arithmetic (Steele, Lea and Flood, "Fast splittable pseudorandom
+number generators", OOPSLA 2014) that needs no ``numpy.random``.  Their
+convolutions, involutions, embeddings and expectations are exact, so the
+identities between them are checked with ``==`` (``GroupoidFunction.equals``).
+Only norm comparisons, which pass through a DFT and a dense spectral
+computation, take a tolerance: ``NORM_TOL``, 1e-9.
 """
 
 from __future__ import annotations
@@ -88,7 +99,6 @@ from .groupoids import (
     subgroupoid_properties,
 )
 
-EXACT_TOL = 1e-12
 NORM_TOL = 1e-9
 CHUNK_VALUES = 1 << 13      # values in the largest temporary of one chunk of a stack
 
@@ -106,11 +116,10 @@ class GroupoidFunction:
         if self.values.ndim not in (1, 2) or self.values.shape[-1] != self.groupoid.n_arrows:
             raise StructureError("one value per arrow required")
 
-    def close_to(self, other: "GroupoidFunction", tol: float = EXACT_TOL
-                 ) -> bool | np.ndarray:
-        """Whether the values agree to tol: a bool, or one per row of a stack."""
+    def equals(self, other: "GroupoidFunction") -> bool | np.ndarray:
+        """Whether the values are equal: a bool, or one per row of a stack."""
         _same_groupoid(self, other)
-        ok = np.max(np.abs(self.values - other.values), axis=-1, initial=0.0) <= tol
+        ok = (self.values == other.values).all(axis=-1)
         return bool(ok) if ok.ndim == 0 else ok
 
 
@@ -137,22 +146,13 @@ def convolve(f: GroupoidFunction, g: GroupoidFunction) -> GroupoidFunction:
     if f.values.shape != g.values.shape:
         raise StructureError("convolution needs two functions or two stacks of one size")
     G = f.groupoid
-    n = G.n_arrows
-    A, B, C = G.comp.T
-    fv, gv = f.values.reshape(-1, n), g.values.reshape(-1, n)
+    fv, gv = f.values.reshape(-1, G.n_arrows), g.values.reshape(-1, G.n_arrows)
     out = np.empty(fv.shape, dtype=np.complex128)
-    offset = None
-    for rows in _chunks(len(fv), len(C)):
-        fa, gb = fv[rows].take(A, axis=1), gv[rows].take(B, axis=1)
-        m = len(fa)
-        if offset is None:      # the first chunk is the longest; one row needs no offset
-            offset = C if m == 1 else (np.arange(m)[:, None] * n + C).ravel()
-        bins = offset[:m * len(C)]
-        part = out[rows]
-        part.real = np.bincount(bins, (fa.real * gb.real - fa.imag * gb.imag).ravel(),
-                                minlength=m * n).reshape(m, n)
-        part.imag = np.bincount(bins, (fa.real * gb.imag + fa.imag * gb.real).ravel(),
-                                minlength=m * n).reshape(m, n)
+    for fibers, idx in G.fibers_by_size:      # (m, s) fibers, (m, s, s) matrices [c b^-1]
+        for rows in _chunks(len(fv), idx.size):
+            part = out[rows]
+            part[:, fibers] = (fv[rows].take(idx, axis=1)
+                               @ gv[rows].take(fibers, axis=1)[..., None])[..., 0]
     return GroupoidFunction(G, out.reshape(f.values.shape))
 
 
@@ -200,7 +200,7 @@ def reduced_norm(G: FiniteGroupoid, f: GroupoidFunction) -> float | np.ndarray:
     """The largest block norm of the regular representation: a float, or one
     per row of a stack.  One block per orbit, split into o blocks of r x r by
     one DFT along its circulant axis; one SVD call per block shape and chunk
-    of rows, or moduli when r = 1 < o."""
+    of rows, or moduli when r = 1."""
     if f.groupoid is not G:
         raise GroupoidMismatch("function lives on a different groupoid")
     fv = f.values.reshape(-1, G.n_arrows)
@@ -212,7 +212,7 @@ def reduced_norm(G: FiniteGroupoid, f: GroupoidFunction) -> float | np.ndarray:
             if o > 1:       # one vector-matrix product per function, orbit and (p, q)
                 blocks = (blocks[..., None, :] @ _dft(o))[..., 0, :]
             blocks = np.moveaxis(blocks, -1, 2)         # (rows, orbits, o, r, r)
-            if r == 1 and o > 1:
+            if r == 1:
                 top = np.abs(blocks[..., 0, 0])
             else:
                 top = np.linalg.svd(blocks, compute_uv=False)[..., 0]
@@ -262,31 +262,55 @@ def conditional_expectation(emb: EmbeddedSubgroupoid, f: GroupoidFunction
                             f.values.take(np.asarray(emb.to_parent, dtype=np.intp), axis=-1))
 
 
-def random_function(G: FiniteGroupoid, rng: np.random.Generator,
-                    *, integral: bool = False) -> GroupoidFunction:
-    (f,) = random_functions(rng, 1, G, integral=integral)
+class SplitMix64:
+    """A counter-based SplitMix64 stream: word i of the stream with this seed
+    is the mix of seed + (i + 1) * 0x9E3779B97F4A7C15, the (i + 1)-th output
+    of the sequential generator, so any run of words is one array
+    computation.  ``counter`` counts the words drawn so far."""
+
+    def __init__(self, seed: int):
+        self.seed = seed % (1 << 64)
+        self.counter = 0
+
+    def words(self, count: int) -> np.ndarray:
+        """The next count words, as uint64."""
+        z = np.arange(self.counter + 1, self.counter + count + 1, dtype=np.uint64)
+        self.counter += count
+        z = z * 0x9E3779B97F4A7C15 + self.seed
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+        return z ^ (z >> 31)
+
+    def gaussian_integers(self, shape: tuple[int, ...]) -> np.ndarray:
+        """Complex values a + b i with a, b in [-3, 3], one word each, filled in
+        order: a from the word's high 32 bits h, b from its low 32 bits h,
+        each as floor(7 h / 2^32) - 3, so each of the 7 parts has
+        probability within 2^-32 of 1/7."""
+        w = self.words(math.prod(shape)).reshape(shape)
+        out = np.empty(shape, dtype=np.complex128)
+        out.real = ((w >> 32) * 7 >> 32).astype(np.int64) - 3
+        out.imag = ((w & 0xFFFFFFFF) * 7 >> 32).astype(np.int64) - 3
+        return out
+
+
+def random_function(G: FiniteGroupoid, rng: SplitMix64 | np.random.Generator
+                    ) -> GroupoidFunction:
+    (f,) = random_functions(rng, 1, G)
     return GroupoidFunction(G, f.values[0])
 
 
-def random_functions(rng: np.random.Generator, k: int, *groupoids: FiniteGroupoid,
-                     integral: bool = False) -> tuple[GroupoidFunction, ...]:
-    """k rounds of random functions, one on each groupoid per round, drawn in
-    one generator call: one stack per groupoid, row i from round i.
+def random_functions(rng: SplitMix64 | np.random.Generator, k: int,
+                     *groupoids: FiniteGroupoid) -> tuple[GroupoidFunction, ...]:
+    """k rounds of random functions, one on each groupoid per round: one
+    stack per groupoid, row i from round i, with Gaussian-integer values.
 
-    A function's values are integers in [-3, 3], or standard normal real
-    parts followed by standard normal imaginary parts.  The generator fills
-    its output in order, so the (k, width) draw holds the same numbers as k
-    rounds of ``random_function`` calls.
+    rng is a ``SplitMix64``, whose words are drawn in order, so the k rounds
+    hold the values of k rounds of ``random_function`` calls.  A numpy
+    ``Generator`` also serves: one draw of it seeds a new stream.
     """
-    span = 1 if integral else 2         # draws per arrow
-    widths = [span * G.n_arrows for G in groupoids]
-    if integral:
-        raw = rng.integers(-3, 4, size=(k, sum(widths))).astype(np.complex128)
-    else:
-        raw = rng.standard_normal((k, sum(widths)))
-    out, lo = [], 0
-    for G, w in zip(groupoids, widths):
-        v, n = raw[:, lo:lo + w], G.n_arrows
-        out.append(GroupoidFunction(G, v if integral else v[:, :n] + 1j * v[:, n:]))
-        lo += w
-    return tuple(out)
+    if not isinstance(rng, SplitMix64):
+        rng = SplitMix64(int(rng.integers(1 << 63)))
+    sizes = [G.n_arrows for G in groupoids]
+    raw = rng.gaussian_integers((k, sum(sizes)))
+    return tuple(GroupoidFunction(G, v)
+                 for G, v in zip(groupoids, np.split(raw, np.cumsum(sizes)[:-1], axis=1)))

@@ -83,6 +83,17 @@ class FiniteGroupoid:
         return tuple(out)
 
     @cached_property
+    def fibers_by_size(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The d-fibers and matrices of ``fiber_indices`` stacked by fiber
+        size: one pair (fibers (m, s), matrices (m, s, s)) per size s, in
+        order of first occurrence.  The fibers partition the arrows."""
+        by_size: dict[int, list] = {}
+        for fiber, idx in self.fiber_indices:
+            by_size.setdefault(len(fiber), []).append((fiber, idx))
+        return tuple((np.array([fiber for fiber, _ in pairs]),
+                      np.stack([idx for _, idx in pairs])) for pairs in by_size.values())
+
+    @cached_property
     def orbit_units(self) -> tuple[int, ...]:
         """The first unit of each orbit in ``units`` order (increasing, so
         the least unit of the orbit).

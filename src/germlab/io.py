@@ -23,6 +23,8 @@ def _load_json(path: str):
         raise ParseError("file", str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise ParseError("json", str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError("encoding", f"not UTF-8: {exc}") from exc
 
 
 def load_semigroup(path: str) -> InverseSemigroup:

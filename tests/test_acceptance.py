@@ -227,8 +227,8 @@ def test_criterion_8_algebra_suite(subjects, beta_germs):
         for _ in range(100):
             f = alg.random_function(H, rng)
             g = alg.random_function(H, rng)
-            assert alg.embed(emb, alg.convolve(f, g)).close_to(
-                alg.convolve(alg.embed(emb, f), alg.embed(emb, g)), tol=1e-12), name
+            assert alg.embed(emb, alg.convolve(f, g)).equals(
+                alg.convolve(alg.embed(emb, f), alg.embed(emb, g))), name
             assert (abs(alg.reduced_norm(G, alg.embed(emb, f))
                         - alg.reduced_norm(H, f)) <= 1e-9), name
             p = alg.random_function(G, rng)
@@ -244,13 +244,13 @@ def test_criterion_8_algebra_suite(subjects, beta_germs):
             f = alg.random_function(G, rng)
             once = alg.conditional_expectation(emb, f)
             again = alg.conditional_expectation(emb, alg.embed(emb, once))
-            assert once.close_to(again, tol=1e-12), name
+            assert once.equals(again), name
             a, b = alg.random_function(H, rng), alg.random_function(H, rng)
             lhs = alg.conditional_expectation(
                 emb, alg.convolve(alg.convolve(alg.embed(emb, a), f),
                                   alg.embed(emb, b)))
             rhs = alg.convolve(alg.convolve(a, once), b)
-            assert lhs.close_to(rhs, tol=1e-12), name
+            assert lhs.equals(rhs), name
     budget.done("criterion-8 algebra suite")
 
 

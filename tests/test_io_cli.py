@@ -176,6 +176,33 @@ def test_cli_unwritable_csv_fails_before_any_suite_runs(tmp_path, capsys, monkey
     assert calls == []
 
 
+@pytest.mark.parametrize("command", [["check"], ["analyze"], ["germs"],
+                                     ["verify", "--suite", "universal"]])
+def test_cli_non_utf8_input_is_input_error(tmp_path, capsys, command):
+    """A file that is not UTF-8 (here a UTF-16 byte-order mark) prints one
+    ``error:`` line and exits 2, with no traceback."""
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert main([command[0], str(bad), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: encoding: not UTF-8")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_algebra_suite_never_imports_numpy_random():
+    """The algebra suite draws its samples without ``numpy.random``, whose
+    import adds several MB of resident memory to a process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO / "src"), env.get("PYTHONPATH"))))
+    code = ("import sys\n"
+            "from germlab.cli import main\n"
+            "code = main(['verify', 'builtin:symmetric:4', '--suite', 'algebra'])\n"
+            "print(code, 'numpy.random' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False"
+
+
 def test_cli_unknown_builtin_is_input_error(capsys):
     assert main(["verify", "builtin:wat", "--suite", "universal"]) == 2
 

@@ -102,22 +102,28 @@ def test_algebra_norms_match_golden(tmp_path, capsys):
     assert text == NORMS_GOLDEN.read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("tolerance,witnesses,csv_checks", [
+@pytest.mark.parametrize("unmet,witnesses,csv_checks", [
     ("NORM_TOL", {"algebra.cstar_identity": "at sample 0",
                   "algebra.embedding_isometric": "not isometric at sample 0 (off by 0.00e+00)"},
      ["cstar", "embed"]),
-    ("EXACT_TOL", {"algebra.embedding_isometric": "not multiplicative at sample 0",
-                   "algebra.conditional_expectation": "bimodule identity fails at sample 0",
-                   "algebra.involution_antimultiplicative":
-                       "anti-multiplicativity fails at sample 0"},
+    ("equals", {"algebra.embedding_isometric": "not multiplicative at sample 0",
+                "algebra.conditional_expectation": "not idempotent at sample 0",
+                "algebra.convolution_associative": "associativity differs at sample 0",
+                "algebra.involution_antimultiplicative":
+                    "anti-multiplicativity fails at sample 0"},
      ["cstar"] * 100),
 ])
-def test_algebra_suite_stops_at_the_first_failing_sample(monkeypatch, tolerance,
+def test_algebra_suite_stops_at_the_first_failing_sample(monkeypatch, unmet,
                                                          witnesses, csv_checks):
-    """With a tolerance that nothing meets, each stacked check reports
-    sample 0 and writes the CSV rows up to it, as a loop over the samples
-    that stops at the first failure does."""
-    monkeypatch.setattr(suites.alg, tolerance, -1.0)
+    """With a norm tolerance that nothing meets, or an exact comparison that
+    finds every row unequal, each stacked check reports sample 0 and writes
+    the CSV rows up to it, as a loop over the samples that stops at the
+    first failure does."""
+    if unmet == "NORM_TOL":
+        monkeypatch.setattr(suites.alg, "NORM_TOL", -1.0)
+    else:
+        monkeypatch.setattr(suites.alg.GroupoidFunction, "equals",
+                            lambda f, g: np.zeros(len(f.values), dtype=bool))
     rows: list[str] = []
     [report] = run_suite("b2", builtin("b2"), "algebra", rows)
     failed = {c.name: c.witness for c in report.checks if not c.passed}
