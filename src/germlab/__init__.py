@@ -66,7 +66,6 @@ from .groupoids import (
     is_group_bundle,
     iso_bundle,
     iso_interior,
-    semidirect_product,
     subgroupoid_properties,
 )
 from .semigroups import (

@@ -28,7 +28,7 @@ from .semigroups import InverseSemigroup, Relation, first_index, validate_invers
 
 TRANSVERSAL_BUDGET = 10**6
 WITNESS_CHUNK = 1 << 16     # entries per chunk of the pair tables of congruence_witness
-                            # and of split_transversal's certificate
+                            # and of transversal_defect
 SAMPLED_ATTEMPTS = 20       # pair seeds saturated by random_idempotent_separating_congruences
 
 
@@ -276,9 +276,8 @@ def split_transversal(S: InverseSemigroup, mu: Relation, q: QuotientMap
     the classes in order, each trying its block's elements in order.  A
     class is forced when it has one candidate: a singleton block, or a block
     with an idempotent, which mu separates, so the idempotent is the only
-    candidate.  Every forced class is fixed first, and the constraints
-    r(x) r(y) = r(xy) among forced classes are certified together, by one
-    comparison of tables in chunks of rows; if one fails no section exists.
+    candidate.  Every forced class is fixed first and certified, the free
+    classes undecided, by ``transversal_defect``; if that fails none exists.
     The search then runs over the free classes only, in order, in an
     explicit loop (so the number of classes is not bounded by the recursion
     limit): picking class i checks every constraint that i completes, i as
@@ -301,13 +300,8 @@ def split_transversal(S: InverseSemigroup, mu: Relation, q: QuotientMap
 
     St, Tt = S.table, q.target.table
     picked = np.array([c[0] if len(c) == 1 else -1 for c in choices], dtype=np.intp)
-    fixed = np.flatnonzero(picked >= 0)
-    step = max(1, WITNESS_CHUNK // len(choices))
-    for lo in range(0, fixed.size, step):
-        x = fixed[lo:lo + step, None]
-        want = picked[Tt[x, fixed]]       # r(xy), or -1 where xy is free
-        if ((want >= 0) & (St[picked[x], picked[fixed]] != want)).any():
-            return None
+    if transversal_defect(S, q, picked) is not None:
+        return None
     free = np.flatnonzero(picked < 0)
     # the factor pairs (x, y) of each free class, grouped by their product
     x, y = np.nonzero((picked < 0)[Tt])
@@ -355,16 +349,22 @@ def transversal_defect(S: InverseSemigroup, q: QuotientMap, r
                        ) -> tuple[int, int | None] | None:
     """Where r, one element per class of q, fails to be a multiplicative section.
 
-    Scans classes x in order: (x, None) when r[x] projects to another class,
-    else (x, y) for the first y with r[x] r[y] != r[xy].  None when r is a
-    multiplicative section.
+    An entry -1 marks an undecided class, skipped with every constraint
+    r(x) r(y) = r(xy) it takes part in.  Scans the other classes x in order:
+    (x, None) when r[x] projects to another class, else (x, y) for the
+    first y with r[x] r[y] != r[xy]; None if there is none.  The rows x run
+    in chunks of about ``WITNESS_CHUNK`` entries.
     """
     r = np.asarray(r, dtype=np.intp)
-    proj, T = np.asarray(q.projection), q.target.table
-    for x in range(len(r)):     # row by row: no |S/mu|^2 temporaries
-        if proj[r[x]] != x:
-            return (x, None)
-        off = np.flatnonzero(S.table[r[x], r] != r[T[x]])
-        if off.size:
-            return (x, int(off[0]))
+    decided = np.flatnonzero(r >= 0)
+    elsewhere = np.asarray(q.projection)[r[decided]] != decided
+    step = max(1, WITNESS_CHUNK // len(r))
+    for lo in range(0, decided.size, step):
+        x = decided[lo:lo + step, None]
+        want = r[q.target.table[x, decided]]      # r(xy), or -1 where xy is undecided
+        split = (want >= 0) & (S.table[r[x], r[decided]] != want)
+        hit = first_index(np.concatenate((elsewhere[lo:lo + step, None], split), axis=1))
+        if hit is not None:
+            i, j = hit
+            return (int(x[i, 0]), None if j == 0 else int(decided[j - 1]))
     return None

@@ -86,10 +86,6 @@ class CyclicGraph(StructureError):
     pass
 
 
-class IncompatibleBundle(StructureError):
-    pass
-
-
 class NotATransversal(StructureError):
     pass
 

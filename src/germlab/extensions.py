@@ -40,13 +40,12 @@ from .errors import NotATransversal, SearchBudgetExceeded, StructureError, ZeroP
 from .groupoids import (
     FiniteGroupoid,
     GroupoidHom,
-    conjugation_action,
     group_as_groupoid,
     hom_kernel,
-    semidirect_product,
-    validate_hom,
+    is_normal_in,
+    is_subgroupoid,
 )
-from .semigroups import InverseSemigroup, centralizer, is_clifford
+from .semigroups import InverseSemigroup, centralizer, first_index, is_clifford
 from .semilattices import Semilattice, all_filters, is_zero_disjunctive, semilattice_of
 
 
@@ -62,11 +61,10 @@ class MunnProjection:
 
 @dataclass
 class SplitDecomposition:
-    """Semidirect product of the centralizer bundle by the quotient copy, with
-    the multiplication map onto the original groupoid as the certificate."""
+    """G(S) = G(Z) x| G(S/mu): row g of ``factors`` is the unique pair of a
+    centralizer germ and a transversal germ with product g."""
 
-    product: FiniteGroupoid
-    iso: GroupoidHom        # product -> G(S), bijective
+    factors: np.ndarray     # (arrows of G(S), 2)
     germs: GermGroupoid
 
 
@@ -79,7 +77,7 @@ class Subject:
     theorems about the results are checked by the verification suites: the
     germ groupoids' axioms, the projection and the cocycle being
     homomorphisms.  Only ``split_decomposition`` certifies what it builds,
-    since its certificate is the result.
+    since its certificate, each arrow's factorization, is the result.
     """
 
     def __init__(self, S: InverseSemigroup):
@@ -190,24 +188,13 @@ class Subject:
             return "budget"
 
     def split_decomposition(self, r: tuple[int, ...]) -> SplitDecomposition:
-        """Build G(Z) x| G(S/mu) inside G(S) and certify it is isomorphic to G(S).
-
-        The certifying map multiplies the two coordinates in the ambient
-        groupoid; it is checked to be a bijective homomorphism arrow by arrow.
-        """
-        q, germs = self.mu_quotient, self.beta
-        _check_transversal(self.S, q, r)
-        ambient = germs.groupoid
-        h_arrows = self.z_in_beta.arrows
-        g_arrows = transversal_arrows(germs, q, r)
-        H, G, act = conjugation_action(ambient, h_arrows, g_arrows)
-        product, coords = semidirect_product(H, G, act)
-        h_order, g_order = (np.array(sorted(a), dtype=np.intp) for a in (h_arrows, g_arrows))
-        arrow_map = ambient.table[h_order[coords[:, 0]], g_order[coords[:, 1]]]
-        hom = validate_hom(GroupoidHom(product, ambient, tuple(arrow_map.tolist())))
-        if not np.array_equal(np.sort(arrow_map), np.arange(ambient.n_arrows)):
-            raise StructureError("split decomposition map is not a bijection")
-        return SplitDecomposition(product, hom, germs)
+        """``semidirect_factors`` over the germs of Z and of the transversal
+        r, taken as given: ``extension.split_transversal`` certifies the one
+        that the search finds."""
+        germs = self.beta
+        k_arrows = transversal_arrows(germs, self.mu_quotient, r)
+        factors = semidirect_factors(germs.groupoid, self.z_in_beta.arrows, k_arrows)
+        return SplitDecomposition(factors, germs)
 
 
 def universal_germs(S: InverseSemigroup) -> GermGroupoid:
@@ -230,13 +217,17 @@ def sigma_cocycle(S: InverseSemigroup) -> tuple[GroupoidHom, GermGroupoid]:
 
 def semidirect_from_split(S: InverseSemigroup, r: tuple[int, ...]
                           ) -> SplitDecomposition:
-    """G(Z) x| G(S/mu) for the transversal r, certified isomorphic to G(S)."""
-    return Subject(S).split_decomposition(r)
+    """G(Z) x| G(S/mu) for a checked transversal r, certified isomorphic to G(S)."""
+    sub = Subject(S)
+    _check_transversal(S, sub.mu_quotient, r)
+    return sub.split_decomposition(r)
 
 
 def _check_transversal(S: InverseSemigroup, q: QuotientMap, r: tuple[int, ...]) -> None:
     if len(r) != q.target.size:
         raise NotATransversal("one representative per class required")
+    if not all(0 <= x < S.size for x in r):
+        raise NotATransversal(f"representatives must be elements 0..{S.size - 1}")
     defect = transversal_defect(S, q, r)
     if defect is not None:
         x, y = defect
@@ -248,8 +239,46 @@ def transversal_arrows(germs: GermGroupoid, q: QuotientMap, r: tuple[int, ...]
                        ) -> frozenset[int]:
     """Germs of transversal representatives: the embedded copy of the quotient.
 
-    r is a multiplicative section, so its image is closed under inverses and
-    products and its germs form a subgroupoid (``conjugation_action`` checks
-    it on extraction).
+    r is a multiplicative section, so its germs are closed under inverses
+    and products: a subgroupoid, which ``semidirect_factors`` checks.
     """
     return germs.germs_of(set(r))
+
+
+def semidirect_factors(G: FiniteGroupoid, h_arrows: frozenset[int],
+                       k_arrows: frozenset[int]) -> np.ndarray:
+    """Certify G = H x| K, for arrow sets H and K of G, by unique factorization.
+
+    Checks that H is a group bundle (r = d on it), a subgroupoid and normal,
+    that K is a subgroupoid, and that the pairs (eta, gamma) in H x K with
+    r(eta) = r(gamma) multiply, by one gather of the table, onto the arrows
+    of G bijectively; row g of the result is the pair with eta gamma = g.
+    Then (eta, gamma) -> eta gamma is an isomorphism from H x| K, K acting
+    on H by conjugation: by associativity in G, (eta1 gamma1)(eta2 gamma2) =
+    eta1 (gamma1 eta2 gamma1^-1) . gamma1 gamma2 exactly where d(gamma1) =
+    r(gamma2), the middle factor in H by normality, so the product is never
+    built.  That G is a groupoid is certified apart, for G(S) by
+    ``germ.groupoid_axioms``.  A failure names the first hypothesis that
+    fails, or else the first arrow with no factorization or with several.
+    """
+    h, k = (np.array(sorted(a), dtype=np.intp) for a in (h_arrows, k_arrows))
+    if (G.r[h] != G.d[h]).any():
+        raise StructureError("the bundle H is not a group bundle")
+    if not is_subgroupoid(G, h_arrows):
+        raise StructureError("the bundle H is not a subgroupoid")
+    if not is_normal_in(G, h_arrows):
+        raise StructureError("the bundle H is not normal")
+    if not is_subgroupoid(G, k_arrows):
+        raise StructureError("the complement K is not a subgroupoid")
+    eta, gamma = np.nonzero(G.r[h][:, None] == G.r[k])
+    eta, gamma = h[eta], k[gamma]
+    products = G.table[eta, gamma]
+    count = np.bincount(products, minlength=G.n_arrows)
+    hit = first_index(count != 1)
+    if hit is not None:
+        (g,) = hit
+        raise StructureError(f"arrow {g} has no factorization eta gamma" if count[g] == 0
+                             else f"arrow {g} has {count[g]} factorizations eta gamma")
+    factors = np.empty((G.n_arrows, 2), dtype=np.intp)
+    factors[products] = np.stack((eta, gamma), axis=1)
+    return factors

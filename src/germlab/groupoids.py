@@ -12,8 +12,8 @@ The topology is carried as a catalog of labeled basis sets, produced by the
 germ construction.  Interior, openness and closedness consume only that
 catalog, so the computations follow the basis-set definitions even though
 every finite corpus groupoid ends up discrete.  Groupoids built directly
-(pair groupoids, semidirect products, ...) default to the discrete basis and
-are flagged as such.
+(pair groupoids, group tables, ...) default to the discrete basis and are
+flagged as such.
 """
 
 from __future__ import annotations
@@ -23,11 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    IncompatibleBundle,
-    SearchBudgetExceeded,
-    StructureError,
-)
+from .errors import SearchBudgetExceeded, StructureError
 from .semigroups import distinct, first_index
 from .semilattices import compose_after
 
@@ -495,69 +491,6 @@ def pair_groupoid(n: int) -> FiniteGroupoid:
     table = np.where(j[:, None] == i, i[:, None] * n + j, -1)
     labels = tuple(f"({a}<-{b})" for a, b in zip(i.tolist(), j.tolist()))
     return make_groupoid(i * (n + 1), j * (n + 1), j * n + i, table, labels)
-
-
-# ---------------------------------------------------------------------------
-# semidirect products
-
-
-@dataclass
-class ConjugationAction:
-    """Left action of G on a group bundle H, with the bundle map into G's units."""
-
-    bundle: np.ndarray      # H-arrow -> G-unit
-    act: np.ndarray         # [g, h] -> g.h where bundle[h] == d(g), else -1
-
-
-def conjugation_action(ambient: FiniteGroupoid, h_arrows: frozenset[int],
-                       g_arrows: frozenset[int]
-                       ) -> tuple[FiniteGroupoid, FiniteGroupoid, ConjugationAction]:
-    """Extract H and G from a common ambient groupoid; G acts by conjugation."""
-    H, h_order = extract_subgroupoid(ambient, h_arrows)
-    G, g_order = extract_subgroupoid(ambient, g_arrows)
-    if not is_group_bundle(H):
-        raise IncompatibleBundle("H is not a group bundle")
-    h_amb, g_amb = np.array(h_order, dtype=np.intp), np.array(g_order, dtype=np.intp)
-    h_back, g_back = np.full((2, ambient.n_arrows), -1, dtype=np.intp)
-    h_back[h_amb] = np.arange(h_amb.size)
-    g_back[g_amb] = np.arange(g_amb.size)
-    bundle = g_back[ambient.r[h_amb]]
-    if (bundle < 0).any():
-        raise IncompatibleBundle("bundle point is not a unit of G")
-    gh = ambient.table[np.ix_(g_amb, h_amb)]
-    conj = np.where(gh >= 0, ambient.table[gh, ambient.inv[g_amb][:, None]], -1)
-    act = compose_after(h_back, conj)
-    if ((conj >= 0) & (act < 0)).any():
-        raise IncompatibleBundle("conjugation leaves the bundle")
-    return H, G, ConjugationAction(bundle, act)
-
-
-def semidirect_product(H: FiniteGroupoid, G: FiniteGroupoid, action: ConjugationAction
-                       ) -> tuple[FiniteGroupoid, np.ndarray]:
-    """Pairs (eta, gamma) with bundle(eta) = r(gamma), multiplied through the action.
-
-    Returns the product and its pair coordinates: row a of the (arrows, 2)
-    array is arrow a's (H-arrow, G-arrow).
-    """
-    if not is_group_bundle(H):
-        raise IncompatibleBundle("H is not a group bundle")
-    bundle, act = action.bundle, action.act
-    h_units = np.array(H.units, dtype=np.intp)
-    if sorted(bundle[h_units].tolist()) != sorted(G.units):
-        raise IncompatibleBundle("bundle map does not match G's unit space")
-    eta, g = np.nonzero(bundle[:, None] == G.r)
-    index = np.full((H.n_arrows, G.n_arrows), -1, dtype=np.intp)
-    index[eta, g] = np.arange(eta.size)
-    h_unit_at = np.full(G.n_arrows, -1, dtype=np.intp)     # G-unit -> the H-unit over it
-    h_unit_at[bundle[h_units]] = h_units
-    r, d = (index[h_unit_at[u], u] for u in (G.r[g], G.d[g]))
-    gi = G.inv[g]
-    inv = index[act[gi, H.inv[eta]], gi]
-    labels = tuple(f"({H.label(e)};{G.label(x)})" for e, x in zip(eta.tolist(), g.tolist()))
-    twisted = H.table[eta[:, None], act[g[:, None], eta]]          # eta1 (gamma1 . eta2)
-    table = np.where(G.d[g][:, None] == bundle[eta],
-                     index[twisted, G.table[g[:, None], g]], -1)
-    return make_groupoid(r, d, inv, table, labels), np.stack([eta, g], axis=1)
 
 
 # ---------------------------------------------------------------------------

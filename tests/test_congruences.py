@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from germlab import congruences
 from germlab.builtins import CORPUS_NAMES, builtin
 from germlab.congruences import (
     TRANSVERSAL_BUDGET,
@@ -318,6 +319,50 @@ def test_transversal_defect_reports_the_first_class_or_pair():
     assert transversal_defect(S, q, (0, 2)) is None
     assert transversal_defect(S, q, (2, 2)) == (0, None)     # 2 lies in class 1
     assert transversal_defect(S, q, (1, 2)) == (0, 0)        # u u = e is not u
+
+
+def test_transversal_defect_skips_undecided_classes():
+    """-1 marks an undecided class: it is not tested, and neither is any
+    constraint r(x) r(y) = r(xy) that involves it."""
+    S = chain_id()
+    q = munn_quotient(S)
+    assert transversal_defect(S, q, (-1, -1)) is None
+    assert transversal_defect(S, q, (-1, 2)) is None
+    assert transversal_defect(S, q, (3, -1)) == (0, None)    # 3 lies in class 1
+    assert transversal_defect(S, q, (1, -1)) == (0, 0)
+    assert transversal_defect(S, q, (-1, 3)) == (1, 1)       # (eu)(eu) = e is not eu
+
+
+def _reference_transversal_defect(S, q, r):
+    """The row-by-row scan that the chunked comparison replaced, -1 undecided."""
+    for x, rx in enumerate(r):
+        if rx < 0:
+            continue
+        if q.projection[rx] != x:
+            return (x, None)
+        for y, ry in enumerate(r):
+            want = r[q.target.mul(x, y)]
+            if ry >= 0 and want >= 0 and S.mul(rx, ry) != want:
+                return (x, y)
+    return None
+
+
+@pytest.mark.parametrize("chunk", [7, None])
+@pytest.mark.parametrize("name", CORPUS_NAMES + ("symmetric:4",))
+def test_transversal_defect_matches_the_row_scan(name, chunk, monkeypatch):
+    """Seeded assignments: each class undecided, a member of its block or any
+    element, so every kind of witness occurs; chunk 7 splits the rows."""
+    if chunk is not None:
+        monkeypatch.setattr(congruences, "WITNESS_CHUNK", chunk)
+    S = builtin(name)
+    mu = mu_relation(S)
+    q = quotient(S, mu)
+    rng = random.Random(name)
+    for _ in range(20):
+        weights = [rng.random() for _ in range(3)]
+        r = tuple(rng.choices([-1, rng.choice(block), rng.randrange(S.size)], weights)[0]
+                  for block in mu.blocks)
+        assert transversal_defect(S, q, r) == _reference_transversal_defect(S, q, r), r
 
 
 def _monomial_closure(n, m, generators):

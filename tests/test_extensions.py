@@ -1,16 +1,28 @@
+import numpy as np
 import pytest
 
+from germlab.builtins import CORPUS_NAMES, builtin
 from germlab.congruences import find_split_transversal
-from germlab.errors import NotATransversal, ZeroPresent
+from germlab.errors import NotATransversal, StructureError, ZeroPresent
 from germlab.extensions import (
+    Subject,
     mu_projection_hom,
     mu_projection_kernel,
+    semidirect_factors,
     semidirect_from_split,
     sigma_cocycle,
+    transversal_arrows,
     universal_germs,
 )
 from germlab.actions import centralizer_germs
-from germlab.groupoids import hom_kernel, is_strongly_surjective
+from germlab.groupoids import (
+    GroupoidHom,
+    hom_kernel,
+    is_strongly_surjective,
+    make_groupoid,
+    pair_groupoid,
+    validate_hom,
+)
 from germlab.semigroups import direct_product, validate_inverse_semigroup
 
 from test_actions import diamond_munn
@@ -92,8 +104,9 @@ def test_sigma_cocycle_rejects_zero_semigroups():
 
 def assert_certified_decomposition(S, r):
     dec = semidirect_from_split(S, r)
-    assert dec.product.n_arrows == dec.germs.groupoid.n_arrows
-    assert sorted(dec.iso.map) == list(dec.germs.groupoid.arrows())
+    G = dec.germs.groupoid
+    assert G.table[dec.factors[:, 0], dec.factors[:, 1]].tolist() == list(G.arrows())
+    return dec
 
 
 def test_split_decomposition_fundamental_identity_transversal():
@@ -113,15 +126,102 @@ def test_split_decomposition_of_brandt_times_z2():
     S = brandt_times_z2()
     r = find_split_transversal(S)
     assert r is not None
-    dec = semidirect_from_split(S, r)
-    assert dec.product.n_arrows == dec.germs.groupoid.n_arrows == 10
-    assert sorted(dec.iso.map) == list(dec.germs.groupoid.arrows())
+    assert len(assert_certified_decomposition(S, r).factors) == 10
 
 
 def test_split_decomposition_rejects_bad_transversal():
-    S = validate_inverse_semigroup(CHAIN_ID_TABLE)
-    with pytest.raises(NotATransversal):
-        semidirect_from_split(S, (1, 3))  # picks non-idempotents: not a section of mu
+    # (1, 3) picks non-idempotents, not a section of mu; 99 and -1 are no
+    # elements, and -1 must not index from the end; (0,) misses a class
+    S = builtin("clifford_chain:identity")
+    for r in ((1, 3), (99, 2), (-1, 2), (0,)):
+        with pytest.raises(NotATransversal):
+            semidirect_from_split(S, r)
+
+
+def external_semidirect_product(G, h_arrows, k_arrows):
+    """H x| K built as a groupoid of its own, K acting on H by conjugation.
+
+    The arrows are the pairs (eta, gamma) with r(eta) = r(gamma), and
+    (eta1, gamma1)(eta2, gamma2) = (eta1 (gamma1 eta2 gamma1^-1), gamma1 gamma2)
+    where d(gamma1) = r(gamma2).  Returns the product, validated by
+    ``make_groupoid``, and the pair (eta, gamma) of each of its arrows.
+    """
+    h, k = (np.array(sorted(a), dtype=np.intp) for a in (h_arrows, k_arrows))
+    i, j = np.nonzero(G.r[h][:, None] == G.r[k])
+    eta, gamma = h[i], k[j]
+    index = np.full((G.n_arrows, G.n_arrows), -1, dtype=np.intp)
+    index[eta, gamma] = np.arange(eta.size)
+    T, g_inv = G.table, G.inv[gamma]
+    r, d = (index[u, u] for u in (G.r[gamma], G.d[gamma]))
+    inv = index[T[T[g_inv, G.inv[eta]], gamma], g_inv]      # (gamma^-1 eta^-1 gamma, gamma^-1)
+    acted = T[T[gamma[:, None], eta], g_inv[:, None]]         # gamma1 eta2 gamma1^-1
+    table = np.where(G.d[gamma][:, None] == G.r[gamma],
+                     index[T[eta[:, None], acted], T[gamma[:, None], gamma]], -1)
+    return make_groupoid(r, d, inv, table), np.stack((eta, gamma), axis=1)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + ("symmetric:4",))
+def test_factors_invert_the_external_semidirect_product(name):
+    """The reference for the factorization certificate: H x| K built and
+    validated as a groupoid, whose multiplication map (eta, gamma) -> eta gamma
+    is a homomorphism onto G(S) that ``factors`` inverts."""
+    sub = Subject(builtin(name))
+    r = sub.transversal
+    assert isinstance(r, tuple)
+    G = sub.beta.groupoid
+    product, pairs = external_semidirect_product(
+        G, sub.z_in_beta.arrows, transversal_arrows(sub.beta, sub.mu_quotient, r))
+    mult = G.table[pairs[:, 0], pairs[:, 1]]
+    validate_hom(GroupoidHom(product, G, tuple(mult.tolist())))
+    factors = sub.split_decomposition(r).factors
+    assert product.n_arrows == len(factors) == G.n_arrows
+    assert (factors[mult] == pairs).all()
+
+
+def non_normal_bundle():
+    """The pair groupoid on 2 points times Z2, arrow (i j) 2 + g being
+    (i <- j; g), with the bundle {(0 <- 0; 0), (0 <- 0; 1), (1 <- 1; 0)},
+    which conjugation by (1 <- 0; 0) does not keep, and the copy of the pair
+    groupoid (g = 0)."""
+    i, j, g = np.unravel_index(np.arange(8), (2, 2, 2))
+    table = np.where(j[:, None] == i, (i[:, None] * 2 + j) * 2 + (g[:, None] ^ g), -1)
+    G = make_groupoid(i * 6, j * 6, (j * 2 + i) * 2 + g, table)
+    return G, frozenset({0, 1, 6}), frozenset({0, 2, 4, 6})
+
+
+def _z3_with(h, k):
+    G = universal_germs(builtin("group:z3")).groupoid
+    pick = {"units": frozenset(G.units), "all": frozenset(G.arrows()),
+            "one": frozenset({max(G.arrows())})}
+    return G, pick[h], pick[k]
+
+
+@pytest.mark.parametrize("groupoid,message", [
+    (lambda: _z3_with("all", "all"), "arrow 0 has 3 factorizations eta gamma"),
+    (lambda: _z3_with("units", "units"), "arrow 1 has no factorization eta gamma"),
+    (lambda: _z3_with("one", "units"), "the bundle H is not a subgroupoid"),
+    (lambda: _z3_with("all", "one"), "the complement K is not a subgroupoid"),
+    (lambda: (pair_groupoid(2), frozenset(range(4)), frozenset(range(4))),
+     "the bundle H is not a group bundle"),
+    (non_normal_bundle, "the bundle H is not normal"),
+], ids=["twice", "never", "h-open", "k-open", "not-bundle", "not-normal"])
+def test_semidirect_factors_rejects_each_broken_hypothesis(groupoid, message):
+    G, h_arrows, k_arrows = groupoid()
+    with pytest.raises(StructureError, match=f"^{message}$"):
+        semidirect_factors(G, h_arrows, k_arrows)
+
+
+@pytest.mark.parametrize("name", ["b2", "symmetric:3", "brandt_z2"])
+def test_semidirect_factors_needs_every_transversal_germ(name):
+    """Dropping any one germ of K leaves an arrow without a factorization,
+    or K without closure."""
+    sub = Subject(builtin(name))
+    G, h_arrows = sub.beta.groupoid, sub.z_in_beta.arrows
+    k_arrows = transversal_arrows(sub.beta, sub.mu_quotient, sub.transversal)
+    semidirect_factors(G, h_arrows, k_arrows)
+    for gamma in sorted(k_arrows):
+        with pytest.raises(StructureError):
+            semidirect_factors(G, h_arrows, k_arrows - {gamma})
 
 
 def test_universal_germs_arrow_counts():

@@ -18,13 +18,8 @@ from germlab.builtins import CORPUS_NAMES, builtin
 from germlab.cli import main
 from germlab.congruences import Relation
 from germlab.errors import StructureError
-from germlab.extensions import MunnProjection, Subject, transversal_arrows
-from germlab.groupoids import (
-    FiniteGroupoid,
-    GroupoidHom,
-    conjugation_action,
-    validate_groupoid,
-)
+from germlab.extensions import MunnProjection, Subject
+from germlab.groupoids import FiniteGroupoid, GroupoidHom, validate_groupoid
 from germlab.semigroups import InverseSemigroup, validate_inverse_semigroup
 from germlab.suites import render_reports, run_checks, run_suite
 
@@ -190,17 +185,17 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
     universal action comes from the Subject, never from universal_action(S);
     all_filters(E) also runs inside ultrafilters and tight_spectrum.
     validate_groupoid runs in germ.groupoid_axioms, tight.action_valid and
-    extension.projection_strongly_surjective, one per germ groupoid, and in
-    make_groupoid on the semidirect product it assembles; no builder
-    re-validates what it builds.  The predicates that several checks read
-    run once per structure: is_clifford on S, is_zero_disjunctive on E,
-    is_essentially_principal on the universal and on the tight groupoid.
+    extension.projection_strongly_surjective, one per germ groupoid; no
+    builder re-validates what it builds, and the semidirect decomposition
+    certifies G(S) by unique factorization without building the product.
+    The predicates that several checks read run once per structure:
+    is_clifford on S, is_zero_disjunctive on E, is_essentially_principal on
+    the universal and on the tight groupoid.
     The isotropy and its interior are computed once per groupoid that a
     check reads them on, the universal and the tight one, however many
     checks call iso_bundle and iso_interior.  Standalone subgroupoid
     copies are extracted only where a check reads more than their arrows:
-    the centralizer germs, which the algebra embeds into, and the two
-    factors of the semidirect decomposition.
+    the centralizer germs, which the algebra embeds into.
     """
     S = builtin("symmetric:3")
     modules = [importlib.import_module(f"germlab.{m.name}")
@@ -233,8 +228,8 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
     run_suite("symmetric:3", S, "all")
     assert dict(calls) == {"spectrum_action": 2, "germ_groupoid": 3, "mu_relation": 3,
                            "quotient": 2, "semilattice_of": 2, "all_filters": 4,
-                           "validate_groupoid": 4, "is_clifford": 1, "is_zero_disjunctive": 1,
-                           "is_essentially_principal": 2, "extract_subgroupoid": 3}
+                           "validate_groupoid": 3, "is_clifford": 1, "is_zero_disjunctive": 1,
+                           "is_essentially_principal": 2, "extract_subgroupoid": 1}
     assert dict(computed) == {"isotropy": 2, "isotropy_interior": 2}
     assert len({id(G) for G in groupoids}) == 2
 
@@ -457,6 +452,16 @@ def test_cocycle_check_reports_a_non_multiplicative_map():
            "error: hom is not multiplicative at (1,1)")
 
 
+def test_decomposition_check_reports_an_arrow_without_factorization():
+    """With the units for the centralizer germs, the non-unit arrows of
+    G(Z3) have no factorization over the transversal's germs."""
+    S = builtin("group:z3")
+    sub = Subject(S)
+    units = dataclasses.replace(sub.z_in_beta, arrows=frozenset(sub.beta.groupoid.units))
+    _fails(_check(S, "extension.semidirect_decomposition", z_in_beta=units),
+           "error: arrow 1 has no factorization eta gamma")
+
+
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_extracted_subgroupoids_are_groupoids(name):
     """extract_subgroupoid does not validate its copies: an arrow set closed
@@ -466,11 +471,6 @@ def test_extracted_subgroupoids_are_groupoids(name):
     copies = [sub.z_in_beta.groupoid, induced_subgroupoid(sub.theta, sub.Z).groupoid,
               induced_subgroupoid(sub.beta, sub.universal_kernel).groupoid,
               induced_subgroupoid(sub.theta, sub.tight_kernel).groupoid]
-    r = sub.transversal
-    if r not in (None, "budget"):
-        g_arrows = transversal_arrows(sub.beta, sub.mu_quotient, r)
-        H, G, _ = conjugation_action(sub.beta.groupoid, sub.z_in_beta.arrows, g_arrows)
-        copies += [H, G]
     for copy in copies:
         validate_groupoid(copy)
 
