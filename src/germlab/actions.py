@@ -7,8 +7,9 @@ partial bijections are the rows of one integer array, one row of point
 indices per element with -1 where the element is undefined, composed by
 ``semilattices.compose_after``.  The two canonical actions move the filters
 of the idempotent semilattice around: the universal one on all filters, the
-tight one restricted to ultrafilters.  Filters are principal, so both are
-gathers of the multiplication table.
+tight one restricted to ultrafilters.  Filters are principal, so a point is
+named by its generator, an index into E (``semilattices.spectrum_points``),
+and both actions are gathers of the multiplication table.
 
 Germs: pairs (s, x) with x in the domain of s, identified when the two
 elements agree after restriction to an idempotent whose domain contains x.
@@ -47,11 +48,11 @@ from .semigroups import (
 )
 from .semilattices import (
     Semilattice,
-    all_filters,
     compose_after,
-    filter_generator,
+    principal_filter,
     semilattice_of,
     spectrum_basis,
+    spectrum_points,
     tight_spectrum,
 )
 
@@ -127,26 +128,20 @@ def validate_action(S: InverseSemigroup, space_size: int, maps,
     return Action(S, space_size, maps, tuple(point_labels), space_basis)
 
 
-def _filter_label(E: Semilattice, F: frozenset[int]) -> str:
-    return f"up({E.label(filter_generator(E, F))})"
-
-
-def spectrum_action(S: InverseSemigroup, filters: list[frozenset[int]],
-                    E: Semilattice) -> Action:
+def spectrum_action(S: InverseSemigroup, points: np.ndarray, E: Semilattice) -> Action:
     """Filters of E move by s.F = upward closure of {s e s* : e in F}.
 
-    A finite filter is principal, F = up(g), and s acts on it when
+    A point is a generator g in E, the filter up(g), and s acts on it when
     g <= s*s.  Conjugation by s preserves order on the idempotents below
     s*s, so s.up(g) = up(s g s*), and the action is a gather of the table:
-    the point of up(s g s*) for each element s and generator g.  The filter
-    list's order is preserved, so callers may align point indices across
-    related semigroups; an image outside the list is an error.
+    the point of up(s g s*) for each element s and generator g.  The order
+    of the points is preserved, so callers may align point indices across
+    related semigroups; an image outside them is an error.
     """
     T = S.table
     inv = np.array(S.inv)
     elements = np.arange(S.size)
-    gens = np.array([E.parent_index[filter_generator(E, F)] for F in filters],
-                    dtype=np.intp)
+    gens = np.asarray(E.parent_index, dtype=np.intp)[points]
     point_of = np.full(S.size, -1, dtype=np.intp)
     point_of[gens] = np.arange(gens.size)
     acts = T[gens, T[inv, elements][:, None]] == gens              # g <= s*s
@@ -154,29 +149,29 @@ def spectrum_action(S: InverseSemigroup, filters: list[frozenset[int]],
     if (acts & (images < 0)).any():
         raise StructureError("action image is not a filter of the spectrum")
     maps = np.where(acts, images, -1)
-    labels = tuple(_filter_label(E, F) for F in filters)
-    basis = tuple(spectrum_basis(E, filters))
-    return validate_action(S, len(filters), maps, labels, basis)
+    labels = tuple(f"up({E.label(g)})" for g in points.tolist())
+    basis = tuple(spectrum_basis(E, points))
+    return validate_action(S, points.size, maps, labels, basis)
 
 
 def universal_action(S: InverseSemigroup) -> Action:
     """The action on every filter of the idempotent semilattice."""
     E = semilattice_of(S)
-    return spectrum_action(S, all_filters(E), E)
+    return spectrum_action(S, spectrum_points(E), E)
 
 
 def tight_action(S: InverseSemigroup) -> Action:
     """Restriction of the universal action to the (ultra)filter spectrum."""
     E = semilattice_of(S)
-    filters = all_filters(E)
-    return tight_restriction(spectrum_action(S, filters, E), E, filters)
+    points = spectrum_points(E)
+    return tight_restriction(spectrum_action(S, points, E), E, points)
 
 
-def tight_restriction(full: Action, E: Semilattice, filters: list[frozenset[int]]
-                      ) -> Action:
-    """The universal action `full` on `filters`, restricted to the ultrafilters."""
-    ultra_set = set(tight_spectrum(E))
-    keep = [i for i, F in enumerate(filters) if F in ultra_set]
+def tight_restriction(full: Action, E: Semilattice, points: np.ndarray) -> Action:
+    """The universal action `full` on `points`, restricted to the points
+    whose principal filter lies in the tight spectrum."""
+    ultra = set(tight_spectrum(E))
+    keep = [i for i, g in enumerate(points.tolist()) if principal_filter(E, g) in ultra]
     reindex = np.full(full.space_size, -1, dtype=np.intp)     # old point -> new
     reindex[keep] = np.arange(len(keep))
     kept = full.maps[:, keep]
@@ -184,7 +179,7 @@ def tight_restriction(full: Action, E: Semilattice, filters: list[frozenset[int]
     if ((kept >= 0) & (maps < 0)).any():
         raise StructureError("tight spectrum is not invariant")
     labels = tuple(full.point_labels[old] for old in keep)
-    basis = tuple(spectrum_basis(E, [filters[old] for old in keep]))
+    basis = tuple(spectrum_basis(E, points[keep]))
     return validate_action(full.semigroup, len(keep), maps, labels, basis)
 
 

@@ -368,3 +368,9 @@ def transversal_defect(S: InverseSemigroup, q: QuotientMap, r
             i, j = hit
             return (int(x[i, 0]), None if j == 0 else int(decided[j - 1]))
     return None
+
+
+def transversal_defect_text(defect: tuple[int, int | None]) -> str:
+    """A witness of ``transversal_defect``, in words."""
+    x, y = defect
+    return f"not a section at class {x}" if y is None else f"not multiplicative at ({x},{y})"

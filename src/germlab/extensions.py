@@ -35,6 +35,7 @@ from .congruences import (
     sigma_relation,
     split_transversal,
     transversal_defect,
+    transversal_defect_text,
 )
 from .errors import NotATransversal, SearchBudgetExceeded, StructureError, ZeroPresent
 from .groupoids import (
@@ -46,7 +47,7 @@ from .groupoids import (
     is_subgroupoid,
 )
 from .semigroups import InverseSemigroup, centralizer, first_index, is_clifford
-from .semilattices import Semilattice, all_filters, is_zero_disjunctive, semilattice_of
+from .semilattices import Semilattice, is_zero_disjunctive, semilattice_of, spectrum_points
 
 
 @dataclass
@@ -88,8 +89,9 @@ class Subject:
         return semilattice_of(self.S)
 
     @cached_property
-    def filters(self) -> list[frozenset[int]]:
-        return all_filters(self.E)
+    def points(self) -> np.ndarray:
+        """The filter spectrum of E, each point named by its generator."""
+        return spectrum_points(self.E)
 
     @cached_property
     def clifford(self) -> bool:
@@ -123,11 +125,11 @@ class Subject:
 
     @cached_property
     def universal(self) -> Action:
-        return spectrum_action(self.S, self.filters, self.E)
+        return spectrum_action(self.S, self.points, self.E)
 
     @cached_property
     def tight(self) -> Action:
-        return tight_restriction(self.universal, self.E, self.filters)
+        return tight_restriction(self.universal, self.E, self.points)
 
     @cached_property
     def beta(self) -> GermGroupoid:
@@ -152,18 +154,18 @@ class Subject:
     @cached_property
     def projection(self) -> MunnProjection:
         """The arrow map [s, F] -> [mu(s), F] onto the germs of S/mu over the
-        filters of E(S), point for point."""
+        filters of E(S), point for point: mu separates idempotents, so one
+        gather E(S) -> S -> S/mu -> E(S/mu) maps each generator to its own."""
         q, source = self.mu_quotient, self.beta
         T = q.target
         E_T = semilattice_of(T)
         if self.E.size != E_T.size:
             raise StructureError("quotient does not separate idempotents")
-        t_back = {e: i for i, e in enumerate(E_T.parent_index)}
-        translate = [t_back[q.projection[e]] for e in self.E.parent_index]
+        translate = np.searchsorted(E_T.parent_index,
+                                    np.asarray(q.projection)[list(self.E.parent_index)])
         # inherit the zero designation from S rather than redetecting it
-        E_T.zero = translate[self.E.zero] if self.E.zero is not None else None
-        matched = [frozenset(translate[i] for i in F) for F in self.filters]
-        target = germ_groupoid(spectrum_action(T, matched, E_T))
+        E_T.zero = None if self.E.zero is None else int(translate[self.E.zero])
+        target = germ_groupoid(spectrum_action(T, translate[self.points], E_T))
         arrow_map = tuple(target.germ(q.projection[s], x) for s, x in source.rep_of)
         hom = GroupoidHom(source.groupoid, target.groupoid, arrow_map)
         return MunnProjection(q, source, target, hom)
@@ -230,9 +232,7 @@ def _check_transversal(S: InverseSemigroup, q: QuotientMap, r: tuple[int, ...]) 
         raise NotATransversal(f"representatives must be elements 0..{S.size - 1}")
     defect = transversal_defect(S, q, r)
     if defect is not None:
-        x, y = defect
-        raise NotATransversal(f"class {x} representative projects elsewhere" if y is None
-                              else f"representatives split at ({x},{y})")
+        raise NotATransversal(transversal_defect_text(defect))
 
 
 def transversal_arrows(germs: GermGroupoid, q: QuotientMap, r: tuple[int, ...]

@@ -60,16 +60,16 @@ def load_graph(path: str) -> DirectedGraph:
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise ParseError("vertices", "expected an object with a vertex count")
     n = doc["vertices"]
-    if not isinstance(n, int) or n <= 0:
+    if type(n) is not int or n <= 0:              # JSON true loads as an int, not a count
         raise ParseError("vertices", "expected a positive integer")
     edges = doc.get("edges", [])
-    out = []
+    if not isinstance(edges, list):
+        raise ParseError("edges", "expected an array of [tail, head] pairs")
     for i, e in enumerate(edges):
         if (not isinstance(e, list) or len(e) != 2
-                or not all(isinstance(v, int) and 0 <= v < n for v in e)):
+                or not all(type(v) is int and 0 <= v < n for v in e)):
             raise ParseError(f"edges[{i}]", "expected [tail, head] vertex indices")
-        out.append((e[0], e[1]))
-    return DirectedGraph(n, tuple(out))
+    return DirectedGraph(n, tuple((tail, head) for tail, head in edges))
 
 
 def save_graph(graph: DirectedGraph, path: str) -> None:

@@ -1,11 +1,11 @@
 """Finite meet semilattices, their filter spectra, and derived semigroups.
 
-Filters are frozensets of semilattice indices, always keyed to the
-semilattice's own index space rather than a parent semigroup's.  Every
-filter of a finite semilattice is principal (it contains the meet of its
-members), so ``all_filters`` lists the principal filters; ``exhaustive_filters``
-tests every subset instead and is the reference that the verification check
-``spectrum.filters_principal`` compares them with.
+Every filter of a finite semilattice is principal (it contains the meet of
+its members), so a point of the filter spectrum is named by its generator,
+and a spectrum is an index array of generators (``spectrum_points``).  The
+frozensets of ``all_filters`` and ``ultrafilters`` are the principal filters
+of such points; ``is_filter`` and ``exhaustive_filters``, which tests every
+subset, are the set-level reference of the checks ``spectrum.*``.
 
 A partial bijection of p points is a row of p point indices, -1 where it is
 undefined; ``compose_after`` is the one composition of such rows, shared by
@@ -15,20 +15,18 @@ keys are sorted once and every composed row is found by ``np.searchsorted``,
 as ``spectrum.munn_fundamental`` finds the identity rows of a Munn semigroup.
 
 The order of a semilattice is one cached boolean matrix, ``Semilattice.order``;
-principal filters, filter generators and the isolating basis sets of the
-spectrum are masks of it.
+principal filters and the basis sets of the spectrum are masks of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
 
 import numpy as np
 
 from .errors import SizeBudgetExceeded, StructureError, ZeroRequired
-from .semigroups import InverseSemigroup, membership, validate_inverse_semigroup
+from .semigroups import InverseSemigroup, validate_inverse_semigroup
 
 EXHAUSTIVE_FILTER_CAP = 20
 MUNN_ELEMENT_CAP = 512
@@ -128,9 +126,6 @@ def semilattice_of(S: InverseSemigroup) -> Semilattice:
                        tuple(S.label(e) for e in idems.tolist()), tuple(idems.tolist()))
 
 
-Filter = frozenset  # filters are frozensets of semilattice indices
-
-
 def is_filter(E: Semilattice, members: frozenset[int]) -> bool:
     """Nonempty, meet-closed, upward closed, and avoiding the zero."""
     if not members:
@@ -151,24 +146,20 @@ def principal_filter(E: Semilattice, e: int) -> frozenset[int]:
     return frozenset(np.flatnonzero(E.order[e]).tolist())
 
 
-def filter_generator(E: Semilattice, F: frozenset[int]) -> int:
-    """The least element of a (necessarily principal) finite filter."""
-    g = None
-    for e in F:
-        g = e if g is None else E.wedge(g, e)
-    if g not in F:
-        raise StructureError("filter is not meet-closed")
-    return g
-
-
-def _canonical_sort(filters) -> list[frozenset[int]]:
-    return sorted(filters, key=lambda F: tuple(sorted(F)))
+def spectrum_points(E: Semilattice) -> np.ndarray:
+    """The points of the filter spectrum, each named by its generator: the
+    nonzero elements, in the canonical order of their principal filters'
+    sorted members (distinct elements generate distinct filters)."""
+    up = E.order.tolist()
+    points = sorted((e for e in range(E.size) if e != E.zero),
+                    key=lambda e: [f for f, above in enumerate(up[e]) if above])
+    return np.array(points, dtype=np.intp)
 
 
 def all_filters(E: Semilattice) -> list[frozenset[int]]:
-    """Every filter, canonically ordered: the principal filters of the nonzero
-    elements, since a finite filter is the upward closure of its least member."""
-    return _canonical_sort({principal_filter(E, e) for e in range(E.size) if e != E.zero})
+    """Every filter, canonically ordered: the principal filters of the
+    spectrum points, as a finite filter is the upward closure of its least member."""
+    return [principal_filter(E, g) for g in spectrum_points(E).tolist()]
 
 
 def exhaustive_filters(E: Semilattice) -> list[frozenset[int]]:
@@ -179,17 +170,15 @@ def exhaustive_filters(E: Semilattice) -> list[frozenset[int]]:
     """
     if E.size > EXHAUSTIVE_FILTER_CAP:
         raise SizeBudgetExceeded(f"subset enumeration is capped at {EXHAUSTIVE_FILTER_CAP}")
-    return _canonical_sort(frozenset(sub) for size in range(1, E.size + 1)
-                           for sub in combinations(range(E.size), size)
-                           if is_filter(E, frozenset(sub)))
+    return sorted((frozenset(sub) for size in range(1, E.size + 1)
+                   for sub in combinations(range(E.size), size) if is_filter(E, frozenset(sub))),
+                  key=lambda F: tuple(sorted(F)))
 
 
 def ultrafilters(E: Semilattice) -> list[frozenset[int]]:
     """Maximal filters; for a finite semilattice, the filters of its atoms."""
     filters = all_filters(E)
-    maximal = [F for F in filters
-               if not any(F < G for G in filters)]
-    return _canonical_sort(maximal)
+    return [F for F in filters if not any(F < G for G in filters)]
 
 
 def tight_spectrum(E: Semilattice) -> list[frozenset[int]]:
@@ -197,76 +186,35 @@ def tight_spectrum(E: Semilattice) -> list[frozenset[int]]:
     return ultrafilters(E)
 
 
-@dataclass(frozen=True)
-class SpectrumBasisSet:
-    """The set of filters containing `include` and avoiding every `exclude`."""
-
-    include: int
-    exclude: tuple[int, ...]
-
-    def members(self, filters) -> frozenset[int]:
-        return frozenset(i for i, F in enumerate(filters)
-                         if self.include in F and not any(f in F for f in self.exclude))
-
-    def render(self, E: Semilattice) -> str:
-        base = f"N^{E.label(self.include)}"
-        if self.exclude:
-            return base + "_{" + ",".join(E.label(f) for f in self.exclude) + "}"
-        return base
-
-
-def _least_members(E: Semilattice, inside: np.ndarray) -> np.ndarray:
-    """The least member of each filter (row of inside): the member e with
-    every member above it.  It exists exactly when the meet of the members
-    is a member, which filter_generator checks one filter at a time."""
-    below_all = inside & (inside[:, None, :] <= E.order).all(axis=2)
-    if not below_all.any(axis=1).all():
-        raise StructureError("filter is not meet-closed")
-    return below_all.argmax(axis=1)
-
-
-def _maximal_outside(E: Semilattice, inside: np.ndarray) -> np.ndarray:
-    """Per filter (row of inside), the maximal elements of its complement:
-    non-members with no non-member strictly above them."""
-    strictly = E.order & ~np.eye(E.size, dtype=bool)
-    outside = ~inside
-    return outside & ~(outside[:, None, :] & strictly).any(axis=2)
-
-
-def isolating_basis_set(E: Semilattice, F: frozenset[int]) -> SpectrumBasisSet:
-    """A basis set whose only member is the principal filter F."""
-    inside = membership([F], E.size)
-    maximal = np.flatnonzero(_maximal_outside(E, inside)[0])
-    return SpectrumBasisSet(int(_least_members(E, inside)[0]), tuple(maximal.tolist()))
-
-
-def spectrum_basis(E: Semilattice, filters) -> list[tuple[str, frozenset[int]]]:
-    """Labeled open basis of the (discrete) filter space.
+def spectrum_basis(E: Semilattice, points: np.ndarray) -> list[tuple[str, frozenset[int]]]:
+    """Labeled open basis of the (discrete) space of the given points.
 
     Contains the domains of the idempotents together with one isolating set
     per point, so interior computations driven by this catalog agree with the
     discrete topology while staying in basis-set form.  The members of every
-    set are one mask over the filters: N^e holds the filters containing e,
-    and the isolating set of a filter F holds those containing its
-    generator and none of the maximal elements outside F.
+    set are one mask over the points' filters, the rows E.order[points]:
+    N^e holds the points whose filter contains e, and the isolating set
+    N^g_{f,...} of the point g holds those whose filter contains g and none
+    of the maximal elements f outside up(g).
     """
-    inside = membership(filters, E.size)
-    gens = _least_members(E, inside).tolist()
-    maximal = _maximal_outside(E, inside)
-    # isolated[i, j]: filter j is in the isolating set of filter i
-    isolated = inside[:, gens].T & ~(inside & maximal[:, None, :]).any(axis=2)
-    sets = [(SpectrumBasisSet(e, ()), flags)
+    inside = E.order[points]
+    outside = ~inside
+    # maximal[i, f]: f is outside the filter of point i, and no non-member above it
+    strictly = E.order & ~np.eye(E.size, dtype=bool)
+    maximal = outside & ~(outside[:, None, :] & strictly).any(axis=2)
+    # isolated[i, j]: point j is in the isolating set of point i
+    isolated = inside[:, points].T & ~(inside & maximal[:, None, :]).any(axis=2)
+    sets = [(f"N^{E.label(e)}", flags)
             for e, flags in enumerate(inside.T.tolist()) if e != E.zero]
-    sets += [(SpectrumBasisSet(g, tuple(f for f, out in enumerate(m) if out)), flags)
-             for g, m, flags in zip(gens, maximal.tolist(), isolated.tolist())]
-    catalog: list[tuple[str, frozenset[int]]] = []
-    seen = set()
-    for n, flags in sets:
+    for g, m, flags in zip(points.tolist(), maximal.tolist(), isolated.tolist()):
+        exclude = ",".join(E.label(f) for f, out in enumerate(m) if out)
+        sets.append((f"N^{E.label(g)}" + (f"_{{{exclude}}}" if any(m) else ""), flags))
+    first: dict[frozenset[int], str] = {}
+    for label, flags in sets:
         members = frozenset(j for j, inner in enumerate(flags) if inner)
-        if members and members not in seen:
-            catalog.append((n.render(E), members))
-            seen.add(members)
-    return catalog
+        if members:
+            first.setdefault(members, label)
+    return [(label, members) for members, label in first.items()]
 
 
 def is_zero_disjunctive(E: Semilattice) -> bool:

@@ -51,6 +51,7 @@ from .congruences import (
     random_idempotent_separating_congruences,
     related_products,
     transversal_defect,
+    transversal_defect_text,
 )
 from .errors import StructureError
 from .extensions import Subject, mu_projection_kernel
@@ -86,7 +87,6 @@ from .semilattices import (
     principal_filter,
     row_finder,
     symmetric_inverse_monoid,
-    tight_spectrum,
     ultrafilters,
 )
 
@@ -324,21 +324,27 @@ def _quotient_fundamental(run):
     return is_fundamental(run.sub.mu_quotient.target), ""
 
 
+def _spectrum(sub: Subject) -> list[frozenset[int]]:
+    """The subject's spectrum points as sets: the set-level oracle's input."""
+    return [principal_filter(sub.E, g) for g in sub.points.tolist()]
+
+
 @check("universal", "spectrum.filter_closures",
        "every filter is nonempty, meet-closed, upward closed, zero-free")
 def _filter_closures(run):
-    for F in run.sub.filters:
+    filters = _spectrum(run.sub)
+    for F in filters:
         if not is_filter(run.sub.E, F):
             return False, f"{sorted(F)} fails a closure property"
-    return True, f"{len(run.sub.filters)} filters"
+    return True, f"{len(filters)} filters"
 
 
 @check("universal", "spectrum.filters_principal",
        "the filters are exactly the principal upward closures")
 def _filters_principal(run):
-    """all_filters lists the principal filters; below the cap they must be
-    exactly the subsets that pass is_filter."""
-    E, filters = run.sub.E, set(run.sub.filters)
+    """The spectrum points name the principal filters; below the cap these
+    must be exactly the subsets that pass is_filter."""
+    E, filters = run.sub.E, set(_spectrum(run.sub))
     if E.size <= EXHAUSTIVE_FILTER_CAP and set(exhaustive_filters(E)) != filters:
         return False, "enumerated filters differ from the principal ones"
     return True, f"{len(filters)} principal filters"
@@ -512,17 +518,18 @@ def _partial_bijection_counts(run):
 @check("tight", "tight.ultrafilters_maximal",
        "ultrafilters are the maximal filters and exhaust the tight spectrum")
 def _ultrafilters_maximal(run):
-    """Each ultrafilter is maximal, and the tight spectrum is exactly the
-    principal filters of the atoms, the minimal elements of E without its
-    zero: an oracle that does not call ``ultrafilters``."""
+    """Each ultrafilter is maximal, and the ultrafilters, the tight spectrum
+    here, are exactly the principal filters of the atoms, the minimal
+    elements of E without its zero: an oracle that reads no filter list."""
     E = run.sub.E
     ultra = ultrafilters(E)
+    filters = _spectrum(run.sub)
     for F in ultra:
-        if any(F < G for G in run.sub.filters):
+        if any(F < G for G in filters):
             return False, f"{sorted(F)} is not maximal"
     nonzero = np.arange(E.size) != (-1 if E.zero is None else E.zero)
     atoms = np.flatnonzero(nonzero & ((E.order & nonzero[:, None]).sum(axis=0) == 1))
-    if set(tight_spectrum(E)) != {principal_filter(E, a) for a in atoms.tolist()}:
+    if set(ultra) != {principal_filter(E, a) for a in atoms.tolist()}:
         return False, "tight spectrum differs from the principal filters of the atoms"
     return True, f"{len(ultra)} ultrafilters"
 
@@ -710,9 +717,7 @@ def _split_transversal(run):
         return True, "no multiplicative transversal exists"
     defect = transversal_defect(run.sub.S, run.sub.mu_quotient, r)
     if defect is not None:
-        x, y = defect
-        return False, (f"not a section at class {x}" if y is None
-                       else f"not multiplicative at ({x},{y})")
+        return False, transversal_defect_text(defect)
     return True, f"transversal {list(r)}"
 
 

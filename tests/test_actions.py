@@ -33,6 +33,7 @@ from germlab.semilattices import (
     is_zero_disjunctive,
     munn_semigroup,
     semilattice_of,
+    spectrum_points,
     validate_semilattice,
 )
 
@@ -322,7 +323,7 @@ def test_spectrum_action_rejects_an_image_outside_a_truncated_filter_list():
     S = validate_inverse_semigroup(B2_TABLE)
     E = semilattice_of(S)
     with pytest.raises(StructureError, match="action image is not a filter of the spectrum"):
-        spectrum_action(S, all_filters(E)[:-1], E)
+        spectrum_action(S, spectrum_points(E)[:-1], E)
 
 
 def test_tight_restriction_rejects_an_action_that_leaves_the_tight_spectrum():
@@ -330,7 +331,7 @@ def test_tight_restriction_rejects_an_action_that_leaves_the_tight_spectrum():
     # semigroup swaps the filter {1} with an ultrafilter, up(a) = {a, 1}.
     S = diamond_munn()
     E = semilattice_of(S)
-    filters = all_filters(E)
+    points, filters = spectrum_points(E), all_filters(E)
     beta = universal_action(S)
     top = next(i for i, F in enumerate(filters) if len(F) == 1)
     ultra = next(i for i, F in enumerate(filters) if len(F) == 2)
@@ -339,14 +340,16 @@ def test_tight_restriction_rejects_an_action_that_leaves_the_tight_spectrum():
     maps[ident, [top, ultra]] = ultra, top
     moved = Action(S, beta.space_size, maps, beta.point_labels)
     with pytest.raises(StructureError, match="tight spectrum is not invariant"):
-        tight_restriction(moved, E, filters)
+        tight_restriction(moved, E, points)
 
 
-def _filter_set_maps(S, filters, E):
-    """Reference for spectrum_action: each image is the upward closure of
-    {s e s* : e in F}, looked up in the filter list (-1 when s*s is not in F)."""
+def _filter_set_maps(S, points, E):
+    """Reference for spectrum_action: each image of a filter F = up(g) is the
+    upward closure of {s e s* : e in F}, looked up among the points' filters
+    (-1 when s*s is not in F)."""
     to_sl = {e: i for i, e in enumerate(E.parent_index)}
     up = [frozenset(f for f in range(E.size) if E.leq(e, f)) for e in range(E.size)]
+    filters = [up[g] for g in points.tolist()]
     point_of = {F: i for i, F in enumerate(filters)}
     rows = []
     for s in S.elements():
@@ -369,17 +372,17 @@ def test_spectrum_action_equals_the_filter_set_image(name, monkeypatch):
     """On S and on the spectrum of S/mu matched to it, as the projection builds it."""
     seen = []
 
-    def recording(S, filters, E):
-        action = spectrum_action(S, filters, E)
-        seen.append((S, filters, E, action))
+    def recording(S, points, E):
+        action = spectrum_action(S, points, E)
+        seen.append((S, points, E, action))
         return action
 
     monkeypatch.setattr(extensions, "spectrum_action", recording)
     sub = extensions.Subject(builtin(name))
     sub.universal, sub.projection
     assert len(seen) == 2
-    for S, filters, E, action in seen:
-        assert action.maps.tolist() == _filter_set_maps(S, filters, E)
+    for S, points, E, action in seen:
+        assert action.maps.tolist() == _filter_set_maps(S, points, E)
 
 
 # ---------------------------------------------------------------------------

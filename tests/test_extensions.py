@@ -138,6 +138,14 @@ def test_split_decomposition_rejects_bad_transversal():
             semidirect_from_split(S, r)
 
 
+@pytest.mark.parametrize("r, witness", [((2, 0), "not a section at class 0"),
+                                          ((1, 3), "not multiplicative at (0,0)")])
+def test_bad_transversal_error_words_the_defect_as_the_check_does(r, witness):
+    with pytest.raises(NotATransversal) as err:
+        semidirect_from_split(builtin("clifford_chain:identity"), r)
+    assert str(err.value) == witness
+
+
 def external_semidirect_product(G, h_arrows, k_arrows):
     """H x| K built as a groupoid of its own, K acting on H by conjugation.
 

@@ -4,8 +4,8 @@ the loops they replaced.
 Each ``reference_*`` function is a replaced per-element loop, kept as the
 oracle: the n^3 associativity loop, the row-by-row homomorphism scan of
 ``validate_action``, the one-pair-at-a-time union-find behind congruence
-saturation, sigma and the D-class count, the filter-set forms of
-``isolating_basis_set`` and ``spectrum_basis``, the Theta catalog and least
+saturation, sigma and the D-class count, the filter-set form of
+``spectrum_basis``, the Theta catalog and least
 acting idempotents of ``germ_groupoid``, the block products of
 ``action_kernel``, the closure loops of ``induced_subgroupoid`` and the
 product loop of ``semilattice_of``.  The subjects are those of
@@ -49,15 +49,13 @@ from germlab.groupoids import FiniteGroupoid, validate_groupoid
 from germlab.semigroups import check_associativity, generating_set
 from germlab.semilattices import (
     Semilattice,
-    SpectrumBasisSet,
     all_filters,
     compose_after,
-    filter_generator,
-    isolating_basis_set,
     partial_bijection_semigroup,
     principal_filter,
     semilattice_of,
     spectrum_basis,
+    spectrum_points,
     tight_spectrum,
     validate_semilattice,
 )
@@ -194,29 +192,35 @@ def reference_principal_filter(E, e):
     return frozenset(f for f in range(E.size) if E.leq(e, f))
 
 
-def reference_isolating_basis_set(E, F):
-    gen = filter_generator(E, F)
-    outside = [f for f in range(E.size) if f not in F]
-    maximal = tuple(sorted(f for f in outside
-                           if not any(g != f and E.leq(f, g) for g in outside)))
-    return SpectrumBasisSet(gen, maximal)
+def reference_generator(E, F):
+    """The least member of a finite filter: the meet of its members."""
+    g = None
+    for e in F:
+        g = e if g is None else E.wedge(g, e)
+    assert g in F
+    return g
 
 
 def reference_spectrum_basis(E, filters):
-    catalog, seen = [], set()
-    for e in range(E.size):
-        if e == E.zero:
-            continue
-        n = SpectrumBasisSet(e, ())
-        members = n.members(filters)
-        if members and members not in seen:
-            catalog.append((n.render(E), members))
-            seen.add(members)
+    """N^e for each nonzero e, then the isolating set of each filter F (its
+    generator, excluding the maximal elements outside F), each kept if
+    nonempty and new; members by testing every filter."""
+    def render(include, exclude):
+        base = f"N^{E.label(include)}"
+        return base + "_{" + ",".join(E.label(f) for f in exclude) + "}" if exclude else base
+
+    sets = [(e, ()) for e in range(E.size) if e != E.zero]
     for F in filters:
-        n = reference_isolating_basis_set(E, F)
-        members = n.members(filters)
-        if members not in seen:
-            catalog.append((n.render(E), members))
+        outside = [f for f in range(E.size) if f not in F]
+        sets.append((reference_generator(E, F),
+                     tuple(sorted(f for f in outside
+                                  if not any(g != f and E.leq(f, g) for g in outside)))))
+    catalog, seen = [], set()
+    for include, exclude in sets:
+        members = frozenset(i for i, F in enumerate(filters)
+                            if include in F and not any(f in F for f in exclude))
+        if members and members not in seen:
+            catalog.append((render(include, exclude), members))
             seen.add(members)
     return catalog
 
@@ -461,9 +465,30 @@ def test_spectrum_basis_equals_the_filter_loops(name):
     for e in range(E.size):
         assert principal_filter(E, e) == reference_principal_filter(E, e)
     for filters in (all_filters(E), tight_spectrum(E)):
-        assert spectrum_basis(E, filters) == reference_spectrum_basis(E, filters)
-        for F in filters:
-            assert isolating_basis_set(E, F) == reference_isolating_basis_set(E, F)
+        points = np.array([reference_generator(E, F) for F in filters], dtype=np.intp)
+        assert spectrum_basis(E, points) == reference_spectrum_basis(E, filters)
+
+
+def relabelled(name, seed):
+    """A copy of the subject with its elements permuted at random."""
+    T = subject(name).table
+    perm = np.array(random.Random(seed).sample(range(len(T)), len(T)))
+    moved = np.empty_like(T)
+    moved[np.ix_(perm, perm)] = perm[T]
+    return semigroups.validate_inverse_semigroup(moved)
+
+
+@pytest.mark.parametrize("name", SUBJECTS + ("relabelled symmetric:4",))
+def test_spectrum_points_name_the_filters_in_canonical_order(name):
+    """The principal filters of the spectrum points, in order, are the
+    filters as the frozenset pipeline sorted them: by sorted members."""
+    S = relabelled("symmetric:4", 19) if name.startswith("relabelled") else subject(name)
+    E = semilattice_of(S)
+    canonical = sorted({reference_principal_filter(E, e) for e in range(E.size) if e != E.zero},
+                       key=lambda F: tuple(sorted(F)))
+    points = spectrum_points(E)
+    assert points.dtype == np.intp
+    assert [principal_filter(E, g) for g in points.tolist()] == canonical
 
 
 @pytest.mark.parametrize("name", ["b2", "diamond_munn", "symmetric:2"])
@@ -488,14 +513,6 @@ def test_commutation_cross_check_names_the_first_pair(table, pair):
     not associative, yet every element has exactly one inverse."""
     with pytest.raises(StructureError, match=r"idempotents {},{} do not commute".format(*pair)):
         semigroups.validate_inverse_semigroup(table, skip_associativity=True)
-
-
-def test_spectrum_basis_refuses_a_set_without_least_member():
-    E = validate_semilattice([[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]])
-    with pytest.raises(StructureError, match="filter is not meet-closed"):
-        spectrum_basis(E, [frozenset({1, 2, 3})])
-    with pytest.raises(StructureError, match="filter is not meet-closed"):
-        filter_generator(E, frozenset({1, 2, 3}))
 
 
 def test_wide_partial_bijections_take_a_multi_word_key():

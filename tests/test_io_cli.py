@@ -79,6 +79,26 @@ def test_graph_roundtrip(tmp_path):
     assert load_graph(str(path)) == g
 
 
+@pytest.mark.parametrize("doc", [
+    {"vertices": 2, "edges": 5},
+    {"vertices": 2, "edges": None},
+    {"vertices": True},
+    {"vertices": 2, "edges": [[True, 1]]},
+    {"vertices": 2, "edges": [[0, False]]},
+])
+def test_malformed_graph_is_input_error(tmp_path, capsys, doc):
+    """A non-array edge list, or a bool for the vertex count or an endpoint,
+    is a ParseError: exit 2 with one error line, not a traceback and the
+    check-failure code 1, and no bool is read as vertex 1 (a self-loop)."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError):
+        load_graph(str(path))
+    assert main(["check", f"builtin:graph:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_dot_export_marks_units_and_interior(tmp_path):
     G = universal_germs(builtin("diamond_munn")).groupoid
     text = groupoid_dot(G)

@@ -8,12 +8,12 @@ from germlab.semilattices import (
     EXHAUSTIVE_FILTER_CAP,
     all_filters,
     exhaustive_filters,
-    filter_generator,
     is_filter,
     is_zero_disjunctive,
-    isolating_basis_set,
     munn_semigroup,
     semilattice_of,
+    spectrum_basis,
+    spectrum_points,
     symmetric_inverse_monoid,
     tight_spectrum,
     ultrafilters,
@@ -125,19 +125,11 @@ def test_one_point_semilattice_spectrum():
     assert ultrafilters(E) == [frozenset({0})]
 
 
-def test_filter_generator_is_least_element():
+def test_spectrum_basis_isolates_the_top_filter_by_excluding_both_atoms():
     E = diamond()
-    assert filter_generator(E, frozenset({1, 3})) == 1
-    assert filter_generator(E, frozenset({3})) == 3
-
-
-def test_isolating_basis_set_of_top_filter_excludes_both_atoms():
-    E = diamond()
-    n = isolating_basis_set(E, frozenset({3}))
-    assert n.include == 3
-    assert n.exclude == (1, 2)
-    filters = all_filters(E)
-    assert n.members(filters) == {filters.index(frozenset({3}))}
+    points = spectrum_points(E)
+    assert points.tolist() == [1, 2, 3]
+    assert ("N^1_{a,b}", frozenset({2})) in spectrum_basis(E, points)
 
 
 def test_zero_disjunctive_predicate():

@@ -178,12 +178,15 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
 
     The counts are per distinct structure: germ groupoids and spectrum
     actions of S (universal, tight) and of S/mu on the matched spectrum;
-    mu, E and all_filters of S, plus mu and E of S/mu and mu of the Munn
+    mu and E of S, plus mu and E of S/mu and mu of the Munn
     semigroup that their own checks build (the Munn check certifies
     E(T_E) by its identity rows, without building E of T); quotients by
     mu and sigma.  The
-    universal action comes from the Subject, never from universal_action(S);
-    all_filters(E) also runs inside ultrafilters and tight_spectrum.
+    universal action comes from the Subject, never from universal_action(S).
+    The spectrum is the Subject's points, with no frozenset filters;
+    all_filters(E) runs only inside ultrafilters, once for the tight
+    restriction (through tight_spectrum) and once for
+    tight.ultrafilters_maximal.
     validate_groupoid runs in germ.groupoid_axioms, tight.action_valid and
     extension.projection_strongly_surjective, one per germ groupoid; no
     builder re-validates what it builds, and the semidirect decomposition
@@ -227,7 +230,7 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
         monkeypatch.setattr(FiniteGroupoid, name, prop)
     run_suite("symmetric:3", S, "all")
     assert dict(calls) == {"spectrum_action": 2, "germ_groupoid": 3, "mu_relation": 3,
-                           "quotient": 2, "semilattice_of": 2, "all_filters": 4,
+                           "quotient": 2, "semilattice_of": 2, "all_filters": 2,
                            "validate_groupoid": 3, "is_clifford": 1, "is_zero_disjunctive": 1,
                            "is_essentially_principal": 2, "extract_subgroupoid": 1}
     assert dict(computed) == {"isotropy": 2, "isotropy_interior": 2}
