@@ -7,18 +7,19 @@ partial bijections are the rows of one integer array, one row of point
 indices per element with -1 where the element is undefined, composed by
 ``semilattices.compose_after``.  The two canonical actions move the filters
 of the idempotent semilattice around: the universal one on all filters, the
-tight one restricted to ultrafilters.  Filters are principal, so a point is
-named by its generator, an index into E (``semilattices.spectrum_points``),
-and both actions are gathers of the multiplication table.
+tight one on the ultrafilters.  Filters are principal, so a point is named
+by its generator, an index into E (``spectrum_points``, and ``atoms`` for
+the tight one), and both actions are gathers of the multiplication table.
 
 Germs: pairs (s, x) with x in the domain of s, identified when the two
 elements agree after restriction to an idempotent whose domain contains x.
 The resulting arrows form a groupoid whose topology basis consists of the
 sets Theta(s, U) = {germ(s, x) : x in U} for U in the declared basis of the
-space.  The germs are numbered into ``germ_at``, an (elements, points)
-array with -1 outside each domain, in the shape of the action's rows; the
-groupoid's composition table is one gather of it, [t, s x] [s, x] =
-germ_at[t s, x].
+space.  A basis, of the space or of the groupoid, is a pair: one boolean row
+per set over the members, and the sets' labels.  The germs are numbered
+into ``germ_at``, an (elements, points) array with -1 outside each domain,
+in the shape of the action's rows; the groupoid's composition table is one
+gather of it, [t, s x] [s, x] = germ_at[t s, x].
 """
 
 from __future__ import annotations
@@ -43,17 +44,15 @@ from .semigroups import (
     centralizer,
     distinct,
     first_index,
-    membership,
     validate_inverse_semigroup,
 )
 from .semilattices import (
     Semilattice,
+    atoms,
     compose_after,
-    principal_filter,
     semilattice_of,
     spectrum_basis,
     spectrum_points,
-    tight_spectrum,
 )
 
 # validate_action certifies the homomorphism law on stacks of generators
@@ -73,7 +72,7 @@ class Action:
     space_size: int
     maps: np.ndarray
     point_labels: tuple[str, ...]
-    space_basis: tuple[tuple[str, frozenset[int]], ...] | None = None
+    space_basis: tuple[np.ndarray, tuple[str, ...]] | None = None
 
     def domain_of(self, s: int) -> frozenset[int]:
         return frozenset(np.flatnonzero(self.maps[s] >= 0).tolist())
@@ -150,8 +149,7 @@ def spectrum_action(S: InverseSemigroup, points: np.ndarray, E: Semilattice) -> 
         raise StructureError("action image is not a filter of the spectrum")
     maps = np.where(acts, images, -1)
     labels = tuple(f"up({E.label(g)})" for g in points.tolist())
-    basis = tuple(spectrum_basis(E, points))
-    return validate_action(S, points.size, maps, labels, basis)
+    return validate_action(S, points.size, maps, labels, spectrum_basis(E, points))
 
 
 def universal_action(S: InverseSemigroup) -> Action:
@@ -161,26 +159,9 @@ def universal_action(S: InverseSemigroup) -> Action:
 
 
 def tight_action(S: InverseSemigroup) -> Action:
-    """Restriction of the universal action to the (ultra)filter spectrum."""
+    """The universal action's gather on the atoms of E, the tight spectrum."""
     E = semilattice_of(S)
-    points = spectrum_points(E)
-    return tight_restriction(spectrum_action(S, points, E), E, points)
-
-
-def tight_restriction(full: Action, E: Semilattice, points: np.ndarray) -> Action:
-    """The universal action `full` on `points`, restricted to the points
-    whose principal filter lies in the tight spectrum."""
-    ultra = set(tight_spectrum(E))
-    keep = [i for i, g in enumerate(points.tolist()) if principal_filter(E, g) in ultra]
-    reindex = np.full(full.space_size, -1, dtype=np.intp)     # old point -> new
-    reindex[keep] = np.arange(len(keep))
-    kept = full.maps[:, keep]
-    maps = compose_after(reindex, kept)
-    if ((kept >= 0) & (maps < 0)).any():
-        raise StructureError("tight spectrum is not invariant")
-    labels = tuple(full.point_labels[old] for old in keep)
-    basis = tuple(spectrum_basis(E, points[keep]))
-    return validate_action(full.semigroup, len(keep), maps, labels, basis)
+    return spectrum_action(S, atoms(E), E)
 
 
 def action_kernel(action: Action) -> frozenset[int]:
@@ -249,27 +230,28 @@ def _least_acting_idempotents(action: Action) -> np.ndarray:
     return E[least.argmax(axis=0)]
 
 
-def _theta_catalog(S: InverseSemigroup, germ_at: np.ndarray, unit_catalog
-                   ) -> list[tuple[str, frozenset[int]]]:
+def _theta_catalog(S: InverseSemigroup, germ_at: np.ndarray, n_arrows: int,
+                   unit_catalog: tuple[np.ndarray, tuple[str, ...]]
+                   ) -> tuple[np.ndarray, tuple[str, ...]]:
     """The distinct nonempty sets Theta(s, U) = {[s, x] : x in U}, first
     occurrences over elements s, then the unit catalog's sets U, in order.
 
     The germs of s at different points differ (so do their sources), so
     Theta(s, U) is determined by its row over the points: [s, x] inside U,
     -1 elsewhere.  One product counts the points of every cut U and dom s,
-    and only the nonempty cuts' rows are formed and grouped.
+    and only the nonempty cuts' rows are formed, grouped and scattered.
     """
-    inside = membership([members for _, members in unit_catalog], germ_at.shape[1])
+    inside, unit_labels = unit_catalog
     cuts = (germ_at >= 0).astype(np.float32) @ inside.T.astype(np.float32)
     s, j = np.nonzero(cuts > 0)
     rows = np.where(inside[j], germ_at[s], -1)
-    s, j = s.tolist(), j.tolist()
-    first = Relation(rows).reps.tolist()
+    first = Relation(rows).reps
     kept = rows[first]
-    members = kept[kept >= 0].tolist()
-    ends = np.cumsum((kept >= 0).sum(axis=1)).tolist()
-    return [(f"Theta({S.labels[s[i]]},{unit_catalog[j[i]][0]})", frozenset(members[a:b]))
-            for i, a, b in zip(first, [0] + ends, ends)]
+    sets = np.zeros((first.size, n_arrows), dtype=bool)
+    at, x = np.nonzero(kept >= 0)
+    sets[at, kept[at, x]] = True
+    return sets, tuple(f"Theta({S.labels[a]},{unit_labels[b]})"
+                       for a, b in zip(s[first].tolist(), j[first].tolist()))
 
 
 def germ_groupoid(action: Action) -> GermGroupoid:
@@ -314,19 +296,20 @@ def germ_groupoid(action: Action) -> GermGroupoid:
     labels = tuple(f"[{S.label(s)}|{action.point_labels[x]}]"
                    for s, x in zip(rep_s.tolist(), rep_x.tolist()))
 
-    if action.space_basis is not None:
-        unit_catalog = list(action.space_basis)
-        declared = True
+    declared = action.space_basis is not None
+    if declared:
+        unit_catalog = action.space_basis
     else:
-        unit_catalog = [(f"D[{S.label(e)}]", action.domain_of(e))
-                        for e in S.idempotent_array.tolist() if action.domain_of(e)]
-        unit_catalog += [(f"{{{action.point_labels[x]}}}", frozenset({x}))
-                         for x in range(n_pts)]
-        declared = False
-    basis = _theta_catalog(S, germ_at, unit_catalog)
+        idems = S.idempotent_array
+        domains = maps[idems] >= 0
+        acting = domains.any(axis=1)
+        unit_catalog = (np.concatenate((domains[acting], np.eye(n_pts, dtype=bool))),
+                        tuple(f"D[{S.label(e)}]" for e in idems[acting].tolist())
+                        + tuple(f"{{{label}}}" for label in action.point_labels))
+    basis = _theta_catalog(S, germ_at, rep_s.size, unit_catalog)
 
     units = tuple(sorted(set(unit_at_point.tolist())))
-    G = FiniteGroupoid(rep_s.size, r, d, inv, table, units, labels, tuple(basis), declared)
+    G = FiniteGroupoid(rep_s.size, r, d, inv, table, units, labels, *basis, declared)
     return GermGroupoid(action, G, tuple(unit_at_point.tolist()), germ_at,
                         np.stack([rep_s, rep_x], axis=1), tuple(min_idem.tolist()))
 

@@ -40,7 +40,7 @@ from .semigroups import (
     is_e_unitary,
     is_zero_e_unitary,
 )
-from .semilattices import all_filters, is_zero_disjunctive, semilattice_of, ultrafilters
+from .semilattices import atoms, is_zero_disjunctive, semilattice_of, spectrum_points
 from .suites import SUITE_NAMES, global_reports, render_reports, run_suite
 
 PASS, CHECK_FAILURE, INPUT_ERROR = 0, 1, 2
@@ -92,8 +92,8 @@ def cmd_analyze(args) -> int:
         rows.append(("zero_disjunctive", "n/a (no zero)"))
     rows += [
         ("hausdorff", "true (finite: lower sets finitely generated)"),
-        ("filters", len(all_filters(E))),
-        ("ultrafilters", len(ultrafilters(E))),
+        ("filters", spectrum_points(E).size),
+        ("ultrafilters", atoms(E).size),
         ("h_classes", len(h_classes(S))),
         ("d_classes", _d_classes(S)),
     ]

@@ -24,7 +24,6 @@ from .actions import (
     germ_groupoid,
     induced_subgroupoid,
     spectrum_action,
-    tight_restriction,
 )
 from .congruences import (
     QuotientMap,
@@ -47,7 +46,7 @@ from .groupoids import (
     is_subgroupoid,
 )
 from .semigroups import InverseSemigroup, centralizer, first_index, is_clifford
-from .semilattices import Semilattice, is_zero_disjunctive, semilattice_of, spectrum_points
+from .semilattices import Semilattice, atoms, is_zero_disjunctive, semilattice_of, spectrum_points
 
 
 @dataclass
@@ -129,7 +128,7 @@ class Subject:
 
     @cached_property
     def tight(self) -> Action:
-        return tight_restriction(self.universal, self.E, self.points)
+        return spectrum_action(self.S, atoms(self.E), self.E)
 
     @cached_property
     def beta(self) -> GermGroupoid:

@@ -8,12 +8,12 @@ d(g) != r(h), the idiom of the semigroup table and of an action's rows.
 in column-major order (sorted by h, then g); the convolution sums in that
 order.
 
-The topology is carried as a catalog of labeled basis sets, produced by the
-germ construction.  Interior, openness and closedness consume only that
-catalog, so the computations follow the basis-set definitions even though
-every finite corpus groupoid ends up discrete.  Groupoids built directly
-(pair groupoids, group tables, ...) default to the discrete basis and are
-flagged as such.
+The topology is carried as a catalog of basis sets, boolean rows over the
+arrows named by ``basis_labels``, produced by the germ construction.
+Interior, openness and closedness consume only that catalog, so the
+computations follow the basis-set definitions even though every finite
+corpus groupoid ends up discrete.  Groupoids built directly (pair groupoids,
+group tables, ...) carry the discrete basis and are flagged as such.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SearchBudgetExceeded, StructureError
-from .semigroups import distinct, first_index
+from .semigroups import basis_catalog, distinct, first_index
 from .semilattices import compose_after
 
 ISO_SEARCH_CAP = 64
@@ -34,13 +34,11 @@ ISO_SEARCH_CAP = 64
 # groupoids take one batch and few numpy calls
 ASSOCIATIVITY_BATCH = 1 << 14
 
-Basis = tuple[tuple[str, frozenset[int]], ...]
-
 
 @dataclass(eq=False)
 class FiniteGroupoid:
     """Arrows with range/source/inverse arrays, a composition table (gh at
-    [g, h], -1 where d(g) != r(h)) and a labeled open basis."""
+    [g, h], -1 where d(g) != r(h)) and an open basis of labeled boolean rows."""
 
     n_arrows: int
     r: np.ndarray
@@ -49,7 +47,8 @@ class FiniteGroupoid:
     table: np.ndarray
     units: tuple[int, ...]
     labels: tuple[str, ...]
-    basis: Basis
+    basis: np.ndarray
+    basis_labels: tuple[str, ...]
     basis_declared: bool = True
 
     def arrows(self) -> range:
@@ -199,10 +198,6 @@ class GroupoidHom:
     map: tuple[int, ...]
 
 
-def discrete_basis(n: int, labels) -> Basis:
-    return tuple((f"{{{labels[a]}}}", frozenset({a})) for a in range(n))
-
-
 def _members(G: FiniteGroupoid, subset) -> np.ndarray:
     """The boolean indicator of an arrow set."""
     out = np.zeros(G.n_arrows, dtype=bool)
@@ -238,6 +233,8 @@ def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     units = np.asarray(G.units, dtype=np.intp)
     if table.shape != (n, n) or any(a.shape != (n,) for a in (r, d, inv)):
         raise StructureError(f"composition table and arrow arrays must cover {n} arrows")
+    if G.basis.dtype != bool or G.basis.shape != (len(G.basis_labels), n):
+        raise StructureError(f"basis must be one labeled boolean row over {n} arrows per set")
     if ((table < -1) | (table >= n)).any():
         raise StructureError("composition table entry out of range")
     ends = np.concatenate((r, d, inv, units))
@@ -324,24 +321,19 @@ def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     if witness is not None:
         i, k = witness
         raise StructureError(f"associativity fails at ({left[i]},{right[i]},{k})")
-    for _, members in G.basis:
-        if any(a < 0 or a >= n for a in members):
-            raise StructureError("basis set out of range")
     return G
 
 
-def make_groupoid(r, d, inv, table, labels=None, basis=None) -> FiniteGroupoid:
+def make_groupoid(r, d, inv, table, labels=None) -> FiniteGroupoid:
     """Assemble and validate a groupoid from its arrays and composition table
-    (-1 where undefined); units are derived, basis defaults to discrete."""
+    (-1 where undefined); units are derived, and the basis is discrete."""
     r, d, inv, table = (np.asarray(a, dtype=np.intp) for a in (r, d, inv, table))
     n = len(r)
     units = tuple(sorted({*r.tolist(), *d.tolist()}))
     if labels is None:
         labels = tuple(f"g{a}" for a in range(n))
-    declared = basis is not None
-    if basis is None:
-        basis = discrete_basis(n, labels)
-    G = FiniteGroupoid(n, r, d, inv, table, units, tuple(labels), tuple(basis), declared)
+    G = FiniteGroupoid(n, r, d, inv, table, units, tuple(labels), np.eye(n, dtype=bool),
+                       tuple(f"{{{label}}}" for label in labels), False)
     return validate_groupoid(G)
 
 
@@ -356,11 +348,11 @@ def iso_bundle(G: FiniteGroupoid) -> frozenset[int]:
 def interior_witnesses(G: FiniteGroupoid, subset: frozenset[int]
                        ) -> dict[int, str]:
     """Interior points of an arrow set, each with the first basis witness."""
+    within = np.flatnonzero((G.basis <= _members(G, subset)).all(axis=1))
+    rows, arrows = np.nonzero(G.basis[within])
     out: dict[int, str] = {}
-    for label, members in G.basis:
-        if members and members <= subset:
-            for a in members:
-                out.setdefault(a, label)
+    for i, a in zip(within[rows].tolist(), arrows.tolist()):
+        out.setdefault(a, G.basis_labels[i])
     return out
 
 
@@ -390,8 +382,8 @@ def is_essentially_principal(G: FiniteGroupoid) -> bool:
 
 def is_effective(G: FiniteGroupoid) -> bool:
     """No nonempty basic open set off the units consists of isotropy only."""
-    iso_off_units = iso_bundle(G) - frozenset(G.units)
-    return not any(members and members <= iso_off_units for _, members in G.basis)
+    iso_off_units = (G.r == G.d) & ~_members(G, G.units)
+    return not G.basis[(G.basis <= iso_off_units).all(axis=1)].any()
 
 
 def fiber_group(G: FiniteGroupoid, u: int) -> FiniteGroup:
@@ -446,7 +438,7 @@ def extract_subgroupoid(G: FiniteGroupoid, subset: frozenset[int]
     subset closed under inverses and composition holds r(a) = a a^-1 and
     d(a) = a^-1 a for each of its arrows, so the copy is a groupoid and is
     not validated again.  Its table is a gather of G's, renumbered by the
-    index row from G's arrows to the copy's.
+    index row from G's arrows to the copy's, and its basis gathers columns.
     """
     if not is_subgroupoid(G, subset):
         raise StructureError("arrow set is not a subgroupoid")
@@ -456,16 +448,10 @@ def extract_subgroupoid(G: FiniteGroupoid, subset: frozenset[int]
     table = compose_after(back, G.table[order[:, None], order])
     back_of = back.tolist()
     labels = tuple(G.label(a) for a in order.tolist())
-    basis = []
-    seen = set()
-    for label, members in G.basis:
-        cut = frozenset(back_of[a] for a in members if back_of[a] >= 0)
-        if cut and cut not in seen:
-            basis.append((label + "|sub", cut))
-            seen.add(cut)
+    basis = basis_catalog(G.basis[:, order], [label + "|sub" for label in G.basis_labels])
     units = tuple(sorted(back_of[u] for u in G.units if back_of[u] >= 0))
     H = FiniteGroupoid(order.size, back[G.r[order]], back[G.d[order]], back[G.inv[order]],
-                       table, units, labels, tuple(basis), G.basis_declared)
+                       table, units, labels, *basis, G.basis_declared)
     return H, tuple(order.tolist())
 
 

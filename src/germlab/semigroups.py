@@ -202,13 +202,12 @@ def distinct(values: np.ndarray) -> np.ndarray:
     return flat[keep]
 
 
-def membership(sets, size: int) -> np.ndarray:
-    """Boolean matrix whose row i marks the members of sets[i] in 0..size-1."""
-    inside = np.zeros((len(sets), size), dtype=bool)
-    sizes = [len(m) for m in sets]
-    inside[np.repeat(np.arange(len(sets)), sizes),
-           np.fromiter((x for m in sets for x in m), dtype=np.intp, count=sum(sizes))] = True
-    return inside
+def basis_catalog(sets: np.ndarray, labels) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Each distinct nonempty row of a boolean array once, in row order,
+    under the label of its first occurrence: the form of every basis."""
+    nonempty = np.flatnonzero(sets.any(axis=1))
+    first = nonempty[Relation(sets[nonempty]).reps]
+    return sets[first], tuple(labels[i] for i in first.tolist())
 
 
 def first_index(mask: np.ndarray) -> tuple[int, ...] | None:

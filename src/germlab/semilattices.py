@@ -3,9 +3,11 @@
 Every filter of a finite semilattice is principal (it contains the meet of
 its members), so a point of the filter spectrum is named by its generator,
 and a spectrum is an index array of generators (``spectrum_points``).  The
-frozensets of ``all_filters`` and ``ultrafilters`` are the principal filters
-of such points; ``is_filter`` and ``exhaustive_filters``, which tests every
-subset, are the set-level reference of the checks ``spectrum.*``.
+ultrafilters are the principal filters of the atoms, so the tight spectrum
+is the index array ``atoms``.  The frozensets of ``all_filters`` and
+``ultrafilters`` are the principal filters of such points; ``is_filter`` and
+``exhaustive_filters``, which tests every subset, are the set-level
+reference of the checks ``spectrum.*``.
 
 A partial bijection of p points is a row of p point indices, -1 where it is
 undefined; ``compose_after`` is the one composition of such rows, shared by
@@ -15,7 +17,7 @@ keys are sorted once and every composed row is found by ``np.searchsorted``,
 as ``spectrum.munn_fundamental`` finds the identity rows of a Munn semigroup.
 
 The order of a semilattice is one cached boolean matrix, ``Semilattice.order``;
-principal filters and the basis sets of the spectrum are masks of it.
+principal filters and the basis rows of the spectrum are masks of it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .errors import SizeBudgetExceeded, StructureError, ZeroRequired
-from .semigroups import InverseSemigroup, validate_inverse_semigroup
+from .semigroups import InverseSemigroup, basis_catalog, validate_inverse_semigroup
 
 EXHAUSTIVE_FILTER_CAP = 20
 MUNN_ELEMENT_CAP = 512
@@ -175,10 +177,17 @@ def exhaustive_filters(E: Semilattice) -> list[frozenset[int]]:
                   key=lambda F: tuple(sorted(F)))
 
 
+def atoms(E: Semilattice) -> np.ndarray:
+    """The points of the tight spectrum, in ``spectrum_points`` order: the
+    atoms of E, the points with no other point below them, whose principal
+    filters are the maximal filters."""
+    points = spectrum_points(E)
+    return points[E.order[np.ix_(points, points)].sum(axis=0) == 1]
+
+
 def ultrafilters(E: Semilattice) -> list[frozenset[int]]:
     """Maximal filters; for a finite semilattice, the filters of its atoms."""
-    filters = all_filters(E)
-    return [F for F in filters if not any(F < G for G in filters)]
+    return [principal_filter(E, a) for a in atoms(E).tolist()]
 
 
 def tight_spectrum(E: Semilattice) -> list[frozenset[int]]:
@@ -186,8 +195,8 @@ def tight_spectrum(E: Semilattice) -> list[frozenset[int]]:
     return ultrafilters(E)
 
 
-def spectrum_basis(E: Semilattice, points: np.ndarray) -> list[tuple[str, frozenset[int]]]:
-    """Labeled open basis of the (discrete) space of the given points.
+def spectrum_basis(E: Semilattice, points: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Labeled boolean rows over the points: a basis of their (discrete) space.
 
     Contains the domains of the idempotents together with one isolating set
     per point, so interior computations driven by this catalog agree with the
@@ -204,17 +213,12 @@ def spectrum_basis(E: Semilattice, points: np.ndarray) -> list[tuple[str, frozen
     maximal = outside & ~(outside[:, None, :] & strictly).any(axis=2)
     # isolated[i, j]: point j is in the isolating set of point i
     isolated = inside[:, points].T & ~(inside & maximal[:, None, :]).any(axis=2)
-    sets = [(f"N^{E.label(e)}", flags)
-            for e, flags in enumerate(inside.T.tolist()) if e != E.zero]
-    for g, m, flags in zip(points.tolist(), maximal.tolist(), isolated.tolist()):
+    nonzero = np.arange(E.size) != (-1 if E.zero is None else E.zero)
+    labels = [f"N^{E.label(e)}" for e in np.flatnonzero(nonzero).tolist()]
+    for g, m in zip(points.tolist(), maximal.tolist()):
         exclude = ",".join(E.label(f) for f, out in enumerate(m) if out)
-        sets.append((f"N^{E.label(g)}" + (f"_{{{exclude}}}" if any(m) else ""), flags))
-    first: dict[frozenset[int], str] = {}
-    for label, flags in sets:
-        members = frozenset(j for j, inner in enumerate(flags) if inner)
-        if members:
-            first.setdefault(members, label)
-    return [(label, members) for members, label in first.items()]
+        labels.append(f"N^{E.label(g)}" + (f"_{{{exclude}}}" if any(m) else ""))
+    return basis_catalog(np.concatenate((inside.T[nonzero], isolated)), labels)
 
 
 def is_zero_disjunctive(E: Semilattice) -> bool:

@@ -58,15 +58,22 @@ def _tracing_module():
     return module
 
 
-@pytest.mark.parametrize("name,pairs,convolve_ops", [
-    ("b2", 16, 8), ("symmetric:3", 198, 171), ("group:s3", 72, 36),
+@pytest.mark.parametrize("name,pairs,convolve_ops,basis_sets,filters,ultrafilters", [
+    ("b2", 16, 8, 8, 2, 2), ("symmetric:3", 198, 171, 90, 7, 3), ("group:s3", 72, 36, 12, 1, 1),
 ])
-def test_traced_pipeline_runs_and_counts_the_composable_pairs(name, pairs, convolve_ops):
-    """``groupoids.composable_pairs`` adds up the universal and the tight
-    groupoid's pairs; ``algebra.convolve_ops`` counts the universal one's,
-    which each convolution sums over."""
+def test_traced_pipeline_runs_and_counts_the_composable_pairs(name, pairs, convolve_ops,
+                                                              basis_sets, filters, ultrafilters):
+    """``groupoids.composable_pairs`` and ``groupoids.basis_sets`` add up the
+    universal and the tight groupoid's pairs and basis sets (``len(G.basis)``
+    counts the rows of the basis array); ``algebra.convolve_ops`` counts the
+    universal one's pairs, which each convolution sums over; the
+    ``semilattices`` counts are the lengths of ``all_filters`` and
+    ``ultrafilters``."""
     tracing = _tracing_module()
     tracer = tracing.Tracer()
     tracing._pipeline(tracer, name, builtin(name), cubic_checks=True)
     assert tracer.counts["groupoids.composable_pairs"] == pairs
     assert tracer.counts["algebra.convolve_ops"] == convolve_ops
+    assert tracer.counts["groupoids.basis_sets"] == basis_sets
+    assert tracer.counts["semilattices.filters"] == filters
+    assert tracer.counts["semilattices.ultrafilters"] == ultrafilters

@@ -130,7 +130,8 @@ def test_split_decomposition_of_brandt_times_z2():
 
 
 def test_split_decomposition_rejects_bad_transversal():
-    # (1, 3) picks non-idempotents, not a section of mu; 99 and -1 are no
+    # (1, 3) picks a non-idempotent in each class, a section of mu that is
+    # not multiplicative (f.1 f.1 = f.0, not f.1); 99 and -1 are no
     # elements, and -1 must not index from the end; (0,) misses a class
     S = builtin("clifford_chain:identity")
     for r in ((1, 3), (99, 2), (-1, 2), (0,)):

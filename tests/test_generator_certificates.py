@@ -5,14 +5,17 @@ Each ``reference_*`` function is a replaced per-element loop, kept as the
 oracle: the n^3 associativity loop, the row-by-row homomorphism scan of
 ``validate_action``, the one-pair-at-a-time union-find behind congruence
 saturation, sigma and the D-class count, the filter-set form of
-``spectrum_basis``, the Theta catalog and least
-acting idempotents of ``germ_groupoid``, the block products of
+``spectrum_basis``, the restriction of the universal action to the maximal
+filters that ``tight_action`` replaced, the Theta catalog and least
+acting idempotents of ``germ_groupoid``, the frozenset loops of the
+topology predicates, the block products of
 ``action_kernel``, the closure loops of ``induced_subgroupoid`` and the
 product loop of ``semilattice_of``.  The subjects are those of
 ``test_order_congruence_tables``: the corpus, ``symmetric:4``,
 ``group:z70``, ``symmetric:3 x group:z2`` and ``graph7``.
 """
 
+import dataclasses
 import random
 import zlib
 from collections import Counter
@@ -24,6 +27,7 @@ from germlab import actions, congruences, groupoids, semigroups
 from germlab.actions import (
     Action,
     action_kernel,
+    centralizer_germs,
     germ_groupoid,
     induced_subgroupoid,
     tight_action,
@@ -45,7 +49,16 @@ from germlab.errors import (
     NotSubsemigroup,
     StructureError,
 )
-from germlab.groupoids import FiniteGroupoid, validate_groupoid
+from germlab.groupoids import (
+    FiniteGroupoid,
+    interior,
+    interior_witnesses,
+    is_closed,
+    is_effective,
+    is_open,
+    iso_bundle,
+    validate_groupoid,
+)
 from germlab.semigroups import check_associativity, generating_set
 from germlab.semilattices import (
     Semilattice,
@@ -61,6 +74,7 @@ from germlab.semilattices import (
 )
 from germlab.suites import run_suite
 
+from test_actions import labeled_sets
 from test_groupoids import LOOP_GROUPOID, PAIR2, _reference_axioms, _single_entry_corruptions
 from test_order_congruence_tables import GRAPH7, LADDER, SUBJECTS, subject, subsets
 from test_semigroups import table_from_maps
@@ -239,11 +253,23 @@ def reference_min_idempotents(action):
     return tuple(out)
 
 
+def reference_tight_restriction(universal, E, points):
+    """The universal action on the given points, restricted to those whose
+    principal filter is maximal among theirs by pairwise inclusion and
+    renumbered in order: (maps, point labels, filter-loop basis)."""
+    filters = [reference_principal_filter(E, g) for g in points.tolist()]
+    keep = [i for i, F in enumerate(filters) if not any(F < G for G in filters)]
+    new = {old: i for i, old in enumerate(keep)}
+    maps = [[new[y] if y >= 0 else -1 for y in row] for row in universal.maps[:, keep].tolist()]
+    return (maps, tuple(universal.point_labels[i] for i in keep),
+            tuple(reference_spectrum_basis(E, [filters[i] for i in keep])))
+
+
 def reference_theta_catalog(germs):
     action, S = germs.action, germs.action.semigroup
     domains = [action.domain_of(s) for s in S.elements()]
     if action.space_basis is not None:
-        unit_catalog = list(action.space_basis)
+        unit_catalog = labeled_sets(*action.space_basis)
     else:
         unit_catalog = [(f"D[{S.label(e)}]", domains[e])
                         for e in sorted(S.idempotent_set) if domains[e]]
@@ -466,7 +492,8 @@ def test_spectrum_basis_equals_the_filter_loops(name):
         assert principal_filter(E, e) == reference_principal_filter(E, e)
     for filters in (all_filters(E), tight_spectrum(E)):
         points = np.array([reference_generator(E, F) for F in filters], dtype=np.intp)
-        assert spectrum_basis(E, points) == reference_spectrum_basis(E, filters)
+        expected = tuple(reference_spectrum_basis(E, filters))
+        assert labeled_sets(*spectrum_basis(E, points)) == expected
 
 
 def relabelled(name, seed):
@@ -489,6 +516,19 @@ def test_spectrum_points_name_the_filters_in_canonical_order(name):
     points = spectrum_points(E)
     assert points.dtype == np.intp
     assert [principal_filter(E, g) for g in points.tolist()] == canonical
+
+
+@pytest.mark.parametrize("name", SUBJECTS + ("relabelled symmetric:4",))
+def test_tight_action_is_the_universal_action_on_the_atoms(name):
+    """The gather on the atoms gives the universal action's maps on the
+    maximal filters, renumbered, their point labels and their basis."""
+    S = relabelled("symmetric:4", 19) if name.startswith("relabelled") else subject(name)
+    E = semilattice_of(S)
+    tight = tight_action(S)
+    maps, labels, basis = reference_tight_restriction(universal_action(S), E, spectrum_points(E))
+    assert tight.maps.tolist() == maps
+    assert tight.point_labels == labels
+    assert labeled_sets(*tight.space_basis) == basis
 
 
 @pytest.mark.parametrize("name", ["b2", "diamond_munn", "symmetric:2"])
@@ -547,7 +587,8 @@ def test_germ_catalog_and_base_idempotents_equal_the_loops(name):
         for a in (action, undeclared):
             germs = germ_groupoid(a)
             assert germs.base_idempotent == reference_min_idempotents(a)
-            assert germs.groupoid.basis == reference_theta_catalog(germs)
+            G = germs.groupoid
+            assert labeled_sets(G.basis, G.basis_labels) == reference_theta_catalog(germs)
         assert action_kernel(action) == reference_action_kernel(action)
 
 
@@ -593,7 +634,69 @@ def relabeled_union(parts, perm):
         units += perm[at + np.asarray(G.units)].tolist()
         at += G.n_arrows
     return FiniteGroupoid(n, r, d, inv, table, tuple(sorted(units)),
-                          tuple(f"a{a}" for a in range(n)), ())
+                          tuple(f"a{a}" for a in range(n)), np.zeros((0, n), dtype=bool), ())
+
+
+def reference_interior_witnesses(G, subset):
+    out = {}
+    for label, members in labeled_sets(G.basis, G.basis_labels):
+        if members and members <= subset:
+            for a in members:
+                out.setdefault(a, label)
+    return out
+
+
+def reference_is_open(G, subset):
+    return frozenset(reference_interior_witnesses(G, subset)) == subset
+
+
+def reference_is_effective(G):
+    iso_off_units = iso_bundle(G) - frozenset(G.units)
+    return not any(members and members <= iso_off_units
+                   for _, members in labeled_sets(G.basis, G.basis_labels))
+
+
+def _topologies(name):
+    """The universal and tight germ groupoids of a subject, their
+    centralizer copies, and each of the four with only its basis sets of
+    two or more arrows, a coarser topology."""
+    out = []
+    for germs in (germ_groupoid(action) for action in _actions(name)):
+        out += [germs.groupoid, centralizer_germs(germs).groupoid]
+    for G in out[:4]:
+        wide = G.basis.sum(axis=1) > 1
+        out.append(dataclasses.replace(G, basis=G.basis[wide],
+                                       basis_labels=tuple(np.array(G.basis_labels)[wide])))
+    return out
+
+
+@pytest.mark.parametrize("name", SUBJECTS + ("no basis sets",))
+def test_topology_predicates_equal_the_frozenset_loops(name):
+    """interior_witnesses, interior, is_open, is_closed and is_effective on
+    the empty set, all arrows, the isotropy, the units, the isotropy off
+    the units, and random arrow sets and unions of basis sets; on a
+    groupoid without basis sets every nonempty set has empty interior."""
+    if name == "no basis sets":
+        G = relabeled_union((PAIR2, PAIR2), np.arange(8))
+        assert len(G.basis) == 0 and interior(G, frozenset(range(8))) == frozenset()
+        topologies = [G]
+    else:
+        topologies = _topologies(name)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    for G in topologies:
+        n = G.n_arrows
+        iso, units = iso_bundle(G), frozenset(G.units)
+        subsets = [frozenset(), frozenset(range(n)), iso, units, iso - units]
+        subsets += [frozenset(np.flatnonzero(rng.random(n) < 0.5).tolist()) for _ in range(3)]
+        subsets += [frozenset(np.flatnonzero(G.basis[rng.random(len(G.basis)) < 0.2]
+                                             .any(axis=0)).tolist()) for _ in range(3)]
+        for subset in subsets:
+            witnesses = reference_interior_witnesses(G, subset)
+            assert interior_witnesses(G, subset) == witnesses
+            assert interior(G, subset) == frozenset(witnesses)
+            assert is_open(G, subset) == reference_is_open(G, subset)
+            assert is_closed(G, subset) == reference_is_open(G, frozenset(range(n)) - subset)
+        assert is_effective(G) == reference_is_effective(G)
 
 
 @pytest.mark.parametrize("batch", [0, groupoids.ASSOCIATIVITY_BATCH])

@@ -21,6 +21,7 @@ from germlab.io import (
     save_graph,
     save_semigroup,
 )
+from germlab.semilattices import exhaustive_filters, semilattice_of
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -150,6 +151,17 @@ def test_cli_analyze_and_germs(tmp_path, capsys):
     assert main(["germs", "builtin:diamond_munn", "--action", "tight",
                  "--dot", str(dot)]) == 0
     assert dot.exists()
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_cli_analyze_counts_the_filters_and_the_maximal_filters(name, capsys):
+    """The ``filters`` and ``ultrafilters`` rows against every subset that
+    passes ``is_filter`` and the maximal ones among them."""
+    assert main(["analyze", f"builtin:{name}"]) == 0
+    rows = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+    filters = exhaustive_filters(semilattice_of(builtin(name)))
+    maximal = [F for F in filters if not any(F < G for G in filters)]
+    assert (rows["filters"], rows["ultrafilters"]) == (str(len(filters)), str(len(maximal)))
 
 
 def test_cli_example_emits_loadable_json(tmp_path, capsys):

@@ -177,16 +177,16 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
     """One ``run_suite`` call over all four suites shares one Subject.
 
     The counts are per distinct structure: germ groupoids and spectrum
-    actions of S (universal, tight) and of S/mu on the matched spectrum;
+    actions of S (universal, tight: the same gather on the atoms) and of
+    S/mu on the matched spectrum;
     mu and E of S, plus mu and E of S/mu and mu of the Munn
     semigroup that their own checks build (the Munn check certifies
     E(T_E) by its identity rows, without building E of T); quotients by
     mu and sigma.  The
     universal action comes from the Subject, never from universal_action(S).
-    The spectrum is the Subject's points, with no frozenset filters;
-    all_filters(E) runs only inside ultrafilters, once for the tight
-    restriction (through tight_spectrum) and once for
-    tight.ultrafilters_maximal.
+    The spectrum is the Subject's points, with no frozenset filters, and
+    all_filters(E) never runs: ultrafilters reads the atoms, and
+    tight.ultrafilters_maximal builds its filters from the points.
     validate_groupoid runs in germ.groupoid_axioms, tight.action_valid and
     extension.projection_strongly_surjective, one per germ groupoid; no
     builder re-validates what it builds, and the semidirect decomposition
@@ -229,8 +229,8 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
         prop.__set_name__(FiniteGroupoid, name)
         monkeypatch.setattr(FiniteGroupoid, name, prop)
     run_suite("symmetric:3", S, "all")
-    assert dict(calls) == {"spectrum_action": 2, "germ_groupoid": 3, "mu_relation": 3,
-                           "quotient": 2, "semilattice_of": 2, "all_filters": 2,
+    assert dict(calls) == {"spectrum_action": 3, "germ_groupoid": 3, "mu_relation": 3,
+                           "quotient": 2, "semilattice_of": 2,
                            "validate_groupoid": 3, "is_clifford": 1, "is_zero_disjunctive": 1,
                            "is_essentially_principal": 2, "extract_subgroupoid": 1}
     assert dict(computed) == {"isotropy": 2, "isotropy_interior": 2}
@@ -335,14 +335,14 @@ def test_action_kernel_is_checked_by_the_base_dichotomy(kernel, witness):
 
 
 def test_ultrafilter_check_compares_the_tight_spectrum_with_the_atoms(monkeypatch):
-    """One maximal filter dropped from ``ultrafilters`` everywhere, the tight
-    spectrum too: the rest are still maximal, so only the principal filters
-    of the atoms catch it."""
+    """One atom's filter dropped from ``ultrafilters`` everywhere, the tight
+    spectrum too: the rest are still maximal, so only the maximal filters
+    found by pairwise inclusion catch it."""
     real = semilattices.ultrafilters
     monkeypatch.setattr(semilattices, "ultrafilters", lambda E: real(E)[1:])
     monkeypatch.setattr(suites, "ultrafilters", semilattices.ultrafilters)
     _fails(_check(builtin("diamond_munn"), "tight.ultrafilters_maximal"),
-           "tight spectrum differs from the principal filters of the atoms")
+           "a maximal filter is not an ultrafilter")
 
 
 def test_munn_check_reports_a_non_fundamental_semigroup(monkeypatch):
