@@ -472,7 +472,8 @@ def graph_inverse_semigroup(graph: DirectedGraph) -> InverseSemigroup:
     The graph must be acyclic so the path set is finite.  Products compare
     the middle paths: one must extend the other, otherwise the product is
     zero.  The idempotent semilattice is checked to be unambiguous at zero
-    (nonzero meets only between comparable idempotents).
+    (nonzero meets only between comparable idempotents).  The result keeps
+    the graph as ``S.graph``.
     """
     if not _is_acyclic(graph):
         raise CyclicGraph("graph inverse semigroup needs an acyclic graph")
@@ -517,4 +518,5 @@ def graph_inverse_semigroup(graph: DirectedGraph) -> InverseSemigroup:
             p = S.mul(e, f)
             if p != S.zero and not (S.leq[e, f] or S.leq[f, e]):
                 raise StructureError("idempotent semilattice is ambiguous at zero")
+    S.graph = graph
     return S

@@ -24,9 +24,14 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import StructureError, UnknownName
+from .errors import SizeBudgetExceeded, StructureError, UnknownName
 from .actions import DirectedGraph, graph_inverse_semigroup
-from .semigroups import InverseSemigroup, direct_product, validate_inverse_semigroup
+from .semigroups import (
+    ASSOCIATIVITY_CAP,
+    InverseSemigroup,
+    direct_product,
+    validate_inverse_semigroup,
+)
 from .semilattices import (
     Semilattice,
     munn_semigroup,
@@ -207,6 +212,16 @@ def semilattice_as_semigroup(E: Semilattice) -> InverseSemigroup:
     return validate_inverse_semigroup(E.meet, E.labels)
 
 
+def _element_count(text: str, what: str) -> int:
+    """The element count n in a builtin name, refused before anything is
+    built unless 1 <= n <= ASSOCIATIVITY_CAP, the largest table that the
+    associativity test takes."""
+    n = int(text)
+    if not 1 <= n <= ASSOCIATIVITY_CAP:
+        raise SizeBudgetExceeded(f"{what} bound is 1 <= n <= {ASSOCIATIVITY_CAP}, got n={n}")
+    return n
+
+
 def builtin(name: str) -> InverseSemigroup:
     """Construct a named example; see the module docstring for the catalog."""
     head, _, arg = name.partition(":")
@@ -223,7 +238,7 @@ def builtin(name: str) -> InverseSemigroup:
             return clifford_chain(arg)
         if head == "group":
             if arg.startswith("z"):
-                return cyclic_group(int(arg[1:]))
+                return cyclic_group(_element_count(arg[1:], "cyclic group"))
             if arg == "klein":
                 return klein_group()
             if arg == "s3":
@@ -234,7 +249,8 @@ def builtin(name: str) -> InverseSemigroup:
             if arg == "vee":
                 return semilattice_as_semigroup(vee_semilattice())
             if arg.startswith("chain"):
-                return semilattice_as_semigroup(chain_semilattice(int(arg[5:])))
+                E = chain_semilattice(_element_count(arg[5:], "chain semilattice"))
+                return semilattice_as_semigroup(E)
         if head == "graph":
             if arg in NAMED_GRAPHS:
                 return graph_inverse_semigroup(NAMED_GRAPHS[arg])

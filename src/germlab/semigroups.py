@@ -42,7 +42,12 @@ class InverseSemigroup:
     A table validated for associativity keeps the set that Light's test ran
     on; any other computes it on first use.  Every law that is closed under
     products is certified on it.
+
+    ``graph`` is the ``DirectedGraph`` a graph inverse semigroup was built
+    from (``actions.graph_inverse_semigroup``), and None for any other.
     """
+
+    graph = None
 
     def __init__(self, table: np.ndarray, inv: tuple[int, ...], zero: int | None,
                  labels: tuple[str, ...], generators: np.ndarray | None = None):

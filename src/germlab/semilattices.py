@@ -384,7 +384,8 @@ def _munn_label(E: Semilattice, m: dict[int, int]) -> str:
 def symmetric_inverse_monoid(n: int) -> InverseSemigroup:
     """All partial bijections of an n-point set under composition."""
     if n < 0 or n > SYMMETRIC_POINT_CAP:
-        raise SizeBudgetExceeded(f"symmetric inverse monoid bound is n <= {SYMMETRIC_POINT_CAP}")
+        raise SizeBudgetExceeded(
+            f"symmetric inverse monoid bound is 0 <= n <= {SYMMETRIC_POINT_CAP}, got n={n}")
     maps = sorted((k, tuple(zip(dom, img))) for k in range(n + 1)
                   for dom in combinations(range(n), k)
                   for img in permutations(range(n), k))

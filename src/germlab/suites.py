@@ -42,7 +42,6 @@ import numpy as np
 
 from . import algebra as alg
 from .actions import domains_form_base, germ_equivalence_is_equivalence
-from .builtins import NAMED_GRAPHS
 from .congruences import (
     congruence_witness,
     is_fundamental,
@@ -629,8 +628,7 @@ def _base_dichotomy_tight(run):
 @check("tight", "tight.graph_zero_disjunctive",
        "a graph semigroup is 0-disjunctive exactly when no vertex has in-degree 1")
 def _graph_zero_disjunctive(run):
-    graph = NAMED_GRAPHS.get(run.name.partition(":")[2]) \
-        if run.name.startswith("graph:") else None
+    graph = run.sub.S.graph
     if graph is None:
         return True, "vacuous: not a graph semigroup subject"
     has_in_degree_one = any(graph.in_degree(v) == 1 for v in range(graph.n_vertices))

@@ -307,7 +307,8 @@ def test_symmetric5_all_suites_budget():
     # every suite on symmetric:5, from building the table to the last check;
     # the extension and algebra suites' split transversal and norms are the
     # costs this bounds: one certificate comparison instead of a search, and
-    # one SVD per orbit (5 blocks instead of 31 per function)
+    # one Gram eigenvalue problem per split block of an orbit's
+    # representative (5 blocks instead of 31 per function)
     budget = Budget(14.0)
     S = builtin("symmetric:5")
     reports = run_suite("symmetric:5", S, "all")

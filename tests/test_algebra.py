@@ -390,6 +390,38 @@ def _germ_groupoids(name):
     return tuple(germ_groupoid(action(S)).groupoid for action in (universal_action, tight_action))
 
 
+@pytest.mark.parametrize("name", ORBIT_SUBJECTS)
+def test_norm_of_every_delta_is_one_and_of_zero_is_zero(name):
+    """Each delta_a is a partial isometry, so its norm is 1 for every arrow
+    a, to ORBIT_NORM_ULPS.  The zero function's norm is exactly 0.0, alone
+    and as one row of a stack of 7: a Gram eigenvalue that rounds below
+    zero is clamped, so no NaN."""
+    for G in _germ_groupoids(name):
+        norms = reduced_norm(G, GroupoidFunction(G, np.eye(G.n_arrows)))
+        assert (np.abs(norms - 1.0) <= ORBIT_NORM_ULPS * np.spacing(1.0)).all(), name
+        zero = reduced_norm(G, GroupoidFunction(G, np.zeros(G.n_arrows)))
+        assert type(zero) is float and zero == 0.0 and not np.signbit(zero), name
+        (f,) = random_functions(SplitMix64(zlib.crc32(name.encode())), 7, G)
+        before = reduced_norm(G, f)
+        f.values[3] = 0
+        norms = reduced_norm(G, f)
+        assert norms[3] == 0.0 and not np.signbit(norms[3]), name
+        assert _same_bits(np.delete(norms, 3), np.delete(before, 3)), name
+
+
+@pytest.mark.parametrize("name", ORBIT_SUBJECTS)
+def test_norm_commutes_with_powers_of_2_far_from_1(name):
+    """||2^k f|| = 2^k ||f|| bit for bit at k = -1000 and 1000, where the
+    squares of the values under- and overflow: the Gram matrices never see
+    them."""
+    for G in _germ_groupoids(name):
+        (f,) = random_functions(SplitMix64(zlib.crc32(name.encode())), 7, G)
+        norms = reduced_norm(G, f)
+        for k in (-1000, 1000):
+            scaled = reduced_norm(G, GroupoidFunction(G, f.values * 2.0 ** k))
+            assert _same_bits(scaled, norms * 2.0 ** k), (name, k)
+
+
 def _reference_orbit_units(G):
     """The least unit of each orbit: per unit v, the least range of an arrow
     with source v."""
@@ -447,18 +479,28 @@ def _reference_cosets(G, x):
 def _split_block_norm(G, x, fiber, m):
     """The norm of the block m at the unit x (rows and columns over the
     fiber): its circulant entries m[c_p g^j, c_q] read into an (r, r, o)
-    array, the DFT along the last axis as one (1, o) @ (o, o) product per
-    (p, q) when o > 1, then moduli when r = 1, else the largest of the o
-    blocks' top singular values."""
+    array and taken with j first, the DFT along j as one (o, o) @ (o, r r)
+    product when o > 1, then moduli when r = 1, else the largest of the o
+    blocks' norms sqrt(max(lambda_max(B^* B), 0)) from the top eigenvalue
+    of the Gram matrix, each within ORBIT_NORM_ULPS of the block's top
+    singular value."""
     _, o, layout = _reference_cosets(G, x)
     r, position = len(layout), {a: i for i, a in enumerate(fiber)}
     split = np.array([[[m[position[layout[p][j]], position[layout[q][0]]] for j in range(o)]
                        for q in range(r)] for p in range(r)])
+    split = split.transpose(2, 0, 1)
     if o > 1:
-        split = (split[:, :, None, :] @ algebra._dft(o))[:, :, 0, :]
+        split = (algebra._dft(o) @ split.reshape(o, r * r)).reshape(o, r, r)
     if r == 1:
         return float(np.abs(split).max())
-    return max(spectral_norm(split[:, :, t]) for t in range(o))
+    norms = []
+    for t in range(o):
+        b = split[t]
+        norm = float(np.sqrt(max(np.linalg.eigvalsh(b.conj().T @ b)[-1], 0.0)))
+        svd = spectral_norm(b)
+        assert abs(norm - svd) <= ORBIT_NORM_ULPS * np.spacing(svd), (x, t)
+        norms.append(norm)
+    return max(norms)
 
 
 def test_dft_matrix_is_exact_at_quarter_turns_and_orthogonal():
@@ -533,25 +575,25 @@ def test_orbit_norm_is_the_all_unit_norm_to_a_few_ulps(name):
                     <= ORBIT_NORM_ULPS * np.spacing(every)).all(), name
 
 
-def _counting_svd(monkeypatch):
-    """Patch ``np.linalg.svd`` to record the shape of every matrix it gets."""
-    real, shapes = np.linalg.svd, []
+def _counting(monkeypatch, name):
+    """Patch ``np.linalg.<name>`` to record the shape of every matrix it gets."""
+    real, shapes = getattr(np.linalg, name), []
 
     def counting(a, *args, **kwargs):
         shapes.extend([np.shape(a)[-2:]] * int(np.prod(np.shape(a)[:-2])))
         return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(np.linalg, name, counting)
     return shapes
 
 
 @pytest.mark.parametrize("name", ORBIT_SUBJECTS)
 def test_reduced_norm_decomposes_o_matrices_per_orbit_with_r_above_1(name, monkeypatch):
-    """Counts the matrices ``np.linalg.svd`` receives in one call on one
-    function and in one on a stack of 7: per orbit and function, o of r x r
-    when r > 1, and none when r = 1, where the blocks are 1 x 1 and their
-    norms moduli."""
-    shapes = _counting_svd(monkeypatch)
+    """Counts the Gram matrices ``np.linalg.eigvalsh`` receives in one call
+    on one function and in one on a stack of 7: per orbit and function, o of
+    r x r when r > 1, and none when r = 1, where the blocks are 1 x 1 and
+    their norms moduli.  ``np.linalg.svd`` receives none."""
+    shapes, svds = _counting(monkeypatch, "eigvalsh"), _counting(monkeypatch, "svd")
     for G in _germ_groupoids(name):
         expected = []
         for x in _reference_orbit_units(G):
@@ -563,18 +605,20 @@ def test_reduced_norm_decomposes_o_matrices_per_orbit_with_r_above_1(name, monke
             shapes.clear()
             reduced_norm(G, GroupoidFunction(G, values))
             assert sorted(shapes) == sorted(expected * rows), name
+    assert svds == [], name
 
 
 def test_algebra_suite_svds_only_small_blocks(monkeypatch):
     """``group:z70``'s one 70 x 70 block splits into 70 moduli, so its
-    algebra suite hands ``np.linalg.svd`` no matrix; ``symmetric:4``'s hands
-    it none larger than 8 x 8 (the 24 x 24 blocks split by cyclic subgroups of
-    orders 3 and 4)."""
-    shapes = _counting_svd(monkeypatch)
+    algebra suite hands ``np.linalg.eigvalsh`` no matrix; ``symmetric:4``'s
+    hands it none larger than 8 x 8 (the 24 x 24 blocks split by cyclic
+    subgroups of orders 3 and 4).  Neither hands ``np.linalg.svd`` any."""
+    shapes, svds = _counting(monkeypatch, "eigvalsh"), _counting(monkeypatch, "svd")
     run_suite("group:z70", builtin("group:z70"), "algebra")
     assert shapes == []
     run_suite("symmetric:4", builtin("symmetric:4"), "algebra")
     assert shapes and max(max(shape) for shape in shapes) == 8
+    assert svds == []
 
 
 def _reference_splitmix(seed, count):

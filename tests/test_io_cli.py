@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from germlab import cli
+from germlab import builtins, cli, semilattices
 from germlab.actions import DirectedGraph
-from germlab.builtins import CORPUS_NAMES, builtin, corpus
+from germlab.builtins import CORPUS_NAMES, NAMED_GRAPHS, builtin, corpus
 from germlab.cli import main
 from germlab.errors import ParseError, NotAssociative, UnknownName
 from germlab.extensions import universal_germs
@@ -123,6 +123,46 @@ def test_builtin_graph_from_file(tmp_path):
     save_graph(DirectedGraph(1, ()), str(path))
     S = builtin(f"graph:{path}")
     assert S.size == 2
+
+
+def test_graph_file_gives_the_named_graphs_witness(tmp_path, capsys):
+    """A graph semigroup keeps its graph, so a graph read from a file is
+    checked as the named graph it was saved from: the same
+    ``tight.graph_zero_disjunctive`` line, not "vacuous"."""
+    path = tmp_path / "fork.json"
+    save_graph(NAMED_GRAPHS["fork"], str(path))
+    assert builtin(f"graph:{path}").graph == NAMED_GRAPHS["fork"]
+    assert builtin("b2").graph is None
+    lines = []
+    for name in ("graph:fork", f"graph:{path}"):
+        assert main(["verify", f"builtin:{name}", "--suite", "tight"]) == 0
+        lines += [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("[PASS] tight.graph_zero_disjunctive")]
+    assert len(lines) == 2 and lines[0] == lines[1] and "vacuous" not in lines[0]
+
+
+@pytest.mark.parametrize("name,bound", [
+    ("group:z2000", "1 <= n <= 512, got n=2000"),
+    ("group:z0", "1 <= n <= 512, got n=0"),
+    ("group:z-3", "1 <= n <= 512, got n=-3"),
+    ("semilattice:chain600", "1 <= n <= 512, got n=600"),
+    ("semilattice:chain0", "1 <= n <= 512, got n=0"),
+    ("semilattice:chain-3", "1 <= n <= 512, got n=-3"),
+    ("symmetric:-3", "0 <= n <= 5, got n=-3"),
+])
+def test_builtin_sizes_out_of_bounds_are_refused_before_building(name, bound, capsys,
+                                                                 monkeypatch):
+    """A size past the associativity cap, or below one element, exits 2 with
+    the bound named, before any table is built."""
+    def refuse(*args):
+        raise AssertionError(f"built a table for {name}")
+
+    for module, builder in ((builtins, "cyclic_group"), (builtins, "chain_semilattice"),
+                            (semilattices, "partial_bijection_semigroup")):
+        monkeypatch.setattr(module, builder, refuse)
+    assert main(["check", f"builtin:{name}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and bound in captured.err, captured.err
 
 
 def test_cli_check_valid_and_exit_codes(tmp_path, capsys):
