@@ -8,12 +8,13 @@ Every relation is a ``Relation``, the one partition type, defined in
 ``semigroups`` and re-exported here.  mu, quotients and congruence
 witnesses are gathers of the table: mu groups the rows of s e s* over the
 idempotents e, a quotient gathers the products of block representatives
-and compares them with the whole table projected.  The sampler behind the
-mu-maximality check saturates seeded pairs to congruences, but stops an
-attempt as soon as two idempotents share a block: saturation only merges,
-so that attempt could never be kept.  Blocks are merged by ``join_roots``,
+and compares them with the whole table projected.  The largest congruence
+inside a relation is found by partition refinement, each round one gather
+of the generators' table columns: inside H it is mu, which certifies mu's
+maximality independently of its rows.  Blocks are merged by ``join_roots``,
 one connected-components pass over a batch of pairs, which sigma,
-generated congruences and the sampler share.
+generated congruences and the seeded sampler of idempotent-separating
+congruences share; no suite calls the sampler.
 """
 
 from __future__ import annotations
@@ -105,6 +106,31 @@ def congruence_witness(S: InverseSemigroup, R: Relation):
                 return (a, b, int(A[j]), int(B[j]))
             return (j - m, j - m, a, b) if left[i, j - m] else (a, b, j - m, j - m)
     return None
+
+
+def largest_congruence_inside(S: InverseSemigroup, R: Relation) -> tuple[Relation, int]:
+    """The largest congruence contained in R, and the refinement rounds taken.
+
+    Moore's partition refinement (Moore 1956): each round splits every block
+    by the key (label of x, labels of a x and of x a for every generator a)
+    and stops in the first round that splits nothing.  The result is then
+    stable under translation by ``S.generators`` on either side, so under
+    every product of them, which is every element; and a congruence inside R
+    relates only elements with equal keys, so it survives every round.  For
+    R = H this is mu, the largest congruence inside H (Howie, Fundamentals
+    of Semigroup Theory, 1995, 5.3), which ``congruence.mu_maximal`` checks.
+    """
+    if R.size != S.size:
+        raise StructureError("relation size does not match semigroup")
+    T, gens = S.table, S.generators
+    rounds = 0
+    while True:
+        rounds += 1
+        p = R.labels
+        finer = Relation(np.column_stack((p, p[T[gens]].T, p[T[:, gens]])))
+        if finer.count == R.count:
+            return R, rounds
+        R = finer
 
 
 def mu_relation(S: InverseSemigroup) -> Relation:
@@ -245,7 +271,10 @@ def _saturate(S: InverseSemigroup, pair_lists, separate: np.ndarray | None = Non
 
 def random_idempotent_separating_congruences(S: InverseSemigroup, *, seed: int
                                              ) -> list[Relation]:
-    """Seeded sample of idempotent-separating congruences (for maximality checks).
+    """Seeded sample of idempotent-separating congruences.
+
+    No suite calls it: ``congruence.mu_maximal`` certifies mu's maximality
+    by ``largest_congruence_inside`` instead.
 
     Random pair seeds are saturated to congruences; non-separating results are
     discarded.  The attempts saturate together, as disjoint copies of S, and

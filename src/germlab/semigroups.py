@@ -27,7 +27,8 @@ from .errors import NoInverse, NonUniqueInverse, NotAssociative, StructureError,
 # refuse rather than stall.
 ASSOCIATIVITY_CAP = 512
 # Light's test compares (n, k, n) tables for k generators at a time, with k
-# chosen so that a table holds at most this many entries (or one generator)
+# chosen so that a table holds at most this many entries (or one generator);
+# the inverse search's int64 temporaries hold at most this many bytes
 LIGHT_CHUNK = 1 << 16
 
 
@@ -222,14 +223,47 @@ def first_index(mask: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(i) for i in np.unravel_index(np.argmax(mask), mask.shape))
 
 
-def _detect_zero(table: np.ndarray) -> int | None:
-    n = table.shape[0]
-    if n == 1:
+def _detect_zero(table: np.ndarray, E: np.ndarray) -> int | None:
+    """The zero: the z with z x = z = x z for every x, or None.
+
+    A zero is an idempotent and absorbs any product it enters, so it is the
+    product of the idempotents E, taken pairwise; one row and column
+    comparison then tests that product.
+    """
+    if table.shape[0] == 1:
         return None  # the trivial semigroup is a group, not a zero semigroup
-    for z in range(n):
-        if (table[z, :] == z).all() and (table[:, z] == z).all():
-            return z
-    return None
+    z = E
+    while z.size > 1:
+        z = np.concatenate((table[z[:-1:2], z[1::2]], z[z.size - z.size % 2:]))
+    z = int(z[0])
+    return z if (table[z] == z).all() and (table[:, z] == z).all() else None
+
+
+def _inverses(table: np.ndarray) -> tuple[int, ...]:
+    """The inverse of every element, which must exist and be unique.
+
+    t is an inverse of s iff s t s = s and t s t = t, evaluated at [s, t]
+    for rows s in chunks of ``LIGHT_CHUNK / 8`` pairs, so that each int64
+    temporary holds ``LIGHT_CHUNK`` bytes.  The first s in element order
+    without exactly one inverse raises ``NoInverse`` or ``NonUniqueInverse``
+    with its inverses in increasing order.
+    """
+    n = table.shape[0]
+    t = np.arange(n)
+    inv = np.empty(n, dtype=np.intp)
+    step = max(1, LIGHT_CHUNK // 8 // n)
+    for lo in range(0, n, step):
+        s = t[lo:lo + step, None]
+        found = (table[table[s, t], s] == s) & (table[table[t, s], t] == t)
+        count = found.sum(axis=1)
+        bad = np.flatnonzero(count != 1)
+        if bad.size:
+            i = int(bad[0])
+            if count[i] == 0:
+                raise NoInverse(lo + i)
+            raise NonUniqueInverse(lo + i, tuple(np.flatnonzero(found[i]).tolist()))
+        inv[lo:lo + step] = found.argmax(axis=1)
+    return tuple(inv.tolist())
 
 
 def generating_set(table: np.ndarray) -> np.ndarray:
@@ -301,15 +335,18 @@ def validate_inverse_semigroup(table, labels=None, *, skip_associativity: bool =
                                ) -> InverseSemigroup:
     """Validate a raw multiplication table and derive the inverse structure.
 
-    The inverse of each element is found by exhaustive search, one array
-    comparison over every candidate per element, and must be unique;
-    commuting idempotents are cross-checked by one comparison of the
+    The inverse of each element is found by exhaustive search, one gather
+    over the pairs (s, t) per chunk of rows (``_inverses``), and must be
+    unique; commuting idempotents are cross-checked by one comparison of the
     idempotents' table with its transpose.  A zero is detected
     automatically, never declared.  ``skip_associativity`` is for tables this
     package generated itself; otherwise the generating set of the
     associativity test is kept on the result.
     """
-    table = np.asarray(table, dtype=np.int64)
+    try:
+        table = np.asarray(table, dtype=np.int64)
+    except OverflowError:       # an entry past int64, out of range for any table
+        raise StructureError("table entries out of range") from None
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise StructureError("table must be square")
     n = table.shape[0]
@@ -319,19 +356,8 @@ def validate_inverse_semigroup(table, labels=None, *, skip_associativity: bool =
         raise StructureError("table entries out of range")
     gens = None if skip_associativity else check_associativity(table)
 
-    inv = []
-    t = np.arange(n)
-    for s in range(n):
-        # t is an inverse of s iff s t s = s and t s t = t
-        witnesses = np.flatnonzero((table[table[s], s] == s)
-                                   & (table[table[:, s], t] == t)).tolist()
-        if not witnesses:
-            raise NoInverse(s)
-        if len(witnesses) > 1:
-            raise NonUniqueInverse(s, tuple(witnesses))
-        inv.append(witnesses[0])
-
-    idems = np.flatnonzero(table.diagonal() == t)
+    inv = _inverses(table)
+    idems = np.flatnonzero(table.diagonal() == np.arange(n))
     ef = table[np.ix_(idems, idems)]
     hit = first_index(ef != ef.T)
     if hit is not None:
@@ -346,7 +372,7 @@ def validate_inverse_semigroup(table, labels=None, *, skip_associativity: bool =
         if len(labels) != n:
             raise StructureError("labels length does not match table")
 
-    return InverseSemigroup(table, tuple(inv), _detect_zero(table), labels, gens)
+    return InverseSemigroup(table, inv, _detect_zero(table, idems), labels, gens)
 
 
 def idempotents(S: InverseSemigroup) -> frozenset[int]:

@@ -261,6 +261,35 @@ def test_cli_non_utf8_input_is_input_error(tmp_path, capsys, command):
     assert captured.err.count("\n") == 1 and captured.out == ""
 
 
+@pytest.mark.parametrize("entry", [10**23, 2**63, -1, 2])
+def test_cli_table_entry_out_of_range_is_input_error(tmp_path, capsys, entry):
+    """Entries past int64 (10^23, 2^63) get the same one-line error and exit
+    code 2 as a negative entry or one equal to n."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"table": [[0, entry], [0, 0]]}), encoding="utf-8")
+    assert main(["verify", str(path), "--suite", "universal"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: table entries out of range\n")
+
+
+def test_suites_draw_no_python_randomness(monkeypatch):
+    """Every suite of every corpus subject, and the corpus-wide checks, pass
+    with ``random.Random`` unavailable: no check samples through it."""
+    import random
+
+    from germlab.suites import global_reports, run_suite
+
+    subjects = corpus()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("random.Random called by a suite")
+    monkeypatch.setattr(random, "Random", refuse)
+    reports = [r for name, S in subjects for r in run_suite(name, S, "all")]
+    reports += global_reports("all")
+    assert len(reports) == 4 * len(subjects) + 2
+    assert all(r.passed for r in reports)
+
+
 def test_algebra_suite_never_imports_numpy_random():
     """The algebra suite draws its samples without ``numpy.random``, whose
     import adds several MB of resident memory to a process."""

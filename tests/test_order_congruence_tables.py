@@ -30,8 +30,10 @@ from germlab.congruences import (
     Relation,
     congruence_witness,
     generated_congruence,
+    is_congruence,
     is_idempotent_separating,
     kernel_of,
+    largest_congruence_inside,
     mu_relation,
     quotient,
     random_idempotent_separating_congruences,
@@ -39,7 +41,8 @@ from germlab.congruences import (
     sigma_relation,
     split_transversal,
 )
-from germlab.errors import NotACongruence, SearchBudgetExceeded, ZeroRequired
+from germlab.errors import NotACongruence, SearchBudgetExceeded, StructureError, ZeroRequired
+from germlab.extensions import Subject
 from germlab.semigroups import (
     InverseSemigroup,
     centralizer,
@@ -49,6 +52,7 @@ from germlab.semigroups import (
     is_zero_e_unitary,
     normality_defect,
 )
+from germlab.suites import run_checks
 
 from test_congruences import _labelled_shift, _monomial_closure, _relabelled
 
@@ -439,6 +443,78 @@ def test_some_sampled_relations_are_kept_and_some_are_not():
     kept = [len(random_idempotent_separating_congruences(subject(name), seed=seed))
             for name in ("b2", "group:z70", "symmetric:3") for seed in (0, 1)]
     assert 0 < sum(kept) < 20 * len(kept)
+
+
+# ---------------------------------------------------------------------------
+# mu is the largest congruence inside H, by partition refinement
+
+
+def reference_largest_congruence_inside(S, R):
+    """(x, y) is related iff (p x q, p y q) is in R for all p, q in S^1:
+    the columns of R's labels at p x q over every context (p, q), with n
+    standing for the adjoined identity."""
+    n = S.size
+    T1 = np.empty((n + 1, n + 1), dtype=np.intp)
+    T1[:n, :n] = S.table
+    T1[n, :] = T1[:, n] = np.arange(n + 1)
+    contexts = T1[T1[:, None, :n], np.arange(n + 1)[None, :, None]]    # p x q at [p, q, x]
+    return Relation(R.labels[contexts.reshape(-1, n)].T)
+
+
+@pytest.mark.parametrize("name", [n for n in SUBJECTS if subject(n).size <= 40])
+def test_largest_congruence_inside_h_equals_the_context_oracle_and_mu(name):
+    S = subject(name)
+    top, _ = largest_congruence_inside(S, S.h_partition)
+    assert top == reference_largest_congruence_inside(S, S.h_partition) == mu_relation(S)
+    assert_canonical(top)
+
+
+@pytest.mark.parametrize("name", SUBJECTS)
+def test_largest_congruence_inside_random_relations_equals_the_oracle(name):
+    """Inside any relation, not only H: the result is a congruence refining
+    it, and a congruence is returned as it is, after one round."""
+    S = subject(name)
+    for R in relations(S, seed=len(name)):
+        top, rounds = largest_congruence_inside(S, R)
+        assert is_congruence(S, top) and top.refines(R)
+        if S.size <= 40:
+            assert top == reference_largest_congruence_inside(S, R)
+        if is_congruence(S, R):
+            assert (top, rounds) == (R, 1)
+
+
+@pytest.mark.parametrize("name", LADDER + ("symmetric:5",))
+def test_largest_congruence_inside_h_is_mu_past_the_corpus(name):
+    S = builtin(name) if name == "symmetric:5" else subject(name)     # not kept in the cache
+    assert largest_congruence_inside(S, S.h_partition)[0] == mu_relation(S)
+
+
+def test_largest_congruence_inside_rejects_a_relation_of_another_size():
+    with pytest.raises(StructureError):
+        largest_congruence_inside(subject("b2"), Relation.identity(4))
+
+
+@pytest.mark.parametrize("name,patched,witness", [
+    ("group:s3", lambda S: Relation.identity(S.size),
+     "the largest congruence inside H relates {} and {}, mu does not"),
+    ("symmetric:3", lambda S: S.h_partition,
+     "mu relates {} and {}, the largest congruence inside H does not"),
+])
+def test_mu_maximal_fails_with_a_pair_when_mu_is_patched(name, patched, witness):
+    """A strictly finer idempotent-separating congruence (the identity on a
+    group), which ``congruence.mu_inside_h`` accepts, and H on a subject
+    where H is not a congruence.  The witness is the first pair x < y, in
+    row-major order, that one relation relates and the other does not."""
+    S = subject(name)
+    sub = Subject(S)
+    sub.mu = patched(S)
+    mu = mu_relation(S)
+    pair = next((x, y) for x in S.elements() for y in range(x + 1, S.size)
+                if sub.mu.related(x, y) != mu.related(x, y))
+    [result] = run_checks(name, sub, "congruence.mu_maximal")
+    assert (result.passed, result.witness) == (False, witness.format(*pair))
+    [inside] = run_checks(name, sub, "congruence.mu_inside_h")
+    assert inside.passed == (name == "group:s3")
 
 
 def test_float32_and_int32_order_products_agree():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import germlab
+from germlab import semigroups
 from germlab.errors import NoInverse, NonUniqueInverse, StructureError, ZeroRequired
 from germlab.semigroups import (
     centralizer,
@@ -91,23 +92,81 @@ def _reference_inverse_witnesses(table, s):
     return [t for t in range(n) if table[table[s][t]][s] == s and table[table[t][s]][t] == t]
 
 
-@pytest.mark.parametrize("table", ([[0, 0], [1, 1]], [[0, 0], [0, 0]], [[0, 1], [1, 1]],
-                                   [[1, 0, 2], [0, 1, 2], [2, 2, 2]]))
-def test_inverse_search_reports_the_witnesses_of_the_pairwise_search(table):
-    """Broken tables included: the first element without exactly one inverse,
-    with its ascending witnesses, as the pairwise loop finds them."""
-    first = next((s for s in range(len(table))
-                  if len(_reference_inverse_witnesses(table, s)) != 1), None)
-    if first is None:
-        S = validate_inverse_semigroup(table)
+def _first_inverse_error(table):
+    """What the pairwise loop raises: the first s in element order without
+    exactly one inverse, with its ascending witnesses; None if there is none."""
+    for s in range(len(table)):
+        witnesses = _reference_inverse_witnesses(table, s)
+        if len(witnesses) != 1:
+            return (NonUniqueInverse, s, tuple(witnesses)) if witnesses else (NoInverse, s, None)
+    return None
+
+
+def _assert_inverse_search_equals_the_loop(table):
+    expected = _first_inverse_error(table)
+    if expected is None:
+        S = validate_inverse_semigroup(table, skip_associativity=True)
         assert list(S.inv) == [_reference_inverse_witnesses(table, s)[0] for s in range(len(table))]
         return
-    witnesses = _reference_inverse_witnesses(table, first)
-    with pytest.raises(NonUniqueInverse if witnesses else NoInverse) as err:
-        validate_inverse_semigroup(table)
-    assert err.value.element == first
-    if witnesses:
-        assert err.value.witnesses == tuple(witnesses)
+    kind, element, witnesses = expected
+    with pytest.raises(kind) as err:
+        validate_inverse_semigroup(table, skip_associativity=True)
+    assert (err.value.element, getattr(err.value, "witnesses", None)) == (element, witnesses)
+
+
+def _edited(table, edits):
+    table = [list(row) for row in table]
+    for (i, j), x in edits.items():
+        table[i][j] = x
+    return table
+
+
+SYM2 = table_from_maps(partial_bijections([0, 1])).tolist()
+
+
+@pytest.mark.parametrize("chunk", [1, 8 * 7 * 3, semigroups.LIGHT_CHUNK])
+@pytest.mark.parametrize("table", (
+    [[0, 0], [1, 1]], [[0, 0], [0, 0]], [[0, 1], [1, 1]], [[1, 0, 2], [0, 1, 2], [2, 2, 2]],
+    SYM2,
+    # the symmetric inverse monoid on two points with entries edited so that
+    # several rows are defective
+    _edited(SYM2, {(2, 3): 0, (5, 5): 0}),              # rows 2, 3 and 5 have no inverse
+    _edited(SYM2, {(5, 5): 0, (6, 6): 0}),              # rows 5 and 6, in two chunks of 3
+    _edited(SYM2, {(1, 1): 0, (2, 2): 2}),              # row 1 has none, row 2 has two
+    _edited(SYM2, {(4, 2): 0, (6, 0): 6, (6, 6): 6}),   # rows 0, 6 have two, 2, 3 none
+))
+def test_inverse_search_reports_the_witnesses_of_the_pairwise_search(monkeypatch, chunk, table):
+    """Broken tables included: the first element without exactly one inverse,
+    with its ascending witnesses, as the pairwise loop finds them, searched
+    one row per chunk, 3 rows of SYM2 per chunk and all rows at once."""
+    monkeypatch.setattr(semigroups, "LIGHT_CHUNK", chunk)
+    _assert_inverse_search_equals_the_loop(table)
+
+
+def test_inverse_search_on_random_tables_equals_the_loop(monkeypatch):
+    """Random tables, most without inverses and some with several, searched
+    in chunks of two rows."""
+    monkeypatch.setattr(semigroups, "LIGHT_CHUNK", 8 * 6 * 2)
+    rng = np.random.default_rng(3)
+    tables = [rng.integers(0, 6, size=(6, 6)).tolist() for _ in range(200)]
+    for table in tables:
+        _assert_inverse_search_equals_the_loop(table)
+    kinds = {(_first_inverse_error(t) or (None,))[0] for t in tables}
+    assert {NoInverse, NonUniqueInverse} <= kinds
+
+
+@pytest.mark.parametrize("maps", [[0, 1], [0, 1, 2]])
+def test_zero_is_the_first_element_absorbing_on_both_sides(maps):
+    """The zero of a symmetric inverse monoid, with its rows permuted so that
+    it is neither first nor last, against the loop over candidates."""
+    table = table_from_maps(partial_bijections(maps))
+    n = len(table)
+    perm = np.roll(np.arange(n), n // 2)
+    relabeled = np.argsort(perm)[table[np.ix_(perm, perm)]]
+    S = validate_inverse_semigroup(relabeled, skip_associativity=True)
+    loop = next(z for z in range(n)
+                if (relabeled[z, :] == z).all() and (relabeled[:, z] == z).all())
+    assert S.zero == loop and 0 < S.zero < n - 1
 
 
 def test_ragged_or_out_of_range_tables_rejected():
@@ -115,6 +174,12 @@ def test_ragged_or_out_of_range_tables_rejected():
         validate_inverse_semigroup([[0, 1], [2, 0]])
     with pytest.raises(StructureError):
         validate_inverse_semigroup(np.zeros((2, 3), dtype=int))
+
+
+@pytest.mark.parametrize("entry", [10**23, 2**63, -(10**23), -1, 2])
+def test_entries_past_int64_are_out_of_range(entry):
+    with pytest.raises(StructureError, match="^table entries out of range$"):
+        validate_inverse_semigroup([[0, entry], [0, 0]])
 
 
 def test_b2_idempotents():
