@@ -39,12 +39,10 @@ from .congruences import (
     QuotientMap,
     Relation,
     find_split_transversal,
-    is_congruence,
     is_cryptic,
     is_fundamental,
     kernel_of,
     mu_relation,
-    munn_quotient,
     quotient,
     sigma_and_group_image,
 )
@@ -76,7 +74,6 @@ from .semigroups import (
     is_clifford,
     is_e_unitary,
     is_zero_e_unitary,
-    lower_intersection_generators,
     natural_leq,
     validate_inverse_semigroup,
 )
@@ -87,7 +84,6 @@ from .semilattices import (
     munn_semigroup,
     semilattice_of,
     symmetric_inverse_monoid,
-    tight_spectrum,
     ultrafilters,
 )
 

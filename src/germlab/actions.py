@@ -510,7 +510,7 @@ def graph_inverse_semigroup(graph: DirectedGraph) -> InverseSemigroup:
         x, y = pair  # type: ignore[misc]
         lx, ly = _path_label(graph, x), _path_label(graph, y)
         labels.append(lx if x == y else f"{lx}.{ly}*")
-    S = validate_inverse_semigroup(table, labels, skip_associativity=True)
+    S = validate_inverse_semigroup(table, labels)
 
     idems = sorted(S.idempotent_set)
     for e in idems:

@@ -27,7 +27,6 @@ import numpy as np
 from .errors import SizeBudgetExceeded, StructureError, UnknownName
 from .actions import DirectedGraph, graph_inverse_semigroup
 from .semigroups import (
-    ASSOCIATIVITY_CAP,
     InverseSemigroup,
     direct_product,
     validate_inverse_semigroup,
@@ -38,6 +37,9 @@ from .semilattices import (
     symmetric_inverse_monoid,
     validate_semilattice,
 )
+
+# The largest n in the builtin names z<n> and chain<n>
+ELEMENT_CAP = 512
 
 DIAMOND_MEET = [
     [0, 0, 0, 0],
@@ -136,7 +138,7 @@ def strong_semilattice_of_groups(E: Semilattice, groups, links) -> InverseSemigr
                     table[offsets[a] + x, offsets[b] + y] = offsets[c] + prod
     labels = tuple(f"{E.label(a)}.{x}"
                    for a in range(n_nodes) for x in range(len(groups[a])))
-    return validate_inverse_semigroup(table, labels, skip_associativity=True)
+    return validate_inverse_semigroup(table, labels)
 
 
 def clifford_chain(variant: str) -> InverseSemigroup:
@@ -214,11 +216,12 @@ def semilattice_as_semigroup(E: Semilattice) -> InverseSemigroup:
 
 def _element_count(text: str, what: str) -> int:
     """The element count n in a builtin name, refused before anything is
-    built unless 1 <= n <= ASSOCIATIVITY_CAP, the largest table that the
-    associativity test takes."""
+    built unless 1 <= n <= ELEMENT_CAP: the longest chain, which needs all
+    n elements as generators, stays far inside Light's test budget
+    (``semigroups.LIGHT_BUDGET``)."""
     n = int(text)
-    if not 1 <= n <= ASSOCIATIVITY_CAP:
-        raise SizeBudgetExceeded(f"{what} bound is 1 <= n <= {ASSOCIATIVITY_CAP}, got n={n}")
+    if not 1 <= n <= ELEMENT_CAP:
+        raise SizeBudgetExceeded(f"{what} bound is 1 <= n <= {ELEMENT_CAP}, got n={n}")
     return n
 
 

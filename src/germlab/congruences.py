@@ -12,9 +12,9 @@ and compares them with the whole table projected.  The largest congruence
 inside a relation is found by partition refinement, each round one gather
 of the generators' table columns: inside H it is mu, which certifies mu's
 maximality independently of its rows.  Blocks are merged by ``join_roots``,
-one connected-components pass over a batch of pairs, which sigma,
-generated congruences and the seeded sampler of idempotent-separating
-congruences share; no suite calls the sampler.
+one connected-components pass over a batch of pairs, which sigma and the
+seeded sampler of idempotent-separating congruences share; no suite calls
+the sampler.
 """
 
 from __future__ import annotations
@@ -69,12 +69,6 @@ class QuotientMap:
     source: InverseSemigroup
     target: InverseSemigroup
     projection: tuple[int, ...]
-
-
-def is_congruence(S: InverseSemigroup, R: Relation) -> bool:
-    if R.size != S.size:
-        raise StructureError("relation size does not match semigroup")
-    return congruence_witness(S, R) is None
 
 
 def congruence_witness(S: InverseSemigroup, R: Relation):
@@ -143,10 +137,6 @@ def mu_relation(S: InverseSemigroup) -> Relation:
     return Relation(T[T[:, S.idempotent_array], S.inv_array[:, None]])   # s e s* at [s, e]
 
 
-def is_idempotent_separating(S: InverseSemigroup, R: Relation) -> bool:
-    return not (np.bincount(R.labels[S.idempotent_array], minlength=R.count) > 1).any()
-
-
 def kernel_of(S: InverseSemigroup, R: Relation) -> frozenset[int]:
     """Union of blocks containing an idempotent."""
     meets = np.zeros(R.count, dtype=bool)
@@ -167,16 +157,13 @@ def quotient(S: InverseSemigroup, R: Relation) -> QuotientMap:
     projection = tuple(proj.tolist())
     labels = tuple("{" + ",".join(S.label(x) for x in block) + "}" for block in R.blocks)
     if R.is_identity:     # S/R is S, relabeled, on the same table
-        return QuotientMap(S, InverseSemigroup(S.table, S.inv, S.zero, labels), projection)
+        return QuotientMap(S, InverseSemigroup(S.table, S.inv, S.zero, labels, S.generators),
+                           projection)
     table = proj[S.table[np.ix_(R.reps, R.reps)]]
     if not (table[proj[:, None], proj] == proj[S.table]).all():
         raise NotACongruence(congruence_witness(S, R))
-    T = validate_inverse_semigroup(table, labels, skip_associativity=True)
+    T = validate_inverse_semigroup(table, labels)
     return QuotientMap(S, T, projection)
-
-
-def munn_quotient(S: InverseSemigroup) -> QuotientMap:
-    return quotient(S, mu_relation(S))
 
 
 def is_fundamental(S: InverseSemigroup) -> bool:
@@ -215,12 +202,6 @@ def group_quotient(S: InverseSemigroup, sigma: Relation) -> QuotientMap:
     if any(T.mul(e, x) != x or T.mul(x, e) != x for x in T.elements()):
         raise StructureError("sigma quotient has no identity")
     return q
-
-
-def generated_congruence(S: InverseSemigroup, pairs) -> Relation:
-    """Smallest congruence relating every given pair."""
-    [root] = _saturate(S, [pairs])
-    return Relation(root)
 
 
 def _saturate(S: InverseSemigroup, pair_lists, separate: np.ndarray | None = None

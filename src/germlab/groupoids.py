@@ -471,14 +471,6 @@ def group_as_groupoid(table, labels=None) -> FiniteGroupoid:
     return make_groupoid(r, r, solves.argmax(axis=1), table, labels)
 
 
-def pair_groupoid(n: int) -> FiniteGroupoid:
-    """The full equivalence relation on n points: arrow i n + j is (i <- j)."""
-    i, j = np.divmod(np.arange(n * n), n)
-    table = np.where(j[:, None] == i, i[:, None] * n + j, -1)
-    labels = tuple(f"({a}<-{b})" for a, b in zip(i.tolist(), j.tolist()))
-    return make_groupoid(i * (n + 1), j * (n + 1), j * n + i, table, labels)
-
-
 # ---------------------------------------------------------------------------
 # homomorphisms and isomorphism search
 

@@ -72,13 +72,6 @@ def load_graph(path: str) -> DirectedGraph:
     return DirectedGraph(n, tuple((tail, head) for tail, head in edges))
 
 
-def save_graph(graph: DirectedGraph, path: str) -> None:
-    doc = {"vertices": graph.n_vertices, "edges": [list(e) for e in graph.edges]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
-
-
 def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 

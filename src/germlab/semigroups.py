@@ -22,10 +22,14 @@ import numpy as np
 
 from .errors import NoInverse, NonUniqueInverse, NotAssociative, StructureError, ZeroRequired
 
-# Associativity validation is O(|A| n^2) over a generating set A, which can
-# hold every element (a chain semilattice needs them all); beyond this we
-# refuse rather than stall.
-ASSOCIATIVITY_CAP = 512
+# Light's test compares (xa)y with x(ay) over a generating set A, for the
+# pairs (x, y) with xa not the zero: n times the number of those x, summed
+# over A.  A table past LIGHT_BUDGET pairs is refused rather than stalled on.
+# A chain needs every element as a generator and is the worst case: the
+# 1024-chain compares 1024 * 1023^2 pairs (about 4 s on one x86-64 core),
+# the layered graph with 4 layers of 3 vertices 8.5e7 (5359 elements, 66
+# generators, 0.8 s).  Tables past 2^15 elements are refused outright.
+LIGHT_BUDGET = 1 << 30
 # Light's test compares (n, k, n) tables for k generators at a time, with k
 # chosen so that a table holds at most this many entries (or one generator);
 # the inverse search's int64 temporaries hold at most this many bytes
@@ -40,9 +44,10 @@ class InverseSemigroup:
     to build one from a raw table.
 
     ``generators`` is one cached generating set (see :func:`generating_set`).
-    A table validated for associativity keeps the set that Light's test ran
-    on; any other computes it on first use.  Every law that is closed under
-    products is certified on it.
+    Every semigroup the package builds or reads passes
+    :func:`validate_inverse_semigroup` and keeps the set that Light's test
+    ran on; one constructed directly computes it on first use.  Every law
+    that is closed under products is certified on it.
 
     ``graph`` is the ``DirectedGraph`` a graph inverse semigroup was built
     from (``actions.graph_inverse_semigroup``), and None for any other.
@@ -230,8 +235,8 @@ def _detect_zero(table: np.ndarray, E: np.ndarray) -> int | None:
     product of the idempotents E, taken pairwise; one row and column
     comparison then tests that product.
     """
-    if table.shape[0] == 1:
-        return None  # the trivial semigroup is a group, not a zero semigroup
+    if table.shape[0] == 1 or not E.size:
+        return None  # the trivial semigroup is a group; a zero is an idempotent
     z = E
     while z.size > 1:
         z = np.concatenate((table[z[:-1:2], z[1::2]], z[z.size - z.size % 2:]))
@@ -289,7 +294,7 @@ def generating_set(table: np.ndarray) -> np.ndarray:
         if inside[c]:
             continue
         gens.append(c)
-        fresh = np.append(table[inside, c], c)
+        fresh = distinct(np.append(table[inside, c], c))
         while True:
             fresh = fresh[~inside[fresh]]
             if not fresh.size:
@@ -306,42 +311,53 @@ def check_associativity(table: np.ndarray) -> np.ndarray:
     holds for a and for b: (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) and
     x((ab)y) = x(a(by)).  Every element is reached from A by such products,
     associative table or not, so the law holds everywhere once it holds on
-    A (Clifford and Preston, The Algebraic Theory of Semigroups I, 1961), at
-    O(|A| n^2) cost.  When it fails, the n^3 loop over rows i finds the
-    first failing triple (i, j, k) row-major and raises NotAssociative.
+    A (Clifford and Preston, The Algebraic Theory of Semigroups I, 1961).
+
+    Where x a is a zero z, (xa)y = z y = z, so the test compares the rows
+    x with xa != z in full, and on the other rows it checks x(ay) = z by
+    counting: column ay has no entry other than z outside the compared
+    rows.  A table whose test would compare more than ``LIGHT_BUDGET``
+    pairs (x, y), or that has more than 2^15 elements, is refused.  When it
+    fails, it raises NotAssociative((x, a, y)) for the first generator a,
+    in A's order, with a failing pair, and the first such pair (x, y)
+    row-major.
     """
     n = table.shape[0]
-    if n > ASSOCIATIVITY_CAP:
-        raise StructureError(f"table too large to validate (n={n} > {ASSOCIATIVITY_CAP})")
-    gens = generating_set(table)
-    small = table.astype(np.int16)     # n <= ASSOCIATIVITY_CAP < 2^15: quarter-size gathers
+    if n > 1 << 15:             # before any work: the int16 copy holds entries below 2^15
+        raise StructureError(f"table too large to validate (n={n} > {1 << 15})")
+    small = table.astype(np.int16)     # quarter-size gathers
+    gens = generating_set(small)
+    z = _detect_zero(small, np.flatnonzero(small.diagonal() == np.arange(n)))
+    z = -1 if z is None else z         # without a zero every row is compared
+    live = small[:, gens] != z         # [x, a]: xa is not the zero
+    pairs = n * int(live.sum())
+    if pairs > LIGHT_BUDGET:
+        raise StructureError(f"table too large to validate (n={n} with |A|={gens.size} "
+                             f"generators: {pairs} pairs > {LIGHT_BUDGET})")
+    outside = (small != z).sum(axis=0)  # entries other than z in each column
     step = max(1, LIGHT_CHUNK // (n * n))
     for lo in range(0, gens.size, step):
         a = gens[lo:lo + step]
-        if (small[small[:, a]] != small[:, small[a]]).any():   # (xa)y against x(ay)
-            break
-    else:
-        return gens
-    for i in range(n):
-        left = table[table[i, :], :]      # left[j,k] = (ij)k
-        right = table[i, table]           # right[j,k] = i(jk)
-        if not (left == right).all():
-            j, k = np.argwhere(left != right)[0]
-            raise NotAssociative((i, int(j), int(k)))
-    raise AssertionError("Light's test failed on an associative table")
+        xs = np.flatnonzero(live[:, lo:lo + step].any(axis=1))
+        right = np.take(small[xs], small[a], axis=1)        # x(ay) at [x, a, y]
+        if ((small[small[xs[:, None], a]] != right).any()
+                or ((right != z).sum(axis=0) != outside[small[a]]).any()):
+            # the first failing generator, then its pair, over every row
+            bad = small[small[:, a]] != np.take(small, small[a], axis=1)
+            k, x, y = first_index(bad.transpose(1, 0, 2))
+            raise NotAssociative((x, int(a[k]), y))
+    return gens
 
 
-def validate_inverse_semigroup(table, labels=None, *, skip_associativity: bool = False
-                               ) -> InverseSemigroup:
+def validate_inverse_semigroup(table, labels=None) -> InverseSemigroup:
     """Validate a raw multiplication table and derive the inverse structure.
 
-    The inverse of each element is found by exhaustive search, one gather
+    Every table, read or built, passes Light's associativity test
+    (``check_associativity``), whose generating set the result keeps.  The
+    inverse of each element is then found by exhaustive search, one gather
     over the pairs (s, t) per chunk of rows (``_inverses``), and must be
-    unique; commuting idempotents are cross-checked by one comparison of the
-    idempotents' table with its transpose.  A zero is detected
-    automatically, never declared.  ``skip_associativity`` is for tables this
-    package generated itself; otherwise the generating set of the
-    associativity test is kept on the result.
+    unique, so the idempotents commute (Howie, Fundamentals of Semigroup
+    Theory, 1995, 5.1.1).  A zero is detected automatically, never declared.
     """
     try:
         table = np.asarray(table, dtype=np.int64)
@@ -354,16 +370,8 @@ def validate_inverse_semigroup(table, labels=None, *, skip_associativity: bool =
         raise StructureError("empty semigroup")
     if table.min() < 0 or table.max() >= n:
         raise StructureError("table entries out of range")
-    gens = None if skip_associativity else check_associativity(table)
-
+    gens = check_associativity(table)
     inv = _inverses(table)
-    idems = np.flatnonzero(table.diagonal() == np.arange(n))
-    ef = table[np.ix_(idems, idems)]
-    hit = first_index(ef != ef.T)
-    if hit is not None:
-        # cannot happen once inverses are unique; kept as a cross-check
-        e, f = idems[list(hit)].tolist()
-        raise StructureError(f"idempotents {e},{f} do not commute")
 
     if labels is None:
         labels = tuple(f"s{i}" for i in range(n))
@@ -372,6 +380,7 @@ def validate_inverse_semigroup(table, labels=None, *, skip_associativity: bool =
         if len(labels) != n:
             raise StructureError("labels length does not match table")
 
+    idems = np.flatnonzero(table.diagonal() == np.arange(n))
     return InverseSemigroup(table, inv, _detect_zero(table, idems), labels, gens)
 
 
@@ -382,21 +391,6 @@ def idempotents(S: InverseSemigroup) -> frozenset[int]:
 def natural_leq(S: InverseSemigroup, s: int, t: int) -> bool:
     """True iff s = te for some idempotent e."""
     return bool(S.leq[s, t])
-
-
-def lower_set(S: InverseSemigroup, s: int) -> frozenset[int]:
-    return frozenset(int(x) for x in np.nonzero(S.leq[:, s])[0])
-
-
-def lower_intersection_generators(S: InverseSemigroup, s: int, t: int) -> frozenset[int]:
-    """Maximal elements of the common lower set of s and t.
-
-    Finite input always yields a finite generating set, so every finite
-    semigroup passes the corresponding Hausdorff-ness criterion.
-    """
-    common = lower_set(S, s) & lower_set(S, t)
-    return frozenset(x for x in common
-                     if not any(y != x and S.leq[x, y] for y in common))
 
 
 def h_classes(S: InverseSemigroup) -> tuple[tuple[int, ...], ...]:
@@ -470,15 +464,10 @@ def normality_defect(S: InverseSemigroup, subset: frozenset[int]) -> str | None:
     return None
 
 
-def is_normal_subsemigroup(S: InverseSemigroup, subset: frozenset[int]) -> bool:
-    """Contains all idempotents, inverse-closed, and stable under conjugation."""
-    return normality_defect(S, subset) is None
-
-
 def direct_product(A: InverseSemigroup, B: InverseSemigroup) -> InverseSemigroup:
     """Direct product with pairs ordered (a, b) -> a * B.size + b."""
     na, nb = A.size, B.size
     table = (A.table[:, None, :, None] * nb + B.table[None, :, None, :]).reshape(na * nb, -1)
     labels = tuple(f"({A.label(a)},{B.label(b)})"
                    for a in range(na) for b in range(nb))
-    return validate_inverse_semigroup(table, labels, skip_associativity=True)
+    return validate_inverse_semigroup(table, labels)

@@ -190,11 +190,6 @@ def ultrafilters(E: Semilattice) -> list[frozenset[int]]:
     return [principal_filter(E, a) for a in atoms(E).tolist()]
 
 
-def tight_spectrum(E: Semilattice) -> list[frozenset[int]]:
-    """Closure of the ultrafilters; discrete and finite here, so equal to them."""
-    return ultrafilters(E)
-
-
 def spectrum_basis(E: Semilattice, points: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
     """Labeled boolean rows over the points: a basis of their (discrete) space.
 
@@ -333,7 +328,7 @@ def partial_bijection_semigroup(rows: np.ndarray, labels) -> InverseSemigroup:
         table[lo:lo + step] = find(compose_after(rows[lo:lo + step], rows))
     if (table < 0).any():
         raise StructureError("partial bijections are not closed under composition")
-    return validate_inverse_semigroup(table, labels, skip_associativity=True)
+    return validate_inverse_semigroup(table, labels)
 
 
 def _rows(maps, points: int) -> np.ndarray:

@@ -162,7 +162,8 @@ def test_b2_universal_germs_form_the_pair_groupoid():
     G = germs.groupoid
     assert G.n_arrows == 4
     assert len(G.units) == 2
-    from germlab.groupoids import groupoid_isomorphic, pair_groupoid
+    from germlab.groupoids import groupoid_isomorphic
+    from test_groupoids import pair_groupoid
 
     assert groupoid_isomorphic(G, pair_groupoid(2)) is not None
 

@@ -28,12 +28,13 @@ from germlab.algebra import (
 )
 from germlab.builtins import CORPUS_NAMES, builtin
 from germlab.errors import GroupoidMismatch, HypothesisFailed
-from germlab.groupoids import extract_subgroupoid, group_as_groupoid, make_groupoid, pair_groupoid
+from germlab.groupoids import extract_subgroupoid, group_as_groupoid, make_groupoid
 from germlab.semigroups import validate_inverse_semigroup
 from germlab.suites import run_suite
 
 from test_actions import diamond_munn
 from test_congruences import _relabelled
+from test_groupoids import pair_groupoid
 from test_order_congruence_tables import LADDER, subject
 from test_semigroups import B2_TABLE
 

@@ -20,13 +20,13 @@ from germlab.groupoids import (
     hom_kernel,
     is_strongly_surjective,
     make_groupoid,
-    pair_groupoid,
     validate_hom,
 )
 from germlab.semigroups import direct_product, validate_inverse_semigroup
 
 from test_actions import diamond_munn
 from test_congruences import CHAIN_ID_TABLE, CHAIN_KILL_TABLE
+from test_groupoids import pair_groupoid
 from test_semigroups import B2_TABLE, Z2_TABLE
 
 

@@ -37,7 +37,6 @@ from germlab.actions import (
 from germlab.cli import _d_classes
 from germlab.congruences import (
     Relation,
-    generated_congruence,
     random_idempotent_separating_congruences,
     sigma_relation,
 )
@@ -69,12 +68,13 @@ from germlab.semilattices import (
     semilattice_of,
     spectrum_basis,
     spectrum_points,
-    tight_spectrum,
+    ultrafilters,
     validate_semilattice,
 )
 from germlab.suites import run_suite
 
 from test_actions import labeled_sets
+from test_congruences import generated_congruence
 from test_groupoids import LOOP_GROUPOID, PAIR2, _reference_axioms, _single_entry_corruptions
 from test_order_congruence_tables import GRAPH7, LADDER, SUBJECTS, subject, subsets
 from test_semigroups import table_from_maps
@@ -363,34 +363,99 @@ def test_validated_tables_keep_the_generating_set_of_their_check():
     assert S.generators.tolist() == reference_generating_set(subject("graph7"))
 
 
+def generator_witness(table):
+    """The loop over the generating set in its order: the first (x, a, y),
+    for the first generator a with a failing pair and its first such pair
+    (x, y) row-major, with (x a) y != x (a y); None if there is none."""
+    for a in generating_set(table).tolist():
+        for x in range(table.shape[0]):
+            left = table[table[x, a], :]           # (x a) y over y
+            right = table[x, table[a, :]]          # x (a y) over y
+            if not (left == right).all():
+                return (x, a, int(np.argmax(left != right)))
+    return None
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 16])
 @pytest.mark.parametrize("name", SUBJECTS)
-def test_light_test_matches_the_loop_on_corruptions(name):
-    """Same verdict and witness on single-entry corruptions: Light's test
-    over the corrupted table's own generating set, then the loop."""
+def test_light_test_matches_the_loop_on_corruptions(monkeypatch, name, chunk):
+    """Same verdict as the n^3 loop on single-entry corruptions, and the
+    witness of the loop over the corrupted table's own generating set, one
+    generator per chunk or many."""
+    monkeypatch.setattr(semigroups, "LIGHT_CHUNK", chunk)
     table = subject(name).table
     assert reference_associativity(table) is None
     assert check_associativity(table).tolist() == generating_set(table).tolist()
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     verdicts = []
     for broken in corrupted_tables(table, rng, 4 if table.shape[0] > 100 else 12):
-        witness = reference_associativity(broken)
-        verdicts.append(witness)
-        if witness is None:
+        verdicts.append(reference_associativity(broken))
+        if verdicts[-1] is None:
             check_associativity(broken)
             continue
         with pytest.raises(NotAssociative) as raised:
             check_associativity(broken)
-        assert raised.value.triple == witness
+        assert raised.value.triple == generator_witness(broken)
+        x, a, y = raised.value.triple
+        assert broken[broken[x, a], y] != broken[x, broken[a, y]]
     assert table.shape[0] < 3 or any(v is not None for v in verdicts)
 
 
-def test_associativity_cap_is_unchanged():
-    """A chain semilattice needs every element as a generator, so the
-    certificate still costs n^3 there and the cap stays."""
-    n = 8
-    chain = np.minimum.outer(np.arange(n), np.arange(n))
-    assert generating_set(chain).size == n
-    assert semigroups.ASSOCIATIVITY_CAP == 512
+def chain(n):
+    return np.minimum.outer(np.arange(n), np.arange(n))
+
+
+def test_associativity_budget_counts_the_compared_pairs(monkeypatch):
+    """Light's test compares n pairs (x, y) for each generator a and row x
+    with xa not the zero.  A chain needs every element as a generator, and
+    its zero settles row 0 and generator 0, so the n-chain compares
+    n (n-1)^2 pairs: the 512-chain validates and the 1025-chain, one past
+    the 1024-chain's 1024 * 1023^2 <= 2^30, is refused, named by n, the
+    generator count and its pairs.  With the budget set to the 8-chain's
+    392, the 8-chain validates and the 9-chain is refused."""
+    for n in (8, 512):
+        S = semigroups.validate_inverse_semigroup(chain(n))
+        assert S.generators.size == n
+    with pytest.raises(StructureError) as refused:
+        semigroups.validate_inverse_semigroup(chain(1025))
+    assert str(refused.value) == ("table too large to validate (n=1025 with |A|=1025 "
+                                  "generators: 1074790400 pairs > 1073741824)")
+    monkeypatch.setattr(semigroups, "LIGHT_BUDGET", 8 * 7 ** 2)
+    semigroups.validate_inverse_semigroup(chain(8))
+    with pytest.raises(StructureError) as refused:
+        semigroups.validate_inverse_semigroup(chain(9))
+    assert str(refused.value) == ("table too large to validate "
+                                  "(n=9 with |A|=9 generators: 576 pairs > 392)")
+
+
+def test_zero_rows_are_settled_without_comparison(monkeypatch):
+    """600 orthogonal idempotents and a zero (the graph semigroup of 600
+    isolated vertices) need all 600 as generators, |A| n^2 = 600 * 601^2
+    products in full, but v is the only row x with x v not the zero, so
+    the test compares 601 * 600 pairs and fits a budget of exactly that."""
+    n = 601
+    table = np.where(np.eye(n, dtype=bool), np.arange(n)[:, None], 0)
+    monkeypatch.setattr(semigroups, "LIGHT_BUDGET", n * (n - 1))
+    assert check_associativity(table).tolist() == list(range(1, n))
+    monkeypatch.setattr(semigroups, "LIGHT_BUDGET", n * (n - 1) - 1)
+    with pytest.raises(StructureError, match="360600 pairs > 360599"):
+        check_associativity(table)
+
+
+def test_tables_past_2_to_the_15_elements_are_refused_before_any_work(monkeypatch):
+    """Past 2^15 elements, whose indices an int16 copy cannot hold, a table
+    is refused from its shape alone, before the generating set is searched
+    or the copy made: the table of 2^15 + 1 zeros here is a broadcast view
+    that holds one entry."""
+    def never(table):
+        raise AssertionError("generating_set called")
+
+    monkeypatch.setattr(semigroups, "generating_set", never)
+    n = (1 << 15) + 1
+    table = np.broadcast_to(np.int64(0), (n, n))
+    with pytest.raises(StructureError) as refused:
+        check_associativity(table)
+    assert str(refused.value) == "table too large to validate (n=32769 > 32768)"
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +555,7 @@ def test_spectrum_basis_equals_the_filter_loops(name):
     assert E.zero == (None if S.zero is None else E.parent_index.index(S.zero))
     for e in range(E.size):
         assert principal_filter(E, e) == reference_principal_filter(E, e)
-    for filters in (all_filters(E), tight_spectrum(E)):
+    for filters in (all_filters(E), ultrafilters(E)):
         points = np.array([reference_generator(E, F) for F in filters], dtype=np.intp)
         expected = tuple(reference_spectrum_basis(E, filters))
         assert labeled_sets(*spectrum_basis(E, points)) == expected
@@ -546,13 +611,17 @@ def test_semilattice_of_maps_a_moved_zero(name):
     assert np.array_equal(E.meet, reference_semilattice_meet(S))
 
 
-@pytest.mark.parametrize("table, pair", [([[0, 0, 0], [0, 1, 0], [0, 1, 2]], (1, 2)),
-                                         ([[0, 0, 0], [0, 1, 0], [1, 0, 2]], (0, 2))])
-def test_commutation_cross_check_names_the_first_pair(table, pair):
-    """Only a table past the associativity check can reach it: these are
-    not associative, yet every element has exactly one inverse."""
-    with pytest.raises(StructureError, match=r"idempotents {},{} do not commute".format(*pair)):
-        semigroups.validate_inverse_semigroup(table, skip_associativity=True)
+@pytest.mark.parametrize("table, triple", [([[0, 0, 0], [0, 1, 0], [0, 1, 2]], (1, 2, 1)),
+                                           ([[0, 0, 0], [0, 1, 0], [1, 0, 2]], (1, 2, 0))])
+def test_noncommuting_idempotents_fail_light_test(table, triple):
+    """Every element of these tables has exactly one inverse, yet two
+    idempotents do not commute: the tables are not associative, and Light's
+    test names the witness over the generating set (2, 1)."""
+    assert generating_set(np.array(table)).tolist() == [2, 1]
+    assert semigroups._inverses(np.array(table)) == (0, 1, 2)
+    with pytest.raises(NotAssociative) as raised:
+        semigroups.validate_inverse_semigroup(table)
+    assert raised.value.triple == triple
 
 
 def test_wide_partial_bijections_take_a_multi_word_key():

@@ -22,7 +22,6 @@ from germlab.groupoids import (
     iso_bundle,
     iso_interior,
     make_groupoid,
-    pair_groupoid,
     subgroupoid_properties,
     validate_groupoid,
 )
@@ -31,6 +30,15 @@ from germlab.semigroups import h_class_of, idempotents, validate_inverse_semigro
 from test_actions import diamond_munn
 from test_congruences import CHAIN_ID_TABLE
 from test_semigroups import B2_TABLE, Z2_TABLE
+
+
+def pair_groupoid(n: int) -> FiniteGroupoid:
+    """The full equivalence relation on n points: arrow i n + j is (i <- j)."""
+    i, j = np.divmod(np.arange(n * n), n)
+    table = np.where(j[:, None] == i, i[:, None] * n + j, -1)
+    labels = tuple(f"({a}<-{b})" for a, b in zip(i.tolist(), j.tolist()))
+    return make_groupoid(i * (n + 1), j * (n + 1), j * n + i, table, labels)
+
 
 Z3_TABLE = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 

@@ -18,12 +18,17 @@ from germlab.io import (
     groupoid_dot,
     load_graph,
     load_semigroup,
-    save_graph,
     save_semigroup,
 )
 from germlab.semilattices import exhaustive_filters, semilattice_of
 
 REPO = Path(__file__).resolve().parent.parent
+
+
+def save_graph(graph: DirectedGraph, path: str) -> None:
+    """Write a graph in the document form that ``load_graph`` reads."""
+    doc = {"vertices": graph.n_vertices, "edges": [list(e) for e in graph.edges]}
+    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
 
 
 def test_export_examples_script_writes_the_corpus_and_the_germ_groupoids(tmp_path):
@@ -308,25 +313,82 @@ def test_cli_unknown_builtin_is_input_error(capsys):
     assert main(["verify", "builtin:wat", "--suite", "universal"]) == 2
 
 
-def test_associativity_is_checked_for_loaded_tables_only(tmp_path, monkeypatch):
-    """Tables the package builds are associative by theorem and skip the
-    check; a table read from a document is checked once."""
+def test_every_built_or_loaded_table_is_checked_once(tmp_path, monkeypatch):
+    """One validation path: each builder that makes a new table, and the
+    loader, runs Light's test once on it; the quotient by the identity
+    relation reuses its source's table and generating set."""
     from germlab import semigroups
     from germlab.actions import graph_inverse_semigroup
-    from germlab.congruences import munn_quotient
+    from germlab.congruences import Relation, mu_relation, quotient
+    from germlab.semigroups import direct_product
     from germlab.semilattices import symmetric_inverse_monoid
 
-    z6 = builtin("group:z6")
+    b2, z6 = builtin("b2"), builtin("group:z6")
     calls = []
     check = semigroups.check_associativity
     monkeypatch.setattr(semigroups, "check_associativity",
                         lambda table: calls.append(table.shape[0]) or check(table))
-    sym = symmetric_inverse_monoid(3)
-    graph = graph_inverse_semigroup(DirectedGraph(3, ((0, 1), (1, 2))))
-    q = munn_quotient(z6)
-    assert (sym.size, q.target.size) == (34, 1) and graph.size > 1
-    assert calls == []
+    built = [
+        lambda: symmetric_inverse_monoid(3),                            # partial bijections
+        lambda: graph_inverse_semigroup(DirectedGraph(3, ((0, 1), (1, 2)))),
+        lambda: quotient(z6, mu_relation(z6)).target,
+        lambda: direct_product(b2, z6),
+        lambda: builtin("clifford_chain:identity"),                     # strong semilattice
+    ]
+    for build in built:
+        calls.clear()
+        S = build()
+        assert calls == [S.size]
+        assert "generators" in vars(S)
+    calls.clear()
+    same = quotient(z6, Relation.identity(z6.size)).target
+    assert calls == [] and same.generators is z6.generators
     path = tmp_path / "s.json"
-    save_semigroup(sym, str(path))
+    save_semigroup(symmetric_inverse_monoid(3), str(path))
+    calls.clear()
     load_semigroup(str(path))
     assert calls == [34]
+
+
+def test_table_files_past_512_elements_verify(tmp_path, capsys):
+    """Files are bounded by the cost of Light's test, not by n:
+    symmetric:3 x z16 has 544 elements and 5 generators."""
+    from germlab.semigroups import direct_product
+
+    S = direct_product(builtin("symmetric:3"), builtin("group:z16"))
+    assert (S.size, S.generators.size) == (544, 5)
+    path = tmp_path / "s3z16.json"
+    save_semigroup(S, str(path))
+    assert main(["verify", str(path), "--suite", "universal"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("[PASS]") == 22
+    assert out.splitlines()[-1] == "== total: 22 checks, 22 passed, 0 failed =="
+
+
+def test_graph_file_past_the_old_size_bound_verifies(tmp_path, capsys):
+    """520 isolated vertices give a graph semigroup of 521 elements with 520
+    generators, past |A| n^2 <= 512^3, the bound Light's test had when it
+    compared every product; its zero settles all rows but one for each
+    generator, so the file verifies."""
+    path = tmp_path / "isolated520.json"
+    save_graph(DirectedGraph(520, ()), str(path))
+    S = builtin(f"graph:{path}")
+    assert (S.size, S.generators.size) == (521, 520)
+    assert S.generators.size * S.size ** 2 > 512 ** 3
+    assert main(["verify", f"builtin:graph:{path}", "--suite", "universal"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "== total: 22 checks, 22 passed, 0 failed =="
+
+
+def test_table_file_past_the_associativity_budget_is_input_error(tmp_path, capsys):
+    """A 1025-element chain needs all 1025 elements as generators and
+    compares 1025 * 1024^2 pairs, past the budget of 2^30: exit 2 with the
+    budget named."""
+    chain = np.minimum.outer(np.arange(1025), np.arange(1025))
+    path = tmp_path / "chain1025.json"
+    path.write_text(json.dumps({"table": chain.tolist()}))
+    assert main(["verify", str(path), "--suite", "universal"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: table too large to validate (n=1025 with |A|=1025 "
+                            "generators: 1074790400 pairs > 1073741824)\n")

@@ -14,7 +14,7 @@ from germlab.builtins import (
     cyclic_group,
     strong_semilattice_of_groups,
 )
-from germlab.congruences import kernel_of, mu_relation, munn_quotient
+from germlab.congruences import kernel_of, mu_relation, quotient
 from germlab.congruences import is_fundamental
 from germlab.groupoids import is_group_bundle
 from germlab.semigroups import centralizer, is_clifford, natural_leq
@@ -121,7 +121,7 @@ def test_random_clifford_universal_groupoid_is_group_bundle(seed):
 def test_corpus_mu_refines_h_and_quotient_fundamental(name):
     S = CORPUS[name]
     assert mu_relation(S).refines(S.h_partition)
-    assert is_fundamental(munn_quotient(S).target)
+    assert is_fundamental(quotient(S, mu_relation(S)).target)
 
 
 @given(st.sampled_from(CORPUS_NAMES))

@@ -16,10 +16,9 @@ from germlab.semigroups import (
     idempotents,
     is_clifford,
     is_e_unitary,
-    is_normal_subsemigroup,
     is_zero_e_unitary,
-    lower_intersection_generators,
     natural_leq,
+    normality_defect,
     validate_inverse_semigroup,
 )
 
@@ -103,14 +102,16 @@ def _first_inverse_error(table):
 
 
 def _assert_inverse_search_equals_the_loop(table):
+    """The search itself, not the validator: edited tables need not be
+    associative, and Light's test runs before the search."""
     expected = _first_inverse_error(table)
     if expected is None:
-        S = validate_inverse_semigroup(table, skip_associativity=True)
-        assert list(S.inv) == [_reference_inverse_witnesses(table, s)[0] for s in range(len(table))]
+        inv = semigroups._inverses(np.array(table))
+        assert list(inv) == [_reference_inverse_witnesses(table, s)[0] for s in range(len(table))]
         return
     kind, element, witnesses = expected
     with pytest.raises(kind) as err:
-        validate_inverse_semigroup(table, skip_associativity=True)
+        semigroups._inverses(np.array(table))
     assert (err.value.element, getattr(err.value, "witnesses", None)) == (element, witnesses)
 
 
@@ -163,7 +164,7 @@ def test_zero_is_the_first_element_absorbing_on_both_sides(maps):
     n = len(table)
     perm = np.roll(np.arange(n), n // 2)
     relabeled = np.argsort(perm)[table[np.ix_(perm, perm)]]
-    S = validate_inverse_semigroup(relabeled, skip_associativity=True)
+    S = validate_inverse_semigroup(relabeled)
     loop = next(z for z in range(n)
                 if (relabeled[z, :] == z).all() and (relabeled[:, z] == z).all())
     assert S.zero == loop and 0 < S.zero < n - 1
@@ -209,6 +210,12 @@ def test_natural_leq_is_partial_order_exhaustively():
             for c in range(n):
                 if natural_leq(S, a, b) and natural_leq(S, b, c):
                     assert natural_leq(S, a, c)
+
+
+def lower_intersection_generators(S, s, t):
+    """The maximal elements of the common lower set of s and t."""
+    common = frozenset(np.flatnonzero(S.leq[:, s] & S.leq[:, t]).tolist())
+    return frozenset(x for x in common if not any(y != x and S.leq[x, y] for y in common))
 
 
 def test_lower_intersection_of_idempotents_is_their_meet():
@@ -269,7 +276,7 @@ def test_centralizer_contains_idempotents_and_is_normal():
     S = validate_inverse_semigroup(B2_TABLE)
     Z = centralizer(S)
     assert idempotents(S) <= Z
-    assert is_normal_subsemigroup(S, Z)
+    assert normality_defect(S, Z) is None
 
 
 def test_clifford_iff_centralizer_is_everything():
