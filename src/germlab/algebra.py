@@ -52,22 +52,36 @@ the block has f(c_p g^(j-l) c_q^-1) at ((p, j), (q, l)), an r x r matrix of
 o x o circulants.  The unitary DFT along j turns every circulant into a
 diagonal, so the block is unitarily similar to the direct sum over t of the
 r x r matrices B_t[p, q] = sum_j f(c_p g^j c_q^-1) w^(jt), with
-w = exp(-2 pi i / o), and its norm is the largest of theirs.  One
-(o, o) @ (o, r r) product per function and orbit, the cached symmetric
-matrix ``_dft(o)`` times the orbit's entries with j along the rows,
-computes them with BLAS and leaves each B_t contiguous.  The product is
-not taken across the rows of a stack: BLAS rounds a product with one
-column (gemv) and one with many (gemm) differently (on ``group:z3``'s
-order-3 DFT they differ in the last bit), so a row's norm would depend on
-how many rows share its call.
+w = exp(-2 pi i / o), and its norm is the largest of theirs.
 
-When r = 1 the blocks are 1 x 1 and their norms are moduli.  So
-``group:z70``'s one 70x70 block is 70 moduli, a unit alone in its orbit
-with trivial isotropy one modulus, ``symmetric:4``'s 24x24 blocks are 4 of
-6x6 or 3 of 8x8, and ``symmetric:5``'s 120x120 blocks 6 of 20x20.
+Not every B_t is needed.  Right translation by any h in G_x commutes with
+the block too, and if h^-1 g h = g^k it maps the eigenspace of right
+translation by g that carries B_t onto the one that carries B_(kt), so
+B_t and B_(kt) are unitarily equivalent and have one norm (Clifford
+theory; Serre, *Linear Representations of Finite Groups*, 1977, section
+8).  ``fiber_stacks`` keeps the least t of each class {k t mod o}, k over
+the exponents that G_x conjugates g to.  Every element of a symmetric
+group is conjugate to its inverse, so there t and -t share a class.  One
+(kept, o) @ (o, r r) product per function and orbit, the kept rows of the
+cached symmetric matrix ``_dft(o)`` times the orbit's entries with j along
+the rows, computes the kept blocks with BLAS and leaves each contiguous.
+The product is not taken across the rows of a stack: BLAS rounds a
+product with one column (gemv) and one with many (gemm) differently (on
+``group:z3``'s order-3 DFT they differ in the last bit), so a row's norm
+would depend on how many rows share its call.  The kept blocks' norms
+equal the skipped ones' exactly in exact arithmetic, and to a few ulps
+computed: rounding meets unitarily equivalent matrices in another order.
+
+When r = 1 the blocks are 1 x 1 and their norms are moduli (G_x is then
+cyclic, so every class is one t).  So ``group:z70``'s one 70x70 block is
+70 moduli and a unit alone in its orbit with trivial isotropy one
+modulus.  ``symmetric:4``'s 24x24 blocks split into 3 of 6x6 (g of order
+4, t = 1 and 3 in one class) or 2 of 8x8 (order 3, t = 1 and 2 in one
+class), and ``symmetric:5``'s 120x120 block at the unit with isotropy
+S5 into 4 of 20x20 (order 6, classes {0}, {1, 5}, {2, 4} and {3}), not 6.
 Otherwise each B_t's norm is sqrt(max(lambda_max(B_t^* B_t), 0)), the top eigenvalue
-of its Gram matrix: one stacked product per block shape and chunk of rows
-forms the Gram matrices, and one ``np.linalg.eigvalsh`` call takes their
+of its Gram matrix: one stacked product per stack of ``fiber_stacks`` and
+chunk of rows forms the Gram matrices, and one ``np.linalg.eigvalsh`` call takes their
 eigenvalues.  On ``symmetric:4``'s 100-row stacks that is about 2, 4 and
 5 us per 4x4, 6x6 and 8x8 matrix, against 4, 8 and 9 us for
 ``np.linalg.svd(compute_uv=False)`` (one core of a 2-core x86-64 host,
@@ -222,10 +236,12 @@ def _dft(o: int) -> np.ndarray:
 
 def reduced_norm(G: FiniteGroupoid, f: GroupoidFunction) -> float | np.ndarray:
     """The largest block norm of the regular representation: a float, or one
-    per row of a stack.  One block per orbit, split into o blocks of r x r by
-    one DFT product per function and orbit; per block shape and chunk of
-    rows, one stacked Gram product and one ``eigvalsh`` call, whose top
-    eigenvalues are the squared norms, or moduli when r = 1.  Each row is
+    per row of a stack.  One block per orbit, split into o blocks of r x r,
+    of which one per class of conjugate characters is computed (the others
+    have the same norms; see ``FiniteGroupoid.fiber_stacks``) by one
+    product with the kept DFT rows per function and orbit; per stack and
+    chunk of rows, one stacked Gram product and one ``eigvalsh`` call, whose
+    top eigenvalues are the squared norms, or moduli when r = 1.  Each row is
     scaled exactly by a power of 2 first, so the Gram matrices neither
     over- nor underflow."""
     if f.groupoid is not G:
@@ -236,13 +252,13 @@ def reduced_norm(G: FiniteGroupoid, f: GroupoidFunction) -> float | np.ndarray:
     e = np.maximum(np.frexp(np.abs(fv).max(axis=1, initial=0.0))[1], -1021)
     fv = fv * np.ldexp(1.0, -e)[:, None]
     norms = np.zeros(len(fv))
-    for idx in G.fiber_stacks:      # (orbits, r, r, o) per shape
-        _, r, _, o = idx.shape
-        idx = idx.transpose(0, 3, 1, 2)
+    for idx, kept in G.fiber_stacks:        # (orbits, r, r, o) per (r, o, kept)
+        orbits, r, _, o = idx.shape
+        idx, dft = idx.transpose(0, 3, 1, 2), _dft(o)[kept]
         for rows in _chunks(len(fv), idx.size):
             blocks = fv[rows].take(idx, axis=1)         # (rows, orbits, o, r, r)
-            if o > 1:       # one (o, o) @ (o, r r) product per function and orbit
-                blocks = (_dft(o) @ blocks.reshape(-1, o, r * r)).reshape(blocks.shape)
+            if o > 1:       # one (kept, o) @ (o, r r) product per function and orbit
+                blocks = (dft @ blocks.reshape(-1, o, r * r)).reshape(-1, orbits, len(kept), r, r)
             if r == 1:
                 top = np.abs(blocks[..., 0, 0])
             else:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from contextlib import nullcontext
 
 import numpy as np
@@ -25,6 +26,7 @@ from .builtins import builtin, corpus
 from .congruences import is_cryptic, is_fundamental, join_roots
 from .errors import StructureError, ZeroRequired
 from .groupoids import (
+    FiniteGroupoid,
     is_effective,
     is_essentially_principal,
     is_group_bundle,
@@ -103,6 +105,23 @@ def cmd_analyze(args) -> int:
     return PASS
 
 
+def _norm_blocks(G: FiniteGroupoid) -> str:
+    """The eigenproblems ``algebra.reduced_norm`` solves per function, read
+    from ``fiber_stacks``: one r x r Gram matrix per orbit and kept
+    character, by size, and the 1 x 1 blocks (r = 1) as moduli."""
+    sizes, moduli = Counter(), 0
+    for idx, kept in G.fiber_stacks:
+        orbits, r = idx.shape[:2]
+        if r == 1:
+            moduli += orbits * len(kept)
+        else:
+            sizes[r] += orbits * len(kept)
+    text = f"{sum(sizes.values())} per function"
+    if sizes:
+        text += ": " + ", ".join(f"{r}x{r} x{count}" for r, count in sorted(sizes.items()))
+    return text + (f", {moduli} moduli" if moduli else "")
+
+
 def cmd_germs(args) -> int:
     name, S = _load_subject(args.subject)
     action = universal_action(S) if args.action == "universal" else tight_action(S)
@@ -121,6 +140,7 @@ def cmd_germs(args) -> int:
     print(f"domains_form_base {domains_form_base(action)}")
     print(f"basis_sets        {len(G.basis)}"
           + ("" if G.basis_declared else " (discrete default)"))
+    print(f"norm_blocks       {_norm_blocks(G)}")
     if args.dot:
         export_dot(G, args.dot)
         print(f"dot written to {args.dot}")

@@ -107,10 +107,12 @@ class FiniteGroupoid:
         return tuple(out)
 
     @cached_property
-    def fiber_stacks(self) -> tuple[np.ndarray, ...]:
+    def fiber_stacks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """The matrices of ``fiber_indices`` at the units of ``orbit_units``,
-        each split by a cyclic subgroup of its isotropy and stacked by shape:
-        one (orbits, r, r, o) array per (r, o), in order of first occurrence.
+        each split by a cyclic subgroup of its isotropy, with the characters
+        of that subgroup that carry every block norm, stacked by
+        (r, o, kept): one pair ((orbits, r, r, o) array, kept) per key, in
+        order of first occurrence.
 
         Every other unit's matrix is its orbit representative's with rows
         and columns permuted alike (see ``algebra.reduced_norm``), so these
@@ -123,17 +125,26 @@ class FiniteGroupoid:
         f(c_p g^j (c_q g^l)^-1) = f(c_p g^(j-l) c_q^-1) at ((p, j), (q, l)):
         an r x r matrix of o x o circulants, since right translation by g
         commutes with it.  A DFT along j diagonalizes every circulant and
-        leaves o blocks of r x r, whose largest norm is the block's.  When
-        o = 1 the cosets are the single arrows in increasing order, and
-        [:, :, 0] is the fiber matrix itself.
+        leaves o blocks B_t of r x r, t in Z/o, whose largest norm is the
+        block's.  When o = 1 the cosets are the single arrows in increasing
+        order, and [:, :, 0] is the fiber matrix itself.
+
+        kept (increasing, intp) holds the least t of each class
+        {k t mod o : k in K}, K = {k : h^-1 g h = g^k for some h in G_x}.
+        Right translation R_h by such an h also commutes with the block,
+        and R_g R_h = R_h R_(g^k), so R_h maps the eigenspace of R_g that
+        carries B_t onto the one that carries B_(kt): the two blocks are
+        unitarily equivalent and have one norm (Clifford theory; Serre,
+        *Linear Representations of Finite Groups*, 1977, section 8).  So
+        the kept blocks carry every norm.
         """
         first = set(self.orbit_units)
-        by_shape: dict[tuple[int, ...], list[np.ndarray]] = {}
+        by_key: dict[tuple, tuple[list[np.ndarray], np.ndarray]] = {}
         for u, (fiber, idx) in zip(self.units, self.fiber_indices):
             if u in first:
-                block = _coset_circulants(np.array(fiber), idx, u, self.r)
-                by_shape.setdefault(block.shape, []).append(block)
-        return tuple(np.stack(blocks) for blocks in by_shape.values())
+                block, kept = _coset_circulants(np.array(fiber), idx, u, self.r)
+                by_key.setdefault((block.shape, tuple(kept.tolist())), ([], kept))[0].append(block)
+        return tuple((np.stack(blocks), kept) for blocks, kept in by_key.values())
 
     @cached_property
     def isotropy(self) -> frozenset[int]:
@@ -150,32 +161,43 @@ class FiniteGroupoid:
 
 
 def _coset_circulants(fiber: np.ndarray, idx: np.ndarray, x: int, ranges: np.ndarray
-                      ) -> np.ndarray:
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """The (r, r, o) array [c_p g^j c_q^-1] of ``fiber_stacks`` at the unit
-    x, read off its fiber matrix idx = [a b^-1] (rows a, columns b, both
-    over the fiber in increasing order).
+    x and its kept characters, read off the fiber matrix idx = [a b^-1]
+    (rows a, columns b, both over the fiber in increasing order).
 
     Column b^-1's position multiplies on the right by b, since a (b^-1)^-1
-    = a b, and row x holds the inverses: x b^-1 = b^-1.
+    = a b, and row x holds the inverses: x b^-1 = b^-1.  The rows of G_x at
+    those columns are its table, read once as positions in G_x; the orders,
+    g and its powers, and the conjugates h^-1 g h come from that small
+    table, not from the whole fiber.
     """
-    def at(arrows):
-        return np.searchsorted(fiber, arrows)
-
-    unit = at(x)
     iso = np.flatnonzero(ranges[fiber] == x)      # G_x, in increasing order
-    right = at(idx[unit, iso])                    # columns that multiply by b in G_x
-    order, power, m = np.zeros(len(iso), dtype=np.intp), iso, 1
-    while not order.all():                        # power holds b^m
-        order[(order == 0) & (power == unit)] = m
-        power, m = at(idx[power, right]), m + 1
+    if len(iso) == 1:           # o = 1: every arrow is its own coset
+        return idx[:, :, None], np.zeros(1, dtype=np.intp)
+    at = np.empty(len(ranges), dtype=np.intp)     # an arrow's position in the fiber
+    at[fiber] = np.arange(len(fiber))
+    inverse = idx[at[x], iso]
+    right = at[inverse]                           # columns that multiply by b in G_x
+    within = np.empty(len(ranges), dtype=np.intp)     # an arrow's position in G_x
+    every = within[fiber[iso]] = np.arange(len(iso))
+    table = within[idx[iso][:, right]]            # a b at [a, b]
+    e = within[x]
+    powers = every[:, None]                       # b^(j+1) at [b, j], doubled until e shows
+    while not (powers == e).any(axis=1).all():
+        powers = np.hstack((powers, table[powers[:, -1:], powers]))
+    order = (powers == e).argmax(axis=1) + 1
     g = int(np.argmax(order))                     # the least arrow of largest order
     o = int(order[g])
-    powers = [unit]                               # positions of g^0, ..., g^(o-1)
-    for _ in range(o - 1):
-        powers.append(int(at(idx[powers[-1], right[g]])))
-    cosets = idx[:, [powers[-j] for j in range(o)]]     # [a g^j]: column of g^-j
-    reps = at(distinct(cosets.min(axis=1)))
-    return idx[at(cosets[reps])[:, None, :], reps[None, :, None]]
+    cyclic = powers[g, np.arange(-1, o - 1) % o]  # g^0 = g^o, g, ..., g^(o-1)
+    exponent = np.full(len(iso), -1)
+    exponent[cyclic] = np.arange(o)
+    k = exponent[table[table[within[inverse], g], every]]     # h^-1 g h = g^k, or -1
+    classes = (k[k >= 0, None] * np.arange(o)) % o        # {k t} over the rows, t over the columns
+    kept = np.flatnonzero(classes.min(axis=0) == np.arange(o))
+    cosets = idx[:, right[cyclic]]                # [a g^j]
+    reps = np.flatnonzero(cosets.min(axis=1) == fiber)    # a, the least of a <g>
+    return idx[at[cosets[reps]][:, None, :], reps[None, :, None]], kept
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ table[i][j] = index of the product of elements i and j.  Graphs:
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .actions import DirectedGraph
 from .errors import ParseError
@@ -38,9 +39,12 @@ def load_semigroup(path: str) -> InverseSemigroup:
     for i, row in enumerate(table):
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f"table[{i}]", f"expected a row of {n} entries")
-        for j, x in enumerate(row):
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ParseError(f"table[{i}][{j}]", "expected an integer index")
+    # one C-level scan of the entries' types; JSON true loads as a bool, whose
+    # type is not int, and the rows are walked only to name the first bad entry
+    if set(map(type, chain.from_iterable(table))) != {int}:
+        i, j = next((i, j) for i, row in enumerate(table)
+                    for j, x in enumerate(row) if type(x) is not int)
+        raise ParseError(f"table[{i}][{j}]", "expected an integer index")
     labels = doc.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != n:

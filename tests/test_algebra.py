@@ -1,3 +1,4 @@
+import itertools
 import zlib
 from functools import lru_cache
 
@@ -351,7 +352,7 @@ def test_array_algebra_is_bit_identical_to_the_reference_loops(name, monkeypatch
     # products of the largest fiber size, then for the SVD of the largest
     # block shape
     widths = (max(idx.size for _, idx in G.fibers_by_size),
-              max(idx.size for idx in G.fiber_stacks))
+              max(idx.size for idx, _ in G.fiber_stacks))
     for width in widths:
         monkeypatch.setattr(algebra, "CHUNK_VALUES", 3 * width)
         f, g = random_functions(rng, 7, G, G)
@@ -369,7 +370,7 @@ def test_array_algebra_is_bit_identical_to_the_reference_loops(name, monkeypatch
             assert _same_bits(norms[i], np.float64(reduced_norm(G, fi)))
             first = _reference_orbit_units(G)
             assert reduced_norm(G, fi) == max(
-                _split_block_norm(G, u, fiber, m)
+                max(_split_block_norms(G, u, fiber, m, sorted(_reference_classes(G, u))))
                 for u, (fiber, m) in zip(G.units, _reference_regular_blocks(G, fi)) if u in first)
 
 
@@ -477,31 +478,47 @@ def _reference_cosets(G, x):
     return g, len(cyclic), [[table[c][h] for h in cyclic] for c in reps]
 
 
-def _split_block_norm(G, x, fiber, m):
-    """The norm of the block m at the unit x (rows and columns over the
-    fiber): its circulant entries m[c_p g^j, c_q] read into an (r, r, o)
-    array and taken with j first, the DFT along j as one (o, o) @ (o, r r)
-    product when o > 1, then moduli when r = 1, else the largest of the o
-    blocks' norms sqrt(max(lambda_max(B^* B), 0)) from the top eigenvalue
-    of the Gram matrix, each within ORBIT_NORM_ULPS of the block's top
-    singular value."""
+def _reference_classes(G, x):
+    """At the unit x, with g and o from ``_reference_cosets``: K, the k with
+    h^-1 g h = g^k for some h in the isotropy G_x, and the classes
+    {k t mod o : k in K} of Z/o, as a dict from each class's least member
+    to its members.  Loops over the table."""
+    r, d, inv, table = G.r.tolist(), G.d.tolist(), G.inv.tolist(), G.table.tolist()
+    g, o, _ = _reference_cosets(G, x)
+    cyclic = _powers(table, x, g)
+    conjugates = [table[table[inv[h]][g]][h] for h in G.arrows() if r[h] == d[h] == x]
+    K = {cyclic.index(c) for c in conjugates if c in cyclic}
+    classes = {}
+    for t in range(o):
+        classes.setdefault(min(k * t % o for k in K), []).append(t)
+    return classes
+
+
+def _split_block_norms(G, x, fiber, m, characters):
+    """The norms of the blocks B_t, t in characters, of the block m at the
+    unit x (rows and columns over the fiber): its circulant entries
+    m[c_p g^j, c_q] read into an (r, r, o) array and taken with j first,
+    the DFT rows of those t along j as one product when o > 1, then moduli
+    when r = 1, else each block's norm sqrt(max(lambda_max(B^* B), 0)) from
+    the top eigenvalue of the Gram matrix, each within ORBIT_NORM_ULPS of
+    the block's top singular value."""
     _, o, layout = _reference_cosets(G, x)
     r, position = len(layout), {a: i for i, a in enumerate(fiber)}
     split = np.array([[[m[position[layout[p][j]], position[layout[q][0]]] for j in range(o)]
                        for q in range(r)] for p in range(r)])
-    split = split.transpose(2, 0, 1)
+    split = split.transpose(2, 0, 1).reshape(o, r * r)
     if o > 1:
-        split = (algebra._dft(o) @ split.reshape(o, r * r)).reshape(o, r, r)
+        split = algebra._dft(o)[list(characters)] @ split
+    split = split.reshape(-1, r, r)
     if r == 1:
-        return float(np.abs(split).max())
+        return np.abs(split[:, 0, 0]).tolist()
     norms = []
-    for t in range(o):
-        b = split[t]
+    for t, b in zip(characters, split):
         norm = float(np.sqrt(max(np.linalg.eigvalsh(b.conj().T @ b)[-1], 0.0)))
         svd = spectral_norm(b)
         assert abs(norm - svd) <= ORBIT_NORM_ULPS * np.spacing(svd), (x, t)
         norms.append(norm)
-    return max(norms)
+    return norms
 
 
 def test_dft_matrix_is_exact_at_quarter_turns_and_orthogonal():
@@ -517,16 +534,20 @@ def test_dft_matrix_is_exact_at_quarter_turns_and_orthogonal():
 
 
 def _fiber_stack_blocks(G):
-    """The representatives' (r, r, o) arrays out of ``fiber_stacks``, with
-    each representative's shape from ``_reference_cosets``: the stacks hold
-    them grouped by shape in order of first occurrence."""
-    shapes = {}
+    """The representatives' (r, r, o) arrays and kept characters out of
+    ``fiber_stacks``, with each representative's shape from
+    ``_reference_cosets`` and its class minima from ``_reference_classes``:
+    the stacks hold them grouped by (shape, kept) in order of first
+    occurrence."""
+    keys = {}
     for x in _reference_orbit_units(G):
         _, o, layout = _reference_cosets(G, x)
-        shapes.setdefault((len(layout), len(layout), o), []).append(x)
-    assert [stack.shape[1:] for stack in G.fiber_stacks] == list(shapes)
-    assert [len(stack) for stack in G.fiber_stacks] == [len(xs) for xs in shapes.values()]
-    return [(x, block) for stack, xs in zip(G.fiber_stacks, shapes.values())
+        key = ((len(layout), len(layout), o), tuple(sorted(_reference_classes(G, x))))
+        keys.setdefault(key, []).append(x)
+    assert [(stack.shape[1:], tuple(kept.tolist())) for stack, kept in G.fiber_stacks] == list(keys)
+    assert [len(stack) for stack, _ in G.fiber_stacks] == [len(xs) for xs in keys.values()]
+    assert all(kept.dtype == np.intp for _, kept in G.fiber_stacks)
+    return [(x, block, kept) for (stack, kept), xs in zip(G.fiber_stacks, keys.values())
             for x, block in zip(xs, stack)]
 
 
@@ -542,7 +563,7 @@ def test_fiber_stacks_split_each_block_into_circulants(name):
     for G in _germ_groupoids(name):
         r, d, inv, table = G.r.tolist(), G.d.tolist(), G.inv.tolist(), G.table.tolist()
         matrices = dict(zip(G.units, G.fiber_indices))
-        for x, I in _fiber_stack_blocks(G):
+        for x, I, _ in _fiber_stack_blocks(G):
             fiber, M = matrices[x]
             rows, _, o = I.shape
             layout = [[table[a][fiber[0]] for a in row] for row in I[:, 0, :].tolist()]
@@ -562,6 +583,65 @@ def test_fiber_stacks_split_each_block_into_circulants(name):
             p, j, q, l = np.ix_(*(np.arange(n) for n in (rows, o, rows, o)))
             expected = I[p, q, (j - l) % o].reshape(len(fiber), len(fiber))
             assert np.array_equal(M[np.ix_(order, order)], expected), (name, x)
+
+
+@pytest.mark.parametrize("name", ORBIT_SUBJECTS)
+def test_kept_characters_are_the_class_minima_and_carry_every_norm(name):
+    """At each representative x, ``fiber_stacks`` keeps exactly the least t
+    of each class {k t mod o : k in K}, K the k with h^-1 g h = g^k for some
+    h in G_x, found by looping over the table; and every block B_t's norm,
+    computed as ``_split_block_norms`` does, equals its class minimum's to
+    ORBIT_NORM_ULPS, on Gaussian-integer and on normal samples."""
+    for G in _germ_groupoids(name):
+        matrices = dict(zip(G.units, G.fiber_indices))
+        (ints,) = random_functions(SplitMix64(zlib.crc32(name.encode())), 3, G)
+        normal = np.random.default_rng(zlib.crc32(name.encode())).standard_normal(
+            (2, 3, G.n_arrows))
+        samples = np.concatenate([ints.values, normal[0] + 1j * normal[1]])
+        for x, I, kept in _fiber_stack_blocks(G):
+            classes = _reference_classes(G, x)
+            assert kept.tolist() == sorted(classes), (name, x)
+            assert sorted(t for ts in classes.values() for t in ts) == list(range(I.shape[2]))
+            fiber, idx = matrices[x]
+            for values in samples:
+                norms = _split_block_norms(G, x, fiber, values.take(idx), range(I.shape[2]))
+                for least, ts in classes.items():
+                    assert all(abs(norms[t] - norms[least])
+                               <= ORBIT_NORM_ULPS * np.spacing(norms[least]) for t in ts), (name, x)
+
+
+def _frobenius_21():
+    """Z7 x| Z3, (a, b)(c, e) = (a + 2^b c, b + e), element (a, b) at 3 a + b."""
+    index = {(a, b): 3 * a + b for a in range(7) for b in range(3)}
+    return [[index[((a + 2 ** b * c) % 7, (b + e) % 3)] for (c, e) in index] for (a, b) in index]
+
+
+def _alternating_4():
+    """The even permutations of 4 points in lexicographic order, composed."""
+    perms = [p for p in itertools.permutations(range(4))
+             if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
+    return [[perms.index(tuple(p[q[i]] for i in range(4))) for q in perms] for p in perms]
+
+
+@pytest.mark.parametrize("table,shape,classes", [
+    # g = (1, 0) has order 7 and (0, 1) conjugates it to g^4: K = {1, 2, 4}
+    (_frobenius_21(), (3, 3, 7), {0: [0], 1: [1, 2, 4], 3: [3, 5, 6]}),
+    # g of order 3 is not conjugate to g^-1, and its other conjugates lie
+    # outside <g>: K = {1}, every character kept
+    (_alternating_4(), (4, 4, 3), {0: [0], 1: [1], 2: [2]}),
+])
+def test_groups_keep_one_character_per_class(table, shape, classes):
+    """In a group the one block splits by <g> into o blocks of r x r, and
+    ``fiber_stacks`` keeps the least character of each class, here against
+    hand-derived classes; the norm read from the kept blocks is the
+    block's top singular value to ORBIT_NORM_ULPS."""
+    G = group_as_groupoid(table)
+    ((I, kept),) = G.fiber_stacks
+    assert I.shape[1:] == shape and kept.tolist() == sorted(classes)
+    assert _reference_classes(G, 0) == classes
+    (f,) = random_functions(SplitMix64(len(table)), 20, G)
+    every = _all_unit_norm(G, f)
+    assert (np.abs(reduced_norm(G, f) - every) <= ORBIT_NORM_ULPS * np.spacing(every)).all()
 
 
 @pytest.mark.parametrize("name", ORBIT_SUBJECTS)
@@ -591,16 +671,17 @@ def _counting(monkeypatch, name):
 @pytest.mark.parametrize("name", ORBIT_SUBJECTS)
 def test_reduced_norm_decomposes_o_matrices_per_orbit_with_r_above_1(name, monkeypatch):
     """Counts the Gram matrices ``np.linalg.eigvalsh`` receives in one call
-    on one function and in one on a stack of 7: per orbit and function, o of
-    r x r when r > 1, and none when r = 1, where the blocks are 1 x 1 and
-    their norms moduli.  ``np.linalg.svd`` receives none."""
+    on one function and in one on a stack of 7: per orbit and function, one
+    r x r matrix per class of ``_reference_classes`` when r > 1, and none
+    when r = 1, where the blocks are 1 x 1 and their norms moduli.
+    ``np.linalg.svd`` receives none."""
     shapes, svds = _counting(monkeypatch, "eigvalsh"), _counting(monkeypatch, "svd")
     for G in _germ_groupoids(name):
         expected = []
         for x in _reference_orbit_units(G):
             _, o, layout = _reference_cosets(G, x)
             r = len(layout)
-            expected += [(r, r)] * (o if r > 1 else 0)
+            expected += [(r, r)] * (len(_reference_classes(G, x)) if r > 1 else 0)
         (f,) = random_functions(SplitMix64(5), 7, G)
         for values, rows in ((f.values[0], 1), (f.values, 7)):
             shapes.clear()
@@ -612,13 +693,14 @@ def test_reduced_norm_decomposes_o_matrices_per_orbit_with_r_above_1(name, monke
 def test_algebra_suite_svds_only_small_blocks(monkeypatch):
     """``group:z70``'s one 70 x 70 block splits into 70 moduli, so its
     algebra suite hands ``np.linalg.eigvalsh`` no matrix; ``symmetric:4``'s
-    hands it none larger than 8 x 8 (the 24 x 24 blocks split by cyclic
-    subgroups of orders 3 and 4).  Neither hands ``np.linalg.svd`` any."""
+    hands it exactly 2,400, none larger than 8 x 8 (the 24 x 24 blocks split
+    by cyclic subgroups of orders 3 and 4, one block kept per class of
+    conjugate characters).  Neither hands ``np.linalg.svd`` any."""
     shapes, svds = _counting(monkeypatch, "eigvalsh"), _counting(monkeypatch, "svd")
     run_suite("group:z70", builtin("group:z70"), "algebra")
     assert shapes == []
     run_suite("symmetric:4", builtin("symmetric:4"), "algebra")
-    assert shapes and max(max(shape) for shape in shapes) == 8
+    assert len(shapes) == 2400 and max(max(shape) for shape in shapes) == 8
     assert svds == []
 
 

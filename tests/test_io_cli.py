@@ -69,6 +69,19 @@ def test_load_rejects_non_integer_entries(tmp_path):
         load_semigroup(str(path))
 
 
+@pytest.mark.parametrize("bad", [True, 0.0])
+def test_cli_bool_or_float_entry_is_input_error_naming_the_first_bad_entry(tmp_path, capsys, bad):
+    """A JSON ``true`` or ``0.0`` is not an integer index: exit 2 with one
+    error line naming the first bad entry in row-major order, table[1][2]
+    here, before the later table[2][0]."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"table": [[0, 0, 0], [0, 0, bad], [bad, 0, 0]]}))
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: table[1][2]: expected an integer index\n"
+    assert captured.out == ""
+
+
 def test_load_propagates_validation_failure(tmp_path):
     path = tmp_path / "assoc.json"
     # a non-associative magma table
@@ -196,6 +209,20 @@ def test_cli_analyze_and_germs(tmp_path, capsys):
     assert main(["germs", "builtin:diamond_munn", "--action", "tight",
                  "--dot", str(dot)]) == 0
     assert dot.exists()
+
+
+@pytest.mark.parametrize("name,blocks", [
+    ("symmetric:4", "8 per function: 4x4 x1, 6x6 x5, 8x8 x2"),
+    ("group:z70", "0 per function, 70 moduli"),
+])
+def test_cli_germs_prints_the_norm_blocks(name, blocks, capsys):
+    """The ``norm_blocks`` row counts the eigenproblems of one norm: on
+    ``symmetric:4``, per orbit one block per class of conjugate characters
+    (1 + 2 + 2 + 3), and on ``group:z70`` none, since its one 70 x 70
+    block splits into 70 moduli."""
+    assert main(["germs", f"builtin:{name}"]) == 0
+    rows = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+    assert rows["norm_blocks"] == blocks
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
