@@ -70,7 +70,6 @@ from .semigroups import (
     InverseSemigroup,
     centralizer,
     h_classes,
-    idempotents,
     is_clifford,
     is_e_unitary,
     is_zero_e_unitary,

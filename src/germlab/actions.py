@@ -24,7 +24,8 @@ gather of it, [t, s x] [s, x] = germ_at[t s, x].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +38,12 @@ from .errors import (
     NotSubsemigroup,
     StructureError,
 )
-from .groupoids import FiniteGroupoid, extract_subgroupoid
+from .groupoids import (
+    FiniteGroupoid,
+    SubgroupoidProperties,
+    extract_subgroupoid,
+    subgroupoid_properties,
+)
 from .semigroups import (
     InverseSemigroup,
     Relation,
@@ -73,9 +79,6 @@ class Action:
     maps: np.ndarray
     point_labels: tuple[str, ...]
     space_basis: tuple[np.ndarray, tuple[str, ...]] | None = None
-
-    def domain_of(self, s: int) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.maps[s] >= 0).tolist())
 
 
 def validate_action(S: InverseSemigroup, space_size: int, maps,
@@ -120,7 +123,7 @@ def validate_action(S: InverseSemigroup, space_size: int, maps,
             bad = (compose_after(maps[s], maps) != maps[S.table[s]]).any(axis=1)
             if bad.any():
                 raise NotHomomorphism(s, int(np.argmax(bad)))
-    if not domain[sorted(S.idempotent_set)].any(axis=0).all():
+    if not domain[S.idempotent_array].any(axis=0).all():
         raise NotCovering()
     if point_labels is None:
         point_labels = tuple(f"x{p}" for p in range(space_size))
@@ -164,8 +167,8 @@ def tight_action(S: InverseSemigroup) -> Action:
     return spectrum_action(S, atoms(E), E)
 
 
-def action_kernel(action: Action) -> frozenset[int]:
-    """Products s.t* over pairs acted on identically.
+def action_kernel(action: Action) -> np.ndarray:
+    """Products s.t* over pairs acted on identically, as an element mask.
 
     That this is the normal subsemigroup of elements acting as identities is
     checked by ``tight.base_dichotomy_universal`` and ``_tight``.
@@ -175,7 +178,7 @@ def action_kernel(action: Action) -> frozenset[int]:
 
 def domains_form_base(action: Action) -> bool:
     """Finite-discrete reading: every singleton must be some idempotent's domain."""
-    domains = action.maps[sorted(action.semigroup.idempotent_set)] >= 0
+    domains = action.maps[action.semigroup.idempotent_array] >= 0
     return bool(domains[domains.sum(axis=1) == 1].any(axis=0).all())
 
 
@@ -200,10 +203,13 @@ class GermGroupoid:
             raise StructureError(f"point {x} is outside the domain of element {s}")
         return int(a)
 
-    def germs_of(self, elements) -> frozenset[int]:
-        """The arrows [s, x] over the given elements s."""
-        arrows = self.germ_at[sorted(elements)]
-        return frozenset(arrows[arrows >= 0].tolist())
+    def germs_of(self, elements) -> np.ndarray:
+        """The arrows [s, x] over the elements s, as an arrow mask; elements
+        selects rows of ``germ_at``: an element mask or an index array."""
+        arrows = self.germ_at[elements]
+        out = np.zeros(self.groupoid.n_arrows, dtype=bool)
+        out[arrows[arrows >= 0]] = True
+        return out
 
     def principal_point(self, e: int) -> int:
         """The point whose least acting idempotent is e (its principal filter)."""
@@ -308,7 +314,7 @@ def germ_groupoid(action: Action) -> GermGroupoid:
                         + tuple(f"{{{label}}}" for label in action.point_labels))
     basis = _theta_catalog(S, germ_at, rep_s.size, unit_catalog)
 
-    units = tuple(sorted(set(unit_at_point.tolist())))
+    units = tuple(distinct(unit_at_point).tolist())
     G = FiniteGroupoid(rep_s.size, r, d, inv, table, units, labels, *basis, declared)
     return GermGroupoid(action, G, tuple(unit_at_point.tolist()), germ_at,
                         np.stack([rep_s, rep_x], axis=1), tuple(min_idem.tolist()))
@@ -331,7 +337,7 @@ def germ_equivalence_is_equivalence(action: Action) -> bool:
     S = action.semigroup
     T = S.table
     n = S.size
-    idems = np.array(sorted(S.idempotent_set))
+    idems = S.idempotent_array
     domain = action.maps >= 0
     for x in range(action.space_size):
         acting = np.flatnonzero(domain[:, x])
@@ -352,39 +358,42 @@ def germ_equivalence_is_equivalence(action: Action) -> bool:
     return True
 
 
-@dataclass
+@dataclass(eq=False)
 class EmbeddedSubgroupoid:
-    """An arrow subset of a parent groupoid together with a standalone copy."""
+    """An arrow mask of a parent groupoid together with a standalone copy,
+    whose arrow i is the parent's arrow ``to_parent[i]``."""
 
     parent: FiniteGroupoid
-    arrows: frozenset[int]
+    arrows: np.ndarray
     groupoid: FiniteGroupoid
-    to_parent: tuple[int, ...]
-    # (first failing bundle hypothesis or None, closed), set by the algebra on first use
-    hypotheses: tuple[str | None, bool] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    to_parent: np.ndarray
+
+    @cached_property
+    def properties(self) -> SubgroupoidProperties:
+        """The arrows' subgroupoid properties in the parent, computed once
+        for the check ``groupoid.centralizer_subgroupoid`` and for what
+        ``algebra.embed`` and ``algebra.conditional_expectation`` require."""
+        return subgroupoid_properties(self.parent, self.arrows)
 
 
-def induced_subgroupoid(germs: GermGroupoid, subset: frozenset[int]
-                        ) -> EmbeddedSubgroupoid:
-    """Germs with a representative in a subsemigroup containing the idempotents.
+def induced_subgroupoid(germs: GermGroupoid, inside: np.ndarray) -> EmbeddedSubgroupoid:
+    """Germs with a representative in a subsemigroup, given as an element
+    mask that contains the idempotents.
 
-    The closure checks report the first member a, in the subset's iteration
-    order, whose inverse or whose products a b leave it, the inverse first.
+    The closure checks report the first member a, in element order, whose
+    inverse or whose products a b leave it, the inverse first.
     """
     S = germs.action.semigroup
-    if not S.idempotent_set <= subset:
+    if (S.idempotent_mask & ~inside).any():
         raise NotSubsemigroup("subset must contain every idempotent")
-    members = np.fromiter(subset, dtype=np.intp, count=len(subset))
-    inside = np.zeros(S.size, dtype=bool)
-    inside[members] = True
+    members = np.flatnonzero(inside)
     no_inverse = ~inside[S.inv_array[members]]
     no_product = ~inside[S.table[np.ix_(members, members)]].all(axis=1)
     hit = first_index(no_inverse | no_product)
     if hit is not None:
         raise NotSubsemigroup("subset must be closed under inverses" if no_inverse[hit[0]]
                               else "subset must be closed under products")
-    chosen = germs.germs_of(subset)
+    chosen = germs.germs_of(inside)
     sub, order = extract_subgroupoid(germs.groupoid, chosen)
     return EmbeddedSubgroupoid(germs.groupoid, chosen, sub, order)
 
@@ -512,11 +521,9 @@ def graph_inverse_semigroup(graph: DirectedGraph) -> InverseSemigroup:
         labels.append(lx if x == y else f"{lx}.{ly}*")
     S = validate_inverse_semigroup(table, labels)
 
-    idems = sorted(S.idempotent_set)
-    for e in idems:
-        for f in idems:
-            p = S.mul(e, f)
-            if p != S.zero and not (S.leq[e, f] or S.leq[f, e]):
-                raise StructureError("idempotent semilattice is ambiguous at zero")
+    pairs = np.ix_(S.idempotent_array, S.idempotent_array)
+    below = S.leq[pairs]
+    if ((S.table[pairs] != S.zero) & ~below & ~below.T).any():
+        raise StructureError("idempotent semilattice is ambiguous at zero")
     S.graph = graph
     return S

@@ -131,11 +131,7 @@ import numpy as np
 
 from .actions import EmbeddedSubgroupoid
 from .errors import GroupoidMismatch, HypothesisFailed, StructureError
-from .groupoids import (
-    FiniteGroupoid,
-    is_group_bundle,
-    subgroupoid_properties,
-)
+from .groupoids import FiniteGroupoid, is_group_bundle
 
 NORM_TOL = 1e-9
 CHUNK_VALUES = 1 << 15      # complex values in the largest temporary of one chunk: 512 KB
@@ -269,46 +265,41 @@ def reduced_norm(G: FiniteGroupoid, f: GroupoidFunction) -> float | np.ndarray:
     return float(norms[0]) if f.values.ndim == 1 else norms
 
 
-def _require_hypotheses(emb: EmbeddedSubgroupoid, *, closed: bool = False) -> None:
+def _require_bundle(emb: EmbeddedSubgroupoid, *, closed: bool = False) -> None:
     """Raise the first failing bundle hypothesis, then closedness if asked.
 
-    The outcome is computed on first use and memoized on the embedding, so
-    repeated embeddings and expectations do not re-run the subgroupoid,
-    normality and closedness tests.
+    The subgroupoid, normality and closedness tests are the embedding's
+    cached ``properties``, so repeated embeddings and expectations do not
+    re-run them.
     """
-    if emb.hypotheses is None:
-        props = subgroupoid_properties(emb.parent, emb.arrows)
-        failed = next((name for name, ok in (
-            ("subgroupoid", props.is_subgroupoid), ("open", props.open),
-            ("wide", props.wide), ("normal", props.normal)) if not ok), None)
-        if failed is None and not is_group_bundle(emb.groupoid):
-            failed = "group bundle"
-        emb.hypotheses = (failed, props.closed)
-    failed, subset_closed = emb.hypotheses
+    props = emb.properties
+    failed = next((name for name, ok in (
+        ("subgroupoid", props.is_subgroupoid), ("open", props.open),
+        ("wide", props.wide), ("normal", props.normal),
+        ("group bundle", is_group_bundle(emb.groupoid))) if not ok), None)
     if failed is not None:
         raise HypothesisFailed(failed)
-    if closed and not subset_closed:
+    if closed and not props.closed:
         raise HypothesisFailed("closed")
 
 
 def embed(emb: EmbeddedSubgroupoid, f: GroupoidFunction) -> GroupoidFunction:
     """Extend a function on an open wide normal group bundle by zero."""
-    _require_hypotheses(emb)
+    _require_bundle(emb)
     if f.groupoid is not emb.groupoid:
         raise GroupoidMismatch("function must live on the subgroupoid")
     out = np.zeros(f.values.shape[:-1] + (emb.parent.n_arrows,), dtype=np.complex128)
-    out[..., np.asarray(emb.to_parent, dtype=np.intp)] = f.values
+    out[..., emb.to_parent] = f.values
     return GroupoidFunction(emb.parent, out)
 
 
 def conditional_expectation(emb: EmbeddedSubgroupoid, f: GroupoidFunction
                             ) -> GroupoidFunction:
     """Restrict a function on the parent to the (closed) subgroupoid."""
-    _require_hypotheses(emb, closed=True)
+    _require_bundle(emb, closed=True)
     if f.groupoid is not emb.parent:
         raise GroupoidMismatch("function must live on the parent groupoid")
-    return GroupoidFunction(emb.groupoid,
-                            f.values.take(np.asarray(emb.to_parent, dtype=np.intp), axis=-1))
+    return GroupoidFunction(emb.groupoid, f.values.take(emb.to_parent, axis=-1))
 
 
 class SplitMix64:

@@ -37,7 +37,6 @@ from .io import export_dot, load_semigroup, save_semigroup
 from .semigroups import (
     InverseSemigroup,
     h_classes,
-    idempotents,
     is_clifford,
     is_e_unitary,
     is_zero_e_unitary,
@@ -66,7 +65,7 @@ def _d_classes(S: InverseSemigroup) -> int:
 def cmd_check(args) -> int:
     name, S = _load_subject(args.subject)
     print(f"{name}: valid inverse semigroup with {S.size} elements, "
-          f"{len(idempotents(S))} idempotents"
+          f"{S.idempotent_array.size} idempotents"
           + (f", zero at index {S.zero}" if S.zero is not None else ", no zero"))
     return PASS
 
@@ -132,8 +131,8 @@ def cmd_germs(args) -> int:
     print(f"{name}: {args.action} groupoid of germs")
     print(f"arrows            {G.n_arrows}")
     print(f"units             {len(G.units)}")
-    print(f"isotropy          {len(iso)}")
-    print(f"isotropy interior {len(inner)}")
+    print(f"isotropy          {np.count_nonzero(iso)}")
+    print(f"isotropy interior {np.count_nonzero(inner)}")
     print(f"group_bundle      {is_group_bundle(G)}")
     print(f"effective         {is_effective(G)}")
     print(f"ess_principal     {is_essentially_principal(G)}")
@@ -170,7 +169,7 @@ def cmd_example(args) -> int:
                   sys.stdout, indent=1)
         sys.stdout.write("\n")
     else:
-        print(f"{args.name}: {S.size} elements, {len(idempotents(S))} idempotents")
+        print(f"{args.name}: {S.size} elements, {S.idempotent_array.size} idempotents")
         if args.out:
             save_semigroup(S, args.out)
             print(f"written to {args.out}")

@@ -137,19 +137,19 @@ def mu_relation(S: InverseSemigroup) -> Relation:
     return Relation(T[T[:, S.idempotent_array], S.inv_array[:, None]])   # s e s* at [s, e]
 
 
-def kernel_of(S: InverseSemigroup, R: Relation) -> frozenset[int]:
-    """Union of blocks containing an idempotent."""
+def kernel_of(S: InverseSemigroup, R: Relation) -> np.ndarray:
+    """Union of blocks containing an idempotent, as an element mask."""
     meets = np.zeros(R.count, dtype=bool)
     meets[R.labels[S.idempotent_array]] = True
-    return frozenset(np.flatnonzero(meets[R.labels]).tolist())
+    return meets[R.labels]
 
 
-def related_products(S: InverseSemigroup, R: Relation) -> frozenset[int]:
-    """The products s t* over the related pairs s ~ t."""
+def related_products(S: InverseSemigroup, R: Relation) -> np.ndarray:
+    """The products s t* over the related pairs s ~ t, as an element mask."""
     s, t = np.nonzero(R.labels[:, None] == R.labels)
     products = np.zeros(S.size, dtype=bool)
     products[S.table[s, S.inv_array[t]]] = True
-    return frozenset(np.flatnonzero(products).tolist())
+    return products
 
 
 def quotient(S: InverseSemigroup, R: Relation) -> QuotientMap:
@@ -196,9 +196,9 @@ def group_quotient(S: InverseSemigroup, sigma: Relation) -> QuotientMap:
     """The quotient by sigma (``quotient`` checks the congruence), checked to be a group."""
     q = quotient(S, sigma)
     T = q.target
-    if len(T.idempotent_set) != 1:
+    if T.idempotent_array.size != 1:
         raise StructureError("sigma quotient is not a group")
-    e = next(iter(T.idempotent_set))
+    e = int(T.idempotent_array[0])
     if any(T.mul(e, x) != x or T.mul(x, e) != x for x in T.elements()):
         raise StructureError("sigma quotient has no identity")
     return q

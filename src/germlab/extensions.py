@@ -41,7 +41,6 @@ from .groupoids import (
     FiniteGroupoid,
     GroupoidHom,
     group_as_groupoid,
-    hom_kernel,
     is_normal_in,
     is_subgroupoid,
 )
@@ -102,8 +101,8 @@ class Subject:
         return self.E.zero is not None and is_zero_disjunctive(self.E)
 
     @cached_property
-    def Z(self) -> frozenset[int]:
-        """The centralizer of the idempotents."""
+    def Z(self) -> np.ndarray:
+        """The centralizer of the idempotents, as an element mask."""
         return centralizer(self.S)
 
     @cached_property
@@ -143,11 +142,11 @@ class Subject:
         return induced_subgroupoid(self.beta, self.Z)
 
     @cached_property
-    def universal_kernel(self) -> frozenset[int]:
+    def universal_kernel(self) -> np.ndarray:
         return action_kernel(self.universal)
 
     @cached_property
-    def tight_kernel(self) -> frozenset[int]:
+    def tight_kernel(self) -> np.ndarray:
         return action_kernel(self.tight)
 
     @cached_property
@@ -207,10 +206,6 @@ def mu_projection_hom(S: InverseSemigroup) -> MunnProjection:
     return Subject(S).projection
 
 
-def mu_projection_kernel(proj: MunnProjection) -> frozenset[int]:
-    return hom_kernel(proj.hom)
-
-
 def sigma_cocycle(S: InverseSemigroup) -> tuple[GroupoidHom, GermGroupoid]:
     """The map into the maximal group image, germ [s, F] -> class of s."""
     return Subject(S).cocycle
@@ -235,18 +230,19 @@ def _check_transversal(S: InverseSemigroup, q: QuotientMap, r: tuple[int, ...]) 
 
 
 def transversal_arrows(germs: GermGroupoid, q: QuotientMap, r: tuple[int, ...]
-                       ) -> frozenset[int]:
-    """Germs of transversal representatives: the embedded copy of the quotient.
+                       ) -> np.ndarray:
+    """Germs of transversal representatives, as an arrow mask: the embedded
+    copy of the quotient.
 
     r is a multiplicative section, so its germs are closed under inverses
     and products: a subgroupoid, which ``semidirect_factors`` checks.
     """
-    return germs.germs_of(set(r))
+    return germs.germs_of(np.asarray(r, dtype=np.intp))
 
 
-def semidirect_factors(G: FiniteGroupoid, h_arrows: frozenset[int],
-                       k_arrows: frozenset[int]) -> np.ndarray:
-    """Certify G = H x| K, for arrow sets H and K of G, by unique factorization.
+def semidirect_factors(G: FiniteGroupoid, h_arrows: np.ndarray,
+                       k_arrows: np.ndarray) -> np.ndarray:
+    """Certify G = H x| K, for arrow masks H and K of G, by unique factorization.
 
     Checks that H is a group bundle (r = d on it), a subgroupoid and normal,
     that K is a subgroupoid, and that the pairs (eta, gamma) in H x K with
@@ -260,7 +256,7 @@ def semidirect_factors(G: FiniteGroupoid, h_arrows: frozenset[int],
     ``germ.groupoid_axioms``.  A failure names the first hypothesis that
     fails, or else the first arrow with no factorization or with several.
     """
-    h, k = (np.array(sorted(a), dtype=np.intp) for a in (h_arrows, k_arrows))
+    h, k = np.flatnonzero(h_arrows), np.flatnonzero(k_arrows)
     if (G.r[h] != G.d[h]).any():
         raise StructureError("the bundle H is not a group bundle")
     if not is_subgroupoid(G, h_arrows):

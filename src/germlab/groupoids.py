@@ -1,7 +1,10 @@
 """Finite groupoids with an explicit topology basis.
 
-Arrows are indices 0..n-1; units are a subset of arrows.  ``r``, ``d`` and
-``inv`` are integer arrays over the arrows, and the composition is one
+Arrows are indices 0..n-1.  The units are listed in increasing order by
+``units``; they and every other arrow subset (the isotropy and its
+interior, kernels, subgroupoids) are boolean masks over the arrows, which
+the predicates here take.  ``r``, ``d`` and ``inv`` are integer arrays over
+the arrows, and the composition is one
 (n, n) integer table: ``table[g, h]`` is the arrow gh, or -1 where
 d(g) != r(h), the idiom of the semigroup table and of an action's rows.
 ``comp`` lists the composable pairs as rows (g, h, gh), read off the table
@@ -56,6 +59,13 @@ class FiniteGroupoid:
 
     def label(self, a: int) -> str:
         return self.labels[a]
+
+    @cached_property
+    def unit_mask(self) -> np.ndarray:
+        """The units as a boolean mask over the arrows."""
+        out = np.zeros(self.n_arrows, dtype=bool)
+        out[list(self.units)] = True
+        return out
 
     @cached_property
     def comp(self) -> np.ndarray:
@@ -147,12 +157,12 @@ class FiniteGroupoid:
         return tuple((np.stack(blocks), kept) for blocks, kept in by_key.values())
 
     @cached_property
-    def isotropy(self) -> frozenset[int]:
-        """The arrows with r = d (``iso_bundle``)."""
-        return frozenset(np.flatnonzero(self.r == self.d).tolist())
+    def isotropy(self) -> np.ndarray:
+        """The arrows with r = d (``iso_bundle``), as a mask."""
+        return self.r == self.d
 
     @cached_property
-    def isotropy_interior(self) -> frozenset[int]:
+    def isotropy_interior(self) -> np.ndarray:
         """The interior of the isotropy in the basis topology (``iso_interior``)."""
         return interior(self, self.isotropy)
 
@@ -220,13 +230,6 @@ class GroupoidHom:
     map: tuple[int, ...]
 
 
-def _members(G: FiniteGroupoid, subset) -> np.ndarray:
-    """The boolean indicator of an arrow set."""
-    out = np.zeros(G.n_arrows, dtype=bool)
-    out[list(subset)] = True
-    return out
-
-
 def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     """Exhaustively check the groupoid axioms and basis sanity.
 
@@ -270,7 +273,7 @@ def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
         u = int(units[i])
         raise StructureError(f"unit {u} fails u = u.u = u^-1" if not_idempotent[i]
                              else f"unit {u} is not its own range/source")
-    is_unit = _members(G, G.units)
+    is_unit = G.unit_mask
     arrows = np.arange(n)
     ends_off_units = ~(is_unit[r] & is_unit[d])
     bad_right = table[arrows, inv] != r
@@ -363,14 +366,13 @@ def make_groupoid(r, d, inv, table, labels=None) -> FiniteGroupoid:
 # isotropy and the basis-driven topology
 
 
-def iso_bundle(G: FiniteGroupoid) -> frozenset[int]:
+def iso_bundle(G: FiniteGroupoid) -> np.ndarray:
     return G.isotropy
 
 
-def interior_witnesses(G: FiniteGroupoid, subset: frozenset[int]
-                       ) -> dict[int, str]:
-    """Interior points of an arrow set, each with the first basis witness."""
-    within = np.flatnonzero((G.basis <= _members(G, subset)).all(axis=1))
+def interior_witnesses(G: FiniteGroupoid, subset: np.ndarray) -> dict[int, str]:
+    """Interior points of an arrow mask, each with the first basis witness."""
+    within = np.flatnonzero((G.basis <= subset).all(axis=1))
     rows, arrows = np.nonzero(G.basis[within])
     out: dict[int, str] = {}
     for i, a in zip(within[rows].tolist(), arrows.tolist()):
@@ -378,20 +380,21 @@ def interior_witnesses(G: FiniteGroupoid, subset: frozenset[int]
     return out
 
 
-def interior(G: FiniteGroupoid, subset: frozenset[int]) -> frozenset[int]:
-    return frozenset(interior_witnesses(G, subset))
+def interior(G: FiniteGroupoid, subset: np.ndarray) -> np.ndarray:
+    """The interior of an arrow mask: the union of the basis sets inside it."""
+    return G.basis[(G.basis <= subset).all(axis=1)].any(axis=0)
 
 
-def iso_interior(G: FiniteGroupoid) -> frozenset[int]:
+def iso_interior(G: FiniteGroupoid) -> np.ndarray:
     return G.isotropy_interior
 
 
-def is_open(G: FiniteGroupoid, subset: frozenset[int]) -> bool:
-    return interior(G, subset) == subset
+def is_open(G: FiniteGroupoid, subset: np.ndarray) -> bool:
+    return np.array_equal(interior(G, subset), subset)
 
 
-def is_closed(G: FiniteGroupoid, subset: frozenset[int]) -> bool:
-    return is_open(G, frozenset(G.arrows()) - subset)
+def is_closed(G: FiniteGroupoid, subset: np.ndarray) -> bool:
+    return is_open(G, ~subset)
 
 
 def is_group_bundle(G: FiniteGroupoid) -> bool:
@@ -399,21 +402,19 @@ def is_group_bundle(G: FiniteGroupoid) -> bool:
 
 
 def is_essentially_principal(G: FiniteGroupoid) -> bool:
-    return iso_interior(G) == frozenset(G.units)
+    return np.array_equal(iso_interior(G), G.unit_mask)
 
 
 def is_effective(G: FiniteGroupoid) -> bool:
     """No nonempty basic open set off the units consists of isotropy only."""
-    iso_off_units = (G.r == G.d) & ~_members(G, G.units)
-    return not G.basis[(G.basis <= iso_off_units).all(axis=1)].any()
+    return not interior(G, G.isotropy & ~G.unit_mask).any()
 
 
 def fiber_group(G: FiniteGroupoid, u: int) -> FiniteGroup:
     """The isotropy group at a unit, extracted as a one-unit groupoid."""
     if u not in G.units:
         raise StructureError(f"{u} is not a unit")
-    arrows = frozenset(np.flatnonzero((G.r == u) & (G.d == u)).tolist())
-    sub, _ = extract_subgroupoid(G, arrows)
+    sub, _ = extract_subgroupoid(G, (G.r == u) & (G.d == u))
     return FiniteGroup(sub)
 
 
@@ -426,45 +427,45 @@ class SubgroupoidProperties:
     normal: bool
 
 
-def is_subgroupoid(G: FiniteGroupoid, subset: frozenset[int]) -> bool:
-    inside = _members(G, subset)
+def is_subgroupoid(G: FiniteGroupoid, inside: np.ndarray) -> bool:
     arrows = np.flatnonzero(inside)
     products = G.table[arrows[:, None], arrows]
     return bool(inside[G.inv[arrows]].all() and inside[products[products >= 0]].all())
 
 
-def is_normal_in(G: FiniteGroupoid, subset: frozenset[int]) -> bool:
+def is_normal_in(G: FiniteGroupoid, inside: np.ndarray) -> bool:
     """gamma^-1 . H . gamma stays inside H wherever the conjugation composes."""
-    inside = _members(G, subset)
     left = G.table[G.inv[:, None], np.flatnonzero(inside)]    # gamma^-1 h, per gamma
     conj = G.table[left, np.arange(G.n_arrows)[:, None]]       # (gamma^-1 h) gamma
     return bool(((left < 0) | (conj < 0) | inside[conj]).all())
 
 
-def subgroupoid_properties(G: FiniteGroupoid, subset: frozenset[int]
-                           ) -> SubgroupoidProperties:
+def subgroupoid_properties(G: FiniteGroupoid, subset: np.ndarray) -> SubgroupoidProperties:
     return SubgroupoidProperties(
         is_subgroupoid=is_subgroupoid(G, subset),
         open=is_open(G, subset),
         closed=is_closed(G, subset),
-        wide=frozenset(G.units) <= subset,
+        wide=bool(subset[G.unit_mask].all()),
         normal=is_normal_in(G, subset),
     )
 
 
-def extract_subgroupoid(G: FiniteGroupoid, subset: frozenset[int]
-                        ) -> tuple[FiniteGroupoid, tuple[int, ...]]:
-    """A standalone copy of an arrow subset, with the subspace basis.
+def extract_subgroupoid(G: FiniteGroupoid, subset: np.ndarray
+                        ) -> tuple[FiniteGroupoid, np.ndarray]:
+    """A standalone copy of an arrow mask, with the subspace basis.
 
-    Returns the copy and the map from its arrow indices back to G's.  A
+    Returns the copy and the index array from its arrows back to G's.  A
     subset closed under inverses and composition holds r(a) = a a^-1 and
     d(a) = a^-1 a for each of its arrows, so the copy is a groupoid and is
     not validated again.  Its table is a gather of G's, renumbered by the
     index row from G's arrows to the copy's, and its basis gathers columns.
+    The mask of every arrow returns G itself, not a copy equal to it.
     """
+    if subset.all():
+        return G, np.arange(G.n_arrows)
     if not is_subgroupoid(G, subset):
         raise StructureError("arrow set is not a subgroupoid")
-    order = np.array(sorted(subset), dtype=np.intp)
+    order = np.flatnonzero(subset)
     back = np.full(G.n_arrows, -1, dtype=np.intp)
     back[order] = np.arange(order.size)
     table = compose_after(back, G.table[order[:, None], order])
@@ -474,7 +475,7 @@ def extract_subgroupoid(G: FiniteGroupoid, subset: frozenset[int]
     units = tuple(sorted(back_of[u] for u in G.units if back_of[u] >= 0))
     H = FiniteGroupoid(order.size, back[G.r[order]], back[G.d[order]], back[G.inv[order]],
                        table, units, labels, *basis, G.basis_declared)
-    return H, tuple(order.tolist())
+    return H, order
 
 
 def group_as_groupoid(table, labels=None) -> FiniteGroupoid:
@@ -505,7 +506,7 @@ def validate_hom(hom: GroupoidHom) -> GroupoidHom:
     m = np.asarray(hom.map, dtype=np.intp)
     if len(m) != S.n_arrows:
         raise StructureError("hom map has wrong length")
-    hit = first_index(~_members(T, T.units)[m[list(S.units)]])
+    hit = first_index(~T.unit_mask[m[list(S.units)]])
     if hit is not None:
         raise StructureError(f"unit {S.units[hit[0]]} does not map to a unit")
     g, h, gh = m[S.comp.T]
@@ -527,9 +528,9 @@ def is_strongly_surjective(hom: GroupoidHom) -> bool:
                for u in S.units)
 
 
-def hom_kernel(hom: GroupoidHom) -> frozenset[int]:
-    t_units = _members(hom.target, hom.target.units)
-    return frozenset(np.flatnonzero(t_units[np.asarray(hom.map, dtype=np.intp)]).tolist())
+def hom_kernel(hom: GroupoidHom) -> np.ndarray:
+    """The source arrows mapped to units, as a mask."""
+    return hom.target.unit_mask[np.asarray(hom.map, dtype=np.intp)]
 
 
 def groupoid_isomorphic(G1: FiniteGroupoid, G2: FiniteGroupoid

@@ -87,10 +87,10 @@ def groupoid_dot(G: FiniteGroupoid) -> str:
     lines = ["digraph germs {"]
     for u in sorted(G.units):
         lines.append(f'  n{u} [shape=box,label="{_dot_escape(G.label(u))}"];')
-    for a in sorted(G.arrows()):
-        if a in G.units:
+    for a in G.arrows():
+        if G.unit_mask[a]:
             continue
-        style = ',color=red,penwidth=2' if a in inner else ""
+        style = ',color=red,penwidth=2' if inner[a] else ""
         lines.append(f'  n{G.d[a]} -> n{G.r[a]} '
                      f'[label="{_dot_escape(G.label(a))}"{style}];')
     lines.append("}")

@@ -3,7 +3,9 @@
 Elements are dense indices 0..n-1.  The multiplication table is the whole
 structure; inverses, idempotents, the natural partial order, Green's H and
 the centralizer of the idempotents are all derived from it, each by gathers
-of the table rather than loops over products.
+of the table rather than loops over products.  A subset of the elements,
+such as the idempotents or the centralizer, is a boolean mask of length n;
+``idempotent_set`` is the one frozenset, kept for set-level callers.
 
 ``Relation``, defined here, is the package's one partition type: Green's H,
 every congruence and every grouping of action rows is one canonical label
@@ -84,13 +86,18 @@ class InverseSemigroup:
         return f"InverseSemigroup(size={self.size}, zero={self.zero})"
 
     @cached_property
-    def idempotent_set(self) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.table.diagonal() == np.arange(self.size)).tolist())
+    def idempotent_mask(self) -> np.ndarray:
+        """The idempotents as a boolean mask: the diagonal of the table."""
+        return self.table.diagonal() == np.arange(self.size)
 
     @cached_property
     def idempotent_array(self) -> np.ndarray:
         """The idempotents in increasing order, as an index array."""
-        return np.array(sorted(self.idempotent_set), dtype=np.intp)
+        return np.flatnonzero(self.idempotent_mask)
+
+    @cached_property
+    def idempotent_set(self) -> frozenset[int]:
+        return frozenset(self.idempotent_array.tolist())
 
     @cached_property
     def inv_array(self) -> np.ndarray:
@@ -384,10 +391,6 @@ def validate_inverse_semigroup(table, labels=None) -> InverseSemigroup:
     return InverseSemigroup(table, inv, _detect_zero(table, idems), labels, gens)
 
 
-def idempotents(S: InverseSemigroup) -> frozenset[int]:
-    return S.idempotent_set
-
-
 def natural_leq(S: InverseSemigroup, s: int, t: int) -> bool:
     """True iff s = te for some idempotent e."""
     return bool(S.leq[s, t])
@@ -411,9 +414,7 @@ def is_clifford(S: InverseSemigroup) -> bool:
 
 def _below_idempotents_only(S: InverseSemigroup, idems: np.ndarray) -> bool:
     """No element of idems sits below a non-idempotent in the natural order."""
-    other = np.ones(S.size, dtype=bool)
-    other[S.idempotent_array] = False
-    return not S.leq[idems][:, other].any()
+    return not S.leq[idems][:, ~S.idempotent_mask].any()
 
 
 def is_e_unitary(S: InverseSemigroup) -> bool:
@@ -429,26 +430,26 @@ def is_zero_e_unitary(S: InverseSemigroup) -> bool:
     return _below_idempotents_only(S, E[E != S.zero])
 
 
-def centralizer(S: InverseSemigroup) -> frozenset[int]:
-    """Elements commuting with every idempotent; a Clifford subsemigroup, as the
-    check ``semigroup.centralizer_normal`` certifies."""
+def centralizer(S: InverseSemigroup) -> np.ndarray:
+    """The elements commuting with every idempotent, as a mask; a Clifford
+    subsemigroup, as the check ``semigroup.centralizer_normal`` certifies."""
     E = S.idempotent_array
-    return frozenset(np.flatnonzero((S.table[:, E] == S.table[E, :].T).all(axis=1)).tolist())
+    return (S.table[:, E] == S.table[E, :].T).all(axis=1)
 
 
-def normality_defect(S: InverseSemigroup, subset: frozenset[int]) -> str | None:
-    """Why subset is not a normal subsemigroup (all idempotents, closed under
-    inverses and products, stable under conjugation), or None when it is.
+def normality_defect(S: InverseSemigroup, inside: np.ndarray) -> str | None:
+    """Why the element mask ``inside`` is not a normal subsemigroup (all
+    idempotents, closed under inverses and products, stable under
+    conjugation), or None when it is.
 
     The first witness is that of loops over the members in increasing order:
-    inverses, then products (a, b) row-major, then conjugates s* z s over
-    (s, z) row-major.
+    missing idempotents, inverses, then products (a, b) row-major, then
+    conjugates s* z s over (s, z) row-major.
     """
-    if not S.idempotent_set <= subset:
-        return f"idempotent {min(S.idempotent_set - subset)} is missing"
+    missing = np.flatnonzero(S.idempotent_mask & ~inside)
+    if missing.size:
+        return f"idempotent {missing[0]} is missing"
     T = S.table
-    inside = np.zeros(S.size, dtype=bool)
-    inside[list(subset)] = True
     members = np.flatnonzero(inside)
     hit = first_index(~inside[S.inv_array[members]])
     if hit is not None:

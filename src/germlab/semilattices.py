@@ -4,10 +4,11 @@ Every filter of a finite semilattice is principal (it contains the meet of
 its members), so a point of the filter spectrum is named by its generator,
 and a spectrum is an index array of generators (``spectrum_points``).  The
 ultrafilters are the principal filters of the atoms, so the tight spectrum
-is the index array ``atoms``.  The frozensets of ``all_filters`` and
-``ultrafilters`` are the principal filters of such points; ``is_filter`` and
-``exhaustive_filters``, which tests every subset, are the set-level
-reference of the checks ``spectrum.*``.
+is the index array ``atoms``.  The only frozensets are the set-level
+reference of the checks ``spectrum.*``: ``principal_filter``, the lists of
+``all_filters`` and ``ultrafilters`` built from it, and
+``exhaustive_filters``, which tests every subset with ``is_filter``; every
+other set of elements is a boolean mask.
 
 A partial bijection of p points is a row of p point indices, -1 where it is
 undefined; ``compose_after`` is the one composition of such rows, shared by

@@ -30,6 +30,10 @@ isomorphism is certified along a given map (E onto the Munn semigroup's
 identity rows, isotropy fibers onto class groups, G(S) onto the semidirect
 product by unique factorization), and checks that read only an arrow set
 take ``germs_of`` rather than an extracted subgroupoid copy.
+
+Element and arrow subsets are boolean masks from the function that
+computes them to the check that compares them, and a witness names the
+first index of a difference; only the ``spectrum.*`` oracles compare sets.
 """
 
 from __future__ import annotations
@@ -41,8 +45,9 @@ from typing import Callable
 import numpy as np
 
 from . import algebra as alg
-from .actions import domains_form_base, germ_equivalence_is_equivalence
+from .actions import EmbeddedSubgroupoid, domains_form_base, germ_equivalence_is_equivalence
 from .congruences import (
+    Relation,
     congruence_witness,
     is_fundamental,
     kernel_of,
@@ -53,7 +58,7 @@ from .congruences import (
     transversal_defect_text,
 )
 from .errors import StructureError
-from .extensions import Subject, mu_projection_kernel
+from .extensions import Subject
 from .groupoids import (
     hom_kernel,
     is_effective,
@@ -64,15 +69,14 @@ from .groupoids import (
     iso_bundle,
     iso_interior,
     interior_witnesses,
-    subgroupoid_properties,
     validate_groupoid,
     validate_hom,
 )
 from .semigroups import (
     InverseSemigroup,
+    distinct,
     first_index,
     h_class_of,
-    idempotents,
     is_e_unitary,
     is_zero_e_unitary,
     normality_defect,
@@ -226,9 +230,7 @@ def _idempotents_closed(run):
     S = run.sub.S
     E = S.idempotent_array
     ef = S.table[np.ix_(E, E)]
-    is_idempotent = np.zeros(S.size, dtype=bool)
-    is_idempotent[E] = True
-    leaves = ~is_idempotent[ef]
+    leaves = ~S.idempotent_mask[ef]
     hit = first_index(leaves | (ef != ef.T))
     if hit is not None:
         e, f = E[list(hit)].tolist()
@@ -262,14 +264,14 @@ def _centralizer_normal(run):
     defect = normality_defect(run.sub.S, run.sub.Z)
     if defect is not None:
         return False, defect
-    return True, f"centralizer has {len(run.sub.Z)} elements"
+    return True, f"centralizer has {np.count_nonzero(run.sub.Z)} elements"
 
 
 @check("universal", "semigroup.clifford_iff_central",
        "the semigroup is Clifford exactly when the centralizer is everything")
 def _clifford_iff_central(run):
     sub = run.sub
-    return (sub.clifford == (sub.Z == frozenset(sub.S.elements())),
+    return (sub.clifford == sub.Z.all(),
             f"clifford={sub.clifford}")
 
 
@@ -280,7 +282,7 @@ def _mu_inside_h(run):
     S, mu = run.sub.S, run.sub.mu
     h = S.h_partition.labels.tolist()
     for block in mu.blocks:
-        idems = [x for x in block if x in S.idempotent_set]
+        idems = [x for x in block if S.idempotent_mask[x]]
         if len(idems) > 1:
             return False, f"relates idempotents {idems[0]} and {idems[1]}"
         apart = [x for x in block if h[x] != h[block[0]]]
@@ -314,9 +316,9 @@ def _kernel_mu(run):
     sub = run.sub
     kernel = kernel_of(sub.S, sub.mu)
     via_pairs = related_products(sub.S, sub.mu)
-    if via_pairs != kernel:
-        return False, f"kernel cross-check fails at {min(via_pairs ^ kernel)}"
-    return kernel == sub.Z, f"{len(sub.Z)} elements"
+    if not np.array_equal(via_pairs, kernel):
+        return False, f"kernel cross-check fails at {np.flatnonzero(via_pairs ^ kernel)[0]}"
+    return np.array_equal(kernel, sub.Z), f"{np.count_nonzero(sub.Z)} elements"
 
 
 @check("universal", "congruence.quotient_fundamental",
@@ -386,10 +388,10 @@ def _groupoid_axioms(run):
 
 @check("universal", "germ.idempotent_units", "idempotent germs form exactly the unit space")
 def _idempotent_units(run):
-    arrows = run.sub.beta.germs_of(idempotents(run.sub.S))
-    if arrows != frozenset(run.sub.beta.groupoid.units):
+    arrows = run.sub.beta.germs_of(run.sub.S.idempotent_array)
+    if not np.array_equal(arrows, run.sub.beta.groupoid.unit_mask):
         return False, "idempotent germs are not exactly the units"
-    return True, f"{len(arrows)} units"
+    return True, f"{np.count_nonzero(arrows)} units"
 
 
 @check("universal", "germ.clifford_group_bundle",
@@ -405,7 +407,8 @@ def _clifford_group_bundle(run):
 @check("universal", "germ.kernel_is_centralizer",
        "the kernel of the universal action is the centralizer")
 def _universal_kernel(run):
-    return run.sub.universal_kernel == run.sub.Z, f"{len(run.sub.Z)} elements"
+    return (np.array_equal(run.sub.universal_kernel, run.sub.Z),
+            f"{np.count_nonzero(run.sub.Z)} elements")
 
 
 @check("universal", "germ.fibers_are_h_classes",
@@ -422,7 +425,7 @@ def _fibers_are_h_classes(run):
     """
     S, germs = run.sub.S, run.sub.beta
     G = germs.groupoid
-    for e in sorted(idempotents(S)):
+    for e in S.idempotent_array.tolist():
         if e == S.zero:
             continue
         u = germs.unit_at_point[germs.principal_point(e)]
@@ -444,21 +447,21 @@ def _fibers_are_h_classes(run):
        "centralizer germs sit inside the isotropy interior inside the isotropy")
 def _containment_chain(run):
     sub = run.sub
-    S, G = sub.S, sub.beta.groupoid
+    S, G, mu = sub.S, sub.beta.groupoid, sub.mu.labels
     z_arrows = sub.z_in_beta.arrows
     inner = iso_interior(G)
     iso = iso_bundle(G)
-    if not (z_arrows <= inner <= iso):
+    if (z_arrows & ~inner).any() or (inner & ~iso).any():
         return False, "containment chain broken"
-    z_order = np.array(sorted(z_arrows), dtype=np.intp)
-    for e in sorted(idempotents(S)):
+    for e in S.idempotent_array.tolist():
         if e == S.zero:
             continue
         u = sub.beta.unit_at_point[sub.beta.principal_point(e)]
-        z_fiber = _canonical_elements(sub.beta, z_order[G.d[z_order] == u])
-        if frozenset(z_fiber.tolist()) != frozenset(sub.mu.blocks[sub.mu.labels[e]]):
+        z_fiber = _canonical_elements(sub.beta, np.flatnonzero(z_arrows & (G.d == u)))
+        if not np.array_equal(distinct(z_fiber), np.flatnonzero(mu == mu[e])):
             return False, f"centralizer fiber at {e} is not its congruence class"
-    return True, f"|Z-germs|={len(z_arrows)} <= |interior|={len(inner)} <= |iso|={len(iso)}"
+    return True, (f"|Z-germs|={np.count_nonzero(z_arrows)} <= "
+                  f"|interior|={np.count_nonzero(inner)} <= |iso|={np.count_nonzero(iso)}")
 
 
 @check("universal", "groupoid.cryptic_equality",
@@ -469,13 +472,13 @@ def _cryptic_equality(run):
     inner = iso_interior(G)
     z_arrows = sub.z_in_beta.arrows
     if sub.mu == sub.S.h_partition:      # cryptic
-        if z_arrows != inner:
+        if not np.array_equal(z_arrows, inner):
             return False, "cryptic but the centralizer germs miss interior arrows"
-        return True, f"equal arrow sets ({len(inner)} arrows)"
-    extra = sorted(inner - z_arrows)
-    if not extra:
+        return True, f"equal arrow sets ({np.count_nonzero(inner)} arrows)"
+    extra = np.flatnonzero(inner & ~z_arrows)
+    if not extra.size:
         return False, "not cryptic but no witness arrow found"
-    a = extra[0]
+    a = int(extra[0])
     label = interior_witnesses(G, iso_bundle(G))[a]
     return True, f"witness {G.label(a)} in interior via {label}"
 
@@ -483,7 +486,7 @@ def _cryptic_equality(run):
 @check("universal", "groupoid.centralizer_subgroupoid",
        "the centralizer germs form an open wide normal (and closed) subgroupoid")
 def _centralizer_subgroupoid(run):
-    props = subgroupoid_properties(run.sub.beta.groupoid, run.sub.z_in_beta.arrows)
+    props = run.sub.z_in_beta.properties
     missing = [n for n, ok in (("subgroupoid", props.is_subgroupoid),
                                ("open", props.open), ("wide", props.wide),
                                ("normal", props.normal), ("closed", props.closed))
@@ -551,13 +554,13 @@ def _domain_injectivity(run):
         return True, "vacuous: no zero"
     if not sub.zero_disjunctive:
         return True, "vacuous: not 0-disjunctive"
-    domains = {}
-    for e in sorted(idempotents(sub.S)):
-        dom = sub.tight.domain_of(e)
-        if dom in domains.values():
-            clash = next(f for f, d in domains.items() if d == dom)
-            return False, f"idempotents {clash} and {e} share a domain"
-        domains[e] = dom
+    E = sub.S.idempotent_array
+    domains = Relation(sub.tight.maps[E] >= 0)
+    least = domains.reps[domains.labels]        # per e, the least e' with its domain
+    clash = np.flatnonzero(least != np.arange(E.size))
+    if clash.size:
+        i = clash[0]
+        return False, f"idempotents {E[least[i]]} and {E[i]} share a domain"
     return True, "idempotents have distinct tight domains"
 
 
@@ -568,14 +571,14 @@ def _interior_equality(run):
     if not sub.zero_disjunctive:
         return True, "vacuous: not 0-disjunctive"
     inner = iso_interior(sub.theta.groupoid)
-    if sub.theta.germs_of(sub.Z) != inner:
+    if not np.array_equal(sub.theta.germs_of(sub.Z), inner):
         return False, "centralizer germs differ from the isotropy interior"
     extra = ""
     if sub.mu.is_identity:      # fundamental
         if not is_essentially_principal(sub.theta.groupoid):
             return False, "fundamental and 0-disjunctive but not essentially principal"
         extra = "; essentially principal (fundamental case)"
-    return True, f"equal ({len(inner)} arrows){extra}"
+    return True, f"equal ({np.count_nonzero(inner)} arrows){extra}"
 
 
 @check("tight", "tight.kernel_is_centralizer",
@@ -584,9 +587,9 @@ def _tight_kernel(run):
     sub = run.sub
     if not sub.zero_disjunctive:
         return True, "vacuous: not 0-disjunctive"
-    if sub.tight_kernel != sub.Z:
+    if not np.array_equal(sub.tight_kernel, sub.Z):
         return False, "tight kernel differs from the centralizer"
-    return True, f"kernel has {len(sub.Z)} elements"
+    return True, f"kernel has {np.count_nonzero(sub.Z)} elements"
 
 
 def _base_dichotomy(S, germs, J, tag):
@@ -598,19 +601,17 @@ def _base_dichotomy(S, germs, J, tag):
     if defect is not None:
         return False, f"{tag}: kernel is not normal: {defect}"
     maps = germs.action.maps
-    fixes = ((maps < 0) | (maps == np.arange(maps.shape[1]))).all(axis=1)
-    identities = frozenset(np.flatnonzero(fixes).tolist())
-    if J != identities:
-        return False, f"{tag}: kernel cross-check fails at {min(J ^ identities)}"
+    identities = ((maps < 0) | (maps == np.arange(maps.shape[1]))).all(axis=1)
+    if not np.array_equal(J, identities):
+        return False, f"{tag}: kernel cross-check fails at {np.flatnonzero(J ^ identities)[0]}"
     arrows = germs.germs_of(J)
     G = germs.groupoid
-    iso = iso_bundle(G)
-    if not arrows <= iso:
+    if (arrows & ~iso_bundle(G)).any():
         return False, f"{tag}: kernel germs leave the isotropy"
     if not is_open(G, arrows):
         return False, f"{tag}: kernel germs are not open"
     if domains_form_base(germs.action):
-        if arrows != iso_interior(G):
+        if not np.array_equal(arrows, iso_interior(G)):
             return False, f"{tag}: base hypothesis holds but equality fails"
         return True, f"{tag}: base holds, kernel germs = isotropy interior"
     return True, f"{tag}: no base; kernel germs open inside isotropy"
@@ -668,17 +669,17 @@ def _projection_strongly_surjective(run):
        "the projection kernel is the centralizer groupoid when the quotient is (0-)E-unitary")
 def _projection_kernel(run):
     proj = run.sub.projection
-    kernel = mu_projection_kernel(proj)
+    kernel = hom_kernel(proj.hom)
     z_arrows = run.sub.z_in_beta.arrows
-    if not z_arrows <= kernel:
+    if (z_arrows & ~kernel).any():
         return False, "centralizer germs escape the kernel"
     T = proj.quotient.target
     unitary = (is_zero_e_unitary(T) if T.zero is not None else is_e_unitary(T))
     if not unitary:
         return True, "containment only (quotient is not (0-)E-unitary)"
-    if kernel != z_arrows:
+    if not np.array_equal(kernel, z_arrows):
         return False, "unitary quotient but kernel exceeds the centralizer germs"
-    return True, f"kernel = centralizer germs ({len(kernel)} arrows)"
+    return True, f"kernel = centralizer germs ({np.count_nonzero(kernel)} arrows)"
 
 
 @check("extension", "extension.sigma_group_image",
@@ -695,15 +696,15 @@ def _sigma_cocycle(run):
         return True, "vacuous: zero present"
     hom, germs = run.sub.cocycle
     validate_hom(hom)
-    units = frozenset(germs.groupoid.units)
+    units = germs.groupoid.unit_mask
     kernel = hom_kernel(hom)
-    if not units <= kernel:
+    if (units & ~kernel).any():
         return False, "units escape the cocycle kernel"
     if is_e_unitary(S):
-        if kernel != units:
+        if not np.array_equal(kernel, units):
             return False, "E-unitary but the cocycle kernel exceeds the units"
-        return True, f"kernel = units ({len(units)})"
-    return True, f"kernel has {len(kernel)} arrows (not E-unitary)"
+        return True, f"kernel = units ({np.count_nonzero(units)})"
+    return True, f"kernel has {np.count_nonzero(kernel)} arrows (not E-unitary)"
 
 
 @check("extension", "extension.split_transversal",
@@ -861,7 +862,6 @@ def _involution_antimultiplicative(run):
 @check("algebra", "algebra.hypothesis_checker",
        "the embedding rejects a synthetic non-normal bundle", corpus_wide=True)
 def _hypothesis_checker(run):
-    from .actions import EmbeddedSubgroupoid
     from .errors import HypothesisFailed
     from .groupoids import extract_subgroupoid, make_groupoid
 
@@ -869,7 +869,8 @@ def _hypothesis_checker(run):
     i, j, g = np.unravel_index(np.arange(8), (2, 2, 2))
     table = np.where(j[:, None] == i, (i[:, None] * 2 + j) * 2 + (g[:, None] ^ g), -1)
     G = make_groupoid(i * 6, j * 6, (j * 2 + i) * 2 + g, table)
-    arrows = frozenset({0, 1, 6})                  # (0 <- 0; 0), (0 <- 0; 1), (1 <- 1; 0)
+    arrows = np.zeros(8, dtype=bool)
+    arrows[[0, 1, 6]] = True                       # (0 <- 0; 0), (0 <- 0; 1), (1 <- 1; 0)
     sub, order = extract_subgroupoid(G, arrows)
     emb = EmbeddedSubgroupoid(G, arrows, sub, order)
     try:

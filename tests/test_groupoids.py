@@ -25,7 +25,7 @@ from germlab.groupoids import (
     subgroupoid_properties,
     validate_groupoid,
 )
-from germlab.semigroups import h_class_of, idempotents, validate_inverse_semigroup
+from germlab.semigroups import h_class_of, validate_inverse_semigroup
 
 from test_actions import diamond_munn
 from test_congruences import CHAIN_ID_TABLE
@@ -46,8 +46,8 @@ Z3_TABLE = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 def test_pair_groupoid_isotropy_is_units():
     G = pair_groupoid(2)
     validate_groupoid(G)
-    assert iso_bundle(G) == frozenset(G.units)
-    assert iso_interior(G) == frozenset(G.units)
+    assert np.array_equal(iso_bundle(G), G.unit_mask)
+    assert np.array_equal(iso_interior(G), G.unit_mask)
     assert not is_group_bundle(G)
     assert is_effective(G)
     assert is_essentially_principal(G)
@@ -56,7 +56,7 @@ def test_pair_groupoid_isotropy_is_units():
 def test_group_groupoid_is_a_group_bundle():
     G = group_as_groupoid(Z2_TABLE)
     assert is_group_bundle(G)
-    assert iso_bundle(G) == frozenset(G.arrows())
+    assert iso_bundle(G).all()
 
 
 def test_diamond_swap_germ_lies_in_isotropy_interior():
@@ -65,12 +65,12 @@ def test_diamond_swap_germ_lies_in_isotropy_interior():
     G = germs.groupoid
     iso = iso_bundle(G)
     inner = iso_interior(G)
-    assert inner == iso
-    assert len(iso) == len(G.units) + 1
-    witness = set(inner) - set(G.units)
+    assert np.array_equal(inner, iso)
+    assert np.count_nonzero(iso) == len(G.units) + 1
+    witness = np.flatnonzero(inner & ~G.unit_mask).tolist()
     assert len(witness) == 1
     # the non-unit interior arrow is certified by an isolating basis set
-    wit_arrow = witness.pop()
+    wit_arrow = witness[0]
     label = interior_witnesses(G, iso)[wit_arrow]
     assert label.startswith("Theta(")
     assert not is_essentially_principal(G)
@@ -94,7 +94,7 @@ def test_fiber_groups_match_h_classes():
     S = diamond_munn()
     germs = germ_groupoid(universal_action(S))
     G = germs.groupoid
-    for e in sorted(idempotents(S)):
+    for e in S.idempotent_array.tolist():
         if e == S.zero:
             continue  # the zero generates no filter
         point = germs.principal_point(e)
@@ -111,7 +111,7 @@ def test_diamond_top_fiber_is_order_two():
 
 def test_unit_space_is_wide_closed_normal_subgroupoid():
     G = pair_groupoid(3)
-    props = subgroupoid_properties(G, frozenset(G.units))
+    props = subgroupoid_properties(G, G.unit_mask)
     assert props.is_subgroupoid and props.wide and props.normal and props.closed
 
 
@@ -128,11 +128,13 @@ def test_centralizer_groupoid_is_open_wide_normal():
 
 def test_extract_subgroupoid_roundtrip():
     G = pair_groupoid(2)
-    sub, order = extract_subgroupoid(G, frozenset(G.units))
+    sub, order = extract_subgroupoid(G, G.unit_mask)
     assert sub.n_arrows == 2
-    assert order == tuple(sorted(G.units))
+    assert order.tolist() == list(G.units)
     with pytest.raises(StructureError):
-        extract_subgroupoid(G, frozenset({0, 1}))
+        extract_subgroupoid(G, np.array([True, True, False, False]))
+    whole, order = extract_subgroupoid(G, np.ones(G.n_arrows, dtype=bool))
+    assert whole is G and order.tolist() == list(G.arrows())
 
 
 def test_groupoid_isomorphic_to_itself():
@@ -161,14 +163,14 @@ def test_isomorphism_search_budget():
 def test_semidirect_with_unit_bundle_recovers_g():
     """Over the unit bundle every arrow g factors as r(g) g."""
     G = pair_groupoid(2)
-    factors = semidirect_factors(G, frozenset(G.units), frozenset(G.arrows()))
+    factors = semidirect_factors(G, G.unit_mask, np.ones(G.n_arrows, dtype=bool))
     assert factors.tolist() == [[G.r[g], g] for g in G.arrows()]
 
 
 def test_semidirect_with_unit_g_recovers_h():
     """Over the units as complement every arrow g factors as g d(g)."""
     G = group_as_groupoid(Z2_TABLE)
-    factors = semidirect_factors(G, frozenset(G.arrows()), frozenset(G.units))
+    factors = semidirect_factors(G, np.ones(G.n_arrows, dtype=bool), G.unit_mask)
     assert factors.tolist() == [[g, G.d[g]] for g in G.arrows()]
 
 

@@ -102,10 +102,10 @@ def random_chain_clifford(seed):
 def test_random_strong_semilattice_is_clifford_and_cryptic(seed):
     S = random_chain_clifford(seed)
     assert is_clifford(S)
-    assert centralizer(S) == frozenset(S.elements())
+    assert centralizer(S).all()
     mu = mu_relation(S)
     assert mu == S.h_partition
-    assert kernel_of(S, mu) == frozenset(S.elements())
+    assert kernel_of(S, mu).all()
 
 
 @settings(max_examples=15, deadline=None)
@@ -114,7 +114,7 @@ def test_random_clifford_universal_groupoid_is_group_bundle(seed):
     S = random_chain_clifford(seed)
     germs = germ_groupoid(universal_action(S))
     assert is_group_bundle(germs.groupoid)
-    assert action_kernel(germs.action) == frozenset(S.elements())
+    assert action_kernel(germs.action).all()
 
 
 @given(st.sampled_from(CORPUS_NAMES))
@@ -127,7 +127,7 @@ def test_corpus_mu_refines_h_and_quotient_fundamental(name):
 @given(st.sampled_from(CORPUS_NAMES))
 def test_corpus_kernel_of_mu_is_centralizer(name):
     S = CORPUS[name]
-    assert kernel_of(S, mu_relation(S)) == centralizer(S)
+    assert np.array_equal(kernel_of(S, mu_relation(S)), centralizer(S))
 
 
 @given(st.sampled_from(CORPUS_NAMES), st.integers(min_value=0, max_value=30))

@@ -170,7 +170,7 @@ def test_z70_universal_suite_passes_without_a_search_cap():
 COUNTED = ("universal_action", "spectrum_action", "germ_groupoid", "mu_relation",
            "quotient", "semilattice_of", "all_filters", "validate_groupoid",
            "is_clifford", "is_zero_disjunctive", "is_essentially_principal",
-           "extract_subgroupoid")
+           "extract_subgroupoid", "subgroupoid_properties")
 
 
 def test_one_subject_builds_each_structure_once(monkeypatch):
@@ -198,7 +198,9 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
     check reads them on, the universal and the tight one, however many
     checks call iso_bundle and iso_interior.  Standalone subgroupoid
     copies are extracted only where a check reads more than their arrows:
-    the centralizer germs, which the algebra embeds into.
+    the centralizer germs, which the algebra embeds into.  Their subgroupoid
+    properties are certified once, for groupoid.centralizer_subgroupoid and
+    the algebra's bundle hypotheses alike.
     """
     S = builtin("symmetric:3")
     modules = [importlib.import_module(f"germlab.{m.name}")
@@ -232,9 +234,20 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
     assert dict(calls) == {"spectrum_action": 3, "germ_groupoid": 3, "mu_relation": 3,
                            "quotient": 2, "semilattice_of": 2,
                            "validate_groupoid": 3, "is_clifford": 1, "is_zero_disjunctive": 1,
-                           "is_essentially_principal": 2, "extract_subgroupoid": 1}
+                           "is_essentially_principal": 2, "extract_subgroupoid": 1,
+                           "subgroupoid_properties": 1}
     assert dict(computed) == {"isotropy": 2, "isotropy_interior": 2}
     assert len({id(G) for G in groupoids}) == 2
+
+
+def test_centralizer_germs_of_a_group_are_the_whole_groupoid():
+    """On a group the centralizer is everything, so its germs are every
+    arrow, and the embedding's groupoid is the universal groupoid itself,
+    not a second copy with its own cached plans."""
+    sub = Subject(builtin("group:z70"))
+    assert sub.z_in_beta.arrows.all()
+    assert sub.z_in_beta.groupoid is sub.beta.groupoid
+    assert sub.z_in_beta.to_parent.tolist() == list(range(70))
 
 
 def _check(S, name, **shadows):
@@ -277,7 +290,8 @@ def _shadowed(name, **fields):
 
 @pytest.mark.parametrize("S,witness", [
     # z3 with {0, 1} declared idempotent: r1 r1 = r2 is not
-    (_shadowed("group:z3", idempotent_set=frozenset({0, 1})),
+    (_shadowed("group:z3", idempotent_array=np.array([0, 1]),
+               idempotent_mask=np.array([True, True, False])),
      "product 1,1 leaves the idempotents"),
     # the left-zero band on two elements, unvalidated: 0.1 = 0 but 1.0 = 1
     (InverseSemigroup(np.array([[0, 0], [1, 1]]), (0, 1), None, ("x", "y")),
@@ -305,7 +319,7 @@ def test_h_class_check_reports_the_first_element(S, witness):
 def test_kernel_check_compares_the_kernel_with_the_centralizer():
     # mu of z3 is universal, so its kernel is all of z3, not the shadowed {0}
     _fails(_check(builtin("group:z3"), "congruence.kernel_mu_is_centralizer",
-                  Z=frozenset({0})), "1 elements")
+                  Z=np.array([True, False, False])), "1 elements")
 
 
 def test_kernel_check_cross_checks_the_blocks_with_the_pairs():
@@ -316,22 +330,22 @@ def test_kernel_check_cross_checks_the_blocks_with_the_pairs():
 
 
 @pytest.mark.parametrize("Z,witness", [
-    (frozenset({0, 1}), "not closed under inverses at 1"),
-    (frozenset({0, 1, 3}), "not closed under products at (1,1)"),
-    (frozenset({1, 2, 3}), "idempotent 0 is missing"),
+    ([True, True, False, False], "not closed under inverses at 1"),
+    ([True, True, False, True], "not closed under products at (1,1)"),
+    ([False, True, True, True], "idempotent 0 is missing"),
 ])
 def test_centralizer_check_reports_the_closure_witness(Z, witness):
     _fails(_check(builtin("group:z4"), "semigroup.centralizer_normal",
-                  Z=Z), witness)
+                  Z=np.array(Z)), witness)
 
 
 @pytest.mark.parametrize("kernel,witness", [
-    (frozenset({0, 1}), "universal: kernel is not normal: not closed under inverses at 1"),
-    (frozenset({0}), "universal: kernel cross-check fails at 1"),
+    ([True, True, False], "universal: kernel is not normal: not closed under inverses at 1"),
+    ([True, False, False], "universal: kernel cross-check fails at 1"),
 ])
 def test_action_kernel_is_checked_by_the_base_dichotomy(kernel, witness):
     _fails(_check(builtin("group:z3"), "tight.base_dichotomy_universal",
-                  universal_kernel=kernel), witness)
+                  universal_kernel=np.array(kernel)), witness)
 
 
 def test_ultrafilter_check_compares_the_tight_spectrum_with_the_atoms(monkeypatch):
@@ -460,7 +474,7 @@ def test_decomposition_check_reports_an_arrow_without_factorization():
     G(Z3) have no factorization over the transversal's germs."""
     S = builtin("group:z3")
     sub = Subject(S)
-    units = dataclasses.replace(sub.z_in_beta, arrows=frozenset(sub.beta.groupoid.units))
+    units = dataclasses.replace(sub.z_in_beta, arrows=sub.beta.groupoid.unit_mask)
     _fails(_check(S, "extension.semidirect_decomposition", z_in_beta=units),
            "error: arrow 1 has no factorization eta gamma")
 
