@@ -81,10 +81,13 @@ def congruence_witness(S: InverseSemigroup, R: Relation):
     turn, giving (c, c, a, b) when ca !~ cb and else (a, b, c, c) when
     ac !~ bc; the first failure in that order is returned.  The pairs run
     in chunks of rows whose tables hold about ``WITNESS_CHUNK`` entries.
+    The pairs are one sort of the members that are not their block's
+    root, keyed by (block, member).
     """
-    A = np.array([b[0] for b in R.blocks for _ in b[1:]], dtype=np.intp)
-    B = np.array([x for b in R.blocks for x in b[1:]], dtype=np.intp)
-    T, p, m = S.table, R.labels, len(A)
+    T, p = S.table, R.labels
+    members = np.flatnonzero(R.reps[p] != np.arange(R.size))
+    key = np.sort(p[members] * R.size + members)
+    A, B, m = R.reps[key // R.size], key % R.size, members.size
     c = np.arange(S.size)
     step = max(1, WITNESS_CHUNK // (m + S.size))
     for lo in range(0, m, step):

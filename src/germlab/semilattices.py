@@ -5,10 +5,12 @@ its members), so a point of the filter spectrum is named by its generator,
 and a spectrum is an index array of generators (``spectrum_points``).  The
 ultrafilters are the principal filters of the atoms, so the tight spectrum
 is the index array ``atoms``.  The only frozensets are the set-level
-reference of the checks ``spectrum.*``: ``principal_filter``, the lists of
-``all_filters`` and ``ultrafilters`` built from it, and
-``exhaustive_filters``, which tests every subset with ``is_filter``; every
-other set of elements is a boolean mask.
+reference of the tight checks: ``principal_filter`` and the lists of
+``all_filters`` and ``ultrafilters`` built from it; every other set of
+elements is a boolean mask.  ``filter_defects`` tests a stack of member
+masks against the definition of a filter, and ``up_set_filters`` applies it
+to every up-set of E, enumerated as bitmask words: the oracles of the
+checks ``spectrum.*``.
 
 A partial bijection of p points is a row of p point indices, -1 where it is
 undefined; ``compose_after`` is the one composition of such rows, shared by
@@ -32,6 +34,8 @@ from .errors import SizeBudgetExceeded, StructureError, ZeroRequired
 from .semigroups import InverseSemigroup, basis_catalog, validate_inverse_semigroup
 
 EXHAUSTIVE_FILTER_CAP = 20
+# filter_defects gathers chunks of rows holding at most this many entries
+FILTER_CHUNK = 1 << 16
 MUNN_ELEMENT_CAP = 512
 SYMMETRIC_POINT_CAP = 5
 # partial_bijection_semigroup composes chunks of rows whose products hold at
@@ -71,6 +75,18 @@ class Semilattice:
     def order(self) -> np.ndarray:
         """Boolean matrix of the order: order[e, f] iff e <= f, that is ef = e."""
         return self.meet == np.arange(self.size)[:, None]
+
+    @cached_property
+    def filter_pairs(self) -> tuple[np.ndarray, ...]:
+        """The pairs ``filter_defects`` gathers: (e, f) with e < f in the
+        order, then (e, f, meet[e, f]) where the meet is neither e nor f,
+        each unordered pair once where the table is symmetric (a meet equal
+        to e or f is in a set with it)."""
+        idx = np.arange(self.size)
+        above_e, above_f = np.nonzero(self.order & (idx[:, None] != idx))
+        trivial = (self.meet == idx[:, None]) | (self.meet == idx)
+        pe, pf = np.nonzero(~trivial & ((idx[:, None] <= idx) | (self.meet != self.meet.T)))
+        return above_e, above_f, pe, pf, self.meet[pe, pf]
 
     @cached_property
     def bottom(self) -> int:
@@ -129,22 +145,6 @@ def semilattice_of(S: InverseSemigroup) -> Semilattice:
                        tuple(S.label(e) for e in idems.tolist()), tuple(idems.tolist()))
 
 
-def is_filter(E: Semilattice, members: frozenset[int]) -> bool:
-    """Nonempty, meet-closed, upward closed, and avoiding the zero."""
-    if not members:
-        return False
-    if E.zero is not None and E.zero in members:
-        return False
-    for e in members:
-        for f in members:
-            if E.wedge(e, f) not in members:
-                return False
-        for f in range(E.size):
-            if E.leq(e, f) and f not in members:
-                return False
-    return True
-
-
 def principal_filter(E: Semilattice, e: int) -> frozenset[int]:
     return frozenset(np.flatnonzero(E.order[e]).tolist())
 
@@ -165,17 +165,67 @@ def all_filters(E: Semilattice) -> list[frozenset[int]]:
     return [principal_filter(E, g) for g in spectrum_points(E).tolist()]
 
 
-def exhaustive_filters(E: Semilattice) -> list[frozenset[int]]:
-    """Every subset that passes is_filter, canonically ordered.
+def filter_defects(E: Semilattice, members: np.ndarray) -> np.ndarray:
+    """Per row of a stack of member masks (k, |E|), whether it is not a filter.
 
-    The reference for all_filters: 2^|E| tests, so it refuses semilattices
-    with more than EXHAUSTIVE_FILTER_CAP elements.
+    The definition, tested literally: a filter is nonempty and zero-free,
+    upward closed (no F[e] & order[e, f] & ~F[f]) and meet-closed
+    (F[meet[e, f]] wherever F[e] & F[f]).  Only the pairs that can fail are
+    gathered, ``Semilattice.filter_pairs``.  Rows are tested in chunks
+    whose gathers hold at most FILTER_CHUNK entries.
+    """
+    above_e, above_f, pe, pf, pm = E.filter_pairs
+    bad = ~members.any(axis=1)
+    if E.zero is not None:
+        bad |= members[:, E.zero]
+    step = max(1, FILTER_CHUNK // max(above_e.size, pe.size, 1))
+    for lo in range(0, members.shape[0], step):
+        F = members[lo:lo + step]
+        bad[lo:lo + step] |= ((F[:, above_e] & ~F[:, above_f]).any(axis=1)
+                              | (F[:, pe] & F[:, pf] & ~F[:, pm]).any(axis=1))
+    return bad
+
+
+def _bits(n: int) -> np.ndarray:
+    """The uint64 words of the single elements 0..n-1."""
+    return np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+
+
+def filter_words(members: np.ndarray) -> np.ndarray:
+    """Member masks (k, |E|) packed into uint64 words, bit e for member e."""
+    return (members * _bits(members.shape[1])).sum(axis=1, dtype=np.uint64)
+
+
+def up_sets(E: Semilattice) -> np.ndarray:
+    """Every up-set of E, the empty one included, as ``filter_words``.
+
+    Top down: each element in turn joins every up-set found so far that
+    holds all elements strictly above it.  An element has fewer elements
+    above it than anything below it, so taking them by that count meets
+    each one after everything above it.  Capped at EXHAUSTIVE_FILTER_CAP
+    elements, since an antichain of k elements has 2^k up-sets.
     """
     if E.size > EXHAUSTIVE_FILTER_CAP:
-        raise SizeBudgetExceeded(f"subset enumeration is capped at {EXHAUSTIVE_FILTER_CAP}")
-    return sorted((frozenset(sub) for size in range(1, E.size + 1)
-                   for sub in combinations(range(E.size), size) if is_filter(E, frozenset(sub))),
-                  key=lambda F: tuple(sorted(F)))
+        raise SizeBudgetExceeded(f"up-set enumeration is capped at {EXHAUSTIVE_FILTER_CAP}")
+    bits = _bits(E.size)
+    needs = filter_words(E.order) & ~bits                  # the elements above e
+    top_down = np.argsort(E.order.sum(axis=1))
+    words = np.zeros(1, dtype=np.uint64)
+    for need, bit in zip(needs[top_down], bits[top_down]):
+        words = np.concatenate((words, words[(words & need) == need] | bit))
+    return words
+
+
+def up_set_filters(E: Semilattice) -> np.ndarray:
+    """The up-sets of E that ``filter_defects`` passes, as words in
+    enumeration order.  Every filter is an up-set, so these are exactly the
+    subsets of E that are filters.  The words are unpacked into member
+    masks a chunk of FILTER_CHUNK entries at a time."""
+    words, bits = up_sets(E), _bits(E.size)
+    step = max(1, FILTER_CHUNK // E.size)
+    keep = [~filter_defects(E, (words[lo:lo + step, None] & bits) != 0)
+            for lo in range(0, words.size, step)]
+    return words[np.concatenate(keep)]
 
 
 def atoms(E: Semilattice) -> np.ndarray:

@@ -33,7 +33,8 @@ take ``germs_of`` rather than an extracted subgroupoid copy.
 
 Element and arrow subsets are boolean masks from the function that
 computes them to the check that compares them, and a witness names the
-first index of a difference; only the ``spectrum.*`` oracles compare sets.
+first index of a difference; the spectrum checks compare filters as
+bitmask words, and only ``tight.ultrafilters_maximal`` compares sets.
 """
 
 from __future__ import annotations
@@ -76,21 +77,22 @@ from .semigroups import (
     InverseSemigroup,
     distinct,
     first_index,
-    h_class_of,
+    group_pairs,
     is_e_unitary,
     is_zero_e_unitary,
     normality_defect,
 )
 from .semilattices import (
     EXHAUSTIVE_FILTER_CAP,
-    exhaustive_filters,
-    is_filter,
+    filter_defects,
+    filter_words,
     munn_rows,
     partial_bijection_semigroup,
     principal_filter,
     row_finder,
     symmetric_inverse_monoid,
     ultrafilters,
+    up_set_filters,
 )
 
 SUITE_NAMES = ("universal", "tight", "extension", "algebra")
@@ -278,16 +280,26 @@ def _clifford_iff_central(run):
 @check("universal", "congruence.mu_inside_h",
        "the idempotent-conjugation congruence refines Green's H")
 def _mu_inside_h(run):
-    """mu separates idempotents, refines H, and is a congruence."""
+    """mu separates idempotents, refines H, and is a congruence.
+
+    One pass over mu's labels: the idempotents counted per block, and the
+    elements whose H class differs from their block's least element's.  The
+    first block, in block order, with two idempotents or such an element
+    is the witness, as a walk over the blocks would find it.
+    """
     S, mu = run.sub.S, run.sub.mu
-    h = S.h_partition.labels.tolist()
-    for block in mu.blocks:
-        idems = [x for x in block if S.idempotent_mask[x]]
-        if len(idems) > 1:
-            return False, f"relates idempotents {idems[0]} and {idems[1]}"
-        apart = [x for x in block if h[x] != h[block[0]]]
-        if apart:
-            return False, f"relates {block[0]} and {apart[0]} across H classes"
+    h, idems = S.h_partition.labels, S.idempotent_array
+    shared = np.bincount(mu.labels[idems], minlength=mu.count) > 1
+    apart = h != h[mu.reps[mu.labels]]
+    across = np.bincount(mu.labels[apart], minlength=mu.count) > 0
+    hit = first_index(shared | across)
+    if hit is not None:
+        (b,) = hit
+        if shared[b]:
+            e, f = idems[mu.labels[idems] == b][:2]
+            return False, f"relates idempotents {e} and {f}"
+        return False, (f"relates {mu.reps[b]} and "
+                       f"{np.flatnonzero(apart & (mu.labels == b))[0]} across H classes")
     quad = congruence_witness(S, mu)
     if quad is not None:
         return False, f"not a congruence at {quad}"
@@ -327,30 +339,35 @@ def _quotient_fundamental(run):
     return is_fundamental(run.sub.mu_quotient.target), ""
 
 
-def _spectrum(sub: Subject) -> list[frozenset[int]]:
-    """The subject's spectrum points as sets: the set-level oracle's input."""
-    return [principal_filter(sub.E, g) for g in sub.points.tolist()]
-
-
 @check("universal", "spectrum.filter_closures",
        "every filter is nonempty, meet-closed, upward closed, zero-free")
 def _filter_closures(run):
-    filters = _spectrum(run.sub)
-    for F in filters:
-        if not is_filter(run.sub.E, F):
-            return False, f"{sorted(F)} fails a closure property"
-    return True, f"{len(filters)} filters"
+    """The principal filters of the spectrum points, the rows E.order[points],
+    tested against the definition by ``filter_defects``; the first bad row
+    in point order is the witness."""
+    E, points = run.sub.E, run.sub.points
+    members = E.order[points]
+    hit = first_index(filter_defects(E, members))
+    if hit is not None:
+        return False, f"{np.flatnonzero(members[hit[0]]).tolist()} fails a closure property"
+    return True, f"{points.size} filters"
 
 
 @check("universal", "spectrum.filters_principal",
        "the filters are exactly the principal upward closures")
 def _filters_principal(run):
-    """The spectrum points name the principal filters; below the cap these
-    must be exactly the subsets that pass is_filter."""
-    E, filters = run.sub.E, set(_spectrum(run.sub))
-    if E.size <= EXHAUSTIVE_FILTER_CAP and set(exhaustive_filters(E)) != filters:
+    """The spectrum points name the principal filters, and they must be
+    exactly the subsets of E that are filters.  Every filter is an up-set,
+    so ``up_set_filters``, which tests every up-set of E with
+    ``filter_defects``, finds all of them; both sides are compared as sets
+    of bitmask words.  Above EXHAUSTIVE_FILTER_CAP idempotents the up-sets
+    are too many to enumerate, and the check says it skipped."""
+    E, points = run.sub.E, run.sub.points
+    if E.size > EXHAUSTIVE_FILTER_CAP:
+        return True, f"skipped: {E.size} idempotents exceed the enumeration cap"
+    if not np.array_equal(distinct(up_set_filters(E)), distinct(filter_words(E.order[points]))):
         return False, "enumerated filters differ from the principal ones"
-    return True, f"{len(filters)} principal filters"
+    return True, f"{points.size} principal filters"
 
 
 @check("universal", "spectrum.munn_fundamental",
@@ -411,6 +428,43 @@ def _universal_kernel(run):
             f"{np.count_nonzero(run.sub.Z)} elements")
 
 
+def _principal_units(germs) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero idempotents e, in element order, and the unit at the
+    principal point of each (the first point x with m_x = e), by one
+    scatter of the points' least acting idempotents; -1 where no point has
+    m_x = e."""
+    S = germs.action.semigroup
+    E = S.idempotent_array
+    E = E[E != (-1 if S.zero is None else S.zero)]
+    base = np.asarray(germs.base_idempotent)
+    point = np.full(S.size, base.size, dtype=np.intp)
+    np.minimum.at(point, base, np.arange(base.size))
+    return E, np.append(germs.unit_at_point, -1)[point[E]]
+
+
+def _first_fiber_failure(E: np.ndarray, units: np.ndarray, failed: np.ndarray) -> int | None:
+    """The first idempotent, in element order, that has no principal point
+    (an error, as ``GermGroupoid.principal_point`` raises it) or whose
+    fiber failed; None when there is none."""
+    hit = first_index((units < 0) | failed)
+    if hit is None:
+        return None
+    if units[hit[0]] < 0:
+        raise StructureError(f"no point is generated by idempotent {E[hit[0]]}")
+    return hit[0]
+
+
+def _classes_differ(E: np.ndarray, owner: np.ndarray, image: np.ndarray,
+                    labels: np.ndarray) -> np.ndarray:
+    """Per idempotent e of E, whether the elements image[owner == i] (i the
+    index of e), taken as a set, differ from e's class under the labels:
+    one lies outside it, or the distinct ones are fewer than its members."""
+    n, k = labels.size, E.size
+    stray = np.bincount(owner[labels[image] != labels[E[owner]]], minlength=k) > 0
+    found = np.bincount(distinct(owner * n + image) // n, minlength=k)
+    return stray | (found != np.bincount(labels)[labels[E]])
+
+
 @check("universal", "germ.fibers_are_h_classes",
        "the isotropy group at each principal point is the idempotent's class group")
 def _fibers_are_h_classes(run):
@@ -419,47 +473,60 @@ def _fibers_are_h_classes(run):
     At the principal point x of a nonzero idempotent e (so m_x = e) the
     germ [s, x] maps to s m_x.  The map is checked to be a bijection of
     the fiber onto H_e, then multiplicative on every composable pair of
-    the fiber; a bijective homomorphism of groups is an isomorphism.
-    Cost: linear in the fiber for the bijection, one table lookup per
-    composable pair for the homomorphism.
+    the fiber; a bijective homomorphism of groups is an isomorphism.  All
+    fibers at once: the loops r = d = u are grouped by the idempotent
+    whose principal unit u is.  H_e is a set, so the images are H_e
+    exactly when, as a set, they are H_e (``_classes_differ``) and they
+    number |H_e|.  The composable pairs of each fiber are laid out
+    row-major, so the first bad pair of the first bad fiber is the
+    witness, as a walk over the idempotents would find it.
     """
     S, germs = run.sub.S, run.sub.beta
     G = germs.groupoid
-    for e in S.idempotent_array.tolist():
-        if e == S.zero:
-            continue
-        u = germs.unit_at_point[germs.principal_point(e)]
-        fiber = np.flatnonzero((G.r == u) & (G.d == u))
-        image = np.full(G.n_arrows, -1, dtype=np.intp)
-        image[fiber] = _canonical_elements(germs, fiber)
-        if sorted(image[fiber].tolist()) != sorted(h_class_of(S, e)):
-            return False, f"fiber at idempotent {e} differs from its class group"
-        products = image[G.table[np.ix_(fiber, fiber)]]
-        i = np.flatnonzero(products != S.table[np.ix_(image[fiber], image[fiber])])
-        if i.size:
-            a, b = divmod(int(i[0]), fiber.size)
-            return False, (f"fiber at idempotent {e} is not multiplicative "
-                           f"at ({fiber[a]},{fiber[b]})")
-    return True, "all isotropy fibers certified isomorphic"
+    E, units = _principal_units(germs)
+    k = E.size
+    loop_at = np.where(G.r == G.d, G.r, -1)             # a loop's unit, -1 for other arrows
+    owner, fiber = np.nonzero(loop_at == units[:, None])
+    canonical = _canonical_elements(germs, np.arange(G.n_arrows))
+    image = canonical[fiber]
+    h = S.h_partition.labels
+    count = np.bincount(owner, minlength=k)
+    unlike = _classes_differ(E, owner, image, h) | (count != np.bincount(h)[h[E]])
+    p, q = group_pairs(owner, count)       # the pairs of each fiber, row-major
+    product = G.table[fiber[p], fiber[q]] % G.n_arrows    # -1, no product, indexes the last arrow
+    inside = loop_at[product] == units[owner[p]]
+    broken = np.where(inside, canonical[product], -1) != S.table[image[p], image[q]]
+    i = _first_fiber_failure(E, units, unlike | (np.bincount(owner[p[broken]], minlength=k) > 0))
+    if i is None:
+        return True, "all isotropy fibers certified isomorphic"
+    if unlike[i]:
+        return False, f"fiber at idempotent {E[i]} differs from its class group"
+    j = np.flatnonzero(broken & (owner[p] == i))[0]
+    return False, (f"fiber at idempotent {E[i]} is not multiplicative "
+                   f"at ({fiber[p[j]]},{fiber[q[j]]})")
 
 
 @check("universal", "groupoid.containment_chain",
        "centralizer germs sit inside the isotropy interior inside the isotropy")
 def _containment_chain(run):
+    """Z-germs inside the interior inside the isotropy, as masks; then at the
+    principal unit u of each nonzero idempotent e, the elements s m_x of
+    the Z-germs with source u, as a set, are exactly e's mu class.  All
+    idempotents at once: the Z-germs are grouped by the idempotent whose
+    principal unit their source is (``_classes_differ``)."""
     sub = run.sub
-    S, G, mu = sub.S, sub.beta.groupoid, sub.mu.labels
+    G = sub.beta.groupoid
     z_arrows = sub.z_in_beta.arrows
     inner = iso_interior(G)
     iso = iso_bundle(G)
     if (z_arrows & ~inner).any() or (inner & ~iso).any():
         return False, "containment chain broken"
-    for e in S.idempotent_array.tolist():
-        if e == S.zero:
-            continue
-        u = sub.beta.unit_at_point[sub.beta.principal_point(e)]
-        z_fiber = _canonical_elements(sub.beta, np.flatnonzero(z_arrows & (G.d == u)))
-        if not np.array_equal(distinct(z_fiber), np.flatnonzero(mu == mu[e])):
-            return False, f"centralizer fiber at {e} is not its congruence class"
+    E, units = _principal_units(sub.beta)
+    owner, arrow = np.nonzero((G.d == units[:, None]) & z_arrows)
+    differ = _classes_differ(E, owner, _canonical_elements(sub.beta, arrow), sub.mu.labels)
+    i = _first_fiber_failure(E, units, differ)
+    if i is not None:
+        return False, f"centralizer fiber at {E[i]} is not its congruence class"
     return True, (f"|Z-germs|={np.count_nonzero(z_arrows)} <= "
                   f"|interior|={np.count_nonzero(inner)} <= |iso|={np.count_nonzero(iso)}")
 
@@ -517,6 +584,11 @@ def _partial_bijection_counts(run):
 
 # ---------------------------------------------------------------------------
 # tight suite
+
+
+def _spectrum(sub: Subject) -> list[frozenset[int]]:
+    """The subject's spectrum points as sets: the input of the set-level oracle below."""
+    return [principal_filter(sub.E, g) for g in sub.points.tolist()]
 
 
 @check("tight", "tight.ultrafilters_maximal",

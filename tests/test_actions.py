@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from germlab.actions import (
     universal_action,
     validate_action,
 )
-from germlab.builtins import CORPUS_NAMES, builtin
+from germlab.builtins import CORPUS_NAMES, NAMED_GRAPHS, builtin
 from germlab.errors import (
     CyclicGraph,
     DomainMismatch,
@@ -278,6 +280,37 @@ def test_graph_inverse_semigroup_parallel_edges_zero_disjunctive():
 def test_graph_inverse_semigroup_rejects_cycles():
     with pytest.raises(CyclicGraph):
         graph_inverse_semigroup(DirectedGraph(2, ((0, 1), (1, 0))))
+
+
+def _random_acyclic_graph(seed):
+    """Up to 5 vertices, each pair joined by at most two edges pointing from
+    the earlier to the later vertex of a seeded order."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    order = rng.sample(range(n), n)
+    edges = tuple((order[i], order[j]) for i in range(n) for j in range(i + 1, n)
+                  for _ in range(rng.choice((0, 0, 1, 1, 2))))
+    return DirectedGraph(n, edges)
+
+
+def _ambiguous_at_zero(S) -> bool:
+    """Whether two incomparable idempotents have a nonzero product."""
+    pairs = np.ix_(S.idempotent_array, S.idempotent_array)
+    below = S.leq[pairs]
+    return bool(((S.table[pairs] != S.zero) & ~below & ~below.T).any())
+
+
+@pytest.mark.parametrize("graph", list(NAMED_GRAPHS.values())
+                         + [_random_acyclic_graph(seed) for seed in range(20)])
+def test_graph_idempotents_are_unambiguous_at_zero(graph):
+    """xx* yy* is nonzero only when one of the paths x, y extends the other,
+    and then the two idempotents are comparable."""
+    assert not _ambiguous_at_zero(graph_inverse_semigroup(graph))
+
+
+def test_ambiguity_at_zero_shows_on_a_symmetric_inverse_monoid():
+    """{0>0,1>1} {1>1,2>2} = {1>1}: the property above is not vacuous."""
+    assert _ambiguous_at_zero(builtin("symmetric:3"))
 
 
 def _reference_homomorphism_witness(S, maps):

@@ -809,14 +809,15 @@ def test_associativity_witness_is_row_major_across_units(monkeypatch, batch):
 def test_universal_suite_makes_no_per_element_calls(monkeypatch):
     """Calls made by one universal suite run on the 210-element graph7.
 
-    The parent of this change made 2,594 ``InverseSemigroup.mul``, 10,634
-    ``Semilattice.leq`` and 1,623 ``UnionFind.union`` calls and 210
-    ``compose_after`` calls in ``validate_action``.  Now ``mul`` is not
-    called, ``leq`` only by the literal ``is_filter`` of
-    ``spectrum.filter_closures``, the union-find is gone (merges are
-    ``join_roots`` passes, and none runs here: mu's maximality is certified
-    by partition refinement, not by saturating sampled pairs), and
-    ``validate_action`` composes its 27 generators in 3 stacked calls.
+    Once 2,594 ``InverseSemigroup.mul``, 10,634 ``Semilattice.leq`` and
+    1,623 ``UnionFind.union`` calls were made, and 210 ``compose_after``
+    calls in ``validate_action``.  Now neither ``mul`` nor ``leq`` is called
+    (the spectrum checks test member masks with ``filter_defects``), nor
+    ``GermGroupoid.principal_point`` (the fiber checks find every
+    idempotent's principal unit by one scatter), the union-find is gone
+    (merges are ``join_roots`` passes, and none runs here: mu's maximality
+    is certified by partition refinement, not by saturating sampled pairs),
+    and ``validate_action`` composes its 27 generators in 3 stacked calls.
     """
     S = actions.graph_inverse_semigroup(GRAPH7)
     calls = Counter()
@@ -833,9 +834,11 @@ def test_universal_suite_makes_no_per_element_calls(monkeypatch):
     counting(Semilattice, "leq", "leq")
     counting(congruences, "join_roots", "join_roots")
     counting(actions, "compose_after", "compose_after")
+    counting(actions.GermGroupoid, "principal_point", "principal_point")
     [report] = run_suite("graph7", S, "universal")
     assert report.passed
-    assert dict(calls) == {"leq": 1652, "compose_after": 3}
+    assert dict(calls) == {"compose_after": 3}
+    assert calls["leq"] == calls["principal_point"] == 0
     assert calls["join_roots"] == 0
     assert not hasattr(congruences, "UnionFind")
 

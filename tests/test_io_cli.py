@@ -20,7 +20,9 @@ from germlab.io import (
     load_semigroup,
     save_semigroup,
 )
-from germlab.semilattices import exhaustive_filters, semilattice_of
+from germlab.semilattices import semilattice_of
+
+from test_semilattices import exhaustive_filters
 
 REPO = Path(__file__).resolve().parent.parent
 

@@ -21,12 +21,12 @@ from germlab.semigroups import centralizer, is_clifford, natural_leq
 from germlab.semilattices import (
     all_filters,
     compose_after,
-    exhaustive_filters,
-    is_filter,
     principal_filter,
     ultrafilters,
     validate_semilattice,
 )
+
+from test_semilattices import exhaustive_filters, is_filter
 
 CORPUS = dict(corpus())
 

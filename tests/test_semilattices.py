@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
@@ -8,8 +8,6 @@ from germlab.semilattices import (
     EXHAUSTIVE_FILTER_CAP,
     all_filters,
     atoms,
-    exhaustive_filters,
-    is_filter,
     is_zero_disjunctive,
     munn_semigroup,
     semilattice_of,
@@ -17,6 +15,7 @@ from germlab.semilattices import (
     spectrum_points,
     symmetric_inverse_monoid,
     ultrafilters,
+    up_sets,
     validate_semilattice,
 )
 from germlab.semigroups import validate_inverse_semigroup
@@ -27,6 +26,36 @@ from test_semigroups import (
     partial_bijections,
     table_from_maps,
 )
+
+
+def is_filter(E, members: frozenset[int]) -> bool:
+    """Nonempty, meet-closed, upward closed, and avoiding the zero: the
+    definition as a loop over ``leq`` and ``wedge``, the oracle of
+    ``semilattices.filter_defects``."""
+    if not members:
+        return False
+    if E.zero is not None and E.zero in members:
+        return False
+    for e in members:
+        for f in members:
+            if E.wedge(e, f) not in members:
+                return False
+        for f in range(E.size):
+            if E.leq(e, f) and f not in members:
+                return False
+    return True
+
+
+def exhaustive_filters(E) -> list[frozenset[int]]:
+    """Every subset that passes is_filter, canonically ordered: the oracle of
+    ``semilattices.up_set_filters``.  2^|E| tests, so it refuses
+    semilattices with more than EXHAUSTIVE_FILTER_CAP elements."""
+    if E.size > EXHAUSTIVE_FILTER_CAP:
+        raise SizeBudgetExceeded(f"subset enumeration is capped at {EXHAUSTIVE_FILTER_CAP}")
+    return sorted((frozenset(sub) for size in range(1, E.size + 1)
+                   for sub in combinations(range(E.size), size) if is_filter(E, frozenset(sub))),
+                  key=lambda F: tuple(sorted(F)))
+
 
 # 0 < a,b < 1 with a,b incomparable; indices 0,a=1,b=2,1=3
 DIAMOND_MEET = [
@@ -224,6 +253,8 @@ def test_exhaustive_filters_refuse_semilattices_above_the_cap():
     assert len(all_filters(chain)) == n - 1
     with pytest.raises(SizeBudgetExceeded):
         exhaustive_filters(chain)
+    with pytest.raises(SizeBudgetExceeded):
+        up_sets(chain)
 
 
 @pytest.mark.parametrize("n", range(5))

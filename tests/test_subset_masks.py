@@ -15,9 +15,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "germlab"
 MODULES = sorted(PACKAGE.glob("*.py"))
-# principal filters and the 2^|E| filter enumeration are the set-level oracle
-# of the spectrum.* checks; idempotent_set is read by the benchmark harness
-ALLOWED = {"principal_filter", "exhaustive_filters", "InverseSemigroup.idempotent_set"}
+# principal filters are the set-level oracle of tight.ultrafilters_maximal;
+# idempotent_set is read by the benchmark harness
+ALLOWED = {"principal_filter", "InverseSemigroup.idempotent_set"}
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -52,7 +52,7 @@ def test_the_scan_finds_a_frozenset_call():
               "    def centralizer(self):\n"
               "        def members():\n            return frozenset(self.z)\n"
               "        return members()\n"
-              "def exhaustive_filters(E):\n"
+              "def principal_filter(E):\n"
               "    def each():\n        return [frozenset(s) for s in E]\n"
               "    return each()\n"
               "def f(s):\n    return set(s), s.frozenset(), frozenset\n")
@@ -60,7 +60,7 @@ def test_the_scan_finds_a_frozenset_call():
     assert calls == [("", 1), ("principal_filter", 3), ("principal_filter_of", 5),
                      ("InverseSemigroup.idempotent_set", 8),
                      ("InverseSemigroup.centralizer.members", 11),
-                     ("exhaustive_filters.each", 15)]
+                     ("principal_filter.each", 15)]
     assert [scope for scope, _ in calls if not allowed(scope)] == [
         "", "principal_filter_of", "InverseSemigroup.centralizer.members"]
 
