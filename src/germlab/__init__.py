@@ -54,6 +54,7 @@ from .extensions import (
     universal_germs,
 )
 from .groupoids import (
+    Cuts,
     FiniteGroup,
     FiniteGroupoid,
     GroupoidHom,

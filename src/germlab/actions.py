@@ -15,11 +15,13 @@ Germs: pairs (s, x) with x in the domain of s, identified when the two
 elements agree after restriction to an idempotent whose domain contains x.
 The resulting arrows form a groupoid whose topology basis consists of the
 sets Theta(s, U) = {germ(s, x) : x in U} for U in the declared basis of the
-space.  A basis, of the space or of the groupoid, is a pair: one boolean row
-per set over the members, and the sets' labels.  The germs are numbered
-into ``germ_at``, an (elements, points) array with -1 outside each domain,
-in the shape of the action's rows; the groupoid's composition table is one
-gather of it, [t, s x] [s, x] = germ_at[t s, x].
+space.  The space's basis is a pair: one boolean row per set over the
+points, and the sets' labels.  The germs are numbered into ``germ_at``, an
+(elements, points) array with -1 outside each domain, in the shape of the
+action's rows; the groupoid's composition table is one gather of it,
+[t, s x] [s, x] = germ_at[t s, x], and its basis is carried in index form
+as ``germ_at`` beside the space's rows (``groupoids.Cuts``): Theta(s, U) is
+the cut of row s by U, read off when a predicate needs it.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .errors import (
     StructureError,
 )
 from .groupoids import (
+    Cuts,
     FiniteGroupoid,
     SubgroupoidProperties,
     extract_subgroupoid,
@@ -237,32 +240,8 @@ def _least_acting_idempotents(action: Action) -> np.ndarray:
     return E[least.argmax(axis=0)]
 
 
-def _theta_catalog(S: InverseSemigroup, germ_at: np.ndarray, n_arrows: int,
-                   unit_catalog: tuple[np.ndarray, tuple[str, ...]]
-                   ) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The distinct nonempty sets Theta(s, U) = {[s, x] : x in U}, first
-    occurrences over elements s, then the unit catalog's sets U, in order.
-
-    The germs of s at different points differ (so do their sources), so
-    Theta(s, U) is determined by its row over the points: [s, x] inside U,
-    -1 elsewhere.  One product counts the points of every cut U and dom s,
-    and only the nonempty cuts' rows are formed, grouped and scattered.
-    """
-    inside, unit_labels = unit_catalog
-    cuts = (germ_at >= 0).astype(np.float32) @ inside.T.astype(np.float32)
-    s, j = np.nonzero(cuts > 0)
-    rows = np.where(inside[j], germ_at[s], -1)
-    first = Relation(rows).reps
-    kept = rows[first]
-    sets = np.zeros((first.size, n_arrows), dtype=bool)
-    at, x = np.nonzero(kept >= 0)
-    sets[at, kept[at, x]] = True
-    return sets, tuple(f"Theta({S.labels[a]},{unit_labels[b]})"
-                       for a, b in zip(s[first].tolist(), j[first].tolist()))
-
-
 def germ_groupoid(action: Action) -> GermGroupoid:
-    """Build the groupoid of germs with its Theta(s, U) basis catalog.
+    """Build the groupoid of germs with its Theta(s, U) basis in index form.
 
     Two pairs (s, x), (t, x) give the same germ exactly when s e = t e for an
     idempotent e acting around x; since the idempotents around x are closed
@@ -271,11 +250,12 @@ def germ_groupoid(action: Action) -> GermGroupoid:
     representative.  m_x is read off the natural order, one mask for all
     points.  Arrows are numbered point by point, in the order of their first
     pair (s, x) by element.  The product is one gather:
-    [t, s x] [s, x] = [t s, x].  The basis catalog groups the rows of the
-    nonempty sets Theta(s, U), over elements s, then the unit catalog, and
-    keeps the first of each (see ``_theta_catalog``).  That the germs form a
-    groupoid is a theorem, checked by the verification suites rather than
-    here.
+    [t, s x] [s, x] = [t s, x].  The basis is ``germ_at`` cut by the unit
+    catalog (the space's basis, or when none is declared the idempotents'
+    domains and the singletons): the sets Theta(s, U), over elements s,
+    then the unit catalog, neither formed nor deduplicated here (see
+    ``groupoids.Cuts``).  That the germs form a groupoid is a theorem,
+    checked by the verification suites rather than here.
     """
     S = action.semigroup
     maps = action.maps
@@ -305,18 +285,18 @@ def germ_groupoid(action: Action) -> GermGroupoid:
 
     declared = action.space_basis is not None
     if declared:
-        unit_catalog = action.space_basis
+        sets, set_labels = action.space_basis
     else:
         idems = S.idempotent_array
         domains = maps[idems] >= 0
         acting = domains.any(axis=1)
-        unit_catalog = (np.concatenate((domains[acting], np.eye(n_pts, dtype=bool))),
-                        tuple(f"D[{S.label(e)}]" for e in idems[acting].tolist())
-                        + tuple(f"{{{label}}}" for label in action.point_labels))
-    basis = _theta_catalog(S, germ_at, rep_s.size, unit_catalog)
+        sets = np.concatenate((domains[acting], np.eye(n_pts, dtype=bool)))
+        set_labels = (tuple(f"D[{S.label(e)}]" for e in idems[acting].tolist())
+                      + tuple(f"{{{label}}}" for label in action.point_labels))
 
     units = tuple(distinct(unit_at_point).tolist())
-    G = FiniteGroupoid(rep_s.size, r, d, inv, table, units, labels, *basis, declared)
+    G = FiniteGroupoid(rep_s.size, r, d, inv, table, units, labels,
+                       Cuts(germ_at, sets, S.labels, set_labels, "Theta({},{})"), declared)
     return GermGroupoid(action, G, tuple(unit_at_point.tolist()), germ_at,
                         np.stack([rep_s, rep_x], axis=1), tuple(min_idem.tolist()))
 

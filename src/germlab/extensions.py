@@ -153,7 +153,9 @@ class Subject:
     def projection(self) -> MunnProjection:
         """The arrow map [s, F] -> [mu(s), F] onto the germs of S/mu over the
         filters of E(S), point for point: mu separates idempotents, so one
-        gather E(S) -> S -> S/mu -> E(S/mu) maps each generator to its own."""
+        gather E(S) -> S -> S/mu -> E(S/mu) maps each generator to its own,
+        and the arrow map is one gather of the target's ``germ_at``; a germ
+        missing there is reported for the first arrow, as ``germ`` would."""
         q, source = self.mu_quotient, self.beta
         T = q.target
         E_T = semilattice_of(T)
@@ -164,8 +166,14 @@ class Subject:
         # inherit the zero designation from S rather than redetecting it
         E_T.zero = None if self.E.zero is None else int(translate[self.E.zero])
         target = germ_groupoid(spectrum_action(T, translate[self.points], E_T))
-        arrow_map = tuple(target.germ(q.projection[s], x) for s, x in source.rep_of)
-        hom = GroupoidHom(source.groupoid, target.groupoid, arrow_map)
+        rep_s, rep_x = source.rep_of.T
+        images = np.asarray(q.projection)[rep_s]
+        arrow_map = target.germ_at[images, rep_x]
+        hit = first_index(arrow_map < 0)
+        if hit is not None:
+            (a,) = hit
+            raise StructureError(f"point {rep_x[a]} is outside the domain of element {images[a]}")
+        hom = GroupoidHom(source.groupoid, target.groupoid, tuple(arrow_map.tolist()))
         return MunnProjection(q, source, target, hom)
 
     @cached_property

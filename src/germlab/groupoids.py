@@ -11,23 +11,28 @@ d(g) != r(h), the idiom of the semigroup table and of an action's rows.
 in column-major order (sorted by h, then g); the convolution sums in that
 order.
 
-The topology is carried as a catalog of basis sets, boolean rows over the
-arrows named by ``basis_labels``, produced by the germ construction.
-Interior, openness and closedness consume only that catalog, so the
-computations follow the basis-set definitions even though every finite
-corpus groupoid ends up discrete.  Groupoids built directly (pair groupoids,
-group tables, ...) carry the discrete basis and are flagged as such.
+The topology is carried in index form (``Cuts``): integer rows with -1
+outside each domain (a germ groupoid's ``germ_at``, elements by points) and
+boolean sets over the same points (the unit catalog), a basis set for each
+nonempty cut {rows[s, x] : x in set j}.  Interior, openness and closedness
+are two small products of those arrays, so the computations follow the
+basis-set definitions even though every finite corpus groupoid ends up
+discrete; nothing is deduplicated or labeled until a witness is named.
+``basis`` and ``basis_labels`` are the deduplicated catalog, built on first
+read for display.  Groupoids built directly (pair groupoids, group tables,
+...) carry the discrete basis, one singleton cut per arrow, and are flagged
+as such.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import SearchBudgetExceeded, StructureError
-from .semigroups import basis_catalog, distinct, first_index
+from .semigroups import Relation, distinct, first_index
 from .semilattices import compose_after
 
 ISO_SEARCH_CAP = 64
@@ -38,10 +43,67 @@ ISO_SEARCH_CAP = 64
 ASSOCIATIVITY_BATCH = 1 << 14
 
 
+@dataclass(eq=False, frozen=True)
+class Cuts:
+    """An open basis in index form: the nonempty sets {rows[s, x] : x in
+    sets[j]}, one per pair (s, j), in row-major order.
+
+    rows is a (k, m) integer array of arrows, -1 outside each domain, and
+    sets a (c, m) boolean array over the same m points; the cut (s, j) is
+    labeled ``form.format(row_labels[s], set_labels[j])``.  An arrow sits
+    in one column only (a germ [s, x] in the column of its point x), so a
+    cut's set is determined by its row over the points.  Distinct cuts may
+    be equal sets; the first of them is the set's name.
+    """
+
+    rows: np.ndarray
+    sets: np.ndarray
+    row_labels: tuple[str, ...]
+    set_labels: tuple[str, ...]
+    form: str
+
+    def label(self, s: int, j: int) -> str:
+        return self.form.format(self.row_labels[s], self.set_labels[j])
+
+    @cached_property
+    def member(self) -> np.ndarray:
+        return self.rows >= 0
+
+    @cached_property
+    def sets32(self) -> np.ndarray:
+        return self.sets.astype(np.float32)
+
+    @cached_property
+    def nonempty(self) -> np.ndarray:
+        """(k, c): the cuts with at least one arrow."""
+        return self.member.astype(np.float32) @ self.sets32.T > 0
+
+    def good(self, subset: np.ndarray) -> np.ndarray:
+        """(k, c): the nonempty cuts with every arrow in the arrow mask."""
+        outside = self.member & ~np.append(subset, True)[self.rows]
+        return self.nonempty & (outside.astype(np.float32) @ self.sets32.T == 0)
+
+    def covered(self, good: np.ndarray) -> np.ndarray:
+        """(k, m): the entries of each row that lie in one of its good cuts."""
+        return self.member & (good.astype(np.float32) @ self.sets32 > 0)
+
+    def catalog(self, n_arrows: int) -> tuple[np.ndarray, tuple[str, ...]]:
+        """Each distinct set once, as a boolean row over the arrows, under
+        its first cut's label: the dense view, one row per set."""
+        s, j = np.nonzero(self.nonempty)
+        rows = np.where(self.sets[j], self.rows[s], -1)
+        first = Relation(rows).reps
+        kept = rows[first]
+        out = np.zeros((first.size, n_arrows), dtype=bool)
+        at, x = np.nonzero(kept >= 0)
+        out[at, kept[at, x]] = True
+        return out, tuple(self.label(a, b) for a, b in zip(s[first].tolist(), j[first].tolist()))
+
+
 @dataclass(eq=False)
 class FiniteGroupoid:
     """Arrows with range/source/inverse arrays, a composition table (gh at
-    [g, h], -1 where d(g) != r(h)) and an open basis of labeled boolean rows."""
+    [g, h], -1 where d(g) != r(h)) and an open basis in index form."""
 
     n_arrows: int
     r: np.ndarray
@@ -50,8 +112,7 @@ class FiniteGroupoid:
     table: np.ndarray
     units: tuple[int, ...]
     labels: tuple[str, ...]
-    basis: np.ndarray
-    basis_labels: tuple[str, ...]
+    cuts: Cuts
     basis_declared: bool = True
 
     def arrows(self) -> range:
@@ -59,6 +120,20 @@ class FiniteGroupoid:
 
     def label(self, a: int) -> str:
         return self.labels[a]
+
+    @cached_property
+    def _catalog(self) -> tuple[np.ndarray, tuple[str, ...]]:
+        return self.cuts.catalog(self.n_arrows)
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The distinct basis sets as boolean rows over the arrows, built on
+        first read; the predicates read ``cuts``."""
+        return self._catalog[0]
+
+    @property
+    def basis_labels(self) -> tuple[str, ...]:
+        return self._catalog[1]
 
     @cached_property
     def unit_mask(self) -> np.ndarray:
@@ -258,8 +333,14 @@ def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     units = np.asarray(G.units, dtype=np.intp)
     if table.shape != (n, n) or any(a.shape != (n,) for a in (r, d, inv)):
         raise StructureError(f"composition table and arrow arrays must cover {n} arrows")
-    if G.basis.dtype != bool or G.basis.shape != (len(G.basis_labels), n):
-        raise StructureError(f"basis must be one labeled boolean row over {n} arrows per set")
+    rows, sets = G.cuts.rows, G.cuts.sets
+    if (rows.ndim != 2 or rows.dtype.kind != "i" or sets.dtype != bool
+            or rows.shape[0] != len(G.cuts.row_labels)
+            or sets.shape != (len(G.cuts.set_labels), rows.shape[1])):
+        raise StructureError("basis must be labeled integer rows and labeled boolean sets"
+                             " over one set of points")
+    if ((rows < -1) | (rows >= n)).any():
+        raise StructureError("basis row entry out of range")
     if ((table < -1) | (table >= n)).any():
         raise StructureError("composition table entry out of range")
     ends = np.concatenate((r, d, inv, units))
@@ -351,14 +432,16 @@ def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
 
 def make_groupoid(r, d, inv, table, labels=None) -> FiniteGroupoid:
     """Assemble and validate a groupoid from its arrays and composition table
-    (-1 where undefined); units are derived, and the basis is discrete."""
+    (-1 where undefined); units are derived, and the basis is discrete: one
+    singleton cut {a} per arrow a."""
     r, d, inv, table = (np.asarray(a, dtype=np.intp) for a in (r, d, inv, table))
     n = len(r)
     units = tuple(sorted({*r.tolist(), *d.tolist()}))
     if labels is None:
         labels = tuple(f"g{a}" for a in range(n))
-    G = FiniteGroupoid(n, r, d, inv, table, units, tuple(labels), np.eye(n, dtype=bool),
-                       tuple(f"{{{label}}}" for label in labels), False)
+    discrete = Cuts(np.arange(n)[:, None], np.ones((1, 1), dtype=bool), tuple(labels), ("",),
+                    "{{{}}}")
+    G = FiniteGroupoid(n, r, d, inv, table, units, tuple(labels), discrete, False)
     return validate_groupoid(G)
 
 
@@ -371,18 +454,30 @@ def iso_bundle(G: FiniteGroupoid) -> np.ndarray:
 
 
 def interior_witnesses(G: FiniteGroupoid, subset: np.ndarray) -> dict[int, str]:
-    """Interior points of an arrow mask, each with the first basis witness."""
-    within = np.flatnonzero((G.basis <= subset).all(axis=1))
-    rows, arrows = np.nonzero(G.basis[within])
-    out: dict[int, str] = {}
-    for i, a in zip(within[rows].tolist(), arrows.tolist()):
-        out.setdefault(a, G.basis_labels[i])
-    return out
+    """Interior points of an arrow mask, each with the first basis witness.
+
+    The witness of an arrow is its first cut (s, j) inside the mask: the
+    least row s in which it is covered, and in that row the least good j at
+    its point.  An earlier cut with the same set would be inside the mask
+    too, so the witness is its set's first cut and carries its name.
+    """
+    cuts = G.cuts
+    good = cuts.good(subset)
+    s, x = np.nonzero(cuts.covered(good))      # row-major: the least s first
+    if not s.size:
+        return {}
+    arrows, first = np.unique(cuts.rows[s, x], return_index=True)
+    s, x = s[first], x[first]
+    j = (good[s] & cuts.sets.T[x]).argmax(axis=1)
+    return {a: cuts.label(b, c) for a, b, c in zip(arrows.tolist(), s.tolist(), j.tolist())}
 
 
 def interior(G: FiniteGroupoid, subset: np.ndarray) -> np.ndarray:
     """The interior of an arrow mask: the union of the basis sets inside it."""
-    return G.basis[(G.basis <= subset).all(axis=1)].any(axis=0)
+    cuts = G.cuts
+    out = np.zeros(G.n_arrows, dtype=bool)
+    out[cuts.rows[cuts.covered(cuts.good(subset))]] = True
+    return out
 
 
 def iso_interior(G: FiniteGroupoid) -> np.ndarray:
@@ -407,7 +502,7 @@ def is_essentially_principal(G: FiniteGroupoid) -> bool:
 
 def is_effective(G: FiniteGroupoid) -> bool:
     """No nonempty basic open set off the units consists of isotropy only."""
-    return not interior(G, G.isotropy & ~G.unit_mask).any()
+    return not G.cuts.good(G.isotropy & ~G.unit_mask).any()
 
 
 def fiber_group(G: FiniteGroupoid, u: int) -> FiniteGroup:
@@ -457,9 +552,11 @@ def extract_subgroupoid(G: FiniteGroupoid, subset: np.ndarray
     Returns the copy and the index array from its arrows back to G's.  A
     subset closed under inverses and composition holds r(a) = a a^-1 and
     d(a) = a^-1 a for each of its arrows, so the copy is a groupoid and is
-    not validated again.  Its table is a gather of G's, renumbered by the
-    index row from G's arrows to the copy's, and its basis gathers columns.
-    The mask of every arrow returns G itself, not a copy equal to it.
+    not validated again.  Its table and its basis rows are gathers of G's,
+    renumbered by the index row from G's arrows to the copy's (-1 off the
+    subset), so each cut becomes its intersection with the subset; the
+    sets and labels are G's, each label marked "|sub".  The mask of every
+    arrow returns G itself, not a copy equal to it.
     """
     if subset.all():
         return G, np.arange(G.n_arrows)
@@ -471,10 +568,10 @@ def extract_subgroupoid(G: FiniteGroupoid, subset: np.ndarray
     table = compose_after(back, G.table[order[:, None], order])
     back_of = back.tolist()
     labels = tuple(G.label(a) for a in order.tolist())
-    basis = basis_catalog(G.basis[:, order], [label + "|sub" for label in G.basis_labels])
+    cuts = replace(G.cuts, rows=compose_after(back, G.cuts.rows), form=G.cuts.form + "|sub")
     units = tuple(sorted(back_of[u] for u in G.units if back_of[u] >= 0))
     H = FiniteGroupoid(order.size, back[G.r[order]], back[G.d[order]], back[G.inv[order]],
-                       table, units, labels, *basis, G.basis_declared)
+                       table, units, labels, cuts, G.basis_declared)
     return H, order
 
 

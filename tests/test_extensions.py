@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from germlab import extensions
 from germlab.builtins import CORPUS_NAMES, builtin
 from germlab.congruences import find_split_transversal
 from germlab.errors import NotATransversal, StructureError, ZeroPresent
@@ -237,3 +238,32 @@ def test_universal_germs_arrow_counts():
     assert universal_germs(validate_inverse_semigroup(B2_TABLE)).groupoid.n_arrows == 4
     assert universal_germs(diamond_munn()).groupoid.n_arrows == 6
     assert universal_germs(validate_inverse_semigroup(CHAIN_ID_TABLE)).groupoid.n_arrows == 4
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + ("symmetric:4",))
+def test_projection_map_is_the_germ_lookup_of_each_arrow(name):
+    sub = Subject(builtin(name))
+    proj, q = sub.projection, sub.mu_quotient
+    assert proj.hom.map == tuple(proj.target.germ(q.projection[s], x)
+                                 for s, x in sub.beta.rep_of.tolist())
+
+
+def test_projection_names_the_first_arrow_without_a_target_germ(monkeypatch):
+    """With the target's germs at point 1 knocked out, the first source
+    arrow at point 1 (arrows are numbered point by point) is reported, in
+    the words of ``GermGroupoid.germ``."""
+    sub = Subject(builtin("symmetric:3"))
+    rep_of = sub.beta.rep_of            # the source, built before the patch
+    real = extensions.germ_groupoid
+
+    def without_point_1(action):
+        germs = real(action)
+        germs.germ_at[:, 1] = -1
+        return germs
+
+    monkeypatch.setattr(extensions, "germ_groupoid", without_point_1)
+    s, x = rep_of[np.argmax(rep_of[:, 1] == 1)].tolist()
+    with pytest.raises(StructureError) as raised:
+        sub.projection
+    image = sub.mu_quotient.projection[s]
+    assert str(raised.value) == f"point {x} is outside the domain of element {image}"

@@ -51,6 +51,7 @@ from germlab.errors import (
     StructureError,
 )
 from germlab.groupoids import (
+    Cuts,
     FiniteGroupoid,
     interior,
     interior_witnesses,
@@ -77,7 +78,13 @@ from germlab.suites import run_suite
 
 from test_actions import labeled_sets
 from test_congruences import generated_congruence
-from test_groupoids import LOOP_GROUPOID, PAIR2, _reference_axioms, _single_entry_corruptions
+from test_groupoids import (
+    LOOP_GROUPOID,
+    NO_CUTS,
+    PAIR2,
+    _reference_axioms,
+    _single_entry_corruptions,
+)
 from test_order_congruence_tables import GRAPH7, LADDER, SUBJECTS, subject, subsets
 from test_semigroups import table_from_maps
 
@@ -717,7 +724,15 @@ def relabeled_union(parts, perm):
         units += perm[at + np.asarray(G.units)].tolist()
         at += G.n_arrows
     return FiniteGroupoid(n, r, d, inv, table, tuple(sorted(units)),
-                          tuple(f"a{a}" for a in range(n)), np.zeros((0, n), dtype=bool), ())
+                          tuple(f"a{a}" for a in range(n)), NO_CUTS)
+
+
+def catalog_cuts(sets, labels):
+    """A catalog of boolean rows over the arrows in index form: row i holds
+    arrow a in column a where set i does, cut by one set of every column."""
+    n = sets.shape[1]
+    return Cuts(np.where(sets, np.arange(n), -1), np.ones((1, n), dtype=bool),
+                tuple(labels), ("",), "{}")
 
 
 def reference_interior_witnesses(G, subset):
@@ -748,8 +763,8 @@ def _topologies(name):
         out += [germs.groupoid, centralizer_germs(germs).groupoid]
     for G in out[:4]:
         wide = G.basis.sum(axis=1) > 1
-        out.append(dataclasses.replace(G, basis=G.basis[wide],
-                                       basis_labels=tuple(np.array(G.basis_labels)[wide])))
+        out.append(dataclasses.replace(G, cuts=catalog_cuts(
+            G.basis[wide], np.array(G.basis_labels)[wide].tolist())))
     return out
 
 

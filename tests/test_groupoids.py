@@ -10,6 +10,7 @@ from germlab.builtins import CORPUS_NAMES, builtin
 from germlab.errors import SearchBudgetExceeded, StructureError
 from germlab.extensions import semidirect_factors
 from germlab.groupoids import (
+    Cuts,
     FiniteGroupoid,
     extract_subgroupoid,
     fiber_group,
@@ -191,10 +192,14 @@ GROUP_Z2 = group_as_groupoid(Z2_TABLE)
 IP_LOOP = ((0, 1, 2, 3, 4, 5, 6), (1, 2, 0, 5, 6, 4, 3), (2, 0, 1, 6, 5, 3, 4),
            (3, 6, 5, 4, 0, 1, 2), (4, 5, 6, 0, 3, 2, 1), (5, 3, 4, 2, 1, 6, 0),
            (6, 4, 3, 1, 2, 0, 5))
+# a basis with no sets: no rows and no point sets over one point
+NO_CUTS = Cuts(np.zeros((0, 1), dtype=np.intp), np.zeros((0, 1), dtype=bool), (), (), "{}")
 LOOP_GROUPOID = FiniteGroupoid(7, np.zeros(7, dtype=np.intp), np.zeros(7, dtype=np.intp),
                                np.array([0, 2, 1, 4, 3, 6, 5]), np.array(IP_LOOP),
-                               (0,), tuple(f"l{a}" for a in range(7)),
-                               np.zeros((0, 7), dtype=bool), ())
+                               (0,), tuple(f"l{a}" for a in range(7)), NO_CUTS)
+
+
+BAD_CUTS = "basis must be labeled integer rows and labeled boolean sets over one set of points"
 
 
 def edited_table(table, entries):
@@ -218,12 +223,19 @@ def edited_table(table, entries):
     (PAIR2, {"table": edited_table(PAIR2.table, {(0, 1): -1})}, "composability mismatch at (0,1)"),
     (GROUP_Z2, {"table": edited_table(GROUP_Z2.table, {(0, 1): 0})}, "inverse laws fail at (0,1)"),
     (LOOP_GROUPOID, {}, "associativity fails at (1,1,3)"),
-    (PAIR2, {"basis": np.ones((4, 5), dtype=bool)},
-     "basis must be one labeled boolean row over 4 arrows per set"),
-    (PAIR2, {"basis_labels": PAIR2.basis_labels[1:]},
-     "basis must be one labeled boolean row over 4 arrows per set"),
-    (PAIR2, {"basis": PAIR2.basis.astype(np.intp)},
-     "basis must be one labeled boolean row over 4 arrows per set"),
+    (PAIR2, {"cuts": dataclasses.replace(PAIR2.cuts, sets=np.ones((1, 5), dtype=bool))}, BAD_CUTS),
+    (PAIR2, {"cuts": dataclasses.replace(PAIR2.cuts, row_labels=PAIR2.cuts.row_labels[1:])},
+     BAD_CUTS),
+    (PAIR2, {"cuts": dataclasses.replace(PAIR2.cuts, set_labels=())}, BAD_CUTS),
+    (PAIR2, {"cuts": dataclasses.replace(PAIR2.cuts, sets=PAIR2.cuts.sets.astype(np.intp))},
+     BAD_CUTS),
+    (PAIR2, {"cuts": dataclasses.replace(PAIR2.cuts, rows=PAIR2.cuts.rows.astype(bool))},
+     BAD_CUTS),
+    (PAIR2, {"cuts": dataclasses.replace(PAIR2.cuts, rows=PAIR2.cuts.rows[:, 0])}, BAD_CUTS),
+    (PAIR2, {"cuts": dataclasses.replace(PAIR2.cuts, rows=PAIR2.cuts.rows + 1)},
+     "basis row entry out of range"),
+    (PAIR2, {"cuts": dataclasses.replace(PAIR2.cuts, rows=PAIR2.cuts.rows - 2)},
+     "basis row entry out of range"),
 ])
 def test_validate_groupoid_names_the_broken_axiom(G, fields, message):
     broken = dataclasses.replace(G, **fields)
@@ -290,7 +302,7 @@ def test_associativity_batches_keep_the_row_major_witness(monkeypatch):
     loop = np.full(7, 4)
     G = FiniteGroupoid(n, np.concatenate((PAIR2.r, loop)), np.concatenate((PAIR2.d, loop)),
                        np.concatenate((PAIR2.inv, LOOP_GROUPOID.inv + 4)), table, (0, 3, 4),
-                       tuple(f"a{a}" for a in range(n)), np.zeros((0, n), dtype=bool), ())
+                       tuple(f"a{a}" for a in range(n)), NO_CUTS)
     assert _reference_axioms(G) == "associativity fails at (5,5,7)"
     with pytest.raises(StructureError) as err:
         validate_groupoid(G)
