@@ -38,6 +38,7 @@ from .errors import (
     NotCovering,
     NotHomomorphism,
     NotSubsemigroup,
+    SizeBudgetExceeded,
     StructureError,
 )
 from .groupoids import (
@@ -48,6 +49,8 @@ from .groupoids import (
     subgroupoid_properties,
 )
 from .semigroups import (
+    LIGHT_CHUNK,
+    TABLE_CAP,
     InverseSemigroup,
     Relation,
     centralizer,
@@ -228,16 +231,17 @@ def _least_acting_idempotents(action: Action) -> np.ndarray:
 
     In a valid action the domain of ef is that of e meet that of f, so the
     idempotents acting at x are closed under products, and their product is
-    the one of them below all the others in the natural order.
+    the one of them below all the others in the natural order: the acting
+    idempotent with the most acting idempotents above it.  The counts stay
+    below 2^24, so the float32 product is exact.
     """
     S = action.semigroup
     E = S.idempotent_array
     acting = action.maps[E] >= 0                                   # [e, x]
     if not acting.any(axis=0).all():
         raise NotCovering()
-    below = S.leq[E][:, E]                                         # [e, f]: e <= f
-    least = acting & (acting <= below[:, :, None]).all(axis=1)      # below all acting f
-    return E[least.argmax(axis=0)]
+    above = S.leq[np.ix_(E, E)].astype(np.float32) @ acting.astype(np.float32)
+    return E[np.where(acting, above, -1).argmax(axis=0)]
 
 
 def germ_groupoid(action: Action) -> GermGroupoid:
@@ -398,108 +402,94 @@ class DirectedGraph:
         return sum(1 for _, h in self.edges if h == v)
 
 
-@dataclass(frozen=True)
-class _Path:
-    """Edge sequence composed right-to-left: entry i+1 feeds entry i."""
-
-    rng: int    # head vertex of the whole path
-    src: int    # tail vertex
-    edges: tuple[int, ...]
-
-    def extends(self, other: "_Path") -> bool:
-        return (self.rng == other.rng
-                and self.edges[:len(other.edges)] == other.edges)
-
-    def remainder_after(self, prefix: "_Path") -> "_Path":
-        rest = self.edges[len(prefix.edges):]
-        return _Path(prefix.src, self.src, rest)
-
-    def then(self, other: "_Path") -> "_Path":
-        # self followed (on the source side) by other: src(self) == rng(other)
-        return _Path(self.rng, other.src, self.edges + other.edges)
-
-
-def _all_paths(graph: DirectedGraph) -> list[_Path]:
-    paths = [_Path(v, v, ()) for v in range(graph.n_vertices)]
-    frontier = list(paths)
-    while frontier:
-        new = []
-        for p in frontier:
-            for i, (tail, head) in enumerate(graph.edges):
-                if head == p.src:
-                    new.append(_Path(p.rng, tail, p.edges + (i,)))
-        paths.extend(new)
-        frontier = new
-    return paths
+def _element_count(graph: DirectedGraph) -> int:
+    """1 + the sum of T(v)^2 over the vertices, where T(v) counts the paths
+    with tail v: T(v) = 1 + the sum of T(w) over the edges (v, w), run along
+    Kahn's topological order backwards.  A vertex the order never reaches
+    lies on a cycle, and the graph is refused."""
+    V = graph.n_vertices
+    heads: list[list[int]] = [[] for _ in range(V)]
+    into = [0] * V
+    for tail, head in graph.edges:
+        heads[tail].append(head)
+        into[head] += 1
+    order = [v for v in range(V) if not into[v]]
+    for v in order:                 # Kahn's queue: the list grows as it is read
+        for w in heads[v]:
+            into[w] -= 1
+            if not into[w]:
+                order.append(w)
+    if len(order) < V:
+        raise CyclicGraph("graph inverse semigroup needs an acyclic graph")
+    T = [1] * V
+    for v in reversed(order):
+        T[v] += sum(T[w] for w in heads[v])
+    return 1 + sum(t * t for t in T)
 
 
-def _is_acyclic(graph: DirectedGraph) -> bool:
-    color = [0] * graph.n_vertices
-    adj = [[] for _ in range(graph.n_vertices)]
-    for t, h in graph.edges:
-        adj[t].append(h)
+def _path_tables(graph: DirectedGraph):
+    """The tail and label of every path, and the tables ``cat`` and ``rest``.
 
-    def visit(v: int) -> bool:
-        color[v] = 1
-        for w in adj[v]:
-            if color[w] == 1:
-                return False
-            if color[w] == 0 and not visit(w):
-                return False
-        color[v] = 2
-        return True
-
-    return all(color[v] != 0 or visit(v) for v in range(graph.n_vertices))
-
-
-def _path_label(graph: DirectedGraph, p: _Path) -> str:
-    if not p.edges:
-        return f"v{p.rng}"
-    return "".join(f"e{i}" for i in p.edges)
+    A path is a head vertex and an edge sequence, each edge's head the tail
+    of the edge before it.  The paths are the vertices, then breadth-first
+    each path extended at its tail by each edge into that tail, in edge
+    order.  Index P stands for no path.  cat[p, q] is p followed by q where
+    the tail of p is the head of q, built a level of q at a time through
+    ext[p, e], p extended by e; rest[u, y] is the z with u = y z where y is
+    a prefix of u, cat read backwards.
+    """
+    V = graph.n_vertices
+    edge_tail, edge_head = np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T
+    tail, parent, edge, bounds = [np.arange(V)], [np.full(V, -1)], [np.full(V, -1)], [0, V]
+    while tail[-1].size:
+        p, e = np.nonzero(tail[-1][:, None] == edge_head)
+        tail.append(edge_tail[e])
+        parent.append(bounds[-2] + p)
+        edge.append(e)
+        bounds.append(bounds[-1] + e.size)
+    tail, parent, edge = map(np.concatenate, (tail, parent, edge))
+    P = tail.size
+    ext = np.full((P + 1, edge_head.size), P)
+    ext[parent[V:], edge[V:]] = np.arange(V, P)
+    cat = np.full((P + 1, P + 1), P)
+    cat[np.arange(P), tail] = np.arange(P)              # p followed by the vertex at its tail
+    for lo, hi in zip(bounds[1:], bounds[2:]):
+        cat[:, lo:hi] = ext[cat[:, parent[lo:hi]], edge[lo:hi]]
+    rest = np.full((P + 1, P + 1), P)
+    p, q = np.nonzero(cat[:P, :P] < P)
+    rest[cat[p, q], p] = q
+    labels = [f"v{v}" for v in range(V)]
+    for p, e in zip(parent[V:].tolist(), edge[V:].tolist()):
+        labels.append(f"{labels[p] if p >= V else ''}e{e}")
+    return tail, labels, cat, rest
 
 
 def graph_inverse_semigroup(graph: DirectedGraph) -> InverseSemigroup:
-    """Zero plus the pairs x.y* over paths x, y with a common source.
+    """Zero plus the elements x y* over paths x, y with a common tail.
 
-    The graph must be acyclic so the path set is finite.  Products compare
-    the middle paths: one must extend the other, otherwise the product is
-    zero.  The result keeps the graph as ``S.graph``.
+    The graph must be acyclic so the path set is finite, and one whose
+    semigroup has more than ``TABLE_CAP`` elements is refused before any
+    path is listed.  The elements (x, y) are numbered row-major after the
+    zero, whose two paths are the extra index P of ``_path_tables``.  Then
+    (x y*)(u v*) is x z v* where u = y z, x (v z)* where y = u z, and the
+    zero otherwise: gathers of cat and rest per chunk of rows.  The result
+    keeps the graph as ``S.graph``.
     """
-    if not _is_acyclic(graph):
-        raise CyclicGraph("graph inverse semigroup needs an acyclic graph")
-    paths = _all_paths(graph)
-    elements: list[tuple[_Path, _Path] | None] = [None]   # index 0 is the zero
-    for x in paths:
-        for y in paths:
-            if x.src == y.src:
-                elements.append((x, y))
-    index = {(x.rng, x.edges, y.rng, y.edges): i
-             for i, pair in enumerate(elements) if pair is not None
-             for x, y in [pair]}
-
-    def mul(a, b):
-        if a is None or b is None:
-            return 0
-        x, y = a
-        u, v = b
-        if u.extends(y):
-            z = u.remainder_after(y)
-            return index[((xz := x.then(z)).rng, xz.edges, v.rng, v.edges)]
-        if y.extends(u):
-            z = y.remainder_after(u)
-            return index[(x.rng, x.edges, (vz := v.then(z)).rng, vz.edges)]
-        return 0
-
-    n = len(elements)
-    table = np.zeros((n, n), dtype=np.int64)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            table[i, j] = mul(a, b)
-    labels = ["0"]
-    for pair in elements[1:]:
-        x, y = pair  # type: ignore[misc]
-        lx, ly = _path_label(graph, x), _path_label(graph, y)
-        labels.append(lx if x == y else f"{lx}.{ly}*")
+    n = _element_count(graph)
+    if n > TABLE_CAP:
+        raise SizeBudgetExceeded(f"graph inverse semigroup has {n} elements > {TABLE_CAP}")
+    tail, path, cat, rest = _path_tables(graph)
+    x, y = (np.append(tail.size, a) for a in np.nonzero(tail[:, None] == tail))
+    index = np.zeros_like(cat)                          # the element (x, y), 0 if none
+    index[x, y] = np.arange(n)
+    table = np.empty((n, n), dtype=np.int64)
+    step = max(1, LIGHT_CHUNK // n)
+    for lo in range(0, n, step):
+        X, Y = x[lo:lo + step, None], y[lo:lo + step, None]
+        table[lo:lo + step] = np.maximum(index[cat[X, rest[x, Y]], y],
+                                         index[X, cat[y, rest[Y, x]]])
+    labels = ["0"] + [path[a] if a == b else f"{path[a]}.{path[b]}*"
+                      for a, b in zip(x[1:].tolist(), y[1:].tolist())]
     S = validate_inverse_semigroup(table, labels)
     S.graph = graph
     return S

@@ -30,8 +30,9 @@ from .errors import NoInverse, NonUniqueInverse, NotAssociative, StructureError,
 # A chain needs every element as a generator and is the worst case: the
 # 1024-chain compares 1024 * 1023^2 pairs (about 4 s on one x86-64 core),
 # the layered graph with 4 layers of 3 vertices 8.5e7 (5359 elements, 66
-# generators, 0.8 s).  Tables past 2^15 elements are refused outright.
+# generators, 0.8 s).  Tables past TABLE_CAP elements are refused outright.
 LIGHT_BUDGET = 1 << 30
+TABLE_CAP = 1 << 15
 # Light's test compares (n, k, n) tables for k generators at a time, with k
 # chosen so that a table holds at most this many entries (or one generator);
 # the inverse search's int64 temporaries hold at most this many bytes
@@ -335,14 +336,14 @@ def check_associativity(table: np.ndarray) -> np.ndarray:
     x with xa != z in full, and on the other rows it checks x(ay) = z by
     counting: column ay has no entry other than z outside the compared
     rows.  A table whose test would compare more than ``LIGHT_BUDGET``
-    pairs (x, y), or that has more than 2^15 elements, is refused.  When it
-    fails, it raises NotAssociative((x, a, y)) for the first generator a,
-    in A's order, with a failing pair, and the first such pair (x, y)
-    row-major.
+    pairs (x, y), or that has more than ``TABLE_CAP`` elements, is
+    refused.  When it fails, it raises NotAssociative((x, a, y)) for the
+    first generator a, in A's order, with a failing pair, and the first
+    such pair (x, y) row-major.
     """
     n = table.shape[0]
-    if n > 1 << 15:             # before any work: the int16 copy holds entries below 2^15
-        raise StructureError(f"table too large to validate (n={n} > {1 << 15})")
+    if n > TABLE_CAP:           # before any work: the int16 copy holds entries below 2^15
+        raise StructureError(f"table too large to validate (n={n} > {TABLE_CAP})")
     small = table.astype(np.int16)     # quarter-size gathers
     gens = generating_set(small)
     z = _detect_zero(small, np.flatnonzero(small.diagonal() == np.arange(n)))

@@ -31,7 +31,12 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .errors import SizeBudgetExceeded, StructureError, ZeroRequired
-from .semigroups import InverseSemigroup, basis_catalog, validate_inverse_semigroup
+from .semigroups import (
+    InverseSemigroup,
+    basis_catalog,
+    check_associativity,
+    validate_inverse_semigroup,
+)
 
 EXHAUSTIVE_FILTER_CAP = 20
 # filter_defects gathers chunks of rows holding at most this many entries
@@ -100,7 +105,8 @@ class Semilattice:
 
 
 def validate_semilattice(meet, zero="detect", labels=None) -> Semilattice:
-    """Check associativity, commutativity and idempotency of a meet table.
+    """Check commutativity, idempotency and, by Light's test as for every
+    table (``check_associativity``), associativity of a meet table.
 
     ``zero="detect"`` treats the semilattice as its own parent semigroup, so
     the bottom element is its zero.  Pass ``zero=None`` for the semilattice of
@@ -116,11 +122,9 @@ def validate_semilattice(meet, zero="detect", labels=None) -> Semilattice:
         raise StructureError("meet entries out of range")
     if not (meet == meet.T).all():
         raise StructureError("meet is not commutative")
-    if any(meet[e, e] != e for e in range(n)):
+    if (meet.diagonal() != np.arange(n)).any():
         raise StructureError("meet is not idempotent")
-    for i in range(n):
-        if not (meet[meet[i, :], :] == meet[i, meet]).all():
-            raise StructureError("meet is not associative")
+    check_associativity(meet)
     if labels is None:
         labels = tuple(f"e{i}" for i in range(n))
     L = Semilattice(meet, None, tuple(labels))
@@ -254,11 +258,13 @@ def spectrum_basis(E: Semilattice, points: np.ndarray) -> tuple[np.ndarray, tupl
     """
     inside = E.order[points]
     outside = ~inside
-    # maximal[i, f]: f is outside the filter of point i, and no non-member above it
-    strictly = E.order & ~np.eye(E.size, dtype=bool)
-    maximal = outside & ~(outside[:, None, :] & strictly).any(axis=2)
+    # maximal[i, f]: f is outside the filter of point i, and no non-member
+    # above it; counts below 2^24 keep the float32 products exact
+    above = (E.order & ~np.eye(E.size, dtype=bool)).T.astype(np.float32)   # [g, f]: f < g
+    maximal = outside & ~(outside.astype(np.float32) @ above > 0)
     # isolated[i, j]: point j is in the isolating set of point i
-    isolated = inside[:, points].T & ~(inside & maximal[:, None, :]).any(axis=2)
+    isolated = inside[:, points].T & ~(maximal.astype(np.float32)
+                                       @ inside.T.astype(np.float32) > 0)
     nonzero = np.arange(E.size) != (-1 if E.zero is None else E.zero)
     labels = [f"N^{E.label(e)}" for e in np.flatnonzero(nonzero).tolist()]
     for g, m in zip(points.tolist(), maximal.tolist()):

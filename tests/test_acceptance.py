@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from germlab.actions import (
+    DirectedGraph,
     action_kernel,
     centralizer_germs,
     domains_form_base,
     germ_groupoid,
+    graph_inverse_semigroup,
     induced_subgroupoid,
     tight_action,
     universal_action,
@@ -317,3 +319,14 @@ def test_symmetric5_all_suites_budget():
     assert all(r.passed for r in reports), [c.render() for r in reports
                                             for c in r.checks if not c.passed]
     budget.done("symmetric:5 all suites")
+
+
+def test_layered_graph_build_budget():
+    # 4 layers of 3 vertices, each vertex joined to all 3 of the next layer:
+    # 5359 elements, from the path counts through the gathers of the two
+    # path tables to Light's test and the inverse search
+    budget = Budget(10.0)
+    edges = tuple((3 * i + a, 3 * i + 3 + b) for i in range(3) for a in range(3) for b in range(3))
+    S = graph_inverse_semigroup(DirectedGraph(12, edges))
+    assert (S.size, S.idempotent_array.size, S.zero) == (5359, 175, 0)
+    budget.done("layered 4x3 graph build")

@@ -3,7 +3,7 @@ from math import comb, factorial
 
 import pytest
 
-from germlab.errors import SizeBudgetExceeded, ZeroRequired
+from germlab.errors import NotAssociative, SizeBudgetExceeded, StructureError, ZeroRequired
 from germlab.semilattices import (
     EXHAUSTIVE_FILTER_CAP,
     all_filters,
@@ -121,6 +121,22 @@ def test_diamond_filters():
 def test_chain_without_parent_zero_has_two_filters():
     E = validate_semilattice([[0, 0], [0, 1]], zero=None)
     assert len(all_filters(E)) == 2
+
+
+def test_a_commutative_idempotent_table_that_is_not_associative_is_refused():
+    """(0 0) 2 = 0 2 = 1 but 0 (0 2) = 0 1 = 0: Light's test names the triple."""
+    with pytest.raises(NotAssociative) as refused:
+        validate_semilattice([[0, 0, 1], [0, 1, 2], [1, 2, 2]])
+    assert refused.value.triple == (0, 0, 2)
+
+
+@pytest.mark.parametrize("meet, message", [
+    ([[0, 1], [0, 1]], "meet is not commutative"),
+    ([[0, 0], [0, 0]], "meet is not idempotent"),
+])
+def test_meet_tables_that_are_not_commutative_or_idempotent_are_refused(meet, message):
+    with pytest.raises(StructureError, match=message):
+        validate_semilattice(meet)
 
 
 def test_b2_semilattice_has_two_filters():
