@@ -56,7 +56,6 @@ from .semigroups import (
     centralizer,
     distinct,
     first_index,
-    group_pairs,
     validate_inverse_semigroup,
 )
 from .semilattices import (
@@ -227,21 +226,22 @@ class GermGroupoid:
 
 
 def _least_acting_idempotents(action: Action) -> np.ndarray:
-    """Per point x, m_x: the least idempotent acting at x.
+    """Per point x, the candidate m_x for the least idempotent acting at x,
+    or -1 where no idempotent acts.
 
     In a valid action the domain of ef is that of e meet that of f, so the
     idempotents acting at x are closed under products, and their product is
     the one of them below all the others in the natural order: the acting
-    idempotent with the most acting idempotents above it.  The counts stay
-    below 2^24, so the float32 product is exact.
+    idempotent with the most acting idempotents above it.  That one is the
+    candidate in any action; ``germ_equivalence_is_equivalence`` certifies
+    that it lies below the others.  The counts stay below 2^24, so the
+    float32 product is exact.
     """
     S = action.semigroup
     E = S.idempotent_array
     acting = action.maps[E] >= 0                                   # [e, x]
-    if not acting.any(axis=0).all():
-        raise NotCovering()
     above = S.leq[np.ix_(E, E)].astype(np.float32) @ acting.astype(np.float32)
-    return E[np.where(acting, above, -1).argmax(axis=0)]
+    return np.where(acting.any(axis=0), E[np.where(acting, above, -1).argmax(axis=0)], -1)
 
 
 def germ_groupoid(action: Action) -> GermGroupoid:
@@ -265,6 +265,8 @@ def germ_groupoid(action: Action) -> GermGroupoid:
     maps = action.maps
     n_pts = action.space_size
     min_idem = _least_acting_idempotents(action)
+    if (min_idem < 0).any():
+        raise NotCovering()
 
     xs, ss = np.nonzero(maps.T >= 0)              # the pairs (s, x), point by point
     invariant = S.table[ss, min_idem[xs]]
@@ -309,40 +311,22 @@ def germ_equivalence_is_equivalence(action: Action) -> bool:
     """Certify that germ identification is an equivalence on each fiber.
 
     At a point x, (s, x) ~ (t, x) iff se = te for some idempotent e in E_x,
-    the idempotents acting at x.  The certificate, per point: the table meet
-    m_x of E_x lies in E_x, and for every e in E_x, se = te implies
-    s m_x = t m_x on the elements acting at x.  The first makes the kernel of
-    s -> s m_x part of ~, the second puts ~ inside that kernel, so ~ is the
-    kernel of a function and hence an equivalence.  A kernel inclusion holds
-    exactly when the pairs (se, s m_x) are no more numerous than the values
-    se.  All points at once: m_x is folded over E for every point together
-    (|E| steps), and one count of the distinct keys (x, e, se) over the
-    triples of a point x, an idempotent e and an element s acting at x is
-    compared with that of (x, e, se, s m_x).  At each point the second count
-    is at least the first, so equal totals mean equal counts at every point.
-    Cost: two sorts of at most points n |E| keys, where testing the three
-    axioms pair by pair costs O(points n^3 |E|).
+    the idempotents acting at x.  The certificate: the candidate m_x of
+    ``_least_acting_idempotents``, the one in the invariant s m_x of
+    ``germ_groupoid``, lies below every e in E_x, one gather of the natural
+    order over (E, points).  Then se = te gives s m_x = s e m_x = t e m_x =
+    t m_x by associativity, and s m_x = t m_x is a witness with e = m_x, so
+    ~ is the kernel of s -> s m_x and hence an equivalence.  Where an
+    element acts at a point that no idempotent acts at, (s, x) is not
+    related to itself.
     """
     S = action.semigroup
-    T, n = S.table, S.size
-    idems = S.idempotent_array
-    domain = action.maps >= 0
-    around = domain[idems]                         # [i, x]: idempotent i acts at x
-    if (domain.any(axis=0) & ~around.any(axis=0)).any():
-        return False      # no idempotent relates (s, x) to itself
-    meet = np.full(action.space_size, -1, dtype=np.intp)
-    for e, at in zip(idems.tolist(), around):
-        meet[at] = np.where(meet[at] < 0, e, T[meet[at], e])
-    covered = np.flatnonzero(meet >= 0)
-    if not domain[meet[covered], covered].all():
+    E = S.idempotent_array
+    least = _least_acting_idempotents(action)
+    if ((action.maps >= 0).any(axis=0) & (least < 0)).any():
         return False
-    # the triples (x, s, i), point by point: each pair (s, x) once per idempotent acting at x
-    xs, ss = np.nonzero(domain.T)
-    xi, ii = np.nonzero(around.T)
-    pair, idem = group_pairs(xs, np.bincount(xi, minlength=action.space_size))
-    x, s, i = xs[pair], ss[pair], ii[idem]
-    by_e = (x * idems.size + i) * n + T[s, idems[i]]
-    return distinct(by_e).size == distinct(by_e * n + T[s, meet[x]]).size
+    acting = action.maps[E] >= 0          # all False at the points where least is -1
+    return bool((S.leq[least, E[:, None]] | ~acting).all())
 
 
 @dataclass(eq=False)

@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SearchBudgetExceeded, StructureError
-from .semigroups import Relation, distinct, first_index
+from .semigroups import LIGHT_CHUNK, distinct, first_index
 from .semilattices import compose_after
 
 ISO_SEARCH_CAP = 64
@@ -89,15 +89,24 @@ class Cuts:
 
     def catalog(self, n_arrows: int) -> tuple[np.ndarray, tuple[str, ...]]:
         """Each distinct set once, as a boolean row over the arrows, under
-        its first cut's label: the dense view, one row per set."""
+        its first cut's label: the dense view, one row per set.  The cuts'
+        rows over the points are formed ``LIGHT_CHUNK`` entries at a time
+        and keyed by their bytes, so only the kept sets outlive a chunk."""
         s, j = np.nonzero(self.nonempty)
-        rows = np.where(self.sets[j], self.rows[s], -1)
-        first = Relation(rows).reps
-        kept = rows[first]
-        out = np.zeros((first.size, n_arrows), dtype=bool)
+        width = self.rows.shape[1]
+        step = max(1, LIGHT_CHUNK // max(width, 1))
+        first: dict = {}                  # a set's row over the points -> its first cut
+        for lo in range(0, s.size, step):
+            rows = np.where(self.sets[j[lo:lo + step]], self.rows[s[lo:lo + step]], -1)
+            keys = rows.view(np.dtype((np.void, rows.itemsize * width)))[:, 0]
+            for i, key in enumerate(keys.tolist(), lo):
+                first.setdefault(key, i)
+        cut = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+        kept = np.where(self.sets[j[cut]], self.rows[s[cut]], -1)
+        out = np.zeros((cut.size, n_arrows), dtype=bool)
         at, x = np.nonzero(kept >= 0)
         out[at, kept[at, x]] = True
-        return out, tuple(self.label(a, b) for a, b in zip(s[first].tolist(), j[first].tolist()))
+        return out, tuple(self.label(a, b) for a, b in zip(s[cut].tolist(), j[cut].tolist()))
 
 
 @dataclass(eq=False)

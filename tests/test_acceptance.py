@@ -321,6 +321,20 @@ def test_symmetric5_all_suites_budget():
     budget.done("symmetric:5 all suites")
 
 
+def test_chain512_universal_suite_budget():
+    # 512 elements, all idempotents, 511 points: a germ.equivalence check that
+    # keyed the triples of a point, an element and an idempotent acting there
+    # (4.5e7 of them) took most of 14 s and 3 GB, from building the table to
+    # the last check.
+    budget = Budget(10.0)
+    S = builtin("semilattice:chain512")
+    assert S.size == 512
+    [report] = run_suite("semilattice:chain512", S, "universal")
+    assert len(report.checks) == 22
+    assert report.passed, [c.render() for c in report.checks if not c.passed]
+    budget.done("semilattice:chain512 universal suite")
+
+
 def test_layered_graph_build_budget():
     # 4 layers of 3 vertices, each vertex joined to all 3 of the next layer:
     # 5359 elements, from the path counts through the gathers of the two

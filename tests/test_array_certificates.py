@@ -358,12 +358,10 @@ def test_a_missing_spectrum_point_fails_the_enumeration_check(name):
         False, "enumerated filters differ from the principal ones")
 
 
-def test_germ_equivalence_agrees_on_broken_actions():
+def _broken_actions():
     """Actions built past ``validate_action``: one to three entries of the
-    universal action's rows set to another point or to -1; each verdict
-    as the loop gives it, with both verdicts seen."""
+    universal action's rows set to another point or to -1."""
     rng = np.random.default_rng(3)
-    verdicts = set()
     for name in ("b2", "diamond_munn", "symmetric:3", "group:z3"):
         action = Subject(subject(name)).universal
         for _ in range(25):
@@ -371,11 +369,44 @@ def test_germ_equivalence_agrees_on_broken_actions():
             s = rng.integers(action.semigroup.size, size=rng.integers(1, 4))
             x = rng.integers(action.space_size, size=s.size)
             maps[s, x] = rng.integers(-1, action.space_size, size=s.size)
-            broken = Action(action.semigroup, action.space_size, maps, action.point_labels)
-            verdict = germ_equivalence_is_equivalence(broken)
-            assert verdict == reference_germ_equivalence(broken)
-            verdicts.add(verdict)
+            yield Action(action.semigroup, action.space_size, maps, action.point_labels)
+
+
+def test_germ_equivalence_agrees_on_broken_actions():
+    """Each verdict as the loop gives it, with both verdicts seen."""
+    verdicts = set()
+    for broken in _broken_actions():
+        verdict = germ_equivalence_is_equivalence(broken)
+        assert verdict == reference_germ_equivalence(broken)
+        verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def germ_relation(action, x):
+    """(s, x) ~ (t, x) pair by pair over the elements acting at x: se = te
+    for some idempotent e acting at x."""
+    S = action.semigroup
+    acting = np.flatnonzero(action.maps[:, x] >= 0)
+    around = S.idempotent_array[action.maps[S.idempotent_array, x] >= 0]
+    products = S.table[np.ix_(acting, around)]
+    return (products[:, None, :] == products[None, :, :]).any(axis=2)
+
+
+def test_a_certified_germ_relation_is_an_equivalence():
+    """Wherever the certificate holds on a broken action, the relation
+    built pair by pair is reflexive, symmetric and transitive at every
+    point; certified actions are seen."""
+    certified = 0
+    for broken in _broken_actions():
+        if not germ_equivalence_is_equivalence(broken):
+            continue
+        certified += 1
+        for x in range(broken.space_size):
+            related = germ_relation(broken, x)
+            assert related.diagonal().all()
+            assert np.array_equal(related, related.T)
+            assert not ((related.astype(np.intp) @ related > 0) & ~related).any()
+    assert certified >= 10
 
 
 def _replace_beta(sub, **fields):

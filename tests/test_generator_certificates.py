@@ -28,8 +28,10 @@ import pytest
 from germlab import actions, congruences, groupoids, semigroups
 from germlab.actions import (
     Action,
+    _least_acting_idempotents,
     action_kernel,
     centralizer_germs,
+    germ_equivalence_is_equivalence,
     germ_groupoid,
     induced_subgroupoid,
     tight_action,
@@ -666,12 +668,16 @@ def test_partial_bijections_not_closed_under_composition_are_refused():
 
 @pytest.mark.parametrize("name", SUBJECTS)
 def test_germ_catalog_and_base_idempotents_equal_the_loops(name):
+    """The least acting idempotents equal the fold, and are the m_x that
+    ``germ.equivalence`` certifies, for the universal and tight actions."""
     S = subject(name)
     for action in _actions(name):
+        assert germ_equivalence_is_equivalence(action)
         undeclared = Action(S, action.space_size, action.maps, action.point_labels)
         for a in (action, undeclared):
             germs = germ_groupoid(a)
             assert germs.base_idempotent == reference_min_idempotents(a)
+            assert tuple(_least_acting_idempotents(a).tolist()) == germs.base_idempotent
             G = germs.groupoid
             assert labeled_sets(G.basis, G.basis_labels) == reference_theta_catalog(germs)
         assert np.array_equal(action_kernel(action), mask(S.size, reference_action_kernel(action)))

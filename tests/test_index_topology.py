@@ -169,17 +169,37 @@ def test_made_groupoids_carry_one_singleton_cut_per_arrow():
         assert_same_topology(one, reference_subspace_catalog(inner, back), u)
 
 
+def traced_peak(call):
+    """The tracemalloc peak, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_chain256_germ_build_stays_under_50_mb():
-    """The 257-element chain's universal germ groupoid forms no row per cut:
+    """The 256-element chain's universal germ groupoid forms no row per cut:
     its tracemalloc peak was 408 MB when every nonempty cut's row over the
     points was formed before deduplication."""
     action = universal_action(builtin("semilattice:chain256"))
-    tracemalloc.start()
-    try:
-        germ_groupoid(action)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    assert traced_peak(lambda: germ_groupoid(action)) < 50 * 2**20
+
+
+def test_chain256_dense_catalog_stays_under_50_mb():
+    """The dense view deduplicates a chunk of cuts at a time: it peaked at
+    426 MB when every nonempty cut's row was formed first."""
+    G = germ_groupoid(universal_action(builtin("semilattice:chain256"))).groupoid
+    assert traced_peak(lambda: G.cuts.catalog(G.n_arrows)) < 50 * 2**20
+
+
+def test_chain256_universal_suite_stays_under_50_mb():
+    """The whole universal suite on a prebuilt 256-element chain: it peaked
+    at 403 MB when ``germ.equivalence`` keyed every triple of a point, an
+    element and an idempotent acting there."""
+    S = builtin("semilattice:chain256")
+    peak = traced_peak(lambda: run_suite("semilattice:chain256", S, "universal"))
     assert peak < 50 * 2**20
 
 
