@@ -32,14 +32,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SearchBudgetExceeded, StructureError
-from .semigroups import LIGHT_CHUNK, distinct, first_index
+from .semigroups import LIGHT_CHUNK, check_associativity, distinct, first_index
 from .semilattices import compose_after
 
 ISO_SEARCH_CAP = 64
 # validate_groupoid checks associativity on batches of composable pairs (g, h)
 # against the columns k of their fibers r^-1(d(h)); a batch holds at most this
 # many entries, or the square of the largest fiber if more, so that small
-# groupoids take one batch and few numpy calls
+# groupoids take one batch and few numpy calls.  A groupoid with more
+# composable triples than one batch is offered to the Brandt normal form first
 ASSOCIATIVITY_BATCH = 1 << 14
 
 
@@ -183,22 +184,20 @@ class FiniteGroupoid:
                       np.stack([idx for _, idx in pairs])) for pairs in by_size.values())
 
     @cached_property
-    def orbit_units(self) -> tuple[int, ...]:
-        """The first unit of each orbit in ``units`` order (increasing, so
-        the least unit of the orbit).
+    def orbit_base(self) -> np.ndarray:
+        """Per unit u, the least range of an arrow out of u, r(d^-1(u)); n at
+        the other arrows.  In a groupoid every unit of u's orbit is the range
+        of such an arrow, so this is the least unit of the orbit."""
+        out = np.full(self.n_arrows, self.n_arrows, dtype=np.intp)
+        np.minimum.at(out, self.d, self.r)
+        return out
 
-        The orbit of a unit u is r(d^-1(u)), the ranges of the fiber that
-        ``fiber_indices`` lists for u: a unit that no earlier orbit reached
-        starts a new one.
-        """
-        r = self.r.tolist()
-        reached: set[int] = set()
-        out = []
-        for u, (fiber, _) in zip(self.units, self.fiber_indices):
-            if u not in reached:
-                out.append(u)
-                reached.update(r[a] for a in fiber)
-        return tuple(out)
+    @cached_property
+    def orbit_units(self) -> tuple[int, ...]:
+        """The least unit of each orbit, in ``units`` order: the units that
+        are their own ``orbit_base``."""
+        units = np.asarray(self.units, dtype=np.intp)
+        return tuple(units[self.orbit_base[units] == units].tolist())
 
     @cached_property
     def fiber_stacks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -315,7 +314,8 @@ class GroupoidHom:
 
 
 def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
-    """Exhaustively check the groupoid axioms and basis sanity.
+    """Check the groupoid axioms and basis sanity, every failure with its
+    first witness.
 
     ``make_groupoid`` runs it on the arrays its callers supply.  Groupoids
     that a construction makes a groupoid by theorem (germs, extracted
@@ -327,15 +327,16 @@ def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     reporting its first witness: the units in ``units`` order; range, source
     and inverse of each arrow in index order; the defined products, the
     composable pairs and the inverse laws over pairs (g, h) row-major;
-    associativity over triples (g, h, k) row-major.  Once products keep
-    their ranges and sources, (gh)k and g(hk) are both undefined unless
-    r(k) = d(h), so the pairs are grouped by u = d(h) and compared on the
-    columns r^-1(u) only: the composable triples, not n per pair.  Pairs of
-    consecutive units share a batch, over their fibers' columns, while the
-    batch holds at most ``ASSOCIATIVITY_BATCH`` entries (or f^2, f the
-    largest fiber); a unit with more pairs is split into chunks of that
-    size.  The first failing pair (g, h) over all batches, and its least
-    failing k, is the row-major witness.
+    associativity over triples (g, h, k) row-major.
+
+    Associativity is certified through the Brandt normal form
+    (``_brandt_certificate``) when the composable triples, the sum over the
+    composable pairs (g, h) of |r^-1(d h)|, number more than one
+    ``ASSOCIATIVITY_BATCH``: Phi(g) = (r g, d g, gamma g) is then a
+    product-preserving bijection onto the disjoint union of the Brandt
+    groupoids X_D x X_D x G_D, which is associative when every G_D is.  A
+    smaller groupoid, or one the certificate does not certify, is compared
+    triple by triple (``_associativity_scan``), which names the witness.
     """
     n = G.n_arrows
     r, d, inv, table = G.r, G.d, G.inv, G.table
@@ -392,6 +393,81 @@ def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     if hit is not None:
         (i,) = hit
         raise StructureError(f"inverse laws fail at ({left[i]},{right[i]})")
+    triples = np.bincount(r, minlength=n)[d[right]].sum()
+    if triples <= ASSOCIATIVITY_BATCH or not _brandt_certificate(G, left, right, product):
+        _associativity_scan(G, left, right, product)
+    return G
+
+
+def _brandt_certificate(G: FiniteGroupoid, left: np.ndarray, right: np.ndarray,
+                        product: np.ndarray) -> bool:
+    """Whether the Brandt normal form certifies that G, which passed every
+    check of ``validate_groupoid`` before associativity, is associative;
+    (left, right, product) are its composable pairs (g, h, gh).
+
+    Each unit u has its ``orbit_base`` b and c_u, the least arrow u <- b.
+    Then gamma(g) = (c_(r g)^-1 g) c_(d g) is defined for every arrow and
+    lies in G_b, the isotropy group of b = b(r g) = b(d g): the arrows out
+    of r g and those out of d g reach the same units, since a -> a g and
+    a -> a g^-1 carry each set into the other.  The certificate checks that
+    gamma(gh) = gamma(g) gamma(h) on every composable pair, and that each
+    G_b is associative: one ``check_associativity`` on their disjoint union
+    with a zero adjoined, every product across two of them the zero.
+
+    Why that suffices.  Left and right multiplications are injective by
+    the inverse laws, a^-1 (a h) = h and (g h) h^-1 = g.  So the arrows
+    v -> u, for u and v of base b, number |G_b| (each such set maps
+    injectively into every other by one multiplication on each side), and
+    gamma is injective on them.  Hence Phi(g) = (r g, d g, gamma g) is a
+    bijection onto the disjoint union T of the Brandt groupoids
+    X_b x X_b x G_b, X_b the units of base b, where (u, v, x)(v, w, y) =
+    (u, w, xy).  It preserves composability (d g = r h exactly when Phi g
+    and Phi h compose) and products (r(gh) = r g and d(gh) = d h are
+    checked already, gamma(gh) here).  T is associative when every G_b is,
+    so on each composable triple Phi((gh)k) = (Phi g Phi h) Phi k =
+    Phi g (Phi h Phi k) = Phi(g(hk)), and (gh)k = g(hk).  A failing check,
+    or a refused ``check_associativity``, returns False.
+    """
+    n = G.n_arrows
+    r, d, inv, table = G.r, G.d, G.inv, G.table
+    arrows = np.arange(n)
+    base = G.orbit_base
+    c = np.full(n, n, dtype=np.intp)
+    home = d == base[r]                  # the arrows r(g) <- b(r(g))
+    np.minimum.at(c, r[home], arrows[home])
+    gamma = table[table[inv[c[r]], arrows], c[d]]
+    if (gamma[product] != table[gamma[left], gamma[right]]).any():
+        return False
+    inside = np.flatnonzero(G.isotropy & (base[r] == r))     # the G_b, in arrow order
+    at = np.full(n + 1, inside.size, dtype=np.intp)    # arrow -> its element, -1 -> the zero
+    at[inside] = np.arange(inside.size)
+    union = np.full((inside.size + 1, inside.size + 1), inside.size, dtype=np.intp)
+    union[:-1, :-1] = at[table[inside[:, None], inside]]
+    try:
+        check_associativity(union)
+    except StructureError:
+        return False
+    return True
+
+
+def _associativity_scan(G: FiniteGroupoid, left: np.ndarray, right: np.ndarray,
+                        product: np.ndarray) -> None:
+    """Compare (gh)k with g(hk) on every composable triple and raise the
+    row-major first failure; (left, right, product) are the composable
+    pairs (g, h, gh) of G, which passed every check of ``validate_groupoid``
+    before associativity.
+
+    Products keep their ranges and sources, so (gh)k and g(hk) are both
+    undefined unless r(k) = d(h): the pairs are grouped by u = d(h) and
+    compared on the columns r^-1(u) only, the composable triples, not n per
+    pair.  Pairs of consecutive units share a batch, over their fibers'
+    columns, while the batch holds at most ``ASSOCIATIVITY_BATCH`` entries
+    (or f^2, f the largest fiber); a unit with more pairs is split into
+    chunks of that size.  The first failing pair (g, h) over all batches,
+    and its least failing k, is the row-major witness.
+    """
+    n = G.n_arrows
+    r, d, table = G.r, G.d, G.table
     # the table with its columns sorted by range, the fiber r^-1(u) at the
     # slice [start[u], start[u] + size[u]), each fiber in increasing order;
     # with a -1 row and column appended, (gh)k = -1 = g(hk) wherever d(h) != r(k)
@@ -436,7 +512,6 @@ def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     if witness is not None:
         i, k = witness
         raise StructureError(f"associativity fails at ({left[i]},{right[i]},{k})")
-    return G
 
 
 def make_groupoid(r, d, inv, table, labels=None) -> FiniteGroupoid:

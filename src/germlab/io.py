@@ -49,6 +49,9 @@ def load_semigroup(path: str) -> InverseSemigroup:
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != n:
             raise ParseError("labels", f"expected {n} labels")
+        bad = next((i for i, label in enumerate(labels) if not isinstance(label, str)), None)
+        if bad is not None:
+            raise ParseError(f"labels[{bad}]", "expected a string")
     return validate_inverse_semigroup(table, labels)
 
 

@@ -13,7 +13,10 @@ array, each element's block index with blocks numbered by least element.
 
 Laws that are closed under products are certified on a generating set
 rather than on every element: Light's associativity test here, and the
-homomorphism law of an action in ``actions.validate_action``.
+homomorphism law of an action in ``actions.validate_action``.  A
+groupoid's associativity is reduced to that of its base isotropy groups
+(``groupoids.validate_groupoid``, through the Brandt normal form), which
+Light's test then certifies on their generators.
 """
 
 from __future__ import annotations

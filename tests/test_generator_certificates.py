@@ -38,6 +38,7 @@ from germlab.actions import (
     universal_action,
     validate_action,
 )
+from germlab.builtins import CORPUS_NAMES, builtin
 from germlab.cli import _d_classes
 from germlab.congruences import (
     Relation,
@@ -529,6 +530,65 @@ def test_action_certificate_checks_generators_in_chunks(monkeypatch):
                 == outcome(reference_validate_action, S, p, broken))
 
 
+def _images_agree(S, maps):
+    """phi_a(phi_t x) = phi_(at)(x) for every generator a on every domain
+    pair (t, x): the law with the domain count left out."""
+    t, x = np.nonzero(maps >= 0)
+    return all((maps[a, maps[t, x]] == maps[S.table[a, t], x]).all()
+               for a in S.generators.tolist())
+
+
+def test_sparse_action_certificate_refuses_a_point_outside_dom_t():
+    """graph7's universal action is about 5% defined, so ``validate_action``
+    reads it on its domain pairs.  The zero made to fix point 2 keeps the
+    domain check (the zero is its own s*s), and the scan's first failing
+    pair (0, t) fails only at points outside dom t, where phi_(0 t) = phi_0
+    is defined; ``validate_action`` raises that pair."""
+    action = universal_action(subject("graph7"))
+    S, p = action.semigroup, action.space_size
+    assert np.count_nonzero(action.maps >= 0) < actions.SPARSE_ACTION_SHARE * action.maps.size
+    broken = action.maps.copy()
+    broken[S.zero, 2] = 2
+    expected = outcome(reference_validate_action, S, p, broken)
+    assert expected is not None and expected[0] is NotHomomorphism
+    with pytest.raises(NotHomomorphism) as raised:
+        validate_action(S, p, broken)
+    s, t = raised.value.pair
+    after = compose_after(broken[s], broken[t])
+    wrong = np.flatnonzero(after != broken[S.table[s, t]])
+    assert (s, t) == (S.zero, 1) and wrong.size and (broken[t, wrong] < 0).all()
+    assert outcome(validate_action, S, p, broken) == expected
+
+
+def test_sparse_action_certificate_refuses_one_wrong_image():
+    """One image of a non-idempotent of graph7 moved to a point outside its
+    range: the domains stay, and ``validate_action`` raises the scan's pair."""
+    action = universal_action(subject("graph7"))
+    S, p = action.semigroup, action.space_size
+    s = next(s for s in S.elements()
+             if s not in S.idempotent_set and (action.maps[s] >= 0).any())
+    x = int(np.argmax(action.maps[s] >= 0))
+    broken = action.maps.copy()
+    broken[s, x] = next(y for y in range(p) if y not in action.maps[s])
+    expected = outcome(reference_validate_action, S, p, broken)
+    assert expected is not None and expected[0] is NotHomomorphism
+    assert outcome(validate_action, S, p, broken) == expected
+
+
+def test_domain_pair_law_counts_the_points_outside_dom_t():
+    """B2 = {0, a*a, aa*, a, a*} on one point, fixed by aa* alone: phi_(a a*)
+    = phi_(aa*) is defined where phi_(a*) is not, and every domain pair
+    agrees, so only the count refuses the law.  (The domain check refuses
+    the map first, since a* and its s*s = aa* have different domains; no
+    map that passes it and fails only the count is known.)"""
+    S = builtin("b2")
+    maps = np.array([[-1], [-1], [0], [-1], [-1]])
+    assert _images_agree(S, maps)
+    assert not actions._law_on_domains(S, maps, maps >= 0)
+    with pytest.raises(DomainMismatch):
+        validate_action(S, 1, maps)
+
+
 # ---------------------------------------------------------------------------
 # saturation, sigma and D classes
 
@@ -823,6 +883,76 @@ def test_associativity_witness_is_row_major_across_units(monkeypatch, batch):
     assert len(seen) > 1
 
 
+# Z7 with its elements renamed so that it shares the identity 0 and the
+# inversion of the loop IP_LOOP: SEVENTHS[a] is the residue of element a
+SEVENTHS = np.array([0, 1, 6, 2, 5, 3, 4])
+Z7_RENAMED = np.argsort(SEVENTHS)[(SEVENTHS[:, None] + SEVENTHS) % 7]
+
+
+def twisted_brandt(n, twisted):
+    """X x X x {0..6} on the units X = 0..n-1: arrow (u, v, x) is
+    7 (n u + v) + x, and (u, v, x)(v, w, y) = (u, w, xy), the product taken
+    in the inverse-property loop of ``LOOP_GROUPOID`` for the unit triples
+    (u, v, w) in twisted and in Z7 otherwise.  Both have the inversion
+    (u, v, x)^-1 = (v, u, x^-1), so the inverse laws hold when twisted is
+    closed under permuting its triples; associativity fails at the triples
+    whose products reach a twisted triple."""
+    u, v, x = (a.ravel() for a in np.meshgrid(np.arange(n), np.arange(n), np.arange(7),
+                                              indexing="ij"))
+    arrow = lambda a, b, c: 7 * (n * a + b) + c       # noqa: E731
+    cube = np.zeros((n, n, n), dtype=bool)            # the twisted unit triples
+    for triple in twisted:
+        cube[triple] = True
+    xy = np.where(cube[u[:, None], v[:, None], v],    # (g, h) at the triple (r g, d g, d h)
+                  LOOP_GROUPOID.table[x[:, None], x], Z7_RENAMED[x[:, None], x])
+    table = np.where(v[:, None] == u, arrow(u[:, None], v, xy), -1)
+    inv = arrow(v, u, LOOP_GROUPOID.inv[x])
+    return FiniteGroupoid(u.size, arrow(u, u, 0), arrow(v, v, 0), inv, table,
+                          tuple(arrow(np.arange(n), np.arange(n), 0).tolist()),
+                          tuple(f"a{a}" for a in range(u.size)), NO_CUTS)
+
+
+@pytest.mark.parametrize("n,twisted,units", [
+    # only the isotropy group of unit 1, a non-base unit of a 2-unit orbit
+    (2, {(1, 1, 1)}, (1,)),
+    # only the products (1 <- 2)(2 <- 1) and their permutations, between the
+    # non-base units 1 and 2 of a 3-unit orbit
+    (3, {(1, 2, 1), (1, 1, 2), (2, 1, 1)}, (1, 2)),
+    (3, {(1, 2, 2), (2, 1, 2), (2, 2, 1)}, (1, 2)),
+])
+def test_normal_form_refuses_a_twist_off_the_base_unit(monkeypatch, n, twisted, units):
+    """Relabeled unions of a twisted Brandt groupoid with PAIR2 and Z7, in
+    which the twisted units are never their orbit's base (its least unit):
+    the base isotropy group is Z7 and associative, so only the product
+    check gamma(gh) = gamma(g) gamma(h) can refuse the certificate.  It is
+    refused on each, and the scan names the triple of the axiom loops."""
+    monkeypatch.setattr(groupoids, "ASSOCIATIVITY_BATCH", 0)
+    untwisted = twisted_brandt(n, ())
+    left, right = np.nonzero(untwisted.table >= 0)
+    assert groupoids._brandt_certificate(untwisted, left, right, untwisted.table[left, right])
+    twist = twisted_brandt(n, twisted)
+    parts = (PAIR2, twist, groupoids.group_as_groupoid(Z7_RENAMED))
+    offset = PAIR2.n_arrows
+    orbit = [offset + 7 * (n + 1) * u for u in range(n)]       # the twist's units
+    rng = np.random.default_rng(n + len(twisted))
+    seen, tried = set(), 0
+    while tried < 6:
+        perm = rng.permutation(sum(G.n_arrows for G in parts))
+        if any(perm[orbit[u]] < perm[orbit[0]] for u in units):
+            continue            # a twisted unit would be the base
+        G = relabeled_union(parts, perm)
+        message = _reference_axioms(G)
+        assert message is not None and message.startswith("associativity")
+        left, right = np.nonzero(G.table >= 0)
+        assert not groupoids._brandt_certificate(G, left, right, G.table[left, right])
+        with pytest.raises(StructureError) as raised:
+            validate_groupoid(G)
+        assert str(raised.value) == message
+        seen.add(message)
+        tried += 1
+    assert len(seen) > 1
+
+
 # ---------------------------------------------------------------------------
 # no per-element loop comes back
 
@@ -838,7 +968,8 @@ def test_universal_suite_makes_no_per_element_calls(monkeypatch):
     idempotent's principal unit by one scatter), the union-find is gone
     (merges are ``join_roots`` passes, and none runs here: mu's maximality
     is certified by partition refinement, not by saturating sampled pairs),
-    and ``validate_action`` composes its 27 generators in 3 stacked calls.
+    and ``validate_action`` composes no rows: the universal action is about
+    5% defined, so its 27 generators are compared on the domain pairs only.
     """
     S = actions.graph_inverse_semigroup(GRAPH7)
     calls = Counter()
@@ -858,10 +989,31 @@ def test_universal_suite_makes_no_per_element_calls(monkeypatch):
     counting(actions.GermGroupoid, "principal_point", "principal_point")
     [report] = run_suite("graph7", S, "universal")
     assert report.passed
-    assert dict(calls) == {"compose_after": 3}
+    assert dict(calls) == {}
     assert calls["leq"] == calls["principal_point"] == 0
     assert calls["join_roots"] == 0
     assert not hasattr(congruences, "UnionFind")
+
+
+def test_triple_scan_runs_on_one_batch_groupoids_only(monkeypatch):
+    """``validate_groupoid`` runs the triple scan once on every corpus germ
+    groupoid (at most 945 composable triples, within one
+    ``ASSOCIATIVITY_BATCH``) and never on the universal germ groupoids of
+    ``group:z70``, ``symmetric:4`` and graph7, which the normal form
+    certifies."""
+    calls = []
+    real = groupoids._associativity_scan
+    monkeypatch.setattr(groupoids, "_associativity_scan",
+                        lambda G, *pairs: calls.append(G) or real(G, *pairs))
+    for name in CORPUS_NAMES:
+        for action in (universal_action(builtin(name)), tight_action(builtin(name))):
+            G = germ_groupoid(action).groupoid
+            validate_groupoid(G)
+            assert calls == [G]
+            calls.clear()
+    for name in ("group:z70", "symmetric:4", "graph7"):
+        validate_groupoid(germ_groupoid(universal_action(subject(name))).groupoid)
+    assert calls == []
 
 
 def test_sampler_keeps_its_relations_with_the_components_pass():

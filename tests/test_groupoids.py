@@ -210,7 +210,7 @@ def edited_table(table, entries):
     return out
 
 
-@pytest.mark.parametrize("G,fields,message", [
+BROKEN_AXIOMS = [
     (GROUP_Z2, {"table": edited_table(GROUP_Z2.table, {(0, 0): 1})}, "unit 0 fails u = u.u = u^-1"),
     (GROUP_Z2, {"inv": np.array([1, 1])}, "unit 0 fails u = u.u = u^-1"),
     (PAIR2, {"r": np.array([3, 0, 3, 3])}, "unit 0 is not its own range/source"),
@@ -236,7 +236,10 @@ def edited_table(table, entries):
      "basis row entry out of range"),
     (PAIR2, {"cuts": dataclasses.replace(PAIR2.cuts, rows=PAIR2.cuts.rows - 2)},
      "basis row entry out of range"),
-])
+]
+
+
+@pytest.mark.parametrize("G,fields,message", BROKEN_AXIOMS)
 def test_validate_groupoid_names_the_broken_axiom(G, fields, message):
     broken = dataclasses.replace(G, **fields)
     with pytest.raises(StructureError) as err:
@@ -244,6 +247,14 @@ def test_validate_groupoid_names_the_broken_axiom(G, fields, message):
     assert str(err.value) == message
     if not message.startswith("basis"):
         assert _reference_axioms(broken) == message
+
+
+@pytest.mark.parametrize("G,fields,message", BROKEN_AXIOMS)
+def test_normal_form_path_names_the_broken_axiom(monkeypatch, G, fields, message):
+    """The cases above with ``ASSOCIATIVITY_BATCH`` at 0, so that every
+    groupoid with a composable triple is offered to the normal form first."""
+    monkeypatch.setattr(groupoids, "ASSOCIATIVITY_BATCH", 0)
+    test_validate_groupoid_names_the_broken_axiom(G, fields, message)
 
 
 def _reference_axioms(G) -> str | None:
@@ -321,6 +332,24 @@ def _single_entry_corruptions(G, rng, per_field):
             at = tuple(rng.integers(n, size=values.ndim))
             values[at] = low + (values[at] - low + rng.integers(1, span)) % span
             yield dataclasses.replace(G, **{field: values})
+
+
+def certified(G) -> bool:
+    """Whether the Brandt normal form certifies G, which passes every check
+    of ``validate_groupoid`` before associativity."""
+    left, right = np.nonzero(G.table >= 0)
+    return groupoids._brandt_certificate(G, left, right, G.table[left, right])
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_normal_form_path_matches_the_axiom_loops_on_corruptions(monkeypatch, name):
+    """The sweep below with ``ASSOCIATIVITY_BATCH`` at 0 gives the same
+    messages, and the certificate holds on both uncorrupted groupoids."""
+    monkeypatch.setattr(groupoids, "ASSOCIATIVITY_BATCH", 0)
+    test_validate_groupoid_matches_the_axiom_loops_on_corruptions(name)
+    S = builtin(name)
+    assert all(certified(germ_groupoid(action).groupoid)
+               for action in (universal_action(S), tight_action(S)))
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)

@@ -84,6 +84,18 @@ def test_cli_bool_or_float_entry_is_input_error_naming_the_first_bad_entry(tmp_p
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("labels,field", [([None, [1]], "labels[0]"), (["e", 1], "labels[1]")])
+def test_cli_non_string_label_is_input_error(tmp_path, capsys, labels, field):
+    """A label that is not a JSON string is not converted with str(): exit 2
+    with one error line naming the first such label."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"labels": labels, "table": [[0, 0], [0, 1]]}))
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {field}: expected a string\n"
+    assert captured.out == ""
+
+
 def test_load_propagates_validation_failure(tmp_path):
     path = tmp_path / "assoc.json"
     # a non-associative magma table
