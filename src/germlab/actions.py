@@ -127,10 +127,10 @@ def validate_action(S: InverseSemigroup, space_size: int, maps,
     wrong = (domain != domain[idem_of]).any(axis=1)
     if wrong.any():
         raise DomainMismatch(int(np.argmax(wrong)))
-    gens = S.generators
     if np.count_nonzero(domain) < SPARSE_ACTION_SHARE * maps.size:
         certified = _law_on_domains(S, maps, domain)
     else:
+        gens = S.generators
         step = max(1, ACTION_CHUNK // max(maps.size, 1))
         certified = all(np.array_equal(compose_after(maps[a], maps), maps[S.table[a]])
                         for a in (gens[lo:lo + step] for lo in range(0, gens.size, step)))
