@@ -87,6 +87,7 @@ from test_groupoids import (
     PAIR2,
     _reference_axioms,
     _single_entry_corruptions,
+    certified,
 )
 from test_order_congruence_tables import GRAPH7, LADDER, SUBJECTS, subject, subsets
 from test_semigroups import table_from_maps
@@ -897,9 +898,11 @@ def twisted_brandt(n, twisted):
     (u, v, x)^-1 = (v, u, x^-1), so the inverse laws hold when twisted is
     closed under permuting its triples; associativity fails at the triples
     whose products reach a twisted triple."""
+    def arrow(a, b, c):
+        return 7 * (n * a + b) + c
+
     u, v, x = (a.ravel() for a in np.meshgrid(np.arange(n), np.arange(n), np.arange(7),
                                               indexing="ij"))
-    arrow = lambda a, b, c: 7 * (n * a + b) + c       # noqa: E731
     cube = np.zeros((n, n, n), dtype=bool)            # the twisted unit triples
     for triple in twisted:
         cube[triple] = True
@@ -915,8 +918,9 @@ def twisted_brandt(n, twisted):
 @pytest.mark.parametrize("n,twisted,units", [
     # only the isotropy group of unit 1, a non-base unit of a 2-unit orbit
     (2, {(1, 1, 1)}, (1,)),
-    # only the products (1 <- 2)(2 <- 1) and their permutations, between the
-    # non-base units 1 and 2 of a 3-unit orbit
+    # only products between the non-base units 1 and 2 of a 3-unit orbit:
+    # the unit triples that permute (1, 2, 1), as (1 <- 2)(2 <- 1), then
+    # those that permute (1, 2, 2), as (1 <- 2)(2 <- 2)
     (3, {(1, 2, 1), (1, 1, 2), (2, 1, 1)}, (1, 2)),
     (3, {(1, 2, 2), (2, 1, 2), (2, 2, 1)}, (1, 2)),
 ])
@@ -927,9 +931,7 @@ def test_normal_form_refuses_a_twist_off_the_base_unit(monkeypatch, n, twisted, 
     check gamma(gh) = gamma(g) gamma(h) can refuse the certificate.  It is
     refused on each, and the scan names the triple of the axiom loops."""
     monkeypatch.setattr(groupoids, "ASSOCIATIVITY_BATCH", 0)
-    untwisted = twisted_brandt(n, ())
-    left, right = np.nonzero(untwisted.table >= 0)
-    assert groupoids._brandt_certificate(untwisted, left, right, untwisted.table[left, right])
+    assert certified(twisted_brandt(n, ()))
     twist = twisted_brandt(n, twisted)
     parts = (PAIR2, twist, groupoids.group_as_groupoid(Z7_RENAMED))
     offset = PAIR2.n_arrows
@@ -943,8 +945,7 @@ def test_normal_form_refuses_a_twist_off_the_base_unit(monkeypatch, n, twisted, 
         G = relabeled_union(parts, perm)
         message = _reference_axioms(G)
         assert message is not None and message.startswith("associativity")
-        left, right = np.nonzero(G.table >= 0)
-        assert not groupoids._brandt_certificate(G, left, right, G.table[left, right])
+        assert not certified(G)
         with pytest.raises(StructureError) as raised:
             validate_groupoid(G)
         assert str(raised.value) == message
