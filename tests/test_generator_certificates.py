@@ -519,12 +519,25 @@ def test_action_corruptions_reach_the_homomorphism_scan():
     assert seen["law"] and seen["non-generator"] and seen["other"]
 
 
-def test_action_certificate_checks_generators_in_chunks(monkeypatch):
-    """One generator per chunk gives the same verdicts."""
+@pytest.mark.parametrize("name, sparse", [("graph7", True), ("symmetric:4", False)])
+def test_action_certificate_checks_generators_in_chunks(monkeypatch, name, sparse):
+    """One generator per chunk gives the same verdicts, on the domain pairs
+    of graph7's universal action (5% defined) and on the whole rows of
+    symmetric:4's (40% defined)."""
     monkeypatch.setattr(actions, "ACTION_CHUNK", 1)
-    action = universal_action(subject("graph7"))
+    calls = Counter()
+    law_on_domains = actions._law_on_domains
+
+    def counted(*args):
+        calls["domains"] += 1
+        return law_on_domains(*args)
+
+    monkeypatch.setattr(actions, "_law_on_domains", counted)
+    action = universal_action(subject(name))
     S, p = action.semigroup, action.space_size
+    assert S.generators.size > 1
     validate_action(S, p, action.maps)
+    assert calls["domains"] == 2 * sparse
     rng = np.random.default_rng(7)
     for broken in corrupted_maps(action.maps, rng, 8):
         assert (outcome(validate_action, S, p, broken)
