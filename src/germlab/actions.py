@@ -492,12 +492,16 @@ def graph_inverse_semigroup(graph: DirectedGraph) -> InverseSemigroup:
 
     The graph must be acyclic so the path set is finite, and one whose
     semigroup has more than ``TABLE_CAP`` elements is refused before any
-    path is listed.  The elements (x, y) are numbered row-major after the
-    zero, whose two paths are the extra index P of ``_path_tables``.  Then
+    path is listed; one with ``TABLE_CAP`` vertices or more, before its
+    elements are counted.  The elements (x, y) are numbered row-major after
+    the zero, whose two paths are the extra index P of ``_path_tables``.  Then
     (x y*)(u v*) is x z v* where u = y z, x (v z)* where y = u z, and the
     zero otherwise: gathers of cat and rest per chunk of rows.  The result
     keeps the graph as ``S.graph``.
     """
+    if graph.n_vertices >= TABLE_CAP:     # before one list per vertex: |S| >= 1 + V
+        raise SizeBudgetExceeded(f"graph inverse semigroup has at least "
+                                 f"{graph.n_vertices + 1} elements > {TABLE_CAP}")
     n = _element_count(graph)
     if n > TABLE_CAP:
         raise SizeBudgetExceeded(f"graph inverse semigroup has {n} elements > {TABLE_CAP}")

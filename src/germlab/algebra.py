@@ -118,7 +118,10 @@ number generators", OOPSLA 2014) that needs no ``numpy.random``.  Their
 convolutions, involutions, embeddings and expectations are exact, so the
 identities between them are checked with ``==`` (``GroupoidFunction.equals``).
 Only norm comparisons, which pass through a DFT and a Gram eigenvalue,
-take a tolerance: ``NORM_TOL``, 1e-9.
+take a tolerance: ``NORM_TOL``, 1e-9.  The suite compares norms in one
+check, the isometry of the embedding; the C*-identity is certified on the
+index arrays instead (``star_representation_defect``), with no samples and
+no floats.
 """
 
 from __future__ import annotations
@@ -132,6 +135,7 @@ import numpy as np
 from .actions import EmbeddedSubgroupoid
 from .errors import GroupoidMismatch, HypothesisFailed, StructureError
 from .groupoids import FiniteGroupoid, is_group_bundle
+from .semigroups import distinct, first_index
 
 NORM_TOL = 1e-9
 CHUNK_VALUES = 1 << 15      # complex values in the largest temporary of one chunk: 512 KB
@@ -180,7 +184,7 @@ def convolve(f: GroupoidFunction, g: GroupoidFunction) -> GroupoidFunction:
     if f.values.shape != g.values.shape:
         raise StructureError("convolution needs two functions or two stacks of one size")
     G = f.groupoid
-    fv, gv = f.values.reshape(-1, G.n_arrows), g.values.reshape(-1, G.n_arrows)
+    fv, gv = np.atleast_2d(f.values), np.atleast_2d(g.values)
     out = np.empty(fv.shape, dtype=np.complex128)
     for fibers, idx in G.fibers_by_size:      # (m, s) fibers, (m, s, s) matrices [c b^-1]
         for rows in _chunks(len(fv), idx.size):
@@ -242,13 +246,13 @@ def reduced_norm(G: FiniteGroupoid, f: GroupoidFunction) -> float | np.ndarray:
     over- nor underflow."""
     if f.groupoid is not G:
         raise GroupoidMismatch("function lives on a different groupoid")
-    fv = f.values.reshape(-1, G.n_arrows)
+    fv = np.atleast_2d(f.values)
     # 2^-e puts a row's largest modulus in [1/2, 1); e >= -1021 keeps 2^-e
     # finite for a row of subnormal values
     e = np.maximum(np.frexp(np.abs(fv).max(axis=1, initial=0.0))[1], -1021)
     fv = fv * np.ldexp(1.0, -e)[:, None]
     norms = np.zeros(len(fv))
-    for idx, kept in G.fiber_stacks:        # (orbits, r, r, o) per (r, o, kept)
+    for idx, kept, _ in G.fiber_stacks:     # (orbits, r, r, o) per (r, o, kept)
         orbits, r, _, o = idx.shape
         idx, dft = idx.transpose(0, 3, 1, 2), _dft(o)[kept]
         for rows in _chunks(len(fv), idx.size):
@@ -263,6 +267,88 @@ def reduced_norm(G: FiniteGroupoid, f: GroupoidFunction) -> float | np.ndarray:
             np.maximum(norms[rows], top.max(axis=(1, 2)), out=norms[rows])
     norms = np.ldexp(norms, e)
     return float(norms[0]) if f.values.ndim == 1 else norms
+
+
+def star_representation_defect(G: FiniteGroupoid) -> str | None:
+    """Why the blocks that ``reduced_norm`` reads are not all *-homomorphisms
+    of the convolution algebra, or None: the certificate of the C*-identity.
+
+    At each representative x of ``fiber_stacks``, in ``orbit_units`` order,
+    the block of f is M(f) = [f(M[a, b])] over the fiber, with
+    M[(p, j), (q, l)] = I[p, q, (j - l) mod o].  So each condition on M
+    depends on (p, q, t, u, v) only, and is checked on I:
+
+    - every entry is an arrow;
+    - star: inv I[p, q, u] = I[q, p, -u], so M(f^*) = M(f)^*;
+    - multiplicativity: I[p, q, u] I[q, t, v] = I[p, t, u + v] in the
+      table, so for a, b, c of the fiber M[a, b] M[b, c] = M[a, c];
+    - injective rows: the entries I[p, q, u] over (q, u), row (p, j) of M,
+      are distinct.
+
+    Then the s pairs (M[a, b], M[b, c]) over b are distinct factorizations
+    of M[a, c], s = r o the fiber size.  Last, complete sum: every indexed
+    arrow has exactly s factorizations in the table.  The lower bound
+    holds, so the certificate counts the defined entries of the table
+    against the sum of s over the indexed arrows, each indexed at one
+    representative only; only when they differ does it count each arrow's
+    factorizations, to name one.  Then (M(f) M(g))[a, c] sums f(y) g(z)
+    over every factorization y z of M[a, c], which is (f g)(M[a, c]): each
+    block is a *-homomorphism, so ||M(f^* f)|| = ||M(f)^* M(f)|| =
+    ||M(f)||^2 at every block, and the largest block norm, the reduced
+    norm, satisfies ||f^* f|| = ||f||^2 for every f.  The checks are
+    O(r^3 o^2) gathers per representative, not O(s^3), and use no samples
+    and no floats.  The witness names the first failing representative,
+    condition and index tuple, conditions in the order above, tuples
+    row-major.
+    """
+    n, inv, flat = G.n_arrows, G.inv, G.table.reshape(-1)
+    owner = np.full(n, -1, dtype=np.intp)        # the representative indexing each arrow
+    size = np.zeros(n, dtype=np.intp)            # its fiber size there
+    blocks = sorted(((x, I) for stack, _, units in G.fiber_stacks
+                     for x, I in zip(units.tolist(), stack)), key=lambda block: block[0])
+    for x, I in blocks:
+        r, _, o = I.shape
+        u = np.arange(o)
+        hit = first_index((I < 0) | (I >= n))
+        if hit is not None:
+            return f"not an arrow at unit {x}: I[{hit[0]},{hit[1]},{hit[2]}] = {I[hit]}"
+        hit = first_index(inv[I] != I.transpose(1, 0, 2)[:, :, -u % o])
+        if hit is not None:
+            p, q, v = hit
+            return f"star fails at unit {x}: inv I[{p},{q},{v}] != I[{q},{p},{-v % o}]"
+        sums = (u[:, None] + u) % o
+        for rows in _chunks(r, r * r * o * o):
+            # I[p, q, u] I[q, t, v] against I[p, t, u + v], at [p, q, t, u, v]
+            prod = flat[I[rows, :, None, :, None] * n + I[None, :, :, None, :]]
+            hit = first_index(prod != I[rows, None][:, :, :, sums])
+            if hit is not None:
+                p, q, t, v, w = hit
+                p += rows.start
+                return (f"product fails at unit {x}: I[{p},{q},{v}] I[{q},{t},{w}]"
+                        f" != I[{p},{t},{(v + w) % o}]")
+        row = I.reshape(r, r * o)
+        ranked = np.sort(row, axis=1)
+        repeats = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+        if repeats.any():
+            p = int(np.argmax(repeats))
+            first: dict[int, int] = {}
+            for k, a in enumerate(row[p].tolist()):
+                j = first.setdefault(a, k)
+                if j != k:
+                    return (f"row repeats at unit {x}: I[{p},{j // o},{j % o}] = "
+                            f"I[{p},{k // o},{k % o}] = arrow {a}")
+        arrows = distinct(I)
+        shared = arrows[owner[arrows] >= 0]
+        if shared.size:
+            a = int(shared[0])
+            return f"arrow {a} indexed at units {owner[a]} and {x}"
+        owner[arrows], size[arrows] = x, r * o
+    if np.count_nonzero(G.table >= 0) != size.sum():
+        count = np.bincount(G.table[G.table >= 0], minlength=n)
+        a = int(np.argmax(count != size))
+        where = f" at unit {owner[a]}" if owner[a] >= 0 else ", indexed nowhere"
+        return f"sum incomplete{where}: arrow {a} has {count[a]} factorizations, not {size[a]}"
+    return None
 
 
 def _require_bundle(emb: EmbeddedSubgroupoid, *, closed: bool = False) -> None:

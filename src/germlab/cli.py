@@ -109,7 +109,7 @@ def _norm_blocks(G: FiniteGroupoid) -> str:
     from ``fiber_stacks``: one r x r Gram matrix per orbit and kept
     character, by size, and the 1 x 1 blocks (r = 1) as moduli."""
     sizes, moduli = Counter(), 0
-    for idx, kept in G.fiber_stacks:
+    for idx, kept, _ in G.fiber_stacks:
         orbits, r = idx.shape[:2]
         if r == 1:
             moduli += orbits * len(kept)
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("subject", help="file, builtin:<name>, or 'corpus'")
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
     p.add_argument("--csv", metavar="FILE", default=None,
-                   help="write the algebra suite's norm samples as CSV")
+                   help="write the norm samples of algebra.embedding_isometric as CSV")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("example", help="construct a built-in example")

@@ -200,12 +200,12 @@ class FiniteGroupoid:
         return tuple(units[self.orbit_base[units] == units].tolist())
 
     @cached_property
-    def fiber_stacks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    def fiber_stacks(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """The matrices of ``fiber_indices`` at the units of ``orbit_units``,
         each split by a cyclic subgroup of its isotropy, with the characters
         of that subgroup that carry every block norm, stacked by
-        (r, o, kept): one pair ((orbits, r, r, o) array, kept) per key, in
-        order of first occurrence.
+        (r, o, kept): one triple ((orbits, r, r, o) array, kept, the
+        (orbits,) representatives) per key, in order of first occurrence.
 
         Every other unit's matrix is its orbit representative's with rows
         and columns permuted alike (see ``algebra.reduced_norm``), so these
@@ -232,12 +232,16 @@ class FiniteGroupoid:
         the kept blocks carry every norm.
         """
         first = set(self.orbit_units)
-        by_key: dict[tuple, tuple[list[np.ndarray], np.ndarray]] = {}
+        by_key: dict[tuple, tuple[list[np.ndarray], np.ndarray, list[int]]] = {}
         for u, (fiber, idx) in zip(self.units, self.fiber_indices):
             if u in first:
                 block, kept = _coset_circulants(np.array(fiber), idx, u, self.r)
-                by_key.setdefault((block.shape, tuple(kept.tolist())), ([], kept))[0].append(block)
-        return tuple((np.stack(blocks), kept) for blocks, kept in by_key.values())
+                blocks, _, units = by_key.setdefault((block.shape, tuple(kept.tolist())),
+                                                     ([], kept, []))
+                blocks.append(block)
+                units.append(u)
+        return tuple((np.stack(blocks), kept, np.array(units, dtype=np.intp))
+                     for blocks, kept, units in by_key.values())
 
     @cached_property
     def isotropy(self) -> np.ndarray:
@@ -483,7 +487,7 @@ def _associativity_scan(G: FiniteGroupoid, left: np.ndarray, right: np.ndarray,
     order = np.argsort(unit_of_pair, kind="stable")
     count = np.bincount(unit_of_pair, minlength=n).tolist()
     size = size.tolist()
-    budget = max(ASSOCIATIVITY_BATCH, max(size) ** 2)
+    budget = max(ASSOCIATIVITY_BATCH, max(size, default=0) ** 2)
     units = [u for u in range(n) if count[u]]
     witness = None
     lo = j = 0

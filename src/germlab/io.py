@@ -1,7 +1,8 @@
 """JSON documents for the CLI's inputs, plus DOT export of germ groupoids.
 
 Semigroup documents: {"labels": [...], "table": [[...]]} with
-table[i][j] = index of the product of elements i and j.  Graphs:
+table[i][j] = index of the product of elements i and j; the labels, if
+given, are distinct nonempty strings.  Graphs:
 {"vertices": n, "edges": [[tail, head], ...]}.
 """
 
@@ -49,9 +50,15 @@ def load_semigroup(path: str) -> InverseSemigroup:
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != n:
             raise ParseError("labels", f"expected {n} labels")
-        bad = next((i for i, label in enumerate(labels) if not isinstance(label, str)), None)
-        if bad is not None:
-            raise ParseError(f"labels[{bad}]", "expected a string")
+        # a witness names elements by label, so each label names one element
+        first: dict[str, int] = {}
+        for i, label in enumerate(labels):
+            if not isinstance(label, str):
+                raise ParseError(f"labels[{i}]", "expected a string")
+            if not label:
+                raise ParseError(f"labels[{i}]", "empty label")
+            if first.setdefault(label, i) != i:
+                raise ParseError(f"labels[{i}]", f"repeats labels[{first[label]}]")
     return validate_inverse_semigroup(table, labels)
 
 

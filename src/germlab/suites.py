@@ -40,6 +40,7 @@ bitmask words, and only ``tight.ultrafilters_maximal`` compares sets.
 from __future__ import annotations
 
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -805,10 +806,12 @@ def _semidirect_decomposition(run):
 
 
 # ---------------------------------------------------------------------------
-# algebra suite: each check draws all its samples in one call, in the order of
-# one sample after another, evaluates them together, and reports the first
-# failing sample: the verdicts, witnesses and CSV rows of a loop over the
-# samples that stops at the first failure.
+# algebra suite: each sampled check draws all its samples in one call, in the
+# order of one sample after another, evaluates them together, and reports the
+# first failing sample: the verdicts, witnesses and CSV rows of a loop over
+# the samples that stops at the first failure.  Only the embedding's isometry
+# compares norms, to ``NORM_TOL``, and writes CSV rows; the C*-identity is an
+# exact certificate, and every other check compares values with ``==``.
 
 
 def _first_failure(*passes: np.ndarray) -> tuple[int, int] | None:
@@ -831,22 +834,20 @@ def _bundle(sub: Subject):
 
 
 @check("algebra", "algebra.cstar_identity",
-       "the norm satisfies the C*-identity on seeded random functions")
+       "each orbit block of the regular representation is a *-homomorphism,"
+       " so the norm satisfies the C*-identity")
 def _cstar_identity(run):
-    G, k = run.sub.beta.groupoid, ALGEBRA_SAMPLES
-    (f,) = alg.random_functions(alg.SplitMix64(run.seed("cstar")), k, G)
-    # Python's float ** 2 (libm pow), not numpy's x * x: the two round
-    # differently in about one case in a thousand
-    n2 = np.array([x ** 2 for x in alg.reduced_norm(G, f).tolist()])
-    n1 = alg.reduced_norm(G, alg.convolve(alg.involution(f), f))
-    err = np.abs(n1 - n2) / np.maximum(1.0, n2)
-    fail = _first_failure(err <= alg.NORM_TOL)
-    if run.csv_rows is not None:
-        run.csv_rows.extend(f"{run.name},cstar,{i},{n2[i]:.12g},{n1[i]:.12g},{err[i]:.3e}"
-                            for i in range(k if fail is None else fail[0] + 1))
-    if fail is not None:
-        return False, f"identity off by {err[fail[0]]:.2e} at sample {fail[0]}"
-    return True, f"{k} samples, worst deviation {np.max(err, initial=0.0):.2e}"
+    """The exact certificate ``algebra.star_representation_defect``, once per
+    groupoid: no samples and no tolerance."""
+    G = run.sub.beta.groupoid
+    defect = alg.star_representation_defect(G)
+    if defect is not None:
+        return False, defect
+    sizes = Counter()
+    for stack, _, _ in G.fiber_stacks:          # (orbits, r, r, o): fibers of size r o
+        sizes[stack.shape[1] * stack.shape[3]] += len(stack)
+    listed = ", ".join(f"{s}" if k == 1 else f"{s} x{k}" for s, k in sorted(sizes.items()))
+    return True, f"orbit blocks certified: {sizes.total()}, of fiber sizes {listed}"
 
 
 @check("algebra", "algebra.embedding_isometric",

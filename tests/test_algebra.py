@@ -29,9 +29,10 @@ from germlab.algebra import (
 )
 from germlab.builtins import CORPUS_NAMES, builtin
 from germlab.errors import GroupoidMismatch, HypothesisFailed
+from germlab.extensions import Subject
 from germlab.groupoids import extract_subgroupoid, group_as_groupoid, make_groupoid
 from germlab.semigroups import validate_inverse_semigroup
-from germlab.suites import run_suite
+from germlab.suites import run_checks, run_suite
 
 from test_actions import diamond_munn
 from test_congruences import _relabelled
@@ -167,17 +168,6 @@ def test_norm_of_identity_plus_generator_on_z2_is_two():
     G = group_as_groupoid([[0, 1], [1, 0]])
     f = GroupoidFunction(G, np.array([1.0, 1.0], dtype=complex))
     assert reduced_norm(G, f) == pytest.approx(2.0, abs=1e-9)
-
-
-def test_cstar_identity_on_random_functions():
-    for G in (pair_groupoid(3),
-              germ_groupoid(universal_action(diamond_munn())).groupoid):
-        rng = SplitMix64(29)
-        for _ in range(25):
-            f = random_function(G, rng)
-            n1 = reduced_norm(G, convolve(involution(f), f))
-            n2 = reduced_norm(G, f) ** 2
-            assert abs(n1 - n2) <= 1e-9 * max(1.0, n2)
 
 
 def test_embed_of_whole_groupoid_is_identity():
@@ -354,7 +344,7 @@ def test_array_algebra_is_bit_identical_to_the_reference_loops(name, monkeypatch
     # products of the largest fiber size, then for the SVD of the largest
     # block shape
     widths = (max(idx.size for _, idx in G.fibers_by_size),
-              max(idx.size for idx, _ in G.fiber_stacks))
+              max(idx.size for idx, _, _ in G.fiber_stacks))
     for width in widths:
         monkeypatch.setattr(algebra, "CHUNK_VALUES", 3 * width)
         f, g = random_functions(rng, 7, G, G)
@@ -392,6 +382,100 @@ def _germ_groupoids(name):
     """The universal and the tight germ groupoid of a corpus or ladder subject."""
     S = _relabelled(builtin("symmetric:4"), 3) if name == RELABELLED_S4 else subject(name)
     return tuple(germ_groupoid(action(S)).groupoid for action in (universal_action, tight_action))
+
+
+@pytest.mark.parametrize("name", ("pair:3",) + ORBIT_SUBJECTS)
+def test_cstar_identity_on_random_functions(name):
+    """The float C*-identity that the certificate implies: on 100 seeded
+    Gaussian-integer functions, ||f^* f|| = ||f||^2 to NORM_TOL, relative
+    above norm 1, on the pair groupoid of 3 points and on both germ
+    groupoids of every orbit subject; the certificate passes on each."""
+    groupoids = (pair_groupoid(3),) if name == "pair:3" else _germ_groupoids(name)
+    for G in groupoids:
+        (f,) = random_functions(SplitMix64(29), 100, G)
+        n1 = reduced_norm(G, convolve(involution(f), f))
+        n2 = reduced_norm(G, f) ** 2
+        assert (np.abs(n1 - n2) <= algebra.NORM_TOL * np.maximum(1.0, n2)).all(), name
+        assert algebra.star_representation_defect(G) is None, name
+
+
+def _symmetric3_groupoid():
+    """A fresh Subject of ``symmetric:3``, its universal groupoid with the
+    blocks computed and the inverses and table copied for a test to
+    corrupt, and the block at unit 9: blocks of shapes (3, 3, 1) at unit 0,
+    (3, 3, 2) at unit 9 and (2, 2, 3) at unit 27."""
+    sub = Subject(builtin("symmetric:3"))
+    G = sub.beta.groupoid
+    assert [(stack.shape[1:], units.tolist()) for stack, _, units in G.fiber_stacks] \
+        == [((3, 3, 1), [0]), ((3, 3, 2), [9]), ((2, 2, 3), [27])]
+    G.inv, G.table = G.inv.copy(), G.table.copy()
+    return sub, G, G.fiber_stacks[1][0][0]     # the block at unit 9
+
+
+def _swap_two_entries(G, I):
+    I[0, 0, 0], I[0, 1, 0] = I[0, 1, 0], I[0, 0, 0]
+    return "star fails at unit 9: inv I[0,0,0] != I[0,0,0]"
+
+
+def _corrupt_inverse(G, I):
+    G.inv[I[0, 0, 1]] = 9
+    return "star fails at unit 9: inv I[0,0,1] != I[0,0,1]"
+
+
+def _corrupt_product(G, I):
+    G.table[I[1, 2, 1], I[2, 0, 1]] = I[1, 0, 1]
+    return "product fails at unit 9: I[1,2,1] I[2,0,1] != I[1,0,0]"
+
+
+def _repeat_row_entry(G, I):
+    I[0, 1, 0] = I[0, 0, 0]
+    return "star fails at unit 9: inv I[0,1,0] != I[1,0,0]"
+
+
+def _collapse_to_the_unit(G, I):
+    """Every entry the unit: a *-map and multiplicative, but rows repeat."""
+    I[...] = 9
+    return "row repeats at unit 9: I[0,0,0] = I[0,0,1] = arrow 9"
+
+
+def _leave_the_arrows(G, I):
+    I[2, 1, 1] = -1
+    return "not an arrow at unit 9: I[2,1,1] = -1"
+
+
+def _extra_factorization(G, I):
+    """A product defined on a pair that does not compose: the arrow gets a
+    factorization that no block accounts for."""
+    a, b = np.argwhere(G.table < 0)[0]
+    G.table[a, b] = I[0, 0, 1]
+    return f"sum incomplete at unit 9: arrow {I[0, 0, 1]} has 7 factorizations, not 6"
+
+
+@pytest.mark.parametrize("mutate", [_swap_two_entries, _corrupt_inverse, _corrupt_product,
+                                    _repeat_row_entry, _collapse_to_the_unit,
+                                    _leave_the_arrows, _extra_factorization])
+def test_cstar_certificate_names_the_first_failing_index_tuple(mutate):
+    """Each corruption of the index arrays the norm reads, of the inverses
+    or of the table fails the certificate, whose witness names the
+    representative, the condition and the first failing tuple; the
+    algebra suite's check reports that witness."""
+    sub, G, I = _symmetric3_groupoid()
+    assert algebra.star_representation_defect(G) is None
+    witness = mutate(G, I)
+    assert algebra.star_representation_defect(G) == witness
+    [result] = run_checks("symmetric:3", sub, "algebra.cstar_identity")
+    assert (result.passed, result.witness) == (False, witness)
+
+
+def test_cstar_certificate_refuses_an_arrow_indexed_at_two_units():
+    """``clifford_chain:identity`` has two representatives, units 0 and 2,
+    with blocks of one shape; a copy of the first block at the second is a
+    *-homomorphic block by itself, but indexes the first one's arrows."""
+    G = germ_groupoid(universal_action(builtin("clifford_chain:identity"))).groupoid
+    ((stack, _, units),) = G.fiber_stacks
+    assert units.tolist() == [0, 2] and algebra.star_representation_defect(G) is None
+    stack[1] = stack[0]
+    assert algebra.star_representation_defect(G) == "arrow 0 indexed at units 0 and 2"
 
 
 @pytest.mark.parametrize("name", ORBIT_SUBJECTS)
@@ -540,17 +624,19 @@ def _fiber_stack_blocks(G):
     ``fiber_stacks``, with each representative's shape from
     ``_reference_cosets`` and its class minima from ``_reference_classes``:
     the stacks hold them grouped by (shape, kept) in order of first
-    occurrence."""
+    occurrence, each with its representatives."""
     keys = {}
     for x in _reference_orbit_units(G):
         _, o, layout = _reference_cosets(G, x)
         key = ((len(layout), len(layout), o), tuple(sorted(_reference_classes(G, x))))
         keys.setdefault(key, []).append(x)
-    assert [(stack.shape[1:], tuple(kept.tolist())) for stack, kept in G.fiber_stacks] == list(keys)
-    assert [len(stack) for stack, _ in G.fiber_stacks] == [len(xs) for xs in keys.values()]
-    assert all(kept.dtype == np.intp for _, kept in G.fiber_stacks)
-    return [(x, block, kept) for (stack, kept), xs in zip(G.fiber_stacks, keys.values())
-            for x, block in zip(xs, stack)]
+    assert [(stack.shape[1:], tuple(kept.tolist())) for stack, kept, _ in G.fiber_stacks] \
+        == list(keys)
+    assert [units.tolist() for _, _, units in G.fiber_stacks] == list(keys.values())
+    assert [len(stack) for stack, _, _ in G.fiber_stacks] == [len(xs) for xs in keys.values()]
+    assert all(kept.dtype == units.dtype == np.intp for _, kept, units in G.fiber_stacks)
+    return [(x, block, kept) for stack, kept, units in G.fiber_stacks
+            for x, block in zip(units.tolist(), stack)]
 
 
 @pytest.mark.parametrize("name", ORBIT_SUBJECTS)
@@ -638,7 +724,7 @@ def test_groups_keep_one_character_per_class(table, shape, classes):
     hand-derived classes; the norm read from the kept blocks is the
     block's top singular value to ORBIT_NORM_ULPS."""
     G = group_as_groupoid(table)
-    ((I, kept),) = G.fiber_stacks
+    ((I, kept, _),) = G.fiber_stacks
     assert I.shape[1:] == shape and kept.tolist() == sorted(classes)
     assert _reference_classes(G, 0) == classes
     (f,) = random_functions(SplitMix64(len(table)), 20, G)
@@ -695,14 +781,16 @@ def test_reduced_norm_decomposes_o_matrices_per_orbit_with_r_above_1(name, monke
 def test_algebra_suite_svds_only_small_blocks(monkeypatch):
     """``group:z70``'s one 70 x 70 block splits into 70 moduli, so its
     algebra suite hands ``np.linalg.eigvalsh`` no matrix; ``symmetric:4``'s
-    hands it exactly 2,400, none larger than 8 x 8 (the 24 x 24 blocks split
+    hands it exactly 800, none larger than 8 x 8 (the 24 x 24 blocks split
     by cyclic subgroups of orders 3 and 4, one block kept per class of
-    conjugate characters).  Neither hands ``np.linalg.svd`` any."""
+    conjugate characters): the 100 isometry samples, whose 8 matrices per
+    function are the only norms the suite takes, since the C*-identity is
+    certified without any.  Neither hands ``np.linalg.svd`` any."""
     shapes, svds = _counting(monkeypatch, "eigvalsh"), _counting(monkeypatch, "svd")
     run_suite("group:z70", builtin("group:z70"), "algebra")
     assert shapes == []
     run_suite("symmetric:4", builtin("symmetric:4"), "algebra")
-    assert len(shapes) == 2400 and max(max(shape) for shape in shapes) == 8
+    assert len(shapes) == 800 and max(max(shape) for shape in shapes) == 8
     assert svds == []
 
 

@@ -376,3 +376,17 @@ def test_make_groupoid_rejects_a_malformed_table():
         make_groupoid((0, 1), (0, 1), (0, 1), [[0, -1], [-1, 2]])
     with pytest.raises(StructureError, match="composition table entry out of range"):
         make_groupoid((0, 1), (0, 1), (0, 1), [[0, -2], [-1, 1]])
+
+
+def test_make_groupoid_accepts_the_empty_groupoid():
+    """No arrows satisfy every axiom vacuously: the empty groupoid builds,
+    with no units, no orbit blocks and the zero function's norm 0.0, and
+    its C*-identity certificate passes."""
+    from germlab import algebra
+
+    G = make_groupoid([], [], [], np.zeros((0, 0)))
+    assert (G.n_arrows, G.units, G.fiber_stacks) == (0, (), ())
+    f = algebra.GroupoidFunction(G, np.zeros(0))
+    assert algebra.reduced_norm(G, f) == 0.0
+    assert algebra.convolve(f, f).values.shape == (0,)
+    assert algebra.star_representation_defect(G) is None

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -94,6 +95,49 @@ def test_cli_non_string_label_is_input_error(tmp_path, capsys, labels, field):
     captured = capsys.readouterr()
     assert captured.err == f"error: {field}: expected a string\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("labels,field,message", [
+    (["a", "a"], "labels[1]", "repeats labels[0]"),
+    (["", "a"], "labels[0]", "empty label"),
+    (["e", "a", "", "e"], "labels[2]", "empty label"),
+    (["e", "a", "a*", "e"], "labels[3]", "repeats labels[0]"),
+])
+def test_cli_empty_or_repeated_label_is_input_error(tmp_path, capsys, labels, field, message):
+    """A witness names elements by label, so a label must name one element:
+    an empty or repeated label exits 2 with one error line naming the first
+    such label, not the check's exit 0 with ambiguous witnesses."""
+    table = [[0, 0], [0, 1]] if len(labels) == 2 else builtin("group:klein").table.tolist()
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"labels": labels, "table": table}))
+    with pytest.raises(ParseError):
+        load_semigroup(str(path))
+    assert main(["verify", str(path), "--suite", "universal"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {field}: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("vertices", [2**70, 10**12])
+def test_graph_file_with_a_huge_vertex_count_exits_2(tmp_path, vertices):
+    """|S| >= 1 + V, so V >= 2^15 vertices is refused before any per-vertex
+    list is built.  Run in a child process whose address space is capped
+    at 512 MB, so a per-vertex allocation fails there, not in this one."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"vertices": vertices}))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO / "src"), env.get("PYTHONPATH"))))
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    done = subprocess.run([sys.executable, "-m", "germlab.cli", "check", f"builtin:graph:{path}"],
+                          env=env, capture_output=True, text=True,
+                          preexec_fn=cap_address_space, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == (f"error: graph inverse semigroup has at least {vertices + 1} "
+                           f"elements > 32768\n")
 
 
 def test_load_propagates_validation_failure(tmp_path):
