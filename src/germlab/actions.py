@@ -49,11 +49,11 @@ from .groupoids import (
     subgroupoid_properties,
 )
 from .semigroups import (
-    LIGHT_CHUNK,
     TABLE_CAP,
     InverseSemigroup,
     Relation,
     centralizer,
+    chunks,
     distinct,
     first_index,
     validate_inverse_semigroup,
@@ -67,13 +67,10 @@ from .semilattices import (
     spectrum_points,
 )
 
-# validate_action certifies the homomorphism law on stacks of generators
-# whose compositions hold at most this many entries (or one generator)
-ACTION_CHUNK = 1 << 16
-# ... and on the domain pairs (t, x) alone, not on whole rows, when the
-# defined entries are under this share of the map: the two certificates
-# cost the same at about 15% defined on maps of a few hundred entries and
-# at about 28% on maps of over ten thousand
+# validate_action certifies the homomorphism law on the domain pairs (t, x)
+# alone, not on whole rows, when the defined entries are under this share of
+# the map: the two certificates cost the same at about 15% defined on maps
+# of a few hundred entries and at about 28% on maps of over ten thousand
 SPARSE_ACTION_SHARE = 0.2
 
 
@@ -133,9 +130,8 @@ def validate_action(S: InverseSemigroup, space_size: int, maps,
         certified = _law_on_domains(S, maps, domain)
     else:
         gens = S.generators
-        step = max(1, ACTION_CHUNK // max(maps.size, 1))
         certified = all(np.array_equal(compose_after(maps[a], maps), maps[S.table[a]])
-                        for a in (gens[lo:lo + step] for lo in range(0, gens.size, step)))
+                        for a in (gens[rows] for rows in chunks(gens.size, maps.size)))
     if not certified:
         for s in S.elements():
             bad = (compose_after(maps[s], maps) != maps[S.table[s]]).any(axis=1)
@@ -150,8 +146,8 @@ def validate_action(S: InverseSemigroup, space_size: int, maps,
 
 def _law_on_domains(S: InverseSemigroup, maps: np.ndarray, domain: np.ndarray) -> bool:
     """Whether phi_a phi_t = phi_(at) for every generator a and element t,
-    read on the domain pairs (t, x), x in dom t, a stack of generators per
-    gather of at most ``ACTION_CHUNK`` entries.
+    read on the domain pairs (t, x), x in dom t, for ``chunks`` of
+    generators.
 
     At x in dom t, phi_a(phi_t x) is compared with phi_(at)(x) (both
     undefined when phi_t x is outside dom a).  At x outside dom t, phi_a
@@ -165,9 +161,8 @@ def _law_on_domains(S: InverseSemigroup, maps: np.ndarray, domain: np.ndarray) -
     image = maps[t, x]
     size = np.count_nonzero(domain, axis=1)
     gens = S.generators
-    step = max(1, ACTION_CHUNK // max(t.size, 1))
-    for lo in range(0, gens.size, step):
-        a = gens[lo:lo + step, None]
+    for rows in chunks(gens.size, t.size):
+        a = gens[rows, None]
         after = maps[S.table[a, t], x]         # phi_(at)(x)
         if ((maps[a, image] != after).any()
                 or np.count_nonzero(after >= 0) != size[S.table[a]].sum()):
@@ -510,11 +505,10 @@ def graph_inverse_semigroup(graph: DirectedGraph) -> InverseSemigroup:
     index = np.zeros_like(cat)                          # the element (x, y), 0 if none
     index[x, y] = np.arange(n)
     table = np.empty((n, n), dtype=np.int64)
-    step = max(1, LIGHT_CHUNK // n)
-    for lo in range(0, n, step):
-        X, Y = x[lo:lo + step, None], y[lo:lo + step, None]
-        table[lo:lo + step] = np.maximum(index[cat[X, rest[x, Y]], y],
-                                         index[X, cat[y, rest[Y, x]]])
+    for rows in chunks(n, n):
+        X, Y = x[rows, None], y[rows, None]
+        table[rows] = np.maximum(index[cat[X, rest[x, Y]], y],
+                                 index[X, cat[y, rest[Y, x]]])
     labels = ["0"] + [path[a] if a == b else f"{path[a]}.{path[b]}*"
                       for a, b in zip(x[1:].tolist(), y[1:].tolist())]
     S = validate_inverse_semigroup(table, labels)

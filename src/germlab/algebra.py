@@ -105,11 +105,11 @@ on each matrix of a stack, on the same copy of it that a single call
 makes; all matrices of a block shape have one shape, so a stack's norms
 equal those of single calls bit for bit.
 
-Stacks run in chunks of rows whose largest temporary holds about
-``CHUNK_VALUES`` values, 2^15 complex values or 512 KB, so the memory a
-stack adds is bounded; a 100-row convolution on ``group:z70``'s 70x70
-fiber runs in 17 chunks.  Chunking changes no result, since every row is
-computed on its own.
+Stacks run in ``semigroups.chunks`` of rows whose largest temporary holds
+about ``CHUNK_ENTRIES`` values, 2^15 complex values or 512 KB, so the
+memory a stack adds is bounded; a 100-row convolution on ``group:z70``'s
+70x70 fiber runs in 17 chunks.  Chunking changes no result, since every
+row is computed on its own.
 
 Samples: ``random_functions`` draws Gaussian integers, real and imaginary
 parts in [-3, 3], from ``SplitMix64``, a counter-based generator in uint64
@@ -135,10 +135,9 @@ import numpy as np
 from .actions import EmbeddedSubgroupoid
 from .errors import GroupoidMismatch, HypothesisFailed, StructureError
 from .groupoids import FiniteGroupoid, is_group_bundle
-from .semigroups import distinct, first_index
+from .semigroups import chunks, distinct, first_index
 
 NORM_TOL = 1e-9
-CHUNK_VALUES = 1 << 15      # complex values in the largest temporary of one chunk: 512 KB
 
 
 @dataclass
@@ -166,12 +165,6 @@ def _same_groupoid(f: GroupoidFunction, g: GroupoidFunction) -> None:
         raise GroupoidMismatch("functions live on different groupoids")
 
 
-def _chunks(k: int, width: int):
-    """Row slices of a k-row stack, each about CHUNK_VALUES / width rows."""
-    step = max(1, CHUNK_VALUES // max(width, 1))
-    return (slice(lo, lo + step) for lo in range(0, k, step))
-
-
 def delta(G: FiniteGroupoid, arrow: int) -> GroupoidFunction:
     v = np.zeros(G.n_arrows, dtype=np.complex128)
     v[arrow] = 1.0
@@ -187,7 +180,7 @@ def convolve(f: GroupoidFunction, g: GroupoidFunction) -> GroupoidFunction:
     fv, gv = np.atleast_2d(f.values), np.atleast_2d(g.values)
     out = np.empty(fv.shape, dtype=np.complex128)
     for fibers, idx in G.fibers_by_size:      # (m, s) fibers, (m, s, s) matrices [c b^-1]
-        for rows in _chunks(len(fv), idx.size):
+        for rows in chunks(len(fv), idx.size):
             part = out[rows]
             part[:, fibers] = (fv[rows].take(idx, axis=1)
                                @ gv[rows].take(fibers, axis=1)[..., None])[..., 0]
@@ -255,7 +248,7 @@ def reduced_norm(G: FiniteGroupoid, f: GroupoidFunction) -> float | np.ndarray:
     for idx, kept, _ in G.fiber_stacks:     # (orbits, r, r, o) per (r, o, kept)
         orbits, r, _, o = idx.shape
         idx, dft = idx.transpose(0, 3, 1, 2), _dft(o)[kept]
-        for rows in _chunks(len(fv), idx.size):
+        for rows in chunks(len(fv), idx.size):
             blocks = fv[rows].take(idx, axis=1)         # (rows, orbits, o, r, r)
             if o > 1:       # one (kept, o) @ (o, r r) product per function and orbit
                 blocks = (dft @ blocks.reshape(-1, o, r * r)).reshape(-1, orbits, len(kept), r, r)
@@ -317,7 +310,7 @@ def star_representation_defect(G: FiniteGroupoid) -> str | None:
             p, q, v = hit
             return f"star fails at unit {x}: inv I[{p},{q},{v}] != I[{q},{p},{-v % o}]"
         sums = (u[:, None] + u) % o
-        for rows in _chunks(r, r * r * o * o):
+        for rows in chunks(r, r * r * o * o):
             # I[p, q, u] I[q, t, v] against I[p, t, u + v], at [p, q, t, u, v]
             prod = flat[I[rows, :, None, :, None] * n + I[None, :, :, None, :]]
             hit = first_index(prod != I[rows, None][:, :, :, sums])

@@ -157,7 +157,7 @@ def cmd_verify(args) -> int:
             reports += run_suite(name, S, args.suite, csv_rows)
         sys.stdout.write(render_reports(reports))
         if fh is not None:
-            fh.write("subject,check,sample,norm_sq,norm_star,deviation\n")
+            fh.write("subject,check,sample,deviation\n")
             fh.writelines(row + "\n" for row in csv_rows)
     return PASS if all(r.passed for r in reports) else CHECK_FAILURE
 
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("subject", help="file, builtin:<name>, or 'corpus'")
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
     p.add_argument("--csv", metavar="FILE", default=None,
-                   help="write the norm samples of algebra.embedding_isometric as CSV")
+                   help="write the norm deviation of each embedding_isometric sample as CSV")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("example", help="construct a built-in example")

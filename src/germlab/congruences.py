@@ -25,11 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotACongruence, SearchBudgetExceeded, StructureError
-from .semigroups import InverseSemigroup, Relation, first_index, validate_inverse_semigroup
+from .semigroups import InverseSemigroup, Relation, chunks, first_index, validate_inverse_semigroup
 
 TRANSVERSAL_BUDGET = 10**6
-WITNESS_CHUNK = 1 << 16     # entries per chunk of the pair tables of congruence_witness
-                            # and of transversal_defect
 SAMPLED_ATTEMPTS = 20       # pair seeds saturated by random_idempotent_separating_congruences
 
 
@@ -80,25 +78,23 @@ def congruence_witness(S: InverseSemigroup, R: Relation):
     pair (c, d), giving (a, b, c, d), and then against each element c in
     turn, giving (c, c, a, b) when ca !~ cb and else (a, b, c, c) when
     ac !~ bc; the first failure in that order is returned.  The pairs run
-    in chunks of rows whose tables hold about ``WITNESS_CHUNK`` entries.
-    The pairs are one sort of the members that are not their block's
-    root, keyed by (block, member).
+    in ``chunks`` of rows, and are one sort of the members that are not
+    their block's root, keyed by (block, member).
     """
     T, p = S.table, R.labels
     members = np.flatnonzero(R.reps[p] != np.arange(R.size))
     key = np.sort(p[members] * R.size + members)
     A, B, m = R.reps[key // R.size], key % R.size, members.size
     c = np.arange(S.size)
-    step = max(1, WITNESS_CHUNK // (m + S.size))
-    for lo in range(0, m, step):
-        a, b = A[lo:lo + step, None], B[lo:lo + step, None]
+    for rows in chunks(m, m + S.size):
+        a, b = A[rows, None], B[rows, None]
         left = p[T[c, a]] != p[T[c, b]]           # ca !~ cb at [pair, c]
         split = np.concatenate((p[T[a, A]] != p[T[b, B]], left | (p[T[a, c]] != p[T[b, c]])),
                                axis=1)
         hit = first_index(split)
         if hit is not None:
             i, j = hit
-            a, b = int(A[lo + i]), int(B[lo + i])
+            a, b = int(A[rows.start + i]), int(B[rows.start + i])
             if j < m:
                 return (a, b, int(A[j]), int(B[j]))
             return (j - m, j - m, a, b) if left[i, j - m] else (a, b, j - m, j - m)
@@ -366,17 +362,16 @@ def transversal_defect(S: InverseSemigroup, q: QuotientMap, r
     r(x) r(y) = r(xy) it takes part in.  Scans the other classes x in order:
     (x, None) when r[x] projects to another class, else (x, y) for the
     first y with r[x] r[y] != r[xy]; None if there is none.  The rows x run
-    in chunks of about ``WITNESS_CHUNK`` entries.
+    in ``chunks``.
     """
     r = np.asarray(r, dtype=np.intp)
     decided = np.flatnonzero(r >= 0)
     elsewhere = np.asarray(q.projection)[r[decided]] != decided
-    step = max(1, WITNESS_CHUNK // len(r))
-    for lo in range(0, decided.size, step):
-        x = decided[lo:lo + step, None]
+    for rows in chunks(decided.size, len(r)):
+        x = decided[rows, None]
         want = r[q.target.table[x, decided]]      # r(xy), or -1 where xy is undecided
         split = (want >= 0) & (S.table[r[x], r[decided]] != want)
-        hit = first_index(np.concatenate((elsewhere[lo:lo + step, None], split), axis=1))
+        hit = first_index(np.concatenate((elsewhere[rows, None], split), axis=1))
         if hit is not None:
             i, j = hit
             return (int(x[i, 0]), None if j == 0 else int(decided[j - 1]))

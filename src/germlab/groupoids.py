@@ -32,15 +32,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SearchBudgetExceeded, StructureError
-from .semigroups import LIGHT_CHUNK, check_associativity, distinct, first_index
+from .semigroups import check_associativity, chunks, distinct, first_index
 from .semilattices import compose_after
 
 ISO_SEARCH_CAP = 64
-# validate_groupoid checks associativity on batches of composable pairs (g, h)
-# against the columns k of their fibers r^-1(d(h)); a batch holds at most this
-# many entries, or the square of the largest fiber if more, so that small
-# groupoids take one batch and few numpy calls.  A groupoid with more
-# composable triples than one batch is offered to the Brandt normal form first
+# validate_groupoid offers a groupoid with more composable triples than this
+# to the Brandt normal form first; a smaller one, where the triple scan is
+# cheap, goes straight to the scan
 ASSOCIATIVITY_BATCH = 1 << 14
 
 
@@ -91,16 +89,15 @@ class Cuts:
     def catalog(self, n_arrows: int) -> tuple[np.ndarray, tuple[str, ...]]:
         """Each distinct set once, as a boolean row over the arrows, under
         its first cut's label: the dense view, one row per set.  The cuts'
-        rows over the points are formed ``LIGHT_CHUNK`` entries at a time
-        and keyed by their bytes, so only the kept sets outlive a chunk."""
+        rows over the points are formed in ``chunks`` and keyed by their
+        bytes, so only the kept sets outlive a chunk."""
         s, j = np.nonzero(self.nonempty)
         width = self.rows.shape[1]
-        step = max(1, LIGHT_CHUNK // max(width, 1))
         first: dict = {}                  # a set's row over the points -> its first cut
-        for lo in range(0, s.size, step):
-            rows = np.where(self.sets[j[lo:lo + step]], self.rows[s[lo:lo + step]], -1)
+        for chunk in chunks(s.size, width):
+            rows = np.where(self.sets[j[chunk]], self.rows[s[chunk]], -1)
             keys = rows.view(np.dtype((np.void, rows.itemsize * width)))[:, 0]
-            for i, key in enumerate(keys.tolist(), lo):
+            for i, key in enumerate(keys.tolist(), chunk.start):
                 first.setdefault(key, i)
         cut = np.fromiter(first.values(), dtype=np.intp, count=len(first))
         kept = np.where(self.sets[j[cut]], self.rows[s[cut]], -1)
@@ -335,7 +332,7 @@ def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
 
     Associativity is certified through the Brandt normal form
     (``_brandt_certificate``) when the composable triples, the sum over the
-    composable pairs (g, h) of |r^-1(d h)|, number more than one
+    composable pairs (g, h) of |r^-1(d h)|, number more than
     ``ASSOCIATIVITY_BATCH``: Phi(g) = (r g, d g, gamma g) is then a
     product-preserving bijection onto the disjoint union of the Brandt
     groupoids X_D x X_D x G_D, which is associative when every G_D is.  A
@@ -458,64 +455,32 @@ def _associativity_scan(G: FiniteGroupoid, left: np.ndarray, right: np.ndarray,
                         product: np.ndarray) -> None:
     """Compare (gh)k with g(hk) on every composable triple and raise the
     row-major first failure; (left, right, product) are the composable
-    pairs (g, h, gh) of G, which passed every check of ``validate_groupoid``
-    before associativity.
+    pairs (g, h, gh) of G, row-major, which passed every check of
+    ``validate_groupoid`` before associativity.
 
     Products keep their ranges and sources, so (gh)k and g(hk) are both
-    undefined unless r(k) = d(h): the pairs are grouped by u = d(h) and
-    compared on the columns r^-1(u) only, the composable triples, not n per
-    pair.  Pairs of consecutive units share a batch, over their fibers'
-    columns, while the batch holds at most ``ASSOCIATIVITY_BATCH`` entries
-    (or f^2, f the largest fiber); a unit with more pairs is split into
-    chunks of that size.  The first failing pair (g, h) over all batches,
-    and its least failing k, is the row-major witness.
+    undefined unless r(k) = d(h): each pair is compared on the fiber
+    r^-1(d h) only, a row of one padded matrix of the fibers, each in
+    increasing order and padded with -1.  The table gets a -1 row and
+    column, so that a pad k gives (gh)k = -1 = g(hk).  The pairs run in
+    ``chunks``; the first failing pair and its least failing k is the
+    row-major witness.
     """
     n = G.n_arrows
-    r, d, table = G.r, G.d, G.table
-    # the table with its columns sorted by range, the fiber r^-1(u) at the
-    # slice [start[u], start[u] + size[u]), each fiber in increasing order;
-    # with a -1 row and column appended, (gh)k = -1 = g(hk) wherever d(h) != r(k)
-    by_range = np.argsort(r, kind="stable")
-    column = np.append(np.argsort(by_range), n)        # arrow -> its column, -1 -> n
+    r, d = G.r, G.d
     ranged = np.full((n + 1, n + 1), -1, dtype=np.intp)
-    ranged[:n, :n] = table[:, by_range]
-    flat = ranged.ravel()
+    ranged[:n, :n] = G.table
     size = np.bincount(r, minlength=n)
-    start = (np.cumsum(size) - size).tolist()
-    # the pairs (g, h) sorted by u = d(h), row-major for each u
-    unit_of_pair = d[right]
-    order = np.argsort(unit_of_pair, kind="stable")
-    count = np.bincount(unit_of_pair, minlength=n).tolist()
-    size = size.tolist()
-    budget = max(ASSOCIATIVITY_BATCH, max(size, default=0) ** 2)
-    units = [u for u in range(n) if count[u]]
-    witness = None
-    lo = j = 0
-    while j < len(units):
-        # a batch: the pairs of consecutive units u, against the columns of
-        # their fibers, or one unit's pairs in chunks within the budget
-        first, k, m = units[j], j + 1, count[units[j]]
-        while k < len(units) and ((m + count[units[k]])
-                                  * (start[units[k]] + size[units[k]] - start[first]) <= budget):
-            m += count[units[k]]
-            k += 1
-        a, b = start[first], start[units[k - 1]] + size[units[k - 1]]
-        step = max(1, budget // (b - a))
-        for c in range(lo, lo + m, step):
-            i = order[c:min(c + step, lo + m)]
-            # (gh)k against g(hk), the latter a 1-D gather of the flat table
-            bad = ranged[product[i], a:b] != flat[(left[i] * (n + 1))[:, None]
-                                                  + column[ranged[right[i], a:b]]]
-            if bad.any():
-                rows = np.flatnonzero(bad.any(axis=1))
-                row = rows[np.argmin(i[rows])]
-                found = (int(i[row]), int(by_range[a + np.argmax(bad[row])]))
-                witness = found if witness is None else min(witness, found)
-                break
-        lo, j = lo + m, k
-    if witness is not None:
-        i, k = witness
-        raise StructureError(f"associativity fails at ({left[i]},{right[i]},{k})")
+    by_range = np.argsort(r, kind="stable")
+    fiber = np.full((n, size.max(initial=0)), -1, dtype=np.intp)
+    fiber[r[by_range], np.arange(n) - (np.cumsum(size) - size)[r[by_range]]] = by_range
+    for rows in chunks(left.size, fiber.shape[1]):
+        g, h = left[rows, None], right[rows, None]
+        k = fiber[d[right[rows]]]
+        hit = first_index(ranged[product[rows, None], k] != ranged[g, ranged[h, k]])
+        if hit is not None:
+            i, j = hit
+            raise StructureError(f"associativity fails at ({g[i, 0]},{h[i, 0]},{k[i, j]})")
 
 
 def make_groupoid(r, d, inv, table, labels=None) -> FiniteGroupoid:

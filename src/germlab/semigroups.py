@@ -36,10 +36,12 @@ from .errors import NoInverse, NonUniqueInverse, NotAssociative, StructureError,
 # generators, 0.8 s).  Tables past TABLE_CAP elements are refused outright.
 LIGHT_BUDGET = 1 << 30
 TABLE_CAP = 1 << 15
-# Light's test compares (n, k, n) tables for k generators at a time, with k
-# chosen so that a table holds at most this many entries (or one generator);
-# the inverse search's int64 temporaries hold at most this many bytes
-LIGHT_CHUNK = 1 << 16
+# Every bounded array pass in the package runs over ``chunks`` of rows whose
+# temporaries hold about this many entries, or one row where a row holds
+# more: Light's test a stack of generators, the inverse search a block of
+# rows.  2^15 read the lowest peak memory of 2^14-2^16 on the benchmark's
+# workloads, at no cost in time
+CHUNK_ENTRIES = 1 << 15
 
 
 class InverseSemigroup:
@@ -239,6 +241,16 @@ def first_index(mask: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(i) for i in np.unravel_index(np.argmax(mask), mask.shape))
 
 
+def chunks(rows: int, per_row: int):
+    """Slices of range(rows), in order, of about ``CHUNK_ENTRIES / per_row``
+    rows each and at least one: the one bound on a pass's temporaries.
+    Every chunked pass computes its rows independently and reports its
+    first failure in row order, so the chunk size changes no result."""
+    step = max(1, CHUNK_ENTRIES // max(per_row, 1))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
+
+
 def group_pairs(groups: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j) joining entries i, each in one of ``groups``, to
     the members j of its group in a list laid out group by group, group g
@@ -270,26 +282,24 @@ def _inverses(table: np.ndarray) -> tuple[int, ...]:
     """The inverse of every element, which must exist and be unique.
 
     t is an inverse of s iff s t s = s and t s t = t, evaluated at [s, t]
-    for rows s in chunks of ``LIGHT_CHUNK / 8`` pairs, so that each int64
-    temporary holds ``LIGHT_CHUNK`` bytes.  The first s in element order
-    without exactly one inverse raises ``NoInverse`` or ``NonUniqueInverse``
-    with its inverses in increasing order.
+    for ``chunks`` of rows s.  The first s in element order without exactly
+    one inverse raises ``NoInverse`` or ``NonUniqueInverse`` with its
+    inverses in increasing order.
     """
     n = table.shape[0]
     t = np.arange(n)
     inv = np.empty(n, dtype=np.intp)
-    step = max(1, LIGHT_CHUNK // 8 // n)
-    for lo in range(0, n, step):
-        s = t[lo:lo + step, None]
+    for rows in chunks(n, n):
+        s = t[rows, None]
         found = (table[table[s, t], s] == s) & (table[table[t, s], t] == t)
         count = found.sum(axis=1)
         bad = np.flatnonzero(count != 1)
         if bad.size:
             i = int(bad[0])
             if count[i] == 0:
-                raise NoInverse(lo + i)
-            raise NonUniqueInverse(lo + i, tuple(np.flatnonzero(found[i]).tolist()))
-        inv[lo:lo + step] = found.argmax(axis=1)
+                raise NoInverse(rows.start + i)
+            raise NonUniqueInverse(rows.start + i, tuple(np.flatnonzero(found[i]).tolist()))
+        inv[rows] = found.argmax(axis=1)
     return tuple(inv.tolist())
 
 
@@ -357,10 +367,9 @@ def check_associativity(table: np.ndarray) -> np.ndarray:
         raise StructureError(f"table too large to validate (n={n} with |A|={gens.size} "
                              f"generators: {pairs} pairs > {LIGHT_BUDGET})")
     outside = (small != z).sum(axis=0)  # entries other than z in each column
-    step = max(1, LIGHT_CHUNK // (n * n))
-    for lo in range(0, gens.size, step):
-        a = gens[lo:lo + step]
-        xs = np.flatnonzero(live[:, lo:lo + step].any(axis=1))
+    for rows in chunks(gens.size, n * n):
+        a = gens[rows]
+        xs = np.flatnonzero(live[:, rows].any(axis=1))
         right = np.take(small[xs], small[a], axis=1)        # x(ay) at [x, a, y]
         if ((small[small[xs[:, None], a]] != right).any()
                 or ((right != z).sum(axis=0) != outside[small[a]]).any()):

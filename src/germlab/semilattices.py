@@ -35,17 +35,13 @@ from .semigroups import (
     InverseSemigroup,
     basis_catalog,
     check_associativity,
+    chunks,
     validate_inverse_semigroup,
 )
 
 EXHAUSTIVE_FILTER_CAP = 20
-# filter_defects gathers chunks of rows holding at most this many entries
-FILTER_CHUNK = 1 << 16
 MUNN_ELEMENT_CAP = 512
 SYMMETRIC_POINT_CAP = 5
-# partial_bijection_semigroup composes chunks of rows whose products hold at
-# most this many entries (or one row)
-PRODUCT_CHUNK = 1 << 14
 
 
 class Semilattice:
@@ -175,18 +171,16 @@ def filter_defects(E: Semilattice, members: np.ndarray) -> np.ndarray:
     The definition, tested literally: a filter is nonempty and zero-free,
     upward closed (no F[e] & order[e, f] & ~F[f]) and meet-closed
     (F[meet[e, f]] wherever F[e] & F[f]).  Only the pairs that can fail are
-    gathered, ``Semilattice.filter_pairs``.  Rows are tested in chunks
-    whose gathers hold at most FILTER_CHUNK entries.
+    gathered, ``Semilattice.filter_pairs``.  Rows are tested in ``chunks``.
     """
     above_e, above_f, pe, pf, pm = E.filter_pairs
     bad = ~members.any(axis=1)
     if E.zero is not None:
         bad |= members[:, E.zero]
-    step = max(1, FILTER_CHUNK // max(above_e.size, pe.size, 1))
-    for lo in range(0, members.shape[0], step):
-        F = members[lo:lo + step]
-        bad[lo:lo + step] |= ((F[:, above_e] & ~F[:, above_f]).any(axis=1)
-                              | (F[:, pe] & F[:, pf] & ~F[:, pm]).any(axis=1))
+    for rows in chunks(members.shape[0], max(above_e.size, pe.size)):
+        F = members[rows]
+        bad[rows] |= ((F[:, above_e] & ~F[:, above_f]).any(axis=1)
+                      | (F[:, pe] & F[:, pf] & ~F[:, pm]).any(axis=1))
     return bad
 
 
@@ -224,11 +218,10 @@ def up_set_filters(E: Semilattice) -> np.ndarray:
     """The up-sets of E that ``filter_defects`` passes, as words in
     enumeration order.  Every filter is an up-set, so these are exactly the
     subsets of E that are filters.  The words are unpacked into member
-    masks a chunk of FILTER_CHUNK entries at a time."""
+    masks one of ``chunks`` at a time."""
     words, bits = up_sets(E), _bits(E.size)
-    step = max(1, FILTER_CHUNK // E.size)
-    keep = [~filter_defects(E, (words[lo:lo + step, None] & bits) != 0)
-            for lo in range(0, words.size, step)]
+    keep = [~filter_defects(E, (words[rows, None] & bits) != 0)
+            for rows in chunks(words.size, E.size)]
     return words[np.concatenate(keep)]
 
 
@@ -374,15 +367,14 @@ def row_finder(rows: np.ndarray):
 def partial_bijection_semigroup(rows: np.ndarray, labels) -> InverseSemigroup:
     """The table of a composition-closed stack of partial bijection rows, in row order.
 
-    Each chunk of rows composes with every row, and ``row_finder`` finds
-    the products among the rows.
+    Each of ``chunks`` of rows composes with every row, and ``row_finder``
+    finds the products among the rows.
     """
     n, p = rows.shape
     find = row_finder(rows)
     table = np.empty((n, n), dtype=np.int64)
-    step = max(1, PRODUCT_CHUNK // (n * max(p, 1)))
-    for lo in range(0, n, step):
-        table[lo:lo + step] = find(compose_after(rows[lo:lo + step], rows))
+    for chunk in chunks(n, n * p):
+        table[chunk] = find(compose_after(rows[chunk], rows))
     if (table < 0).any():
         raise StructureError("partial bijections are not closed under composition")
     return validate_inverse_semigroup(table, labels)

@@ -863,7 +863,7 @@ def _embedding_isometric(run):
     fail = _first_failure(multiplicative, star, err <= alg.NORM_TOL)
     if run.csv_rows is not None:
         rows = k if fail is None else fail[0] + (fail[1] == 2)
-        run.csv_rows.extend(f"{run.name},embed,{i},,,{err[i]:.3e}" for i in range(rows))
+        run.csv_rows.extend(f"{run.name},embed,{i},{err[i]:.3e}" for i in range(rows))
     if fail is not None:
         i, test = fail
         return False, (f"not multiplicative at sample {i}",

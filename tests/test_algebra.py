@@ -5,7 +5,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from germlab import actions, algebra
+from germlab import actions, algebra, semigroups
 from germlab.actions import (
     EmbeddedSubgroupoid,
     centralizer_germs,
@@ -346,7 +346,7 @@ def test_array_algebra_is_bit_identical_to_the_reference_loops(name, monkeypatch
     widths = (max(idx.size for _, idx in G.fibers_by_size),
               max(idx.size for idx, _, _ in G.fiber_stacks))
     for width in widths:
-        monkeypatch.setattr(algebra, "CHUNK_VALUES", 3 * width)
+        monkeypatch.setattr(semigroups, "CHUNK_ENTRIES", 3 * width)
         f, g = random_functions(rng, 7, G, G)
         (h,) = random_functions(rng, 7, emb.groupoid)
         stacks = (convolve(f, g), involution(f), embed(emb, h),

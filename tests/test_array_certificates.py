@@ -24,10 +24,9 @@ from germlab.congruences import Relation, congruence_witness
 from germlab.errors import StructureError
 from germlab.extensions import Subject
 from germlab.groupoids import iso_bundle, iso_interior
-from germlab.semigroups import distinct, h_class_of
+from germlab.semigroups import CHUNK_ENTRIES, distinct, h_class_of
 from germlab.semilattices import (
     EXHAUSTIVE_FILTER_CAP,
-    FILTER_CHUNK,
     Semilattice,
     filter_defects,
     filter_words,
@@ -288,12 +287,12 @@ def test_filter_defects_agree_with_is_filter_row_by_row():
 
 def test_filter_defects_chunk_rows(monkeypatch):
     """With one row per chunk the verdicts are the same."""
-    from germlab import semilattices
+    from germlab import semigroups
 
     E = antichain_with_zero(6)
     rows = ((up_sets(E)[:, None] >> np.arange(7, dtype=np.uint64)) & 1).astype(bool)
     whole = filter_defects(E, rows)
-    monkeypatch.setattr(semilattices, "FILTER_CHUNK", 1)
+    monkeypatch.setattr(semigroups, "CHUNK_ENTRIES", 1)
     assert np.array_equal(filter_defects(E, rows), whole)
     assert np.count_nonzero(~whole) == 6
 
@@ -303,7 +302,7 @@ def test_up_set_filters_at_the_cap_are_fast_and_chunked():
     well inside the 1.5 s that the 2^20 loop of ``exhaustive_filters``
     takes, and no temporary beyond the up-set words (4 MB), which the
     enumeration holds about two and a half times while it grows them,
-    and a few chunks of FILTER_CHUNK entries.  A stack of all up-sets as
+    and a few chunks of CHUNK_ENTRIES entries.  A stack of all up-sets as
     (up-sets, |E|, |E|) booleans would take 210 MB."""
     E = antichain_with_zero(EXHAUSTIVE_FILTER_CAP - 1)
     assert E.size == EXHAUSTIVE_FILTER_CAP
@@ -319,7 +318,7 @@ def test_up_set_filters_at_the_cap_are_fast_and_chunked():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 8 * words + 16 * FILTER_CHUNK
+    assert peak < 3 * 8 * words + 16 * CHUNK_ENTRIES
     assert elapsed < 1.5
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from germlab import congruences
+from germlab import congruences, semigroups
 from germlab.builtins import CORPUS_NAMES, builtin
 from germlab.congruences import (
     TRANSVERSAL_BUDGET,
@@ -357,7 +357,7 @@ def test_transversal_defect_matches_the_row_scan(name, chunk, monkeypatch):
     """Seeded assignments: each class undecided, a member of its block or any
     element, so every kind of witness occurs; chunk 7 splits the rows."""
     if chunk is not None:
-        monkeypatch.setattr(congruences, "WITNESS_CHUNK", chunk)
+        monkeypatch.setattr(semigroups, "CHUNK_ENTRIES", chunk)
     S = builtin(name)
     mu = mu_relation(S)
     q = quotient(S, mu)

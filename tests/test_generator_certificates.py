@@ -402,7 +402,7 @@ def test_light_test_matches_the_loop_on_corruptions(monkeypatch, name, chunk):
     """Same verdict as the n^3 loop on single-entry corruptions, and the
     witness of the loop over the corrupted table's own generating set, one
     generator per chunk or many."""
-    monkeypatch.setattr(semigroups, "LIGHT_CHUNK", chunk)
+    monkeypatch.setattr(semigroups, "CHUNK_ENTRIES", chunk)
     table = subject(name).table
     assert reference_associativity(table) is None
     assert check_associativity(table).tolist() == generating_set(table).tolist()
@@ -524,7 +524,7 @@ def test_action_certificate_checks_generators_in_chunks(monkeypatch, name, spars
     """One generator per chunk gives the same verdicts, on the domain pairs
     of graph7's universal action (5% defined) and on the whole rows of
     symmetric:4's (40% defined)."""
-    monkeypatch.setattr(actions, "ACTION_CHUNK", 1)
+    monkeypatch.setattr(semigroups, "CHUNK_ENTRIES", 1)
     calls = Counter()
     law_on_domains = actions._law_on_domains
 
@@ -881,9 +881,12 @@ def test_topology_predicates_equal_the_frozenset_loops(name):
 @pytest.mark.parametrize("batch", [0, groupoids.ASSOCIATIVITY_BATCH])
 def test_associativity_witness_is_row_major_across_units(monkeypatch, batch):
     """Two broken loops and a pair groupoid, arrows shuffled, so that the
-    units' order differs from the pairs' row-major order: one batch over
-    all units, or (batch 0) chunks of one largest fiber's worth of pairs."""
+    units' order differs from the pairs' row-major order: every pair in one
+    chunk, or (batch 0) offered to the normal form first and then scanned
+    one pair per chunk."""
     monkeypatch.setattr(groupoids, "ASSOCIATIVITY_BATCH", batch)
+    if not batch:
+        monkeypatch.setattr(semigroups, "CHUNK_ENTRIES", 1)
     rng = np.random.default_rng(5)
     seen = set()
     for _ in range(12):
@@ -1011,9 +1014,10 @@ def test_universal_suite_makes_no_per_element_calls(monkeypatch):
 
 def test_triple_scan_runs_on_one_batch_groupoids_only(monkeypatch):
     """``validate_groupoid`` runs the triple scan once on every corpus germ
-    groupoid (at most 945 composable triples, within one
-    ``ASSOCIATIVITY_BATCH``) and never on the universal germ groupoids of
-    ``group:z70``, ``symmetric:4`` and graph7, which the normal form
+    groupoid (at most 945 composable triples, under the
+    ``ASSOCIATIVITY_BATCH`` threshold, so never offered to the normal form)
+    and never on the universal germ groupoids of ``group:z70``,
+    ``symmetric:4`` and graph7, which are past it and which the normal form
     certifies."""
     calls = []
     real = groupoids._associativity_scan

@@ -4,7 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
-from germlab import groupoids
+from germlab import groupoids, semigroups
 from germlab.actions import centralizer_germs, germ_groupoid, tight_action, universal_action
 from germlab.builtins import CORPUS_NAMES, builtin
 from germlab.errors import SearchBudgetExceeded, StructureError
@@ -302,10 +302,12 @@ def _reference_axioms(G) -> str | None:
 
 
 def test_associativity_batches_keep_the_row_major_witness(monkeypatch):
-    """PAIR2 beside a copy of the loop (arrows 4..10 on unit 4), checked in
-    batches of one largest fiber's worth of pairs, 7: the loop's failure
-    comes in a later batch than the first and keeps its row-major witness."""
+    """PAIR2 beside a copy of the loop (arrows 4..10 on unit 4), offered to
+    the normal form first and then scanned one composable pair per chunk:
+    the loop's failure comes in a later chunk than the first and keeps its
+    row-major witness."""
     monkeypatch.setattr(groupoids, "ASSOCIATIVITY_BATCH", 0)
+    monkeypatch.setattr(semigroups, "CHUNK_ENTRIES", 1)
     n = 4 + 7
     table = np.full((n, n), -1, dtype=np.intp)
     table[:4, :4] = PAIR2.table

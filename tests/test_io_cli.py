@@ -309,7 +309,7 @@ def test_cli_verify_csv(tmp_path, capsys):
                  "--csv", str(csv)]) == 0
     capsys.readouterr()
     lines = csv.read_text().splitlines()
-    assert lines[0] == "subject,check,sample,norm_sq,norm_star,deviation"
+    assert lines[0] == "subject,check,sample,deviation"
     assert len(lines) > 100
 
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from germlab import congruences
+from germlab import congruences, semigroups
 from germlab.actions import (
     DirectedGraph,
     action_kernel,
@@ -414,7 +414,7 @@ def test_congruence_witness_and_quotient_equal_the_loops(name):
 def test_congruence_witness_in_one_row_chunks_equals_the_loop(monkeypatch, name):
     """Every pair (a, b) in a chunk of its own: the first witness may sit in
     any chunk."""
-    monkeypatch.setattr(congruences, "WITNESS_CHUNK", 1)
+    monkeypatch.setattr(semigroups, "CHUNK_ENTRIES", 1)
     S = subject(name)
     for R in relations(S, seed=len(name)):
         assert congruence_witness(S, R) == reference_congruence_witness(S, R)

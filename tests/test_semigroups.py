@@ -124,7 +124,7 @@ def _edited(table, edits):
 SYM2 = table_from_maps(partial_bijections([0, 1])).tolist()
 
 
-@pytest.mark.parametrize("chunk", [1, 8 * 7 * 3, semigroups.LIGHT_CHUNK])
+@pytest.mark.parametrize("chunk", [1, 7 * 3, semigroups.CHUNK_ENTRIES])
 @pytest.mark.parametrize("table", (
     [[0, 0], [1, 1]], [[0, 0], [0, 0]], [[0, 1], [1, 1]], [[1, 0, 2], [0, 1, 2], [2, 2, 2]],
     SYM2,
@@ -139,14 +139,14 @@ def test_inverse_search_reports_the_witnesses_of_the_pairwise_search(monkeypatch
     """Broken tables included: the first element without exactly one inverse,
     with its ascending witnesses, as the pairwise loop finds them, searched
     one row per chunk, 3 rows of SYM2 per chunk and all rows at once."""
-    monkeypatch.setattr(semigroups, "LIGHT_CHUNK", chunk)
+    monkeypatch.setattr(semigroups, "CHUNK_ENTRIES", chunk)
     _assert_inverse_search_equals_the_loop(table)
 
 
 def test_inverse_search_on_random_tables_equals_the_loop(monkeypatch):
     """Random tables, most without inverses and some with several, searched
     in chunks of two rows."""
-    monkeypatch.setattr(semigroups, "LIGHT_CHUNK", 8 * 6 * 2)
+    monkeypatch.setattr(semigroups, "CHUNK_ENTRIES", 6 * 2)
     rng = np.random.default_rng(3)
     tables = [rng.integers(0, 6, size=(6, 6)).tolist() for _ in range(200)]
     for table in tables:

@@ -84,8 +84,8 @@ def test_algebra_norms_match_golden(tmp_path, capsys):
     verify builtin:symmetric:4 --suite algebra``, then the rows of the same
     for ``builtin:b2``.
 
-    The text reports print deviations to 3 digits; this file prints every
-    sample's norms to 12 significant digits.
+    The text reports print the first failing deviation; this file prints
+    every sample's deviation, to 4 significant digits.
     """
     text = ""
     for i, name in enumerate(("symmetric:4", "b2")):
