@@ -117,11 +117,10 @@ array arithmetic (Steele, Lea and Flood, "Fast splittable pseudorandom
 number generators", OOPSLA 2014) that needs no ``numpy.random``.  Their
 convolutions, involutions, embeddings and expectations are exact, so the
 identities between them are checked with ``==`` (``GroupoidFunction.equals``).
-Only norm comparisons, which pass through a DFT and a Gram eigenvalue,
-take a tolerance: ``NORM_TOL``, 1e-9.  The suite compares norms in one
-check, the isometry of the embedding; the C*-identity is certified on the
-index arrays instead (``star_representation_defect``), with no samples and
-no floats.
+The suite compares no norms: the C*-identity and the embedding's isometric
+*-homomorphism are certified on the index arrays instead
+(``star_representation_defect``, ``embedding_defect``), with no samples
+and no floats.
 """
 
 from __future__ import annotations
@@ -136,8 +135,6 @@ from .actions import EmbeddedSubgroupoid
 from .errors import GroupoidMismatch, HypothesisFailed, StructureError
 from .groupoids import FiniteGroupoid, is_group_bundle
 from .semigroups import chunks, distinct, first_index
-
-NORM_TOL = 1e-9
 
 
 @dataclass
@@ -360,6 +357,114 @@ def _require_bundle(emb: EmbeddedSubgroupoid, *, closed: bool = False) -> None:
         raise HypothesisFailed(failed)
     if closed and not props.closed:
         raise HypothesisFailed("closed")
+
+
+def embedding_defect(emb: EmbeddedSubgroupoid) -> str | None:
+    """Why extension by zero from the bundle H into its parent G is not an
+    isometric *-homomorphism, or None: the certificate of the embedding.
+
+    After the bundle hypotheses (``_require_bundle``), with t = ``to_parent``:
+
+    - t is a bijection onto the subgroupoid's arrows (every entry is one of
+      them, no two entries are equal), so ``embed`` writes each value once;
+    - star: ``G.inv[t] == t[H.inv]``, so embed(f^*) = embed(f)^*;
+    - products: ``G.table[t, t] == t[H.table]``, with -1 exactly where H's
+      table is -1, so embed(f g) = embed(f) embed(g).
+
+    Isometry, at every unit x of G (each stack of ``fibers_by_size``):
+    P = back[idx], where back inverts t, is the fiber matrix [a b^-1]
+    written in H's arrows, -1 where a b^-1 is not in H.  Then
+
+    - cosets: P >= 0 is the kernel of lead, the first column of each row
+      with P >= 0; its classes are the cosets H c in the fiber, and
+      P = -1 across them;
+    - bijection: on the class of lead l, c -> P[c, l] is a bijection onto
+      H's d-fiber at y, the source of those arrows (y = r(l), in H);
+    - block: P[a, b] = h k^-1 in H's table inside each class, with
+      h = P[a, l] and k = P[b, l];
+    - reach: the units of H are exactly the y of the classes.
+
+    So at x the block of embed(f) is [f(h k^-1)] over each class, H's block
+    at y with rows and columns permuted alike, and 0 across classes: a
+    permuted direct sum of H's blocks.  Its norm is the largest of theirs,
+    and since the y are exactly H's units, ||embed(f)|| = ||f|| for every
+    f.  All of it is index gathers, with no samples and no floats.
+    The witness names the first failure: the conditions on t first, then
+    units in ``fibers_by_size`` order, at a unit its first failing
+    condition and the first failing pair, row-major, or class, by lead.
+    """
+    _require_bundle(emb)
+    G, H, t = emb.parent, emb.groupoid, emb.to_parent
+    hit = first_index(~emb.arrows[t])
+    if hit is not None:
+        (h,) = hit
+        return f"H arrow {h} maps to {t[h]}, not an arrow of the subgroupoid"
+    back = np.full(G.n_arrows, -1, dtype=np.intp)
+    back[t] = np.arange(H.n_arrows)
+    hit = first_index(back[t] != np.arange(H.n_arrows))
+    if hit is not None:
+        (h,) = hit
+        return f"H arrows {h} and {back[t[h]]} both map to {t[h]}"
+    hit = first_index(G.inv[t] != t[H.inv])
+    if hit is not None:
+        (h,) = hit
+        return f"star fails at H arrow {h}: inv {t[h]} = {G.inv[t[h]]}, not {t[H.inv[h]]}"
+    products, image = G.table[np.ix_(t, t)], np.where(H.table >= 0, t[H.table], -1)
+    hit = first_index(products != image)
+    if hit is not None:
+        h, k = hit
+        return f"product fails at H arrows ({h},{k}): {products[h, k]} in G, not {image[h, k]}"
+    fiber_size = np.bincount(H.d, minlength=H.n_arrows)
+    reached = np.zeros(H.n_arrows, dtype=bool)
+    for fibers, idx in G.fibers_by_size:      # (m, s) fibers, (m, s, s) matrices [a b^-1]
+        for rows in chunks(len(fibers), idx[0].size):
+            P = back[idx[rows]]
+            inside = P >= 0
+            lead = inside.argmax(axis=2)
+            listed = np.take_along_axis(P, lead[..., None], axis=2)[..., 0]    # P[c, lead c]
+            y = back[G.r[np.take_along_axis(fibers[rows], lead, axis=1)]]      # r(lead c), in H
+            ranked = np.sort(lead * H.n_arrows + listed, axis=1)
+            quotient = H.table[listed[:, :, None], H.inv[listed][:, None, :]]
+            bad = np.stack((
+                (inside != (lead[:, :, None] == lead[:, None, :])).any(axis=(1, 2)),
+                ((H.d[listed] != y) | (inside.sum(axis=2) != fiber_size[y])).any(axis=1)
+                | (ranked[:, 1:] == ranked[:, :-1]).any(axis=1),
+                (inside & (P != quotient)).any(axis=(1, 2))))
+            hit = first_index(bad.any(axis=0))
+            if hit is not None:
+                (i,) = hit
+                return _class_defect(G, H, back, fibers[rows][i], P[i], lead[i],
+                                     int(np.argmax(bad[:, i])))
+            reached[y] = True
+    hit = first_index(reached != H.unit_mask)
+    if hit is not None:
+        (y,) = hit
+        return (f"H arrow {y} is a class's range but not a unit of H" if reached[y]
+                else f"H unit {y} is reached by no class")
+    return None
+
+
+def _class_defect(G: FiniteGroupoid, H: FiniteGroupoid, back: np.ndarray, fiber: np.ndarray,
+                  P: np.ndarray, lead: np.ndarray, condition: int) -> str:
+    """The witness of ``embedding_defect`` at the unit of a d-fiber of G,
+    from back (G's arrows as H's, -1 off H), the fiber's matrix P of H's
+    arrows, each row's lead and the first failing condition: 0 cosets,
+    1 bijection, 2 block."""
+    x, inside = int(G.d[fiber[0]]), P >= 0
+    if condition == 0:
+        a, b = first_index(inside != (lead[:, None] == lead))
+        where = "in H across classes" if inside[a, b] else "off H inside a class"
+        return f"cosets fail at unit {x}: {fiber[a]} {fiber[b]}^-1 is {where}"
+    listed = P[np.arange(len(P)), lead]
+    if condition == 1:
+        for l in np.unique(lead).tolist():
+            y = back[G.r[fiber[l]]]
+            if not np.array_equal(np.sort(listed[lead == l]), np.flatnonzero(H.d == y)):
+                return f"class of {fiber[l]} at unit {x} does not list H's fiber at unit {y}"
+    quotient = H.table[listed[:, None], H.inv[listed]]
+    a, b = first_index(inside & (P != quotient))
+    return (f"class block fails at unit {x}: {fiber[a]} {fiber[b]}^-1 is H arrow {P[a, b]},"
+            f" not {quotient[a, b]}")
 
 
 def embed(emb: EmbeddedSubgroupoid, f: GroupoidFunction) -> GroupoidFunction:

@@ -3,7 +3,7 @@
     germlab check <subject>
     germlab analyze <subject>
     germlab germs <subject> --action universal|tight [--dot FILE]
-    germlab verify <subject> --suite universal|tight|extension|algebra|all [--csv FILE]
+    germlab verify <subject> --suite universal|tight|extension|algebra|all
     germlab example <name> [--emit json]
 
 A subject is a semigroup JSON file, ``builtin:<name>``, or (for verify)
@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 from collections import Counter
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -148,17 +147,10 @@ def cmd_germs(args) -> int:
 
 def cmd_verify(args) -> int:
     subjects = None if args.subject == "corpus" else [_load_subject(args.subject)]
-    # the CSV file is opened before any suite runs, so that an unwritable
-    # path fails at once
-    with open(args.csv, "w", encoding="utf-8") if args.csv else nullcontext() as fh:
-        csv_rows: list[str] | None = None if fh is None else []
-        reports = [] if subjects else global_reports(args.suite)
-        for name, S in subjects or corpus():
-            reports += run_suite(name, S, args.suite, csv_rows)
-        sys.stdout.write(render_reports(reports))
-        if fh is not None:
-            fh.write("subject,check,sample,deviation\n")
-            fh.writelines(row + "\n" for row in csv_rows)
+    reports = [] if subjects else global_reports(args.suite)
+    for name, S in subjects or corpus():
+        reports += run_suite(name, S, args.suite)
+    sys.stdout.write(render_reports(reports))
     return PASS if all(r.passed for r in reports) else CHECK_FAILURE
 
 
@@ -200,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("subject", help="file, builtin:<name>, or 'corpus'")
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
-    p.add_argument("--csv", metavar="FILE", default=None,
-                   help="write the norm deviation of each embedding_isometric sample as CSV")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("example", help="construct a built-in example")

@@ -39,7 +39,7 @@ ISO_SEARCH_CAP = 64
 # validate_groupoid offers a groupoid with more composable triples than this
 # to the Brandt normal form first; a smaller one, where the triple scan is
 # cheap, goes straight to the scan
-ASSOCIATIVITY_BATCH = 1 << 14
+NORMAL_FORM_TRIPLES = 1 << 14
 
 
 @dataclass(eq=False, frozen=True)
@@ -333,7 +333,7 @@ def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     Associativity is certified through the Brandt normal form
     (``_brandt_certificate``) when the composable triples, the sum over the
     composable pairs (g, h) of |r^-1(d h)|, number more than
-    ``ASSOCIATIVITY_BATCH``: Phi(g) = (r g, d g, gamma g) is then a
+    ``NORMAL_FORM_TRIPLES``: Phi(g) = (r g, d g, gamma g) is then a
     product-preserving bijection onto the disjoint union of the Brandt
     groupoids X_D x X_D x G_D, which is associative when every G_D is.  A
     smaller groupoid, or one the certificate does not certify, is compared
@@ -395,7 +395,7 @@ def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
         (i,) = hit
         raise StructureError(f"inverse laws fail at ({left[i]},{right[i]})")
     triples = np.bincount(r, minlength=n)[d[right]].sum()
-    if triples <= ASSOCIATIVITY_BATCH or not _brandt_certificate(G, left, right, product):
+    if triples <= NORMAL_FORM_TRIPLES or not _brandt_certificate(G, left, right, product):
         _associativity_scan(G, left, right, product)
     return G
 

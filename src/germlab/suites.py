@@ -10,13 +10,13 @@ belongs to exactly one suite:
 
 A check is declared once, at module level: ``@check(suite, name,
 statement)`` over a body that takes one ``Run`` (the subject's name, which
-seeds its samples; its ``Subject``; the algebra suite's CSV sink) and
-returns ``(ok, witness)``.  ``corpus_wide=True`` marks a check that takes no
-subject and runs once per corpus.  ``run_checks`` runs a suite's checks in
-declaration order, which is their report order, and turns a
-``StructureError`` into an ``error: ...`` failure witness; ``run_suite``,
-``global_reports`` and the tests all go through it.  Failures always carry
-a concrete witness, and two runs of a suite produce byte-identical reports.
+seeds its samples, and its ``Subject``) and returns ``(ok, witness)``.
+``corpus_wide=True`` marks a check that takes no subject and runs once per
+corpus.  ``run_checks`` runs a suite's checks in declaration order, which
+is their report order, and turns a ``StructureError`` into an ``error:
+...`` failure witness; ``run_suite``, ``global_reports`` and the tests all
+go through it.  Failures always carry a concrete witness, and two runs of
+a suite produce byte-identical reports.
 
 ``run_suite`` hands one ``extensions.Subject`` to every check it runs, so each
 structure is built at most once per call and dropped when the call returns.
@@ -137,11 +137,10 @@ class VerificationReport:
 
 @dataclass
 class Run:
-    """What a check body reads: the subject's name, its Subject, the CSV sink."""
+    """What a check body reads: the subject's name and its Subject."""
 
     name: str
     sub: Subject | None
-    csv_rows: list[str] | None = None
 
     def seed(self, tag: str) -> int:
         return zlib.crc32(f"{self.name}/{tag}".encode())
@@ -167,12 +166,11 @@ def check(suite: str, name: str, statement: str, corpus_wide: bool = False):
     return declare
 
 
-def run_checks(name: str, sub: Subject | None, suite: str,
-               csv_rows: list[str] | None = None) -> list[CheckResult]:
+def run_checks(name: str, sub: Subject | None, suite: str) -> list[CheckResult]:
     """Run the checks of a suite in declaration order: the subject's checks
     over ``sub``, or the corpus-wide ones when ``sub`` is None.  A check's
     own name in place of ``suite`` runs that check alone."""
-    run = Run(name, sub, csv_rows)
+    run = Run(name, sub)
     results = []
     for c in CHECKS:
         if c.name != suite and (c.suite, c.corpus_wide) != (suite, sub is None):
@@ -806,12 +804,13 @@ def _semidirect_decomposition(run):
 
 
 # ---------------------------------------------------------------------------
-# algebra suite: each sampled check draws all its samples in one call, in the
-# order of one sample after another, evaluates them together, and reports the
-# first failing sample: the verdicts, witnesses and CSV rows of a loop over
-# the samples that stops at the first failure.  Only the embedding's isometry
-# compares norms, to ``NORM_TOL``, and writes CSV rows; the C*-identity is an
-# exact certificate, and every other check compares values with ``==``.
+# algebra suite: the C*-identity and the embedding's isometric
+# *-homomorphism are exact index certificates, with no samples and no
+# floats, so the suite takes no norm.  Each sampled check draws all its
+# samples in one call, in the order of one sample after another, evaluates
+# them together, compares values with ``==``, and reports the first failing
+# sample: the verdict and witness of a loop over the samples that stops at
+# the first failure.
 
 
 def _first_failure(*passes: np.ndarray) -> tuple[int, int] | None:
@@ -853,23 +852,17 @@ def _cstar_identity(run):
 @check("algebra", "algebra.embedding_isometric",
        "extension by zero from the centralizer bundle is an isometric *-homomorphism")
 def _embedding_isometric(run):
-    (G, emb, H), k = _bundle(run.sub), ALGEBRA_SAMPLES
-    f, g = alg.random_functions(alg.SplitMix64(run.seed("embed")), k, H, H)
-    multiplicative = alg.embed(emb, alg.convolve(f, g)).equals(
-        alg.convolve(alg.embed(emb, f), alg.embed(emb, g)))
-    ef = alg.embed(emb, f)
-    star = alg.embed(emb, alg.involution(f)).equals(alg.involution(ef))
-    err = np.abs(alg.reduced_norm(G, ef) - alg.reduced_norm(H, f))
-    fail = _first_failure(multiplicative, star, err <= alg.NORM_TOL)
-    if run.csv_rows is not None:
-        rows = k if fail is None else fail[0] + (fail[1] == 2)
-        run.csv_rows.extend(f"{run.name},embed,{i},{err[i]:.3e}" for i in range(rows))
-    if fail is not None:
-        i, test = fail
-        return False, (f"not multiplicative at sample {i}",
-                       f"does not intertwine the involution at sample {i}",
-                       f"not isometric at sample {i} (off by {err[i]:.2e})")[test]
-    return True, f"{k} samples, worst norm deviation {np.max(err, initial=0.0):.2e}"
+    """The exact certificate ``algebra.embedding_defect``: no samples and no
+    tolerance.  The bundle's blocks at the units of G are its cosets, H_u c
+    over the arrows c of range u, so there are |r^-1(u)| / |H_u| at u."""
+    G, emb, _ = _bundle(run.sub)
+    defect = alg.embedding_defect(emb)
+    if defect is not None:
+        return False, defect
+    units = list(G.units)
+    blocks = (np.bincount(G.r, minlength=G.n_arrows)[units]
+              // np.bincount(G.r[emb.to_parent], minlength=G.n_arrows)[units]).sum()
+    return True, f"units certified: {len(units)}, bundle blocks: {blocks}"
 
 
 @check("algebra", "algebra.conditional_expectation",
@@ -959,8 +952,7 @@ def _hypothesis_checker(run):
 # orchestration
 
 
-def run_suite(name: str, S: InverseSemigroup, suite: str,
-              csv_rows: list[str] | None = None) -> list[VerificationReport]:
+def run_suite(name: str, S: InverseSemigroup, suite: str) -> list[VerificationReport]:
     """Per-subject reports for one suite (or all of them), over one Subject."""
     suites = SUITE_NAMES if suite == "all" else (suite,)
     sub = Subject(S)
@@ -968,7 +960,7 @@ def run_suite(name: str, S: InverseSemigroup, suite: str,
     for s in suites:
         if s not in SUITE_NAMES:
             raise StructureError(f"unknown suite '{s}'")
-        reports.append(VerificationReport(name, s, run_checks(name, sub, s, csv_rows)))
+        reports.append(VerificationReport(name, s, run_checks(name, sub, s)))
     return reports
 
 

@@ -373,8 +373,30 @@ RELABELLED_S4 = "symmetric:4 relabelled"
 ORBIT_SUBJECTS = CORPUS_NAMES + LADDER + (RELABELLED_S4,)
 # |orbit norm - all-unit norm| in ulps of the norm; the largest seen on the
 # subjects below is 9 (group:z70, 70 moduli after a DFT of length 70), far
-# inside NORM_TOL, which is 4.5e6 ulps at norm 1
+# inside norm_rtol, which is 1.6e5 ulps at norm 1 on group:z70
 ORBIT_NORM_ULPS = 16
+UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
+
+def norm_rtol(G):
+    """The relative tolerance of a comparison between computed norms on G:
+    64 s^2 u, s the largest d-fiber, u the unit roundoff.
+
+    A block of fiber size s = r o is split by a DFT of length o into r x r
+    blocks B_t.  Each entry of B_t sums o products with rounded roots of
+    unity, so it is within gamma_(o+3) of the sum of the moduli (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, sections 3.1
+    and 3.6); the matrix of those sums has Frobenius norm at most sqrt(s)
+    times the block's norm, so B_t moves by at most (o + 3) sqrt(s) u
+    relative, below 4 s^2 u.  Its norm, the square root of the top
+    eigenvalue of the Gram matrix, adds a relative O(r u): r gamma_r from
+    the product (section 3.5) and the backward error of ``eigvalsh``, by
+    Weyl's inequality, both below 4 s^2 u with LAPACK's modest constants.
+    So a computed norm is within 8 s^2 u of the exact one, a square of it
+    within 16 s^2 u, and two such values of one exact number within
+    32 s^2 u: the tolerance keeps a factor 2 over that.  On group:z70 it is
+    3.5e-11, on symmetric:4 (s = 24) 4.1e-12."""
+    return 64 * np.bincount(G.d).max() ** 2 * UNIT_ROUNDOFF
 
 
 @lru_cache(maxsize=None)
@@ -387,16 +409,35 @@ def _germ_groupoids(name):
 @pytest.mark.parametrize("name", ("pair:3",) + ORBIT_SUBJECTS)
 def test_cstar_identity_on_random_functions(name):
     """The float C*-identity that the certificate implies: on 100 seeded
-    Gaussian-integer functions, ||f^* f|| = ||f||^2 to NORM_TOL, relative
-    above norm 1, on the pair groupoid of 3 points and on both germ
-    groupoids of every orbit subject; the certificate passes on each."""
+    Gaussian-integer functions, ||f^* f|| = ||f||^2 to ``norm_rtol``, on the
+    pair groupoid of 3 points and on both germ groupoids of every orbit
+    subject; the certificate passes on each."""
     groupoids = (pair_groupoid(3),) if name == "pair:3" else _germ_groupoids(name)
     for G in groupoids:
         (f,) = random_functions(SplitMix64(29), 100, G)
         n1 = reduced_norm(G, convolve(involution(f), f))
         n2 = reduced_norm(G, f) ** 2
-        assert (np.abs(n1 - n2) <= algebra.NORM_TOL * np.maximum(1.0, n2)).all(), name
+        assert (np.abs(n1 - n2) <= norm_rtol(G) * n2).all(), name
         assert algebra.star_representation_defect(G) is None, name
+
+
+@pytest.mark.parametrize("name", ORBIT_SUBJECTS)
+def test_centralizer_embedding_on_random_functions(name):
+    """The float isometry and the exact *-homomorphism that the embedding's
+    certificate implies: on 100 seeded Gaussian-integer functions f, g on
+    the centralizer bundle H of the universal groupoid G,
+    ||embed f||_G = ||f||_H to ``norm_rtol``, embed(f g) = embed f embed g
+    and embed(f^*) = (embed f)^* exactly; the certificate passes."""
+    S = _relabelled(builtin("symmetric:4"), 3) if name == RELABELLED_S4 else subject(name)
+    emb = centralizer_germs(germ_groupoid(universal_action(S)))
+    G, H = emb.parent, emb.groupoid
+    f, g = random_functions(SplitMix64(zlib.crc32(name.encode())), 100, H, H)
+    ef = embed(emb, f)
+    n1, n2 = reduced_norm(G, ef), reduced_norm(H, f)
+    assert (np.abs(n1 - n2) <= norm_rtol(G) * n2).all(), name
+    assert embed(emb, convolve(f, g)).equals(convolve(ef, embed(emb, g))).all(), name
+    assert embed(emb, involution(f)).equals(involution(ef)).all(), name
+    assert algebra.embedding_defect(emb) is None, name
 
 
 def _symmetric3_groupoid():
@@ -476,6 +517,96 @@ def test_cstar_certificate_refuses_an_arrow_indexed_at_two_units():
     assert units.tolist() == [0, 2] and algebra.star_representation_defect(G) is None
     stack[1] = stack[0]
     assert algebra.star_representation_defect(G) == "arrow 0 indexed at units 0 and 2"
+
+
+def _brandt_bundle():
+    """A fresh Subject of ``brandt_z2`` and its centralizer bundle, the
+    hypotheses decided, the arrays a test corrupts copied, and nothing that
+    reads them cached.  G has units 0, 2 and 6: the group Z2 = {0, 1} at 0,
+    and the Brandt groupoid over Z2 on {2, 6}, with arrows 2, 3 at 2, 6, 7
+    at 6, and 4, 5 from 2 to 6 inverse to 8, 9.  H is the isotropy, G's
+    arrows 0, 1, 2, 3, 6, 7 as H's 0 to 5, with units 0, 2 and 4.  The
+    fiber of unit 2 is 2, 3, 4, 5, in classes {2, 3} and {4, 5}; that of
+    unit 6 is 6, 7, 8, 9, in classes {6, 7} and {8, 9}."""
+    sub = Subject(builtin("brandt_z2"))
+    emb = sub.z_in_beta
+    G, H = emb.parent, emb.groupoid
+    assert emb.to_parent.tolist() == [0, 1, 2, 3, 6, 7] and H.units == (0, 2, 4)
+    assert emb.properties.normal and not {"fiber_indices", "unit_mask"} & H.__dict__.keys()
+    G.table, H.inv, H.table = G.table.copy(), H.inv.copy(), H.table.copy()
+    emb.to_parent = emb.to_parent.copy()
+    return sub, emb
+
+
+def _map_off_h(emb):
+    emb.to_parent[4] = 4
+    return "H arrow 4 maps to 4, not an arrow of the subgroupoid"
+
+
+def _map_twice(emb):
+    emb.to_parent[1] = 0
+    return "H arrows 0 and 1 both map to 0"
+
+
+def _corrupt_h_inverse(emb):
+    emb.groupoid.inv[1] = 0
+    return "star fails at H arrow 1: inv 1 = 1, not 0"
+
+
+def _corrupt_h_product(emb):
+    emb.groupoid.table[2, 3] = 2
+    return "product fails at H arrows (2,3): 3 in G, not 2"
+
+
+def _corrupt_class_block(emb):
+    """9 9^-1 = 2, inside the class {8, 9} at unit 6, becomes 3."""
+    emb.parent.table[9, 5] = 3
+    return "class block fails at unit 6: 9 9^-1 is H arrow 3, not 2"
+
+
+def _corrupt_class_lead(emb):
+    """8 8^-1 = 2, at the lead of the class {8, 9}, becomes 3, which 9 8^-1
+    already lists."""
+    emb.parent.table[8, 4] = 3
+    return "class of 8 at unit 6 does not list H's fiber at unit 2"
+
+
+def _join_two_classes(emb):
+    """2 4^-1 = 8 at unit 2, across the classes {2, 3} and {4, 5}, becomes
+    the unit 2 of H."""
+    emb.parent.table[2, 8] = 2
+    return "cosets fail at unit 2: 2 4^-1 is in H across classes"
+
+
+def _unreached_unit(emb):
+    emb.groupoid.units += (1,)
+    return "H unit 1 is reached by no class"
+
+
+def _dropped_unit(emb):
+    emb.groupoid.units = (0, 2)
+    return "H arrow 4 is a class's range but not a unit of H"
+
+
+@pytest.mark.parametrize("mutate", [_map_off_h, _map_twice, _corrupt_h_inverse,
+                                    _corrupt_h_product, _corrupt_class_block,
+                                    _corrupt_class_lead, _join_two_classes,
+                                    _unreached_unit, _dropped_unit])
+def test_embedding_certificate_names_the_first_failure(mutate):
+    """Each corruption of the map into G, of H's inverses or table, of G's
+    table inside or across the classes of a fiber, or of H's units fails
+    the certificate, whose witness names the arrow, the pair or the class;
+    the algebra suite's check reports that witness.  Uncorrupted, both
+    pass."""
+    sub, emb = _brandt_bundle()
+    witness = mutate(emb)
+    assert algebra.embedding_defect(emb) == witness
+    [result] = run_checks("brandt_z2", sub, "algebra.embedding_isometric")
+    assert (result.passed, result.witness) == (False, witness)
+    sub, emb = _brandt_bundle()
+    assert algebra.embedding_defect(emb) is None
+    [result] = run_checks("brandt_z2", sub, "algebra.embedding_isometric")
+    assert (result.passed, result.witness) == (True, "units certified: 3, bundle blocks: 5")
 
 
 @pytest.mark.parametrize("name", ORBIT_SUBJECTS)
@@ -779,19 +910,18 @@ def test_reduced_norm_decomposes_o_matrices_per_orbit_with_r_above_1(name, monke
 
 
 def test_algebra_suite_svds_only_small_blocks(monkeypatch):
-    """``group:z70``'s one 70 x 70 block splits into 70 moduli, so its
-    algebra suite hands ``np.linalg.eigvalsh`` no matrix; ``symmetric:4``'s
-    hands it exactly 800, none larger than 8 x 8 (the 24 x 24 blocks split
-    by cyclic subgroups of orders 3 and 4, one block kept per class of
-    conjugate characters): the 100 isometry samples, whose 8 matrices per
-    function are the only norms the suite takes, since the C*-identity is
-    certified without any.  Neither hands ``np.linalg.svd`` any."""
+    """The algebra suite takes no norm: the C*-identity and the embedding's
+    isometry are index certificates.  On ``group:z70`` and ``symmetric:4``
+    it calls ``reduced_norm`` zero times and hands ``np.linalg.eigvalsh``
+    and ``np.linalg.svd`` no matrix, so no sampled norm creeps back."""
     shapes, svds = _counting(monkeypatch, "eigvalsh"), _counting(monkeypatch, "svd")
-    run_suite("group:z70", builtin("group:z70"), "algebra")
-    assert shapes == []
-    run_suite("symmetric:4", builtin("symmetric:4"), "algebra")
-    assert len(shapes) == 800 and max(max(shape) for shape in shapes) == 8
-    assert svds == []
+    norms = []
+    real = algebra.reduced_norm
+    monkeypatch.setattr(algebra, "reduced_norm", lambda G, f: norms.append(G) or real(G, f))
+    for name in ("group:z70", "symmetric:4"):
+        [report] = run_suite(name, builtin(name), "algebra")
+        assert report.passed, name
+    assert (shapes, svds, norms) == ([], [], [])
 
 
 def _reference_splitmix(seed, count):

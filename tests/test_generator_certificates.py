@@ -878,14 +878,14 @@ def test_topology_predicates_equal_the_frozenset_loops(name):
         assert is_effective(G) == reference_is_effective(G)
 
 
-@pytest.mark.parametrize("batch", [0, groupoids.ASSOCIATIVITY_BATCH])
-def test_associativity_witness_is_row_major_across_units(monkeypatch, batch):
+@pytest.mark.parametrize("threshold", [0, groupoids.NORMAL_FORM_TRIPLES])
+def test_associativity_witness_is_row_major_across_units(monkeypatch, threshold):
     """Two broken loops and a pair groupoid, arrows shuffled, so that the
     units' order differs from the pairs' row-major order: every pair in one
-    chunk, or (batch 0) offered to the normal form first and then scanned
-    one pair per chunk."""
-    monkeypatch.setattr(groupoids, "ASSOCIATIVITY_BATCH", batch)
-    if not batch:
+    chunk, or (threshold 0) offered to the normal form first and then
+    scanned one pair per chunk."""
+    monkeypatch.setattr(groupoids, "NORMAL_FORM_TRIPLES", threshold)
+    if not threshold:
         monkeypatch.setattr(semigroups, "CHUNK_ENTRIES", 1)
     rng = np.random.default_rng(5)
     seen = set()
@@ -946,7 +946,7 @@ def test_normal_form_refuses_a_twist_off_the_base_unit(monkeypatch, n, twisted, 
     the base isotropy group is Z7 and associative, so only the product
     check gamma(gh) = gamma(g) gamma(h) can refuse the certificate.  It is
     refused on each, and the scan names the triple of the axiom loops."""
-    monkeypatch.setattr(groupoids, "ASSOCIATIVITY_BATCH", 0)
+    monkeypatch.setattr(groupoids, "NORMAL_FORM_TRIPLES", 0)
     assert certified(twisted_brandt(n, ()))
     twist = twisted_brandt(n, twisted)
     parts = (PAIR2, twist, groupoids.group_as_groupoid(Z7_RENAMED))
@@ -1015,7 +1015,7 @@ def test_universal_suite_makes_no_per_element_calls(monkeypatch):
 def test_triple_scan_runs_on_one_batch_groupoids_only(monkeypatch):
     """``validate_groupoid`` runs the triple scan once on every corpus germ
     groupoid (at most 945 composable triples, under the
-    ``ASSOCIATIVITY_BATCH`` threshold, so never offered to the normal form)
+    ``NORMAL_FORM_TRIPLES`` threshold, so never offered to the normal form)
     and never on the universal germ groupoids of ``group:z70``,
     ``symmetric:4`` and graph7, which are past it and which the normal form
     certifies."""

@@ -251,9 +251,9 @@ def test_validate_groupoid_names_the_broken_axiom(G, fields, message):
 
 @pytest.mark.parametrize("G,fields,message", BROKEN_AXIOMS)
 def test_normal_form_path_names_the_broken_axiom(monkeypatch, G, fields, message):
-    """The cases above with ``ASSOCIATIVITY_BATCH`` at 0, so that every
+    """The cases above with ``NORMAL_FORM_TRIPLES`` at 0, so that every
     groupoid with a composable triple is offered to the normal form first."""
-    monkeypatch.setattr(groupoids, "ASSOCIATIVITY_BATCH", 0)
+    monkeypatch.setattr(groupoids, "NORMAL_FORM_TRIPLES", 0)
     test_validate_groupoid_names_the_broken_axiom(G, fields, message)
 
 
@@ -306,7 +306,7 @@ def test_associativity_batches_keep_the_row_major_witness(monkeypatch):
     the normal form first and then scanned one composable pair per chunk:
     the loop's failure comes in a later chunk than the first and keeps its
     row-major witness."""
-    monkeypatch.setattr(groupoids, "ASSOCIATIVITY_BATCH", 0)
+    monkeypatch.setattr(groupoids, "NORMAL_FORM_TRIPLES", 0)
     monkeypatch.setattr(semigroups, "CHUNK_ENTRIES", 1)
     n = 4 + 7
     table = np.full((n, n), -1, dtype=np.intp)
@@ -345,9 +345,9 @@ def certified(G) -> bool:
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_normal_form_path_matches_the_axiom_loops_on_corruptions(monkeypatch, name):
-    """The sweep below with ``ASSOCIATIVITY_BATCH`` at 0 gives the same
+    """The sweep below with ``NORMAL_FORM_TRIPLES`` at 0 gives the same
     messages, and the certificate holds on both uncorrupted groupoids."""
-    monkeypatch.setattr(groupoids, "ASSOCIATIVITY_BATCH", 0)
+    monkeypatch.setattr(groupoids, "NORMAL_FORM_TRIPLES", 0)
     test_validate_groupoid_matches_the_axiom_loops_on_corruptions(name)
     S = builtin(name)
     assert all(certified(germ_groupoid(action).groupoid)

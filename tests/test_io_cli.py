@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from germlab import builtins, cli, semilattices
+from germlab import builtins, semilattices
 from germlab.actions import DirectedGraph
 from germlab.builtins import CORPUS_NAMES, NAMED_GRAPHS, builtin, corpus
 from germlab.cli import main
@@ -303,18 +303,7 @@ def test_cli_example_emits_loadable_json(tmp_path, capsys):
     assert load_semigroup(str(path)).size == 7
 
 
-def test_cli_verify_csv(tmp_path, capsys):
-    csv = tmp_path / "norms.csv"
-    assert main(["verify", "builtin:b2", "--suite", "algebra",
-                 "--csv", str(csv)]) == 0
-    capsys.readouterr()
-    lines = csv.read_text().splitlines()
-    assert lines[0] == "subject,check,sample,deviation"
-    assert len(lines) > 100
-
-
 @pytest.mark.parametrize("argv", [
-    ["verify", "builtin:group:z1", "--suite", "tight", "--csv", "{out}"],
     ["germs", "builtin:b2", "--dot", "{out}"],
     ["example", "b2", "--out", "{out}"],
 ])
@@ -324,18 +313,6 @@ def test_cli_unwritable_output_is_input_error(tmp_path, capsys, argv):
     out = tmp_path / "missing" / "file"
     assert main([a.format(out=out) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
-
-
-@pytest.mark.parametrize("subject", ["builtin:b2", "corpus"])
-def test_cli_unwritable_csv_fails_before_any_suite_runs(tmp_path, capsys, monkeypatch, subject):
-    calls = []
-    real = cli.run_suite
-    monkeypatch.setattr(cli, "run_suite", lambda *args: calls.append(args) or real(*args))
-    out = tmp_path / "missing" / "norms.csv"
-    assert main(["verify", subject, "--suite", "algebra", "--csv", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and captured.out == ""
-    assert calls == []
 
 
 @pytest.mark.parametrize("command", [["check"], ["analyze"], ["germs"],
