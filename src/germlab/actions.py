@@ -49,6 +49,7 @@ from .groupoids import (
     subgroupoid_properties,
 )
 from .semigroups import (
+    GRAPH_TABLE_ENTRIES,
     TABLE_CAP,
     InverseSemigroup,
     Relation,
@@ -420,11 +421,11 @@ class DirectedGraph:
         return sum(1 for _, h in self.edges if h == v)
 
 
-def _element_count(graph: DirectedGraph) -> int:
-    """1 + the sum of T(v)^2 over the vertices, where T(v) counts the paths
-    with tail v: T(v) = 1 + the sum of T(w) over the edges (v, w), run along
-    Kahn's topological order backwards.  A vertex the order never reaches
-    lies on a cycle, and the graph is refused."""
+def _path_counts(graph: DirectedGraph) -> tuple[int, int]:
+    """The number of paths, the sum of T(v), and of elements, 1 + the sum of
+    T(v)^2, where T(v) counts the paths with tail v: T(v) = 1 + the sum of
+    T(w) over the edges (v, w), run along Kahn's topological order
+    backwards.  A vertex the order never reaches lies on a cycle: refused."""
     V = graph.n_vertices
     heads: list[list[int]] = [[] for _ in range(V)]
     into = [0] * V
@@ -442,7 +443,7 @@ def _element_count(graph: DirectedGraph) -> int:
     T = [1] * V
     for v in reversed(order):
         T[v] += sum(T[w] for w in heads[v])
-    return 1 + sum(t * t for t in T)
+    return sum(T), 1 + sum(t * t for t in T)
 
 
 def _path_tables(graph: DirectedGraph):
@@ -486,8 +487,9 @@ def graph_inverse_semigroup(graph: DirectedGraph) -> InverseSemigroup:
     """Zero plus the elements x y* over paths x, y with a common tail.
 
     The graph must be acyclic so the path set is finite, and one whose
-    semigroup has more than ``TABLE_CAP`` elements is refused before any
-    path is listed; one with ``TABLE_CAP`` vertices or more, before its
+    semigroup has more than ``TABLE_CAP`` elements, or whose tables hold
+    more than ``GRAPH_TABLE_ENTRIES`` entries, is refused before any path
+    is listed; one with ``TABLE_CAP`` vertices or more, before its
     elements are counted.  The elements (x, y) are numbered row-major after
     the zero, whose two paths are the extra index P of ``_path_tables``.  Then
     (x y*)(u v*) is x z v* where u = y z, x (v z)* where y = u z, and the
@@ -497,9 +499,13 @@ def graph_inverse_semigroup(graph: DirectedGraph) -> InverseSemigroup:
     if graph.n_vertices >= TABLE_CAP:     # before one list per vertex: |S| >= 1 + V
         raise SizeBudgetExceeded(f"graph inverse semigroup has at least "
                                  f"{graph.n_vertices + 1} elements > {TABLE_CAP}")
-    n = _element_count(graph)
+    P, n = _path_counts(graph)
     if n > TABLE_CAP:
         raise SizeBudgetExceeded(f"graph inverse semigroup has {n} elements > {TABLE_CAP}")
+    entries = (P + 1) * (3 * P + 3 + len(graph.edges)) + n * n    # cat, rest, index, ext, table
+    if entries > GRAPH_TABLE_ENTRIES:
+        raise SizeBudgetExceeded(f"graph inverse semigroup tables hold {entries} entries > "
+                                 f"{GRAPH_TABLE_ENTRIES}")
     tail, path, cat, rest = _path_tables(graph)
     x, y = (np.append(tail.size, a) for a in np.nonzero(tail[:, None] == tail))
     index = np.zeros_like(cat)                          # the element (x, y), 0 if none

@@ -111,16 +111,12 @@ memory a stack adds is bounded; a 100-row convolution on ``group:z70``'s
 70x70 fiber runs in 17 chunks.  Chunking changes no result, since every
 row is computed on its own.
 
-Samples: ``random_functions`` draws Gaussian integers, real and imaginary
-parts in [-3, 3], from ``SplitMix64``, a counter-based generator in uint64
-array arithmetic (Steele, Lea and Flood, "Fast splittable pseudorandom
-number generators", OOPSLA 2014) that needs no ``numpy.random``.  Their
-convolutions, involutions, embeddings and expectations are exact, so the
-identities between them are checked with ``==`` (``GroupoidFunction.equals``).
-The suite compares no norms: the C*-identity and the embedding's isometric
-*-homomorphism are certified on the index arrays instead
-(``star_representation_defect``, ``embedding_defect``), with no samples
-and no floats.
+The algebra suite takes no samples and no norms: each of its identities
+is certified on the index arrays (``star_representation_defect``,
+``embedding_defect``, ``expectation_defect``, ``faithfulness_defect``).
+``random_functions`` draws Gaussian integers, parts in [-3, 3], from
+``SplitMix64``, a counter-based generator in uint64 array arithmetic
+(Steele, Lea and Flood, OOPSLA 2014), for the tests and the benchmark.
 """
 
 from __future__ import annotations
@@ -260,8 +256,9 @@ def reduced_norm(G: FiniteGroupoid, f: GroupoidFunction) -> float | np.ndarray:
 
 
 def star_representation_defect(G: FiniteGroupoid) -> str | None:
-    """Why the blocks that ``reduced_norm`` reads are not all *-homomorphisms
-    of the convolution algebra, or None: the certificate of the C*-identity.
+    """Why the blocks that ``reduced_norm`` reads are not a faithful
+    *-representation of the convolution algebra, or None: the certificate
+    of the C*-identity, of associativity and of anti-multiplicativity.
 
     At each representative x of ``fiber_stacks``, in ``orbit_units`` order,
     the block of f is M(f) = [f(M[a, b])] over the fiber, with
@@ -276,20 +273,22 @@ def star_representation_defect(G: FiniteGroupoid) -> str | None:
       are distinct.
 
     Then the s pairs (M[a, b], M[b, c]) over b are distinct factorizations
-    of M[a, c], s = r o the fiber size.  Last, complete sum: every indexed
-    arrow has exactly s factorizations in the table.  The lower bound
-    holds, so the certificate counts the defined entries of the table
-    against the sum of s over the indexed arrows, each indexed at one
-    representative only; only when they differ does it count each arrow's
-    factorizations, to name one.  Then (M(f) M(g))[a, c] sums f(y) g(z)
+    of M[a, c], s = r o the fiber size.  Then cover: every arrow is
+    indexed, at one representative only (the count below implies it only
+    under the unit law, which ``germ.groupoid_axioms`` checks apart).
+    Last, complete sum: every arrow has exactly s factorizations in the
+    table.  The lower bound holds, so the certificate counts the defined
+    entries of the table against the sum of s over the arrows, and counts
+    each arrow's only to name one.  Then (M(f) M(g))[a, c] sums f(y) g(z)
     over every factorization y z of M[a, c], which is (f g)(M[a, c]): each
     block is a *-homomorphism, so ||M(f^* f)|| = ||M(f)^* M(f)|| =
-    ||M(f)||^2 at every block, and the largest block norm, the reduced
-    norm, satisfies ||f^* f|| = ||f||^2 for every f.  The checks are
-    O(r^3 o^2) gathers per representative, not O(s^3), and use no samples
-    and no floats.  The witness names the first failing representative,
-    condition and index tuple, conditions in the order above, tuples
-    row-major.
+    ||M(f)||^2 at every block, and the reduced norm, the largest, satisfies
+    ||f^* f|| = ||f||^2 for every f.  By cover the direct sum M of the
+    blocks is injective, so (f g) h = f (g h) and (f g)^* = g^* f^* for
+    every f, g and h, as their images under M agree.  The checks are
+    O(r^3 o^2) gathers per representative, not O(s^3), with no samples and
+    no floats.  The witness names the first failing representative,
+    condition and index tuple, conditions in order, tuples row-major.
     """
     n, inv, flat = G.n_arrows, G.inv, G.table.reshape(-1)
     owner = np.full(n, -1, dtype=np.intp)        # the representative indexing each arrow
@@ -333,11 +332,14 @@ def star_representation_defect(G: FiniteGroupoid) -> str | None:
             a = int(shared[0])
             return f"arrow {a} indexed at units {owner[a]} and {x}"
         owner[arrows], size[arrows] = x, r * o
+    hit = first_index(owner < 0)
+    if hit is not None:
+        return f"arrow {hit[0]} indexed at no representative"
     if np.count_nonzero(G.table >= 0) != size.sum():
         count = np.bincount(G.table[G.table >= 0], minlength=n)
         a = int(np.argmax(count != size))
-        where = f" at unit {owner[a]}" if owner[a] >= 0 else ", indexed nowhere"
-        return f"sum incomplete{where}: arrow {a} has {count[a]} factorizations, not {size[a]}"
+        return (f"sum incomplete at unit {owner[a]}: arrow {a} has {count[a]} factorizations,"
+                f" not {size[a]}")
     return None
 
 
@@ -359,17 +361,45 @@ def _require_bundle(emb: EmbeddedSubgroupoid, *, closed: bool = False) -> None:
         raise HypothesisFailed("closed")
 
 
+def _map_defect(emb: EmbeddedSubgroupoid) -> str | None:
+    """Why t = ``to_parent`` does not map H isomorphically onto the
+    subgroupoid's arrows, or None, conditions in this order: bijection
+    (every entry is one of those arrows, no two are equal, and each arrow
+    is an entry); star, ``G.inv[t] == t[H.inv]``; products,
+    ``G.table[t, t] == t[H.table]`` with -1 exactly where H's table is -1.
+    """
+    G, H, t = emb.parent, emb.groupoid, emb.to_parent
+    hit = first_index(~emb.arrows[t])
+    if hit is not None:
+        return f"H arrow {hit[0]} maps to {t[hit]}, not an arrow of the subgroupoid"
+    back = np.full(G.n_arrows, -1, dtype=np.intp)
+    back[t] = np.arange(H.n_arrows)
+    hit = first_index(back[t] != np.arange(H.n_arrows))
+    if hit is not None:
+        return f"H arrows {hit[0]} and {back[t[hit]]} both map to {t[hit]}"
+    hit = first_index(emb.arrows & (back < 0))
+    if hit is not None:
+        return f"arrow {hit[0]} of the subgroupoid is the image of no H arrow"
+    hit = first_index(G.inv[t] != t[H.inv])
+    if hit is not None:
+        (h,) = hit
+        return f"star fails at H arrow {h}: inv {t[h]} = {G.inv[t[h]]}, not {t[H.inv[h]]}"
+    products, image = G.table[np.ix_(t, t)], np.where(H.table >= 0, t[H.table], -1)
+    hit = first_index(products != image)
+    if hit is not None:
+        h, k = hit
+        return f"product fails at H arrows ({h},{k}): {products[h, k]} in G, not {image[h, k]}"
+    return None
+
+
 def embedding_defect(emb: EmbeddedSubgroupoid) -> str | None:
     """Why extension by zero from the bundle H into its parent G is not an
     isometric *-homomorphism, or None: the certificate of the embedding.
 
-    After the bundle hypotheses (``_require_bundle``), with t = ``to_parent``:
-
-    - t is a bijection onto the subgroupoid's arrows (every entry is one of
-      them, no two entries are equal), so ``embed`` writes each value once;
-    - star: ``G.inv[t] == t[H.inv]``, so embed(f^*) = embed(f)^*;
-    - products: ``G.table[t, t] == t[H.table]``, with -1 exactly where H's
-      table is -1, so embed(f g) = embed(f) embed(g).
+    After the bundle hypotheses (``_require_bundle``), t = ``to_parent``
+    maps H isomorphically onto the subgroupoid's arrows (``_map_defect``),
+    so ``embed`` writes each value once, embed(f^*) = embed(f)^* and
+    embed(f g) = embed(f) embed(g).
 
     Isometry, at every unit x of G (each stack of ``fibers_by_size``):
     P = back[idx], where back inverts t, is the fiber matrix [a b^-1]
@@ -394,26 +424,12 @@ def embedding_defect(emb: EmbeddedSubgroupoid) -> str | None:
     condition and the first failing pair, row-major, or class, by lead.
     """
     _require_bundle(emb)
-    G, H, t = emb.parent, emb.groupoid, emb.to_parent
-    hit = first_index(~emb.arrows[t])
-    if hit is not None:
-        (h,) = hit
-        return f"H arrow {h} maps to {t[h]}, not an arrow of the subgroupoid"
+    defect = _map_defect(emb)
+    if defect is not None:
+        return defect
+    G, H = emb.parent, emb.groupoid
     back = np.full(G.n_arrows, -1, dtype=np.intp)
-    back[t] = np.arange(H.n_arrows)
-    hit = first_index(back[t] != np.arange(H.n_arrows))
-    if hit is not None:
-        (h,) = hit
-        return f"H arrows {h} and {back[t[h]]} both map to {t[h]}"
-    hit = first_index(G.inv[t] != t[H.inv])
-    if hit is not None:
-        (h,) = hit
-        return f"star fails at H arrow {h}: inv {t[h]} = {G.inv[t[h]]}, not {t[H.inv[h]]}"
-    products, image = G.table[np.ix_(t, t)], np.where(H.table >= 0, t[H.table], -1)
-    hit = first_index(products != image)
-    if hit is not None:
-        h, k = hit
-        return f"product fails at H arrows ({h},{k}): {products[h, k]} in G, not {image[h, k]}"
+    back[emb.to_parent] = np.arange(H.n_arrows)
     fiber_size = np.bincount(H.d, minlength=H.n_arrows)
     reached = np.zeros(H.n_arrows, dtype=bool)
     for fibers, idx in G.fibers_by_size:      # (m, s) fibers, (m, s, s) matrices [a b^-1]
@@ -484,6 +500,60 @@ def conditional_expectation(emb: EmbeddedSubgroupoid, f: GroupoidFunction
     if f.groupoid is not emb.parent:
         raise GroupoidMismatch("function must live on the parent groupoid")
     return GroupoidFunction(emb.groupoid, f.values.take(emb.to_parent, axis=-1))
+
+
+def expectation_defect(emb: EmbeddedSubgroupoid) -> str | None:
+    """Why restriction E to the closed bundle H is not an idempotent bimodule
+    projection, or None.  After the hypotheses: map, t = ``to_parent`` is an
+    isomorphism onto the subgroupoid's arrows (``_map_defect``), so
+    E(embed(h)) = h and E(embed(E(f))) = E(f); units, t maps H's units onto
+    G's; crossing, in every d-fiber of G, w y^-1 is off H for w in H and y
+    off H (closure gives it in a groupoid; the check does not assume one).
+    ``convolve`` sums over the pairs (w y^-1, y) of a fiber, so then
+    E(embed(a) f embed(b)) reads only factorizations x y z inside H, which
+    t matches with H's: it is a E(f) b.  The witness names the first failure.
+    """
+    _require_bundle(emb, closed=True)
+    defect = _map_defect(emb)
+    if defect is not None:
+        return defect
+    H, t = emb.groupoid, emb.to_parent
+    hit = first_index(emb.parent.unit_mask[t] != H.unit_mask)
+    if hit is not None:
+        return f"units fail at H arrow {hit[0]}: a unit of {'H' if H.unit_mask[hit] else 'G'} only"
+    for fibers, idx in emb.parent.fibers_by_size:     # (m, s) fibers, (m, s, s) matrices [w y^-1]
+        for rows in chunks(len(fibers), idx[0].size):
+            inside = emb.arrows[fibers[rows]]
+            hit = first_index(inside[:, :, None] & ~inside[:, None, :] & emb.arrows[idx[rows]])
+            if hit is not None:
+                w, y = fibers[rows][hit[0], list(hit[1:])]
+                return f"crossing fails: {w} {y}^-1 is in H, {y} is not"
+    return None
+
+
+def faithfulness_defect(emb: EmbeddedSubgroupoid) -> str | None:
+    """Why E(f^* f) can vanish on a nonzero f, or None: after the closed
+    bundle hypotheses, every source d(y) is in ``to_parent``'s image; and
+    ``table[inv y, y] == d(y)`` for every y; and each source u has exactly
+    |d^-1(u)| factorizations (two ``bincount``s).  So u's factorizations
+    are the (y^-1, y), and (f^* f)(u) = sum of |f(y)|^2 over d(y) = u, read
+    by E, is 0 at every u only if f = 0.  The witness names the first failure.
+    """
+    _require_bundle(emb, closed=True)
+    G = emb.parent
+    hit = first_index(~np.isin(G.d, emb.to_parent))
+    if hit is not None:
+        return f"source {G.d[hit]} of arrow {hit[0]} is not in the bundle map's image"
+    inverse = G.table[G.inv, np.arange(G.n_arrows)]
+    hit = first_index(inverse != G.d)
+    if hit is not None:
+        y = hit[0]
+        return f"inverse law fails at arrow {y}: {G.inv[y]} {y} = {inverse[y]}, not {G.d[y]}"
+    count, size = (np.bincount(a, minlength=G.n_arrows) for a in (G.table[G.table >= 0], G.d))
+    hit = first_index((size > 0) & (count != size))
+    if hit is not None:
+        return f"unit {hit[0]} has {count[hit]} factorizations, not {size[hit]}"
+    return None
 
 
 class SplitMix64:

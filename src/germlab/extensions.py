@@ -25,6 +25,7 @@ from .actions import (
     induced_subgroupoid,
     spectrum_action,
 )
+from .algebra import star_representation_defect
 from .congruences import (
     QuotientMap,
     Relation,
@@ -140,6 +141,11 @@ class Subject:
     @cached_property
     def z_in_beta(self):
         return induced_subgroupoid(self.beta, self.Z)
+
+    @cached_property
+    def star_defect(self) -> str | None:
+        """``algebra.star_representation_defect`` of G(S), for three checks."""
+        return star_representation_defect(self.beta.groupoid)
 
     @cached_property
     def universal_kernel(self) -> np.ndarray:

@@ -177,7 +177,7 @@ class FiniteGroupoid:
         by_size: dict[int, list] = {}
         for fiber, idx in self.fiber_indices:
             by_size.setdefault(len(fiber), []).append((fiber, idx))
-        return tuple((np.array([fiber for fiber, _ in pairs]),
+        return tuple((np.array([fiber for fiber, _ in pairs], dtype=np.intp),
                       np.stack([idx for _, idx in pairs])) for pairs in by_size.values())
 
     @cached_property
@@ -264,21 +264,28 @@ def _coset_circulants(fiber: np.ndarray, idx: np.ndarray, x: int, ranges: np.nda
     = a b, and row x holds the inverses: x b^-1 = b^-1.  The rows of G_x at
     those columns are its table, read once as positions in G_x; the orders,
     g and its powers, and the conjugates h^-1 g h come from that small
-    table, not from the whole fiber.
+    table, not from the whole fiber.  A table that is no group's raises a
+    ``StructureError``: G_x not closed, an arrow none of whose first |G_x|
+    powers is x (an order divides |G_x|), or g conjugate to no power.
     """
     iso = np.flatnonzero(ranges[fiber] == x)      # G_x, in increasing order
     if len(iso) == 1:           # o = 1: every arrow is its own coset
         return idx[:, :, None], np.zeros(1, dtype=np.intp)
-    at = np.empty(len(ranges), dtype=np.intp)     # an arrow's position in the fiber
+    # an arrow's position in the fiber and in G_x; -1 off them and at index -1
+    at, within = np.full((2, len(ranges) + 1), -1, dtype=np.intp)
     at[fiber] = np.arange(len(fiber))
     inverse = idx[at[x], iso]
     right = at[inverse]                           # columns that multiply by b in G_x
-    within = np.empty(len(ranges), dtype=np.intp)     # an arrow's position in G_x
     every = within[fiber[iso]] = np.arange(len(iso))
     table = within[idx[iso][:, right]]            # a b at [a, b]
+    if min(at[x], right.min(), within[inverse].min(), table.min()) < 0:
+        raise StructureError(f"the isotropy at unit {x} is not closed in the table")
     e = within[x]
     powers = every[:, None]                       # b^(j+1) at [b, j], doubled until e shows
     while not (powers == e).any(axis=1).all():
+        if powers.shape[1] >= len(iso):           # an order divides |G_x|
+            b = fiber[iso[np.argmin((powers == e).any(axis=1))]]
+            raise StructureError(f"no power b^j, j <= {len(iso)}, of arrow {b} is the unit {x}")
         powers = np.hstack((powers, table[powers[:, -1:], powers]))
     order = (powers == e).argmax(axis=1) + 1
     g = int(np.argmax(order))                     # the least arrow of largest order
@@ -287,6 +294,8 @@ def _coset_circulants(fiber: np.ndarray, idx: np.ndarray, x: int, ranges: np.nda
     exponent = np.full(len(iso), -1)
     exponent[cyclic] = np.arange(o)
     k = exponent[table[table[within[inverse], g], every]]     # h^-1 g h = g^k, or -1
+    if k.max() < 0:         # in a group h = x gives k = 1
+        raise StructureError(f"no conjugate of arrow {fiber[iso[g]]} at unit {x} is a power")
     classes = (k[k >= 0, None] * np.arange(o)) % o        # {k t} over the rows, t over the columns
     kept = np.flatnonzero(classes.min(axis=0) == np.arange(o))
     cosets = idx[:, right[cyclic]]                # [a g^j]

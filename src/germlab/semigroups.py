@@ -36,6 +36,9 @@ from .errors import NoInverse, NonUniqueInverse, NotAssociative, StructureError,
 # generators, 0.8 s).  Tables past TABLE_CAP elements are refused outright.
 LIGHT_BUDGET = 1 << 30
 TABLE_CAP = 1 << 15
+# Entries a graph's path tables, (P + 1)(3 P + 3 + E) for P paths and E edges,
+# and n^2 element table may hold: layered 4 x 3 needs 2.9e7, 20000 vertices 1.6e9
+GRAPH_TABLE_ENTRIES = 1 << 25
 # Every bounded array pass in the package runs over ``chunks`` of rows whose
 # temporaries hold about this many entries, or one row where a row holds
 # more: Light's test a stack of generators, the inverse search a block of

@@ -9,8 +9,8 @@ belongs to exactly one suite:
     algebra     the convolution *-algebra, embeddings, expectations
 
 A check is declared once, at module level: ``@check(suite, name,
-statement)`` over a body that takes one ``Run`` (the subject's name, which
-seeds its samples, and its ``Subject``) and returns ``(ok, witness)``.
+statement)`` over a body that takes one ``Run`` (the subject's name and
+its ``Subject``) and returns ``(ok, witness)``.
 ``corpus_wide=True`` marks a check that takes no subject and runs once per
 corpus.  ``run_checks`` runs a suite's checks in declaration order, which
 is their report order, and turns a ``StructureError`` into an ``error:
@@ -39,7 +39,6 @@ bitmask words, and only ``tight.ultrafilters_maximal`` compares sets.
 
 from __future__ import annotations
 
-import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
@@ -98,7 +97,6 @@ from .semilattices import (
 
 SUITE_NAMES = ("universal", "tight", "extension", "algebra")
 MUNN_CHECK_CAP = 10          # skip the Munn construction for larger semilattices
-ALGEBRA_SAMPLES = 100
 
 
 @dataclass
@@ -141,9 +139,6 @@ class Run:
 
     name: str
     sub: Subject | None
-
-    def seed(self, tag: str) -> int:
-        return zlib.crc32(f"{self.name}/{tag}".encode())
 
 
 @dataclass(frozen=True)
@@ -804,27 +799,9 @@ def _semidirect_decomposition(run):
 
 
 # ---------------------------------------------------------------------------
-# algebra suite: the C*-identity and the embedding's isometric
-# *-homomorphism are exact index certificates, with no samples and no
-# floats, so the suite takes no norm.  Each sampled check draws all its
-# samples in one call, in the order of one sample after another, evaluates
-# them together, compares values with ``==``, and reports the first failing
-# sample: the verdict and witness of a loop over the samples that stops at
-# the first failure.
-
-
-def _first_failure(*passes: np.ndarray) -> tuple[int, int] | None:
-    """The first sample where a test fails, and which test: None if all pass.
-
-    Each argument holds one test's verdict per sample; at one sample the
-    tests count in argument order, as a loop that checks them in turn.
-    """
-    ok = np.stack(passes)
-    bad = np.flatnonzero(~ok.all(axis=0))
-    if not bad.size:
-        return None
-    i = int(bad[0])
-    return i, int(np.flatnonzero(~ok[:, i])[0])
+# algebra suite: exact index certificates, with no samples and no floats.
+# The C*-identity, associativity and anti-multiplicativity read one,
+# ``Subject.star_defect``, computed once per subject.
 
 
 def _bundle(sub: Subject):
@@ -836,12 +813,11 @@ def _bundle(sub: Subject):
        "each orbit block of the regular representation is a *-homomorphism,"
        " so the norm satisfies the C*-identity")
 def _cstar_identity(run):
-    """The exact certificate ``algebra.star_representation_defect``, once per
-    groupoid: no samples and no tolerance."""
+    """The exact certificate ``Subject.star_defect``, read by the two
+    corollaries below too: no samples and no tolerance."""
     G = run.sub.beta.groupoid
-    defect = alg.star_representation_defect(G)
-    if defect is not None:
-        return False, defect
+    if run.sub.star_defect is not None:
+        return False, run.sub.star_defect
     sizes = Counter()
     for stack, _, _ in G.fiber_stacks:          # (orbits, r, r, o): fibers of size r o
         sizes[stack.shape[1] * stack.shape[3]] += len(stack)
@@ -868,61 +844,31 @@ def _embedding_isometric(run):
 @check("algebra", "algebra.conditional_expectation",
        "restriction to the centralizer bundle is an idempotent bimodule projection")
 def _conditional_expectation(run):
-    G, emb, H = _bundle(run.sub)
-    f, a, b, h = alg.random_functions(alg.SplitMix64(run.seed("expectation")), 20, G, H, H, H)
-    once = alg.conditional_expectation(emb, f)
-    idempotent = alg.conditional_expectation(emb, alg.embed(emb, once)).equals(once)
-    lhs = alg.conditional_expectation(
-        emb, alg.convolve(alg.convolve(alg.embed(emb, a), f), alg.embed(emb, b)))
-    bimodular = lhs.equals(alg.convolve(alg.convolve(a, once), b))
-    restores = alg.conditional_expectation(emb, alg.embed(emb, h)).equals(h)
-    fail = _first_failure(idempotent, bimodular, restores)
-    if fail is not None:
-        i, test = fail
-        return False, (f"not idempotent at sample {i}",
-                       f"bimodule identity fails at sample {i}",
-                       f"does not restore subalgebra functions at sample {i}")[test]
-    return True, "20 samples: idempotent, bimodular, restores the subalgebra"
+    _, emb, H = _bundle(run.sub)
+    defect = alg.expectation_defect(emb)
+    return defect is None, defect or (f"bundle arrows certified: {H.n_arrows},"
+                                      f" products: {np.count_nonzero(H.table >= 0)}")
 
 
 @check("algebra", "algebra.expectation_faithful",
        "the conditional expectation of f*f vanishes only on the zero function")
 def _expectation_faithful(run):
     G, emb, _ = _bundle(run.sub)
-    (f,) = alg.random_functions(alg.SplitMix64(run.seed("faithful")), ALGEBRA_SAMPLES, G)
-    phi = alg.conditional_expectation(emb, alg.convolve(alg.involution(f), f))
-    fail = _first_failure(phi.values.any(axis=1) | ~f.values.any(axis=1))
-    if fail is not None:
-        return False, f"vanishing expectation on a nonzero function (sample {fail[0]})"
-    zero = alg.GroupoidFunction(G, np.zeros(G.n_arrows, dtype=complex))
-    phi0 = alg.conditional_expectation(emb, alg.convolve(alg.involution(zero), zero))
-    if phi0.values.any():
-        return False, "nonzero expectation of zero"
-    return True, f"{ALGEBRA_SAMPLES} samples faithful"
+    defect = alg.faithfulness_defect(emb)
+    units = len(G.units)
+    return defect is None, defect or f"(f*f)(u) sums |f(y)|^2 over d(y) = u, units: {units}"
 
 
-@check("algebra", "algebra.convolution_associative",
-       "convolution of integer-valued functions associates exactly")
-def _convolution_associative(run):
-    G = run.sub.beta.groupoid
-    f, g, h = alg.random_functions(alg.SplitMix64(run.seed("assoc")), 20, G, G, G)
-    left = alg.convolve(alg.convolve(f, g), h)
-    fail = _first_failure(left.equals(alg.convolve(f, alg.convolve(g, h))))
-    if fail is not None:
-        return False, f"associativity differs at sample {fail[0]}"
-    return True, "20 integer samples associate exactly"
+def _star_corollary(run):
+    """Implied by ``Subject.star_defect`` (``algebra.star_representation_defect``)."""
+    defect, n = run.sub.star_defect, run.sub.beta.groupoid.n_arrows
+    return defect is None, defect or f"holds for all functions: faithful orbit blocks, arrows: {n}"
 
 
-@check("algebra", "algebra.involution_antimultiplicative",
-       "the involution reverses convolution products")
-def _involution_antimultiplicative(run):
-    G = run.sub.beta.groupoid
-    f, g = alg.random_functions(alg.SplitMix64(run.seed("antimult")), 20, G, G)
-    lhs = alg.involution(alg.convolve(f, g))
-    fail = _first_failure(lhs.equals(alg.convolve(alg.involution(g), alg.involution(f))))
-    if fail is not None:
-        return False, f"anti-multiplicativity fails at sample {fail[0]}"
-    return True, "20 samples"
+check("algebra", "algebra.convolution_associative",
+      "convolution of integer-valued functions associates exactly")(_star_corollary)
+check("algebra", "algebra.involution_antimultiplicative",
+      "the involution reverses convolution products")(_star_corollary)
 
 
 @check("algebra", "algebra.hypothesis_checker",

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import tracemalloc
 import zlib
 from functools import lru_cache
 
@@ -36,7 +38,7 @@ from germlab.suites import run_checks, run_suite
 
 from test_actions import diamond_munn
 from test_congruences import _relabelled
-from test_groupoids import pair_groupoid
+from test_groupoids import edited_table, pair_groupoid
 from test_order_congruence_tables import LADDER, subject
 from test_semigroups import B2_TABLE
 
@@ -578,6 +580,13 @@ def _join_two_classes(emb):
     return "cosets fail at unit 2: 2 4^-1 is in H across classes"
 
 
+def _unmapped_arrow(emb):
+    """G's arrow 4 joins the subgroupoid's mask, but no H arrow maps to it."""
+    emb.arrows = emb.arrows.copy()
+    emb.arrows[4] = True
+    return "arrow 4 of the subgroupoid is the image of no H arrow"
+
+
 def _unreached_unit(emb):
     emb.groupoid.units += (1,)
     return "H unit 1 is reached by no class"
@@ -588,7 +597,7 @@ def _dropped_unit(emb):
     return "H arrow 4 is a class's range but not a unit of H"
 
 
-@pytest.mark.parametrize("mutate", [_map_off_h, _map_twice, _corrupt_h_inverse,
+@pytest.mark.parametrize("mutate", [_map_off_h, _map_twice, _unmapped_arrow, _corrupt_h_inverse,
                                     _corrupt_h_product, _corrupt_class_block,
                                     _corrupt_class_lead, _join_two_classes,
                                     _unreached_unit, _dropped_unit])
@@ -607,6 +616,124 @@ def test_embedding_certificate_names_the_first_failure(mutate):
     assert algebra.embedding_defect(emb) is None
     [result] = run_checks("brandt_z2", sub, "algebra.embedding_isometric")
     assert (result.passed, result.witness) == (True, "units certified: 3, bundle blocks: 5")
+
+
+def _extra_unit_factorization(emb):
+    """0 4 = 0 on a pair that does not compose: unit 0 gains a third
+    factorization."""
+    emb.parent.table[0, 4] = 0
+
+
+EXPECTATION = ("algebra.conditional_expectation", algebra.expectation_defect)
+FAITHFUL = ("algebra.expectation_faithful", algebra.faithfulness_defect)
+CERTIFICATE_MUTATIONS = [
+    (EXPECTATION, _map_twice, "H arrows 0 and 1 both map to 0"),
+    (EXPECTATION, _unmapped_arrow, "arrow 4 of the subgroupoid is the image of no H arrow"),
+    (EXPECTATION, _corrupt_h_product, "product fails at H arrows (2,3): 3 in G, not 2"),
+    (EXPECTATION, _dropped_unit, "units fail at H arrow 4: a unit of G only"),
+    (EXPECTATION, _unreached_unit, "units fail at H arrow 1: a unit of H only"),
+    (EXPECTATION, _join_two_classes, "crossing fails: 2 4^-1 is in H, 4 is not"),
+    (FAITHFUL, _map_off_h, "source 6 of arrow 6 is not in the bundle map's image"),
+    (FAITHFUL, _corrupt_class_block, "inverse law fails at arrow 5: 9 5 = 3, not 2"),
+    (FAITHFUL, _extra_unit_factorization, "unit 0 has 3 factorizations, not 2"),
+]
+
+
+@pytest.mark.parametrize("certificate,mutate,witness", CERTIFICATE_MUTATIONS,
+                         ids=[c.__name__ + m.__name__ for (_, c), m, _ in CERTIFICATE_MUTATIONS])
+def test_expectation_certificates_name_the_first_failure(certificate, mutate, witness):
+    """Each corruption of the map into G, of H's table or units, of G's
+    table across a fiber's classes, of an inverse law or of a unit's
+    factorization count fails the expectation's or the faithfulness
+    certificate with its witness, directly and through its check.
+    Uncorrupted, both pass."""
+    check, defect = certificate
+    sub, emb = _brandt_bundle()
+    mutate(emb)
+    assert defect(emb) == witness
+    [result] = run_checks("brandt_z2", sub, check)
+    assert (result.passed, result.witness) == (False, witness)
+    sub, emb = _brandt_bundle()
+    assert algebra.expectation_defect(emb) is None and algebra.faithfulness_defect(emb) is None
+    assert all(run_checks("brandt_z2", sub, name)[0].passed for name in (EXPECTATION[0], FAITHFUL[0]))
+
+
+STAR_CHECKS = ("algebra.cstar_identity", "algebra.convolution_associative",
+               "algebra.involution_antimultiplicative")
+
+
+def test_star_certificate_refuses_an_arrow_indexed_at_no_representative():
+    """``brandt_z2``'s groupoid with an eleventh arrow 10 that is its own
+    range, source and inverse, is in no d-fiber of a unit and composes with
+    nothing: no block indexes it, yet the factorization count still
+    matches, since the unit law fails there.  The certificate names it, and
+    the three checks that read it fail with that witness."""
+    sub = Subject(builtin("brandt_z2"))
+    G = sub.beta.groupoid
+    table = np.full((11, 11), -1)
+    table[:10, :10] = G.table
+    lone = dataclasses.replace(G, n_arrows=11, r=np.append(G.r, 10), d=np.append(G.d, 10),
+                               inv=np.append(G.inv, 10), table=table,
+                               labels=G.labels + ("lone",))
+    witness = "arrow 10 indexed at no representative"
+    assert algebra.star_representation_defect(G) is None
+    assert algebra.star_representation_defect(lone) == witness
+    sub.beta = dataclasses.replace(sub.beta, groupoid=lone)
+    for check in STAR_CHECKS:
+        [result] = run_checks("brandt_z2", sub, check)
+        assert (result.passed, result.witness) == (False, witness), check
+
+
+@pytest.mark.parametrize("name,edits,error", [
+    ("group:z3", {(1, 1): 1}, "no power b^j, j <= 3, of arrow 1 is the unit 0"),
+    ("group:z3", {(1, 1): -1}, "the isotropy at unit 0 is not closed in the table"),
+    ("group:klein", {(0, 1): 2}, "no conjugate of arrow 1 at unit 0 is a power"),
+])
+def test_an_isotropy_table_of_no_group_fails_the_star_checks_in_bounded_memory(name, edits,
+                                                                             error):
+    """One edited entry makes the isotropy table no group's: on ``group:z3``
+    with 1 1 = 1 no power of arrow 1 is the unit, and the order search stops
+    after |G_x| = 3 columns, where it once doubled a table of powers until
+    memory ran out; with 1 1 undefined the table leaves G_x; on
+    ``group:klein`` with 0 1 = 2 no conjugate of g is a power of it.  The
+    three checks that read the star certificate fail with the error."""
+    sub = Subject(builtin(name))
+    G = sub.beta.groupoid
+    sub.beta = dataclasses.replace(sub.beta, groupoid=dataclasses.replace(
+        G, table=edited_table(G.table, edits)))
+    tracemalloc.start()
+    try:
+        results = [run_checks(name, sub, check)[0] for check in STAR_CHECKS]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert [(r.passed, r.witness) for r in results] == [(False, f"error: {error}")] * 3
+
+
+@pytest.mark.parametrize("name", ORBIT_SUBJECTS)
+def test_expectation_and_convolution_identities_on_random_functions(name):
+    """The sampled identities that the index certificates imply, as the
+    algebra suite once drew them: on seeded Gaussian-integer functions the
+    expectation E onto the centralizer bundle is idempotent, bimodular and
+    restores bundle functions, E(f^* f) vanishes only at f = 0, convolution
+    associates and the involution reverses products, all exactly; the
+    certificates pass."""
+    S = _relabelled(builtin("symmetric:4"), 3) if name == RELABELLED_S4 else subject(name)
+    emb = centralizer_germs(germ_groupoid(universal_action(S)))
+    G, H = emb.parent, emb.groupoid
+    f, g, h, a, b = random_functions(SplitMix64(zlib.crc32(name.encode())), 20, G, G, G, H, H)
+    once = conditional_expectation(emb, f)
+    assert conditional_expectation(emb, embed(emb, once)).equals(once).all(), name
+    assert conditional_expectation(emb, embed(emb, a)).equals(a).all(), name
+    lhs = conditional_expectation(emb, convolve(convolve(embed(emb, a), f), embed(emb, b)))
+    assert lhs.equals(convolve(convolve(a, once), b)).all(), name
+    phi = conditional_expectation(emb, convolve(involution(f), f))
+    assert (phi.values.any(axis=1) == f.values.any(axis=1)).all(), name
+    assert convolve(convolve(f, g), h).equals(convolve(f, convolve(g, h))).all(), name
+    assert involution(convolve(f, g)).equals(convolve(involution(g), involution(f))).all(), name
+    assert algebra.expectation_defect(emb) is None and algebra.faithfulness_defect(emb) is None
+    assert algebra.star_representation_defect(G) is None, name
 
 
 @pytest.mark.parametrize("name", ORBIT_SUBJECTS)

@@ -118,11 +118,22 @@ def test_cli_empty_or_repeated_label_is_input_error(tmp_path, capsys, labels, fi
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("vertices", [2**70, 10**12])
-def test_graph_file_with_a_huge_vertex_count_exits_2(tmp_path, vertices):
+HUGE_GRAPHS = [
+    (2**70, f"has at least {2**70 + 1} elements > 32768"),
+    (10**12, f"has at least {10**12 + 1} elements > 32768"),
+    (20000, "tables hold 1600160004 entries > 33554432"),
+]
+
+
+@pytest.mark.parametrize("vertices,message", HUGE_GRAPHS,
+                         ids=[str(v) for v, _ in HUGE_GRAPHS])
+def test_graph_file_with_a_huge_vertex_count_exits_2(tmp_path, vertices, message):
     """|S| >= 1 + V, so V >= 2^15 vertices is refused before any per-vertex
-    list is built.  Run in a child process whose address space is capped
-    at 512 MB, so a per-vertex allocation fails there, not in this one."""
+    list is built.  20000 vertices make 20,001 elements, under
+    ``TABLE_CAP``, but tables of 1.6e9 entries: ``GRAPH_TABLE_ENTRIES``
+    refuses them before any is built.  Run in a child process whose address
+    space is capped at 512 MB, so an allocation fails there, not in this
+    one (the first path table alone would take 3 GB)."""
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"vertices": vertices}))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
@@ -136,8 +147,7 @@ def test_graph_file_with_a_huge_vertex_count_exits_2(tmp_path, vertices):
                           preexec_fn=cap_address_space, timeout=60)
     assert done.returncode == 2
     assert done.stdout == ""
-    assert done.stderr == (f"error: graph inverse semigroup has at least {vertices + 1} "
-                           f"elements > 32768\n")
+    assert done.stderr == f"error: graph inverse semigroup {message}\n"
 
 
 def test_load_propagates_validation_failure(tmp_path):

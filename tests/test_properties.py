@@ -26,6 +26,7 @@ from germlab.semilattices import (
     validate_semilattice,
 )
 
+from test_algebra import norm_rtol
 from test_semilattices import exhaustive_filters, is_filter
 
 CORPUS = dict(corpus())
@@ -187,7 +188,7 @@ def test_algebra_identities_on_random_functions(seed):
         convolve(involution(g), involution(f)))
     n1 = reduced_norm(G, convolve(involution(f), f))
     n2 = reduced_norm(G, f) ** 2
-    assert abs(n1 - n2) <= 1e-9 * max(1.0, n2)
+    assert abs(n1 - n2) <= norm_rtol(G) * n2
 
 
 @settings(max_examples=20, deadline=None)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import germlab
-from germlab import semilattices, suites
+from germlab import extensions, semilattices, suites
+from germlab.algebra import star_representation_defect
 from germlab.actions import induced_subgroupoid
 from germlab.builtins import CORPUS_NAMES, builtin
 from germlab.cli import main
@@ -78,19 +79,27 @@ def test_congruence_ladder_report_matches_golden():
     assert text == CONGRUENCE_GOLDEN.read_text(encoding="utf-8")
 
 
-def test_algebra_suite_stops_at_the_first_failing_sample(monkeypatch):
-    """With an exact comparison that finds every row unequal, each stacked
-    check reports sample 0, as a loop over the samples that stops at the
-    first failure does.  The C*-identity and the embedding's isometry,
-    exact certificates, take no samples and pass."""
-    monkeypatch.setattr(suites.alg.GroupoidFunction, "equals",
-                        lambda f, g: np.zeros(len(f.values), dtype=bool))
-    [report] = run_suite("b2", builtin("b2"), "algebra")
-    failed = {c.name: c.witness for c in report.checks if not c.passed}
-    assert failed == {"algebra.conditional_expectation": "not idempotent at sample 0",
-                      "algebra.convolution_associative": "associativity differs at sample 0",
-                      "algebra.involution_antimultiplicative":
-                          "anti-multiplicativity fails at sample 0"}
+@pytest.mark.parametrize("name", ["b2", "symmetric:4", "group:z70"])
+def test_algebra_suite_draws_no_samples(name, monkeypatch):
+    """Every algebra check is an index certificate: with the sampler made to
+    raise, all six pass, and the star certificate that three of them read
+    runs once per subject."""
+    def no_samples(rng, count):
+        raise AssertionError("the algebra suite drew a sample")
+    calls = []
+
+    def counted(G):
+        calls.append(G)
+        return star_representation_defect(G)
+    monkeypatch.setattr(suites.alg.SplitMix64, "words", no_samples)
+    monkeypatch.setattr(extensions, "star_representation_defect", counted)
+    [report] = run_suite(name, builtin(name), "algebra")
+    assert [(c.name, c.passed) for c in report.checks] == [
+        (c, True) for c in ("algebra.cstar_identity", "algebra.embedding_isometric",
+                            "algebra.conditional_expectation", "algebra.expectation_faithful",
+                            "algebra.convolution_associative",
+                            "algebra.involution_antimultiplicative")]
+    assert len(calls) == 1
 
 
 def _order_shadow(pairs, unset=()):
