@@ -238,12 +238,6 @@ class GermGroupoid:
     rep_of: np.ndarray                        # row a: arrow a's canonical (element, point)
     base_idempotent: tuple[int, ...]          # point -> least idempotent acting there
 
-    def germ(self, s: int, x: int) -> int:
-        a = self.germ_at[s, x] if 0 <= x < self.action.space_size else -1
-        if a < 0:
-            raise StructureError(f"point {x} is outside the domain of element {s}")
-        return int(a)
-
     def germs_of(self, elements) -> np.ndarray:
         """The arrows [s, x] over the elements s, as an arrow mask; elements
         selects rows of ``germ_at``: an element mask or an index array."""

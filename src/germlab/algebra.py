@@ -146,12 +146,6 @@ class GroupoidFunction:
         if self.values.ndim not in (1, 2) or self.values.shape[-1] != self.groupoid.n_arrows:
             raise StructureError("one value per arrow required")
 
-    def equals(self, other: "GroupoidFunction") -> bool | np.ndarray:
-        """Whether the values are equal: a bool, or one per row of a stack."""
-        _same_groupoid(self, other)
-        ok = (self.values == other.values).all(axis=-1)
-        return bool(ok) if ok.ndim == 0 else ok
-
 
 def _same_groupoid(f: GroupoidFunction, g: GroupoidFunction) -> None:
     if f.groupoid is not g.groupoid:
@@ -170,6 +164,10 @@ def convolve(f: GroupoidFunction, g: GroupoidFunction) -> GroupoidFunction:
     if f.values.shape != g.values.shape:
         raise StructureError("convolution needs two functions or two stacks of one size")
     G = f.groupoid
+    outside = np.flatnonzero(~G.unit_mask[G.d])     # in no fiber, so never written below
+    if outside.size:
+        a = int(outside[0])
+        raise StructureError(f"arrow {a} has source {G.d[a]}, which is not a listed unit")
     fv, gv = np.atleast_2d(f.values), np.atleast_2d(g.values)
     out = np.empty(fv.shape, dtype=np.complex128)
     for fibers, idx in G.fibers_by_size:      # (m, s) fibers, (m, s, s) matrices [c b^-1]
@@ -190,7 +188,6 @@ class RegularRepresentation:
     """Per unit, the matrix of convolution acting on that unit's source fiber."""
 
     groupoid: FiniteGroupoid
-    fibers: tuple[tuple[int, ...], ...]     # one arrow tuple per unit
     blocks: tuple[np.ndarray, ...]          # (s, s), or (k, s, s) for a stack
 
 
@@ -198,9 +195,8 @@ def regular_representation(G: FiniteGroupoid, f: GroupoidFunction
                            ) -> RegularRepresentation:
     if f.groupoid is not G:
         raise GroupoidMismatch("function lives on a different groupoid")
-    fibers = tuple(fiber for fiber, _ in G.fiber_indices)
     blocks = tuple(f.values.take(idx, axis=-1) for _, idx in G.fiber_indices)
-    return RegularRepresentation(G, fibers, blocks)
+    return RegularRepresentation(G, blocks)
 
 
 def spectral_norm(m: np.ndarray) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .actions import domains_form_base, germ_groupoid, tight_action, universal_action
 from .builtins import builtin, corpus
-from .congruences import is_cryptic, is_fundamental, join_roots
+from .congruences import join_roots, mu_relation
 from .errors import StructureError, ZeroRequired
 from .groupoids import (
     FiniteGroupoid,
@@ -71,15 +71,15 @@ def cmd_check(args) -> int:
 
 def cmd_analyze(args) -> int:
     name, S = _load_subject(args.subject)
-    E = semilattice_of(S)
+    E, mu = semilattice_of(S), mu_relation(S)
     rows = [
         ("subject", name),
         ("elements", S.size),
         ("idempotents", E.size),
         ("zero", S.label(S.zero) if S.zero is not None else "none"),
         ("clifford", is_clifford(S)),
-        ("cryptic", is_cryptic(S)),
-        ("fundamental", is_fundamental(S)),
+        ("cryptic", mu == S.h_partition),
+        ("fundamental", mu.is_identity),
         ("e_unitary", is_e_unitary(S)),
     ]
     try:

@@ -169,10 +169,6 @@ def is_fundamental(S: InverseSemigroup) -> bool:
     return mu_relation(S).is_identity
 
 
-def is_cryptic(S: InverseSemigroup) -> bool:
-    return mu_relation(S) == S.h_partition
-
-
 def sigma_relation(S: InverseSemigroup) -> Relation:
     """Minimum group congruence: s ~ t iff se = te for some idempotent e.
 

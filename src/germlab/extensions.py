@@ -65,7 +65,6 @@ class SplitDecomposition:
     centralizer germ and a transversal germ with product g."""
 
     factors: np.ndarray     # (arrows of G(S), 2)
-    germs: GermGroupoid
 
 
 class Subject:
@@ -204,11 +203,12 @@ class Subject:
     def split_decomposition(self, r: tuple[int, ...]) -> SplitDecomposition:
         """``semidirect_factors`` over the germs of Z and of the transversal
         r, taken as given: ``extension.split_transversal`` certifies the one
-        that the search finds."""
-        germs = self.beta
-        k_arrows = transversal_arrows(germs, self.mu_quotient, r)
-        factors = semidirect_factors(germs.groupoid, self.z_in_beta.arrows, k_arrows)
-        return SplitDecomposition(factors, germs)
+        that the search finds.  r is a multiplicative section, so its germs,
+        the embedded copy of the quotient, are a subgroupoid, which
+        ``semidirect_factors`` checks."""
+        k_arrows = self.beta.germs_of(np.asarray(r, dtype=np.intp))
+        factors = semidirect_factors(self.beta.groupoid, self.z_in_beta.arrows, k_arrows)
+        return SplitDecomposition(factors)
 
 
 def universal_germs(S: InverseSemigroup) -> GermGroupoid:
@@ -241,17 +241,6 @@ def _check_transversal(S: InverseSemigroup, q: QuotientMap, r: tuple[int, ...]) 
     defect = transversal_defect(S, q, r)
     if defect is not None:
         raise NotATransversal(transversal_defect_text(defect))
-
-
-def transversal_arrows(germs: GermGroupoid, q: QuotientMap, r: tuple[int, ...]
-                       ) -> np.ndarray:
-    """Germs of transversal representatives, as an arrow mask: the embedded
-    copy of the quotient.
-
-    r is a multiplicative section, so its germs are closed under inverses
-    and products: a subgroupoid, which ``semidirect_factors`` checks.
-    """
-    return germs.germs_of(np.asarray(r, dtype=np.intp))
 
 
 def semidirect_factors(G: FiniteGroupoid, h_arrows: np.ndarray,

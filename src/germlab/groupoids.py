@@ -18,10 +18,9 @@ nonempty cut {rows[s, x] : x in set j}.  Interior, openness and closedness
 are two small products of those arrays, so the computations follow the
 basis-set definitions even though every finite corpus groupoid ends up
 discrete; nothing is deduplicated or labeled until a witness is named.
-``basis`` and ``basis_labels`` are the deduplicated catalog, built on first
-read for display.  Groupoids built directly (pair groupoids, group tables,
-...) carry the discrete basis, one singleton cut per arrow, and are flagged
-as such.
+``basis`` is the deduplicated catalog, built on first read for display.
+Groupoids built directly (pair groupoids, group tables, ...) carry the
+discrete basis, one singleton cut per arrow, and are flagged as such.
 """
 
 from __future__ import annotations
@@ -86,9 +85,9 @@ class Cuts:
         """(k, m): the entries of each row that lie in one of its good cuts."""
         return self.member & (good.astype(np.float32) @ self.sets32 > 0)
 
-    def catalog(self, n_arrows: int) -> tuple[np.ndarray, tuple[str, ...]]:
-        """Each distinct set once, as a boolean row over the arrows, under
-        its first cut's label: the dense view, one row per set.  The cuts'
+    def catalog(self, n_arrows: int) -> np.ndarray:
+        """Each distinct set once, as a boolean row over the arrows, in the
+        order of its first cut: the dense view, one row per set.  The cuts'
         rows over the points are formed in ``chunks`` and keyed by their
         bytes, so only the kept sets outlive a chunk."""
         s, j = np.nonzero(self.nonempty)
@@ -104,7 +103,7 @@ class Cuts:
         out = np.zeros((cut.size, n_arrows), dtype=bool)
         at, x = np.nonzero(kept >= 0)
         out[at, kept[at, x]] = True
-        return out, tuple(self.label(a, b) for a, b in zip(s[cut].tolist(), j[cut].tolist()))
+        return out
 
 
 @dataclass(eq=False)
@@ -129,18 +128,10 @@ class FiniteGroupoid:
         return self.labels[a]
 
     @cached_property
-    def _catalog(self) -> tuple[np.ndarray, tuple[str, ...]]:
-        return self.cuts.catalog(self.n_arrows)
-
-    @property
     def basis(self) -> np.ndarray:
         """The distinct basis sets as boolean rows over the arrows, built on
         first read; the predicates read ``cuts``."""
-        return self._catalog[0]
-
-    @property
-    def basis_labels(self) -> tuple[str, ...]:
-        return self._catalog[1]
+        return self.cuts.catalog(self.n_arrows)
 
     @cached_property
     def unit_mask(self) -> np.ndarray:

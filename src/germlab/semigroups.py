@@ -82,9 +82,6 @@ class InverseSemigroup:
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
-    def star(self, a: int) -> int:
-        return self.inv[a]
-
     def elements(self) -> range:
         return range(self.size)
 
@@ -143,8 +140,7 @@ class Relation:
     their least elements, so equal relations have equal label arrays, and
     ``reps[i]`` is the least element of block i.  The constructor takes one
     key per element, or the rows of a 2-D array as keys, and relates the
-    elements with equal keys; ``from_blocks`` validates blocks given from
-    outside.
+    elements with equal keys.
     """
 
     def __init__(self, keys):
@@ -159,26 +155,6 @@ class Relation:
         block[self.reps] = np.arange(self.reps.size)
         self.labels = block[root]
         self.labels.flags.writeable = self.reps.flags.writeable = False
-
-    @staticmethod
-    def from_blocks(size: int, blocks) -> "Relation":
-        labels = np.full(size, -1, dtype=np.intp)
-        for i, block in enumerate(blocks):
-            for x in set(block):
-                if x < 0 or x >= size or labels[x] >= 0:
-                    raise StructureError("blocks must partition 0..size-1")
-                labels[x] = i
-        if (labels < 0).any():
-            raise StructureError("blocks must cover 0..size-1")
-        return Relation(labels)
-
-    @staticmethod
-    def identity(size: int) -> "Relation":
-        return Relation(np.arange(size))
-
-    @staticmethod
-    def universal(size: int) -> "Relation":
-        return Relation(np.zeros(size, dtype=np.intp))
 
     @property
     def size(self) -> int:
@@ -203,11 +179,6 @@ class Relation:
 
     def related(self, a: int, b: int) -> bool:
         return bool(self.labels[a] == self.labels[b])
-
-    def refines(self, other: "Relation") -> bool:
-        """Every block of self sits inside a block of other: each element is
-        related in other to the least element of its block in self."""
-        return bool((other.labels == other.labels[self.reps[self.labels]]).all())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Relation) and np.array_equal(self.labels, other.labels)

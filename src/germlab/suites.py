@@ -9,13 +9,12 @@ belongs to exactly one suite:
     algebra     the convolution *-algebra, embeddings, expectations
 
 A check is declared once, at module level: ``@check(suite, name,
-statement)`` over a body that takes one ``Run`` (the subject's name and
-its ``Subject``) and returns ``(ok, witness)``.
-``corpus_wide=True`` marks a check that takes no subject and runs once per
-corpus.  ``run_checks`` runs a suite's checks in declaration order, which
-is their report order, and turns a ``StructureError`` into an ``error:
-...`` failure witness; ``run_suite``, ``global_reports`` and the tests all
-go through it.  Failures always carry a concrete witness, and two runs of
+statement)`` over a body that takes the subject's ``Subject`` and returns
+``(ok, witness)``.  ``corpus_wide=True`` marks a check that takes no
+subject (its body gets None) and runs once per corpus.  ``run_checks``
+runs a suite's checks in declaration order, which is their report order,
+and turns a ``StructureError`` into an ``error: ...`` failure witness;
+``run_suite``, ``global_reports`` and the tests all go through it.  Failures always carry a concrete witness, and two runs of
 a suite produce byte-identical reports.
 
 ``run_suite`` hands one ``extensions.Subject`` to every check it runs, so each
@@ -133,20 +132,12 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-@dataclass
-class Run:
-    """What a check body reads: the subject's name and its Subject."""
-
-    name: str
-    sub: Subject | None
-
-
 @dataclass(frozen=True)
 class Check:
     suite: str
     name: str
     statement: str
-    body: Callable[[Run], tuple[bool, str]]
+    body: Callable[[Subject | None], tuple[bool, str]]
     corpus_wide: bool
 
 
@@ -161,17 +152,16 @@ def check(suite: str, name: str, statement: str, corpus_wide: bool = False):
     return declare
 
 
-def run_checks(name: str, sub: Subject | None, suite: str) -> list[CheckResult]:
+def run_checks(sub: Subject | None, suite: str) -> list[CheckResult]:
     """Run the checks of a suite in declaration order: the subject's checks
     over ``sub``, or the corpus-wide ones when ``sub`` is None.  A check's
     own name in place of ``suite`` runs that check alone."""
-    run = Run(name, sub)
     results = []
     for c in CHECKS:
         if c.name != suite and (c.suite, c.corpus_wide) != (suite, sub is None):
             continue
         try:
-            ok, witness = c.body(run)
+            ok, witness = c.body(sub)
         except StructureError as exc:
             ok, witness = False, f"error: {exc}"
         results.append(CheckResult(c.name, c.statement, bool(ok), witness))
@@ -189,7 +179,7 @@ def _canonical_elements(germs, arrows: np.ndarray) -> np.ndarray:
 
 
 @check("universal", "semigroup.natural_order", "the natural order is a partial order")
-def _natural_order(run):
+def _natural_order(sub):
     """Certify that S.leq is a partial order, on the boolean matrix.
 
     Reflexive: the diagonal is all True.  Antisymmetric: L & L^T is empty
@@ -199,7 +189,7 @@ def _natural_order(run):
     a float32 BLAS matmul: its entries count paths, whole numbers at most
     n, and every partial sum is exact while n < 2^24.
     """
-    S = run.sub.S
+    S = sub.S
     L = S.leq
     unreflexive = np.flatnonzero(~L.diagonal())
     if unreflexive.size:
@@ -220,10 +210,10 @@ def _natural_order(run):
 
 @check("universal", "semigroup.idempotents_closed",
        "idempotents form a commutative subsemigroup")
-def _idempotents_closed(run):
+def _idempotents_closed(sub):
     """The products ef of idempotents, row-major over (e, f): each is an
     idempotent and equals fe."""
-    S = run.sub.S
+    S = sub.S
     E = S.idempotent_array
     ef = S.table[np.ix_(E, E)]
     leaves = ~S.idempotent_mask[ef]
@@ -237,10 +227,10 @@ def _idempotents_closed(run):
 
 @check("universal", "semigroup.h_class_groups",
        "the class of each idempotent is a group with that identity")
-def _h_class_groups(run):
+def _h_class_groups(sub):
     """Over the pairs (e, a), a in the class of e, in order: e is a
     two-sided identity on a, aa* = e, and a times the class stays in it."""
-    S = run.sub.S
+    S = sub.S
     T, h, E = S.table, S.h_partition.labels, S.idempotent_array
     i, a = np.nonzero(h[E][:, None] == h)
     e = E[i]
@@ -256,24 +246,23 @@ def _h_class_groups(run):
 
 @check("universal", "semigroup.centralizer_normal",
        "the centralizer of the idempotents is a normal subsemigroup")
-def _centralizer_normal(run):
-    defect = normality_defect(run.sub.S, run.sub.Z)
+def _centralizer_normal(sub):
+    defect = normality_defect(sub.S, sub.Z)
     if defect is not None:
         return False, defect
-    return True, f"centralizer has {np.count_nonzero(run.sub.Z)} elements"
+    return True, f"centralizer has {np.count_nonzero(sub.Z)} elements"
 
 
 @check("universal", "semigroup.clifford_iff_central",
        "the semigroup is Clifford exactly when the centralizer is everything")
-def _clifford_iff_central(run):
-    sub = run.sub
+def _clifford_iff_central(sub):
     return (sub.clifford == sub.Z.all(),
             f"clifford={sub.clifford}")
 
 
 @check("universal", "congruence.mu_inside_h",
        "the idempotent-conjugation congruence refines Green's H")
-def _mu_inside_h(run):
+def _mu_inside_h(sub):
     """mu separates idempotents, refines H, and is a congruence.
 
     One pass over mu's labels: the idempotents counted per block, and the
@@ -281,7 +270,7 @@ def _mu_inside_h(run):
     first block, in block order, with two idempotents or such an element
     is the witness, as a walk over the blocks would find it.
     """
-    S, mu = run.sub.S, run.sub.mu
+    S, mu = sub.S, sub.mu
     h, idems = S.h_partition.labels, S.idempotent_array
     shared = np.bincount(mu.labels[idems], minlength=mu.count) > 1
     apart = h != h[mu.reps[mu.labels]]
@@ -302,9 +291,9 @@ def _mu_inside_h(run):
 
 @check("universal", "congruence.mu_maximal",
        "the largest congruence inside Green's H is the maximal idempotent-separating one")
-def _mu_maximal(run):
+def _mu_maximal(sub):
     """Partition refinement of H by the generators, against mu's rows s e s*."""
-    S, mu = run.sub.S, run.sub.mu
+    S, mu = sub.S, sub.mu
     top, rounds = largest_congruence_inside(S, S.h_partition)
     if top == mu:
         return True, f"equals mu: {top.count} blocks, stable at refinement round {rounds}"
@@ -316,10 +305,9 @@ def _mu_maximal(run):
 
 @check("universal", "congruence.kernel_mu_is_centralizer",
        "the kernel of the maximal idempotent-separating congruence is the centralizer")
-def _kernel_mu(run):
+def _kernel_mu(sub):
     """The blocks of mu meeting the idempotents hold exactly the products
     s t* over related pairs, and they make up the centralizer."""
-    sub = run.sub
     kernel = kernel_of(sub.S, sub.mu)
     via_pairs = related_products(sub.S, sub.mu)
     if not np.array_equal(via_pairs, kernel):
@@ -329,17 +317,17 @@ def _kernel_mu(run):
 
 @check("universal", "congruence.quotient_fundamental",
        "the quotient by the maximal idempotent-separating congruence is fundamental")
-def _quotient_fundamental(run):
-    return is_fundamental(run.sub.mu_quotient.target), ""
+def _quotient_fundamental(sub):
+    return is_fundamental(sub.mu_quotient.target), ""
 
 
 @check("universal", "spectrum.filter_closures",
        "every filter is nonempty, meet-closed, upward closed, zero-free")
-def _filter_closures(run):
+def _filter_closures(sub):
     """The principal filters of the spectrum points, the rows E.order[points],
     tested against the definition by ``filter_defects``; the first bad row
     in point order is the witness."""
-    E, points = run.sub.E, run.sub.points
+    E, points = sub.E, sub.points
     members = E.order[points]
     hit = first_index(filter_defects(E, members))
     if hit is not None:
@@ -349,14 +337,14 @@ def _filter_closures(run):
 
 @check("universal", "spectrum.filters_principal",
        "the filters are exactly the principal upward closures")
-def _filters_principal(run):
+def _filters_principal(sub):
     """The spectrum points name the principal filters, and they must be
     exactly the subsets of E that are filters.  Every filter is an up-set,
     so ``up_set_filters``, which tests every up-set of E with
     ``filter_defects``, finds all of them; both sides are compared as sets
     of bitmask words.  Above EXHAUSTIVE_FILTER_CAP idempotents the up-sets
     are too many to enumerate, and the check says it skipped."""
-    E, points = run.sub.E, run.sub.points
+    E, points = sub.E, sub.points
     if E.size > EXHAUSTIVE_FILTER_CAP:
         return True, f"skipped: {E.size} idempotents exceed the enumeration cap"
     if not np.array_equal(distinct(up_set_filters(E)), distinct(filter_words(E.order[points]))):
@@ -366,11 +354,11 @@ def _filters_principal(run):
 
 @check("universal", "spectrum.munn_fundamental",
        "the Munn semigroup is fundamental over the same semilattice")
-def _munn_fundamental(run):
+def _munn_fundamental(sub):
     """T_E is fundamental, and e -> 1_{down e} maps E onto E(T_E), no search:
     phi(e), the identity row of the ideal below e, is found among T's rows
     by key, must be onto T's idempotents and must carry meets to products."""
-    E = run.sub.E
+    E = sub.E
     if E.size > MUNN_CHECK_CAP:
         return True, f"skipped: {E.size} idempotents exceed the check cap"
     rows, labels = munn_rows(E)
@@ -386,40 +374,40 @@ def _munn_fundamental(run):
 
 
 @check("universal", "germ.equivalence", "germ identification is an equivalence on each fiber")
-def _germ_equivalence(run):
-    return germ_equivalence_is_equivalence(run.sub.universal), ""
+def _germ_equivalence(sub):
+    return germ_equivalence_is_equivalence(sub.universal), ""
 
 
 @check("universal", "germ.groupoid_axioms",
        "the universal germ groupoid satisfies the groupoid axioms")
-def _groupoid_axioms(run):
-    validate_groupoid(run.sub.beta.groupoid)
-    return True, f"{run.sub.beta.groupoid.n_arrows} arrows"
+def _groupoid_axioms(sub):
+    validate_groupoid(sub.beta.groupoid)
+    return True, f"{sub.beta.groupoid.n_arrows} arrows"
 
 
 @check("universal", "germ.idempotent_units", "idempotent germs form exactly the unit space")
-def _idempotent_units(run):
-    arrows = run.sub.beta.germs_of(run.sub.S.idempotent_array)
-    if not np.array_equal(arrows, run.sub.beta.groupoid.unit_mask):
+def _idempotent_units(sub):
+    arrows = sub.beta.germs_of(sub.S.idempotent_array)
+    if not np.array_equal(arrows, sub.beta.groupoid.unit_mask):
         return False, "idempotent germs are not exactly the units"
     return True, f"{np.count_nonzero(arrows)} units"
 
 
 @check("universal", "germ.clifford_group_bundle",
        "Clifford semigroups have group-bundle universal groupoids")
-def _clifford_group_bundle(run):
-    if not run.sub.clifford:
+def _clifford_group_bundle(sub):
+    if not sub.clifford:
         return True, "vacuous: not Clifford"
-    if not is_group_bundle(run.sub.beta.groupoid):
+    if not is_group_bundle(sub.beta.groupoid):
         return False, "an arrow moves its unit"
     return True, "every arrow fixes its unit"
 
 
 @check("universal", "germ.kernel_is_centralizer",
        "the kernel of the universal action is the centralizer")
-def _universal_kernel(run):
-    return (np.array_equal(run.sub.universal_kernel, run.sub.Z),
-            f"{np.count_nonzero(run.sub.Z)} elements")
+def _universal_kernel(sub):
+    return (np.array_equal(sub.universal_kernel, sub.Z),
+            f"{np.count_nonzero(sub.Z)} elements")
 
 
 def _principal_units(germs) -> tuple[np.ndarray, np.ndarray]:
@@ -461,7 +449,7 @@ def _classes_differ(E: np.ndarray, owner: np.ndarray, image: np.ndarray,
 
 @check("universal", "germ.fibers_are_h_classes",
        "the isotropy group at each principal point is the idempotent's class group")
-def _fibers_are_h_classes(run):
+def _fibers_are_h_classes(sub):
     """Certify each isotropy fiber isomorphic to its class group, no search.
 
     At the principal point x of a nonzero idempotent e (so m_x = e) the
@@ -475,7 +463,7 @@ def _fibers_are_h_classes(run):
     row-major, so the first bad pair of the first bad fiber is the
     witness, as a walk over the idempotents would find it.
     """
-    S, germs = run.sub.S, run.sub.beta
+    S, germs = sub.S, sub.beta
     G = germs.groupoid
     E, units = _principal_units(germs)
     k = E.size
@@ -502,13 +490,12 @@ def _fibers_are_h_classes(run):
 
 @check("universal", "groupoid.containment_chain",
        "centralizer germs sit inside the isotropy interior inside the isotropy")
-def _containment_chain(run):
+def _containment_chain(sub):
     """Z-germs inside the interior inside the isotropy, as masks; then at the
     principal unit u of each nonzero idempotent e, the elements s m_x of
     the Z-germs with source u, as a set, are exactly e's mu class.  All
     idempotents at once: the Z-germs are grouped by the idempotent whose
     principal unit their source is (``_classes_differ``)."""
-    sub = run.sub
     G = sub.beta.groupoid
     z_arrows = sub.z_in_beta.arrows
     inner = iso_interior(G)
@@ -527,8 +514,7 @@ def _containment_chain(run):
 
 @check("universal", "groupoid.cryptic_equality",
        "cryptic: centralizer germs equal the isotropy interior; else a witness exists")
-def _cryptic_equality(run):
-    sub = run.sub
+def _cryptic_equality(sub):
     G = sub.beta.groupoid
     inner = iso_interior(G)
     z_arrows = sub.z_in_beta.arrows
@@ -546,8 +532,8 @@ def _cryptic_equality(run):
 
 @check("universal", "groupoid.centralizer_subgroupoid",
        "the centralizer germs form an open wide normal (and closed) subgroupoid")
-def _centralizer_subgroupoid(run):
-    props = run.sub.z_in_beta.properties
+def _centralizer_subgroupoid(sub):
+    props = sub.z_in_beta.properties
     missing = [n for n, ok in (("subgroupoid", props.is_subgroupoid),
                                ("open", props.open), ("wide", props.wide),
                                ("normal", props.normal), ("closed", props.closed))
@@ -559,14 +545,14 @@ def _centralizer_subgroupoid(run):
 
 @check("universal", "groupoid.principal_iff_effective",
        "essential principality and effectiveness agree on finite groupoids")
-def _principal_iff_effective(run):
-    principal = is_essentially_principal(run.sub.beta.groupoid)
-    return principal == is_effective(run.sub.beta.groupoid), f"both={principal}"
+def _principal_iff_effective(sub):
+    principal = is_essentially_principal(sub.beta.groupoid)
+    return principal == is_effective(sub.beta.groupoid), f"both={principal}"
 
 
 @check("universal", "spectrum.partial_bijection_counts",
        "partial bijection monoids have their predicted sizes up to n=4", corpus_wide=True)
-def _partial_bijection_counts(run):
+def _partial_bijection_counts(sub):
     from math import comb, factorial
 
     for n in range(5):
@@ -587,13 +573,13 @@ def _spectrum(sub: Subject) -> list[frozenset[int]]:
 
 @check("tight", "tight.ultrafilters_maximal",
        "ultrafilters are the maximal filters and exhaust the tight spectrum")
-def _ultrafilters_maximal(run):
+def _ultrafilters_maximal(sub):
     """The ultrafilters, the tight spectrum here, which ``ultrafilters``
     reads off the atoms of E, are exactly the maximal filters, found by
     testing every pair of spectrum filters for strict inclusion: an oracle
     that reads no atom."""
-    ultra = ultrafilters(run.sub.E)
-    filters = _spectrum(run.sub)
+    ultra = ultrafilters(sub.E)
+    filters = _spectrum(sub)
     maximal = [F for F in filters if not any(F < G for G in filters)]
     for F in ultra:
         if F not in maximal:
@@ -606,16 +592,15 @@ def _ultrafilters_maximal(run):
 @check("tight", "tight.action_valid",
        "the restriction to the tight spectrum is a valid action, and its germ groupoid "
        "satisfies the groupoid axioms")
-def _tight_action_valid(run):
-    g = run.sub.theta
+def _tight_action_valid(sub):
+    g = sub.theta
     validate_groupoid(g.groupoid)
     return True, f"{g.groupoid.n_arrows} arrows over {g.action.space_size} points"
 
 
 @check("tight", "tight.domain_injectivity",
        "0-disjunctive semilattices give idempotent-separating tight actions")
-def _domain_injectivity(run):
-    sub = run.sub
+def _domain_injectivity(sub):
     if sub.E.zero is None:
         return True, "vacuous: no zero"
     if not sub.zero_disjunctive:
@@ -632,8 +617,7 @@ def _domain_injectivity(run):
 
 @check("tight", "tight.interior_equality",
        "0-disjunctive: centralizer germs equal the tight isotropy interior")
-def _interior_equality(run):
-    sub = run.sub
+def _interior_equality(sub):
     if not sub.zero_disjunctive:
         return True, "vacuous: not 0-disjunctive"
     inner = iso_interior(sub.theta.groupoid)
@@ -649,8 +633,7 @@ def _interior_equality(run):
 
 @check("tight", "tight.kernel_is_centralizer",
        "0-disjunctive: the tight action's kernel is the centralizer")
-def _tight_kernel(run):
-    sub = run.sub
+def _tight_kernel(sub):
     if not sub.zero_disjunctive:
         return True, "vacuous: not 0-disjunctive"
     if not np.array_equal(sub.tight_kernel, sub.Z):
@@ -685,23 +668,23 @@ def _base_dichotomy(S, germs, J, tag):
 
 @check("tight", "tight.base_dichotomy_universal",
        "kernel germs are open isotropy; equal to the interior under the base hypothesis")
-def _base_dichotomy_universal(run):
-    return _base_dichotomy(run.sub.S, run.sub.beta, run.sub.universal_kernel, "universal")
+def _base_dichotomy_universal(sub):
+    return _base_dichotomy(sub.S, sub.beta, sub.universal_kernel, "universal")
 
 
 @check("tight", "tight.base_dichotomy_tight", "same dichotomy for the tight action")
-def _base_dichotomy_tight(run):
-    return _base_dichotomy(run.sub.S, run.sub.theta, run.sub.tight_kernel, "tight")
+def _base_dichotomy_tight(sub):
+    return _base_dichotomy(sub.S, sub.theta, sub.tight_kernel, "tight")
 
 
 @check("tight", "tight.graph_zero_disjunctive",
        "a graph semigroup is 0-disjunctive exactly when no vertex has in-degree 1")
-def _graph_zero_disjunctive(run):
-    graph = run.sub.S.graph
+def _graph_zero_disjunctive(sub):
+    graph = sub.S.graph
     if graph is None:
         return True, "vacuous: not a graph semigroup subject"
     has_in_degree_one = any(graph.in_degree(v) == 1 for v in range(graph.n_vertices))
-    disj = run.sub.zero_disjunctive
+    disj = sub.zero_disjunctive
     if has_in_degree_one and disj:
         return False, "in-degree-1 vertex but still 0-disjunctive"
     if not has_in_degree_one and not disj:
@@ -716,14 +699,14 @@ def _graph_zero_disjunctive(run):
 @check("extension", "extension.projection_strongly_surjective",
        "the fundamental quotient's germ groupoid satisfies the groupoid axioms, and the "
        "projection onto it is a strongly surjective homomorphism")
-def _projection_strongly_surjective(run):
-    proj = run.sub.projection
+def _projection_strongly_surjective(sub):
+    proj = sub.projection
     validate_groupoid(proj.target.groupoid)
     validate_hom(proj.hom)
     if not is_strongly_surjective(proj.hom):
         return False, "a fiber is not covered"
     note = ""
-    if run.sub.mu.is_identity:      # fundamental
+    if sub.mu.is_identity:      # fundamental
         if sorted(proj.hom.map) != list(proj.target.groupoid.arrows()):
             return False, "fundamental but the projection is not a bijection"
         note = " (isomorphism: fundamental case)"
@@ -733,10 +716,10 @@ def _projection_strongly_surjective(run):
 
 @check("extension", "extension.projection_kernel",
        "the projection kernel is the centralizer groupoid when the quotient is (0-)E-unitary")
-def _projection_kernel(run):
-    proj = run.sub.projection
+def _projection_kernel(sub):
+    proj = sub.projection
     kernel = hom_kernel(proj.hom)
-    z_arrows = run.sub.z_in_beta.arrows
+    z_arrows = sub.z_in_beta.arrows
     if (z_arrows & ~kernel).any():
         return False, "centralizer germs escape the kernel"
     T = proj.quotient.target
@@ -750,17 +733,17 @@ def _projection_kernel(run):
 
 @check("extension", "extension.sigma_group_image",
        "the least group congruence has a group quotient")
-def _sigma_group_image(run):
-    return True, f"group image of order {run.sub.group_image.target.size}"
+def _sigma_group_image(sub):
+    return True, f"group image of order {sub.group_image.target.size}"
 
 
 @check("extension", "extension.sigma_cocycle",
        "the group-image cocycle is a homomorphism; E-unitary kernels are the units")
-def _sigma_cocycle(run):
-    S = run.sub.S
+def _sigma_cocycle(sub):
+    S = sub.S
     if S.zero is not None:
         return True, "vacuous: zero present"
-    hom, germs = run.sub.cocycle
+    hom, germs = sub.cocycle
     validate_hom(hom)
     units = germs.groupoid.unit_mask
     kernel = hom_kernel(hom)
@@ -775,13 +758,13 @@ def _sigma_cocycle(run):
 
 @check("extension", "extension.split_transversal",
        "any split transversal found is a multiplicative section")
-def _split_transversal(run):
-    r = run.sub.transversal
+def _split_transversal(sub):
+    r = sub.transversal
     if r == "budget":
         return True, "skipped: search budget exceeded"
     if r is None:
         return True, "no multiplicative transversal exists"
-    defect = transversal_defect(run.sub.S, run.sub.mu_quotient, r)
+    defect = transversal_defect(sub.S, sub.mu_quotient, r)
     if defect is not None:
         return False, transversal_defect_text(defect)
     return True, f"transversal {list(r)}"
@@ -789,11 +772,11 @@ def _split_transversal(run):
 
 @check("extension", "extension.semidirect_decomposition",
        "split extensions decompose the universal groupoid as a semidirect product")
-def _semidirect_decomposition(run):
-    r = run.sub.transversal
+def _semidirect_decomposition(sub):
+    r = sub.transversal
     if r in (None, "budget"):
         return True, "vacuous: no transversal"
-    dec = run.sub.split_decomposition(r)
+    dec = sub.split_decomposition(r)
     return True, (f"product with {len(dec.factors)} arrows certified "
                   f"isomorphic to the universal groupoid")
 
@@ -804,20 +787,15 @@ def _semidirect_decomposition(run):
 # ``Subject.star_defect``, computed once per subject.
 
 
-def _bundle(sub: Subject):
-    """The universal groupoid, the centralizer bundle's embedding, the bundle."""
-    return sub.beta.groupoid, sub.z_in_beta, sub.z_in_beta.groupoid
-
-
 @check("algebra", "algebra.cstar_identity",
        "each orbit block of the regular representation is a *-homomorphism,"
        " so the norm satisfies the C*-identity")
-def _cstar_identity(run):
+def _cstar_identity(sub):
     """The exact certificate ``Subject.star_defect``, read by the two
     corollaries below too: no samples and no tolerance."""
-    G = run.sub.beta.groupoid
-    if run.sub.star_defect is not None:
-        return False, run.sub.star_defect
+    G = sub.beta.groupoid
+    if sub.star_defect is not None:
+        return False, sub.star_defect
     sizes = Counter()
     for stack, _, _ in G.fiber_stacks:          # (orbits, r, r, o): fibers of size r o
         sizes[stack.shape[1] * stack.shape[3]] += len(stack)
@@ -827,11 +805,12 @@ def _cstar_identity(run):
 
 @check("algebra", "algebra.embedding_isometric",
        "extension by zero from the centralizer bundle is an isometric *-homomorphism")
-def _embedding_isometric(run):
+def _embedding_isometric(sub):
     """The exact certificate ``algebra.embedding_defect``: no samples and no
     tolerance.  The bundle's blocks at the units of G are its cosets, H_u c
     over the arrows c of range u, so there are |r^-1(u)| / |H_u| at u."""
-    G, emb, _ = _bundle(run.sub)
+    emb = sub.z_in_beta
+    G = emb.parent
     defect = alg.embedding_defect(emb)
     if defect is not None:
         return False, defect
@@ -843,8 +822,9 @@ def _embedding_isometric(run):
 
 @check("algebra", "algebra.conditional_expectation",
        "restriction to the centralizer bundle is an idempotent bimodule projection")
-def _conditional_expectation(run):
-    _, emb, H = _bundle(run.sub)
+def _conditional_expectation(sub):
+    emb = sub.z_in_beta
+    H = emb.groupoid
     defect = alg.expectation_defect(emb)
     return defect is None, defect or (f"bundle arrows certified: {H.n_arrows},"
                                       f" products: {np.count_nonzero(H.table >= 0)}")
@@ -852,16 +832,16 @@ def _conditional_expectation(run):
 
 @check("algebra", "algebra.expectation_faithful",
        "the conditional expectation of f*f vanishes only on the zero function")
-def _expectation_faithful(run):
-    G, emb, _ = _bundle(run.sub)
+def _expectation_faithful(sub):
+    emb = sub.z_in_beta
     defect = alg.faithfulness_defect(emb)
-    units = len(G.units)
+    units = len(emb.parent.units)
     return defect is None, defect or f"(f*f)(u) sums |f(y)|^2 over d(y) = u, units: {units}"
 
 
-def _star_corollary(run):
+def _star_corollary(sub):
     """Implied by ``Subject.star_defect`` (``algebra.star_representation_defect``)."""
-    defect, n = run.sub.star_defect, run.sub.beta.groupoid.n_arrows
+    defect, n = sub.star_defect, sub.beta.groupoid.n_arrows
     return defect is None, defect or f"holds for all functions: faithful orbit blocks, arrows: {n}"
 
 
@@ -873,7 +853,7 @@ check("algebra", "algebra.involution_antimultiplicative",
 
 @check("algebra", "algebra.hypothesis_checker",
        "the embedding rejects a synthetic non-normal bundle", corpus_wide=True)
-def _hypothesis_checker(run):
+def _hypothesis_checker(_):
     from .errors import HypothesisFailed
     from .groupoids import extract_subgroupoid, make_groupoid
 
@@ -906,14 +886,14 @@ def run_suite(name: str, S: InverseSemigroup, suite: str) -> list[VerificationRe
     for s in suites:
         if s not in SUITE_NAMES:
             raise StructureError(f"unknown suite '{s}'")
-        reports.append(VerificationReport(name, s, run_checks(name, sub, s)))
+        reports.append(VerificationReport(name, s, run_checks(sub, s)))
     return reports
 
 
 def global_reports(suite: str) -> list[VerificationReport]:
     """The corpus-wide checks, one report per suite that has any."""
     suites = SUITE_NAMES if suite == "all" else (suite,)
-    reports = [VerificationReport("(corpus-wide)", s, run_checks("(corpus-wide)", None, s))
+    reports = [VerificationReport("(corpus-wide)", s, run_checks(None, s))
                for s in suites]
     return [r for r in reports if r.checks]
 

@@ -23,7 +23,7 @@ from germlab.actions import (
 )
 from germlab import algebra as alg
 from germlab.builtins import NAMED_GRAPHS, builtin, corpus, diamond_semilattice
-from germlab.congruences import find_split_transversal, is_cryptic
+from germlab.congruences import find_split_transversal, mu_relation
 from germlab.errors import SearchBudgetExceeded
 from germlab.extensions import (
     mu_projection_hom,
@@ -105,9 +105,9 @@ def test_criterion_1_diamond_example():
     assert np.array_equal(z_arrows, germs.groupoid.unit_mask)
     assert np.count_nonzero(z_arrows) == 3
     swap = next(s for s in h_class_of(S, top) if s != top)
-    swap_germ = germs.germ(swap, germs.principal_point(top))
+    swap_germ = germs.germ_at[swap, germs.principal_point(top)]
     inner = iso_interior(germs.groupoid)
-    assert inner[swap_germ] and not z_arrows[swap_germ]
+    assert swap_germ >= 0 and inner[swap_germ] and not z_arrows[swap_germ]
     budget.done("criterion-1 diamond example")
 
 
@@ -119,7 +119,7 @@ def test_criterion_2_cryptic_equality(subjects, beta_germs):
         germs = beta_germs[name]
         z_arrows = centralizer_germs(germs).arrows
         inner = iso_interior(germs.groupoid)
-        if is_cryptic(S):
+        if mu_relation(S) == S.h_partition:
             assert np.array_equal(z_arrows, inner), f"{name}: cryptic but sets differ"
         else:
             non_cryptic_seen += 1
@@ -202,7 +202,7 @@ def test_criterion_6_extension_suite(subjects):
             r = None
         if r is not None:
             dec = semidirect_from_split(S, r)
-            G = dec.germs.groupoid
+            G = proj.source.groupoid
             assert (G.table[dec.factors[:, 0], dec.factors[:, 1]]
                     == np.arange(G.n_arrows)).all(), name
             splits_certified += 1
@@ -234,8 +234,8 @@ def test_criterion_8_algebra_suite(subjects, beta_germs):
         for _ in range(100):
             f = alg.random_function(H, rng)
             g = alg.random_function(H, rng)
-            assert alg.embed(emb, alg.convolve(f, g)).equals(
-                alg.convolve(alg.embed(emb, f), alg.embed(emb, g))), name
+            assert np.array_equal(alg.embed(emb, alg.convolve(f, g)).values,
+                                  alg.convolve(alg.embed(emb, f), alg.embed(emb, g)).values), name
             nf = alg.reduced_norm(H, f)
             assert abs(alg.reduced_norm(G, alg.embed(emb, f)) - nf) <= norm_rtol(G) * nf, name
             p = alg.random_function(G, rng)
@@ -251,13 +251,13 @@ def test_criterion_8_algebra_suite(subjects, beta_germs):
             f = alg.random_function(G, rng)
             once = alg.conditional_expectation(emb, f)
             again = alg.conditional_expectation(emb, alg.embed(emb, once))
-            assert once.equals(again), name
+            assert np.array_equal(once.values, again.values), name
             a, b = alg.random_function(H, rng), alg.random_function(H, rng)
             lhs = alg.conditional_expectation(
                 emb, alg.convolve(alg.convolve(alg.embed(emb, a), f),
                                   alg.embed(emb, b)))
             rhs = alg.convolve(alg.convolve(a, once), b)
-            assert lhs.equals(rhs), name
+            assert np.array_equal(lhs.values, rhs.values), name
     budget.done("criterion-8 algebra suite")
 
 

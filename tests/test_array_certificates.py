@@ -174,7 +174,7 @@ def reference(sub, name):
 
 def agree(sub, name):
     """The check and its loop give the same verdict and witness; returns them."""
-    [result] = run_checks("differential", sub, name)
+    [result] = run_checks(sub, name)
     assert (result.passed, result.witness) == reference(sub, name)
     return result.passed, result.witness
 

@@ -12,7 +12,6 @@ from germlab.congruences import (
     Relation,
     congruence_witness,
     find_split_transversal,
-    is_cryptic,
     is_fundamental,
     kernel_of,
     mu_relation,
@@ -57,13 +56,13 @@ def chain_id():
 
 def test_identity_and_universal_relations_are_congruences():
     S = b2()
-    assert congruence_witness(S, Relation.identity(S.size)) is None
-    assert congruence_witness(S, Relation.universal(S.size)) is None
+    assert congruence_witness(S, Relation(np.arange(S.size))) is None
+    assert congruence_witness(S, Relation(np.zeros(S.size, dtype=int))) is None
 
 
 def test_arbitrary_partition_need_not_be_congruence():
     S = b2()
-    R = Relation.from_blocks(S.size, [(0, 3), (1,), (2,), (4,)])
+    R = Relation([0, 1, 2, 0, 3])
     assert congruence_witness(S, R) is not None
     with pytest.raises(NotACongruence):
         quotient(S, R)
@@ -71,7 +70,7 @@ def test_arbitrary_partition_need_not_be_congruence():
 
 def test_mu_of_group_is_universal():
     G = validate_inverse_semigroup(Z2_TABLE)
-    assert mu_relation(G) == Relation.universal(2)
+    assert mu_relation(G) == Relation(np.zeros(2, dtype=int))
 
 
 def test_mu_blocks_of_identity_link_chain():
@@ -84,17 +83,17 @@ def test_mu_is_idempotent_separating_and_inside_h():
         S = validate_inverse_semigroup(table)
         mu = mu_relation(S)
         assert np.unique(mu.labels[S.idempotent_array]).size == S.idempotent_array.size
-        assert mu.refines(S.h_partition)
+        assert Relation(np.stack((mu.labels, S.h_partition.labels), axis=1)) == mu
 
 
 def test_kernel_of_identity_relation_is_idempotents():
     S = b2()
-    assert np.array_equal(kernel_of(S, Relation.identity(S.size)), S.idempotent_mask)
+    assert np.array_equal(kernel_of(S, Relation(np.arange(S.size))), S.idempotent_mask)
 
 
 def test_kernel_of_universal_on_group_is_whole_group():
     G = validate_inverse_semigroup(Z2_TABLE)
-    assert np.flatnonzero(kernel_of(G, Relation.universal(2))).tolist() == [0, 1]
+    assert np.flatnonzero(kernel_of(G, Relation(np.zeros(2, dtype=int)))).tolist() == [0, 1]
 
 
 def test_kernel_of_mu_equals_centralizer():
@@ -105,7 +104,7 @@ def test_kernel_of_mu_equals_centralizer():
 
 def test_quotient_by_identity_is_isomorphic_copy():
     S = b2()
-    q = quotient(S, Relation.identity(S.size))
+    q = quotient(S, Relation(np.arange(S.size)))
     assert (q.target.table == S.table).all()
 
 
@@ -124,30 +123,30 @@ def test_chain_quotient_is_two_chain_semilattice():
 
 def test_cryptic_fundamental_predicates():
     B = b2()
-    assert is_cryptic(B) and is_fundamental(B)
+    assert mu_relation(B) == B.h_partition and is_fundamental(B)
     G = validate_inverse_semigroup(Z2_TABLE)
-    assert is_cryptic(G) and not is_fundamental(G)
+    assert mu_relation(G) == G.h_partition and not is_fundamental(G)
     S = chain_id()
-    assert is_cryptic(S) and not is_fundamental(S)
+    assert mu_relation(S) == S.h_partition and not is_fundamental(S)
 
 
 def test_sigma_of_group_is_identity_relation():
     G = validate_inverse_semigroup(Z2_TABLE)
     sigma, q = sigma_and_group_image(G)
-    assert sigma == Relation.identity(2)
+    assert sigma == Relation(np.arange(2))
     assert (q.target.table == G.table).all()
 
 
 def test_sigma_of_pure_semilattice_gives_trivial_group():
     E = validate_inverse_semigroup(TWO_CHAIN_SEMILATTICE)
     sigma, q = sigma_and_group_image(E)
-    assert sigma == Relation.universal(2)
+    assert sigma == Relation(np.zeros(2, dtype=int))
     assert q.target.size == 1
 
 
 def test_sigma_of_zero_semigroup_is_universal():
     sigma, q = sigma_and_group_image(b2())
-    assert sigma == Relation.universal(5)
+    assert sigma == Relation(np.zeros(5, dtype=int))
     assert q.target.size == 1
 
 
@@ -164,7 +163,7 @@ def test_random_idempotent_separating_congruences_refine_mu():
         mu = mu_relation(S)
         for R in random_idempotent_separating_congruences(S, seed=7):
             assert congruence_witness(S, R) is None
-            assert R.refines(mu)
+            assert Relation(np.stack((R.labels, mu.labels), axis=1)) == R
 
 
 def test_kill_link_chain_is_not_e_unitary():
@@ -231,10 +230,7 @@ def _reference_closure(S, pairs, *, products=True) -> Relation:
                     for c in S.elements():
                         changed |= union(S.mul(c, a), S.mul(c, b))
                         changed |= union(S.mul(a, c), S.mul(b, c))
-    blocks: dict[int, list[int]] = {}
-    for x in S.elements():
-        blocks.setdefault(find(x), []).append(x)
-    return Relation.from_blocks(S.size, blocks.values())
+    return Relation([find(x) for x in S.elements()])
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -450,7 +446,7 @@ def test_split_transversal_matches_reference_under_relabelling(m):
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_quotient_by_the_identity_is_the_validated_semigroup(name):
     S = builtin(name)
-    T = quotient(S, Relation.identity(S.size)).target
+    T = quotient(S, Relation(np.arange(S.size))).target
     reference = validate_inverse_semigroup(S.table.copy(), T.labels)
     assert T.table is S.table
     assert (T.inv, T.zero) == (reference.inv, reference.zero)
@@ -467,5 +463,5 @@ def test_split_transversal_searches_past_the_recursion_limit():
     n = 1001
     chain = np.minimum.outer(np.arange(n), np.arange(n))
     S = InverseSemigroup(chain, tuple(range(n)), 0, tuple(map(str, range(n))))
-    r = split_transversal(S, Relation.identity(n), QuotientMap(S, S, tuple(range(n))))
+    r = split_transversal(S, Relation(np.arange(n)), QuotientMap(S, S, tuple(range(n))))
     assert r == tuple(range(n))

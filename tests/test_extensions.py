@@ -11,7 +11,6 @@ from germlab.extensions import (
     semidirect_factors,
     semidirect_from_split,
     sigma_cocycle,
-    transversal_arrows,
     universal_germs,
 )
 from germlab.actions import centralizer_germs
@@ -105,7 +104,7 @@ def test_sigma_cocycle_rejects_zero_semigroups():
 
 def assert_certified_decomposition(S, r):
     dec = semidirect_from_split(S, r)
-    G = dec.germs.groupoid
+    G = universal_germs(S).groupoid
     assert G.table[dec.factors[:, 0], dec.factors[:, 1]].tolist() == list(G.arrows())
     return dec
 
@@ -180,7 +179,7 @@ def test_factors_invert_the_external_semidirect_product(name):
     assert isinstance(r, tuple)
     G = sub.beta.groupoid
     product, pairs = external_semidirect_product(
-        G, sub.z_in_beta.arrows, transversal_arrows(sub.beta, sub.mu_quotient, r))
+        G, sub.z_in_beta.arrows, sub.beta.germs_of(np.asarray(r, dtype=np.intp)))
     mult = G.table[pairs[:, 0], pairs[:, 1]]
     validate_hom(GroupoidHom(product, G, tuple(mult.tolist())))
     factors = sub.split_decomposition(r).factors
@@ -227,7 +226,7 @@ def test_semidirect_factors_needs_every_transversal_germ(name):
     or K without closure."""
     sub = Subject(builtin(name))
     G, h_arrows = sub.beta.groupoid, sub.z_in_beta.arrows
-    k_arrows = transversal_arrows(sub.beta, sub.mu_quotient, sub.transversal)
+    k_arrows = sub.beta.germs_of(np.asarray(sub.transversal, dtype=np.intp))
     semidirect_factors(G, h_arrows, k_arrows)
     for gamma in np.flatnonzero(k_arrows):
         with pytest.raises(StructureError):
@@ -244,14 +243,13 @@ def test_universal_germs_arrow_counts():
 def test_projection_map_is_the_germ_lookup_of_each_arrow(name):
     sub = Subject(builtin(name))
     proj, q = sub.projection, sub.mu_quotient
-    assert proj.hom.map == tuple(proj.target.germ(q.projection[s], x)
-                                 for s, x in sub.beta.rep_of.tolist())
+    s, x = sub.beta.rep_of.T
+    assert proj.hom.map == tuple(proj.target.germ_at[np.asarray(q.projection)[s], x].tolist())
 
 
 def test_projection_names_the_first_arrow_without_a_target_germ(monkeypatch):
     """With the target's germs at point 1 knocked out, the first source
-    arrow at point 1 (arrows are numbered point by point) is reported, in
-    the words of ``GermGroupoid.germ``."""
+    arrow at point 1 (arrows are numbered point by point) is reported."""
     sub = Subject(builtin("symmetric:3"))
     rep_of = sub.beta.rep_of            # the source, built before the patch
     real = extensions.germ_groupoid

@@ -79,7 +79,7 @@ from germlab.semilattices import (
 )
 from germlab.suites import run_suite
 
-from test_actions import labeled_sets
+from test_actions import cut_catalog, labeled_sets
 from test_congruences import generated_congruence
 from test_groupoids import (
     LOOP_GROUPOID,
@@ -163,11 +163,8 @@ class ReferenceUnionFind:
         if ra != rb:
             self.parent[ra] = rb
 
-    def blocks(self):
-        groups = {}
-        for x in range(len(self.parent)):
-            groups.setdefault(self.find(x), []).append(x)
-        return list(groups.values())
+    def roots(self):
+        return [self.find(x) for x in range(len(self.parent))]
 
 
 def reference_saturate(S, pairs):
@@ -188,7 +185,7 @@ def reference_saturate(S, pairs):
                     sets.union(a, b)
                     merged = True
         if not merged:
-            return Relation.from_blocks(n, sets.blocks())
+            return Relation(sets.roots())
 
 
 def reference_sigma(S):
@@ -197,7 +194,7 @@ def reference_sigma(S):
         first = {}
         for s in S.elements():
             sets.union(first.setdefault(S.mul(s, e), s), s)
-    return Relation.from_blocks(S.size, sets.blocks())
+    return Relation(sets.roots())
 
 
 def reference_d_classes(S):
@@ -206,7 +203,7 @@ def reference_d_classes(S):
     for s in S.elements():
         for key in (("L", S.mul(S.inv[s], s)), ("R", S.mul(s, S.inv[s]))):
             sets.union(first.setdefault(key, s), s)
-    return len(sets.blocks())
+    return len(set(sets.roots()))
 
 
 def reference_semilattice_meet(S):
@@ -753,7 +750,7 @@ def test_germ_catalog_and_base_idempotents_equal_the_loops(name):
             assert germs.base_idempotent == reference_min_idempotents(a)
             assert tuple(_least_acting_idempotents(a).tolist()) == germs.base_idempotent
             G = germs.groupoid
-            assert labeled_sets(G.basis, G.basis_labels) == reference_theta_catalog(germs)
+            assert cut_catalog(G) == reference_theta_catalog(germs)
         assert np.array_equal(action_kernel(action), mask(S.size, reference_action_kernel(action)))
 
 
@@ -815,23 +812,22 @@ def catalog_cuts(sets, labels):
                 tuple(labels), ("",), "{}")
 
 
-def reference_interior_witnesses(G, subset):
+def reference_interior_witnesses(catalog, subset):
     out = {}
-    for label, members in labeled_sets(G.basis, G.basis_labels):
+    for label, members in catalog:
         if members and members <= subset:
             for a in members:
                 out.setdefault(a, label)
     return out
 
 
-def reference_is_open(G, subset):
-    return frozenset(reference_interior_witnesses(G, subset)) == subset
+def reference_is_open(catalog, subset):
+    return frozenset(reference_interior_witnesses(catalog, subset)) == subset
 
 
-def reference_is_effective(G):
+def reference_is_effective(G, catalog):
     iso_off_units = frozenset(a for a in G.arrows() if G.r[a] == G.d[a]) - frozenset(G.units)
-    return not any(members and members <= iso_off_units
-                   for _, members in labeled_sets(G.basis, G.basis_labels))
+    return not any(members and members <= iso_off_units for _, members in catalog)
 
 
 def _topologies(name):
@@ -843,8 +839,8 @@ def _topologies(name):
         out += [germs.groupoid, centralizer_germs(germs).groupoid]
     for G in out[:4]:
         wide = G.basis.sum(axis=1) > 1
-        out.append(dataclasses.replace(G, cuts=catalog_cuts(
-            G.basis[wide], np.array(G.basis_labels)[wide].tolist())))
+        labels = np.array([label for label, _ in cut_catalog(G)])
+        out.append(dataclasses.replace(G, cuts=catalog_cuts(G.basis[wide], labels[wide].tolist())))
     return out
 
 
@@ -862,20 +858,20 @@ def test_topology_predicates_equal_the_frozenset_loops(name):
         topologies = _topologies(name)
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     for G in topologies:
-        n = G.n_arrows
+        n, catalog = G.n_arrows, cut_catalog(G)
         iso, units = frozenset(np.flatnonzero(iso_bundle(G)).tolist()), frozenset(G.units)
         subsets = [frozenset(), frozenset(range(n)), iso, units, iso - units]
         subsets += [frozenset(np.flatnonzero(rng.random(n) < 0.5).tolist()) for _ in range(3)]
         subsets += [frozenset(np.flatnonzero(G.basis[rng.random(len(G.basis)) < 0.2]
                                              .any(axis=0)).tolist()) for _ in range(3)]
         for subset in subsets:
-            witnesses = reference_interior_witnesses(G, subset)
+            witnesses = reference_interior_witnesses(catalog, subset)
             inside = mask(n, subset)
             assert interior_witnesses(G, inside) == witnesses
             assert np.flatnonzero(interior(G, inside)).tolist() == sorted(witnesses)
-            assert is_open(G, inside) == reference_is_open(G, subset)
-            assert is_closed(G, inside) == reference_is_open(G, frozenset(range(n)) - subset)
-        assert is_effective(G) == reference_is_effective(G)
+            assert is_open(G, inside) == reference_is_open(catalog, subset)
+            assert is_closed(G, inside) == reference_is_open(catalog, frozenset(range(n)) - subset)
+        assert is_effective(G) == reference_is_effective(G, catalog)
 
 
 @pytest.mark.parametrize("threshold", [0, groupoids.NORMAL_FORM_TRIPLES])

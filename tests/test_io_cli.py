@@ -413,7 +413,7 @@ def test_every_built_or_loaded_table_is_checked_once(tmp_path, monkeypatch):
         assert calls == [S.size]
         assert "generators" in vars(S)
     calls.clear()
-    same = quotient(z6, Relation.identity(z6.size)).target
+    same = quotient(z6, Relation(np.arange(z6.size))).target
     assert calls == [] and same.generators is z6.generators
     path = tmp_path / "s.json"
     save_semigroup(symmetric_inverse_monoid(3), str(path))

@@ -3,11 +3,12 @@
 Each ``reference_*`` function is the pure-Python form over ``S.mul`` that
 the array code in ``semigroups.py`` and ``congruences.py`` replaced, kept
 here as the oracle.  Every partition is a ``Relation`` label array; the
-references build theirs through ``Relation.from_blocks``.  The subjects are the corpus plus the ladder's larger
-ones: ``symmetric:4``, ``group:z70``, ``symmetric:3 x group:z2`` and a
-210-element graph inverse semigroup.  ``reference_split_transversal_loop``
-is the exception: the explicit depth-first loop over every class that the
-forced-class certificate and the search over the free classes replaced.
+references build theirs from one label per element.  The subjects are the
+corpus plus the ladder's larger ones: ``symmetric:4``, ``group:z70``,
+``symmetric:3 x group:z2`` and a 210-element graph inverse semigroup.
+``reference_split_transversal_loop`` is the exception: the explicit
+depth-first loop over every class that the forced-class certificate and
+the search over the free classes replaced.
 """
 
 import itertools
@@ -119,19 +120,17 @@ def reference_normality_defect(S, subset):
 
 def reference_mu_relation(S):
     idems = sorted(S.idempotent_set)
-    keys = {}
+    keys, labels = {}, []
     for s in S.elements():
         k = tuple(S.mul(S.mul(s, e), S.inv[s]) for e in idems)
-        keys.setdefault(k, []).append(s)
-    return Relation.from_blocks(S.size, keys.values())
+        labels.append(keys.setdefault(k, len(keys)))
+    return Relation(labels)
 
 
 def reference_relation(keys):
     """The elements grouped by equal key."""
     groups = {}
-    for x, k in enumerate(keys):
-        groups.setdefault(k, []).append(x)
-    return Relation.from_blocks(len(keys), groups.values())
+    return Relation([groups.setdefault(k, len(groups)) for k in keys])
 
 
 def reference_sigma_relation(S):
@@ -284,14 +283,13 @@ def split_last_block(C, rng):
     """C with its last block of three or more elements cut in two, or None.
     Its pairs before that block are those of C, so its first witness, if
     any, often comes late."""
-    blocks = [list(b) for b in C.blocks]
-    big = [i for i, b in enumerate(blocks) if len(b) > 2]
+    big = [b for b in C.blocks if len(b) > 2]
     if not big:
         return None
-    b = blocks[big[-1]]
-    cut = rng.randint(1, len(b) - 1)
-    blocks[big[-1]:big[-1] + 1] = [b[:cut], b[cut:]]
-    return Relation.from_blocks(C.size, blocks)
+    b = big[-1]
+    labels = C.labels.copy()
+    labels[list(b[rng.randint(1, len(b) - 1):])] = C.count
+    return Relation(labels)
 
 
 def relations(S, seed):
@@ -302,19 +300,17 @@ def relations(S, seed):
     n = S.size
     known = [mu_relation(S), sigma_relation(S),
                    generated_congruence(S, [(rng.randrange(n), rng.randrange(n))])]
-    out = [Relation.identity(n), Relation.universal(n), S.h_partition, *known]
+    out = [Relation(np.arange(n)), Relation(np.zeros(n, dtype=int)), S.h_partition, *known]
     out += [R for R in (split_last_block(C, rng) for C in known) if R is not None]
     for _ in range(6):
         k = rng.randint(1, n)
-        labels = [rng.randrange(k) for _ in range(n)]
-        out.append(Relation.from_blocks(n, [[x for x in range(n) if labels[x] == b]
-                                            for b in range(k)]))
+        out.append(Relation([rng.randrange(k) for _ in range(n)]))
     for merges in (1, 2, 4) if n > 1 else ():
-        blocks = [[x] for x in range(n)]
+        labels = np.arange(n)
         for _ in range(merges):
             a, b = rng.sample(range(n), 2)
-            blocks[a], blocks[b] = blocks[a] + blocks[b], []
-        out.append(Relation.from_blocks(n, blocks))
+            labels[labels == b] = a
+        out.append(Relation(labels))
     return out
 
 
@@ -357,9 +353,9 @@ def test_partition_producers_equal_their_references(name):
     produced = [S.h_partition, mu_relation(S), sigma_relation(S),
                 Relation(root),
                 *random_idempotent_separating_congruences(S, seed=len(name))]
-    assert produced[:4] == [Relation.from_blocks(S.size, reference_h_partition(S)),
-                            reference_mu_relation(S), reference_sigma_relation(S),
-                            reference_relation(root.tolist())]
+    assert produced[0].blocks == reference_h_partition(S)
+    assert produced[1:4] == [reference_mu_relation(S), reference_sigma_relation(S),
+                             reference_relation(root.tolist())]
     for action in (universal_action(S), tight_action(S)):
         R = Relation(action.maps)
         assert R == reference_relation([tuple(row) for row in action.maps.tolist()])
@@ -379,7 +375,6 @@ def test_relation_predicates_equal_the_loops(name):
         assert np.flatnonzero(kernel_of(S, R)).tolist() == sorted(reference_kernel_of(S, R))
         assert (np.flatnonzero(related_products(S, R)).tolist()
                 == sorted(reference_related_products(S, R)))
-        assert [R.refines(C) for C in rels] == [reference_refines(R, C) for C in rels]
 
 
 @pytest.mark.parametrize("name", SUBJECTS)
@@ -476,7 +471,7 @@ def test_largest_congruence_inside_random_relations_equals_the_oracle(name):
     S = subject(name)
     for R in relations(S, seed=len(name)):
         top, rounds = largest_congruence_inside(S, R)
-        assert congruence_witness(S, top) is None and top.refines(R)
+        assert congruence_witness(S, top) is None and reference_refines(top, R)
         if S.size <= 40:
             assert top == reference_largest_congruence_inside(S, R)
         if congruence_witness(S, R) is None:
@@ -491,11 +486,11 @@ def test_largest_congruence_inside_h_is_mu_past_the_corpus(name):
 
 def test_largest_congruence_inside_rejects_a_relation_of_another_size():
     with pytest.raises(StructureError):
-        largest_congruence_inside(subject("b2"), Relation.identity(4))
+        largest_congruence_inside(subject("b2"), Relation(np.arange(4)))
 
 
 @pytest.mark.parametrize("name,patched,witness", [
-    ("group:s3", lambda S: Relation.identity(S.size),
+    ("group:s3", lambda S: Relation(np.arange(S.size)),
      "the largest congruence inside H relates {} and {}, mu does not"),
     ("symmetric:3", lambda S: S.h_partition,
      "mu relates {} and {}, the largest congruence inside H does not"),
@@ -511,9 +506,9 @@ def test_mu_maximal_fails_with_a_pair_when_mu_is_patched(name, patched, witness)
     mu = mu_relation(S)
     pair = next((x, y) for x in S.elements() for y in range(x + 1, S.size)
                 if sub.mu.related(x, y) != mu.related(x, y))
-    [result] = run_checks(name, sub, "congruence.mu_maximal")
+    [result] = run_checks(sub, "congruence.mu_maximal")
     assert (result.passed, result.witness) == (False, witness.format(*pair))
-    [inside] = run_checks(name, sub, "congruence.mu_inside_h")
+    [inside] = run_checks(sub, "congruence.mu_inside_h")
     assert inside.passed == (name == "group:s3")
 
 
@@ -580,5 +575,5 @@ def test_split_transversal_equals_the_loop_on_a_1001_class_chain():
     n = 1001
     chain = np.minimum.outer(np.arange(n), np.arange(n))
     S = InverseSemigroup(chain, tuple(range(n)), 0, tuple(map(str, range(n))))
-    args = (S, Relation.identity(n), congruences.QuotientMap(S, S, tuple(range(n))))
+    args = (S, Relation(np.arange(n)), congruences.QuotientMap(S, S, tuple(range(n))))
     assert split_transversal(*args) == reference_split_transversal_loop(*args) == tuple(range(n))

@@ -131,7 +131,7 @@ def test_fiber_certificate_reports_a_non_multiplicative_pair():
     G = sub.beta.groupoid           # one unit; arrow i is the germ of r_i
     broken = dataclasses.replace(G, table=edited_table(G.table, {(1, 1): 1}))
     sub.beta = dataclasses.replace(sub.beta, groupoid=broken)
-    [check] = run_checks("shadowed", sub, "germ.fibers_are_h_classes")
+    [check] = run_checks(sub, "germ.fibers_are_h_classes")
     assert not check.passed
     assert check.witness == "fiber at idempotent 0 is not multiplicative at (1,1)"
 
@@ -230,7 +230,7 @@ def _check(S, name, **shadows):
     sub = Subject(S)
     for field, value in shadows.items():
         setattr(sub, field, value)     # shadows the cached property on this instance
-    [check] = run_checks("shadowed", sub, name)
+    [check] = run_checks(sub, name)
     return check
 
 
@@ -239,14 +239,12 @@ def _fails(check, witness):
     assert check.witness == witness
 
 
-@pytest.mark.parametrize("subject,blocks,witness", [
-    ("b2", [range(5)], "relates idempotents 0 and 1"),
-    ("b2", [(0,), (1,), (2,), (3, 4)], "relates 3 and 4 across H classes"),
+@pytest.mark.parametrize("subject,labels,witness", [
+    ("b2", [0, 0, 0, 0, 0], "relates idempotents 0 and 1"),
+    ("b2", [0, 1, 2, 3, 3], "relates 3 and 4 across H classes"),
 ])
-def test_mu_check_reports_separation_and_h_witnesses(subject, blocks, witness):
-    S = builtin(subject)
-    mu = Relation.from_blocks(S.size, blocks)
-    _fails(_check(S, "congruence.mu_inside_h", mu=mu), witness)
+def test_mu_check_reports_separation_and_h_witnesses(subject, labels, witness):
+    _fails(_check(builtin(subject), "congruence.mu_inside_h", mu=Relation(labels)), witness)
 
 
 def test_mu_check_reports_a_congruence_witness():
@@ -281,10 +279,10 @@ def test_idempotent_check_reports_the_first_pair(S, witness):
 
 @pytest.mark.parametrize("S,witness", [
     # z4 split into {0, 1} and {2, 3}: r1 r1 = r2 leaves the class of 0
-    (_shadowed("group:z4", h_partition=Relation.from_blocks(4, ((0, 1), (2, 3)))),
+    (_shadowed("group:z4", h_partition=Relation([0, 0, 1, 1])),
      "class of 0 is not a group (witness 1)"),
     # b2 with a*a and a* in one class: a* times a*a is 0, not a*
-    (_shadowed("b2", h_partition=Relation.from_blocks(5, ((0,), (1, 4), (2,), (3,)))),
+    (_shadowed("b2", h_partition=Relation([0, 1, 2, 3, 1])),
      "1 is not an identity on its class"),
 ])
 def test_h_class_check_reports_the_first_element(S, witness):
@@ -299,7 +297,7 @@ def test_kernel_check_compares_the_kernel_with_the_centralizer():
 
 def test_kernel_check_cross_checks_the_blocks_with_the_pairs():
     S = builtin("group:z3")
-    mu = Relation.from_blocks(3, [(0,), (1, 2)])    # r1 r2* = r2 joins the identity's block
+    mu = Relation([0, 1, 1])    # r1 r2* = r2 joins the identity's block
     _fails(_check(S, "congruence.kernel_mu_is_centralizer", mu=mu),
            "kernel cross-check fails at 1")
 
@@ -361,7 +359,7 @@ def test_munn_check_reports_a_table_that_breaks_a_meet(monkeypatch):
 
 
 def test_sigma_check_fails_through_the_quotient_on_a_non_congruence():
-    sigma = Relation.from_blocks(3, [(0,), (1, 2)])
+    sigma = Relation([0, 1, 1])
     _fails(_check(builtin("group:z3"), "extension.sigma_group_image",
                   sigma=sigma),
            "error: relation is not a congruence: (1,1) and (1,2) related but products split")
@@ -504,7 +502,7 @@ def test_each_check_alone_matches_the_full_run(name):
             for report in run_suite(name, S, "all") for c in report.checks}
     alone = {}
     for check_name in full:
-        [c] = run_checks(name, Subject(S), check_name)
+        [c] = run_checks(Subject(S), check_name)
         alone[c.name] = (c.passed, c.witness)
     assert alone == full
 
