@@ -318,8 +318,7 @@ def germ_groupoid(action: Action) -> GermGroupoid:
     labels = tuple(f"[{S.label(s)}|{action.point_labels[x]}]"
                    for s, x in zip(rep_s.tolist(), rep_x.tolist()))
 
-    declared = action.space_basis is not None
-    if declared:
+    if action.space_basis is not None:
         sets, set_labels = action.space_basis
     else:
         idems = S.idempotent_array
@@ -331,7 +330,7 @@ def germ_groupoid(action: Action) -> GermGroupoid:
 
     units = tuple(distinct(unit_at_point).tolist())
     G = FiniteGroupoid(rep_s.size, r, d, inv, table, units, labels,
-                       Cuts(germ_at, sets, S.labels, set_labels, "Theta({},{})"), declared)
+                       Cuts(germ_at, sets, S.labels, set_labels, "Theta({},{})"))
     return GermGroupoid(action, G, tuple(unit_at_point.tolist()), germ_at,
                         np.stack([rep_s, rep_x], axis=1), tuple(min_idem.tolist()))
 

@@ -6,12 +6,12 @@ the blocks of the regular representation, one block per unit acting on the
 functions supported on that unit's source fiber.  In finite dimensions the
 full and reduced algebras coincide, so this single norm realizes both.
 
-Convolution and the regular representation run on index arrays that the
-groupoid caches once: per unit a fiber-by-fiber matrix of the arrows
-a b^-1, gathered from the table.  A regular-representation block is one
-gather of f's values through that matrix, and the involution, the
-extension by zero and the conditional expectation are single gathers or
-scatters.
+Convolution and the regular representation read each unit's matrix of
+the arrows a b^-1 over its d-fiber from ``FiniteGroupoid.fibers_by_size``,
+and refuse, as the norm does, an arrow whose source is not a listed unit,
+which is in no fiber.  A block is one gather of f's values through that
+matrix, and the involution, the extension by zero and the conditional
+expectation are single gathers or scatters.
 
 Convolution runs per d-fiber.  A factorization c = a b with d(c) = x has
 b in the fiber d^-1(x) and a = c b^-1, so on that fiber f g is the fiber
@@ -158,16 +158,20 @@ def delta(G: FiniteGroupoid, arrow: int) -> GroupoidFunction:
     return GroupoidFunction(G, v)
 
 
+def _require_listed_sources(G: FiniteGroupoid) -> None:
+    """Raise the first arrow whose source is not a listed unit: it is in no fiber."""
+    hit = first_index(~G.unit_mask[G.d])
+    if hit is not None:
+        raise StructureError(f"arrow {hit[0]} has source {G.d[hit]}, which is not a listed unit")
+
+
 def convolve(f: GroupoidFunction, g: GroupoidFunction) -> GroupoidFunction:
     """(f g)(c) sums f(a) g(b) over the factorizations c = a b, row by row."""
     _same_groupoid(f, g)
     if f.values.shape != g.values.shape:
         raise StructureError("convolution needs two functions or two stacks of one size")
     G = f.groupoid
-    outside = np.flatnonzero(~G.unit_mask[G.d])     # in no fiber, so never written below
-    if outside.size:
-        a = int(outside[0])
-        raise StructureError(f"arrow {a} has source {G.d[a]}, which is not a listed unit")
+    _require_listed_sources(G)
     fv, gv = np.atleast_2d(f.values), np.atleast_2d(g.values)
     out = np.empty(fv.shape, dtype=np.complex128)
     for fibers, idx in G.fibers_by_size:      # (m, s) fibers, (m, s, s) matrices [c b^-1]
@@ -195,8 +199,11 @@ def regular_representation(G: FiniteGroupoid, f: GroupoidFunction
                            ) -> RegularRepresentation:
     if f.groupoid is not G:
         raise GroupoidMismatch("function lives on a different groupoid")
-    blocks = tuple(f.values.take(idx, axis=-1) for _, idx in G.fiber_indices)
-    return RegularRepresentation(G, blocks)
+    _require_listed_sources(G)
+    stacks = {fibers.shape[1]: iter(np.moveaxis(f.values.take(idx, axis=-1), -3, 0))
+              for fibers, idx in G.fibers_by_size}     # each size's units in units order
+    size = np.bincount(G.d, minlength=G.n_arrows)[list(G.units)]
+    return RegularRepresentation(G, tuple(next(stacks[s]) for s in size.tolist()))
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -228,6 +235,7 @@ def reduced_norm(G: FiniteGroupoid, f: GroupoidFunction) -> float | np.ndarray:
     over- nor underflow."""
     if f.groupoid is not G:
         raise GroupoidMismatch("function lives on a different groupoid")
+    _require_listed_sources(G)
     fv = np.atleast_2d(f.values)
     # 2^-e puts a row's largest modulus in [1/2, 1); e >= -1021 keeps 2^-e
     # finite for a row of subnormal values

@@ -136,8 +136,7 @@ def cmd_germs(args) -> int:
     print(f"effective         {is_effective(G)}")
     print(f"ess_principal     {is_essentially_principal(G)}")
     print(f"domains_form_base {domains_form_base(action)}")
-    print(f"basis_sets        {len(G.basis)}"
-          + ("" if G.basis_declared else " (discrete default)"))
+    print(f"basis_sets        {len(G.basis)}")
     print(f"norm_blocks       {_norm_blocks(G)}")
     if args.dot:
         export_dot(G, args.dot)

@@ -257,7 +257,8 @@ def semidirect_factors(G: FiniteGroupoid, h_arrows: np.ndarray,
     r(gamma2), the middle factor in H by normality, so the product is never
     built.  That G is a groupoid is certified apart, for G(S) by
     ``germ.groupoid_axioms``.  A failure names the first hypothesis that
-    fails, or else the first arrow with no factorization or with several.
+    fails, or else the first pair (eta, gamma) with no product, or else the
+    first arrow with no factorization or with several.
     """
     h, k = np.flatnonzero(h_arrows), np.flatnonzero(k_arrows)
     if (G.r[h] != G.d[h]).any():
@@ -271,6 +272,9 @@ def semidirect_factors(G: FiniteGroupoid, h_arrows: np.ndarray,
     eta, gamma = np.nonzero(G.r[h][:, None] == G.r[k])
     eta, gamma = h[eta], k[gamma]
     products = G.table[eta, gamma]
+    hit = first_index(products < 0)
+    if hit is not None:
+        raise StructureError(f"eta {eta[hit]} and gamma {gamma[hit]} have no product")
     count = np.bincount(products, minlength=G.n_arrows)
     hit = first_index(count != 1)
     if hit is not None:

@@ -20,7 +20,7 @@ basis-set definitions even though every finite corpus groupoid ends up
 discrete; nothing is deduplicated or labeled until a witness is named.
 ``basis`` is the deduplicated catalog, built on first read for display.
 Groupoids built directly (pair groupoids, group tables, ...) carry the
-discrete basis, one singleton cut per arrow, and are flagged as such.
+discrete basis, one singleton cut per arrow.
 """
 
 from __future__ import annotations
@@ -119,7 +119,6 @@ class FiniteGroupoid:
     units: tuple[int, ...]
     labels: tuple[str, ...]
     cuts: Cuts
-    basis_declared: bool = True
 
     def arrows(self) -> range:
         return range(self.n_arrows)
@@ -148,28 +147,25 @@ class FiniteGroupoid:
         return np.array([g, h, self.table[g, h]]).T
 
     @cached_property
-    def fiber_indices(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
-        """Per unit, its d-fiber and the matrix [a b^-1] over rows a, columns b.
-
-        a b^-1 is always composable inside a d-fiber, so the matrix indexes
-        every arrow that the unit's regular-representation block reads.
-        """
-        out = []
-        for u in self.units:
-            fiber = np.flatnonzero(self.d == u)
-            out.append((tuple(fiber.tolist()), self.table[fiber[:, None], self.inv[fiber]]))
-        return tuple(out)
-
-    @cached_property
     def fibers_by_size(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """The d-fibers and matrices of ``fiber_indices`` stacked by fiber
-        size: one pair (fibers (m, s), matrices (m, s, s)) per size s, in
-        order of first occurrence.  The fibers partition the arrows."""
-        by_size: dict[int, list] = {}
-        for fiber, idx in self.fiber_indices:
-            by_size.setdefault(len(fiber), []).append((fiber, idx))
-        return tuple((np.array([fiber for fiber, _ in pairs], dtype=np.intp),
-                      np.stack([idx for _, idx in pairs])) for pairs in by_size.values())
+        """Per unit, its d-fiber and the matrix [a b^-1] (rows a, columns b;
+        always composable, so it indexes every arrow of the unit's block),
+        stacked by size: one pair (fibers (m, s), matrices (m, s, s)) per
+        fiber size s, sizes in order of first occurrence over ``units``,
+        units in ``units`` order within a size, each fiber increasing.  One
+        stable sort by the source's place in ``units`` lays the fibers end to
+        end; an arrow whose source is not a listed unit is in no fiber."""
+        place = np.full(self.n_arrows, -1, dtype=np.intp)     # a unit's place in units
+        place[list(self.units)] = np.arange(len(self.units))
+        source = place[self.d]
+        stacked = np.argsort(source, kind="stable")[np.count_nonzero(source < 0):]
+        size = np.bincount(source[stacked], minlength=len(self.units))
+        start = np.cumsum(size) - size
+        out = []
+        for s in dict.fromkeys(size.tolist()):      # in order of first occurrence
+            fibers = stacked[start[size == s, None] + np.arange(s)]
+            out.append((fibers, self.table[fibers[:, :, None], self.inv[fibers][:, None, :]]))
+        return tuple(out)
 
     @cached_property
     def orbit_base(self) -> np.ndarray:
@@ -189,10 +185,10 @@ class FiniteGroupoid:
 
     @cached_property
     def fiber_stacks(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """The matrices of ``fiber_indices`` at the units of ``orbit_units``,
-        each split by a cyclic subgroup of its isotropy, with the characters
-        of that subgroup that carry every block norm, stacked by
-        (r, o, kept): one triple ((orbits, r, r, o) array, kept, the
+        """The fiber matrices [a b^-1] at the units of ``orbit_units``, read
+        from the table, each split by a cyclic subgroup of its isotropy, with
+        the characters of that subgroup that carry every block norm, stacked
+        by (r, o, kept): one triple ((orbits, r, r, o) array, kept, the
         (orbits,) representatives) per key, in order of first occurrence.
 
         Every other unit's matrix is its orbit representative's with rows
@@ -219,17 +215,12 @@ class FiniteGroupoid:
         *Linear Representations of Finite Groups*, 1977, section 8).  So
         the kept blocks carry every norm.
         """
-        first = set(self.orbit_units)
-        by_key: dict[tuple, tuple[list[np.ndarray], np.ndarray, list[int]]] = {}
-        for u, (fiber, idx) in zip(self.units, self.fiber_indices):
-            if u in first:
-                block, kept = _coset_circulants(np.array(fiber), idx, u, self.r)
-                blocks, _, units = by_key.setdefault((block.shape, tuple(kept.tolist())),
-                                                     ([], kept, []))
-                blocks.append(block)
-                units.append(u)
-        return tuple((np.stack(blocks), kept, np.array(units, dtype=np.intp))
-                     for blocks, kept, units in by_key.values())
+        by_key: dict[tuple, list[tuple[int, np.ndarray, np.ndarray]]] = {}
+        for x in self.orbit_units:
+            block, kept = _coset_circulants(self, x)
+            by_key.setdefault((block.shape, tuple(kept.tolist())), []).append((x, block, kept))
+        return tuple((np.stack([block for _, block, _ in same]), same[0][2],
+                      np.array([x for x, _, _ in same], dtype=np.intp)) for same in by_key.values())
 
     @cached_property
     def isotropy(self) -> np.ndarray:
@@ -245,53 +236,51 @@ class FiniteGroupoid:
         return f"FiniteGroupoid(arrows={self.n_arrows}, units={len(self.units)})"
 
 
-def _coset_circulants(fiber: np.ndarray, idx: np.ndarray, x: int, ranges: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
+def _coset_circulants(G: FiniteGroupoid, x: int) -> tuple[np.ndarray, np.ndarray]:
     """The (r, r, o) array [c_p g^j c_q^-1] of ``fiber_stacks`` at the unit
-    x and its kept characters, read off the fiber matrix idx = [a b^-1]
-    (rows a, columns b, both over the fiber in increasing order).
+    x and its kept characters, read from ``G.table``.
 
-    Column b^-1's position multiplies on the right by b, since a (b^-1)^-1
-    = a b, and row x holds the inverses: x b^-1 = b^-1.  The rows of G_x at
-    those columns are its table, read once as positions in G_x; the orders,
-    g and its powers, and the conjugates h^-1 g h come from that small
-    table, not from the whole fiber.  A table that is no group's raises a
-    ``StructureError``: G_x not closed, an arrow none of whose first |G_x|
-    powers is x (an order divides |G_x|), or g conjugate to no power.
+    Each b in G_x is read as (x b^-1)^-1 = b, inverses through the table.  The
+    products of G_x are its table, read once as positions in G_x; the
+    orders, g and its powers, and the conjugates h^-1 g h come from that
+    small table, not from the whole fiber.  A table that is no group's
+    raises a ``StructureError``: G_x not closed, an arrow none of whose
+    first |G_x| powers is x (an order divides |G_x|), or g conjugate to no
+    power.
     """
-    iso = np.flatnonzero(ranges[fiber] == x)      # G_x, in increasing order
+    table, inv = G.table, G.inv
+    fiber = np.flatnonzero(G.d == x)              # d^-1(x), in increasing order
+    iso = fiber[G.r[fiber] == x]                  # G_x, in increasing order
     if len(iso) == 1:           # o = 1: every arrow is its own coset
-        return idx[:, :, None], np.zeros(1, dtype=np.intp)
-    # an arrow's position in the fiber and in G_x; -1 off them and at index -1
-    at, within = np.full((2, len(ranges) + 1), -1, dtype=np.intp)
-    at[fiber] = np.arange(len(fiber))
-    inverse = idx[at[x], iso]
-    right = at[inverse]                           # columns that multiply by b in G_x
-    every = within[fiber[iso]] = np.arange(len(iso))
-    table = within[idx[iso][:, right]]            # a b at [a, b]
-    if min(at[x], right.min(), within[inverse].min(), table.min()) < 0:
+        return table[fiber[:, None], inv[fiber]][:, :, None], np.zeros(1, dtype=np.intp)
+    within = np.full(G.n_arrows + 1, -1, dtype=np.intp)   # position in G_x; -1 off it and at -1
+    every = within[iso] = np.arange(len(iso))
+    inverse = table[x, inv[iso]]                  # x b^-1
+    right = inv[inverse]                          # the arrows that multiply by b in G_x
+    products = within[table[iso[:, None], right]]     # a b at [a, b]
+    if G.d[x] != x or min(within[inverse].min(), products.min()) < 0:
         raise StructureError(f"the isotropy at unit {x} is not closed in the table")
     e = within[x]
     powers = every[:, None]                       # b^(j+1) at [b, j], doubled until e shows
     while not (powers == e).any(axis=1).all():
         if powers.shape[1] >= len(iso):           # an order divides |G_x|
-            b = fiber[iso[np.argmin((powers == e).any(axis=1))]]
+            b = iso[np.argmin((powers == e).any(axis=1))]
             raise StructureError(f"no power b^j, j <= {len(iso)}, of arrow {b} is the unit {x}")
-        powers = np.hstack((powers, table[powers[:, -1:], powers]))
+        powers = np.hstack((powers, products[powers[:, -1:], powers]))
     order = (powers == e).argmax(axis=1) + 1
     g = int(np.argmax(order))                     # the least arrow of largest order
     o = int(order[g])
     cyclic = powers[g, np.arange(-1, o - 1) % o]  # g^0 = g^o, g, ..., g^(o-1)
     exponent = np.full(len(iso), -1)
     exponent[cyclic] = np.arange(o)
-    k = exponent[table[table[within[inverse], g], every]]     # h^-1 g h = g^k, or -1
+    k = exponent[products[products[within[inverse], g], every]]   # h^-1 g h = g^k, or -1
     if k.max() < 0:         # in a group h = x gives k = 1
-        raise StructureError(f"no conjugate of arrow {fiber[iso[g]]} at unit {x} is a power")
+        raise StructureError(f"no conjugate of arrow {iso[g]} at unit {x} is a power")
     classes = (k[k >= 0, None] * np.arange(o)) % o        # {k t} over the rows, t over the columns
     kept = np.flatnonzero(classes.min(axis=0) == np.arange(o))
-    cosets = idx[:, right[cyclic]]                # [a g^j]
-    reps = np.flatnonzero(cosets.min(axis=1) == fiber)    # a, the least of a <g>
-    return idx[at[cosets[reps]][:, None, :], reps[None, :, None]], kept
+    cosets = table[fiber[:, None], right[cyclic]]         # [a g^j]
+    lead = cosets.min(axis=1) == fiber                    # a, the least of a <g>
+    return table[cosets[lead][:, None, :], inv[fiber[lead]][None, :, None]], kept
 
 
 @dataclass(frozen=True)
@@ -494,7 +483,7 @@ def make_groupoid(r, d, inv, table, labels=None) -> FiniteGroupoid:
         labels = tuple(f"g{a}" for a in range(n))
     discrete = Cuts(np.arange(n)[:, None], np.ones((1, 1), dtype=bool), tuple(labels), ("",),
                     "{{{}}}")
-    G = FiniteGroupoid(n, r, d, inv, table, units, tuple(labels), discrete, False)
+    G = FiniteGroupoid(n, r, d, inv, table, units, tuple(labels), discrete)
     return validate_groupoid(G)
 
 
@@ -624,7 +613,7 @@ def extract_subgroupoid(G: FiniteGroupoid, subset: np.ndarray
     cuts = replace(G.cuts, rows=compose_after(back, G.cuts.rows), form=G.cuts.form + "|sub")
     units = tuple(sorted(back_of[u] for u in G.units if back_of[u] >= 0))
     H = FiniteGroupoid(order.size, back[G.r[order]], back[G.d[order]], back[G.inv[order]],
-                       table, units, labels, cuts, G.basis_declared)
+                       table, units, labels, cuts)
     return H, order
 
 

@@ -38,7 +38,8 @@ from germlab.suites import run_checks, run_suite
 
 from test_actions import diamond_munn
 from test_congruences import _relabelled
-from test_groupoids import edited_table, pair_groupoid
+from test_generator_certificates import relabeled_union
+from test_groupoids import Z3_TABLE, edited_table, pair_groupoid
 from test_order_congruence_tables import LADDER, subject
 from test_semigroups import B2_TABLE
 
@@ -535,20 +536,25 @@ def _brandt_bundle():
     emb = sub.z_in_beta
     G, H = emb.parent, emb.groupoid
     assert emb.to_parent.tolist() == [0, 1, 2, 3, 6, 7] and H.units == (0, 2, 4)
-    assert emb.properties.normal and not {"fiber_indices", "unit_mask"} & H.__dict__.keys()
+    assert emb.properties.normal and not {"fibers_by_size", "unit_mask"} & H.__dict__.keys()
     G.table, H.inv, H.table = G.table.copy(), H.inv.copy(), H.table.copy()
     emb.to_parent = emb.to_parent.copy()
     return sub, emb
 
 
-def test_convolve_refuses_a_groupoid_whose_units_miss_a_source():
+def test_the_algebra_refuses_a_groupoid_whose_units_miss_a_source():
     """``brandt_z2``'s centralizer bundle with unit 4 left out of ``units``:
     the listed units' fibers miss arrows 4 and 5, which convolve would
-    otherwise leave uninitialized."""
+    otherwise leave uninitialized, and the regular representation and its
+    norm would leave out (2 blocks instead of 3, norm 2.0).  All three
+    raise the same error."""
     H = dataclasses.replace(_brandt_bundle()[1].groupoid, units=(0, 2))
     ones = GroupoidFunction(H, np.ones(H.n_arrows))
-    with pytest.raises(StructureError, match="^arrow 4 has source 4, which is not a listed unit$"):
-        convolve(ones, ones)
+    for call in (lambda: convolve(ones, ones), lambda: regular_representation(H, ones),
+                 lambda: reduced_norm(H, ones)):
+        with pytest.raises(StructureError,
+                           match="^arrow 4 has source 4, which is not a listed unit$"):
+            call()
 
 
 def _map_off_h(emb):
@@ -788,12 +794,59 @@ def _reference_orbit_units(G):
     return tuple(sorted({min(r[a] for a in G.arrows() if d[a] == v) for v in G.units}))
 
 
+def _unit_fibers(G):
+    """Per unit, in ``units`` order, its d-fiber as a tuple and the matrix
+    [a b^-1] over it (rows a, columns b), read unit by unit from the table."""
+    out = {}
+    for u in G.units:
+        fiber = np.flatnonzero(G.d == u)
+        out[u] = (tuple(fiber.tolist()), G.table[fiber[:, None], G.inv[fiber]])
+    return out
+
+
+def _interleaved_sizes():
+    """Units 0 to 3 with fibers of sizes 2, 1, 2 and 3: the pair groupoid on
+    two points (units 0 and 2), a trivial group (unit 1) and Z3 (unit 3),
+    arrows renamed so that the sizes interleave."""
+    parts = (pair_groupoid(2), group_as_groupoid([[0]]), group_as_groupoid(Z3_TABLE))
+    return relabeled_union(parts, [0, 4, 5, 2, 1, 3, 6, 7])
+
+
+@pytest.mark.parametrize("name", ORBIT_SUBJECTS + ("interleaved",))
+def test_fibers_by_size_equals_the_per_unit_loop(name):
+    """``fibers_by_size``, array for array and in order, is the per-unit
+    loop's fibers and matrices grouped by size, sizes in order of first
+    occurrence and units in ``units`` order within a size: on both germ
+    groupoids and the centralizer bundle of every orbit subject, and on a
+    groupoid whose fiber sizes interleave (2, 1, 2, 3 over its units)."""
+    if name == "interleaved":
+        groupoids = (_interleaved_sizes(),)
+        assert [len(f) for f, _ in _unit_fibers(groupoids[0]).values()] == [2, 1, 2, 3]
+    elif name == RELABELLED_S4:
+        groupoids = _germ_groupoids(name)
+    else:
+        groupoids = _germ_groupoids(name) + (Subject(subject(name)).z_in_beta.groupoid,)
+    for G in groupoids:
+        by_size = {}
+        for fiber, idx in _unit_fibers(G).values():
+            fibers, matrices = by_size.setdefault(len(fiber), ([], []))
+            fibers.append(fiber)
+            matrices.append(idx)
+        assert len(G.fibers_by_size) == len(by_size), name
+        for (fibers, idx), (s, (ref_fibers, ref_matrices)) in zip(G.fibers_by_size,
+                                                                   by_size.items()):
+            assert fibers.dtype == np.intp and fibers.shape == (len(ref_fibers), s), name
+            assert np.array_equal(fibers, np.array(ref_fibers, dtype=np.intp).reshape(-1, s))
+            assert idx.dtype == G.table.dtype and idx.shape == (len(ref_fibers), s, s), name
+            assert np.array_equal(idx, np.stack(ref_matrices)), name
+
+
 def _all_unit_norm(G, f):
     """The largest block norm over every unit, one SVD per unit: the norm
     before it read one block per orbit."""
     fv = f.values.reshape(-1, G.n_arrows)
     return np.max([np.linalg.svd(fv.take(idx, axis=1), compute_uv=False)[:, 0]
-                   for _, idx in G.fiber_indices], axis=0)
+                   for _, idx in _unit_fibers(G).values()], axis=0)
 
 
 @pytest.mark.parametrize("name", ORBIT_SUBJECTS)
@@ -804,7 +857,7 @@ def test_each_block_is_its_orbit_representatives_block_permuted(name):
     for G in _germ_groupoids(name):
         assert G.orbit_units == _reference_orbit_units(G)
         r, d, table = G.r.tolist(), G.d.tolist(), G.table.tolist()
-        blocks = dict(zip(G.units, G.fiber_indices))
+        blocks = _unit_fibers(G)
         for v in G.units:
             g = min((a for a in G.arrows() if d[a] == v), key=lambda a: (r[a], a))
             (fiber_u, idx_u), (fiber_v, idx_v) = blocks[r[g]], blocks[v]
@@ -921,7 +974,7 @@ def test_fiber_stacks_split_each_block_into_circulants(name):
     loop reference's."""
     for G in _germ_groupoids(name):
         r, d, inv, table = G.r.tolist(), G.d.tolist(), G.inv.tolist(), G.table.tolist()
-        matrices = dict(zip(G.units, G.fiber_indices))
+        matrices = _unit_fibers(G)
         for x, I, _ in _fiber_stack_blocks(G):
             fiber, M = matrices[x]
             rows, _, o = I.shape
@@ -952,7 +1005,7 @@ def test_kept_characters_are_the_class_minima_and_carry_every_norm(name):
     computed as ``_split_block_norms`` does, equals its class minimum's to
     ORBIT_NORM_ULPS, on Gaussian-integer and on normal samples."""
     for G in _germ_groupoids(name):
-        matrices = dict(zip(G.units, G.fiber_indices))
+        matrices = _unit_fibers(G)
         (ints,) = random_functions(SplitMix64(zlib.crc32(name.encode())), 3, G)
         normal = np.random.default_rng(zlib.crc32(name.encode())).standard_normal(
             (2, 3, G.n_arrows))

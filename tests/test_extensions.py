@@ -1,3 +1,6 @@
+import re
+import zlib
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from germlab.groupoids import (
     validate_hom,
 )
 from germlab.semigroups import direct_product, validate_inverse_semigroup
+from germlab.suites import run_checks
 
 from test_actions import diamond_munn
 from test_congruences import CHAIN_ID_TABLE, CHAIN_KILL_TABLE
@@ -231,6 +235,38 @@ def test_semidirect_factors_needs_every_transversal_germ(name):
     for gamma in np.flatnonzero(k_arrows):
         with pytest.raises(StructureError):
             semidirect_factors(G, h_arrows, k_arrows & (np.arange(G.n_arrows) != gamma))
+
+
+def _moved_range(name, rng):
+    """A fresh Subject of a builtin whose universal groupoid has one arrow's
+    range moved to another unit, both drawn from rng."""
+    sub = Subject(builtin(name))
+    G = sub.beta.groupoid
+    a = int(rng.integers(G.n_arrows))
+    G.r = G.r.copy()
+    G.r[a] = rng.choice([u for u in G.units if u != G.r[a]])
+    return sub
+
+
+@pytest.mark.parametrize("name", ["b2", "diamond_munn", "symmetric:3", "graph:parallel2"])
+def test_a_moved_range_fails_the_semidirect_check_with_a_witness(name):
+    """Three seeded moves of one arrow's range in the universal groupoid:
+    every subject check returns a result or raises ``StructureError``, and
+    the semidirect decomposition fails with a witness, at least once at a
+    pair (eta, gamma) with one range and no product, which ``np.bincount``
+    refused with a ``ValueError`` before it was checked."""
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    witnesses = []
+    for _ in range(3):
+        sub = _moved_range(name, rng)
+        results = [c for suite in ("universal", "tight", "extension", "algebra")
+                   for c in run_checks(sub, suite)]
+        [semi] = [c for c in results if c.name == "extension.semidirect_decomposition"]
+        assert not semi.passed, name
+        witnesses.append(semi.witness)
+    assert all(re.fullmatch(r"error: (eta \d+ and gamma \d+ have no product"
+                            r"|the bundle H is not a group bundle)", w) for w in witnesses)
+    assert any("no product" in w for w in witnesses), witnesses
 
 
 def test_universal_germs_arrow_counts():
