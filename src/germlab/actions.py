@@ -45,6 +45,7 @@ from .groupoids import (
     Cuts,
     FiniteGroupoid,
     SubgroupoidProperties,
+    check_arrays,
     extract_subgroupoid,
     subgroupoid_properties,
 )
@@ -252,6 +253,106 @@ class GermGroupoid:
             if m == e:
                 return x
         raise StructureError(f"no point is generated by idempotent {e}")
+
+    def canonical_elements(self, arrows: np.ndarray) -> np.ndarray:
+        """The canonical element s m_x of each germ [s, x] in an arrow array."""
+        s, x = self.rep_of[arrows].T
+        return self.action.semigroup.table[s, np.asarray(self.base_idempotent)[x]]
+
+
+def certify_germ_groupoid(germs: GermGroupoid) -> None:
+    """Certify that the germs form a groupoid by their element map, each
+    failure with its first witness.
+
+    The map is c([s, x]) = s m_x, read from ``rep_of`` and
+    ``base_idempotent``.  After the shapes and ranges of the arrays
+    (``groupoids.check_arrays``) and of the lookups, the checks run in this
+    order: each arrow's representative (s, x) has x in the domain of s; c
+    is injective (the first arrow whose element an earlier arrow has); per
+    arrow g, in index order, c(r g) = c(g)c(g)*, c(d g) = c(g)*c(g) and
+    c(g^-1) = c(g)*; the listed units are exactly the arrows whose element
+    is idempotent; over the pairs (g, h) row-major, gh is defined exactly
+    where d g = r h, and there c(gh) = c(g)c(h); over the pairs (s, x)
+    row-major, germ_at[s, x] is an arrow exactly where x is in the domain
+    of s, and there c(germ_at[s, x]) = s m_x.  Each of the last two reads
+    only the defined entries, with a count against the composable pairs or
+    the domain pairs; only when it fails is the whole array compared, to
+    name the witness.
+
+    Why that suffices.  The semigroup S is a validated inverse semigroup,
+    so its restricted product, with s.t = st defined where s*s = tt*,
+    range ss*, source s*s and inverse s*, is a groupoid: its laws are S's
+    associativity and inverse laws.  Since c is injective, d g = r h
+    exactly when c(g)*c(g) = c(h)c(h)*, so c carries composability,
+    products, ranges, sources, inverses and units to the restricted
+    product's, and G is isomorphic to the subgroupoid c(G) of it.  Each
+    groupoid axiom therefore holds in G: its two sides have one element,
+    and c is injective.  No triple is scanned.  By the last check and
+    injectivity, germ_at[rep_of[a]] = a, so every arrow is the germ of its
+    representative and germ_at names the germs.
+    """
+    G, action = germs.groupoid, germs.action
+    S, maps = action.semigroup, action.maps
+    n = G.n_arrows
+    check_arrays(G)
+    rep_of, germ_at = germs.rep_of, germs.germ_at
+    base = np.asarray(germs.base_idempotent, dtype=np.intp)
+    if (rep_of.shape != (n, 2) or base.shape != (action.space_size,)
+            or germ_at.shape != maps.shape):
+        raise StructureError("germ lookups must cover the arrows, the points and the elements")
+    if (((rep_of < 0) | (rep_of >= (S.size, action.space_size))).any()
+            or ((base < 0) | (base >= S.size)).any() or ((germ_at < -1) | (germ_at >= n)).any()):
+        raise StructureError("germ lookup entry out of range")
+    s, x = rep_of.T
+    hit = first_index(maps[s, x] < 0)
+    if hit is not None:
+        (a,) = hit
+        raise StructureError(f"arrow {a}: representative ({s[a]},{x[a]}) is outside the domain")
+    T, arrows = S.table, np.arange(n)
+    c = germs.canonical_elements(arrows)
+    first = np.full(S.size, n, dtype=np.intp)
+    np.minimum.at(first, c, arrows)
+    hit = first_index(first[c] != arrows)
+    if hit is not None:
+        (b,) = hit
+        raise StructureError(f"arrows {first[c[b]]} and {b} have the same element {c[b]}")
+    star = S.inv_array[c]
+    bad_range = c[G.r] != T[c, star]
+    bad_source = c[G.d] != T[star, c]
+    bad_inverse = c[G.inv] != star
+    hit = first_index(bad_range | bad_source | bad_inverse)
+    if hit is not None:
+        (g,) = hit
+        raise StructureError(f"arrow {g}: c(r g) is not c(g)c(g)*" if bad_range[g]
+                             else f"arrow {g}: c(d g) is not c(g)*c(g)" if bad_source[g]
+                             else f"arrow {g}: c(g^-1) is not c(g)*")
+    hit = first_index(G.unit_mask != S.idempotent_mask[c])
+    if hit is not None:
+        (g,) = hit
+        raise StructureError(f"unit {g} has a non-idempotent element" if G.unit_mask[g]
+                             else f"arrow {g} has an idempotent element but is not a unit")
+    pairs = np.flatnonzero(G.table >= 0)            # the defined (g, h), row-major
+    g, h = np.divmod(pairs, n)
+    count = np.bincount(G.d, minlength=n) @ np.bincount(G.r, minlength=n)  # composable pairs
+    if not ((G.d[g] == G.r[h]).all() and pairs.size == count
+            and (c[G.table.ravel()[pairs]] == T[c[g], c[h]]).all()):
+        defined, composable = G.table >= 0, G.d[:, None] == G.r
+        g, h = first_index((defined != composable)
+                           | (defined & (c[G.table] != T[c[:, None], c])))
+        raise StructureError(f"composition defined on non-composable ({g},{h})"
+                             if not composable[g, h]
+                             else f"composability mismatch at ({g},{h})" if not defined[g, h]
+                             else f"element map is not multiplicative at ({g},{h})")
+    pairs = np.flatnonzero(maps >= 0)               # the domain pairs (s, x), row-major
+    s, x = np.divmod(pairs, action.space_size)
+    arrow = germ_at.ravel()[pairs]
+    if not (np.count_nonzero(germ_at >= 0) == pairs.size and (arrow >= 0).all()
+            and (c[arrow] == T[s, base[x]]).all()):
+        domain, listed = maps >= 0, germ_at >= 0
+        s, x = first_index((domain != listed) | (listed & (c[germ_at] != T[:, base])))
+        raise StructureError(f"germ ({s},{x}) listed outside the domain of {s}" if not domain[s, x]
+                             else f"germ ({s},{x}) missing in the domain of {s}" if not listed[s, x]
+                             else f"germ ({s},{x}) is not the arrow of its element")
 
 
 def _least_acting_idempotents(action: Action) -> np.ndarray:

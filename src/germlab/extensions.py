@@ -70,13 +70,16 @@ class SplitDecomposition:
 class Subject:
     """The structures of one semigroup that the paper's theorems relate.
 
-    Each is built on first use and then shared, so one verification run
-    builds each at most once; every public function of this module builds
-    from a fresh Subject.  Constructors validate their input, and the
-    theorems about the results are checked by the verification suites: the
-    germ groupoids' axioms, the projection and the cocycle being
-    homomorphisms.  Only ``split_decomposition`` certifies what it builds,
-    since its certificate, each arrow's factorization, is the result.
+    Each is built on first use and then shared.  ``suites.run_suite`` hands
+    one Subject to every check and reuses it across consecutive calls on the
+    same semigroup object, holding at most one, so each structure is built
+    once per semigroup; every public function of this module builds from a
+    fresh Subject.  Constructors validate their input, and the theorems
+    about the results are checked by the verification suites: the germ
+    groupoids' axioms (by their element maps), the projection and the
+    cocycle being homomorphisms.  Only ``split_decomposition`` certifies
+    what it builds, since its certificate, each arrow's factorization, is
+    the result.
     """
 
     def __init__(self, S: InverseSemigroup):

@@ -307,11 +307,13 @@ def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     """Check the groupoid axioms and basis sanity, every failure with its
     first witness.
 
-    ``make_groupoid`` runs it on the arrays its callers supply.  Groupoids
-    that a construction makes a groupoid by theorem (germs, extracted
-    subgroupoids) are not validated where they are built; the verification
-    suites check them (``germ.groupoid_axioms``, ``tight.action_valid``,
-    ``extension.projection_strongly_surjective``).
+    ``make_groupoid`` runs it on the arrays its callers supply, and it
+    checks any groupoid read from outside.  Groupoids that a construction
+    makes a groupoid by theorem (germs, extracted subgroupoids) are not
+    validated where they are built.  The verification suites certify the
+    germ groupoids through their element maps instead
+    (``actions.certify_germ_groupoid``), which shares this function's
+    shape, range and basis checks (``check_arrays``).
 
     After the array shapes and ranges, the checks run in this order, each
     reporting its first witness: the units in ``units`` order; range, source
@@ -330,22 +332,7 @@ def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     """
     n = G.n_arrows
     r, d, inv, table = G.r, G.d, G.inv, G.table
-    units = np.asarray(G.units, dtype=np.intp)
-    if table.shape != (n, n) or any(a.shape != (n,) for a in (r, d, inv)):
-        raise StructureError(f"composition table and arrow arrays must cover {n} arrows")
-    rows, sets = G.cuts.rows, G.cuts.sets
-    if (rows.ndim != 2 or rows.dtype.kind != "i" or sets.dtype != bool
-            or rows.shape[0] != len(G.cuts.row_labels)
-            or sets.shape != (len(G.cuts.set_labels), rows.shape[1])):
-        raise StructureError("basis must be labeled integer rows and labeled boolean sets"
-                             " over one set of points")
-    if ((rows < -1) | (rows >= n)).any():
-        raise StructureError("basis row entry out of range")
-    if ((table < -1) | (table >= n)).any():
-        raise StructureError("composition table entry out of range")
-    ends = np.concatenate((r, d, inv, units))
-    if ((ends < 0) | (ends >= n)).any():
-        raise StructureError("range, source, inverse or unit out of range")
+    units = check_arrays(G)
     not_idempotent = (table[units, units] != units) | (inv[units] != units)
     not_own = (r[units] != units) | (d[units] != units)
     hit = first_index(not_idempotent | not_own)
@@ -387,6 +374,31 @@ def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     if triples <= NORMAL_FORM_TRIPLES or not _brandt_certificate(G, left, right, product):
         _associativity_scan(G, left, right, product)
     return G
+
+
+def check_arrays(G: FiniteGroupoid) -> np.ndarray:
+    """Check the shapes and ranges of G's arrays and its basis, and return
+    its units as an array: the first checks of ``validate_groupoid`` and of
+    ``actions.certify_germ_groupoid``, each failure named by its message."""
+    n = G.n_arrows
+    r, d, inv, table = G.r, G.d, G.inv, G.table
+    units = np.asarray(G.units, dtype=np.intp)
+    if table.shape != (n, n) or any(a.shape != (n,) for a in (r, d, inv)):
+        raise StructureError(f"composition table and arrow arrays must cover {n} arrows")
+    rows, sets = G.cuts.rows, G.cuts.sets
+    if (rows.ndim != 2 or rows.dtype.kind != "i" or sets.dtype != bool
+            or rows.shape[0] != len(G.cuts.row_labels)
+            or sets.shape != (len(G.cuts.set_labels), rows.shape[1])):
+        raise StructureError("basis must be labeled integer rows and labeled boolean sets"
+                             " over one set of points")
+    if ((rows < -1) | (rows >= n)).any():
+        raise StructureError("basis row entry out of range")
+    if ((table < -1) | (table >= n)).any():
+        raise StructureError("composition table entry out of range")
+    ends = np.concatenate((r, d, inv, units))
+    if ((ends < 0) | (ends >= n)).any():
+        raise StructureError("range, source, inverse or unit out of range")
+    return units
 
 
 def _brandt_certificate(G: FiniteGroupoid, left: np.ndarray, right: np.ndarray,
@@ -660,11 +672,24 @@ def validate_hom(hom: GroupoidHom) -> GroupoidHom:
 
 
 def is_strongly_surjective(hom: GroupoidHom) -> bool:
-    """Each source fiber maps onto the whole target fiber at the image unit."""
+    """Each source fiber maps onto the whole target fiber at the image unit.
+
+    One comparison for all units: the pairs (i, m a) that the map hits over
+    the arrows a out of the i-th unit u, as a set, against the pairs (i, b)
+    with d(b) = m u, both coded row-major.  An image outside the target's
+    arrows lies in no target fiber."""
     S, T = hom.source, hom.target
     m = np.asarray(hom.map, dtype=np.intp)
-    return all(np.array_equal(distinct(m[S.d == u]), np.flatnonzero(T.d == m[u]))
-               for u in S.units)
+    units = np.asarray(S.units, dtype=np.intp)
+    place = np.full(S.n_arrows, -1, dtype=np.intp)       # a unit's place in units
+    place[units] = np.arange(units.size)
+    source = place[S.d]
+    out = source >= 0                                      # the arrows out of a listed unit
+    image = m[out]
+    if ((image < 0) | (image >= T.n_arrows)).any():
+        return False
+    i, b = np.nonzero(m[units][:, None] == T.d)           # row-major, so already in order
+    return np.array_equal(distinct(source[out] * T.n_arrows + image), i * T.n_arrows + b)
 
 
 def hom_kernel(hom: GroupoidHom) -> np.ndarray:

@@ -17,14 +17,16 @@ and turns a ``StructureError`` into an ``error: ...`` failure witness;
 ``run_suite``, ``global_reports`` and the tests all go through it.  Failures always carry a concrete witness, and two runs of
 a suite produce byte-identical reports.
 
-``run_suite`` hands one ``extensions.Subject`` to every check it runs, so each
-structure is built at most once per call and dropped when the call returns.
-The constructors validate only their input: the theorems about what they
-build (mu is an idempotent-separating congruence inside H, the centralizer
-and the action kernels are normal subsemigroups, the Munn semigroup is
-fundamental, the germs of S, of its tight action and of S/mu are groupoids,
-the projection and the cocycle are homomorphisms, ...) are checked here,
-each by one named check.  No check runs an isomorphism search: each
+``run_suite`` hands one ``extensions.Subject`` to every check it runs, and
+consecutive calls on the same semigroup object share it, so each structure
+is built at most once per semigroup.  Only the last call's Subject is held;
+the next call on another semigroup drops it.  The constructors validate
+only their input: the theorems about what they build (mu is an
+idempotent-separating congruence inside H, the centralizer and the action
+kernels are normal subsemigroups, the Munn semigroup is fundamental, the
+germs of S, of its tight action and of S/mu are groupoids, by their element
+maps, the projection and the cocycle are homomorphisms, ...) are checked
+here, each by one named check.  No check runs an isomorphism search: each
 isomorphism is certified along a given map (E onto the Munn semigroup's
 identity rows, isotropy fibers onto class groups, G(S) onto the semidirect
 product by unique factorization), and checks that read only an arrow set
@@ -40,12 +42,18 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from . import algebra as alg
-from .actions import EmbeddedSubgroupoid, domains_form_base, germ_equivalence_is_equivalence
+from .actions import (
+    EmbeddedSubgroupoid,
+    certify_germ_groupoid,
+    domains_form_base,
+    germ_equivalence_is_equivalence,
+)
 from .congruences import (
     Relation,
     congruence_witness,
@@ -69,7 +77,6 @@ from .groupoids import (
     iso_bundle,
     iso_interior,
     interior_witnesses,
-    validate_groupoid,
     validate_hom,
 )
 from .semigroups import (
@@ -170,12 +177,6 @@ def run_checks(sub: Subject | None, suite: str) -> list[CheckResult]:
 
 # ---------------------------------------------------------------------------
 # universal suite
-
-
-def _canonical_elements(germs, arrows: np.ndarray) -> np.ndarray:
-    """The canonical element s m_x of each germ [s, x] in an arrow array."""
-    s, x = germs.rep_of[arrows].T
-    return germs.action.semigroup.table[s, np.asarray(germs.base_idempotent)[x]]
 
 
 @check("universal", "semigroup.natural_order", "the natural order is a partial order")
@@ -381,7 +382,8 @@ def _germ_equivalence(sub):
 @check("universal", "germ.groupoid_axioms",
        "the universal germ groupoid satisfies the groupoid axioms")
 def _groupoid_axioms(sub):
-    validate_groupoid(sub.beta.groupoid)
+    """Certified by the element map (``actions.certify_germ_groupoid``)."""
+    certify_germ_groupoid(sub.beta)
     return True, f"{sub.beta.groupoid.n_arrows} arrows"
 
 
@@ -469,7 +471,7 @@ def _fibers_are_h_classes(sub):
     k = E.size
     loop_at = np.where(G.r == G.d, G.r, -1)             # a loop's unit, -1 for other arrows
     owner, fiber = np.nonzero(loop_at == units[:, None])
-    canonical = _canonical_elements(germs, np.arange(G.n_arrows))
+    canonical = germs.canonical_elements(np.arange(G.n_arrows))
     image = canonical[fiber]
     h = S.h_partition.labels
     count = np.bincount(owner, minlength=k)
@@ -504,7 +506,7 @@ def _containment_chain(sub):
         return False, "containment chain broken"
     E, units = _principal_units(sub.beta)
     owner, arrow = np.nonzero((G.d == units[:, None]) & z_arrows)
-    differ = _classes_differ(E, owner, _canonical_elements(sub.beta, arrow), sub.mu.labels)
+    differ = _classes_differ(E, owner, sub.beta.canonical_elements(arrow), sub.mu.labels)
     i = _first_fiber_failure(E, units, differ)
     if i is not None:
         return False, f"centralizer fiber at {E[i]} is not its congruence class"
@@ -594,7 +596,7 @@ def _ultrafilters_maximal(sub):
        "satisfies the groupoid axioms")
 def _tight_action_valid(sub):
     g = sub.theta
-    validate_groupoid(g.groupoid)
+    certify_germ_groupoid(g)
     return True, f"{g.groupoid.n_arrows} arrows over {g.action.space_size} points"
 
 
@@ -701,7 +703,7 @@ def _graph_zero_disjunctive(sub):
        "projection onto it is a strongly surjective homomorphism")
 def _projection_strongly_surjective(sub):
     proj = sub.projection
-    validate_groupoid(proj.target.groupoid)
+    certify_germ_groupoid(proj.target)        # the germs of S/mu, by their element map
     validate_hom(proj.hom)
     if not is_strongly_surjective(proj.hom):
         return False, "a fiber is not covered"
@@ -878,10 +880,20 @@ def _hypothesis_checker(_):
 # orchestration
 
 
+# The Subject of the last run_suite call, reused by the next call on the same
+# semigroup object and dropped by a call on another: InverseSemigroup defines
+# no __eq__, so the key is the object's identity.
+_subject = lru_cache(maxsize=1)(Subject)
+
+
 def run_suite(name: str, S: InverseSemigroup, suite: str) -> list[VerificationReport]:
-    """Per-subject reports for one suite (or all of them), over one Subject."""
+    """Per-subject reports for one suite (or all of them), over one Subject.
+
+    Consecutive calls on the same semigroup object share its Subject, so
+    each structure is built once per semigroup, not once per call; at most
+    one Subject, the last call's, is held between calls."""
     suites = SUITE_NAMES if suite == "all" else (suite,)
-    sub = Subject(S)
+    sub = _subject(S)
     reports = []
     for s in suites:
         if s not in SUITE_NAMES:

@@ -144,12 +144,18 @@ def test_z70_universal_suite_passes_without_a_search_cap():
 
 COUNTED = ("universal_action", "spectrum_action", "germ_groupoid", "mu_relation",
            "quotient", "semilattice_of", "all_filters", "validate_groupoid",
+           "certify_germ_groupoid",
            "is_clifford", "is_zero_disjunctive", "is_essentially_principal",
            "extract_subgroupoid", "subgroupoid_properties")
 
 
 def test_one_subject_builds_each_structure_once(monkeypatch):
-    """One ``run_suite`` call over all four suites shares one Subject.
+    """One ``run_suite`` call over all four suites shares one Subject, and
+    the calls after it on the same semigroup, one suite each in another
+    order, reuse that Subject: they build no structure again and repeat
+    only what the check bodies compute themselves (the three certificates,
+    the two principality predicates, and mu of S/mu and of the Munn
+    semigroup).
 
     The counts are per distinct structure: germ groupoids and spectrum
     actions of S (universal, tight: the same gather on the atoms) and of
@@ -162,9 +168,10 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
     The spectrum is the Subject's points, with no frozenset filters, and
     all_filters(E) never runs: ultrafilters reads the atoms, and
     tight.ultrafilters_maximal builds its filters from the points.
-    validate_groupoid runs in germ.groupoid_axioms, tight.action_valid and
-    extension.projection_strongly_surjective, one per germ groupoid; no
-    builder re-validates what it builds, and the semidirect decomposition
+    certify_germ_groupoid runs in germ.groupoid_axioms, tight.action_valid
+    and extension.projection_strongly_surjective, one per germ groupoid, and
+    validate_groupoid never runs; no builder re-validates what it builds,
+    and the semidirect decomposition
     certifies G(S) by unique factorization without building the product.
     The predicates that several checks read run once per structure:
     is_clifford on S, is_zero_disjunctive on E, is_essentially_principal on
@@ -208,11 +215,17 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
     run_suite("symmetric:3", S, "all")
     assert dict(calls) == {"spectrum_action": 3, "germ_groupoid": 3, "mu_relation": 3,
                            "quotient": 2, "semilattice_of": 2,
-                           "validate_groupoid": 3, "is_clifford": 1, "is_zero_disjunctive": 1,
+                           "certify_germ_groupoid": 3, "is_clifford": 1, "is_zero_disjunctive": 1,
                            "is_essentially_principal": 2, "extract_subgroupoid": 1,
                            "subgroupoid_properties": 1}
     assert dict(computed) == {"isotropy": 2, "isotropy_interior": 2}
     assert len({id(G) for G in groupoids}) == 2
+    first = Counter(calls)
+    for suite in ("tight", "extension", "algebra", "universal"):
+        run_suite("symmetric:3", S, suite)
+    assert calls - first == Counter({"certify_germ_groupoid": 3, "is_essentially_principal": 2,
+                                     "mu_relation": 2})
+    assert dict(computed) == {"isotropy": 2, "isotropy_interior": 2}
 
 
 def test_centralizer_germs_of_a_group_are_the_whole_groupoid():
@@ -398,7 +411,7 @@ def test_universal_germs_are_validated_by_the_axioms_check():
     beta = Subject(S).beta
     beta = _broken(beta, table=edited_table(beta.groupoid.table, Z3_BAD_SQUARE))
     _fails(_check(S, "germ.groupoid_axioms", beta=beta),
-           "error: inverse laws fail at (1,1)")
+           "error: element map is not multiplicative at (1,1)")
 
 
 def test_tight_germs_are_validated_by_the_action_check():
@@ -406,7 +419,7 @@ def test_tight_germs_are_validated_by_the_action_check():
     theta = Subject(S).theta
     theta = _broken(theta, table=edited_table(theta.groupoid.table, Z3_BAD_SQUARE))
     _fails(_check(S, "tight.action_valid", theta=theta),
-           "error: inverse laws fail at (1,1)")
+           "error: element map is not multiplicative at (1,1)")
 
 
 def test_projection_check_validates_the_target_before_the_map():
@@ -416,7 +429,7 @@ def test_projection_check_validates_the_target_before_the_map():
     hom = dataclasses.replace(proj.hom, target=target.groupoid)
     proj = dataclasses.replace(proj, target=target, hom=hom)
     _fails(_check(S, "extension.projection_strongly_surjective",
-                  projection=proj), "error: unit 0 fails u = u.u = u^-1")
+                  projection=proj), "error: composability mismatch at (0,0)")
 
 
 def _squaring_hom(sub):
