@@ -267,17 +267,18 @@ def certify_germ_groupoid(germs: GermGroupoid) -> None:
     The map is c([s, x]) = s m_x, read from ``rep_of`` and
     ``base_idempotent``.  After the shapes and ranges of the arrays
     (``groupoids.check_arrays``) and of the lookups, the checks run in this
-    order: each arrow's representative (s, x) has x in the domain of s; c
-    is injective (the first arrow whose element an earlier arrow has); per
-    arrow g, in index order, c(r g) = c(g)c(g)*, c(d g) = c(g)*c(g) and
-    c(g^-1) = c(g)*; the listed units are exactly the arrows whose element
-    is idempotent; over the pairs (g, h) row-major, gh is defined exactly
-    where d g = r h, and there c(gh) = c(g)c(h); over the pairs (s, x)
-    row-major, germ_at[s, x] is an arrow exactly where x is in the domain
-    of s, and there c(germ_at[s, x]) = s m_x.  Each of the last two reads
-    only the defined entries, with a count against the composable pairs or
-    the domain pairs; only when it fails is the whole array compared, to
-    name the witness.
+    order: per point x, m_x is an idempotent acting at x and below every
+    idempotent acting at x; each arrow's representative (s, x) has x in the
+    domain of s; c is injective (the first arrow whose element an earlier
+    arrow has); per arrow g, in index order, c(r g) = c(g)c(g)*,
+    c(d g) = c(g)*c(g) and c(g^-1) = c(g)*; the listed units are exactly
+    the arrows whose element is idempotent; over the pairs (g, h)
+    row-major, gh is defined exactly where d g = r h, and there
+    c(gh) = c(g)c(h); over the pairs (s, x) row-major, germ_at[s, x] is an
+    arrow exactly where x is in the domain of s, and there
+    c(germ_at[s, x]) = s m_x.  Each of the last two reads only the defined
+    entries, with a count against the composable pairs or the domain pairs;
+    only when it fails is the whole array compared, to name the witness.
 
     Why that suffices.  The semigroup S is a validated inverse semigroup,
     so its restricted product, with s.t = st defined where s*s = tt*,
@@ -289,7 +290,10 @@ def certify_germ_groupoid(germs: GermGroupoid) -> None:
     groupoid axiom therefore holds in G: its two sides have one element,
     and c is injective.  No triple is scanned.  By the last check and
     injectivity, germ_at[rep_of[a]] = a, so every arrow is the germ of its
-    representative and germ_at names the germs.
+    representative, and as m_x is least, s m_x = t m_x exactly when s and t
+    agree on an idempotent acting at x: germ_at names the germs.  The rest
+    does not imply minimality: the chain c0 < c1 < c2 with m_x = c2 at its
+    tight point, [c1, x] and [c2, x] two units, passes every other check.
     """
     G, action = germs.groupoid, germs.action
     S, maps = action.semigroup, action.maps
@@ -303,12 +307,18 @@ def certify_germ_groupoid(germs: GermGroupoid) -> None:
     if (((rep_of < 0) | (rep_of >= (S.size, action.space_size))).any()
             or ((base < 0) | (base >= S.size)).any() or ((germ_at < -1) | (germ_at >= n)).any()):
         raise StructureError("germ lookup entry out of range")
+    T, E, arrows = S.table, S.idempotent_array, np.arange(n)
+    above = (maps[E] < 0) | (T[E[:, None], base] == base)     # [e, x]: m_x <= e if e acts at x
+    least = S.idempotent_mask[base] & (maps[base, np.arange(base.size)] >= 0) & above.all(axis=0)
+    hit = first_index(~least)
+    if hit is not None:
+        (x,) = hit
+        raise StructureError(f"point {x}: {base[x]} is not the least idempotent acting there")
     s, x = rep_of.T
     hit = first_index(maps[s, x] < 0)
     if hit is not None:
         (a,) = hit
         raise StructureError(f"arrow {a}: representative ({s[a]},{x[a]}) is outside the domain")
-    T, arrows = S.table, np.arange(n)
     c = germs.canonical_elements(arrows)
     first = np.full(S.size, n, dtype=np.intp)
     np.minimum.at(first, c, arrows)

@@ -8,13 +8,13 @@ Every relation is a ``Relation``, the one partition type, defined in
 ``semigroups`` and re-exported here.  mu, quotients and congruence
 witnesses are gathers of the table: mu groups the rows of s e s* over the
 idempotents e, a quotient gathers the products of block representatives
-and compares them with the whole table projected.  The largest congruence
-inside a relation is found by partition refinement, each round one gather
-of the generators' table columns: inside H it is mu, which certifies mu's
-maximality independently of its rows.  Blocks are merged by ``join_roots``,
-one connected-components pass over a batch of pairs, which sigma and the
-seeded sampler of idempotent-separating congruences share; no suite calls
-the sampler.
+and compares them with the whole table projected, S/R's one certificate.
+The largest congruence inside a relation is found by partition refinement,
+each round one gather of the generators' table columns: inside H it is mu,
+which certifies mu's maximality independently of its rows.  Blocks are
+merged by ``join_roots``, one connected-components pass over a batch of
+pairs, which sigma and the seeded sampler of idempotent-separating
+congruences share; no suite calls the sampler.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotACongruence, SearchBudgetExceeded, StructureError
-from .semigroups import InverseSemigroup, Relation, chunks, first_index, validate_inverse_semigroup
+from .semigroups import InverseSemigroup, Relation, chunks, detect_zero, first_index
 
 TRANSVERSAL_BUDGET = 10**6
 SAMPLED_ATTEMPTS = 20       # pair seeds saturated by random_idempotent_separating_congruences
@@ -152,6 +152,11 @@ def related_products(S: InverseSemigroup, R: Relation) -> np.ndarray:
 
 
 def quotient(S: InverseSemigroup, R: Relation) -> QuotientMap:
+    """S/R, certified by the congruence check alone (else
+    ``NotACongruence`` names the first ``congruence_witness``): a homomorphic
+    image of an inverse semigroup is inverse, with [s]* = [s*] (Howie,
+    Fundamentals of Semigroup Theory, 1995, ch. 5).  The zero is detected on
+    S/R's table (S/mu of a zero-free Clifford chain has one)."""
     proj = R.labels
     projection = tuple(proj.tolist())
     labels = tuple("{" + ",".join(S.label(x) for x in block) + "}" for block in R.blocks)
@@ -161,7 +166,9 @@ def quotient(S: InverseSemigroup, R: Relation) -> QuotientMap:
     table = proj[S.table[np.ix_(R.reps, R.reps)]]
     if not (table[proj[:, None], proj] == proj[S.table]).all():
         raise NotACongruence(congruence_witness(S, R))
-    T = validate_inverse_semigroup(table, labels)
+    idems = np.flatnonzero(table.diagonal() == np.arange(R.count))
+    T = InverseSemigroup(table, tuple(proj[S.inv_array[R.reps]].tolist()),
+                         detect_zero(table, idems), labels)
     return QuotientMap(S, T, projection)
 
 
@@ -188,13 +195,14 @@ def sigma_and_group_image(S: InverseSemigroup) -> tuple[Relation, QuotientMap]:
 
 
 def group_quotient(S: InverseSemigroup, sigma: Relation) -> QuotientMap:
-    """The quotient by sigma (``quotient`` checks the congruence), checked to be a group."""
+    """The quotient by sigma (``quotient`` checks the congruence), checked to
+    be a group: one idempotent, whose row and column are the identity's."""
     q = quotient(S, sigma)
     T = q.target
     if T.idempotent_array.size != 1:
         raise StructureError("sigma quotient is not a group")
-    e = int(T.idempotent_array[0])
-    if any(T.mul(e, x) != x or T.mul(x, e) != x for x in T.elements()):
+    e, x = T.idempotent_array[0], np.arange(T.size)
+    if not ((T.table[e] == x).all() and (T.table[:, e] == x).all()):
         raise StructureError("sigma quotient has no identity")
     return q
 

@@ -41,7 +41,7 @@ from .errors import NotATransversal, SearchBudgetExceeded, StructureError, ZeroP
 from .groupoids import (
     FiniteGroupoid,
     GroupoidHom,
-    group_as_groupoid,
+    discrete_groupoid,
     is_normal_in,
     is_subgroupoid,
 )
@@ -77,9 +77,10 @@ class Subject:
     fresh Subject.  Constructors validate their input, and the theorems
     about the results are checked by the verification suites: the germ
     groupoids' axioms (by their element maps), the projection and the
-    cocycle being homomorphisms.  Only ``split_decomposition`` certifies
-    what it builds, since its certificate, each arrow's factorization, is
-    the result.
+    cocycle being homomorphisms.  S/mu and S/sigma are certified once, by
+    ``quotient``'s congruence check, and S/sigma as a group once, by
+    ``group_quotient``.  Only ``split_decomposition`` certifies what it
+    builds, since its certificate, each arrow's factorization, is the result.
     """
 
     def __init__(self, S: InverseSemigroup):
@@ -186,12 +187,14 @@ class Subject:
 
     @cached_property
     def cocycle(self) -> tuple[GroupoidHom, GermGroupoid]:
-        """The map into the maximal group image, germ [s, F] -> class of s."""
+        """The map into the maximal group image, germ [s, F] -> class of s;
+        the image, a group by ``group_quotient``, is not validated again."""
         if self.S.zero is not None:
             raise ZeroPresent("the maximal group image of a zero semigroup is trivial")
         q, germs = self.group_image, self.beta
-        target = group_as_groupoid(q.target.table,
-                                   tuple(q.target.label(x) for x in q.target.elements()))
+        T = q.target
+        e = np.full(T.size, T.idempotent_array[0])
+        target = discrete_groupoid(e, e, T.inv_array, T.table, T.labels)
         arrow_map = tuple(np.asarray(q.projection)[germs.rep_of[:, 0]].tolist())
         return GroupoidHom(germs.groupoid, target, arrow_map), germs
 

@@ -31,14 +31,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SearchBudgetExceeded, StructureError
-from .semigroups import check_associativity, chunks, distinct, first_index
+from .semigroups import chunks, distinct, first_index
 from .semilattices import compose_after
 
 ISO_SEARCH_CAP = 64
-# validate_groupoid offers a groupoid with more composable triples than this
-# to the Brandt normal form first; a smaller one, where the triple scan is
-# cheap, goes straight to the scan
-NORMAL_FORM_TRIPLES = 1 << 14
 
 
 @dataclass(eq=False, frozen=True)
@@ -168,20 +164,14 @@ class FiniteGroupoid:
         return tuple(out)
 
     @cached_property
-    def orbit_base(self) -> np.ndarray:
-        """Per unit u, the least range of an arrow out of u, r(d^-1(u)); n at
-        the other arrows.  In a groupoid every unit of u's orbit is the range
-        of such an arrow, so this is the least unit of the orbit."""
-        out = np.full(self.n_arrows, self.n_arrows, dtype=np.intp)
-        np.minimum.at(out, self.d, self.r)
-        return out
-
-    @cached_property
     def orbit_units(self) -> tuple[int, ...]:
-        """The least unit of each orbit, in ``units`` order: the units that
-        are their own ``orbit_base``."""
+        """The least unit of each orbit, in ``units`` order: the units u that
+        are the least range of an arrow out of u.  In a groupoid every unit
+        of u's orbit is the range of such an arrow."""
+        least = np.full(self.n_arrows, self.n_arrows, dtype=np.intp)
+        np.minimum.at(least, self.d, self.r)
         units = np.asarray(self.units, dtype=np.intp)
-        return tuple(units[self.orbit_base[units] == units].tolist())
+        return tuple(units[least[units] == units].tolist())
 
     @cached_property
     def fiber_stacks(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
@@ -307,28 +297,19 @@ def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     """Check the groupoid axioms and basis sanity, every failure with its
     first witness.
 
-    ``make_groupoid`` runs it on the arrays its callers supply, and it
-    checks any groupoid read from outside.  Groupoids that a construction
-    makes a groupoid by theorem (germs, extracted subgroupoids) are not
-    validated where they are built.  The verification suites certify the
-    germ groupoids through their element maps instead
-    (``actions.certify_germ_groupoid``), which shares this function's
-    shape, range and basis checks (``check_arrays``).
+    ``make_groupoid`` runs it on the arrays its callers supply.  Groupoids
+    that a construction makes a groupoid by theorem (germs, extracted
+    subgroupoids, the group image of the cocycle) are not validated where
+    they are built.  The verification suites certify the germ groupoids
+    through their element maps instead (``actions.certify_germ_groupoid``),
+    which shares this function's shape, range and basis checks
+    (``check_arrays``).
 
     After the array shapes and ranges, the checks run in this order, each
     reporting its first witness: the units in ``units`` order; range, source
     and inverse of each arrow in index order; the defined products, the
     composable pairs and the inverse laws over pairs (g, h) row-major;
-    associativity over triples (g, h, k) row-major.
-
-    Associativity is certified through the Brandt normal form
-    (``_brandt_certificate``) when the composable triples, the sum over the
-    composable pairs (g, h) of |r^-1(d h)|, number more than
-    ``NORMAL_FORM_TRIPLES``: Phi(g) = (r g, d g, gamma g) is then a
-    product-preserving bijection onto the disjoint union of the Brandt
-    groupoids X_D x X_D x G_D, which is associative when every G_D is.  A
-    smaller groupoid, or one the certificate does not certify, is compared
-    triple by triple (``_associativity_scan``), which names the witness.
+    associativity over triples (g, h, k) row-major (``_associativity_scan``).
     """
     n = G.n_arrows
     r, d, inv, table = G.r, G.d, G.inv, G.table
@@ -370,9 +351,7 @@ def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     if hit is not None:
         (i,) = hit
         raise StructureError(f"inverse laws fail at ({left[i]},{right[i]})")
-    triples = np.bincount(r, minlength=n)[d[right]].sum()
-    if triples <= NORMAL_FORM_TRIPLES or not _brandt_certificate(G, left, right, product):
-        _associativity_scan(G, left, right, product)
+    _associativity_scan(G, left, right, product)
     return G
 
 
@@ -399,57 +378,6 @@ def check_arrays(G: FiniteGroupoid) -> np.ndarray:
     if ((ends < 0) | (ends >= n)).any():
         raise StructureError("range, source, inverse or unit out of range")
     return units
-
-
-def _brandt_certificate(G: FiniteGroupoid, left: np.ndarray, right: np.ndarray,
-                        product: np.ndarray) -> bool:
-    """Whether the Brandt normal form certifies that G, which passed every
-    check of ``validate_groupoid`` before associativity, is associative;
-    (left, right, product) are its composable pairs (g, h, gh).
-
-    Each unit u has its ``orbit_base`` b and c_u, the least arrow u <- b.
-    Then gamma(g) = (c_(r g)^-1 g) c_(d g) is defined for every arrow and
-    lies in G_b, the isotropy group of b = b(r g) = b(d g): the arrows out
-    of r g and those out of d g reach the same units, since a -> a g and
-    a -> a g^-1 carry each set into the other.  The certificate checks that
-    gamma(gh) = gamma(g) gamma(h) on every composable pair, and that each
-    G_b is associative: one ``check_associativity`` on their disjoint union
-    with a zero adjoined, every product across two of them the zero.
-
-    Why that suffices.  Left and right multiplications are injective by
-    the inverse laws, a^-1 (a h) = h and (g h) h^-1 = g.  So the arrows
-    v -> u, for u and v of base b, number |G_b| (each such set maps
-    injectively into every other by one multiplication on each side), and
-    gamma is injective on them.  Hence Phi(g) = (r g, d g, gamma g) is a
-    bijection onto the disjoint union T of the Brandt groupoids
-    X_b x X_b x G_b, X_b the units of base b, where (u, v, x)(v, w, y) =
-    (u, w, xy).  It preserves composability (d g = r h exactly when Phi g
-    and Phi h compose) and products (r(gh) = r g and d(gh) = d h are
-    checked already, gamma(gh) here).  T is associative when every G_b is,
-    so on each composable triple Phi((gh)k) = (Phi g Phi h) Phi k =
-    Phi g (Phi h Phi k) = Phi(g(hk)), and (gh)k = g(hk).  A failing check,
-    or a refused ``check_associativity``, returns False.
-    """
-    n = G.n_arrows
-    r, d, inv, table = G.r, G.d, G.inv, G.table
-    arrows = np.arange(n)
-    base = G.orbit_base
-    c = np.full(n, n, dtype=np.intp)
-    home = d == base[r]                  # the arrows r(g) <- b(r(g))
-    np.minimum.at(c, r[home], arrows[home])
-    gamma = table[table[inv[c[r]], arrows], c[d]]
-    if (gamma[product] != table[gamma[left], gamma[right]]).any():
-        return False
-    inside = np.flatnonzero(G.isotropy & (base[r] == r))     # the G_b, in arrow order
-    at = np.full(n + 1, inside.size, dtype=np.intp)    # arrow -> its element, -1 -> the zero
-    at[inside] = np.arange(inside.size)
-    union = np.full((inside.size + 1, inside.size + 1), inside.size, dtype=np.intp)
-    union[:-1, :-1] = at[table[inside[:, None], inside]]
-    try:
-        check_associativity(union)
-    except StructureError:
-        return False
-    return True
 
 
 def _associativity_scan(G: FiniteGroupoid, left: np.ndarray, right: np.ndarray,
@@ -484,10 +412,10 @@ def _associativity_scan(G: FiniteGroupoid, left: np.ndarray, right: np.ndarray,
             raise StructureError(f"associativity fails at ({g[i, 0]},{h[i, 0]},{k[i, j]})")
 
 
-def make_groupoid(r, d, inv, table, labels=None) -> FiniteGroupoid:
-    """Assemble and validate a groupoid from its arrays and composition table
-    (-1 where undefined); units are derived, and the basis is discrete: one
-    singleton cut {a} per arrow a."""
+def discrete_groupoid(r, d, inv, table, labels=None) -> FiniteGroupoid:
+    """Assemble a groupoid from its arrays and composition table (-1 where
+    undefined), unvalidated; units are derived, and the basis is discrete:
+    one singleton cut {a} per arrow a."""
     r, d, inv, table = (np.asarray(a, dtype=np.intp) for a in (r, d, inv, table))
     n = len(r)
     units = tuple(sorted({*r.tolist(), *d.tolist()}))
@@ -495,8 +423,12 @@ def make_groupoid(r, d, inv, table, labels=None) -> FiniteGroupoid:
         labels = tuple(f"g{a}" for a in range(n))
     discrete = Cuts(np.arange(n)[:, None], np.ones((1, 1), dtype=bool), tuple(labels), ("",),
                     "{{{}}}")
-    G = FiniteGroupoid(n, r, d, inv, table, units, tuple(labels), discrete)
-    return validate_groupoid(G)
+    return FiniteGroupoid(n, r, d, inv, table, units, tuple(labels), discrete)
+
+
+def make_groupoid(r, d, inv, table, labels=None) -> FiniteGroupoid:
+    """``discrete_groupoid``, validated."""
+    return validate_groupoid(discrete_groupoid(r, d, inv, table, labels))
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,9 @@ array, each element's block index with blocks numbered by least element.
 
 Laws that are closed under products are certified on a generating set
 rather than on every element: Light's associativity test here, and the
-homomorphism law of an action in ``actions.validate_action``.  A
-groupoid's associativity is reduced to that of its base isotropy groups
-(``groupoids.validate_groupoid``, through the Brandt normal form), which
-Light's test then certifies on their generators.
+homomorphism law of an action in ``actions.validate_action``.  Every table
+read or built from scratch passes Light's test; a quotient inherits its
+laws through the congruence check (``congruences.quotient``).
 """
 
 from __future__ import annotations
@@ -55,10 +54,10 @@ class InverseSemigroup:
     to build one from a raw table.
 
     ``generators`` is one cached generating set (see :func:`generating_set`).
-    Every semigroup the package builds or reads passes
+    Every semigroup the package reads or builds from scratch passes
     :func:`validate_inverse_semigroup` and keeps the set that Light's test
-    ran on; one constructed directly computes it on first use.  Every law
-    that is closed under products is certified on it.
+    ran on; a quotient computes it on first use.  Every law that is closed
+    under products is certified on it.
 
     ``graph`` is the ``DirectedGraph`` a graph inverse semigroup was built
     from (``actions.graph_inverse_semigroup``), and None for any other.
@@ -236,7 +235,7 @@ def group_pairs(groups: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.n
     return i, j + np.arange(ends[-1] if ends.size else 0)
 
 
-def _detect_zero(table: np.ndarray, E: np.ndarray) -> int | None:
+def detect_zero(table: np.ndarray, E: np.ndarray) -> int | None:
     """The zero: the z with z x = z = x z for every x, or None.
 
     A zero is an idempotent and absorbs any product it enters, so it is the
@@ -333,7 +332,7 @@ def check_associativity(table: np.ndarray) -> np.ndarray:
         raise StructureError(f"table too large to validate (n={n} > {TABLE_CAP})")
     small = table.astype(np.int16)     # quarter-size gathers
     gens = generating_set(small)
-    z = _detect_zero(small, np.flatnonzero(small.diagonal() == np.arange(n)))
+    z = detect_zero(small, np.flatnonzero(small.diagonal() == np.arange(n)))
     z = -1 if z is None else z         # without a zero every row is compared
     live = small[:, gens] != z         # [x, a]: xa is not the zero
     pairs = n * int(live.sum())
@@ -357,8 +356,9 @@ def check_associativity(table: np.ndarray) -> np.ndarray:
 def validate_inverse_semigroup(table, labels=None) -> InverseSemigroup:
     """Validate a raw multiplication table and derive the inverse structure.
 
-    Every table, read or built, passes Light's associativity test
-    (``check_associativity``), whose generating set the result keeps.  The
+    Every table read or built from scratch passes Light's associativity
+    test (``check_associativity``), whose generating set the result keeps;
+    a quotient inherits its laws through ``congruences.quotient``.  The
     inverse of each element is then found by exhaustive search, one gather
     over the pairs (s, t) per chunk of rows (``_inverses``), and must be
     unique, so the idempotents commute (Howie, Fundamentals of Semigroup
@@ -386,7 +386,7 @@ def validate_inverse_semigroup(table, labels=None) -> InverseSemigroup:
             raise StructureError("labels length does not match table")
 
     idems = np.flatnonzero(table.diagonal() == np.arange(n))
-    return InverseSemigroup(table, inv, _detect_zero(table, idems), labels, gens)
+    return InverseSemigroup(table, inv, detect_zero(table, idems), labels, gens)
 
 
 def natural_leq(S: InverseSemigroup, s: int, t: int) -> bool:

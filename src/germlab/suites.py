@@ -26,11 +26,14 @@ idempotent-separating congruence inside H, the centralizer and the action
 kernels are normal subsemigroups, the Munn semigroup is fundamental, the
 germs of S, of its tight action and of S/mu are groupoids, by their element
 maps, the projection and the cocycle are homomorphisms, ...) are checked
-here, each by one named check.  No check runs an isomorphism search: each
-isomorphism is certified along a given map (E onto the Munn semigroup's
-identity rows, isotropy fibers onto class groups, G(S) onto the semidirect
-product by unique factorization), and checks that read only an arrow set
-take ``germs_of`` rather than an extracted subgroupoid copy.
+here, each by one named check.  Each structure is certified once: S/mu and
+S/sigma by the congruence check in ``quotient``, not by Light's test, and
+the cocycle's group by ``group_quotient``, not as a groupoid again.  No
+check runs an isomorphism search: each isomorphism is certified along a
+given map (E onto the Munn semigroup's identity rows, isotropy fibers onto
+class groups, G(S) onto the semidirect product by unique factorization),
+and checks that read only an arrow set take ``germs_of`` rather than an
+extracted subgroupoid copy.
 
 Element and arrow subsets are boolean masks from the function that
 computes them to the check that compares them, and a witness names the

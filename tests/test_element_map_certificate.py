@@ -15,7 +15,7 @@ import pytest
 
 from germlab.builtins import CORPUS_NAMES, builtin
 from germlab.extensions import Subject
-from germlab.groupoids import GroupoidHom, is_strongly_surjective
+from germlab.groupoids import GroupoidHom, discrete_groupoid, is_strongly_surjective
 from germlab.semigroups import distinct
 from germlab.suites import run_checks
 
@@ -23,7 +23,7 @@ SUBJECTS = CORPUS_NAMES + ("symmetric:4",)
 # the germ groupoid each check certifies: (Subject field, check)
 TARGETS = (("beta", "germ.groupoid_axioms"), ("theta", "tight.action_valid"),
            ("projection", "extension.projection_strongly_surjective"))
-KINDS = ("germ_at", "rep_of", "table", "range", "inverse", "units")
+KINDS = ("germ_at", "rep_of", "table", "range", "inverse", "units", "base_idempotent")
 DRAWS = 3
 
 
@@ -35,9 +35,18 @@ def _corrupt(germs, kind, rng):
     table       one entry of the composition table changed, -1 included
     range       one arrow's range moved to another arrow
     inverse     one arrow's inverse moved to another arrow
-    units       one unit dropped from the list"""
+    units       one unit dropped from the list
+    base_idempotent  one point's m_x replaced by another element"""
     G = germs.groupoid
     n = G.n_arrows
+    if kind == "base_idempotent":
+        size = germs.action.semigroup.size
+        if size < 2:
+            return None
+        base = list(germs.base_idempotent)
+        x = rng.integers(len(base))
+        base[x] = int((base[x] + rng.integers(1, size)) % size)
+        return dataclasses.replace(germs, base_idempotent=tuple(base))
     if kind == "units":
         units = list(G.units)
         del units[rng.integers(len(units))]
@@ -100,6 +109,25 @@ def test_every_corruption_fails_its_certificate(name):
                 if result.passed or not result.witness.startswith("error: "):
                     missed.append((field, kind, draw, result.witness))
     assert missed == []
+
+
+def test_a_finer_relation_at_an_acting_idempotent_fails():
+    """The tight germs of the chain c0 < c1 < c2: one point x, at which c1
+    and c2 act, m_x = c1, and one arrow [c1, x] = [c2, x].  The finer
+    relation s c2 = t c2, with [c1, x] and [c2, x] two units and m_x = c2,
+    acting at x, passes every other check of the certificate; only m_x
+    being the least acting idempotent refuses it."""
+    sub = Subject(builtin("semilattice:chain3"))
+    theta = sub.theta
+    assert (theta.base_idempotent, theta.germ_at.ravel().tolist()) == ((1,), [-1, 0, 0])
+    germ_at = np.array([[-1], [0], [1]])
+    G = dataclasses.replace(discrete_groupoid([0, 1], [0, 1], [0, 1], [[0, -1], [-1, 1]]),
+                            cuts=dataclasses.replace(theta.groupoid.cuts, rows=germ_at))
+    finer = dataclasses.replace(theta, groupoid=G, germ_at=germ_at,
+                                rep_of=np.array([[1, 0], [2, 0]]), base_idempotent=(2,))
+    result = _run(sub, "theta", "tight.action_valid", finer)
+    assert not result.passed
+    assert result.witness == "error: point 0: 2 is not the least idempotent acting there"
 
 
 def _fiber_loop(hom):

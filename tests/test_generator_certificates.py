@@ -38,7 +38,7 @@ from germlab.actions import (
     universal_action,
     validate_action,
 )
-from germlab.builtins import CORPUS_NAMES, builtin
+from germlab.builtins import builtin
 from germlab.cli import _d_classes
 from germlab.congruences import (
     Relation,
@@ -64,7 +64,7 @@ from germlab.groupoids import (
     iso_bundle,
     validate_groupoid,
 )
-from germlab.semigroups import check_associativity, generating_set
+from germlab.semigroups import CHUNK_ENTRIES, check_associativity, generating_set
 from germlab.semilattices import (
     Semilattice,
     all_filters,
@@ -87,7 +87,6 @@ from test_groupoids import (
     PAIR2,
     _reference_axioms,
     _single_entry_corruptions,
-    certified,
 )
 from test_order_congruence_tables import GRAPH7, LADDER, SUBJECTS, subject, subsets
 from test_semigroups import table_from_maps
@@ -874,15 +873,12 @@ def test_topology_predicates_equal_the_frozenset_loops(name):
         assert is_effective(G) == reference_is_effective(G, catalog)
 
 
-@pytest.mark.parametrize("threshold", [0, groupoids.NORMAL_FORM_TRIPLES])
-def test_associativity_witness_is_row_major_across_units(monkeypatch, threshold):
+@pytest.mark.parametrize("chunk", [CHUNK_ENTRIES, 1])
+def test_associativity_witness_is_row_major_across_units(monkeypatch, chunk):
     """Two broken loops and a pair groupoid, arrows shuffled, so that the
-    units' order differs from the pairs' row-major order: every pair in one
-    chunk, or (threshold 0) offered to the normal form first and then
-    scanned one pair per chunk."""
-    monkeypatch.setattr(groupoids, "NORMAL_FORM_TRIPLES", threshold)
-    if not threshold:
-        monkeypatch.setattr(semigroups, "CHUNK_ENTRIES", 1)
+    units' order differs from the pairs' row-major order: scanned with every
+    pair in one chunk, or (chunk 1) one pair per chunk."""
+    monkeypatch.setattr(semigroups, "CHUNK_ENTRIES", chunk)
     rng = np.random.default_rng(5)
     seen = set()
     for _ in range(12):
@@ -936,14 +932,13 @@ def twisted_brandt(n, twisted):
     (3, {(1, 2, 1), (1, 1, 2), (2, 1, 1)}, (1, 2)),
     (3, {(1, 2, 2), (2, 1, 2), (2, 2, 1)}, (1, 2)),
 ])
-def test_normal_form_refuses_a_twist_off_the_base_unit(monkeypatch, n, twisted, units):
+def test_associativity_witness_off_the_base_unit(n, twisted, units):
     """Relabeled unions of a twisted Brandt groupoid with PAIR2 and Z7, in
-    which the twisted units are never their orbit's base (its least unit):
-    the base isotropy group is Z7 and associative, so only the product
-    check gamma(gh) = gamma(g) gamma(h) can refuse the certificate.  It is
-    refused on each, and the scan names the triple of the axiom loops."""
-    monkeypatch.setattr(groupoids, "NORMAL_FORM_TRIPLES", 0)
-    assert certified(twisted_brandt(n, ()))
+    which the twisted units are never their orbit's least unit: the only
+    inputs here whose associativity fails away from that unit.  The
+    untwisted one validates, and on each union the scan names the triple of
+    the axiom loops."""
+    validate_groupoid(twisted_brandt(n, ()))
     twist = twisted_brandt(n, twisted)
     parts = (PAIR2, twist, groupoids.group_as_groupoid(Z7_RENAMED))
     offset = PAIR2.n_arrows
@@ -957,7 +952,6 @@ def test_normal_form_refuses_a_twist_off_the_base_unit(monkeypatch, n, twisted, 
         G = relabeled_union(parts, perm)
         message = _reference_axioms(G)
         assert message is not None and message.startswith("associativity")
-        assert not certified(G)
         with pytest.raises(StructureError) as raised:
             validate_groupoid(G)
         assert str(raised.value) == message
@@ -1006,28 +1000,6 @@ def test_universal_suite_makes_no_per_element_calls(monkeypatch):
     assert calls["leq"] == calls["principal_point"] == 0
     assert calls["join_roots"] == 0
     assert not hasattr(congruences, "UnionFind")
-
-
-def test_triple_scan_runs_on_one_batch_groupoids_only(monkeypatch):
-    """``validate_groupoid`` runs the triple scan once on every corpus germ
-    groupoid (at most 945 composable triples, under the
-    ``NORMAL_FORM_TRIPLES`` threshold, so never offered to the normal form)
-    and never on the universal germ groupoids of ``group:z70``,
-    ``symmetric:4`` and graph7, which are past it and which the normal form
-    certifies."""
-    calls = []
-    real = groupoids._associativity_scan
-    monkeypatch.setattr(groupoids, "_associativity_scan",
-                        lambda G, *pairs: calls.append(G) or real(G, *pairs))
-    for name in CORPUS_NAMES:
-        for action in (universal_action(builtin(name)), tight_action(builtin(name))):
-            G = germ_groupoid(action).groupoid
-            validate_groupoid(G)
-            assert calls == [G]
-            calls.clear()
-    for name in ("group:z70", "symmetric:4", "graph7"):
-        validate_groupoid(germ_groupoid(universal_action(subject(name))).groupoid)
-    assert calls == []
 
 
 def test_sampler_keeps_its_relations_with_the_components_pass():

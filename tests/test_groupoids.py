@@ -4,7 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
-from germlab import groupoids, semigroups
+from germlab import semigroups
 from germlab.actions import centralizer_germs, germ_groupoid, tight_action, universal_action
 from germlab.builtins import CORPUS_NAMES, builtin
 from germlab.errors import SearchBudgetExceeded, StructureError
@@ -250,10 +250,11 @@ def test_validate_groupoid_names_the_broken_axiom(G, fields, message):
 
 
 @pytest.mark.parametrize("G,fields,message", BROKEN_AXIOMS)
-def test_normal_form_path_names_the_broken_axiom(monkeypatch, G, fields, message):
-    """The cases above with ``NORMAL_FORM_TRIPLES`` at 0, so that every
-    groupoid with a composable triple is offered to the normal form first."""
-    monkeypatch.setattr(groupoids, "NORMAL_FORM_TRIPLES", 0)
+def test_one_pair_per_chunk_names_the_broken_axiom(monkeypatch, G, fields, message):
+    """The cases above with ``CHUNK_ENTRIES`` at 1, so that the
+    associativity scan takes one composable pair per chunk: the chunk size
+    changes no witness."""
+    monkeypatch.setattr(semigroups, "CHUNK_ENTRIES", 1)
     test_validate_groupoid_names_the_broken_axiom(G, fields, message)
 
 
@@ -302,11 +303,9 @@ def _reference_axioms(G) -> str | None:
 
 
 def test_associativity_batches_keep_the_row_major_witness(monkeypatch):
-    """PAIR2 beside a copy of the loop (arrows 4..10 on unit 4), offered to
-    the normal form first and then scanned one composable pair per chunk:
-    the loop's failure comes in a later chunk than the first and keeps its
-    row-major witness."""
-    monkeypatch.setattr(groupoids, "NORMAL_FORM_TRIPLES", 0)
+    """PAIR2 beside a copy of the loop (arrows 4..10 on unit 4), scanned one
+    composable pair per chunk: the loop's failure comes in a later chunk
+    than the first and keeps its row-major witness."""
     monkeypatch.setattr(semigroups, "CHUNK_ENTRIES", 1)
     n = 4 + 7
     table = np.full((n, n), -1, dtype=np.intp)
@@ -336,24 +335,6 @@ def _single_entry_corruptions(G, rng, per_field):
             yield dataclasses.replace(G, **{field: values})
 
 
-def certified(G) -> bool:
-    """Whether the Brandt normal form certifies G, which passes every check
-    of ``validate_groupoid`` before associativity."""
-    left, right = np.nonzero(G.table >= 0)
-    return groupoids._brandt_certificate(G, left, right, G.table[left, right])
-
-
-@pytest.mark.parametrize("name", CORPUS_NAMES)
-def test_normal_form_path_matches_the_axiom_loops_on_corruptions(monkeypatch, name):
-    """The sweep below with ``NORMAL_FORM_TRIPLES`` at 0 gives the same
-    messages, and the certificate holds on both uncorrupted groupoids."""
-    monkeypatch.setattr(groupoids, "NORMAL_FORM_TRIPLES", 0)
-    test_validate_groupoid_matches_the_axiom_loops_on_corruptions(name)
-    S = builtin(name)
-    assert all(certified(germ_groupoid(action).groupoid)
-               for action in (universal_action(S), tight_action(S)))
-
-
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_validate_groupoid_matches_the_axiom_loops_on_corruptions(name):
     S = builtin(name)
@@ -369,6 +350,15 @@ def test_validate_groupoid_matches_the_axiom_loops_on_corruptions(name):
             except StructureError as exc:
                 message = str(exc)
             assert message == _reference_axioms(broken)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_one_pair_per_chunk_matches_the_axiom_loops_on_corruptions(monkeypatch, name):
+    """The sweep above with ``CHUNK_ENTRIES`` at 1 gives the same messages:
+    an associativity failure found in a later chunk keeps its row-major
+    witness, and both uncorrupted groupoids pass."""
+    monkeypatch.setattr(semigroups, "CHUNK_ENTRIES", 1)
+    test_validate_groupoid_matches_the_axiom_loops_on_corruptions(name)
 
 
 def test_make_groupoid_rejects_a_malformed_table():

@@ -386,9 +386,11 @@ def test_cli_unknown_builtin_is_input_error(capsys):
 
 
 def test_every_built_or_loaded_table_is_checked_once(tmp_path, monkeypatch):
-    """One validation path: each builder that makes a new table, and the
-    loader, runs Light's test once on it; the quotient by the identity
-    relation reuses its source's table and generating set."""
+    """One validation path: each builder that makes a table from scratch,
+    and the loader, runs Light's test once on it.  A quotient runs none, its
+    congruence check being its certificate: the quotient by the identity
+    relation reuses its source's table and generating set, and the one by mu
+    finds its generating set on first use."""
     from germlab import semigroups
     from germlab.actions import graph_inverse_semigroup
     from germlab.congruences import Relation, mu_relation, quotient
@@ -403,7 +405,6 @@ def test_every_built_or_loaded_table_is_checked_once(tmp_path, monkeypatch):
     built = [
         lambda: symmetric_inverse_monoid(3),                            # partial bijections
         lambda: graph_inverse_semigroup(DirectedGraph(3, ((0, 1), (1, 2)))),
-        lambda: quotient(z6, mu_relation(z6)).target,
         lambda: direct_product(b2, z6),
         lambda: builtin("clifford_chain:identity"),                     # strong semilattice
     ]
@@ -414,7 +415,9 @@ def test_every_built_or_loaded_table_is_checked_once(tmp_path, monkeypatch):
         assert "generators" in vars(S)
     calls.clear()
     same = quotient(z6, Relation(np.arange(z6.size))).target
+    collapsed = quotient(z6, mu_relation(z6)).target
     assert calls == [] and same.generators is z6.generators
+    assert "generators" not in vars(collapsed) and collapsed.generators.tolist() == [0]
     path = tmp_path / "s.json"
     save_semigroup(symmetric_inverse_monoid(3), str(path))
     calls.clear()

@@ -228,6 +228,36 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
     assert dict(computed) == {"isotropy": 2, "isotropy_interior": 2}
 
 
+def test_derived_structures_are_validated_once(monkeypatch):
+    """One ``run_suite`` over all four suites on brandt_z2, which has no
+    zero, so the cocycle runs, and whose mu (5 blocks) and sigma (2 blocks)
+    are not the identity.  S/mu and S/sigma are certified by the congruence
+    check alone and the cocycle's group by ``group_quotient``, so
+    ``validate_groupoid`` never runs, and Light's test and the inverse
+    search run once each, on the Munn semigroup that
+    ``spectrum.munn_fundamental`` builds from scratch."""
+    from germlab import groupoids, semigroups
+    from germlab.congruences import mu_relation, sigma_relation
+
+    S = builtin("brandt_z2")
+    assert S.zero is None
+    assert (mu_relation(S).count, sigma_relation(S).count) == (5, 2)
+    munn = semilattices.munn_semigroup(semilattices.semilattice_of(S))
+    calls = {}
+
+    def count(module, name, size):
+        real, calls[name] = getattr(module, name), []
+        monkeypatch.setattr(module, name, lambda x: calls[name].append(size(x)) or real(x))
+
+    count(semigroups, "check_associativity", len)
+    count(semigroups, "_inverses", len)
+    count(groupoids, "validate_groupoid", lambda G: G.n_arrows)
+    reports = run_suite("brandt_z2", S, "all")
+    assert all(report.passed for report in reports)
+    assert calls == {"check_associativity": [munn.size], "_inverses": [munn.size],
+                     "validate_groupoid": []}
+
+
 def test_centralizer_germs_of_a_group_are_the_whole_groupoid():
     """On a group the centralizer is everything, so its germs are every
     arrow, and the embedding's groupoid is the universal groupoid itself,
