@@ -182,10 +182,9 @@ def spectrum_action(S: InverseSemigroup, points: np.ndarray, E: Semilattice) -> 
     of the points is preserved, so callers may align point indices across
     related semigroups; an image outside them is an error.
     """
-    T = S.table
-    inv = np.array(S.inv)
+    T, inv = S.table, S.inv
     elements = np.arange(S.size)
-    gens = np.asarray(E.parent_index, dtype=np.intp)[points]
+    gens = E.parent_index[points]
     point_of = np.full(S.size, -1, dtype=np.intp)
     point_of[gens] = np.arange(gens.size)
     acts = T[gens, T[inv, elements][:, None]] == gens              # g <= s*s
@@ -229,15 +228,16 @@ class GermGroupoid:
     """The groupoid of germs of an action, with lookups back to (element, point).
 
     germ_at is an (elements, points) integer array: germ_at[s, x] is the
-    arrow [s, x], or -1 when x is outside the domain of s.
+    arrow [s, x], or -1 when x is outside the domain of s; every lookup is
+    an intp array.
     """
 
     action: Action
     groupoid: FiniteGroupoid
-    unit_at_point: tuple[int, ...]
+    unit_at_point: np.ndarray                 # point -> its unit [m_x, x]
     germ_at: np.ndarray
     rep_of: np.ndarray                        # row a: arrow a's canonical (element, point)
-    base_idempotent: tuple[int, ...]          # point -> least idempotent acting there
+    base_idempotent: np.ndarray               # point -> least idempotent acting there
 
     def germs_of(self, elements) -> np.ndarray:
         """The arrows [s, x] over the elements s, as an arrow mask; elements
@@ -247,17 +247,27 @@ class GermGroupoid:
         out[arrows[arrows >= 0]] = True
         return out
 
+    @cached_property
+    def principal_points(self) -> np.ndarray:
+        """Per element e, the first point x with m_x = e (for an idempotent,
+        its principal filter), or the number of points where no point has
+        m_x = e: one scatter of ``base_idempotent``."""
+        base = self.base_idempotent
+        point = np.full(self.action.semigroup.size, base.size, dtype=np.intp)
+        np.minimum.at(point, base, np.arange(base.size))
+        return point
+
     def principal_point(self, e: int) -> int:
         """The point whose least acting idempotent is e (its principal filter)."""
-        for x, m in enumerate(self.base_idempotent):
-            if m == e:
-                return x
-        raise StructureError(f"no point is generated by idempotent {e}")
+        x = int(self.principal_points[e])
+        if x == self.base_idempotent.size:
+            raise StructureError(f"no point is generated by idempotent {e}")
+        return x
 
     def canonical_elements(self, arrows: np.ndarray) -> np.ndarray:
         """The canonical element s m_x of each germ [s, x] in an arrow array."""
         s, x = self.rep_of[arrows].T
-        return self.action.semigroup.table[s, np.asarray(self.base_idempotent)[x]]
+        return self.action.semigroup.table[s, self.base_idempotent[x]]
 
 
 def certify_germ_groupoid(germs: GermGroupoid) -> None:
@@ -300,7 +310,7 @@ def certify_germ_groupoid(germs: GermGroupoid) -> None:
     n = G.n_arrows
     check_arrays(G)
     rep_of, germ_at = germs.rep_of, germs.germ_at
-    base = np.asarray(germs.base_idempotent, dtype=np.intp)
+    base = germs.base_idempotent
     if (rep_of.shape != (n, 2) or base.shape != (action.space_size,)
             or germ_at.shape != maps.shape):
         raise StructureError("germ lookups must cover the arrows, the points and the elements")
@@ -326,7 +336,7 @@ def certify_germ_groupoid(germs: GermGroupoid) -> None:
     if hit is not None:
         (b,) = hit
         raise StructureError(f"arrows {first[c[b]]} and {b} have the same element {c[b]}")
-    star = S.inv_array[c]
+    star = S.inv[c]
     bad_range = c[G.r] != T[c, star]
     bad_source = c[G.d] != T[star, c]
     bad_inverse = c[G.inv] != star
@@ -421,7 +431,7 @@ def germ_groupoid(action: Action) -> GermGroupoid:
     unit_at_point = germ_at[min_idem, np.arange(n_pts)]
     image = maps[rep_s, rep_x]
     r, d = unit_at_point[image], unit_at_point[rep_x]
-    inv = germ_at[np.asarray(S.inv)[rep_s], image]
+    inv = germ_at[S.inv[rep_s], image]
     g, h = np.nonzero(d[:, None] == r)
     table = np.full((rep_s.size, rep_s.size), -1, dtype=np.intp)
     table[g, h] = germ_at[S.table[rep_s[g], rep_s[h]], rep_x[h]]
@@ -439,11 +449,10 @@ def germ_groupoid(action: Action) -> GermGroupoid:
         set_labels = (tuple(f"D[{S.label(e)}]" for e in idems[acting].tolist())
                       + tuple(f"{{{label}}}" for label in action.point_labels))
 
-    units = tuple(distinct(unit_at_point).tolist())
-    G = FiniteGroupoid(rep_s.size, r, d, inv, table, units, labels,
+    G = FiniteGroupoid(rep_s.size, r, d, inv, table, distinct(unit_at_point), labels,
                        Cuts(germ_at, sets, S.labels, set_labels, "Theta({},{})"))
-    return GermGroupoid(action, G, tuple(unit_at_point.tolist()), germ_at,
-                        np.stack([rep_s, rep_x], axis=1), tuple(min_idem.tolist()))
+    return GermGroupoid(action, G, unit_at_point, germ_at, np.stack([rep_s, rep_x], axis=1),
+                        min_idem)
 
 
 def germ_equivalence_is_equivalence(action: Action) -> bool:
@@ -497,7 +506,7 @@ def induced_subgroupoid(germs: GermGroupoid, inside: np.ndarray) -> EmbeddedSubg
     if (S.idempotent_mask & ~inside).any():
         raise NotSubsemigroup("subset must contain every idempotent")
     members = np.flatnonzero(inside)
-    no_inverse = ~inside[S.inv_array[members]]
+    no_inverse = ~inside[S.inv[members]]
     no_product = ~inside[S.table[np.ix_(members, members)]].all(axis=1)
     hit = first_index(no_inverse | no_product)
     if hit is not None:

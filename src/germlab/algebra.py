@@ -202,7 +202,7 @@ def regular_representation(G: FiniteGroupoid, f: GroupoidFunction
     _require_listed_sources(G)
     stacks = {fibers.shape[1]: iter(np.moveaxis(f.values.take(idx, axis=-1), -3, 0))
               for fibers, idx in G.fibers_by_size}     # each size's units in units order
-    size = np.bincount(G.d, minlength=G.n_arrows)[list(G.units)]
+    size = np.bincount(G.d, minlength=G.n_arrows)[G.units]
     return RegularRepresentation(G, tuple(next(stacks[s]) for s in size.tolist()))
 
 

@@ -48,6 +48,8 @@ DIAMOND_MEET = [
     [0, 1, 2, 3],
 ]
 DIAMOND_LABELS = ("0", "a", "b", "1")
+VEE_MEET = [[0, 0, 0], [0, 1, 0], [0, 0, 2]]
+VEE_LABELS = ("0", "l", "r")
 
 NAMED_GRAPHS = {
     "vertex": DirectedGraph(1, ()),
@@ -61,14 +63,15 @@ def diamond_semilattice() -> Semilattice:
     return validate_semilattice(DIAMOND_MEET, labels=DIAMOND_LABELS)
 
 
+def chain_table(n: int) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The meet table min(i, j) of the chain c0 < c1 < ... < c(n-1), and its labels."""
+    i = np.arange(n)
+    return np.minimum.outer(i, i), tuple(f"c{k}" for k in range(n))
+
+
 def chain_semilattice(n: int) -> Semilattice:
-    meet = [[min(i, j) for j in range(n)] for i in range(n)]
-    return validate_semilattice(meet, labels=tuple(f"c{i}" for i in range(n)))
-
-
-def vee_semilattice() -> Semilattice:
-    return validate_semilattice([[0, 0, 0], [0, 1, 0], [0, 0, 2]],
-                                labels=("0", "l", "r"))
+    meet, labels = chain_table(n)
+    return validate_semilattice(meet, labels=labels)
 
 
 def brandt_b2() -> InverseSemigroup:
@@ -189,7 +192,7 @@ def random_clifford(seed: int) -> InverseSemigroup:
                  (2, 0): tuple(l10[x] for x in l21)}
         return strong_semilattice_of_groups(E, groups, links)
     if shape == 2:
-        E = vee_semilattice()
+        E = validate_semilattice(VEE_MEET, labels=VEE_LABELS)
         orders = [1, rng.choice([2, 3]), rng.choice([2, 4])]
         groups = [cyclic_group(m).table.tolist() for m in orders]
         links = {(1, 0): tuple(0 for _ in range(orders[1])),
@@ -208,10 +211,6 @@ def random_clifford(seed: int) -> InverseSemigroup:
 
 def diamond_munn() -> InverseSemigroup:
     return munn_semigroup(diamond_semilattice())
-
-
-def semilattice_as_semigroup(E: Semilattice) -> InverseSemigroup:
-    return validate_inverse_semigroup(E.meet, E.labels)
 
 
 def _element_count(text: str, what: str) -> int:
@@ -246,14 +245,14 @@ def builtin(name: str) -> InverseSemigroup:
                 return klein_group()
             if arg == "s3":
                 return symmetric_group_3()
-        if head == "semilattice":
+        if head == "semilattice":     # its meet table, validated once as a semigroup
             if arg == "diamond":
-                return semilattice_as_semigroup(diamond_semilattice())
+                return validate_inverse_semigroup(DIAMOND_MEET, DIAMOND_LABELS)
             if arg == "vee":
-                return semilattice_as_semigroup(vee_semilattice())
+                return validate_inverse_semigroup(VEE_MEET, VEE_LABELS)
             if arg.startswith("chain"):
-                E = chain_semilattice(_element_count(arg[5:], "chain semilattice"))
-                return semilattice_as_semigroup(E)
+                return validate_inverse_semigroup(
+                    *chain_table(_element_count(arg[5:], "chain semilattice")))
         if head == "graph":
             if arg in NAMED_GRAPHS:
                 return graph_inverse_semigroup(NAMED_GRAPHS[arg])

@@ -29,8 +29,6 @@ from .groupoids import (
     is_effective,
     is_essentially_principal,
     is_group_bundle,
-    iso_bundle,
-    iso_interior,
 )
 from .io import export_dot, load_semigroup, save_semigroup
 from .semigroups import (
@@ -56,7 +54,7 @@ def _load_subject(subject: str) -> tuple[str, InverseSemigroup]:
 def _d_classes(S: InverseSemigroup) -> int:
     """Number of Green's D classes: blocks of the join of L (same s*s) and R
     (same ss*), generated by the pairs (s, s*s) and (s, ss*)."""
-    s, inv = np.arange(S.size), S.inv_array
+    s, inv = np.arange(S.size), S.inv
     root = join_roots(s, np.concatenate((s, s)), np.concatenate((S.table[inv, s], S.table[s, inv])))
     return int((root == s).sum())
 
@@ -125,13 +123,11 @@ def cmd_germs(args) -> int:
     action = universal_action(S) if args.action == "universal" else tight_action(S)
     germs = germ_groupoid(action)
     G = germs.groupoid
-    iso = iso_bundle(G)
-    inner = iso_interior(G)
     print(f"{name}: {args.action} groupoid of germs")
     print(f"arrows            {G.n_arrows}")
     print(f"units             {len(G.units)}")
-    print(f"isotropy          {np.count_nonzero(iso)}")
-    print(f"isotropy interior {np.count_nonzero(inner)}")
+    print(f"isotropy          {np.count_nonzero(G.isotropy)}")
+    print(f"isotropy interior {np.count_nonzero(G.isotropy_interior)}")
     print(f"group_bundle      {is_group_bundle(G)}")
     print(f"effective         {is_effective(G)}")
     print(f"ess_principal     {is_essentially_principal(G)}")

@@ -66,7 +66,7 @@ def join_roots(root: np.ndarray, a, b) -> np.ndarray:
 class QuotientMap:
     source: InverseSemigroup
     target: InverseSemigroup
-    projection: tuple[int, ...]
+    projection: np.ndarray          # intp: the class of each element of the source
 
 
 def congruence_witness(S: InverseSemigroup, R: Relation):
@@ -133,7 +133,7 @@ def mu_relation(S: InverseSemigroup) -> Relation:
     checked by ``congruence.mu_inside_h``.
     """
     T = S.table
-    return Relation(T[T[:, S.idempotent_array], S.inv_array[:, None]])   # s e s* at [s, e]
+    return Relation(T[T[:, S.idempotent_array], S.inv[:, None]])   # s e s* at [s, e]
 
 
 def kernel_of(S: InverseSemigroup, R: Relation) -> np.ndarray:
@@ -147,7 +147,7 @@ def related_products(S: InverseSemigroup, R: Relation) -> np.ndarray:
     """The products s t* over the related pairs s ~ t, as an element mask."""
     s, t = np.nonzero(R.labels[:, None] == R.labels)
     products = np.zeros(S.size, dtype=bool)
-    products[S.table[s, S.inv_array[t]]] = True
+    products[S.table[s, S.inv[t]]] = True
     return products
 
 
@@ -158,18 +158,16 @@ def quotient(S: InverseSemigroup, R: Relation) -> QuotientMap:
     Fundamentals of Semigroup Theory, 1995, ch. 5).  The zero is detected on
     S/R's table (S/mu of a zero-free Clifford chain has one)."""
     proj = R.labels
-    projection = tuple(proj.tolist())
     labels = tuple("{" + ",".join(S.label(x) for x in block) + "}" for block in R.blocks)
     if R.is_identity:     # S/R is S, relabeled, on the same table
         return QuotientMap(S, InverseSemigroup(S.table, S.inv, S.zero, labels, S.generators),
-                           projection)
+                           proj)
     table = proj[S.table[np.ix_(R.reps, R.reps)]]
     if not (table[proj[:, None], proj] == proj[S.table]).all():
         raise NotACongruence(congruence_witness(S, R))
     idems = np.flatnonzero(table.diagonal() == np.arange(R.count))
-    T = InverseSemigroup(table, tuple(proj[S.inv_array[R.reps]].tolist()),
-                         detect_zero(table, idems), labels)
-    return QuotientMap(S, T, projection)
+    T = InverseSemigroup(table, proj[S.inv[R.reps]], detect_zero(table, idems), labels)
+    return QuotientMap(S, T, proj)
 
 
 def is_fundamental(S: InverseSemigroup) -> bool:
@@ -370,7 +368,7 @@ def transversal_defect(S: InverseSemigroup, q: QuotientMap, r
     """
     r = np.asarray(r, dtype=np.intp)
     decided = np.flatnonzero(r >= 0)
-    elsewhere = np.asarray(q.projection)[r[decided]] != decided
+    elsewhere = q.projection[r[decided]] != decided
     for rows in chunks(decided.size, len(r)):
         x = decided[rows, None]
         want = r[q.target.table[x, decided]]      # r(xy), or -1 where xy is undecided

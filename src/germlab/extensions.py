@@ -170,19 +170,18 @@ class Subject:
         E_T = semilattice_of(T)
         if self.E.size != E_T.size:
             raise StructureError("quotient does not separate idempotents")
-        translate = np.searchsorted(E_T.parent_index,
-                                    np.asarray(q.projection)[list(self.E.parent_index)])
+        translate = np.searchsorted(E_T.parent_index, q.projection[self.E.parent_index])
         # inherit the zero designation from S rather than redetecting it
         E_T.zero = None if self.E.zero is None else int(translate[self.E.zero])
         target = germ_groupoid(spectrum_action(T, translate[self.points], E_T))
         rep_s, rep_x = source.rep_of.T
-        images = np.asarray(q.projection)[rep_s]
+        images = q.projection[rep_s]
         arrow_map = target.germ_at[images, rep_x]
         hit = first_index(arrow_map < 0)
         if hit is not None:
             (a,) = hit
             raise StructureError(f"point {rep_x[a]} is outside the domain of element {images[a]}")
-        hom = GroupoidHom(source.groupoid, target.groupoid, tuple(arrow_map.tolist()))
+        hom = GroupoidHom(source.groupoid, target.groupoid, arrow_map)
         return MunnProjection(q, source, target, hom)
 
     @cached_property
@@ -194,9 +193,8 @@ class Subject:
         q, germs = self.group_image, self.beta
         T = q.target
         e = np.full(T.size, T.idempotent_array[0])
-        target = discrete_groupoid(e, e, T.inv_array, T.table, T.labels)
-        arrow_map = tuple(np.asarray(q.projection)[germs.rep_of[:, 0]].tolist())
-        return GroupoidHom(germs.groupoid, target, arrow_map), germs
+        target = discrete_groupoid(e, e, T.inv, T.table, T.labels)
+        return GroupoidHom(germs.groupoid, target, q.projection[germs.rep_of[:, 0]]), germs
 
     @cached_property
     def transversal(self) -> tuple[int, ...] | None | str:

@@ -1,15 +1,16 @@
 """Finite groupoids with an explicit topology basis.
 
 Arrows are indices 0..n-1.  The units are listed in increasing order by
-``units``; they and every other arrow subset (the isotropy and its
-interior, kernels, subgroupoids) are boolean masks over the arrows, which
-the predicates here take.  ``r``, ``d`` and ``inv`` are integer arrays over
-the arrows, and the composition is one
-(n, n) integer table: ``table[g, h]`` is the arrow gh, or -1 where
+``units``, and every arrow subset (the units' ``unit_mask``, the isotropy
+and its interior, kernels, subgroupoids) is a boolean mask over the arrows,
+which the predicates here take.  ``units``, ``orbit_units``, ``r``, ``d``,
+``inv`` and a homomorphism's ``map`` are intp arrays, and the composition
+is one (n, n) integer table: ``table[g, h]`` is the arrow gh, or -1 where
 d(g) != r(h), the idiom of the semigroup table and of an action's rows.
-``comp`` lists the composable pairs as rows (g, h, gh), read off the table
-in column-major order (sorted by h, then g); the convolution sums in that
-order.
+The convolution reads the table through ``fibers_by_size``, each unit's
+d-fiber and its matrix [a b^-1]; ``comp`` lists the composable pairs as
+rows (g, h, gh), read off the table in column-major order (sorted by h,
+then g), the order in which ``validate_hom`` reports a failing pair.
 
 The topology is carried in index form (``Cuts``): integer rows with -1
 outside each domain (a germ groupoid's ``germ_at``, elements by points) and
@@ -105,14 +106,15 @@ class Cuts:
 @dataclass(eq=False)
 class FiniteGroupoid:
     """Arrows with range/source/inverse arrays, a composition table (gh at
-    [g, h], -1 where d(g) != r(h)) and an open basis in index form."""
+    [g, h], -1 where d(g) != r(h)), the units as an increasing intp array
+    and an open basis in index form."""
 
     n_arrows: int
     r: np.ndarray
     d: np.ndarray
     inv: np.ndarray
     table: np.ndarray
-    units: tuple[int, ...]
+    units: np.ndarray
     labels: tuple[str, ...]
     cuts: Cuts
 
@@ -132,7 +134,7 @@ class FiniteGroupoid:
     def unit_mask(self) -> np.ndarray:
         """The units as a boolean mask over the arrows."""
         out = np.zeros(self.n_arrows, dtype=bool)
-        out[list(self.units)] = True
+        out[self.units] = True
         return out
 
     @cached_property
@@ -152,7 +154,7 @@ class FiniteGroupoid:
         stable sort by the source's place in ``units`` lays the fibers end to
         end; an arrow whose source is not a listed unit is in no fiber."""
         place = np.full(self.n_arrows, -1, dtype=np.intp)     # a unit's place in units
-        place[list(self.units)] = np.arange(len(self.units))
+        place[self.units] = np.arange(len(self.units))
         source = place[self.d]
         stacked = np.argsort(source, kind="stable")[np.count_nonzero(source < 0):]
         size = np.bincount(source[stacked], minlength=len(self.units))
@@ -164,14 +166,13 @@ class FiniteGroupoid:
         return tuple(out)
 
     @cached_property
-    def orbit_units(self) -> tuple[int, ...]:
+    def orbit_units(self) -> np.ndarray:
         """The least unit of each orbit, in ``units`` order: the units u that
         are the least range of an arrow out of u.  In a groupoid every unit
         of u's orbit is the range of such an arrow."""
         least = np.full(self.n_arrows, self.n_arrows, dtype=np.intp)
         np.minimum.at(least, self.d, self.r)
-        units = np.asarray(self.units, dtype=np.intp)
-        return tuple(units[least[units] == units].tolist())
+        return self.units[least[self.units] == self.units]
 
     @cached_property
     def fiber_stacks(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
@@ -206,7 +207,7 @@ class FiniteGroupoid:
         the kept blocks carry every norm.
         """
         by_key: dict[tuple, list[tuple[int, np.ndarray, np.ndarray]]] = {}
-        for x in self.orbit_units:
+        for x in self.orbit_units.tolist():
             block, kept = _coset_circulants(self, x)
             by_key.setdefault((block.shape, tuple(kept.tolist())), []).append((x, block, kept))
         return tuple((np.stack([block for _, block, _ in same]), same[0][2],
@@ -214,12 +215,12 @@ class FiniteGroupoid:
 
     @cached_property
     def isotropy(self) -> np.ndarray:
-        """The arrows with r = d (``iso_bundle``), as a mask."""
+        """The arrows with r = d, as a mask."""
         return self.r == self.d
 
     @cached_property
     def isotropy_interior(self) -> np.ndarray:
-        """The interior of the isotropy in the basis topology (``iso_interior``)."""
+        """The interior of the isotropy in the basis topology."""
         return interior(self, self.isotropy)
 
     def __repr__(self) -> str:
@@ -290,7 +291,7 @@ class GroupoidHom:
 
     source: FiniteGroupoid
     target: FiniteGroupoid
-    map: tuple[int, ...]
+    map: np.ndarray             # intp: the image of each source arrow
 
 
 def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
@@ -312,8 +313,8 @@ def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     associativity over triples (g, h, k) row-major (``_associativity_scan``).
     """
     n = G.n_arrows
-    r, d, inv, table = G.r, G.d, G.inv, G.table
-    units = check_arrays(G)
+    r, d, inv, table, units = G.r, G.d, G.inv, G.table, G.units
+    check_arrays(G)
     not_idempotent = (table[units, units] != units) | (inv[units] != units)
     not_own = (r[units] != units) | (d[units] != units)
     hit = first_index(not_idempotent | not_own)
@@ -355,13 +356,12 @@ def validate_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     return G
 
 
-def check_arrays(G: FiniteGroupoid) -> np.ndarray:
-    """Check the shapes and ranges of G's arrays and its basis, and return
-    its units as an array: the first checks of ``validate_groupoid`` and of
-    ``actions.certify_germ_groupoid``, each failure named by its message."""
+def check_arrays(G: FiniteGroupoid) -> None:
+    """Check the shapes and ranges of G's arrays and its basis: the first
+    checks of ``validate_groupoid`` and of ``actions.certify_germ_groupoid``,
+    each failure named by its message."""
     n = G.n_arrows
     r, d, inv, table = G.r, G.d, G.inv, G.table
-    units = np.asarray(G.units, dtype=np.intp)
     if table.shape != (n, n) or any(a.shape != (n,) for a in (r, d, inv)):
         raise StructureError(f"composition table and arrow arrays must cover {n} arrows")
     rows, sets = G.cuts.rows, G.cuts.sets
@@ -374,10 +374,9 @@ def check_arrays(G: FiniteGroupoid) -> np.ndarray:
         raise StructureError("basis row entry out of range")
     if ((table < -1) | (table >= n)).any():
         raise StructureError("composition table entry out of range")
-    ends = np.concatenate((r, d, inv, units))
+    ends = np.concatenate((r, d, inv, G.units))
     if ((ends < 0) | (ends >= n)).any():
         raise StructureError("range, source, inverse or unit out of range")
-    return units
 
 
 def _associativity_scan(G: FiniteGroupoid, left: np.ndarray, right: np.ndarray,
@@ -418,7 +417,7 @@ def discrete_groupoid(r, d, inv, table, labels=None) -> FiniteGroupoid:
     one singleton cut {a} per arrow a."""
     r, d, inv, table = (np.asarray(a, dtype=np.intp) for a in (r, d, inv, table))
     n = len(r)
-    units = tuple(sorted({*r.tolist(), *d.tolist()}))
+    units = distinct(np.concatenate((r, d)))
     if labels is None:
         labels = tuple(f"g{a}" for a in range(n))
     discrete = Cuts(np.arange(n)[:, None], np.ones((1, 1), dtype=bool), tuple(labels), ("",),
@@ -435,6 +434,9 @@ def make_groupoid(r, d, inv, table, labels=None) -> FiniteGroupoid:
 # isotropy and the basis-driven topology
 
 
+# iso_bundle and iso_interior wrap FiniteGroupoid.isotropy and
+# isotropy_interior, which the package reads; they stay only for the
+# benchmark's traced pipeline, which imports them by name.
 def iso_bundle(G: FiniteGroupoid) -> np.ndarray:
     return G.isotropy
 
@@ -483,7 +485,7 @@ def is_group_bundle(G: FiniteGroupoid) -> bool:
 
 
 def is_essentially_principal(G: FiniteGroupoid) -> bool:
-    return np.array_equal(iso_interior(G), G.unit_mask)
+    return np.array_equal(G.isotropy_interior, G.unit_mask)
 
 
 def is_effective(G: FiniteGroupoid) -> bool:
@@ -493,7 +495,7 @@ def is_effective(G: FiniteGroupoid) -> bool:
 
 def fiber_group(G: FiniteGroupoid, u: int) -> FiniteGroup:
     """The isotropy group at a unit, extracted as a one-unit groupoid."""
-    if u not in G.units:
+    if not (0 <= u < G.n_arrows and G.unit_mask[u]):
         raise StructureError(f"{u} is not a unit")
     sub, _ = extract_subgroupoid(G, (G.r == u) & (G.d == u))
     return FiniteGroup(sub)
@@ -552,10 +554,9 @@ def extract_subgroupoid(G: FiniteGroupoid, subset: np.ndarray
     back = np.full(G.n_arrows, -1, dtype=np.intp)
     back[order] = np.arange(order.size)
     table = compose_after(back, G.table[order[:, None], order])
-    back_of = back.tolist()
     labels = tuple(G.label(a) for a in order.tolist())
     cuts = replace(G.cuts, rows=compose_after(back, G.cuts.rows), form=G.cuts.form + "|sub")
-    units = tuple(sorted(back_of[u] for u in G.units if back_of[u] >= 0))
+    units = back[G.units[subset[G.units]]]
     H = FiniteGroupoid(order.size, back[G.r[order]], back[G.d[order]], back[G.inv[order]],
                        table, units, labels, cuts)
     return H, order
@@ -589,7 +590,7 @@ def validate_hom(hom: GroupoidHom) -> GroupoidHom:
     m = np.asarray(hom.map, dtype=np.intp)
     if len(m) != S.n_arrows:
         raise StructureError("hom map has wrong length")
-    hit = first_index(~T.unit_mask[m[list(S.units)]])
+    hit = first_index(~T.unit_mask[m[S.units]])
     if hit is not None:
         raise StructureError(f"unit {S.units[hit[0]]} does not map to a unit")
     g, h, gh = m[S.comp.T]
@@ -610,23 +611,21 @@ def is_strongly_surjective(hom: GroupoidHom) -> bool:
     the arrows a out of the i-th unit u, as a set, against the pairs (i, b)
     with d(b) = m u, both coded row-major.  An image outside the target's
     arrows lies in no target fiber."""
-    S, T = hom.source, hom.target
-    m = np.asarray(hom.map, dtype=np.intp)
-    units = np.asarray(S.units, dtype=np.intp)
+    S, T, m = hom.source, hom.target, hom.map
     place = np.full(S.n_arrows, -1, dtype=np.intp)       # a unit's place in units
-    place[units] = np.arange(units.size)
+    place[S.units] = np.arange(S.units.size)
     source = place[S.d]
     out = source >= 0                                      # the arrows out of a listed unit
     image = m[out]
     if ((image < 0) | (image >= T.n_arrows)).any():
         return False
-    i, b = np.nonzero(m[units][:, None] == T.d)           # row-major, so already in order
+    i, b = np.nonzero(m[S.units][:, None] == T.d)         # row-major, so already in order
     return np.array_equal(distinct(source[out] * T.n_arrows + image), i * T.n_arrows + b)
 
 
 def hom_kernel(hom: GroupoidHom) -> np.ndarray:
     """The source arrows mapped to units, as a mask."""
-    return hom.target.unit_mask[np.asarray(hom.map, dtype=np.intp)]
+    return hom.target.unit_mask[hom.map]
 
 
 def groupoid_isomorphic(G1: FiniteGroupoid, G2: FiniteGroupoid
@@ -642,8 +641,8 @@ def groupoid_isomorphic(G1: FiniteGroupoid, G2: FiniteGroupoid
         return (int(at_d.sum()), int(at_r.sum()), int((at_r & at_d).sum()))
 
     n = G1.n_arrows
-    r1, d1, inv1, t1 = (a.tolist() for a in (G1.r, G1.d, G1.inv, G1.table))
-    r2, d2, inv2, t2 = (a.tolist() for a in (G2.r, G2.d, G2.inv, G2.table))
+    r1, d1, inv1, t1, u1 = (a.tolist() for a in (G1.r, G1.d, G1.inv, G1.table, G1.unit_mask))
+    r2, d2, inv2, t2, u2 = (a.tolist() for a in (G2.r, G2.d, G2.inv, G2.table, G2.unit_mask))
     mapping: list[int | None] = [None] * n
     used = [False] * n
 
@@ -663,7 +662,7 @@ def groupoid_isomorphic(G1: FiniteGroupoid, G2: FiniteGroupoid
                     undo(newly)
                     return None
                 continue
-            if used[y] or (x in G1.units) != (y in G2.units):
+            if used[y] or u1[x] != u2[y]:
                 undo(newly)
                 return None
             mapping[x] = y
@@ -691,7 +690,7 @@ def groupoid_isomorphic(G1: FiniteGroupoid, G2: FiniteGroupoid
         for b in range(n):
             if used[b]:
                 continue
-            if i in G1.units and unit_profile(G1, i) != unit_profile(G2, b):
+            if u1[i] and unit_profile(G1, i) != unit_profile(G2, b):
                 continue
             newly = assign(i, b)
             if newly is not None:

@@ -13,7 +13,7 @@ from itertools import chain
 
 from .actions import DirectedGraph
 from .errors import ParseError
-from .groupoids import FiniteGroupoid, iso_interior
+from .groupoids import FiniteGroupoid
 from .semigroups import InverseSemigroup, validate_inverse_semigroup
 
 
@@ -93,9 +93,9 @@ def _dot_escape(text: str) -> str:
 def groupoid_dot(G: FiniteGroupoid) -> str:
     """DOT rendering: units as boxes, arrows as labeled edges, interior
     isotropy highlighted.  Nodes are ordered canonically for stable diffs."""
-    inner = iso_interior(G)
+    inner = G.isotropy_interior
     lines = ["digraph germs {"]
-    for u in sorted(G.units):
+    for u in G.units:
         lines.append(f'  n{u} [shape=box,label="{_dot_escape(G.label(u))}"];')
     for a in G.arrows():
         if G.unit_mask[a]:

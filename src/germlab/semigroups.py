@@ -5,7 +5,8 @@ structure; inverses, idempotents, the natural partial order, Green's H and
 the centralizer of the idempotents are all derived from it, each by gathers
 of the table rather than loops over products.  A subset of the elements,
 such as the idempotents or the centralizer, is a boolean mask of length n;
-``idempotent_set`` is the one frozenset, kept for set-level callers.
+``idempotent_set`` is the one frozenset, kept for set-level callers.  Every
+index sequence the core types store, such as ``inv``, is an intp array.
 
 ``Relation``, defined here, is the package's one partition type: Green's H,
 every congruence and every grouping of action rows is one canonical label
@@ -59,13 +60,15 @@ class InverseSemigroup:
     ran on; a quotient computes it on first use.  Every law that is closed
     under products is certified on it.
 
+    ``inv`` is the intp array of inverses, s* at index s.
+
     ``graph`` is the ``DirectedGraph`` a graph inverse semigroup was built
     from (``actions.graph_inverse_semigroup``), and None for any other.
     """
 
     graph = None
 
-    def __init__(self, table: np.ndarray, inv: tuple[int, ...], zero: int | None,
+    def __init__(self, table: np.ndarray, inv: np.ndarray, zero: int | None,
                  labels: tuple[str, ...], generators: np.ndarray | None = None):
         self.table = table
         self.inv = inv
@@ -105,11 +108,6 @@ class InverseSemigroup:
         return frozenset(self.idempotent_array.tolist())
 
     @cached_property
-    def inv_array(self) -> np.ndarray:
-        """``inv`` as an index array."""
-        return np.array(self.inv, dtype=np.intp)
-
-    @cached_property
     def generators(self) -> np.ndarray:
         return generating_set(self.table)
 
@@ -128,7 +126,7 @@ class InverseSemigroup:
     @cached_property
     def h_partition(self) -> "Relation":
         """Green's H: s and t are related when s*s = t*t and ss* = tt*."""
-        s, inv = np.arange(self.size), self.inv_array
+        s, inv = np.arange(self.size), self.inv
         return Relation(self.table[inv, s] * self.size + self.table[s, inv])
 
 
@@ -251,8 +249,9 @@ def detect_zero(table: np.ndarray, E: np.ndarray) -> int | None:
     return z if (table[z] == z).all() and (table[:, z] == z).all() else None
 
 
-def _inverses(table: np.ndarray) -> tuple[int, ...]:
-    """The inverse of every element, which must exist and be unique.
+def _inverses(table: np.ndarray) -> np.ndarray:
+    """The inverse of every element, as an index array; each must exist
+    and be unique.
 
     t is an inverse of s iff s t s = s and t s t = t, evaluated at [s, t]
     for ``chunks`` of rows s.  The first s in element order without exactly
@@ -273,7 +272,7 @@ def _inverses(table: np.ndarray) -> tuple[int, ...]:
                 raise NoInverse(rows.start + i)
             raise NonUniqueInverse(rows.start + i, tuple(np.flatnonzero(found[i]).tolist()))
         inv[rows] = found.argmax(axis=1)
-    return tuple(inv.tolist())
+    return inv
 
 
 def generating_set(table: np.ndarray) -> np.ndarray:
@@ -406,7 +405,7 @@ def h_class_of(S: InverseSemigroup, s: int) -> tuple[int, ...]:
 
 
 def is_clifford(S: InverseSemigroup) -> bool:
-    s, inv = np.arange(S.size), S.inv_array
+    s, inv = np.arange(S.size), S.inv
     return bool((S.table[inv, s] == S.table[s, inv]).all())
 
 
@@ -449,14 +448,14 @@ def normality_defect(S: InverseSemigroup, inside: np.ndarray) -> str | None:
         return f"idempotent {missing[0]} is missing"
     T = S.table
     members = np.flatnonzero(inside)
-    hit = first_index(~inside[S.inv_array[members]])
+    hit = first_index(~inside[S.inv[members]])
     if hit is not None:
         return f"not closed under inverses at {int(members[hit[0]])}"
     hit = first_index(~inside[T[np.ix_(members, members)]])
     if hit is not None:
         a, b = members[list(hit)].tolist()
         return f"not closed under products at ({a},{b})"
-    hit = first_index(~inside[T[T[S.inv_array[:, None], members], np.arange(S.size)[:, None]]])
+    hit = first_index(~inside[T[T[S.inv[:, None], members], np.arange(S.size)[:, None]]])
     if hit is not None:
         s, j = hit
         return f"conjugation by {s} moves {int(members[j])} outside"

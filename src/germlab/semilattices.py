@@ -50,10 +50,12 @@ class Semilattice:
     ``zero`` marks the index that filters must avoid: it is the zero of the
     semigroup the semilattice came from, and is None when that semigroup had
     no zero (then even the bottom element generates a filter).
+    ``parent_index`` is the intp array of those idempotents in the semigroup,
+    increasing, or None for a semilattice given by its own meet table.
     """
 
     def __init__(self, meet: np.ndarray, zero: int | None, labels: tuple[str, ...],
-                 parent_index: tuple[int, ...] | None = None):
+                 parent_index: np.ndarray | None = None):
         self.meet = meet
         self.zero = zero
         self.labels = labels
@@ -142,7 +144,7 @@ def semilattice_of(S: InverseSemigroup) -> Semilattice:
     back[idems] = np.arange(idems.size)
     return Semilattice(back[S.table[np.ix_(idems, idems)]],
                        None if S.zero is None else int(back[S.zero]),
-                       tuple(S.label(e) for e in idems.tolist()), tuple(idems.tolist()))
+                       tuple(S.label(e) for e in idems.tolist()), idems)
 
 
 def principal_filter(E: Semilattice, e: int) -> frozenset[int]:

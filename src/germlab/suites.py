@@ -77,8 +77,6 @@ from .groupoids import (
     is_group_bundle,
     is_open,
     is_strongly_surjective,
-    iso_bundle,
-    iso_interior,
     interior_witnesses,
     validate_hom,
 )
@@ -240,7 +238,7 @@ def _h_class_groups(sub):
     e = E[i]
     not_identity = (T[e, a] != a) | (T[a, e] != a)
     escapes = (h[e][:, None] == h) & (h[T[a]] != h[e][:, None])
-    hit = first_index(not_identity | (T[a, S.inv_array[a]] != e) | escapes.any(axis=1))
+    hit = first_index(not_identity | (T[a, S.inv[a]] != e) | escapes.any(axis=1))
     if hit is not None:
         (i,) = hit
         return False, (f"{e[i]} is not an identity on its class" if not_identity[i]
@@ -417,16 +415,12 @@ def _universal_kernel(sub):
 
 def _principal_units(germs) -> tuple[np.ndarray, np.ndarray]:
     """The nonzero idempotents e, in element order, and the unit at the
-    principal point of each (the first point x with m_x = e), by one
-    scatter of the points' least acting idempotents; -1 where no point has
-    m_x = e."""
+    principal point of each (``GermGroupoid.principal_points``); -1 where
+    no point has m_x = e."""
     S = germs.action.semigroup
     E = S.idempotent_array
     E = E[E != (-1 if S.zero is None else S.zero)]
-    base = np.asarray(germs.base_idempotent)
-    point = np.full(S.size, base.size, dtype=np.intp)
-    np.minimum.at(point, base, np.arange(base.size))
-    return E, np.append(germs.unit_at_point, -1)[point[E]]
+    return E, np.append(germs.unit_at_point, -1)[germs.principal_points[E]]
 
 
 def _first_fiber_failure(E: np.ndarray, units: np.ndarray, failed: np.ndarray) -> int | None:
@@ -503,8 +497,7 @@ def _containment_chain(sub):
     principal unit their source is (``_classes_differ``)."""
     G = sub.beta.groupoid
     z_arrows = sub.z_in_beta.arrows
-    inner = iso_interior(G)
-    iso = iso_bundle(G)
+    inner, iso = G.isotropy_interior, G.isotropy
     if (z_arrows & ~inner).any() or (inner & ~iso).any():
         return False, "containment chain broken"
     E, units = _principal_units(sub.beta)
@@ -521,7 +514,7 @@ def _containment_chain(sub):
        "cryptic: centralizer germs equal the isotropy interior; else a witness exists")
 def _cryptic_equality(sub):
     G = sub.beta.groupoid
-    inner = iso_interior(G)
+    inner = G.isotropy_interior
     z_arrows = sub.z_in_beta.arrows
     if sub.mu == sub.S.h_partition:      # cryptic
         if not np.array_equal(z_arrows, inner):
@@ -531,7 +524,7 @@ def _cryptic_equality(sub):
     if not extra.size:
         return False, "not cryptic but no witness arrow found"
     a = int(extra[0])
-    label = interior_witnesses(G, iso_bundle(G))[a]
+    label = interior_witnesses(G, G.isotropy)[a]
     return True, f"witness {G.label(a)} in interior via {label}"
 
 
@@ -625,7 +618,7 @@ def _domain_injectivity(sub):
 def _interior_equality(sub):
     if not sub.zero_disjunctive:
         return True, "vacuous: not 0-disjunctive"
-    inner = iso_interior(sub.theta.groupoid)
+    inner = sub.theta.groupoid.isotropy_interior
     if not np.array_equal(sub.theta.germs_of(sub.Z), inner):
         return False, "centralizer germs differ from the isotropy interior"
     extra = ""
@@ -660,12 +653,12 @@ def _base_dichotomy(S, germs, J, tag):
         return False, f"{tag}: kernel cross-check fails at {np.flatnonzero(J ^ identities)[0]}"
     arrows = germs.germs_of(J)
     G = germs.groupoid
-    if (arrows & ~iso_bundle(G)).any():
+    if (arrows & ~G.isotropy).any():
         return False, f"{tag}: kernel germs leave the isotropy"
     if not is_open(G, arrows):
         return False, f"{tag}: kernel germs are not open"
     if domains_form_base(germs.action):
-        if not np.array_equal(arrows, iso_interior(G)):
+        if not np.array_equal(arrows, G.isotropy_interior):
             return False, f"{tag}: base hypothesis holds but equality fails"
         return True, f"{tag}: base holds, kernel germs = isotropy interior"
     return True, f"{tag}: no base; kernel germs open inside isotropy"
@@ -712,7 +705,7 @@ def _projection_strongly_surjective(sub):
         return False, "a fiber is not covered"
     note = ""
     if sub.mu.is_identity:      # fundamental
-        if sorted(proj.hom.map) != list(proj.target.groupoid.arrows()):
+        if not np.array_equal(np.sort(proj.hom.map), np.arange(proj.target.groupoid.n_arrows)):
             return False, "fundamental but the projection is not a bijection"
         note = " (isomorphism: fundamental case)"
     return True, (f"{proj.source.groupoid.n_arrows} arrows project onto "
@@ -819,10 +812,9 @@ def _embedding_isometric(sub):
     defect = alg.embedding_defect(emb)
     if defect is not None:
         return False, defect
-    units = list(G.units)
-    blocks = (np.bincount(G.r, minlength=G.n_arrows)[units]
-              // np.bincount(G.r[emb.to_parent], minlength=G.n_arrows)[units]).sum()
-    return True, f"units certified: {len(units)}, bundle blocks: {blocks}"
+    blocks = (np.bincount(G.r, minlength=G.n_arrows)[G.units]
+              // np.bincount(G.r[emb.to_parent], minlength=G.n_arrows)[G.units]).sum()
+    return True, f"units certified: {G.units.size}, bundle blocks: {blocks}"
 
 
 @check("algebra", "algebra.conditional_expectation",

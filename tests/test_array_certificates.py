@@ -436,9 +436,9 @@ def test_perturbed_fibers_give_the_loops_witnesses():
             rep = sub.beta.rep_of.copy()
             rep[rng.integers(G.n_arrows), 0] = rng.integers(S.size)
             sub = _replace_beta(sub, rep_of=rep)
-            base = list(sub.beta.base_idempotent)
-            base[rng.integers(len(base))] = int(rng.choice(S.idempotent_array))
-            perturbed = _replace_beta(Subject(S), base_idempotent=tuple(base))
+            base = sub.beta.base_idempotent.copy()
+            base[rng.integers(base.size)] = rng.choice(S.idempotent_array)
+            perturbed = _replace_beta(Subject(S), base_idempotent=base)
             for one in (sub, perturbed):
                 for check in ("germ.fibers_are_h_classes", "groupoid.containment_chain"):
                     kinds.add(re.sub(r"\d+", "", agree(one, check)[1]))

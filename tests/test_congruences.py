@@ -449,7 +449,7 @@ def test_quotient_by_the_identity_is_the_validated_semigroup(name):
     T = quotient(S, Relation(np.arange(S.size))).target
     reference = validate_inverse_semigroup(S.table.copy(), T.labels)
     assert T.table is S.table
-    assert (T.inv, T.zero) == (reference.inv, reference.zero)
+    assert (T.inv.tolist(), T.zero) == (reference.inv.tolist(), reference.zero)
     assert T.labels == tuple("{" + S.label(x) + "}" for x in S.elements())
 
 
@@ -462,6 +462,6 @@ def test_split_transversal_searches_past_the_recursion_limit():
 
     n = 1001
     chain = np.minimum.outer(np.arange(n), np.arange(n))
-    S = InverseSemigroup(chain, tuple(range(n)), 0, tuple(map(str, range(n))))
-    r = split_transversal(S, Relation(np.arange(n)), QuotientMap(S, S, tuple(range(n))))
+    S = InverseSemigroup(chain, np.arange(n), 0, tuple(map(str, range(n))))
+    r = split_transversal(S, Relation(np.arange(n)), QuotientMap(S, S, np.arange(n)))
     assert r == tuple(range(n))

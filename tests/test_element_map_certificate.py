@@ -43,14 +43,13 @@ def _corrupt(germs, kind, rng):
         size = germs.action.semigroup.size
         if size < 2:
             return None
-        base = list(germs.base_idempotent)
-        x = rng.integers(len(base))
-        base[x] = int((base[x] + rng.integers(1, size)) % size)
-        return dataclasses.replace(germs, base_idempotent=tuple(base))
+        base = germs.base_idempotent.copy()
+        x = rng.integers(base.size)
+        base[x] = (base[x] + rng.integers(1, size)) % size
+        return dataclasses.replace(germs, base_idempotent=base)
     if kind == "units":
-        units = list(G.units)
-        del units[rng.integers(len(units))]
-        return dataclasses.replace(germs, groupoid=dataclasses.replace(G, units=tuple(units)))
+        units = np.delete(G.units, rng.integers(G.units.size))
+        return dataclasses.replace(germs, groupoid=dataclasses.replace(G, units=units))
     if kind == "table":
         g, h = rng.integers(n, size=2)
         table = G.table.copy()
@@ -119,12 +118,12 @@ def test_a_finer_relation_at_an_acting_idempotent_fails():
     being the least acting idempotent refuses it."""
     sub = Subject(builtin("semilattice:chain3"))
     theta = sub.theta
-    assert (theta.base_idempotent, theta.germ_at.ravel().tolist()) == ((1,), [-1, 0, 0])
+    assert (theta.base_idempotent.tolist(), theta.germ_at.ravel().tolist()) == ([1], [-1, 0, 0])
     germ_at = np.array([[-1], [0], [1]])
     G = dataclasses.replace(discrete_groupoid([0, 1], [0, 1], [0, 1], [[0, -1], [-1, 1]]),
                             cuts=dataclasses.replace(theta.groupoid.cuts, rows=germ_at))
     finer = dataclasses.replace(theta, groupoid=G, germ_at=germ_at,
-                                rep_of=np.array([[1, 0], [2, 0]]), base_idempotent=(2,))
+                                rep_of=np.array([[1, 0], [2, 0]]), base_idempotent=np.array([2]))
     result = _run(sub, "theta", "tight.action_valid", finer)
     assert not result.passed
     assert result.witness == "error: point 0: 2 is not the least idempotent acting there"
@@ -147,11 +146,11 @@ def test_strong_surjectivity_matches_the_fiber_loop(name):
     sub = Subject(builtin(name))
     proj = sub.projection.hom
     G = sub.beta.groupoid
-    moved = list(proj.map)
+    moved = proj.map.copy()
     moved[-1] = (moved[-1] + 1) % proj.target.n_arrows
-    homs = (proj, GroupoidHom(G, G, tuple(G.units[0] for _ in G.arrows())),
-            GroupoidHom(G, G, tuple(G.arrows())),
-            GroupoidHom(G, proj.target, tuple(moved)))
+    homs = (proj, GroupoidHom(G, G, np.full(G.n_arrows, G.units[0])),
+            GroupoidHom(G, G, np.arange(G.n_arrows)),
+            GroupoidHom(G, proj.target, moved))
     verdicts = [is_strongly_surjective(h) for h in homs]
     assert verdicts == [_fiber_loop(h) for h in homs]
     assert verdicts[0] and verdicts[2]

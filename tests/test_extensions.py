@@ -280,7 +280,7 @@ def test_projection_map_is_the_germ_lookup_of_each_arrow(name):
     sub = Subject(builtin(name))
     proj, q = sub.projection, sub.mu_quotient
     s, x = sub.beta.rep_of.T
-    assert proj.hom.map == tuple(proj.target.germ_at[np.asarray(q.projection)[s], x].tolist())
+    assert proj.hom.map.tolist() == proj.target.germ_at[q.projection[s], x].tolist()
 
 
 def test_projection_names_the_first_arrow_without_a_target_germ(monkeypatch):

@@ -103,6 +103,17 @@ def test_fiber_groups_match_h_classes():
         assert fiber.order == len(h_class_of(S, e))
 
 
+def test_fiber_group_refuses_an_arrow_that_is_no_unit():
+    """A unit is looked up in the unit mask, so -1 and n, which index the
+    last arrow (a unit of ``graph:path2``'s groupoid) and no arrow, are
+    refused like a listed arrow that is no unit."""
+    G = germ_groupoid(universal_action(builtin("graph:path2"))).groupoid
+    assert G.unit_mask[-1]
+    for u in (-1, G.n_arrows, int(np.flatnonzero(~G.unit_mask)[0])):
+        with pytest.raises(StructureError, match=f"^{u} is not a unit$"):
+            fiber_group(G, u)
+
+
 def test_diamond_top_fiber_is_order_two():
     S = diamond_munn()
     germs = germ_groupoid(universal_action(S))
@@ -196,7 +207,7 @@ IP_LOOP = ((0, 1, 2, 3, 4, 5, 6), (1, 2, 0, 5, 6, 4, 3), (2, 0, 1, 6, 5, 3, 4),
 NO_CUTS = Cuts(np.zeros((0, 1), dtype=np.intp), np.zeros((0, 1), dtype=bool), (), (), "{}")
 LOOP_GROUPOID = FiniteGroupoid(7, np.zeros(7, dtype=np.intp), np.zeros(7, dtype=np.intp),
                                np.array([0, 2, 1, 4, 3, 6, 5]), np.array(IP_LOOP),
-                               (0,), tuple(f"l{a}" for a in range(7)), NO_CUTS)
+                               np.array([0]), tuple(f"l{a}" for a in range(7)), NO_CUTS)
 
 
 BAD_CUTS = "basis must be labeled integer rows and labeled boolean sets over one set of points"
@@ -214,7 +225,7 @@ BROKEN_AXIOMS = [
     (GROUP_Z2, {"table": edited_table(GROUP_Z2.table, {(0, 0): 1})}, "unit 0 fails u = u.u = u^-1"),
     (GROUP_Z2, {"inv": np.array([1, 1])}, "unit 0 fails u = u.u = u^-1"),
     (PAIR2, {"r": np.array([3, 0, 3, 3])}, "unit 0 is not its own range/source"),
-    (PAIR2, {"units": (0,)}, "range/source of arrow 1 is not a unit"),
+    (PAIR2, {"units": np.array([0])}, "range/source of arrow 1 is not a unit"),
     (PAIR2, {"inv": np.array([0, 1, 1, 3])}, "arrow 1: a.a^-1 is not r(a)"),
     (PAIR2, {"table": edited_table(PAIR2.table, {(2, 1): 0})}, "arrow 1: a^-1.a is not d(a)"),
     (PAIR2, {"table": edited_table(PAIR2.table, {(0, 3): 0})},
@@ -313,7 +324,7 @@ def test_associativity_batches_keep_the_row_major_witness(monkeypatch):
     table[4:, 4:] = LOOP_GROUPOID.table + 4
     loop = np.full(7, 4)
     G = FiniteGroupoid(n, np.concatenate((PAIR2.r, loop)), np.concatenate((PAIR2.d, loop)),
-                       np.concatenate((PAIR2.inv, LOOP_GROUPOID.inv + 4)), table, (0, 3, 4),
+                       np.concatenate((PAIR2.inv, LOOP_GROUPOID.inv + 4)), table, np.array([0, 3, 4]),
                        tuple(f"a{a}" for a in range(n)), NO_CUTS)
     assert _reference_axioms(G) == "associativity fails at (5,5,7)"
     with pytest.raises(StructureError) as err:
@@ -377,7 +388,7 @@ def test_make_groupoid_accepts_the_empty_groupoid():
     from germlab import algebra
 
     G = make_groupoid([], [], [], np.zeros((0, 0)))
-    assert (G.n_arrows, G.units, G.fiber_stacks) == (0, (), ())
+    assert (G.n_arrows, G.units.tolist(), G.fiber_stacks) == (0, [], ())
     f = algebra.GroupoidFunction(G, np.zeros(0))
     assert algebra.reduced_norm(G, f) == 0.0
     assert algebra.convolve(f, f).values.shape == (0,)

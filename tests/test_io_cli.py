@@ -243,7 +243,7 @@ def test_builtin_sizes_out_of_bounds_are_refused_before_building(name, bound, ca
     def refuse(*args):
         raise AssertionError(f"built a table for {name}")
 
-    for module, builder in ((builtins, "cyclic_group"), (builtins, "chain_semilattice"),
+    for module, builder in ((builtins, "cyclic_group"), (builtins, "chain_table"),
                             (semilattices, "partial_bijection_semigroup")):
         monkeypatch.setattr(module, builder, refuse)
     assert main(["check", f"builtin:{name}"]) == 2
@@ -387,10 +387,12 @@ def test_cli_unknown_builtin_is_input_error(capsys):
 
 def test_every_built_or_loaded_table_is_checked_once(tmp_path, monkeypatch):
     """One validation path: each builder that makes a table from scratch,
-    and the loader, runs Light's test once on it.  A quotient runs none, its
-    congruence check being its certificate: the quotient by the identity
-    relation reuses its source's table and generating set, and the one by mu
-    finds its generating set on first use."""
+    and the loader, runs Light's test once on it, counted over both modules
+    that call it.  A strong semilattice of groups runs it on its input
+    semilattice E, then on S.  A quotient runs none, its congruence check
+    being its certificate: the quotient by the identity relation reuses its
+    source's table and generating set, and the one by mu finds its
+    generating set on first use."""
     from germlab import semigroups
     from germlab.actions import graph_inverse_semigroup
     from germlab.congruences import Relation, mu_relation, quotient
@@ -400,19 +402,23 @@ def test_every_built_or_loaded_table_is_checked_once(tmp_path, monkeypatch):
     b2, z6 = builtin("b2"), builtin("group:z6")
     calls = []
     check = semigroups.check_associativity
-    monkeypatch.setattr(semigroups, "check_associativity",
-                        lambda table: calls.append(table.shape[0]) or check(table))
+    for module in (semigroups, semilattices):         # each calls its own binding
+        monkeypatch.setattr(module, "check_associativity",
+                            lambda table: calls.append(table.shape[0]) or check(table))
     built = [
         lambda: symmetric_inverse_monoid(3),                            # partial bijections
         lambda: graph_inverse_semigroup(DirectedGraph(3, ((0, 1), (1, 2)))),
         lambda: direct_product(b2, z6),
-        lambda: builtin("clifford_chain:identity"),                     # strong semilattice
+        lambda: builtin("semilattice:chain3"),                          # a meet table
     ]
     for build in built:
         calls.clear()
         S = build()
         assert calls == [S.size]
         assert "generators" in vars(S)
+    calls.clear()
+    S = builtin("clifford_chain:identity")                              # strong semilattice
+    assert calls == [2, 4] and S.size == 4 and "generators" in vars(S)
     calls.clear()
     same = quotient(z6, Relation(np.arange(z6.size))).target
     collapsed = quotient(z6, mu_relation(z6)).target

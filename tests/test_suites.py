@@ -310,7 +310,7 @@ def _shadowed(name, **fields):
                idempotent_mask=np.array([True, True, False])),
      "product 1,1 leaves the idempotents"),
     # the left-zero band on two elements, unvalidated: 0.1 = 0 but 1.0 = 1
-    (InverseSemigroup(np.array([[0, 0], [1, 1]]), (0, 1), None, ("x", "y")),
+    (InverseSemigroup(np.array([[0, 0], [1, 1]]), np.array([0, 1]), None, ("x", "y")),
      "idempotents 0,1 do not commute"),
 ])
 def test_idempotent_check_reports_the_first_pair(S, witness):
@@ -421,7 +421,7 @@ def test_projection_check_reports_an_uncovered_fiber():
     S = builtin("group:z2")
     sub = Subject(S)
     G = sub.beta.groupoid
-    collapse = GroupoidHom(G, G, tuple(G.units[0] for _ in G.arrows()))
+    collapse = GroupoidHom(G, G, np.full(G.n_arrows, G.units[0]))
     proj = MunnProjection(sub.mu_quotient, sub.beta, sub.beta, collapse)
     _fails(_check(S, "extension.projection_strongly_surjective",
                   projection=proj), "a fiber is not covered")
@@ -466,7 +466,7 @@ def _squaring_hom(sub):
     """r_0, r_1, r_2 -> r_0, r_2, r_2 on the germs of group:z3: it keeps the
     unit, but sends r_1 r_1 = r_2 to r_2, not to r_2 r_2 = r_1."""
     G = sub.beta.groupoid
-    return GroupoidHom(G, G, (0, 2, 2))
+    return GroupoidHom(G, G, np.array([0, 2, 2]))
 
 
 def test_projection_check_reports_a_non_multiplicative_map():
