@@ -81,6 +81,9 @@ class Subject:
     ``quotient``'s congruence check, and S/sigma as a group once, by
     ``group_quotient``.  Only ``split_decomposition`` certifies what it
     builds, since its certificate, each arrow's factorization, is the result.
+    When S is fundamental, S/mu is S: the projection's target is ``beta``
+    itself, under the identity map, and the split transversal is the
+    identity section, so no copy of S's structures is built for S/mu.
     """
 
     def __init__(self, S: InverseSemigroup):
@@ -164,8 +167,14 @@ class Subject:
         filters of E(S), point for point: mu separates idempotents, so one
         gather E(S) -> S -> S/mu -> E(S/mu) maps each generator to its own,
         and the arrow map is one gather of the target's ``germ_at``; a germ
-        missing there is reported for the first arrow, as ``germ`` would."""
+        missing there is reported for the first arrow, as ``germ`` would.
+        When S is fundamental (mu is the identity), S/mu is S on the same
+        table, so the target is G(S) itself and the map is the identity."""
         q, source = self.mu_quotient, self.beta
+        if self.mu.is_identity:
+            identity = np.arange(source.groupoid.n_arrows)
+            return MunnProjection(q, source, source,
+                                  GroupoidHom(source.groupoid, source.groupoid, identity))
         T = q.target
         E_T = semilattice_of(T)
         if self.E.size != E_T.size:
@@ -198,7 +207,11 @@ class Subject:
 
     @cached_property
     def transversal(self) -> tuple[int, ...] | None | str:
-        """The split transversal of S/mu, None when none exists, or "budget"."""
+        """The split transversal of S/mu, None when none exists, or "budget".
+        When S is fundamental every class is one element, and the identity
+        is the one section, the one that the search would find."""
+        if self.mu.is_identity:
+            return tuple(range(self.S.size))
         try:
             return split_transversal(self.S, self.mu, self.mu_quotient)
         except SearchBudgetExceeded:

@@ -269,29 +269,26 @@ def spectrum_basis(E: Semilattice, points: np.ndarray) -> tuple[np.ndarray, tupl
 
 
 def is_zero_disjunctive(E: Semilattice) -> bool:
-    """Whether every strict pair 0 < e < f admits e' < f with e.e' = 0."""
+    """Whether every strict pair 0 < e < f admits 0 != e' < f with e.e' = 0.
+
+    below[e', f] holds where 0 != e' < f; one product counts, per (e, f),
+    the e' below f that meet e in 0, and every pair of ``below`` needs one.
+    Counts below 2^24 keep the float32 product exact.
+    """
     if E.zero is None:
         raise ZeroRequired("0-disjunctivity needs a zero")
     z = E.zero
-    for f in range(E.size):
-        for e in range(E.size):
-            if e in (z, f) or not E.leq(e, f):
-                continue
-            if not any(ep not in (z, f) and E.leq(ep, f) and E.wedge(e, ep) == z
-                       for ep in range(E.size)):
-                return False
-    return True
+    below = E.order & ~np.eye(E.size, dtype=bool)
+    below[z] = False
+    disjoint = (E.meet == z).astype(np.float32) @ below.astype(np.float32) > 0
+    return not (below & ~disjoint).any()
 
 
-def _ideal(E: Semilattice, e: int) -> tuple[int, ...]:
-    return tuple(np.flatnonzero(E.order[:, e]).tolist())
-
-
-def _order_isos(E: Semilattice, dom: tuple[int, ...], img: tuple[int, ...]):
-    """All order isomorphisms between two principal ideals, by backtracking."""
+def _order_isos(leq: list[list[bool]], dom: tuple[int, ...], img: tuple[int, ...]):
+    """All order isomorphisms between two principal ideals, by backtracking
+    over ``leq``, the order matrix as nested lists."""
     if len(dom) != len(img):
         return
-    leq = E.order.tolist()
     assignment: dict[int, int] = {}
     used: set[int] = set()
 
@@ -395,13 +392,15 @@ def munn_rows(E: Semilattice) -> tuple[np.ndarray, tuple[str, ...]]:
     """All isomorphisms between principal order ideals, as partial bijection
     rows over E in the order of their sorted (x, y) pairs, and their labels.
 
-    Distinct ideals have distinct domains, so no map is found twice.
+    Distinct ideals have distinct domains, so no map is found twice.  The
+    order's lists and the ideals, columns of the order, are read once.
     """
+    leq = E.order.tolist()
+    ideals = [tuple(np.flatnonzero(column).tolist()) for column in E.order.T]
     maps: list[dict[int, int]] = []
-    for e in range(E.size):
-        dom = _ideal(E, e)
-        for f in range(E.size):
-            maps += _order_isos(E, dom, _ideal(E, f))
+    for dom in ideals:
+        for img in ideals:
+            maps += _order_isos(leq, dom, img)
             if len(maps) > MUNN_ELEMENT_CAP:
                 raise SizeBudgetExceeded(f"Munn semigroup exceeds {MUNN_ELEMENT_CAP} elements")
     maps.sort(key=lambda m: tuple(sorted(m.items())))

@@ -28,7 +28,9 @@ germs of S, of its tight action and of S/mu are groupoids, by their element
 maps, the projection and the cocycle are homomorphisms, ...) are checked
 here, each by one named check.  Each structure is certified once: S/mu and
 S/sigma by the congruence check in ``quotient``, not by Light's test, and
-the cocycle's group by ``group_quotient``, not as a groupoid again.  No
+the cocycle's group by ``group_quotient``, not as a groupoid again.  When S
+is fundamental, S/mu is S and its germs are G(S) itself, certified by
+``germ.groupoid_axioms`` and not again by the projection check.  No
 check runs an isomorphism search: each isomorphism is certified along a
 given map (E onto the Munn semigroup's identity rows, isotropy fibers onto
 class groups, G(S) onto the semidirect product by unique factorization),
@@ -699,7 +701,8 @@ def _graph_zero_disjunctive(sub):
        "projection onto it is a strongly surjective homomorphism")
 def _projection_strongly_surjective(sub):
     proj = sub.projection
-    certify_germ_groupoid(proj.target)        # the germs of S/mu, by their element map
+    if proj.target is not sub.beta:     # G(S) itself is certified by germ.groupoid_axioms
+        certify_germ_groupoid(proj.target)      # the germs of S/mu, by their element map
     validate_hom(proj.hom)
     if not is_strongly_surjective(proj.hom):
         return False, "a fiber is not covered"

@@ -394,7 +394,8 @@ def _filter_set_maps(S, points, E):
 
 @pytest.mark.parametrize("name", CORPUS_NAMES + ("symmetric:4",))
 def test_spectrum_action_equals_the_filter_set_image(name, monkeypatch):
-    """On S and on the spectrum of S/mu matched to it, as the projection builds it."""
+    """On S and, unless S is fundamental and S/mu is S, on the spectrum of
+    S/mu matched to it, as the projection builds it."""
     seen = []
 
     def recording(S, points, E):
@@ -405,7 +406,7 @@ def test_spectrum_action_equals_the_filter_set_image(name, monkeypatch):
     monkeypatch.setattr(extensions, "spectrum_action", recording)
     sub = extensions.Subject(builtin(name))
     sub.universal, sub.projection
-    assert len(seen) == 2
+    assert len(seen) == (1 if sub.mu.is_identity else 2)
     for S, points, E, action in seen:
         assert action.maps.tolist() == _filter_set_maps(S, points, E)
 

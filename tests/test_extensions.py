@@ -6,7 +6,7 @@ import pytest
 
 from germlab import extensions
 from germlab.builtins import CORPUS_NAMES, builtin
-from germlab.congruences import find_split_transversal
+from germlab.congruences import find_split_transversal, split_transversal
 from germlab.errors import NotATransversal, StructureError, ZeroPresent
 from germlab.extensions import (
     Subject,
@@ -283,10 +283,29 @@ def test_projection_map_is_the_germ_lookup_of_each_arrow(name):
     assert proj.hom.map.tolist() == proj.target.germ_at[q.projection[s], x].tolist()
 
 
+@pytest.mark.parametrize("name", CORPUS_NAMES + ("symmetric:4",))
+def test_a_fundamental_subject_projects_onto_its_own_germs(name):
+    """When mu is the identity, S/mu is S: the projection's target is G(S)
+    itself under the identity map, and the transversal is the one that the
+    search over S/mu finds.  Otherwise S/mu has germs of its own."""
+    sub = Subject(builtin(name))
+    S, proj = sub.S, sub.projection
+    if not sub.mu.is_identity:
+        assert proj.target is not sub.beta
+        assert proj.target.action.semigroup is sub.mu_quotient.target
+        return
+    assert proj.target is sub.beta and proj.hom.target is sub.beta.groupoid
+    assert proj.hom.map.tolist() == list(range(sub.beta.groupoid.n_arrows))
+    assert sub.transversal == split_transversal(S, sub.mu, sub.mu_quotient)
+    assert sub.transversal == tuple(range(S.size))
+
+
 def test_projection_names_the_first_arrow_without_a_target_germ(monkeypatch):
     """With the target's germs at point 1 knocked out, the first source
-    arrow at point 1 (arrows are numbered point by point) is reported."""
-    sub = Subject(builtin("symmetric:3"))
+    arrow at point 1 (arrows are numbered point by point) is reported.
+    brandt_z2 is not fundamental, so the projection builds its target."""
+    sub = Subject(builtin("brandt_z2"))
+    assert not sub.mu.is_identity and sub.points.size > 1
     rep_of = sub.beta.rep_of            # the source, built before the patch
     real = extensions.germ_groupoid
 

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, permutations
 from math import comb, factorial
 
@@ -191,6 +192,64 @@ def test_zero_disjunctive_predicate():
         is_zero_disjunctive(validate_semilattice([[0, 0], [0, 1]], zero=None))
 
 
+def zero_disjunctive_loop(E) -> bool:
+    """The definition as a loop over ``leq`` and ``wedge``, the oracle of
+    the one-product ``is_zero_disjunctive``."""
+    z = E.zero
+    for f in range(E.size):
+        for e in range(E.size):
+            if e in (z, f) or not E.leq(e, f):
+                continue
+            if not any(ep not in (z, f) and E.leq(ep, f) and E.wedge(e, ep) == z
+                       for ep in range(E.size)):
+                return False
+    return True
+
+
+def random_meet_table(rng, points: int, sets: int) -> list[list[int]]:
+    """The intersection table of random subsets of the points, closed under
+    intersection: a meet semilattice, its bottom the least set."""
+    family = {frozenset(rng.sample(range(points), rng.randint(0, points)))
+              for _ in range(sets)}
+    while True:
+        closed = family | {a & b for a in family for b in family}
+        if closed == family:
+            break
+        family = closed
+    members = sorted(family, key=lambda a: (len(a), sorted(a)))
+    index = {a: i for i, a in enumerate(members)}
+    return [[index[a & b] for b in members] for a in members]
+
+
+def zero_disjunctive_cases():
+    """The semilattices of the corpus and of symmetric:4, their bottom the
+    zero where the semigroup has none, and seeded random meet tables."""
+    from germlab.builtins import CORPUS_NAMES, builtin
+
+    cases = []
+    for name in CORPUS_NAMES + ("symmetric:4",):
+        E = semilattice_of(builtin(name))
+        cases.append((name, E if E.zero is not None else validate_semilattice(E.meet)))
+    rng = random.Random(5)
+    for k in range(40):
+        meet = random_meet_table(rng, rng.randint(2, 7), rng.randint(1, 8))
+        cases.append((f"random:{k}", validate_semilattice(meet)))
+    return cases
+
+
+def test_zero_disjunctive_product_matches_the_loop():
+    """Both verdicts occur: chain3, graph:path2 and many random tables are
+    negative cases; the Clifford chains' 2-chain, closed by its bottom,
+    holds vacuously, with no pair 0 < e < f."""
+    cases = zero_disjunctive_cases()
+    verdicts = {name: is_zero_disjunctive(E) for name, E in cases}
+    assert verdicts == {name: zero_disjunctive_loop(E) for name, E in cases}
+    assert not (verdicts["semilattice:chain3"] or verdicts["graph:path2"])
+    assert verdicts["symmetric:4"] and verdicts["b2"] and verdicts["clifford_chain:kill"]
+    drawn = [v for name, v in verdicts.items() if name.startswith("random:")]
+    assert any(drawn) and not all(drawn)
+
+
 def test_munn_semigroup_of_diamond_has_seven_elements():
     T = munn_semigroup(diamond())
     assert T.size == 7
@@ -284,12 +343,14 @@ def test_symmetric_inverse_monoid_table_equals_the_dict_composition(n):
 
 def _munn_dicts(E):
     """Every order isomorphism between principal ideals, as dicts in key order."""
-    from germlab.semilattices import _ideal, _order_isos
+    from germlab.semilattices import _order_isos
 
+    leq = E.order.tolist()
+    ideals = [tuple(x for x in range(E.size) if leq[x][e]) for e in range(E.size)]
     maps = {}
-    for e in range(E.size):
-        for f in range(E.size):
-            for iso in _order_isos(E, _ideal(E, e), _ideal(E, f)):
+    for dom in ideals:
+        for img in ideals:
+            for iso in _order_isos(leq, dom, img):
                 maps.setdefault(tuple(sorted(iso.items())), iso)
     return [maps[key] for key in sorted(maps)]
 

@@ -149,6 +149,27 @@ COUNTED = ("universal_action", "spectrum_action", "germ_groupoid", "mu_relation"
            "extract_subgroupoid", "subgroupoid_properties")
 
 
+def count_calls(monkeypatch, names) -> Counter:
+    """Calls of each named package function, counted from now on wherever a
+    module of the package holds it."""
+    modules = [importlib.import_module(f"germlab.{m.name}")
+               for m in pkgutil.iter_modules(germlab.__path__)]
+    calls = Counter()
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        real = next((getattr(m, name) for m in modules if hasattr(m, name)), None)
+        for module in modules:
+            if real is not None and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting(name, real))
+    return calls
+
+
 def test_one_subject_builds_each_structure_once(monkeypatch):
     """One ``run_suite`` call over all four suites shares one Subject, and
     the calls after it on the same semigroup, one suite each in another
@@ -158,9 +179,10 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
     semigroup).
 
     The counts are per distinct structure: germ groupoids and spectrum
-    actions of S (universal, tight: the same gather on the atoms) and of
-    S/mu on the matched spectrum;
-    mu and E of S, plus mu and E of S/mu and mu of the Munn
+    actions of S (universal, tight: the same gather on the atoms); S is
+    fundamental, so S/mu is S and the projection's target is G(S) itself,
+    with no action, germs or E of its own;
+    mu and E of S, plus mu of S/mu and of the Munn
     semigroup that their own checks build (the Munn check certifies
     E(T_E) by its identity rows, without building E of T); quotients by
     mu and sigma.  The
@@ -168,9 +190,9 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
     The spectrum is the Subject's points, with no frozenset filters, and
     all_filters(E) never runs: ultrafilters reads the atoms, and
     tight.ultrafilters_maximal builds its filters from the points.
-    certify_germ_groupoid runs in germ.groupoid_axioms, tight.action_valid
-    and extension.projection_strongly_surjective, one per germ groupoid, and
-    validate_groupoid never runs; no builder re-validates what it builds,
+    certify_germ_groupoid runs in germ.groupoid_axioms and
+    tight.action_valid, one per germ groupoid: the projection check
+    certifies no target that is G(S) itself.  validate_groupoid never runs; no builder re-validates what it builds,
     and the semidirect decomposition
     certifies G(S) by unique factorization without building the product.
     The predicates that several checks read run once per structure:
@@ -185,21 +207,7 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
     the algebra's bundle hypotheses alike.
     """
     S = builtin("symmetric:3")
-    modules = [importlib.import_module(f"germlab.{m.name}")
-               for m in pkgutil.iter_modules(germlab.__path__)]
-    calls = Counter()
-
-    def counting(name, real):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        return wrapper
-
-    for name in COUNTED:
-        real = next((getattr(m, name) for m in modules if hasattr(m, name)), None)
-        for module in modules:
-            if real is not None and getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name, counting(name, real))
+    calls = count_calls(monkeypatch, COUNTED)
     computed, groupoids = Counter(), []
     for name in ("isotropy", "isotropy_interior"):
         real = FiniteGroupoid.__dict__[name].func
@@ -213,9 +221,9 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
         prop.__set_name__(FiniteGroupoid, name)
         monkeypatch.setattr(FiniteGroupoid, name, prop)
     run_suite("symmetric:3", S, "all")
-    assert dict(calls) == {"spectrum_action": 3, "germ_groupoid": 3, "mu_relation": 3,
-                           "quotient": 2, "semilattice_of": 2,
-                           "certify_germ_groupoid": 3, "is_clifford": 1, "is_zero_disjunctive": 1,
+    assert dict(calls) == {"spectrum_action": 2, "germ_groupoid": 2, "mu_relation": 3,
+                           "quotient": 2, "semilattice_of": 1,
+                           "certify_germ_groupoid": 2, "is_clifford": 1, "is_zero_disjunctive": 1,
                            "is_essentially_principal": 2, "extract_subgroupoid": 1,
                            "subgroupoid_properties": 1}
     assert dict(computed) == {"isotropy": 2, "isotropy_interior": 2}
@@ -223,9 +231,32 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
     first = Counter(calls)
     for suite in ("tight", "extension", "algebra", "universal"):
         run_suite("symmetric:3", S, suite)
-    assert calls - first == Counter({"certify_germ_groupoid": 3, "is_essentially_principal": 2,
+    assert calls - first == Counter({"certify_germ_groupoid": 2, "is_essentially_principal": 2,
                                      "mu_relation": 2})
     assert dict(computed) == {"isotropy": 2, "isotropy_interior": 2}
+
+
+BUILDS = ("semilattice_of", "spectrum_action", "germ_groupoid", "certify_germ_groupoid")
+FUNDAMENTAL = ("b2", "diamond_munn", "symmetric:1", "symmetric:2", "symmetric:3",
+               "graph:vertex", "graph:path2", "graph:parallel2", "graph:fork",
+               "semilattice:diamond", "semilattice:chain3", "semilattice:vee", "group:z1")
+
+
+def test_corpus_builds_per_subject(monkeypatch):
+    """The BUILDS calls of one ``run_suite(name, S, "all")`` per corpus
+    subject: E of S, its universal and tight actions and germs, each
+    certified once, and for S/mu its E, action and germs, certified by the
+    projection check; a fundamental S has S/mu = S, so none of those four.
+    A change that rebuilds any structure, or builds a copy of one, shows up
+    here."""
+    calls = count_calls(monkeypatch, BUILDS)
+    counts = {}
+    for name in CORPUS_NAMES:
+        calls.clear()
+        run_suite(name, builtin(name), "all")
+        counts[name] = tuple(calls[b] for b in BUILDS)
+    assert counts == {name: (1, 2, 2, 2) if name in FUNDAMENTAL else (2, 3, 3, 3)
+                      for name in CORPUS_NAMES}
 
 
 def test_derived_structures_are_validated_once(monkeypatch):
