@@ -39,7 +39,6 @@ from .congruences import (
     QuotientMap,
     Relation,
     find_split_transversal,
-    is_fundamental,
     kernel_of,
     mu_relation,
     quotient,

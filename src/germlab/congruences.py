@@ -8,7 +8,8 @@ Every relation is a ``Relation``, the one partition type, defined in
 ``semigroups`` and re-exported here.  mu, quotients and congruence
 witnesses are gathers of the table: mu groups the rows of s e s* over the
 idempotents e, a quotient gathers the products of block representatives
-and compares them with the whole table projected, S/R's one certificate.
+and compares them with the whole table projected in ``chunks`` of rows,
+S/R's one certificate; by the identity relation it is S itself.
 The largest congruence inside a relation is found by partition refinement,
 each round one gather of the generators' table columns: inside H it is mu,
 which certifies mu's maximality independently of its rows.  Blocks are
@@ -155,23 +156,20 @@ def quotient(S: InverseSemigroup, R: Relation) -> QuotientMap:
     """S/R, certified by the congruence check alone (else
     ``NotACongruence`` names the first ``congruence_witness``): a homomorphic
     image of an inverse semigroup is inverse, with [s]* = [s*] (Howie,
-    Fundamentals of Semigroup Theory, 1995, ch. 5).  The zero is detected on
-    S/R's table (S/mu of a zero-free Clifford chain has one)."""
+    Fundamentals of Semigroup Theory, 1995, ch. 5), run in ``chunks`` of
+    rows.  The zero is detected on S/R's table (S/mu of a zero-free
+    Clifford chain has one).  By the identity relation S/R is S itself."""
     proj = R.labels
-    labels = tuple("{" + ",".join(S.label(x) for x in block) + "}" for block in R.blocks)
-    if R.is_identity:     # S/R is S, relabeled, on the same table
-        return QuotientMap(S, InverseSemigroup(S.table, S.inv, S.zero, labels, S.generators),
-                           proj)
+    if R.is_identity:
+        return QuotientMap(S, S, proj)
     table = proj[S.table[np.ix_(R.reps, R.reps)]]
-    if not (table[proj[:, None], proj] == proj[S.table]).all():
-        raise NotACongruence(congruence_witness(S, R))
+    for rows in chunks(S.size, S.size):
+        if not (table[proj[rows, None], proj] == proj[S.table[rows]]).all():
+            raise NotACongruence(congruence_witness(S, R))
+    labels = tuple("{" + ",".join(S.label(x) for x in block) + "}" for block in R.blocks)
     idems = np.flatnonzero(table.diagonal() == np.arange(R.count))
     T = InverseSemigroup(table, proj[S.inv[R.reps]], detect_zero(table, idems), labels)
     return QuotientMap(S, T, proj)
-
-
-def is_fundamental(S: InverseSemigroup) -> bool:
-    return mu_relation(S).is_identity
 
 
 def sigma_relation(S: InverseSemigroup) -> Relation:

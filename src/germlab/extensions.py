@@ -2,12 +2,6 @@
 groupoids: the projection onto the fundamental quotient, the cocycle into the
 maximal group image, and the semidirect decomposition of a split extension of
 the centralizer.
-
-The quotient's filter spectrum is taken over the idempotent semilattice of
-the original semigroup (the two are isomorphic, so points correspond one to
-one).  In particular the quotient inherits the original's zero designation:
-a zero-free semigroup may acquire an absorbing element when collapsed, but
-its filters still range over the whole semilattice.
 """
 
 from __future__ import annotations
@@ -24,6 +18,7 @@ from .actions import (
     germ_groupoid,
     induced_subgroupoid,
     spectrum_action,
+    validate_action,
 )
 from .algebra import star_representation_defect
 from .congruences import (
@@ -81,9 +76,9 @@ class Subject:
     ``quotient``'s congruence check, and S/sigma as a group once, by
     ``group_quotient``.  Only ``split_decomposition`` certifies what it
     builds, since its certificate, each arrow's factorization, is the result.
-    When S is fundamental, S/mu is S: the projection's target is ``beta``
-    itself, under the identity map, and the split transversal is the
-    identity section, so no copy of S's structures is built for S/mu.
+    S/mu is read off S: when S is fundamental it is S, the projection's
+    target is ``beta`` under the identity map and the split transversal is
+    the identity section; otherwise S/mu acts by S's universal rows.
     """
 
     def __init__(self, S: InverseSemigroup):
@@ -164,25 +159,22 @@ class Subject:
     @cached_property
     def projection(self) -> MunnProjection:
         """The arrow map [s, F] -> [mu(s), F] onto the germs of S/mu over the
-        filters of E(S), point for point: mu separates idempotents, so one
-        gather E(S) -> S -> S/mu -> E(S/mu) maps each generator to its own,
-        and the arrow map is one gather of the target's ``germ_at``; a germ
-        missing there is reported for the first arrow, as ``germ`` would.
-        When S is fundamental (mu is the identity), S/mu is S on the same
-        table, so the target is G(S) itself and the map is the identity."""
+        filters of E(S), point for point.  A class acts by the row of any
+        member in S's universal action: mu lies inside H, so related s, t
+        share s*s, and s e s* = t e t* for every idempotent e, so they move
+        every filter alike.  The action is certified on the generators of
+        S/mu, and the arrow map is one gather of the target's ``germ_at``; a
+        germ missing there is reported for the first arrow, as ``germ``
+        would.  When S is fundamental, S/mu is S, so the target is G(S)
+        itself and the map is the identity."""
         q, source = self.mu_quotient, self.beta
         if self.mu.is_identity:
             identity = np.arange(source.groupoid.n_arrows)
             return MunnProjection(q, source, source,
                                   GroupoidHom(source.groupoid, source.groupoid, identity))
-        T = q.target
-        E_T = semilattice_of(T)
-        if self.E.size != E_T.size:
-            raise StructureError("quotient does not separate idempotents")
-        translate = np.searchsorted(E_T.parent_index, q.projection[self.E.parent_index])
-        # inherit the zero designation from S rather than redetecting it
-        E_T.zero = None if self.E.zero is None else int(translate[self.E.zero])
-        target = germ_groupoid(spectrum_action(T, translate[self.points], E_T))
+        u = self.universal
+        target = germ_groupoid(validate_action(q.target, u.space_size, u.maps[self.mu.reps],
+                                               u.point_labels, u.space_basis))
         rep_s, rep_x = source.rep_of.T
         images = q.projection[rep_s]
         arrow_map = target.germ_at[images, rep_x]

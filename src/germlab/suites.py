@@ -26,16 +26,16 @@ idempotent-separating congruence inside H, the centralizer and the action
 kernels are normal subsemigroups, the Munn semigroup is fundamental, the
 germs of S, of its tight action and of S/mu are groupoids, by their element
 maps, the projection and the cocycle are homomorphisms, ...) are checked
-here, each by one named check.  Each structure is certified once: S/mu and
-S/sigma by the congruence check in ``quotient``, not by Light's test, and
-the cocycle's group by ``group_quotient``, not as a groupoid again.  When S
-is fundamental, S/mu is S and its germs are G(S) itself, certified by
-``germ.groupoid_axioms`` and not again by the projection check.  No
-check runs an isomorphism search: each isomorphism is certified along a
-given map (E onto the Munn semigroup's identity rows, isotropy fibers onto
-class groups, G(S) onto the semidirect product by unique factorization),
-and checks that read only an arrow set take ``germs_of`` rather than an
-extracted subgroupoid copy.
+here, each by one named check.  Each structure is certified once: S/mu,
+also for ``congruence.mu_inside_h``, and S/sigma by the congruence check in
+``quotient``, not by Light's test, and the cocycle's group by
+``group_quotient``, not as a groupoid again.  When S is fundamental, S/mu
+is S and its germs are G(S) itself, certified by ``germ.groupoid_axioms``
+and not again by the projection check.  No check runs an isomorphism
+search: each isomorphism is certified along a given map (E onto the Munn
+semigroup's identity rows, isotropy fibers onto class groups, G(S) onto the
+semidirect product by unique factorization), and checks that read only an
+arrow set take ``germs_of`` rather than an extracted subgroupoid copy.
 
 Element and arrow subsets are boolean masks from the function that
 computes them to the check that compares them, and a witness names the
@@ -61,8 +61,6 @@ from .actions import (
 )
 from .congruences import (
     Relation,
-    congruence_witness,
-    is_fundamental,
     kernel_of,
     largest_congruence_inside,
     mu_relation,
@@ -70,7 +68,7 @@ from .congruences import (
     transversal_defect,
     transversal_defect_text,
 )
-from .errors import StructureError
+from .errors import NotACongruence, StructureError
 from .extensions import Subject
 from .groupoids import (
     hom_kernel,
@@ -272,7 +270,8 @@ def _mu_inside_h(sub):
     One pass over mu's labels: the idempotents counted per block, and the
     elements whose H class differs from their block's least element's.  The
     first block, in block order, with two idempotents or such an element
-    is the witness, as a walk over the blocks would find it.
+    is the witness, as a walk over the blocks would find it.  mu is a
+    congruence by S/mu's certificate, whose ``NotACongruence`` names one.
     """
     S, mu = sub.S, sub.mu
     h, idems = S.h_partition.labels, S.idempotent_array
@@ -287,9 +286,10 @@ def _mu_inside_h(sub):
             return False, f"relates idempotents {e} and {f}"
         return False, (f"relates {mu.reps[b]} and "
                        f"{np.flatnonzero(apart & (mu.labels == b))[0]} across H classes")
-    quad = congruence_witness(S, mu)
-    if quad is not None:
-        return False, f"not a congruence at {quad}"
+    try:
+        sub.mu_quotient
+    except NotACongruence as failure:
+        return False, f"not a congruence at {failure.witness}"
     return True, f"{mu.count} blocks"
 
 
@@ -322,7 +322,9 @@ def _kernel_mu(sub):
 @check("universal", "congruence.quotient_fundamental",
        "the quotient by the maximal idempotent-separating congruence is fundamental")
 def _quotient_fundamental(sub):
-    return is_fundamental(sub.mu_quotient.target), ""
+    """mu of S/mu is the identity; when S/mu is S, that mu is the Subject's."""
+    T = sub.mu_quotient.target
+    return (sub.mu if T is sub.S else mu_relation(T)).is_identity, ""
 
 
 @check("universal", "spectrum.filter_closures",

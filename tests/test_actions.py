@@ -394,8 +394,11 @@ def _filter_set_maps(S, points, E):
 
 @pytest.mark.parametrize("name", CORPUS_NAMES + ("symmetric:4",))
 def test_spectrum_action_equals_the_filter_set_image(name, monkeypatch):
-    """On S and, unless S is fundamental and S/mu is S, on the spectrum of
-    S/mu matched to it, as the projection builds it."""
+    """On S, and on S/mu's spectrum matched to S's: E(S) -> S -> S/mu ->
+    E(S/mu) sends each point's generator to its own, and the projection's
+    target acts on the matched filters of E(S/mu) as the filter sets say,
+    though it reads its rows off S's action.  S/mu is S when S is
+    fundamental."""
     seen = []
 
     def recording(S, points, E):
@@ -406,9 +409,15 @@ def test_spectrum_action_equals_the_filter_set_image(name, monkeypatch):
     monkeypatch.setattr(extensions, "spectrum_action", recording)
     sub = extensions.Subject(builtin(name))
     sub.universal, sub.projection
-    assert len(seen) == (1 if sub.mu.is_identity else 2)
-    for S, points, E, action in seen:
-        assert action.maps.tolist() == _filter_set_maps(S, points, E)
+    assert len(seen) == 1
+    [(S, points, E, action)] = seen
+    assert action.maps.tolist() == _filter_set_maps(S, points, E)
+    q = sub.mu_quotient
+    E_T = semilattice_of(q.target)
+    of_element = {e: i for i, e in enumerate(E_T.parent_index.tolist())}
+    matched = np.array([of_element[q.projection[E.parent_index[p]]] for p in points.tolist()])
+    target = sub.projection.target.action
+    assert target.maps.tolist() == _filter_set_maps(q.target, matched, E_T)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from germlab.congruences import (
     Relation,
     congruence_witness,
     find_split_transversal,
-    is_fundamental,
     kernel_of,
     mu_relation,
     quotient,
@@ -111,7 +110,7 @@ def test_quotient_by_identity_is_isomorphic_copy():
 def test_munn_quotient_is_fundamental():
     for table in (B2_TABLE, CHAIN_ID_TABLE, CHAIN_KILL_TABLE, Z2_TABLE):
         S = validate_inverse_semigroup(table)
-        assert is_fundamental(quotient(S, mu_relation(S)).target)
+        assert mu_relation(quotient(S, mu_relation(S)).target).is_identity
 
 
 def test_chain_quotient_is_two_chain_semilattice():
@@ -123,11 +122,11 @@ def test_chain_quotient_is_two_chain_semilattice():
 
 def test_cryptic_fundamental_predicates():
     B = b2()
-    assert mu_relation(B) == B.h_partition and is_fundamental(B)
+    assert mu_relation(B) == B.h_partition and mu_relation(B).is_identity
     G = validate_inverse_semigroup(Z2_TABLE)
-    assert mu_relation(G) == G.h_partition and not is_fundamental(G)
+    assert mu_relation(G) == G.h_partition and not mu_relation(G).is_identity
     S = chain_id()
-    assert mu_relation(S) == S.h_partition and not is_fundamental(S)
+    assert mu_relation(S) == S.h_partition and not mu_relation(S).is_identity
 
 
 def test_sigma_of_group_is_identity_relation():
@@ -445,12 +444,12 @@ def test_split_transversal_matches_reference_under_relabelling(m):
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_quotient_by_the_identity_is_the_validated_semigroup(name):
+    """S/R by the identity relation is S itself, the validated semigroup,
+    with the identity projection."""
     S = builtin(name)
-    T = quotient(S, Relation(np.arange(S.size))).target
-    reference = validate_inverse_semigroup(S.table.copy(), T.labels)
-    assert T.table is S.table
-    assert (T.inv.tolist(), T.zero) == (reference.inv.tolist(), reference.zero)
-    assert T.labels == tuple("{" + S.label(x) + "}" for x in S.elements())
+    q = quotient(S, Relation(np.arange(S.size)))
+    assert q.target is S and q.source is S
+    assert q.projection.tolist() == list(range(S.size))
 
 
 def test_split_transversal_searches_past_the_recursion_limit():

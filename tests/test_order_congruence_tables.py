@@ -416,6 +416,23 @@ def test_congruence_witness_in_one_row_chunks_equals_the_loop(monkeypatch, name)
 
 
 @pytest.mark.parametrize("name", SUBJECTS)
+def test_quotient_in_one_row_chunks_equals_the_loop(monkeypatch, name):
+    """``quotient``'s congruence check with every row in a chunk of its
+    own: the first failing row may sit in any chunk, and the target or the
+    ``NotACongruence`` witness is the loop's."""
+    monkeypatch.setattr(semigroups, "CHUNK_ENTRIES", 1)
+    S = subject(name)
+    for R in relations(S, seed=len(name)):
+        quad = reference_congruence_witness(S, R)
+        if quad is not None:
+            with pytest.raises(NotACongruence) as raised:
+                quotient(S, R)
+            assert raised.value.witness == quad
+            continue
+        assert np.array_equal(quotient(S, R).target.table, reference_quotient_table(S, R))
+
+
+@pytest.mark.parametrize("name", SUBJECTS)
 def test_normality_defect_equals_the_loops(name):
     S = subject(name)
     for subset in subsets(S, seed=len(name)):

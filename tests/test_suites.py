@@ -143,7 +143,7 @@ def test_z70_universal_suite_passes_without_a_search_cap():
 
 
 COUNTED = ("universal_action", "spectrum_action", "germ_groupoid", "mu_relation",
-           "quotient", "semilattice_of", "all_filters", "validate_groupoid",
+           "quotient", "congruence_witness", "semilattice_of", "all_filters", "validate_groupoid",
            "certify_germ_groupoid",
            "is_clifford", "is_zero_disjunctive", "is_essentially_principal",
            "extract_subgroupoid", "subgroupoid_properties")
@@ -175,17 +175,17 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
     the calls after it on the same semigroup, one suite each in another
     order, reuse that Subject: they build no structure again and repeat
     only what the check bodies compute themselves (the three certificates,
-    the two principality predicates, and mu of S/mu and of the Munn
-    semigroup).
+    the two principality predicates, and mu of the Munn semigroup).
 
     The counts are per distinct structure: germ groupoids and spectrum
     actions of S (universal, tight: the same gather on the atoms); S is
     fundamental, so S/mu is S and the projection's target is G(S) itself,
     with no action, germs or E of its own;
-    mu and E of S, plus mu of S/mu and of the Munn
-    semigroup that their own checks build (the Munn check certifies
-    E(T_E) by its identity rows, without building E of T); quotients by
-    mu and sigma.  The
+    mu and E of S, plus mu of the Munn semigroup that its own check builds
+    (the Munn check certifies E(T_E) by its identity rows, without building
+    E of T); S/mu is S, so its mu is S's; quotients by mu and sigma, each
+    its own congruence certificate, which ``congruence.mu_inside_h`` reads,
+    so ``congruence_witness`` never runs.  The
     universal action comes from the Subject, never from universal_action(S).
     The spectrum is the Subject's points, with no frozenset filters, and
     all_filters(E) never runs: ultrafilters reads the atoms, and
@@ -221,7 +221,7 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
         prop.__set_name__(FiniteGroupoid, name)
         monkeypatch.setattr(FiniteGroupoid, name, prop)
     run_suite("symmetric:3", S, "all")
-    assert dict(calls) == {"spectrum_action": 2, "germ_groupoid": 2, "mu_relation": 3,
+    assert dict(calls) == {"spectrum_action": 2, "germ_groupoid": 2, "mu_relation": 2,
                            "quotient": 2, "semilattice_of": 1,
                            "certify_germ_groupoid": 2, "is_clifford": 1, "is_zero_disjunctive": 1,
                            "is_essentially_principal": 2, "extract_subgroupoid": 1,
@@ -232,11 +232,12 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
     for suite in ("tight", "extension", "algebra", "universal"):
         run_suite("symmetric:3", S, suite)
     assert calls - first == Counter({"certify_germ_groupoid": 2, "is_essentially_principal": 2,
-                                     "mu_relation": 2})
+                                     "mu_relation": 1})
     assert dict(computed) == {"isotropy": 2, "isotropy_interior": 2}
 
 
-BUILDS = ("semilattice_of", "spectrum_action", "germ_groupoid", "certify_germ_groupoid")
+BUILDS = ("semilattice_of", "spectrum_action", "germ_groupoid", "certify_germ_groupoid",
+          "mu_relation", "quotient", "congruence_witness")
 FUNDAMENTAL = ("b2", "diamond_munn", "symmetric:1", "symmetric:2", "symmetric:3",
                "graph:vertex", "graph:path2", "graph:parallel2", "graph:fork",
                "semilattice:diamond", "semilattice:chain3", "semilattice:vee", "group:z1")
@@ -245,9 +246,12 @@ FUNDAMENTAL = ("b2", "diamond_munn", "symmetric:1", "symmetric:2", "symmetric:3"
 def test_corpus_builds_per_subject(monkeypatch):
     """The BUILDS calls of one ``run_suite(name, S, "all")`` per corpus
     subject: E of S, its universal and tight actions and germs, each
-    certified once, and for S/mu its E, action and germs, certified by the
-    projection check; a fundamental S has S/mu = S, so none of those four.
-    A change that rebuilds any structure, or builds a copy of one, shows up
+    certified once, and for S/mu its action, read off S's rows with no E
+    of its own, and its germs, certified by the projection check; a
+    fundamental S has S/mu = S, so neither.  mu of S and of the Munn
+    semigroup, and of S/mu unless it is S; the quotients by mu and sigma,
+    whose congruence checks pass, so no ``congruence_witness`` runs.  A
+    change that rebuilds any structure, or builds a copy of one, shows up
     here."""
     calls = count_calls(monkeypatch, BUILDS)
     counts = {}
@@ -255,8 +259,8 @@ def test_corpus_builds_per_subject(monkeypatch):
         calls.clear()
         run_suite(name, builtin(name), "all")
         counts[name] = tuple(calls[b] for b in BUILDS)
-    assert counts == {name: (1, 2, 2, 2) if name in FUNDAMENTAL else (2, 3, 3, 3)
-                      for name in CORPUS_NAMES}
+    assert counts == {name: (1, 2, 2, 2, 2, 2, 0) if name in FUNDAMENTAL
+                      else (1, 2, 3, 3, 3, 2, 0) for name in CORPUS_NAMES}
 
 
 def test_derived_structures_are_validated_once(monkeypatch):
