@@ -112,8 +112,9 @@ memory a stack adds is bounded; a 100-row convolution on ``group:z70``'s
 row is computed on its own.
 
 The algebra suite takes no samples and no norms: each of its identities
-is certified on the index arrays (``star_representation_defect``,
-``embedding_defect``, ``expectation_defect``, ``faithfulness_defect``).
+is certified on the index arrays: ``star_representation_defect`` and
+``embedding_defect``, cached per subject by ``extensions.Subject``, their
+corollaries (the expectation among them) and ``faithfulness_defect``.
 ``random_functions`` draws Gaussian integers, parts in [-3, 3], from
 ``SplitMix64``, a counter-based generator in uint64 array arithmetic
 (Steele, Lea and Flood, OOPSLA 2014), for the tests and the benchmark.
@@ -347,7 +348,7 @@ def star_representation_defect(G: FiniteGroupoid) -> str | None:
     return None
 
 
-def _require_bundle(emb: EmbeddedSubgroupoid, *, closed: bool = False) -> None:
+def require_bundle(emb: EmbeddedSubgroupoid, *, closed: bool = False) -> None:
     """Raise the first failing bundle hypothesis, then closedness if asked.
 
     The subgroupoid, normality and closedness tests are the embedding's
@@ -400,7 +401,7 @@ def embedding_defect(emb: EmbeddedSubgroupoid) -> str | None:
     """Why extension by zero from the bundle H into its parent G is not an
     isometric *-homomorphism, or None: the certificate of the embedding.
 
-    After the bundle hypotheses (``_require_bundle``), t = ``to_parent``
+    After the bundle hypotheses (``require_bundle``), t = ``to_parent``
     maps H isomorphically onto the subgroupoid's arrows (``_map_defect``),
     so ``embed`` writes each value once, embed(f^*) = embed(f)^* and
     embed(f g) = embed(f) embed(g).
@@ -427,7 +428,7 @@ def embedding_defect(emb: EmbeddedSubgroupoid) -> str | None:
     units in ``fibers_by_size`` order, at a unit its first failing
     condition and the first failing pair, row-major, or class, by lead.
     """
-    _require_bundle(emb)
+    require_bundle(emb)
     defect = _map_defect(emb)
     if defect is not None:
         return defect
@@ -489,7 +490,7 @@ def _class_defect(G: FiniteGroupoid, H: FiniteGroupoid, back: np.ndarray, fiber:
 
 def embed(emb: EmbeddedSubgroupoid, f: GroupoidFunction) -> GroupoidFunction:
     """Extend a function on an open wide normal group bundle by zero."""
-    _require_bundle(emb)
+    require_bundle(emb)
     if f.groupoid is not emb.groupoid:
         raise GroupoidMismatch("function must live on the subgroupoid")
     out = np.zeros(f.values.shape[:-1] + (emb.parent.n_arrows,), dtype=np.complex128)
@@ -500,54 +501,22 @@ def embed(emb: EmbeddedSubgroupoid, f: GroupoidFunction) -> GroupoidFunction:
 def conditional_expectation(emb: EmbeddedSubgroupoid, f: GroupoidFunction
                             ) -> GroupoidFunction:
     """Restrict a function on the parent to the (closed) subgroupoid."""
-    _require_bundle(emb, closed=True)
+    require_bundle(emb, closed=True)
     if f.groupoid is not emb.parent:
         raise GroupoidMismatch("function must live on the parent groupoid")
     return GroupoidFunction(emb.groupoid, f.values.take(emb.to_parent, axis=-1))
 
 
-def expectation_defect(emb: EmbeddedSubgroupoid) -> str | None:
-    """Why restriction E to the closed bundle H is not an idempotent bimodule
-    projection, or None.  After the hypotheses: map, t = ``to_parent`` is an
-    isomorphism onto the subgroupoid's arrows (``_map_defect``), so
-    E(embed(h)) = h and E(embed(E(f))) = E(f); units, t maps H's units onto
-    G's; crossing, in every d-fiber of G, w y^-1 is off H for w in H and y
-    off H (closure gives it in a groupoid; the check does not assume one).
-    ``convolve`` sums over the pairs (w y^-1, y) of a fiber, so then
-    E(embed(a) f embed(b)) reads only factorizations x y z inside H, which
-    t matches with H's: it is a E(f) b.  The witness names the first failure.
-    """
-    _require_bundle(emb, closed=True)
-    defect = _map_defect(emb)
-    if defect is not None:
-        return defect
-    H, t = emb.groupoid, emb.to_parent
-    hit = first_index(emb.parent.unit_mask[t] != H.unit_mask)
-    if hit is not None:
-        return f"units fail at H arrow {hit[0]}: a unit of {'H' if H.unit_mask[hit] else 'G'} only"
-    for fibers, idx in emb.parent.fibers_by_size:     # (m, s) fibers, (m, s, s) matrices [w y^-1]
-        for rows in chunks(len(fibers), idx[0].size):
-            inside = emb.arrows[fibers[rows]]
-            hit = first_index(inside[:, :, None] & ~inside[:, None, :] & emb.arrows[idx[rows]])
-            if hit is not None:
-                w, y = fibers[rows][hit[0], list(hit[1:])]
-                return f"crossing fails: {w} {y}^-1 is in H, {y} is not"
-    return None
-
-
 def faithfulness_defect(emb: EmbeddedSubgroupoid) -> str | None:
-    """Why E(f^* f) can vanish on a nonzero f, or None: after the closed
-    bundle hypotheses, every source d(y) is in ``to_parent``'s image; and
-    ``table[inv y, y] == d(y)`` for every y; and each source u has exactly
-    |d^-1(u)| factorizations (two ``bincount``s).  So u's factorizations
-    are the (y^-1, y), and (f^* f)(u) = sum of |f(y)|^2 over d(y) = u, read
-    by E, is 0 at every u only if f = 0.  The witness names the first failure.
+    """Why E(f^* f) can vanish on a nonzero f, or None, given the closed
+    bundle hypotheses and ``embedding_defect``, by which every source d(y),
+    in H by wide, is in ``to_parent``'s image; ``table[inv y, y] == d(y)``
+    for every y, and each source u has exactly |d^-1(u)| factorizations
+    (two ``bincount``s).  So u's factorizations are the (y^-1, y), and
+    (f^* f)(u) = sum of |f(y)|^2 over d(y) = u, read by E, is 0 at every u
+    only if f = 0.  The witness names the first failure.
     """
-    _require_bundle(emb, closed=True)
     G = emb.parent
-    hit = first_index(~np.isin(G.d, emb.to_parent))
-    if hit is not None:
-        return f"source {G.d[hit]} of arrow {hit[0]} is not in the bundle map's image"
     inverse = G.table[G.inv, np.arange(G.n_arrows)]
     hit = first_index(inverse != G.d)
     if hit is not None:

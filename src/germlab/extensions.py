@@ -15,12 +15,13 @@ from .actions import (
     Action,
     GermGroupoid,
     action_kernel,
+    certify_germ_groupoid,
     germ_groupoid,
     induced_subgroupoid,
     spectrum_action,
     validate_action,
 )
-from .algebra import star_representation_defect
+from .algebra import embedding_defect, star_representation_defect
 from .congruences import (
     QuotientMap,
     Relation,
@@ -147,6 +148,17 @@ class Subject:
     def star_defect(self) -> str | None:
         """``algebra.star_representation_defect`` of G(S), for three checks."""
         return star_representation_defect(self.beta.groupoid)
+
+    @cached_property
+    def bundle_defect(self) -> str | None:
+        """``algebra.embedding_defect`` of the centralizer bundle, for three checks."""
+        return embedding_defect(self.z_in_beta)
+
+    @cached_property
+    def certified_beta(self) -> GermGroupoid:
+        """G(S), once ``actions.certify_germ_groupoid`` passes, for three checks."""
+        certify_germ_groupoid(self.beta)
+        return self.beta
 
     @cached_property
     def universal_kernel(self) -> np.ndarray:

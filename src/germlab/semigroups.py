@@ -222,17 +222,6 @@ def chunks(rows: int, per_row: int):
         yield slice(start, min(start + step, rows))
 
 
-def group_pairs(groups: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j) joining entries i, each in one of ``groups``, to
-    the members j of its group in a list laid out group by group, group g
-    holding sizes[g] members: i ascending, and j in list order for each i."""
-    mates = sizes[groups]
-    ends = np.cumsum(mates)
-    i = np.repeat(np.arange(groups.size), mates)
-    j = np.repeat((np.cumsum(sizes) - sizes)[groups] - (ends - mates), mates)
-    return i, j + np.arange(ends[-1] if ends.size else 0)
-
-
 def detect_zero(table: np.ndarray, E: np.ndarray) -> int | None:
     """The zero: the z with z x = z = x z for every x, or None.
 

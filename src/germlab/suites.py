@@ -29,13 +29,18 @@ maps, the projection and the cocycle are homomorphisms, ...) are checked
 here, each by one named check.  Each structure is certified once: S/mu,
 also for ``congruence.mu_inside_h``, and S/sigma by the congruence check in
 ``quotient``, not by Light's test, and the cocycle's group by
-``group_quotient``, not as a groupoid again.  When S is fundamental, S/mu
-is S and its germs are G(S) itself, certified by ``germ.groupoid_axioms``
-and not again by the projection check.  No check runs an isomorphism
-search: each isomorphism is certified along a given map (E onto the Munn
-semigroup's identity rows, isotropy fibers onto class groups, G(S) onto the
-semidirect product by unique factorization), and checks that read only an
-arrow set take ``germs_of`` rather than an extracted subgroupoid copy.
+``group_quotient``, not as a groupoid again.  So is each certificate that
+several checks read, cached on the Subject: ``star_defect`` for the
+C*-identity and its two corollaries; ``bundle_defect`` for the embedding,
+the conditional expectation and its faithfulness; ``certified_beta``, G(S)
+by its element map, for ``germ.groupoid_axioms``, the fibers and the
+projection, whose source it is (and target, when S is fundamental).  Each
+check reads its certificate itself, so it fails alone as in a suite.  No
+check runs an isomorphism search: each isomorphism is certified along a
+given map (E onto the Munn semigroup's identity rows, isotropy fibers onto
+class groups, G(S) onto the semidirect product by unique factorization),
+and checks that read only an arrow set take ``germs_of`` rather than an
+extracted subgroupoid copy.
 
 Element and arrow subsets are boolean masks from the function that
 computes them to the check that compares them, and a witness names the
@@ -84,7 +89,6 @@ from .semigroups import (
     InverseSemigroup,
     distinct,
     first_index,
-    group_pairs,
     is_e_unitary,
     is_zero_e_unitary,
     normality_defect,
@@ -387,9 +391,8 @@ def _germ_equivalence(sub):
 @check("universal", "germ.groupoid_axioms",
        "the universal germ groupoid satisfies the groupoid axioms")
 def _groupoid_axioms(sub):
-    """Certified by the element map (``actions.certify_germ_groupoid``)."""
-    certify_germ_groupoid(sub.beta)
-    return True, f"{sub.beta.groupoid.n_arrows} arrows"
+    """Certified by the element map (``Subject.certified_beta``)."""
+    return True, f"{sub.certified_beta.groupoid.n_arrows} arrows"
 
 
 @check("universal", "germ.idempotent_units", "idempotent germs form exactly the unit space")
@@ -456,39 +459,27 @@ def _fibers_are_h_classes(sub):
     """Certify each isotropy fiber isomorphic to its class group, no search.
 
     At the principal point x of a nonzero idempotent e (so m_x = e) the
-    germ [s, x] maps to s m_x.  The map is checked to be a bijection of
-    the fiber onto H_e, then multiplicative on every composable pair of
-    the fiber; a bijective homomorphism of groups is an isomorphism.  All
-    fibers at once: the loops r = d = u are grouped by the idempotent
-    whose principal unit u is.  H_e is a set, so the images are H_e
-    exactly when, as a set, they are H_e (``_classes_differ``) and they
-    number |H_e|.  The composable pairs of each fiber are laid out
-    row-major, so the first bad pair of the first bad fiber is the
-    witness, as a walk over the idempotents would find it.
+    germ [s, x] maps to s m_x: the element map, multiplicative by
+    ``Subject.certified_beta``.  It is checked to be a bijection of the
+    fiber onto H_e, so an isomorphism of groups.  All fibers at once: the
+    loops r = d = u are grouped by the idempotent whose principal unit u
+    is.  H_e is a set, so the images are H_e exactly when, as a set, they
+    are H_e (``_classes_differ``) and they number |H_e|.  The first fiber,
+    by idempotent, that is not a bijection is the witness, or else the
+    element map's first failure.
     """
     S, germs = sub.S, sub.beta
     G = germs.groupoid
     E, units = _principal_units(germs)
-    k = E.size
-    loop_at = np.where(G.r == G.d, G.r, -1)             # a loop's unit, -1 for other arrows
-    owner, fiber = np.nonzero(loop_at == units[:, None])
-    canonical = germs.canonical_elements(np.arange(G.n_arrows))
-    image = canonical[fiber]
+    owner, fiber = np.nonzero((G.r == G.d) & (G.d == units[:, None]))     # the loops at each unit
     h = S.h_partition.labels
-    count = np.bincount(owner, minlength=k)
-    unlike = _classes_differ(E, owner, image, h) | (count != np.bincount(h)[h[E]])
-    p, q = group_pairs(owner, count)       # the pairs of each fiber, row-major
-    product = G.table[fiber[p], fiber[q]] % G.n_arrows    # -1, no product, indexes the last arrow
-    inside = loop_at[product] == units[owner[p]]
-    broken = np.where(inside, canonical[product], -1) != S.table[image[p], image[q]]
-    i = _first_fiber_failure(E, units, unlike | (np.bincount(owner[p[broken]], minlength=k) > 0))
-    if i is None:
-        return True, "all isotropy fibers certified isomorphic"
-    if unlike[i]:
+    unlike = (_classes_differ(E, owner, germs.canonical_elements(fiber), h)
+              | (np.bincount(owner, minlength=E.size) != np.bincount(h)[h[E]]))
+    i = _first_fiber_failure(E, units, unlike)
+    if i is not None:
         return False, f"fiber at idempotent {E[i]} differs from its class group"
-    j = np.flatnonzero(broken & (owner[p] == i))[0]
-    return False, (f"fiber at idempotent {E[i]} is not multiplicative "
-                   f"at ({fiber[p[j]]},{fiber[q[j]]})")
+    sub.certified_beta      # raises the element map's first failure
+    return True, "all isotropy fibers certified isomorphic"
 
 
 @check("universal", "groupoid.containment_chain",
@@ -703,7 +694,7 @@ def _graph_zero_disjunctive(sub):
        "projection onto it is a strongly surjective homomorphism")
 def _projection_strongly_surjective(sub):
     proj = sub.projection
-    if proj.target is not sub.beta:     # G(S) itself is certified by germ.groupoid_axioms
+    if proj.target is not sub.certified_beta:       # G(S), the source, certified once
         certify_germ_groupoid(proj.target)      # the germs of S/mu, by their element map
     validate_hom(proj.hom)
     if not is_strongly_surjective(proj.hom):
@@ -785,9 +776,7 @@ def _semidirect_decomposition(sub):
 
 
 # ---------------------------------------------------------------------------
-# algebra suite: exact index certificates, with no samples and no floats.
-# The C*-identity, associativity and anti-multiplicativity read one,
-# ``Subject.star_defect``, computed once per subject.
+# algebra suite: exact index certificates, with no samples and no floats
 
 
 @check("algebra", "algebra.cstar_identity",
@@ -809,34 +798,45 @@ def _cstar_identity(sub):
 @check("algebra", "algebra.embedding_isometric",
        "extension by zero from the centralizer bundle is an isometric *-homomorphism")
 def _embedding_isometric(sub):
-    """The exact certificate ``algebra.embedding_defect``: no samples and no
-    tolerance.  The bundle's blocks at the units of G are its cosets, H_u c
-    over the arrows c of range u, so there are |r^-1(u)| / |H_u| at u."""
-    emb = sub.z_in_beta
-    G = emb.parent
-    defect = alg.embedding_defect(emb)
-    if defect is not None:
-        return False, defect
+    """The exact certificate ``Subject.bundle_defect``, with no tolerance.
+    The bundle's blocks at the units of G are its cosets, H_u c over the
+    arrows c of range u, so there are |r^-1(u)| / |H_u| at u."""
+    G, t = sub.z_in_beta.parent, sub.z_in_beta.to_parent
+    if sub.bundle_defect is not None:
+        return False, sub.bundle_defect
     blocks = (np.bincount(G.r, minlength=G.n_arrows)[G.units]
-              // np.bincount(G.r[emb.to_parent], minlength=G.n_arrows)[G.units]).sum()
+              // np.bincount(G.r[t], minlength=G.n_arrows)[G.units]).sum()
     return True, f"units certified: {G.units.size}, bundle blocks: {blocks}"
 
 
 @check("algebra", "algebra.conditional_expectation",
        "restriction to the centralizer bundle is an idempotent bimodule projection")
 def _conditional_expectation(sub):
-    emb = sub.z_in_beta
-    H = emb.groupoid
-    defect = alg.expectation_defect(emb)
-    return defect is None, defect or (f"bundle arrows certified: {H.n_arrows},"
-                                      f" products: {np.count_nonzero(H.table >= 0)}")
+    """A corollary of the closed-bundle hypotheses and the embedding
+    certificate ``Subject.bundle_defect``, with G's groupoid laws from
+    ``germ.groupoid_axioms``; E restricts along t = ``to_parent``.
+    - Map: t is an isomorphism onto the subgroupoid's arrows, so ``embed``
+      writes h(k) at t(k) alone, E(embed(h)) = h and E is idempotent.
+    - Cosets give crossing: in the d-fiber of a unit x, w in H shares x's
+      class (w x^-1 = w is in H) and y off H does not, so w y^-1 is off H.
+    - Reach and wide give units, t maps H's units onto G's: reach makes
+      H's units the t^-1 r(l) over the class leads l, units of G; a unit x
+      of G is in H by wide, so its class's lead l is in H, r(l) = d(l) = x.
+    ``convolve`` sums over the pairs of a fiber, so for a and b on H,
+    crossing leaves only factorizations inside H, which t matches with H's:
+    E(embed(a) f embed(b)) = a E(f) b."""
+    alg.require_bundle(sub.z_in_beta, closed=True)
+    H = sub.z_in_beta.groupoid
+    return sub.bundle_defect is None, sub.bundle_defect or (
+        f"bundle arrows certified: {H.n_arrows}, products: {np.count_nonzero(H.table >= 0)}")
 
 
 @check("algebra", "algebra.expectation_faithful",
        "the conditional expectation of f*f vanishes only on the zero function")
 def _expectation_faithful(sub):
     emb = sub.z_in_beta
-    defect = alg.faithfulness_defect(emb)
+    alg.require_bundle(emb, closed=True)
+    defect = sub.bundle_defect or alg.faithfulness_defect(emb)
     units = len(emb.parent.units)
     return defect is None, defect or f"(f*f)(u) sums |f(y)|^2 over d(y) = u, units: {units}"
 

@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from germlab import actions, algebra, semigroups
+from germlab import actions, algebra, semigroups, suites
 from germlab.actions import (
     EmbeddedSubgroupoid,
     centralizer_germs,
@@ -641,38 +641,41 @@ def _extra_unit_factorization(emb):
     emb.parent.table[0, 4] = 0
 
 
-EXPECTATION = ("algebra.conditional_expectation", algebra.expectation_defect)
-FAITHFUL = ("algebra.expectation_faithful", algebra.faithfulness_defect)
+EXPECTATION, FAITHFUL = "algebra.conditional_expectation", "algebra.expectation_faithful"
 CERTIFICATE_MUTATIONS = [
     (EXPECTATION, _map_twice, "H arrows 0 and 1 both map to 0"),
     (EXPECTATION, _unmapped_arrow, "arrow 4 of the subgroupoid is the image of no H arrow"),
     (EXPECTATION, _corrupt_h_product, "product fails at H arrows (2,3): 3 in G, not 2"),
-    (EXPECTATION, _dropped_unit, "units fail at H arrow 4: a unit of G only"),
-    (EXPECTATION, _unreached_unit, "units fail at H arrow 1: a unit of H only"),
-    (EXPECTATION, _join_two_classes, "crossing fails: 2 4^-1 is in H, 4 is not"),
-    (FAITHFUL, _map_off_h, "source 6 of arrow 6 is not in the bundle map's image"),
-    (FAITHFUL, _corrupt_class_block, "inverse law fails at arrow 5: 9 5 = 3, not 2"),
+    (EXPECTATION, _dropped_unit, "H arrow 4 is a class's range but not a unit of H"),
+    (EXPECTATION, _unreached_unit, "H unit 1 is reached by no class"),
+    (EXPECTATION, _join_two_classes, "cosets fail at unit 2: 2 4^-1 is in H across classes"),
+    (FAITHFUL, _map_off_h, "H arrow 4 maps to 4, not an arrow of the subgroupoid"),
+    (FAITHFUL, _corrupt_class_block, "class block fails at unit 6: 9 9^-1 is H arrow 3, not 2"),
     (FAITHFUL, _extra_unit_factorization, "unit 0 has 3 factorizations, not 2"),
 ]
 
 
-@pytest.mark.parametrize("certificate,mutate,witness", CERTIFICATE_MUTATIONS,
-                         ids=[c.__name__ + m.__name__ for (_, c), m, _ in CERTIFICATE_MUTATIONS])
-def test_expectation_certificates_name_the_first_failure(certificate, mutate, witness):
+@pytest.mark.parametrize("check,mutate,witness", CERTIFICATE_MUTATIONS,
+                         ids=[c.split(".")[1] + m.__name__ for c, m, _ in CERTIFICATE_MUTATIONS])
+def test_expectation_certificates_name_the_first_failure(check, mutate, witness, monkeypatch):
     """Each corruption of the map into G, of H's table or units, of G's
-    table across a fiber's classes, of an inverse law or of a unit's
-    factorization count fails the expectation's or the faithfulness
-    certificate with its witness, directly and through its check.
-    Uncorrupted, both pass."""
-    check, defect = certificate
+    table across a fiber's classes, inside a class, or of a unit's
+    factorization count fails the expectation's or the faithfulness check
+    with the witness of the embedding certificate ``Subject.bundle_defect``
+    that both read, or else of ``faithfulness_defect``: run alone, and in
+    the algebra suite after the embedding check.  Uncorrupted, both pass."""
     sub, emb = _brandt_bundle()
     mutate(emb)
-    assert defect(emb) == witness
     [result] = run_checks(sub, check)
     assert (result.passed, result.witness) == (False, witness)
     sub, emb = _brandt_bundle()
-    assert algebra.expectation_defect(emb) is None and algebra.faithfulness_defect(emb) is None
-    assert all(run_checks(sub, name)[0].passed for name in (EXPECTATION[0], FAITHFUL[0]))
+    mutate(emb)
+    monkeypatch.setattr(suites, "_subject", lambda S: sub)
+    [report] = run_suite("brandt_z2", sub.S, "algebra")
+    assert [(r.passed, r.witness) for r in report.checks if r.name == check] == [(False, witness)]
+    sub, emb = _brandt_bundle()
+    assert algebra.embedding_defect(emb) is None and algebra.faithfulness_defect(emb) is None
+    assert all(run_checks(sub, name)[0].passed for name in (EXPECTATION, FAITHFUL))
 
 
 STAR_CHECKS = ("algebra.cstar_identity", "algebra.convolution_associative",
@@ -751,7 +754,7 @@ def test_expectation_and_convolution_identities_on_random_functions(name):
                           convolve(f, convolve(g, h)).values), name
     assert np.array_equal(involution(convolve(f, g)).values,
                           convolve(involution(g), involution(f)).values), name
-    assert algebra.expectation_defect(emb) is None and algebra.faithfulness_defect(emb) is None
+    assert algebra.embedding_defect(emb) is None and algebra.faithfulness_defect(emb) is None
     assert algebra.star_representation_defect(G) is None, name
 
 

@@ -19,7 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from germlab.actions import Action, germ_equivalence_is_equivalence
+from germlab.actions import Action, certify_germ_groupoid, germ_equivalence_is_equivalence
 from germlab.congruences import Relation, congruence_witness
 from germlab.errors import StructureError
 from germlab.extensions import Subject
@@ -98,25 +98,45 @@ def _canonical(germs, arrows):
     return germs.action.semigroup.table[s, np.asarray(germs.base_idempotent)[x]]
 
 
-def reference_fibers_are_h_classes(sub):
+def _principal_fibers(sub):
+    """(e, the loops at e's principal unit) per nonzero idempotent e, in order."""
     S, germs = sub.S, sub.beta
     G = germs.groupoid
     for e in S.idempotent_array.tolist():
-        if e == S.zero:
-            continue
-        u = germs.unit_at_point[germs.principal_point(e)]
-        fiber = np.flatnonzero((G.r == u) & (G.d == u))
-        image = np.full(G.n_arrows, -1, dtype=np.intp)
-        image[fiber] = _canonical(germs, fiber)
-        if sorted(image[fiber].tolist()) != sorted(h_class_of(S, e)):
+        if e != S.zero:
+            u = germs.unit_at_point[germs.principal_point(e)]
+            yield e, np.flatnonzero((G.r == u) & (G.d == u))
+
+
+def reference_fibers_are_h_classes(sub):
+    """The loop decides the bijection half; the multiplicative half is the
+    element map's certificate, which the check reads, and which refuses
+    whatever ``loop_product_failure`` finds."""
+    for e, fiber in _principal_fibers(sub):
+        if sorted(_canonical(sub.beta, fiber).tolist()) != sorted(h_class_of(sub.S, e)):
             return False, f"fiber at idempotent {e} differs from its class group"
-        products = image[G.table[np.ix_(fiber, fiber)]]
-        i = np.flatnonzero(products != S.table[np.ix_(image[fiber], image[fiber])])
-        if i.size:
-            a, b = divmod(int(i[0]), fiber.size)
-            return False, (f"fiber at idempotent {e} is not multiplicative "
-                           f"at ({fiber[a]},{fiber[b]})")
+    certify_germ_groupoid(sub.beta)
     return True, "all isotropy fibers certified isomorphic"
+
+
+def loop_product_failure(sub):
+    """The loop's multiplicative test of the fibers, weaker than the element
+    map's certificate: the first (e, g, h) over the principal fibers, pairs
+    row-major, whose product's element is not the product of theirs; None
+    when there is none, or when an idempotent has no principal point."""
+    S, G = sub.S, sub.beta.groupoid
+    try:
+        for e, fiber in _principal_fibers(sub):
+            image = np.full(G.n_arrows, -1, dtype=np.intp)
+            image[fiber] = _canonical(sub.beta, fiber)
+            products = image[G.table[np.ix_(fiber, fiber)]]
+            i = np.flatnonzero(products != S.table[np.ix_(image[fiber], image[fiber])])
+            if i.size:
+                a, b = divmod(int(i[0]), fiber.size)
+                return e, int(fiber[a]), int(fiber[b])
+    except StructureError:
+        return None
+    return None
 
 
 def reference_containment_chain(sub):
@@ -418,7 +438,8 @@ def test_perturbed_fibers_give_the_loops_witnesses():
     to -1; one arrow's representative moved to another element; one
     point's least idempotent replaced, so that an idempotent may have no
     principal point.  Every change is tried at several places, and every
-    kind of witness is seen."""
+    kind of witness is seen; a table change that the loop's multiplicative
+    half catches fails the check."""
     rng = np.random.default_rng(11)
     kinds = set()
     for name in ("group:z70", "symmetric:3 x group:z2", "graph7", "b2", "diamond_munn"):
@@ -430,7 +451,9 @@ def test_perturbed_fibers_give_the_loops_witnesses():
             table = G.table.copy()
             table[a, b] = rng.choice([-1, int(rng.integers(G.n_arrows))])
             sub = _replace_beta(Subject(S), groupoid=dataclasses.replace(G, table=table))
-            kinds.add(re.sub(r"\d+", "", agree(sub, "germ.fibers_are_h_classes")[1]))
+            passed, witness = agree(sub, "germ.fibers_are_h_classes")
+            assert not (passed and loop_product_failure(sub)), (name, a, b)
+            kinds.add(re.sub(r"\d+", "", witness))
 
             sub = Subject(S)
             rep = sub.beta.rep_of.copy()
@@ -442,7 +465,7 @@ def test_perturbed_fibers_give_the_loops_witnesses():
             for one in (sub, perturbed):
                 for check in ("germ.fibers_are_h_classes", "groupoid.containment_chain"):
                     kinds.add(re.sub(r"\d+", "", agree(one, check)[1]))
-    assert {"fiber at idempotent  is not multiplicative at (,)",
+    assert {"error: element map is not multiplicative at (,)",
             "fiber at idempotent  differs from its class group",
             "centralizer fiber at  is not its congruence class",
             "error: no point is generated by idempotent "} <= kinds
@@ -450,14 +473,16 @@ def test_perturbed_fibers_give_the_loops_witnesses():
 
 def test_a_non_multiplicative_fiber_is_named_at_its_first_pair():
     """Two composition entries of z70's one fiber changed: the first in
-    row-major order is the witness."""
+    row-major order is the witness, the element map's certificate's, and
+    the loop's multiplicative half finds the same pair."""
     S = subject("group:z70")
     G = Subject(S).beta.groupoid
     table = G.table.copy()
     table[5, 7], table[3, 2] = table[5, 8], table[3, 3]
     sub = _replace_beta(Subject(S), groupoid=dataclasses.replace(G, table=table))
     assert agree(sub, "germ.fibers_are_h_classes") == (
-        False, "fiber at idempotent 0 is not multiplicative at (3,2)")
+        False, "error: element map is not multiplicative at (3,2)")
+    assert loop_product_failure(sub) == (0, 3, 2)
 
 
 @pytest.mark.parametrize("name", ("b2", "diamond_munn", "symmetric:3 x group:z2", "graph7"))

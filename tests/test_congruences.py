@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -18,6 +19,7 @@ from germlab.congruences import (
     random_idempotent_separating_congruences,
     sigma_and_group_image,
     sigma_relation,
+    split_transversal,
     transversal_defect,
 )
 from germlab.errors import NotACongruence, SearchBudgetExceeded
@@ -424,6 +426,56 @@ def test_split_transversal_matches_reference_on_labelled_shifts():
             assert found == _transversal_outcome(_reference_split_transversal, S)
             mu = mu_relation(S)
             first = tuple(min(b, key=lambda x: x not in S.idempotent_set) for b in mu.blocks)
+            kinds.add("none" if found is None else "first" if found == first else "backtracked")
+    assert kinds == {"none", "first", "backtracked"}
+
+
+SECTION_ENUMERATION_CAP = 4096     # sections the brute-force oracle enumerates
+
+
+def _first_multiplicative_section(S, mu, q):
+    """Brute force over every section of q, one member of each mu-class, in
+    the order of ``split_transversal``'s search (classes in order, the most
+    significant first, each block's members in order): the first with
+    r(x) r(y) = r(xy) for every pair of classes, or None.  No class is
+    forced: a multiplicative r puts r(e) r(e) = r(e) in the class of an
+    idempotent e, and mu separates idempotents."""
+    sections = np.array(list(itertools.product(*mu.blocks)), dtype=np.intp)
+    multiplicative = (S.table[sections[:, :, None], sections[:, None, :]]
+                      == sections[:, q.target.table]).all(axis=(1, 2))
+    hit = np.flatnonzero(multiplicative)
+    return tuple(sections[hit[0]].tolist()) if hit.size else None
+
+
+def _has_free_class(S) -> bool:
+    """Whether a mu-class has two or more elements and no idempotent."""
+    return any(len(b) > 1 and not S.idempotent_mask[list(b)].any()
+               for b in mu_relation(S).blocks)
+
+
+def test_split_transversal_is_the_first_multiplicative_section():
+    """The oracle for the search's product check (a free class as the
+    product of two decided ones): whatever the search prunes, it returns
+    the first multiplicative section in its order, or None when there is
+    none.  On the corpus subjects with a free class, the labelled shifts
+    with at most SECTION_ENUMERATION_CAP sections, and two relabelled
+    copies of each, which give all three outcomes: none, the first
+    candidates, and a section found after backtracking."""
+    corpus = [name for name in CORPUS_NAMES if _has_free_class(builtin(name))]
+    assert corpus == ["brandt_z2"]
+    shifts = [_labelled_shift(n, labels + (0,) * (n - 2), m)
+              for n, m in itertools.product((2, 3), (2, 3, 4))
+              for labels in itertools.product(range(m), repeat=2)]
+    kinds = set()
+    for S in [builtin(name) for name in corpus] + shifts:
+        if math.prod(map(len, mu_relation(S).blocks)) > SECTION_ENUMERATION_CAP:
+            continue
+        for T in (S, _relabelled(S, 1), _relabelled(S, 2)):
+            mu = mu_relation(T)
+            q = quotient(T, mu)
+            found = split_transversal(T, mu, q)
+            assert found == _first_multiplicative_section(T, mu, q)
+            first = tuple(min(b, key=lambda x: not T.idempotent_mask[x]) for b in mu.blocks)
             kinds.add("none" if found is None else "first" if found == first else "backtracked")
     assert kinds == {"none", "first", "backtracked"}
 

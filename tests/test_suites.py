@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import germlab
-from germlab import extensions, semilattices, suites
+from germlab import actions, algebra, extensions, semilattices, suites
 from germlab.algebra import star_representation_defect
 from germlab.actions import induced_subgroupoid
 from germlab.builtins import CORPUS_NAMES, builtin
@@ -126,14 +126,24 @@ def test_natural_order_certificate_reports_a_witness(shadow, witness):
     assert check.witness == witness
 
 
-def test_fiber_certificate_reports_a_non_multiplicative_pair():
-    sub = Subject(builtin("group:z3"))
-    G = sub.beta.groupoid           # one unit; arrow i is the germ of r_i
-    broken = dataclasses.replace(G, table=edited_table(G.table, {(1, 1): 1}))
-    sub.beta = dataclasses.replace(sub.beta, groupoid=broken)
-    [check] = run_checks(sub, "germ.fibers_are_h_classes")
-    assert not check.passed
-    assert check.witness == "fiber at idempotent 0 is not multiplicative at (1,1)"
+def test_fiber_certificate_reports_a_non_multiplicative_pair(monkeypatch):
+    """The fiber still maps onto H_e bijectively, so the check reads the
+    element map's certificate, which names the pair: run alone, and in the
+    universal suite after germ.groupoid_axioms, which fails with it too."""
+    witness = "error: element map is not multiplicative at (1,1)"
+    for alone in (True, False):
+        sub = Subject(builtin("group:z3"))
+        G = sub.beta.groupoid           # one unit; arrow i is the germ of r_i
+        broken = dataclasses.replace(G, table=edited_table(G.table, {(1, 1): 1}))
+        sub.beta = dataclasses.replace(sub.beta, groupoid=broken)
+        if alone:
+            results = run_checks(sub, "germ.fibers_are_h_classes")
+        else:
+            monkeypatch.setattr(suites, "_subject", lambda S: sub)
+            [report] = run_suite("group:z3", sub.S, "universal")
+            results = [r for r in report.checks
+                       if r.name in ("germ.groupoid_axioms", "germ.fibers_are_h_classes")]
+        assert [(r.passed, r.witness) for r in results] == [(False, witness)] * (2 - alone)
 
 
 def test_z70_universal_suite_passes_without_a_search_cap():
@@ -190,11 +200,14 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
     The spectrum is the Subject's points, with no frozenset filters, and
     all_filters(E) never runs: ultrafilters reads the atoms, and
     tight.ultrafilters_maximal builds its filters from the points.
-    certify_germ_groupoid runs in germ.groupoid_axioms and
-    tight.action_valid, one per germ groupoid: the projection check
-    certifies no target that is G(S) itself.  validate_groupoid never runs; no builder re-validates what it builds,
-    and the semidirect decomposition
-    certifies G(S) by unique factorization without building the product.
+    certify_germ_groupoid runs once per germ groupoid: on G(S) for
+    ``Subject.certified_beta``, which germ.groupoid_axioms,
+    germ.fibers_are_h_classes and the projection check, whose target is
+    G(S) itself, read, and in tight.action_valid on the tight germs.  A
+    second run of the suites certifies the tight germs again, not G(S).
+    validate_groupoid never runs; no builder re-validates what it builds,
+    and the semidirect decomposition certifies G(S) by unique
+    factorization without building the product.
     The predicates that several checks read run once per structure:
     is_clifford on S, is_zero_disjunctive on E, is_essentially_principal on
     the universal and on the tight groupoid.
@@ -231,7 +244,7 @@ def test_one_subject_builds_each_structure_once(monkeypatch):
     first = Counter(calls)
     for suite in ("tight", "extension", "algebra", "universal"):
         run_suite("symmetric:3", S, suite)
-    assert calls - first == Counter({"certify_germ_groupoid": 2, "is_essentially_principal": 2,
+    assert calls - first == Counter({"certify_germ_groupoid": 1, "is_essentially_principal": 2,
                                      "mu_relation": 1})
     assert dict(computed) == {"isotropy": 2, "isotropy_interior": 2}
 
@@ -291,6 +304,29 @@ def test_derived_structures_are_validated_once(monkeypatch):
     assert all(report.passed for report in reports)
     assert calls == {"check_associativity": [munn.size], "_inverses": [munn.size],
                      "validate_groupoid": []}
+
+
+@pytest.mark.parametrize("name", ("brandt_z2", "symmetric:4"))
+def test_bundle_and_element_map_certificates_run_once(monkeypatch, name):
+    """One ``run_suite`` over all four suites runs the bundle map's
+    certificate ``algebra._map_defect`` once, for ``Subject.bundle_defect``,
+    which the embedding, expectation and faithfulness checks read, and
+    certifies G(S) by its element map once, for ``Subject.certified_beta``,
+    which germ.groupoid_axioms and germ.fibers_are_h_classes read, as does
+    the projection check on the fundamental ``symmetric:4``, whose S/mu is
+    S."""
+    mapped, certified = [], []
+    real_map, real_certify = algebra._map_defect, actions.certify_germ_groupoid
+    monkeypatch.setattr(algebra, "_map_defect", lambda emb: mapped.append(emb) or real_map(emb))
+    for module in (extensions, suites):
+        monkeypatch.setattr(module, "certify_germ_groupoid",
+                            lambda germs: certified.append(germs) or real_certify(germs))
+    S = builtin(name)
+    assert all(report.passed for report in run_suite(name, S, "all"))
+    sub = suites._subject(S)
+    assert [emb is sub.z_in_beta for emb in mapped] == [True]
+    assert [germs is sub.beta for germs in certified].count(True) == 1
+    assert (sub.projection.target is sub.beta) == (name == "symmetric:4")
 
 
 def test_centralizer_germs_of_a_group_are_the_whole_groupoid():
